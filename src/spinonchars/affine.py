@@ -55,7 +55,7 @@ def weight_eps_pairing(coords, n: int, i: int) -> Fraction:
 class CharacterTable:
     """Weight -> coefficient array, graded relative to q^delta."""
 
-    def __init__(self, n: int, k: int, qmax: int, delta: Fraction | None = None):
+    def __init__(self, n: int, k: int, qmax: int):
         if not 0 <= k < n:
             raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
         if qmax < 0:
@@ -63,7 +63,7 @@ class CharacterTable:
         self.n = n
         self.k = k
         self.qmax = qmax
-        self.delta = conformal_dimension(n, k) if delta is None else Fraction(delta)
+        self.delta = conformal_dimension(n, k)
         self.rows: dict[tuple[int, ...], list[int]] = {}
 
     def add(self, weight, degree: int, coeff: int) -> None:

@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict rank-parametrized suites to one rank")
     p_verify.add_argument("--qmax", type=int, default=None,
                           help="override the truncation order where applicable")
-    p_verify.add_argument("--jobs", type=int, default=None)
-    p_verify.add_argument("--profile", choices=("desk",), default="desk")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="must be 1: cases run in one process")
     p_verify.add_argument("--format", choices=("json", "pretty"),
                           default="pretty")
 
@@ -234,15 +234,15 @@ def main(argv=None) -> int:
             print(_render_table(table, args.format))
             return 0
         if args.command == "verify":
-            jobs = args.jobs if args.jobs is not None else verify.default_jobs()
-            if jobs < 1:
-                raise UsageError("--jobs must be >= 1")
+            if args.jobs != 1:
+                raise UsageError(
+                    f"--jobs must be 1, got {args.jobs}: cases run in one process")
             if args.n is not None and args.n < 2:
                 raise UsageError(f"--n must be >= 2, got {args.n}")
             if args.qmax is not None and args.qmax < 0:
                 raise UsageError(f"--qmax must be >= 0, got {args.qmax}")
             cases = verify.build_suite(args.suite, n=args.n, qmax=args.qmax)
-            report = verify.run_cases(args.suite, cases, jobs)
+            report = verify.run_cases(args.suite, cases)
             print(_render_report(report, args.format))
             return 0 if report.passed else 1
         if args.command == "bijection":

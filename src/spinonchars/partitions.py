@@ -65,14 +65,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def conjugate(p: Partition) -> Partition:
-    return p.conjugate()
-
-
-def multiplicities(p: Partition) -> dict[int, int]:
-    return p.multiplicities()
-
-
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
     """Yield all partitions of n (optionally bounding part size and length)."""
     if max_part is None:
@@ -124,11 +116,6 @@ class SkewShape:
 
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
-
-    def row_lengths(self) -> tuple[int, ...]:
-        return tuple(
-            self.outer[i] - self.inner[i] for i in range(1, len(self.outer) + 1)
-        )
 
     def column_heights(self) -> tuple[int, ...]:
         """Heights of columns 1..outer_1, left to right."""

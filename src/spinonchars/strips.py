@@ -100,9 +100,6 @@ class BorderStrip:
             cols.pop()
         return BorderStrip.from_cols(cols, self.n)
 
-    def k_class(self) -> int:
-        return self.size() % self.n
-
     def to_dict(self) -> dict:
         return {"rows": list(self.rows), "cols": list(self.cols), "n": self.n}
 
@@ -116,11 +113,6 @@ class BorderStrip:
 
     def __repr__(self):
         return f"BorderStrip(rows={list(self.rows)}, cols={list(self.cols)}, n={self.n})"
-
-
-def border_strip_validate(shape: SkewShape, n: int) -> BorderStrip:
-    """Validate a skew shape as a rank-n border strip (raises naming the fault)."""
-    return BorderStrip(shape, n)
 
 
 def enumerate_border_strips(n: int, size: int, reduced: bool) -> list[BorderStrip]:
@@ -336,15 +328,6 @@ def rapidity_to_strip(seq: RapiditySeq, n: int | None = None) -> BorderStrip:
     return BorderStrip.from_rows(rows, n)
 
 
-def strip_rapidity_bijection(obj, n: int):
-    """Map a BorderStrip to its RapiditySeq or back."""
-    if isinstance(obj, BorderStrip):
-        return strip_to_rapidity(obj)
-    if isinstance(obj, RapiditySeq):
-        return rapidity_to_strip(obj, n)
-    raise TypeError(f"expected BorderStrip or RapiditySeq, got {type(obj)!r}")
-
-
 class Motif:
     """A semi-infinite 0/1 sequence: explicit bits, then (1^{n-1},0) repeating.
 
@@ -421,14 +404,6 @@ def rapidity_to_motif(seq: RapiditySeq) -> Motif:
         length += 1
     bits = [1 if seq.member(x) else 0 for x in range(1, length + 1)]
     return Motif(seq.n, bits).canonical()
-
-
-def motif_rapidity_bijection(obj, n: int):
-    if isinstance(obj, Motif):
-        return motif_to_rapidity(obj)
-    if isinstance(obj, RapiditySeq):
-        return rapidity_to_motif(obj)
-    raise TypeError(f"expected Motif or RapiditySeq, got {type(obj)!r}")
 
 
 def _cells_to_strip(cells, n: int) -> BorderStrip:

@@ -83,27 +83,6 @@ class SymPoly:
             total = c + total
         return total
 
-    def is_symmetric_under(self, i: int, j: int) -> bool:
-        """Check invariance under swapping variables i and j (0-indexed)."""
-        for e, c in self.terms.items():
-            swapped = list(e)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            other = self.terms.get(tuple(swapped))
-            if other is None or other != c:
-                return False
-        return True
-
-    def to_records(self) -> list[dict]:
-        out = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if isinstance(c, QSeries):
-                rec = {"exps": list(e), "coeff": list(c.coeffs)}
-            else:
-                rec = {"exps": list(e), "coeff": c}
-            out.append(rec)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -300,13 +279,9 @@ def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], object]:
     return {w: c for w, c in out.items() if not _is_zero_coeff(c)}
 
 
-def stabilization_check(cols, n: int, nvars: int | None = None) -> bool:
+def stabilization_check(cols, n: int) -> bool:
     """True iff appending a full column of height n leaves the weight-projected
-    Schur polynomial unchanged (nvars = n)."""
-    if nvars is None:
-        nvars = n
-    if nvars != n:
-        raise ValueError("stabilization lives on the rank-n torus: nvars must be n")
+    Schur polynomial, in n variables, unchanged."""
     base = BorderStrip.from_cols(cols, n)
     extended = BorderStrip.from_cols(list(base.cols) + [n], n)
     p1 = schur_skew(base.shape, n, "jt_h")

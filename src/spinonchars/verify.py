@@ -1,10 +1,10 @@
 """Verification suites: each case checks one identity and reports a locus on
-failure.  The CLI runs these; the desk profile pins the reproduction bounds."""
+failure.  `SUITES` maps each suite name to its case builder, whose defaults
+are the pinned reproduction bounds; the CLI and the acceptance tests both run
+these builders."""
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,34 +55,16 @@ class VerificationReport:
         }
 
 
-def default_jobs() -> int:
-    env = os.environ.get("SPINONCHARS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def run_cases(suite: str, cases: list[Case], jobs: int | None = None) -> VerificationReport:
-    if jobs is None:
-        jobs = default_jobs()
-
-    def execute(case: Case) -> CaseResult:
+def run_cases(suite: str, cases: list[Case]) -> VerificationReport:
+    results = []
+    for case in cases:
         start = time.perf_counter()
         try:
             locus = case.run()
         except Exception as exc:  # identity bugs must surface, not crash the run
             locus = f"exception: {exc}"
         elapsed = time.perf_counter() - start
-        return CaseResult(case.id, case.params, locus is None, locus, elapsed)
-
-    if jobs == 1:
-        results = [execute(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, cases))
+        results.append(CaseResult(case.id, case.params, locus is None, locus, elapsed))
     results.sort(key=lambda r: r.id)
     return VerificationReport(suite, results)
 
@@ -108,16 +90,22 @@ def _table_locus(a, b):
 # ---------------------------------------------------------------------------
 # suite: qids
 
-def qids_cases(qmax: int = 30, d3_qmax: int = 20, m_bound: int = 10,
-               zprod_nmax: int = 8, rs_nmax: int = 4) -> list[Case]:
+def qids_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """Durfee sums (|m| <= 10) and z-expansion products (N <= 8) to q^30, the
+    finite two-index identities (M, N <= 10) to q^20, and the q-binomial
+    generating function (N <= 4, up to 3 variables) to q^4.  `qmax` replaces
+    30 and caps 20; the suite has no rank."""
+    if qmax is None:
+        qmax = 30
+    d3_qmax = min(qmax, 20)
     cases = []
-    for m in range(-m_bound, m_bound + 1):
+    for m in range(-10, 11):
         cases.append(Case(
             f"durfee[m={m:+03d}]", {"m": m, "qmax": qmax},
             lambda m=m: None if qseries.durfee_check(m, qmax) else "sum != 1/(q)oo",
         ))
-    for big_m in range(m_bound + 1):
-        for big_n in range(m_bound + 1):
+    for big_m in range(11):
+        for big_n in range(11):
             for variant in ("i", "ii"):
                 cases.append(Case(
                     f"lemma-d3[{variant}][M={big_m:02d},N={big_n:02d}]",
@@ -139,7 +127,7 @@ def qids_cases(qmax: int = 30, d3_qmax: int = 20, m_bound: int = 10,
                 return {"z_degree": j, **locus}
         return None
 
-    for n_val in range(1, zprod_nmax + 1):
+    for n_val in range(1, 9):
         cases.append(Case(
             f"z-expansion-product[N={n_val}]", {"N": n_val, "qmax": qmax},
             lambda n_val=n_val: zprod_check(n_val),
@@ -147,9 +135,9 @@ def qids_cases(qmax: int = 30, d3_qmax: int = 20, m_bound: int = 10,
     for nvars in range(1, 4):
         cases.append(Case(
             f"rs-generating[nvars={nvars}]",
-            {"Nmax": rs_nmax, "nvars": nvars, "qmax": 4},
+            {"Nmax": 4, "nvars": nvars, "qmax": 4},
             lambda nv=nvars: None
-            if symfunc.rs_generating_check(rs_nmax, nv, 4)
+            if symfunc.rs_generating_check(4, nv, 4)
             else "generating function mismatch",
         ))
     return cases
@@ -168,7 +156,11 @@ def _sub_partitions(lam: Partition):
                 yield mu
 
 
-def schur_cases(max_outer: int = 6, max_nvars: int = 4) -> list[Case]:
+def schur_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """The three skew-Schur routes on every skew shape with outer size <= 6 in
+    1..4 variables, the straight-shape expansion of every border strip of size
+    <= 6 at ranks 2 and 3, and the rank-2 h-rewrite for 1 <= a, b <= 6.  The
+    suite takes neither a rank nor a truncation order."""
     cases = []
 
     def check_shape(shape, nvars):
@@ -179,10 +171,10 @@ def schur_cases(max_outer: int = 6, max_nvars: int = 4) -> list[Case]:
                 return {"method": method, "shape": repr(shape)}
         return None
 
-    for lam in all_partitions_upto(max_outer):
+    for lam in all_partitions_upto(6):
         for mu in _sub_partitions(lam):
             shape = SkewShape(lam, mu)
-            for nvars in range(1, max_nvars + 1):
+            for nvars in range(1, 5):
                 cases.append(Case(
                     f"schur[{lam.parts}/{mu.parts},v={nvars}]",
                     {"outer": list(lam.parts), "inner": list(mu.parts),
@@ -228,7 +220,12 @@ def schur_cases(max_outer: int = 6, max_nvars: int = 4) -> list[Case]:
 # ---------------------------------------------------------------------------
 # suite: bijections
 
-def bijection_cases(max_size: int = 6, ranks=(2, 3)) -> list[Case]:
+def bijection_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """Label round trips and both energy forms on every reduced strip of size
+    <= 6, and the mode-list postconditions, at ranks 2 and 3 (or rank `n`);
+    plus the rapidity-energy convention harness.  No truncation order."""
+    ranks = (2, 3) if n is None else (n,)
+    max_size = 6
     cases = []
     for n in ranks:
         for size in range(max_size + 1):
@@ -330,7 +327,13 @@ def small_norm_weights(n: int, k: int, max_extra=2):
     return sorted(out)
 
 
-def spinon_cut_cases(qmax: int = 8, ranks=(2, 3, 4)) -> list[Case]:
+def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """Cut sums against the closed string functions, and multisum against
+    alternating cut forms (N <= 3n), for every weight with
+    |lambda|^2/2 - Delta_k <= 2 at ranks 2, 3 and 4 (or rank `n`), to q^8."""
+    ranks = (2, 3, 4) if n is None else (n,)
+    if qmax is None:
+        qmax = 8
     cases = []
     for n in ranks:
         for k in range(n):
@@ -357,7 +360,11 @@ def spinon_cut_cases(qmax: int = 8, ranks=(2, 3, 4)) -> list[Case]:
 # ---------------------------------------------------------------------------
 # suite: sl2
 
-def sl2_cases(qmax: int = 10) -> list[Case]:
+def sl2_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """Bosonic, both fermionic forms and mode enumeration agree at rank 2 for
+    k = 0, 1, to q^10.  The suite is rank 2 whatever `n` is."""
+    if qmax is None:
+        qmax = 10
     cases = []
     for k in (0, 1):
         def four_way(k=k):
@@ -381,16 +388,21 @@ def sl2_cases(qmax: int = 10) -> list[Case]:
 # ---------------------------------------------------------------------------
 # suite: decomposition
 
-def decomposition_cases(bounds=None) -> list[Case]:
-    if bounds is None:
-        bounds = [(2, None, 8), (3, None, 5), (4, (0, 1), 3)]
+def decomposition_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """The border-strip decomposition against the bosonic tables at n=2 to
+    q^8, n=3 to q^5 and n=4 (k=0,1) to q^3, or at rank `n` only; a given
+    `qmax` replaces these orders and takes every k.  Also the rank-2 module
+    sum to q^8 and the module checks for every partition of size <= 5 with
+    N <= 5 spinons, which take neither a rank nor an order."""
     cases = []
-    for n, ks, qmax in bounds:
-        for k in (range(n) if ks is None else ks):
+    for rank in ((2, 3, 4) if n is None else (n,)):
+        ks = range(rank) if rank < 4 or qmax is not None else (0, 1)
+        order = {2: 8, 3: 5}.get(rank, 3) if qmax is None else qmax
+        for k in ks:
             cases.append(Case(
-                f"yangian[n={n},k={k},qmax={qmax}]",
-                {"n": n, "k": k, "qmax": qmax},
-                lambda n=n, k=k, q=qmax: _table_locus(
+                f"yangian[n={rank},k={k},qmax={order}]",
+                {"n": rank, "k": k, "qmax": order},
+                lambda n=rank, k=k, q=order: _table_locus(
                     affine.bosonic_character(n, k, q),
                     yangian.yangian_decomposition(n, k, q),
                 ),
@@ -425,12 +437,17 @@ def _hw_case(lam, n_spinons):
 # ---------------------------------------------------------------------------
 # suite: gz (branching schemes and Drinfel'd polynomial cross-checks)
 
-def gz_cases(max_outer: int = 5, ranks=(2, 3), n_spinons_max: int = 2) -> list[Case]:
+def gz_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """GZ schemes against skew Schur polynomials for outer size <= 5 and up to
+    2 spinons at ranks 2 and 3 (or rank `n`), and the two Drinfel'd
+    polynomial routes for every partition of size <= 6 at ranks 2-4.  No
+    truncation order."""
+    ranks = (2, 3) if n is None else (n,)
     cases = []
-    for lam in all_partitions_upto(max_outer):
+    for lam in all_partitions_upto(5):
         for mu in _sub_partitions(lam):
             for n in ranks:
-                for n_spinons in range(n_spinons_max + 1):
+                for n_spinons in range(3):
                     if len(mu) > n_spinons or len(lam) > n_spinons + n:
                         continue
                     cases.append(Case(
@@ -487,49 +504,14 @@ def _drinfeld_case(lam, n):
     return None
 
 
-def _suite_qids(n=None, qmax=None):
-    if qmax is None:
-        return qids_cases()
-    return qids_cases(qmax=qmax, d3_qmax=min(qmax, 20))
-
-
-def _suite_spinon_cut(n=None, qmax=None):
-    ranks = (n,) if n else (2, 3, 4)
-    return spinon_cut_cases(qmax=qmax or 8, ranks=ranks)
-
-
-def _suite_sl2(n=None, qmax=None):
-    return sl2_cases(qmax=qmax or 10)
-
-
-def _suite_bijections(n=None, qmax=None):
-    return bijection_cases(ranks=(n,) if n else (2, 3))
-
-
-def _suite_decomposition(n=None, qmax=None):
-    if n is None and qmax is None:
-        return decomposition_cases()
-    defaults = {2: 8, 3: 5, 4: 3}
-    ranks = [n] if n else [2, 3, 4]
-    bounds = []
-    for rank in ranks:
-        ks = (0, 1) if rank >= 4 and qmax is None else None
-        bounds.append((rank, ks, qmax or defaults.get(rank, 3)))
-    return decomposition_cases(bounds)
-
-
-def _suite_gz(n=None, qmax=None):
-    return gz_cases(ranks=(n,) if n else (2, 3))
-
-
 SUITES = {
-    "qids": _suite_qids,
-    "schur": lambda n=None, qmax=None: schur_cases(),
-    "bijections": _suite_bijections,
-    "spinon-cut": _suite_spinon_cut,
-    "sl2": _suite_sl2,
-    "decomposition": _suite_decomposition,
-    "gz": _suite_gz,
+    "qids": qids_cases,
+    "schur": schur_cases,
+    "bijections": bijection_cases,
+    "spinon-cut": spinon_cut_cases,
+    "sl2": sl2_cases,
+    "decomposition": decomposition_cases,
+    "gz": gz_cases,
 }
 
 

@@ -1,55 +1,40 @@
 """Acceptance suite: one test per top-level guarantee, with the reproduction
-bounds pinned.  Each test prints a single PASS/FAIL line for its criterion."""
+bounds pinned.  Criteria 1-8 run the cases of the `verify` suites, whose
+builders in `verify.SUITES` hold the bounds.  Each test prints a single
+PASS/FAIL line for its criterion."""
 import time
 from fractions import Fraction
 
 from spinonchars import verify
-from spinonchars.affine import (
-    bosonic_character,
-    sl2_fermionic_character,
-    sl2_spinon_enumeration,
-    spinon_string_function,
-    verify_spinon_cut,
-)
-from spinonchars.qseries import (
-    ZPolyQ,
-    durfee_check,
-    inv_pochhammer_z_expansion,
-    lemma_d3_check,
-    pochhammer_z_expansion,
-    q_one,
-    q_zero,
-)
 from spinonchars.strips import discover_rapidity_convention
-from spinonchars.symfunc import rs_generating_check
-from spinonchars.yangian import sl2_yangian_decomposition, yangian_decomposition
+from spinonchars.yangian import yangian_decomposition
 
 
-def _report(num: int, label: str, ok: bool, started: float) -> None:
+def _run(suite: str, *prefixes: str) -> verify.VerificationReport:
+    """Run the default cases of `suite`, or those whose id starts with one of
+    `prefixes`."""
+    cases = [c for c in verify.build_suite(suite)
+             if not prefixes or c.id.startswith(prefixes)]
+    assert cases, f"no {suite} case matches {prefixes}"
+    return verify.run_cases(suite, cases)
+
+
+def _report(num: int, label: str, started: float, report=None, ok: bool = True) -> None:
+    first = next((c for c in report.cases if not c.passed), None) if report else None
+    ok = ok and first is None
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} [{label}]: {status} ({time.perf_counter() - started:.1f}s)")
-    assert ok, f"acceptance criterion {num} ({label}) failed"
+    detail = "" if first is None else f"first failing case {first.id}, locus {first.locus}"
+    if detail:
+        print(f"  {detail}")
+    assert ok, f"acceptance criterion {num} ({label}) failed. {detail}"
 
 
 def test_acceptance_1_q_series_identities():
     """Durfee sums, the finite two-index identities, the finite-product
     z-expansions, and the q-binomial generating function, at pinned bounds."""
     started = time.perf_counter()
-    ok = all(durfee_check(m, 30) for m in range(-10, 11))
-    ok = ok and all(
-        lemma_d3_check(big_m, big_n, variant, 20)
-        for big_m in range(11)
-        for big_n in range(11)
-        for variant in ("i", "ii")
-    )
-    for n in range(1, 9):
-        zdeg = n + 2
-        prod = (pochhammer_z_expansion(n, 30)
-                * inv_pochhammer_z_expansion(n, zdeg, 30)).truncate_z(zdeg)
-        one = ZPolyQ([q_one(30)] + [q_zero(30)] * zdeg)
-        ok = ok and prod == one
-    ok = ok and all(rs_generating_check(4, nvars, 4) for nvars in (1, 2, 3))
-    _report(1, "q-series identities", ok, started)
+    _report(1, "q-series identities", started, _run("qids"))
 
 
 def test_acceptance_2_schur_routes_and_expansion():
@@ -57,8 +42,7 @@ def test_acceptance_2_schur_routes_and_expansion():
     in up to 4 variables; the straight-shape expansion of every border strip of
     size <= 6 has non-negative coefficients and preserves dimensions."""
     started = time.perf_counter()
-    report = verify.run_cases("schur", verify.schur_cases(6, 4), jobs=1)
-    _report(2, "skew Schur routes", report.passed, started)
+    _report(2, "skew Schur routes", started, _run("schur"))
 
 
 def test_acceptance_3_spinon_cuts():
@@ -66,49 +50,28 @@ def test_acceptance_3_spinon_cuts():
     |weight|^2/2 - Delta_k <= 2 for n in {2,3,4}, and the multisum form of each
     cut equals the alternating form, all to order q^8."""
     started = time.perf_counter()
-    ok = True
-    for n in (2, 3, 4):
-        for k in range(n):
-            for coords in verify.small_norm_weights(n, k, max_extra=2):
-                ok = ok and verify_spinon_cut(n, k, coords, 8)
-                for n_spinons in range(k, 3 * n + 1, n):
-                    a = spinon_string_function(n, k, coords, n_spinons,
-                                               "alternating", 8)
-                    b = spinon_string_function(n, k, coords, n_spinons,
-                                               "multisum", 8)
-                    ok = ok and a == b
-    _report(3, "spinon cuts", ok, started)
+    _report(3, "spinon cuts", started, _run("spinon-cut"))
 
 
 def test_acceptance_4_sl2_four_routes():
     """Bosonic, both fermionic forms, and direct spinon-mode enumeration give
     identical rank-2 tables for k in {0,1} to order q^10."""
     started = time.perf_counter()
-    ok = True
-    for k in (0, 1):
-        bos = bosonic_character(2, k, 10)
-        ok = ok and bos == sl2_fermionic_character(k, "root", 10)
-        ok = ok and bos == sl2_fermionic_character(k, "spinon", 10)
-        ok = ok and bos == sl2_spinon_enumeration(k, 10)
-    _report(4, "rank-2 four-way equality", ok, started)
+    _report(4, "rank-2 four-way equality", started, _run("sl2"))
 
 
 def test_acceptance_5_yangian_decomposition():
     """The border-strip decomposition reproduces the bosonic tables: n=2 to
     q^8, n=3 to q^5, n=4 (k=0,1) to q^3; plus the pinned anchors at rank 3."""
     started = time.perf_counter()
-    ok = True
-    for n, ks, qmax in [(2, (0, 1), 8), (3, (0, 1, 2), 5), (4, (0, 1), 3)]:
-        for k in ks:
-            ok = ok and yangian_decomposition(n, k, qmax) == \
-                bosonic_character(n, k, qmax)
+    report = _run("decomposition", "yangian[")
     vac3 = yangian_decomposition(3, 0, 2)
-    ok = ok and sum(row[1] for row in vac3.rows.values()) == 8  # the adjoint
+    ok = sum(row[1] for row in vac3.rows.values()) == 8  # the adjoint
     ok = ok and vac3.row([1, 1])[1] == 1
     fund3 = yangian_decomposition(3, 1, 1)
     ok = ok and fund3.delta == Fraction(1, 3)
     ok = ok and sum(row[0] for row in fund3.rows.values()) == 3
-    _report(5, "Yangian decomposition", ok, started)
+    _report(5, "Yangian decomposition", started, report, ok)
 
 
 def test_acceptance_6_sl2_module_sum():
@@ -116,13 +79,8 @@ def test_acceptance_6_sl2_module_sum():
     tables to q^8, and each module's energy/character cross-checks pass for
     every partition of size <= 5."""
     started = time.perf_counter()
-    ok = True
-    for k in (0, 1):
-        ok = ok and sl2_yangian_decomposition(k, 8) == bosonic_character(2, k, 8)
-    module_cases = [c for c in verify.decomposition_cases()
-                    if c.id.startswith("hw-module")]
-    report = verify.run_cases("hw-modules", module_cases, jobs=1)
-    _report(6, "rank-2 module sum", ok and report.passed, started)
+    report = _run("decomposition", "sl2-yangian[", "hw-module[")
+    _report(6, "rank-2 module sum", started, report)
 
 
 def test_acceptance_7_label_bijections():
@@ -130,10 +88,7 @@ def test_acceptance_7_label_bijections():
     of size <= 6 at ranks 2 and 3, the square construction agreeing with the
     composed route, and the mode-sequence postconditions."""
     started = time.perf_counter()
-    report = verify.run_cases(
-        "bijections", verify.bijection_cases(6, (2, 3)), jobs=1,
-    )
-    _report(7, "label bijections", report.passed, started)
+    _report(7, "label bijections", started, _run("bijections"))
 
 
 def test_acceptance_8_gz_and_drinfeld():
@@ -142,8 +97,7 @@ def test_acceptance_8_gz_and_drinfeld():
     the two Drinfel'd polynomial routes agree with unit-spaced root strings
     for every partition of size <= 6."""
     started = time.perf_counter()
-    report = verify.run_cases("gz", verify.gz_cases(5, (2, 3), 2), jobs=1)
-    _report(8, "GZ schemes and Drinfel'd polynomials", report.passed, started)
+    _report(8, "GZ schemes and Drinfel'd polynomials", started, _run("gz"))
 
 
 def test_acceptance_9_rapidity_energy_report():
@@ -163,4 +117,4 @@ def test_acceptance_9_rapidity_energy_report():
             ok = ok and "strip" in rec and "expected" in rec
             ok = ok and ("got" in rec or "error" in rec)
     ok = ok and total > 0 and isinstance(report["conclusion"], str)
-    _report(9, "rapidity energy harness", ok, started)
+    _report(9, "rapidity energy harness", started, ok=ok)

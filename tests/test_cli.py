@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spinonchars import verify
 from spinonchars.cli import main
 
 
@@ -135,13 +136,38 @@ def test_verify_suite_exit_zero_on_pass(capsys):
     assert all("seconds" in c for c in report["cases"])
 
 
-def test_verify_jobs_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SPINONCHARS_JOBS", "2")
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "sl2", "--format", "pretty",
-    )
+def test_verify_jobs_accepts_only_one(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sl2", "--jobs", "1",
+                           "--format", "json")
     assert code == 0
-    assert "2/2 passed" in out
+    ids = [c["id"] for c in json.loads(out)["cases"]]
+    code, _, err = run_cli(capsys, "verify", "--suite", "sl2", "--jobs", "2")
+    assert code == 2
+    assert "one process" in err
+    monkeypatch.setenv("SPINONCHARS_JOBS", "2")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sl2", "--format", "json")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["cases"]] == ids
+
+
+@pytest.mark.parametrize("suite,prefix", [("sl2", "sl2-four-way["),
+                                          ("decomposition", "yangian[")])
+def test_verify_qmax_zero_is_honoured(capsys, suite, prefix):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--qmax", "0",
+                           "--format", "json")
+    assert code == 0
+    cases = [c for c in json.loads(out)["cases"] if c["id"].startswith(prefix)]
+    assert cases
+    assert all(c["params"]["qmax"] == 0 for c in cases)
+
+
+@pytest.mark.parametrize("suite,count", [
+    ("bijections", 212), ("decomposition", 81), ("gz", 388), ("qids", 274),
+    ("schur", 1041), ("sl2", 2), ("spinon-cut", 633), ("all", 2631),
+])
+def test_suite_default_case_counts(suite, count):
+    # the defaults are the pinned acceptance bounds: lowering one drops cases
+    assert len(verify.build_suite(suite)) == count
 
 
 def test_verify_rank_and_order_overrides(capsys):
