@@ -36,13 +36,13 @@ from .strips import (
     discover_rapidity_convention,
     energy,
     enumerate_border_strips,
-    min_reduced_energy,
     modes_to_strip,
     motif_to_rapidity,
     motif_to_strip,
     rapidity_energy,
     rapidity_to_motif,
     rapidity_to_strip,
+    reduced_strips,
     sl2_partition_to_strip,
     strip_to_rapidity,
     vacuum_rapidities,

@@ -71,17 +71,20 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
         max_part = n
     if max_len is None:
         max_len = n
+    yield from _partitions(n, max_part, max_len, ())
 
-    def rec(remaining, cap, room, prefix):
-        if remaining == 0:
-            yield Partition(prefix)
-            return
-        if room == 0:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - p, p, room - 1, prefix + [p])
 
-    yield from rec(n, max_part, max_len, [])
+def _partitions(remaining: int, cap: int, room: int, prefix: tuple):
+    """Partitions of `remaining` with parts <= cap and at most `room` parts,
+    each yielded after `prefix`.  A module-level generator, not a closure, so
+    that no reference cycle outlives the iteration."""
+    if remaining == 0:
+        yield Partition(prefix)
+        return
+    if room == 0:
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        yield from _partitions(remaining - p, p, room - 1, prefix + (p,))
 
 
 def all_partitions_upto(n: int):

@@ -156,39 +156,36 @@ def energy(strip: BorderStrip) -> Fraction:
     return row_form
 
 
-def min_reduced_energy(n: int, size: int) -> Fraction:
-    """Exact minimum of energy over reduced strips of the given size.
+def reduced_strips(n: int, k: int, e2_max: int):
+    """Yield (strip, e2) for every reduced rank-n strip of class k (size
+    congruent to k mod n) with e2 = 2n * energy(strip) <= e2_max.
 
-    For fixed column count s the minimum of the column statistic is achieved by
-    greedily piling height onto the cheapest (leftmost) columns, so the global
-    minimum is a scan over s.  Any column composition with heights in 1..n and
-    leftmost < n is realizable as a strip.
+    Columns are appended left to right.  In the column form of `energy` a
+    column's weight is the number of columns to its left, so appending a
+    column of height b to a strip with s columns and m boxes raises 2n*E by
+    exactly b * (2(n*s - m) + n - b).  The leftmost column is shorter than n,
+    so n*s - m >= 1 once s >= 1, and every appended column raises 2n*E by at
+    least n + 1: a prefix above e2_max has no extension within it.
     """
-    if size == 0:
-        return Fraction(0)
-    best = None
-    for s in range(1, size + 1):
-        extra = size - s
-        capacity = (n - 2) + (s - 1) * (n - 1)
-        if extra > capacity:
-            continue
-        # base cost: every column has height >= 1
-        cost = s * (s - 1) // 2
-        # distribute the excess: leftmost column (weight 0) takes up to n-2,
-        # then weight 1, 2, ... columns take up to n-1 each
-        left = extra
-        take = min(left, n - 2)
-        left -= take
-        w = 1
-        while left > 0:
-            take = min(left, n - 1)
-            cost += w * take
-            left -= take
-            w += 1
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return Fraction(size * (n - size), 2 * n) + best
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    k %= n
+    stack = [((), 0, 0)]  # (column heights left to right, boxes, 2n*E)
+    while stack:
+        cols, m, e2 = stack.pop()
+        if m % n == k:
+            strip = BorderStrip.from_cols(cols[::-1], n)
+            if energy(strip) * (2 * n) != e2:
+                raise AssertionError(
+                    f"energy increment identity fails on {strip}: "
+                    f"2n*E = {energy(strip) * (2 * n)} != {e2}"
+                )
+            yield strip, e2
+        s = len(cols)
+        for b in range(1, n + 1 if s else n):
+            grown = e2 + b * (2 * (n * s - m) + n - b)
+            if grown <= e2_max:
+                stack.append((cols + (b,), m + b, grown))
 
 
 class RapiditySeq:

@@ -120,54 +120,48 @@ def complete(m: int, nvars: int) -> SymPoly:
 
 def _det(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
     """Determinant by first-column minor expansion with subset memoization."""
-    size = len(matrix)
-    if size == 0:
+    return _minor(matrix, tuple(range(len(matrix))), {}, nvars)
+
+
+def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
+    """Minor on `rows` and the last len(rows) columns.  A module-level
+    function, not a closure, so that the memo of SymPolys is freed on return
+    instead of waiting in a reference cycle for the collector."""
+    if not rows:
         return SymPoly.one(nvars)
-    memo: dict[tuple[int, ...], SymPoly] = {}
-
-    def minor(rows: tuple[int, ...]) -> SymPoly:
-        if not rows:
-            return SymPoly.one(nvars)
-        if rows in memo:
-            return memo[rows]
-        col = size - len(rows)
-        acc = SymPoly.zero(nvars)
-        for pos, r in enumerate(rows):
-            entry = matrix[r][col]
-            if entry.is_zero():
-                continue
-            sub = minor(rows[:pos] + rows[pos + 1:])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[rows] = acc
-        return acc
-
-    return minor(tuple(range(size)))
+    if rows in memo:
+        return memo[rows]
+    col = len(matrix) - len(rows)
+    acc = SymPoly.zero(nvars)
+    for pos, r in enumerate(rows):
+        entry = matrix[r][col]
+        if entry.is_zero():
+            continue
+        sub = _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars)
+        term = entry * sub
+        acc = acc + (term if pos % 2 == 0 else -term)
+    memo[rows] = acc
+    return acc
 
 
-def _sst_fillings(shape: SkewShape, nvars: int):
-    """Yield all semi-standard fillings as dicts cell -> entry in 1..nvars."""
-    cells = shape.cells()
-    filling: dict[tuple[int, int], int] = {}
-
-    def rec(idx: int):
-        if idx == len(cells):
-            yield dict(filling)
-            return
-        i, j = cells[idx]
-        lo = 1
-        left = filling.get((i, j - 1))
-        if left is not None:
-            lo = max(lo, left)
-        up = filling.get((i - 1, j))
-        if up is not None:
-            lo = max(lo, up + 1)
-        for v in range(lo, nvars + 1):
-            filling[(i, j)] = v
-            yield from rec(idx + 1)
-        filling.pop((i, j), None)
-
-    yield from rec(0)
+def _sst_fillings(cells, filling: dict, idx: int, nvars: int):
+    """Yield every semi-standard completion of `filling` on cells[idx:], as
+    dicts cell -> entry in 1..nvars; `filling` is restored afterwards."""
+    if idx == len(cells):
+        yield dict(filling)
+        return
+    i, j = cells[idx]
+    lo = 1
+    left = filling.get((i, j - 1))
+    if left is not None:
+        lo = max(lo, left)
+    up = filling.get((i - 1, j))
+    if up is not None:
+        lo = max(lo, up + 1)
+    for v in range(lo, nvars + 1):
+        filling[(i, j)] = v
+        yield from _sst_fillings(cells, filling, idx + 1, nvars)
+    filling.pop((i, j), None)
 
 
 def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
@@ -190,7 +184,7 @@ def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
         return _det(matrix, nvars)
     if method == "sst":
         acc: dict = {}
-        for filling in _sst_fillings(shape, nvars):
+        for filling in _sst_fillings(shape.cells(), {}, 0, nvars):
             e = [0] * nvars
             for v in filling.values():
                 e[v - 1] += 1
@@ -223,28 +217,22 @@ def strip_schur(strip: BorderStrip, nvars: int) -> SymPoly:
     """Skew Schur polynomial of a border strip via the column recurrence.
 
     Peeling j columns off the left end contributes (-1)^{j-1} e_{(sum of those
-    column heights)}; since e_m vanishes for m > nvars the recursion is shallow.
+    column heights)}; since e_m vanishes for m > nvars each step looks back
+    at most nvars columns.
     """
     cols = strip.cols
-    cache: list[SymPoly | None] = [None] * (len(cols) + 1)
-    cache[0] = SymPoly.one(nvars)
-
-    def upto(j: int) -> SymPoly:
-        if cache[j] is not None:
-            return cache[j]
+    upto = [SymPoly.one(nvars)]  # upto[j]: the strip of the j rightmost columns
+    for j in range(1, len(cols) + 1):
         acc = SymPoly.zero(nvars)
         height = 0
         for t in range(1, j + 1):
             height += cols[j - t]
             if height > nvars:
                 break
-            e = elementary(height, nvars)
-            term = e * upto(j - t)
+            term = elementary(height, nvars) * upto[j - t]
             acc = acc + (term if t % 2 == 1 else -term)
-        cache[j] = acc
-        return acc
-
-    return upto(len(cols))
+        upto.append(acc)
+    return upto[-1]
 
 
 def sl2_strip_product(rows) -> SymPoly:

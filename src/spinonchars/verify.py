@@ -223,7 +223,8 @@ def schur_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
 def bijection_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
     """Label round trips and both energy forms on every reduced strip of size
     <= 6, and the mode-list postconditions, at ranks 2 and 3 (or rank `n`);
-    plus the rapidity-energy convention harness.  No truncation order."""
+    plus the rapidity-energy convention harness on the same census.  No
+    truncation order."""
     ranks = (2, 3) if n is None else (n,)
     max_size = 6
     cases = []
@@ -276,7 +277,7 @@ def bijection_cases(n: int | None = None, qmax: int | None = None) -> list[Case]
             ))
     cases.append(Case(
         "rapidity-convention-harness", {"max_size": max_size, "ranks": list(ranks)},
-        _harness_case,
+        lambda: _harness_case(max_size, ranks),
     ))
     return cases
 
@@ -291,8 +292,8 @@ def _modes_case(modes, n):
     return None
 
 
-def _harness_case():
-    report = strips.discover_rapidity_convention()
+def _harness_case(max_size, ranks):
+    report = strips.discover_rapidity_convention(max_size, ranks)
     for name in ("literal", "tail"):
         data = report["conventions"].get(name)
         if data is None:

@@ -6,13 +6,7 @@ from fractions import Fraction
 
 from .affine import CharacterTable, conformal_dimension
 from .partitions import Partition, SkewShape, partitions_of
-from .strips import (
-    BorderStrip,
-    energy,
-    enumerate_border_strips,
-    min_reduced_energy,
-    sl2_partition_to_strip,
-)
+from .strips import energy, reduced_strips, sl2_partition_to_strip
 from .symfunc import SymPoly, complete, elementary, strip_schur, weight_projection
 
 
@@ -201,31 +195,21 @@ def sst_to_gz(
 
 def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     """ch L(Lambda_k) = sum over reduced border strips of class k of
-    q^{E(kappa)} s_kappa, graded relative to Delta_k."""
+    q^{E(kappa)} s_kappa, graded relative to Delta_k.
+
+    Energies are kept as 2n*E; 2n*Delta_k = k(n-k)."""
     table = CharacterTable(n, k, qmax)
-    delta = table.delta
-    bound = delta + qmax
-    size = k % n
-    exceeded = 0
-    while exceeded < 3:
-        if size > 0 and min_reduced_energy(n, size) > bound:
-            exceeded += 1
-            size += n
-            continue
-        exceeded = 0
-        for strip in enumerate_border_strips(n, size, reduced=True):
-            e_val = energy(strip)
-            if e_val > bound:
-                continue
-            rel = e_val - delta
-            if rel.denominator != 1 or rel < 0:
-                raise AssertionError(
-                    f"strip {strip} has non-integral grade {rel} over Delta_{k}"
-                )
-            poly = strip_schur(strip, n)
-            for w, c in weight_projection(poly).items():
-                table.add(w, int(rel), c)
-        size += n
+    base = k * (n - k)
+    for strip, e2 in reduced_strips(n, k, base + 2 * n * qmax):
+        rel, rem = divmod(e2 - base, 2 * n)
+        if rem or rel < 0:
+            raise AssertionError(
+                f"strip {strip} has non-integral grade "
+                f"{Fraction(e2 - base, 2 * n)} over Delta_{k}"
+            )
+        poly = strip_schur(strip, n)
+        for w, c in weight_projection(poly).items():
+            table.add(w, rel, c)
     return table.prune().validate()
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from spinonchars import verify
+from spinonchars import strips, verify
 from spinonchars.cli import main
 
 
@@ -180,6 +180,25 @@ def test_verify_rank_and_order_overrides(capsys):
     assert report["passed"] is True
     assert any(c["id"].startswith("yangian[n=2") for c in report["cases"])
     assert not any(c["id"].startswith("yangian[n=3") for c in report["cases"])
+
+
+def test_bijection_harness_runs_the_recorded_ranks(capsys, monkeypatch):
+    censuses = []
+    discover = strips.discover_rapidity_convention
+
+    def spy(*args, **kwargs):
+        report = discover(*args, **kwargs)
+        censuses.append(report["census"])
+        return report
+
+    monkeypatch.setattr(strips, "discover_rapidity_convention", spy)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijections", "--n", "4",
+                           "--format", "json")
+    assert code == 0
+    harness = [c for c in json.loads(out)["cases"]
+               if c["id"] == "rapidity-convention-harness"]
+    assert harness[0]["params"] == {"max_size": 6, "ranks": [4]}
+    assert censuses == [harness[0]["params"]]
 
 
 def test_verify_bad_rank_is_usage_error(capsys):

@@ -13,12 +13,12 @@ from spinonchars.strips import (
     discover_rapidity_convention,
     energy,
     enumerate_border_strips,
-    min_reduced_energy,
     modes_to_strip,
     motif_to_rapidity,
     motif_to_strip,
     rapidity_to_motif,
     rapidity_to_strip,
+    reduced_strips,
     sl2_partition_to_strip,
     strip_to_rapidity,
     vacuum_rapidities,
@@ -93,12 +93,39 @@ def test_energy_row_and_column_forms_agree():
                 energy(strip)  # both forms computed and asserted equal inside
 
 
-def test_min_reduced_energy_is_attained():
-    for n in (2, 3):
-        for size in range(9):
-            strips_here = enumerate_border_strips(n, size, reduced=True)
-            lo = min(energy(s) for s in strips_here)
-            assert min_reduced_energy(n, size) == lo, (n, size)
+def test_energy_increment_identity():
+    """Appending a column of height b on the right of a reduced strip with s
+    columns and m boxes raises 2n*E by b(2(ns-m)+n-b), which is >= n+1."""
+    for n in (2, 3, 4, 5):
+        for size in range(1, 9):
+            for strip in enumerate_border_strips(n, size, reduced=True):
+                s, m = len(strip.cols), strip.size()
+                for b in range(1, n + 1):
+                    grown = BorderStrip.from_cols((b,) + strip.cols, n)
+                    step = 2 * n * (energy(grown) - energy(strip))
+                    assert step == b * (2 * (n * s - m) + n - b), (strip, b)
+                    assert step >= n + 1, (strip, b)
+
+
+@pytest.mark.parametrize("n,qmax", [(2, 6), (3, 2), (4, 1), (5, 1)])
+def test_reduced_strips_is_exact(n, qmax):
+    """The pruned search yields exactly the class-k reduced strips with
+    E <= Delta_k + qmax.  Every column after the first raises 2n*E by at
+    least n+1, so a brute-force census up to that many columns is complete."""
+    for k in range(n):
+        e2_max = k * (n - k) + 2 * n * qmax
+        max_size = (n - 1) + n * (e2_max // (n + 1))
+        bound = Fraction(e2_max, 2 * n)
+        expected = {
+            strip
+            for size in range(k, max_size + 1, n)
+            for strip in enumerate_border_strips(n, size, reduced=True)
+            if energy(strip) <= bound
+        }
+        found = list(reduced_strips(n, k, e2_max))
+        assert len(found) == len({strip for strip, _ in found})
+        assert {strip for strip, _ in found} == expected, (n, k)
+        assert all(e2 == 2 * n * energy(strip) for strip, e2 in found)
 
 
 # ---------------------------------------------------------------------------

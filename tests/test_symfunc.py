@@ -1,5 +1,7 @@
 """Symmetric polynomials: skew Schur routes, expansion coefficients, and the
 q-deformed binomial generating polynomials."""
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +79,28 @@ def test_strip_schur_matches_jacobi_trudi():
         for size in range(7):
             for strip in enumerate_border_strips(n, size, reduced=True):
                 assert strip_schur(strip, n) == schur_skew(strip.shape, n, "jt_h")
+
+
+def test_schur_helpers_leave_no_cyclic_garbage():
+    """Memoized minors, tableau fillings, strip recurrences and partition
+    generators are freed by reference counting, not left for the collector."""
+    shape = SkewShape(Partition([4, 3, 1]), Partition([2]))
+    calls = [
+        lambda: schur_skew(shape, 3, "jt_h"),
+        lambda: schur_skew(shape, 3, "sst"),
+        lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
+        lambda: list(partitions_of(8)),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()  # an automatic collection would hide a cycle
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_sl2_strip_product_matches_schur_up_to_e2_powers():

@@ -144,6 +144,12 @@ def test_yangian_decomposition_matches_bosonic_small():
         )
 
 
+@pytest.mark.parametrize("n,k,qmax", [(2, 0, 16), (3, 0, 9), (4, 0, 6)])
+def test_yangian_decomposition_matches_bosonic_deep(n, k, qmax):
+    # deep enough that enumerating every strip size by size takes minutes
+    assert yangian_decomposition(n, k, qmax) == bosonic_character(n, k, qmax)
+
+
 def test_yangian_vacuum_anchor_rank3():
     # first excited level of the rank-3 vacuum is the adjoint: 8 states
     table = yangian_decomposition(3, 0, 2)
