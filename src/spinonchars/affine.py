@@ -135,30 +135,34 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     k_i = c_i - k/n contributes q^{sum k_i^2/2} / (q)_inf^{n-1} at weight
     (c_1-c_2, ..., c_{n-1}-c_n)."""
     table = CharacterTable(n, k, qmax)
-    euler = euler_inverse(qmax)
-    power = euler ** (n - 1)
+    power = euler_inverse(qmax) ** (n - 1)
     budget = k + 2 * qmax  # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
-    bound = math.isqrt(budget) + 1
-
-    def rec(pos, remaining_sum, remaining_sq, vec):
-        if pos == n - 1:
-            c = remaining_sum
-            if c * c > remaining_sq:
-                return
-            vec = vec + [c]
-            degree2 = sum(x * x for x in vec) - k
-            assert degree2 % 2 == 0 and degree2 >= 0
-            degree = degree2 // 2
-            weight = exps_to_fw(vec)
-            for d in range(degree, qmax + 1):
-                table.add(weight, d, power[d - degree])
-            return
-        for c in range(-bound, bound + 1):
-            if c * c <= remaining_sq:
-                rec(pos + 1, remaining_sum - c, remaining_sq - c * c, vec + [c])
-
-    rec(0, k, budget, [])
+    _lattice_sum(table, power, math.isqrt(budget) + 1, k, budget, [])
     return table.prune().validate()
+
+
+def _lattice_sum(table, power, bound, remaining_sum, remaining_sq, vec):
+    """Add the terms of every lattice vector that extends `vec`, with the
+    remaining entries summing to `remaining_sum` and their squares to at most
+    `remaining_sq`.  A module-level function, not a closure, so that no
+    reference cycle outlives the sum."""
+    n, k, qmax = table.n, table.k, table.qmax
+    if len(vec) == n - 1:
+        c = remaining_sum
+        if c * c > remaining_sq:
+            return
+        vec = vec + [c]
+        degree2 = sum(x * x for x in vec) - k
+        assert degree2 % 2 == 0 and degree2 >= 0
+        degree = degree2 // 2
+        weight = exps_to_fw(vec)
+        for d in range(degree, qmax + 1):
+            table.add(weight, d, power[d - degree])
+        return
+    for c in range(-bound, bound + 1):
+        if c * c <= remaining_sq:
+            _lattice_sum(table, power, bound, remaining_sum - c,
+                         remaining_sq - c * c, vec + [c])
 
 
 def string_function_closed(n: int, coords, qmax: int) -> QSeries:
@@ -206,32 +210,40 @@ def spinon_string_function(
             term = term.shift(m * (m - 1) // 2)
             total = total + (term * (-1 if m % 2 else 1))
     else:
-        # nested sum over m_1..m_{n-2}; S_j = m_1+...+m_j; the term is
-        # q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
-        # over (q)_{A_1} (q)_{A_2-S_1} ... (q)_{A_n-S_{n-2}} prod_j (q)_{m_j}
-        def rec(j, s_prev, exponent, denom):
-            nonlocal total
-            if j == n - 1:
-                sub1 = a_vals[n - 2] - s_prev
-                sub2 = a_vals[n - 1] - s_prev
-                if sub1 < 0 or sub2 < 0:
-                    return
-                exp = exponent + sub1 * sub2
-                if exp > qmax:
-                    return
-                term = denom * inv_pochhammer(sub1, qmax) * inv_pochhammer(sub2, qmax)
-                total = total + term.shift(exp)
-                return
-            sub = a_vals[j - 1] - s_prev
-            if sub < 0:
-                return
-            base = denom * inv_pochhammer(sub, qmax)
-            for m in range(n_spinons - s_prev + 1):
-                rec(j + 1, s_prev + m, exponent + sub * m,
-                    base * inv_pochhammer(m, qmax))
-
-        rec(1, 0, 0, QSeries([1], qmax))
+        for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0,
+                                    QSeries([1], qmax)):
+            total = total + term
     return total.with_offset(offset)
+
+
+def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
+    """Yield the terms of the multisum form below the prefix m_1..m_{j-1},
+    whose sum is s_prev = S_{j-1}.  A module-level generator, not a closure,
+    so that no reference cycle outlives the sum.
+
+    Nested sum over m_1..m_{n-2}; S_j = m_1+...+m_j; the term is
+    q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
+    over (q)_{A_1} (q)_{A_2-S_1} ... (q)_{A_n-S_{n-2}} prod_j (q)_{m_j}."""
+    n = len(a_vals)
+    if j == n - 1:
+        sub1 = a_vals[n - 2] - s_prev
+        sub2 = a_vals[n - 1] - s_prev
+        if sub1 < 0 or sub2 < 0:
+            return
+        exp = exponent + sub1 * sub2
+        if exp > qmax:
+            return
+        term = denom * inv_pochhammer(sub1, qmax) * inv_pochhammer(sub2, qmax)
+        yield term.shift(exp)
+        return
+    sub = a_vals[j - 1] - s_prev
+    if sub < 0:
+        return
+    base = denom * inv_pochhammer(sub, qmax)
+    for m in range(n_spinons - s_prev + 1):
+        yield from _multisum_terms(a_vals, n_spinons, qmax, j + 1, s_prev + m,
+                                   exponent + sub * m,
+                                   base * inv_pochhammer(m, qmax))
 
 
 def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
@@ -280,11 +292,36 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
         raise ValueError(f"unknown form {form!r}")
     table = CharacterTable(2, k, qmax)
     delta = table.delta
-    m_bound = 2 * (qmax + 2) + k + 2
+    # With M = max(m1, m2), `floor(M)` bounds the exponent of every pair
+    # below and grows with M >= 1, so the pairs past `m_bound` contribute
+    # nothing up to q^qmax.  Root form: m1^2 - m1 m2 + m2^2 >= 3M^2/4 and
+    # k(m1 - m2) >= -kM.  Spinon form: M <= m1 + m2.
+    if form == "root":
+        def exponent(m1, m2):
+            return m1 * m1 - m1 * m2 + m2 * m2 + k * (m1 - m2)
+
+        def floor(big_m):
+            return Fraction(3 * big_m * big_m, 4) - k * big_m
+    else:
+        def exponent(m1, m2):
+            return Fraction((m1 + m2) ** 2, 4) - delta
+
+        def floor(big_m):
+            return Fraction(big_m * big_m, 4) - delta
+    m_bound = 0
+    while floor(m_bound + 1) <= qmax:
+        m_bound += 1
+    past = m_bound + 1
+    lowest = min(min(exponent(past, m), exponent(m, past)) for m in range(past + 1))
+    if lowest <= qmax:
+        raise AssertionError(
+            f"{form} form: a pair with max(m1, m2) = {past} has exponent "
+            f"{lowest} <= qmax = {qmax}, past the bound {m_bound}"
+        )
     for m1 in range(m_bound + 1):
         for m2 in range(m_bound + 1):
             if form == "root":
-                exp = m1 * m1 - m1 * m2 + m2 * m2 + k * (m1 - m2)
+                exp = exponent(m1, m2)
                 # with the q^{k^2/4} prefactor this grades relative to Delta_k
                 if exp < 0 or exp > qmax:
                     continue
@@ -293,7 +330,7 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
             else:
                 if (m1 + m2) % 2 != k:
                     continue
-                rel = Fraction((m1 + m2) ** 2, 4) - delta
+                rel = exponent(m1, m2)
                 assert rel.denominator == 1 and rel >= 0
                 if rel > qmax:
                     continue
@@ -319,16 +356,26 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
             break
         assert base.denominator == 1 and base >= 0
         budget = qmax - int(base)
+        # mode multisets of M spinons = partitions with at most M parts (zeros
+        # padded); each partition is enumerated once and counted, by its
+        # length l, for every M >= l
+        at_most = [[0] * (budget + 1) for _ in range(total + 1)]
+        for size in range(budget + 1):
+            for lam in partitions_of(size, max_len=total):
+                at_most[len(lam)][size] += 1
+        for length in range(1, total + 1):
+            at_most[length] = [
+                a + b for a, b in zip(at_most[length - 1], at_most[length])
+            ]
         for m1_count in range(total + 1):
             m2_count = total - m1_count
             weight = (m1_count - m2_count,)
-            # mode multisets = partitions with at most M parts (zeros padded)
             for e1 in range(budget + 1):
-                c1 = sum(1 for _ in partitions_of(e1, max_len=m1_count))
+                c1 = at_most[m1_count][e1]
                 if c1 == 0:
                     continue
                 for e2 in range(budget - e1 + 1):
-                    c2 = sum(1 for _ in partitions_of(e2, max_len=m2_count))
+                    c2 = at_most[m2_count][e2]
                     if c2:
                         table.add(weight, int(base) + e1 + e2, c1 * c2)
         total += 2

@@ -207,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True,
                           choices=sorted(verify.SUITES) + ["all"])
     p_verify.add_argument("--n", type=int, default=None,
-                          help="restrict rank-parametrized suites to one rank")
+                          help="restrict a suite that takes a rank to one rank")
     p_verify.add_argument("--qmax", type=int, default=None,
-                          help="override the truncation order where applicable")
+                          help="override the truncation order of a suite that "
+                               "takes one")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="must be 1: cases run in one process")
     p_verify.add_argument("--format", choices=("json", "pretty"),
@@ -241,7 +242,10 @@ def main(argv=None) -> int:
                 raise UsageError(f"--n must be >= 2, got {args.n}")
             if args.qmax is not None and args.qmax < 0:
                 raise UsageError(f"--qmax must be >= 0, got {args.qmax}")
-            cases = verify.build_suite(args.suite, n=args.n, qmax=args.qmax)
+            try:
+                cases = verify.build_suite(args.suite, n=args.n, qmax=args.qmax)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             report = verify.run_cases(args.suite, cases)
             print(_render_report(report, args.format))
             return 0 if report.passed else 1

@@ -182,7 +182,9 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _poch_poly(n: int) -> tuple[int, ...]:
-    """(q)_n = prod_{k=1}^{n} (1 - q^k) as an exact polynomial."""
+    """(q)_n = prod_{k=1}^{n} (1 - q^k) as an exact polynomial, of degree
+    n(n+1)/2; only the exact divisions of `qbinomial` and `qmultinomial`
+    need it untruncated."""
     if n == 0:
         return (1,)
     prev = list(_poch_poly(n - 1))
@@ -198,23 +200,47 @@ def _to_qseries(poly, qmax: int) -> QSeries:
 # public q-objects
 
 def euler_inverse(qmax: int) -> QSeries:
-    """1 / prod_{k>=1} (1 - q^k); coefficient of q^m counts partitions of m."""
+    """1 / prod_{k>=1} (1 - q^k); coefficient of q^m counts partitions of m.
+
+    Factors (1 - q^k) with k > qmax are 1 below the truncation, so this is
+    1/(q)_qmax at order qmax, built by `inv_pochhammer` without expanding
+    (q)_qmax."""
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
-    return _to_qseries(_poch_poly(qmax), qmax).inverse()
+    return inv_pochhammer(qmax, qmax)
 
 
 def pochhammer(n: int, qmax: int) -> QSeries:
-    """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated at qmax."""
+    """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated at qmax.
+
+    Built at order qmax: starting from 1, each factor (1 - q^j) with
+    j <= min(n, qmax) is applied in place, c[d] -= c[d - j] for d from qmax
+    down to j, so every coefficient read still belongs to the previous
+    partial product.  Factors with j > qmax are 1 below the truncation."""
     if n < 0:
         raise ValueError(f"pochhammer index must be >= 0, got {n}")
-    return _to_qseries(_poch_poly(n), qmax)
+    coeffs = [1] + [0] * qmax
+    for j in range(1, min(n, qmax) + 1):
+        for d in range(qmax, j - 1, -1):
+            coeffs[d] -= coeffs[d - j]
+    return QSeries(coeffs, qmax)
 
 
 @lru_cache(maxsize=None)
 def inv_pochhammer(n: int, qmax: int) -> QSeries:
-    """1/(q)_n truncated at qmax."""
-    return pochhammer(n, qmax).inverse()
+    """1/(q)_n truncated at qmax.
+
+    Built at order qmax: starting from 1, dividing by each factor (1 - q^j)
+    with j <= min(n, qmax) is the in-place stride sum c[d] += c[d - j] for d
+    from j up to qmax, since 1/(1 - q^j) = sum_i q^{ij}.  Factors with
+    j > qmax are 1 below the truncation."""
+    if n < 0:
+        raise ValueError(f"pochhammer index must be >= 0, got {n}")
+    coeffs = [1] + [0] * qmax
+    for j in range(1, min(n, qmax) + 1):
+        for d in range(j, qmax + 1):
+            coeffs[d] += coeffs[d - j]
+    return QSeries(coeffs, qmax)
 
 
 def qbinomial(n: int, m: int, qmax: int) -> QSeries:

@@ -123,18 +123,21 @@ def enumerate_border_strips(n: int, size: int, reduced: bool) -> list[BorderStri
         raise ValueError("size must be >= 0")
     if size == 0:
         return [BorderStrip.from_rows([], n)]
-    out = []
-
-    def rec(remaining, cols):
-        if remaining == 0:
-            if not reduced or cols[-1] < n:
-                out.append(BorderStrip.from_cols(cols, n))
-            return
-        for b in range(1, min(n, remaining) + 1):
-            rec(remaining - b, cols + [b])
-
-    rec(size, [])
+    out: list[BorderStrip] = []
+    _append_strips(n, size, reduced, [], out)
     return out
+
+
+def _append_strips(n: int, remaining: int, reduced: bool, cols: list, out: list) -> None:
+    """Append to `out` every strip whose column heights (right to left) extend
+    `cols` by `remaining` boxes.  A module-level function, not a closure, so
+    that no reference cycle keeps the strips alive."""
+    if remaining == 0:
+        if not reduced or cols[-1] < n:
+            out.append(BorderStrip.from_cols(cols, n))
+        return
+    for b in range(1, min(n, remaining) + 1):
+        _append_strips(n, remaining - b, reduced, cols + [b], out)
 
 
 def energy(strip: BorderStrip) -> Fraction:

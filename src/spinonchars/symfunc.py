@@ -281,18 +281,19 @@ def rogers_szego(total: int, nvars: int, qmax: int) -> SymPoly:
     """H_N: sum over compositions of N into nvars parts of qmultinomial * monomial."""
     if total < 0:
         raise ValueError("N must be >= 0")
-    terms: dict = {}
-
-    def rec(pos, remaining, exps):
-        if pos == nvars - 1:
-            comp = exps + [remaining]
-            terms[tuple(comp)] = qmultinomial(comp, qmax)
-            return
-        for v in range(remaining + 1):
-            rec(pos + 1, remaining - v, exps + [v])
-
-    rec(0, total, [])
+    terms = {comp: qmultinomial(comp, qmax) for comp in _compositions(total, nvars)}
     return SymPoly(nvars, terms)
+
+
+def _compositions(total: int, parts: int, prefix: tuple = ()):
+    """Yield every composition of `total` into `parts` non-negative parts,
+    after `prefix`, in lexicographic order.  A module-level generator, not a
+    closure, so that no reference cycle outlives the iteration."""
+    if parts == 1:
+        yield prefix + (total,)
+        return
+    for v in range(total + 1):
+        yield from _compositions(total - v, parts - 1, prefix + (v,))
 
 
 def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
@@ -306,18 +307,11 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
             inv_pochhammer(total, qmax)
         )
         rhs_terms: dict = {}
-
-        def rec(pos, remaining, exps, coeff):
-            if pos == nvars - 1:
-                comp = tuple(exps + [remaining])
-                c = coeff * inv_pochhammer(remaining, qmax)
-                rhs_terms[comp] = rhs_terms[comp] + c if comp in rhs_terms else c
-                return
-            for v in range(remaining + 1):
-                rec(pos + 1, remaining - v, exps + [v],
-                    coeff * inv_pochhammer(v, qmax))
-
-        rec(0, total, [], q_one(qmax))
+        for comp in _compositions(total, nvars):
+            coeff = q_one(qmax)
+            for v in comp:
+                coeff = coeff * inv_pochhammer(v, qmax)
+            rhs_terms[comp] = coeff
         rhs = SymPoly(nvars, rhs_terms)
         if lhs != rhs:
             return False

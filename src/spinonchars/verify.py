@@ -1,9 +1,11 @@
 """Verification suites: each case checks one identity and reports a locus on
 failure.  `SUITES` maps each suite name to its case builder, whose defaults
 are the pinned reproduction bounds; the CLI and the acceptance tests both run
-these builders."""
+these builders.  A builder's parameters (`n`, `qmax`, or neither) are the
+overrides its suite reads."""
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -90,7 +92,7 @@ def _table_locus(a, b):
 # ---------------------------------------------------------------------------
 # suite: qids
 
-def qids_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+def qids_cases(qmax: int | None = None) -> list[Case]:
     """Durfee sums (|m| <= 10) and z-expansion products (N <= 8) to q^30, the
     finite two-index identities (M, N <= 10) to q^20, and the q-binomial
     generating function (N <= 4, up to 3 variables) to q^4.  `qmax` replaces
@@ -156,7 +158,7 @@ def _sub_partitions(lam: Partition):
                 yield mu
 
 
-def schur_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+def schur_cases() -> list[Case]:
     """The three skew-Schur routes on every skew shape with outer size <= 6 in
     1..4 variables, the straight-shape expansion of every border strip of size
     <= 6 at ranks 2 and 3, and the rank-2 h-rewrite for 1 <= a, b <= 6.  The
@@ -220,7 +222,7 @@ def schur_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
 # ---------------------------------------------------------------------------
 # suite: bijections
 
-def bijection_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+def bijection_cases(n: int | None = None) -> list[Case]:
     """Label round trips and both energy forms on every reduced strip of size
     <= 6, and the mode-list postconditions, at ranks 2 and 3 (or rank `n`);
     plus the rapidity-energy convention harness on the same census.  No
@@ -361,9 +363,9 @@ def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case
 # ---------------------------------------------------------------------------
 # suite: sl2
 
-def sl2_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+def sl2_cases(qmax: int | None = None) -> list[Case]:
     """Bosonic, both fermionic forms and mode enumeration agree at rank 2 for
-    k = 0, 1, to q^10.  The suite is rank 2 whatever `n` is."""
+    k = 0, 1, to q^10.  The suite is rank 2 and takes no rank."""
     if qmax is None:
         qmax = 10
     cases = []
@@ -438,7 +440,7 @@ def _hw_case(lam, n_spinons):
 # ---------------------------------------------------------------------------
 # suite: gz (branching schemes and Drinfel'd polynomial cross-checks)
 
-def gz_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
+def gz_cases(n: int | None = None) -> list[Case]:
     """GZ schemes against skew Schur polynomials for outer size <= 5 and up to
     2 spinons at ranks 2 and 3 (or rank `n`), and the two Drinfel'd
     polynomial routes for every partition of size <= 6 at ranks 2-4.  No
@@ -517,11 +519,25 @@ SUITES = {
 
 
 def build_suite(name: str, n: int | None = None, qmax: int | None = None) -> list[Case]:
+    """The cases of one suite, or of every suite for "all".  "all" passes each
+    builder the overrides it reads; a named suite given an override it does
+    not read raises ValueError naming the flag."""
+    given = {"n": n, "qmax": qmax}
     if name == "all":
-        cases = []
-        for key in sorted(SUITES):
-            cases.extend(SUITES[key](n=n, qmax=qmax))
-        return cases
+        return [case for key in sorted(SUITES) for case in _build(key, given)]
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](n=n, qmax=qmax)
+    unread = [flag for flag, value in given.items()
+              if value is not None and flag not in _reads(name)]
+    if unread:
+        raise ValueError(f"suite {name} takes no --{unread[0]}")
+    return _build(name, given)
+
+
+def _reads(name: str):
+    return inspect.signature(SUITES[name]).parameters
+
+
+def _build(name: str, given: dict) -> list[Case]:
+    reads = _reads(name)
+    return SUITES[name](**{flag: value for flag, value in given.items() if flag in reads})

@@ -122,39 +122,44 @@ def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZ
     if len(lam) > n_spinons + n:
         raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
 
-    def interleaves(upper: Partition, lower: Partition) -> bool:
-        top = max(len(upper), len(lower)) + 1
-        return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(1, top + 1))
-
-    def above(lower: Partition, max_len: int):
-        """All nu with nu interlacing above `lower` and nu contained in lam."""
-        lmax = min(max_len, len(lam), len(lower) + 1)
-        out = []
-
-        def rec(i, prefix):
-            if i > lmax:
-                out.append(Partition(prefix))
-                return
-            lo = lower[i]
-            hi = min(lam[i], lower[i - 1]) if i >= 2 else lam[1]
-            for v in range(lo, hi + 1):
-                rec(i + 1, prefix + [v])
-
-        rec(1, [])
-        return out
-
     chains = [[mu]]
     for m in range(1, n):
         chains = [
             chain + [nu]
             for chain in chains
-            for nu in above(chain[-1], n_spinons + m)
+            for nu in _interlacing_above(chain[-1], lam, n_spinons + m)
         ]
     return [
         GZScheme(chain + [lam], n_spinons)
         for chain in chains
-        if interleaves(lam, chain[-1]) and len(lam) <= n_spinons + n
+        if _interleaves(lam, chain[-1]) and len(lam) <= n_spinons + n
     ]
+
+
+def _interleaves(upper: Partition, lower: Partition) -> bool:
+    top = max(len(upper), len(lower)) + 1
+    return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(1, top + 1))
+
+
+def _interlacing_above(lower: Partition, lam: Partition, max_len: int) -> list:
+    """All nu with at most `max_len` parts, interlacing above `lower` and
+    contained in lam."""
+    out: list = []
+    _extend_rows(lower, lam, min(max_len, len(lam), len(lower) + 1), [], out)
+    return out
+
+
+def _extend_rows(lower, lam, lmax, prefix, out) -> None:
+    """Append to `out` every interlacing completion of rows 1..len(prefix).
+    A module-level function, not a closure, so that no reference cycle keeps
+    the results alive."""
+    i = len(prefix) + 1
+    if i > lmax:
+        out.append(Partition(prefix))
+        return
+    hi = min(lam[i], lower[i - 1]) if i >= 2 else lam[1]
+    for v in range(lower[i], hi + 1):
+        _extend_rows(lower, lam, lmax, prefix + [v], out)
 
 
 def gz_weight(scheme: GZScheme) -> tuple[int, ...]:
@@ -240,11 +245,15 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
             break
         assert base.denominator == 1 and base >= 0
         budget = qmax - int(base)
+        # prod h_{m_i} depends only on the multiset {m_0, m_1, ...}
+        projections: dict[tuple[int, ...], dict] = {}
         for size in range(budget + 1):
+            degree = int(base) + size
             for lam in partitions_of(size, max_len=total):
-                poly = sl2_hw_character(lam, total)
-                degree = int(base) + size
-                for w, c in weight_projection(poly).items():
+                key = tuple(sorted([total - len(lam), *lam.multiplicities().values()]))
+                if key not in projections:
+                    projections[key] = weight_projection(sl2_hw_character(lam, total))
+                for w, c in projections[key].items():
                     table.add(w, degree, c)
         total += 2
     return table.prune().validate()

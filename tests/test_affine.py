@@ -102,6 +102,15 @@ def test_sl2_four_routes_identical():
         assert bos == sl2_spinon_enumeration(k, 8)
 
 
+def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
+    # the m-bound of both forms is derived from qmax; each qmax checks it
+    for k in (0, 1):
+        for qmax in range(41):
+            bos = bosonic_character(2, k, qmax)
+            for form in ("root", "spinon"):
+                assert sl2_fermionic_character(k, form, qmax) == bos, (k, form, qmax)
+
+
 def test_table_validation_rejects_wrong_class():
     table = CharacterTable(2, 0, 2)
     table.add((1,), 0, 1)  # odd weight in the even class

@@ -182,6 +182,31 @@ def test_verify_rank_and_order_overrides(capsys):
     assert not any(c["id"].startswith("yangian[n=3") for c in report["cases"])
 
 
+@pytest.mark.parametrize("suite,flag", [
+    ("schur", "--qmax"), ("schur", "--n"), ("sl2", "--n"), ("qids", "--n"),
+    ("bijections", "--qmax"), ("gz", "--qmax"),
+])
+def test_verify_rejects_an_override_the_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "3")
+    assert code == 2
+    assert flag in err
+    assert out == ""
+
+
+def test_verify_all_passes_each_suite_the_overrides_it_reads():
+    expected = [
+        *verify.build_suite("bijections", n=3),
+        *verify.build_suite("decomposition", n=3, qmax=2),
+        *verify.build_suite("gz", n=3),
+        *verify.build_suite("qids", qmax=2),
+        *verify.build_suite("schur"),
+        *verify.build_suite("sl2", qmax=2),
+        *verify.build_suite("spinon-cut", n=3, qmax=2),
+    ]
+    cases = verify.build_suite("all", n=3, qmax=2)
+    assert [(c.id, c.params) for c in cases] == [(c.id, c.params) for c in expected]
+
+
 def test_bijection_harness_runs_the_recorded_ranks(capsys, monkeypatch):
     censuses = []
     discover = strips.discover_rapidity_convention

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spinonchars.qseries import (
     QSeries,
     ZPolyQ,
+    _poch_poly,
     durfee_check,
     euler_inverse,
     inv_pochhammer,
@@ -51,6 +52,52 @@ def test_pochhammer_times_inverse_is_one():
 def test_euler_inverse_counts_partitions():
     # partition numbers p(0..10)
     assert euler_inverse(10).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+
+
+def test_euler_inverse_matches_pentagonal_recurrence():
+    # p(m) = sum_{j>=1} (-1)^{j+1} (p(m - j(3j-1)/2) + p(m - j(3j+1)/2))
+    qmax = 300
+    p = [1]
+    for m in range(1, qmax + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * p[m - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+    assert euler_inverse(qmax).coeffs == tuple(p)
+
+
+def test_truncated_pochhammers():
+    for qmax in range(13):
+        for n in range(2 * qmax + 1):
+            poch, inv = pochhammer(n, qmax), inv_pochhammer(n, qmax)
+            assert poch * inv == q_one(qmax), (n, qmax)
+            exact = _poch_poly(n)[: qmax + 1]
+            assert poch.coeffs == exact + (0,) * (qmax + 1 - len(exact)), (n, qmax)
+            if n >= qmax:
+                assert inv == euler_inverse(qmax), (n, qmax)
+
+
+def test_negative_pochhammer_index_rejected():
+    for build in (pochhammer, inv_pochhammer):
+        with pytest.raises(ValueError):
+            build(-1, 5)
+    with pytest.raises(ValueError):
+        euler_inverse(-1)
+
+
+def test_truncated_pochhammers_skip_the_exact_product():
+    # the exact (q)_n has degree n(n+1)/2; building at the truncation order
+    # must not expand it
+    inv_pochhammer.cache_clear()
+    before = _poch_poly.cache_info().currsize
+    euler_inverse(120)
+    pochhammer(80, 30)
+    inv_pochhammer(80, 30)
+    assert _poch_poly.cache_info().currsize == before
 
 
 def test_offset_mismatch_rejected():

@@ -5,6 +5,11 @@ import gc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinonchars.affine import (
+    bosonic_character,
+    sl2_spinon_enumeration,
+    spinon_string_function,
+)
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, enumerate_border_strips
@@ -20,6 +25,7 @@ from spinonchars.symfunc import (
     strip_schur,
     weight_projection,
 )
+from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition
 
 
 def _sub_partitions(lam):
@@ -82,22 +88,32 @@ def test_strip_schur_matches_jacobi_trudi():
 
 
 def test_schur_helpers_leave_no_cyclic_garbage():
-    """Memoized minors, tableau fillings, strip recurrences and partition
-    generators are freed by reference counting, not left for the collector."""
+    """Memoized minors, tableau fillings, strip recurrences, partition
+    generators and the recursive enumerations and sums of the other layers
+    are freed by reference counting, not left for the collector."""
     shape = SkewShape(Partition([4, 3, 1]), Partition([2]))
-    calls = [
-        lambda: schur_skew(shape, 3, "jt_h"),
-        lambda: schur_skew(shape, 3, "sst"),
-        lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
-        lambda: list(partitions_of(8)),
-    ]
+    calls = {
+        "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
+        "schur_skew sst": lambda: schur_skew(shape, 3, "sst"),
+        "strip_schur": lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
+        "partitions_of": lambda: list(partitions_of(8)),
+        "enumerate_border_strips": lambda: enumerate_border_strips(3, 5, True),
+        "gz_schemes": lambda: gz_schemes((3, 2, 1), (1,), 3, 2),
+        "rogers_szego": lambda: rogers_szego(3, 3, 4),
+        "rs_generating_check": lambda: rs_generating_check(3, 3, 4),
+        "bosonic_character": lambda: bosonic_character(3, 1, 4),
+        "spinon_string_function multisum": lambda: spinon_string_function(
+            3, 0, (0, 0), 3, "multisum", 6),
+        "sl2_spinon_enumeration": lambda: sl2_spinon_enumeration(1, 6),
+        "sl2_yangian_decomposition": lambda: sl2_yangian_decomposition(1, 6),
+    }
     was_enabled = gc.isenabled()
     gc.disable()  # an automatic collection would hide a cycle
     try:
-        for call in calls:
+        for name, call in calls.items():
             gc.collect()
             call()
-            assert gc.collect() == 0, call
+            assert gc.collect() == 0, name
     finally:
         if was_enabled:
             gc.enable()
