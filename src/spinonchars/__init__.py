@@ -9,10 +9,8 @@ from .affine import (
     sl2_fermionic_character,
     sl2_spinon_enumeration,
     spinon_string_function,
-    string_function_closed,
     verify_spinon_cut,
     weight_class,
-    weight_eps_pairing,
     weight_norm,
 )
 from .partitions import Partition, SkewShape, all_partitions_upto, partitions_of

@@ -26,30 +26,24 @@ def conformal_dimension(n: int, k: int) -> Fraction:
 def weight_norm(coords, n: int) -> Fraction:
     """(lambda, lambda) in fundamental-weight coordinates via the inverse Cartan
     Gram matrix (Lambda_i, Lambda_j) = min(i,j) - ij/n."""
+    return Fraction(scaled_weight_norm(coords, n), n)
+
+
+def scaled_weight_norm(coords, n: int) -> int:
+    """n * (lambda, lambda) = sum_{i,j} m_i m_j (n min(i,j) - ij), an integer."""
     coords = tuple(coords)
     if len(coords) != n - 1:
         raise ValueError(f"expected {n - 1} coordinates, got {coords}")
-    total = Fraction(0)
-    for i, mi in enumerate(coords, start=1):
-        if mi == 0:
-            continue
-        for j, mj in enumerate(coords, start=1):
-            if mj:
-                total += mi * mj * (min(i, j) - Fraction(i * j, n))
-    return total
+    return sum(
+        mi * mj * (n * min(i, j) - i * j)
+        for i, mi in enumerate(coords, start=1) if mi
+        for j, mj in enumerate(coords, start=1) if mj
+    )
 
 
 def weight_class(coords, n: int) -> int:
     """Conjugacy class sum_i i*m_i mod n."""
     return sum(i * m for i, m in enumerate(coords, start=1)) % n
-
-
-def weight_eps_pairing(coords, n: int, i: int) -> Fraction:
-    """(lambda, eps_i) for lambda in fundamental-weight coordinates."""
-    coords = tuple(coords)
-    tail = sum(coords[i - 1:])
-    weighted = sum(j * m for j, m in enumerate(coords, start=1))
-    return tail - Fraction(weighted, n)
 
 
 class CharacterTable:
@@ -165,21 +159,18 @@ def _lattice_sum(table, power, bound, remaining_sum, remaining_sq, vec):
                          remaining_sq - c * c, vec + [c])
 
 
-def string_function_closed(n: int, coords, qmax: int) -> QSeries:
-    """c^Lambda_lambda = q^{|lambda|^2/2} / (q)_inf^{n-1} (offset carries the
-    fractional exponent)."""
-    norm = weight_norm(coords, n)
-    return (euler_inverse(qmax) ** (n - 1)).with_offset(norm / 2)
-
-
 def _spinon_a_values(n: int, coords, n_spinons: int):
-    """The A_i = N/n + (lambda, eps_i); None unless all are non-negative ints."""
+    """The A_i = N/n + (lambda, eps_i), i = 1..n; None unless all are
+    non-negative integers.  As (lambda, eps_i) = m_i + ... + m_{n-1} -
+    sum_j j m_j / n, n A_i = N + n (m_i + ... + m_{n-1}) - sum_j j m_j."""
+    coords = tuple(coords)
+    weighted = sum(j * m for j, m in enumerate(coords, start=1))
     a_vals = []
     for i in range(1, n + 1):
-        a = Fraction(n_spinons, n) + weight_eps_pairing(coords, n, i)
-        if a.denominator != 1 or a < 0:
+        a, rem = divmod(n_spinons + n * sum(coords[i - 1:]) - weighted, n)
+        if rem or a < 0:
             return None
-        a_vals.append(int(a))
+        a_vals.append(a)
     assert sum(a_vals) == n_spinons
     return a_vals
 
@@ -187,21 +178,20 @@ def _spinon_a_values(n: int, coords, n_spinons: int):
 def spinon_string_function(
     n: int, k: int, coords, n_spinons: int, form: str, qmax: int
 ) -> QSeries:
-    """The N-spinon cut of the string function, in either stated form.
+    """The N-spinon cut of the string function, in either stated form, graded
+    from q^{|lambda|^2/2}: coefficient d belongs to q^{|lambda|^2/2 + d}.
 
-    Returns the zero series (with the string function's offset) when N is in
-    the wrong class or some A_i fails to be a non-negative integer.
+    Returns the zero series when N is in the wrong class or some A_i fails to
+    be a non-negative integer.
     """
     if form not in ("multisum", "alternating"):
         raise ValueError(f"unknown form {form!r}")
-    offset = weight_norm(coords, n) / 2
-    zero = q_zero(qmax, offset)
+    total = q_zero(qmax)
     if n_spinons % n != k % n:
-        return zero
+        return total
     a_vals = _spinon_a_values(n, coords, n_spinons)
     if a_vals is None:
-        return zero
-    total = q_zero(qmax)
+        return total
     if form == "alternating":
         for m in range(min(a_vals) + 1):
             term = inv_pochhammer(m, qmax)
@@ -213,7 +203,7 @@ def spinon_string_function(
         for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0,
                                     QSeries([1], qmax)):
             total = total + term
-    return total.with_offset(offset)
+    return total
 
 
 def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
@@ -249,14 +239,16 @@ def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
 def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     """Check c^Lambda_lambda = sum_N c^{Lambda,N}_lambda below the truncation.
 
+    Both sides are graded from q^{|lambda|^2/2}, so the closed form
+    c^Lambda_lambda = q^{|lambda|^2/2} / (q)_inf^{n-1} is 1/(q)_inf^{n-1}.
     The cuts have non-negative coefficients, so once the partial sum matches
     the closed form and two further admissible N contribute nothing below the
     truncation, all later terms vanish there too.
     """
     if weight_class(coords, n) != k % n:
         raise ValueError(f"weight {tuple(coords)} is not in class {k} mod {n}")
-    target = string_function_closed(n, coords, qmax)
-    partial = q_zero(qmax, target.offset)
+    target = euler_inverse(qmax) ** (n - 1)
+    partial = q_zero(qmax)
     n_spinons = k % n
     cap = n * (qmax + n + 6)
     matched_at = None
@@ -277,6 +269,19 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     return False
 
 
+def sl2_spinon_grades(k: int, qmax: int):
+    """Yield (N, (N^2 - k)/4) for N = k, k+2, ... while the grade is at most
+    qmax.  At rank 2, N spinons sit at N^2/4 - Delta_k = (N^2 - k)/4, an
+    integer since N = k mod 2; it grows with N, so the first N past qmax ends
+    every spinon sum exactly."""
+    if k not in (0, 1):
+        raise ValueError("k must be 0 or 1")
+    n_spinons = k
+    while (grade := (n_spinons * n_spinons - k) // 4) <= qmax:
+        yield n_spinons, grade
+        n_spinons += 2
+
+
 def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
     """The two fermionic sl_2 forms as CharacterTables.
 
@@ -291,55 +296,45 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
     if form not in ("root", "spinon"):
         raise ValueError(f"unknown form {form!r}")
     table = CharacterTable(2, k, qmax)
-    delta = table.delta
-    # With M = max(m1, m2), `floor(M)` bounds the exponent of every pair
-    # below and grows with M >= 1, so the pairs past `m_bound` contribute
-    # nothing up to q^qmax.  Root form: m1^2 - m1 m2 + m2^2 >= 3M^2/4 and
-    # k(m1 - m2) >= -kM.  Spinon form: M <= m1 + m2.
     if form == "root":
-        def exponent(m1, m2):
-            return m1 * m1 - m1 * m2 + m2 * m2 + k * (m1 - m2)
-
-        def floor(big_m):
-            return Fraction(3 * big_m * big_m, 4) - k * big_m
+        terms = _root_form_terms(k, qmax)
     else:
-        def exponent(m1, m2):
-            return Fraction((m1 + m2) ** 2, 4) - delta
+        terms = ((m1, total - m1, grade, (2 * m1 - total,))
+                 for total, grade in sl2_spinon_grades(k, qmax)
+                 for m1 in range(total + 1))
+    for m1, m2, degree0, weight in terms:
+        series = inv_pochhammer(m1, qmax) * inv_pochhammer(m2, qmax)
+        for d in range(degree0, qmax + 1):
+            table.add(weight, d, series[d - degree0])
+    return table.prune().validate()
 
-        def floor(big_m):
-            return Fraction(big_m * big_m, 4) - delta
+
+def _root_form_terms(k: int, qmax: int):
+    """Yield (m1, m2, exponent, weight) for the root-form pairs with exponent
+    at most qmax; with the q^{k^2/4} prefactor the exponent grades relative
+    to Delta_k.
+
+    With M = max(m1, m2), m1^2 - m1 m2 + m2^2 >= 3M^2/4 and k(m1 - m2) >= -kM,
+    so 4 * exponent >= 3M^2 - 4kM, which grows with M >= 1: the pairs past
+    the last M with 3M^2 - 4kM <= 4 qmax contribute nothing up to q^qmax."""
+    def exponent(m1, m2):
+        return m1 * m1 - m1 * m2 + m2 * m2 + k * (m1 - m2)
+
     m_bound = 0
-    while floor(m_bound + 1) <= qmax:
+    while 3 * (m_bound + 1) ** 2 - 4 * k * (m_bound + 1) <= 4 * qmax:
         m_bound += 1
     past = m_bound + 1
     lowest = min(min(exponent(past, m), exponent(m, past)) for m in range(past + 1))
     if lowest <= qmax:
         raise AssertionError(
-            f"{form} form: a pair with max(m1, m2) = {past} has exponent "
+            f"root form: a pair with max(m1, m2) = {past} has exponent "
             f"{lowest} <= qmax = {qmax}, past the bound {m_bound}"
         )
     for m1 in range(m_bound + 1):
         for m2 in range(m_bound + 1):
-            if form == "root":
-                exp = exponent(m1, m2)
-                # with the q^{k^2/4} prefactor this grades relative to Delta_k
-                if exp < 0 or exp > qmax:
-                    continue
-                weight = (2 * (m1 - m2) + k,)
-                degree0 = exp
-            else:
-                if (m1 + m2) % 2 != k:
-                    continue
-                rel = exponent(m1, m2)
-                assert rel.denominator == 1 and rel >= 0
-                if rel > qmax:
-                    continue
-                weight = (m1 - m2,)
-                degree0 = int(rel)
-            series = inv_pochhammer(m1, qmax) * inv_pochhammer(m2, qmax)
-            for d in range(degree0, qmax + 1):
-                table.add(weight, d, series[d - degree0])
-    return table.prune().validate()
+            exp = exponent(m1, m2)
+            if 0 <= exp <= qmax:
+                yield m1, m2, exp, (2 * (m1 - m2) + k,)
 
 
 def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
@@ -348,14 +343,8 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     table = CharacterTable(2, k, qmax)
-    delta = table.delta
-    total = k
-    while True:
-        base = Fraction(total * total, 4) - delta
-        if base > qmax:
-            break
-        assert base.denominator == 1 and base >= 0
-        budget = qmax - int(base)
+    for total, base in sl2_spinon_grades(k, qmax):
+        budget = qmax - base
         # mode multisets of M spinons = partitions with at most M parts (zeros
         # padded); each partition is enumerated once and counted, by its
         # length l, for every M >= l
@@ -377,6 +366,5 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
                 for e2 in range(budget - e1 + 1):
                     c2 = at_most[m2_count][e2]
                     if c2:
-                        table.add(weight, int(base) + e1 + e2, c1 * c2)
-        total += 2
+                        table.add(weight, base + e1 + e2, c1 * c2)
     return table.prune().validate()

@@ -1,22 +1,22 @@
 """Truncated q-series with exact integer coefficients.
 
-A QSeries holds coefficients of q^0..q^qmax (inclusive truncation) plus a
-single exact rational exponent offset, so a series with offset 5/4 represents
-q^(5/4) * (c_0 + c_1 q + ...).  All arithmetic is exact; coefficients are
-arbitrary-precision Python ints.
+A QSeries holds coefficients of q^0..q^qmax (inclusive truncation).  A
+series graded from a rational power of q is stored from that power: the
+caller knows the leading exponent, and every comparison puts both sides at
+the same one.  All arithmetic is exact; coefficients are arbitrary-precision
+Python ints.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 
 class QSeries:
-    """q^offset * sum_{d=0}^{qmax} coeffs[d] q^d, truncated inclusively."""
+    """sum_{d=0}^{qmax} coeffs[d] q^d, truncated inclusively."""
 
-    __slots__ = ("qmax", "coeffs", "offset")
+    __slots__ = ("qmax", "coeffs")
 
-    def __init__(self, coeffs, qmax: int | None = None, offset=0):
+    def __init__(self, coeffs, qmax: int | None = None):
         coeffs = list(coeffs)
         if qmax is None:
             qmax = len(coeffs) - 1
@@ -26,10 +26,9 @@ class QSeries:
             coeffs = coeffs + [0] * (qmax + 1 - len(coeffs))
         self.qmax = qmax
         self.coeffs = tuple(coeffs[: qmax + 1])
-        self.offset = Fraction(offset)
 
     def __getitem__(self, d: int) -> int:
-        """Coefficient of q^(offset + d); 0 beyond the truncation is an error."""
+        """Coefficient of q^d; 0 beyond the truncation is an error."""
         if d < 0:
             return 0
         if d > self.qmax:
@@ -39,34 +38,25 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check_offset(self, other: "QSeries", opname: str) -> None:
-        if self.offset != other.offset:
-            raise ValueError(
-                f"{opname} requires equal offsets: {self.offset} != {other.offset}"
-            )
-
     def __add__(self, other):
         if isinstance(other, int):
-            other = QSeries([other], self.qmax, self.offset)
-        self._check_offset(other, "addition")
+            other = QSeries([other], self.qmax)
         m = min(self.qmax, other.qmax)
-        return QSeries(
-            [self.coeffs[d] + other.coeffs[d] for d in range(m + 1)], m, self.offset
-        )
+        return QSeries([self.coeffs[d] + other.coeffs[d] for d in range(m + 1)], m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.qmax, self.offset)
+        return QSeries([-c for c in self.coeffs], self.qmax)
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = QSeries([other], self.qmax, self.offset)
+            other = QSeries([other], self.qmax)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QSeries([c * other for c in self.coeffs], self.qmax, self.offset)
+            return QSeries([c * other for c in self.coeffs], self.qmax)
         m = min(self.qmax, other.qmax)
         out = [0] * (m + 1)
         for i, a in enumerate(self.coeffs[: m + 1]):
@@ -75,7 +65,7 @@ class QSeries:
             for j, b in enumerate(other.coeffs[: m + 1 - i]):
                 if b:
                     out[i + j] += a * b
-        return QSeries(out, m, self.offset + other.offset)
+        return QSeries(out, m)
 
     __rmul__ = __mul__
 
@@ -83,10 +73,7 @@ class QSeries:
         """Multiply by q^d (d >= 0 integer); keeps qmax, drops overflow."""
         if d < 0:
             raise ValueError("shift exponent must be non-negative")
-        return QSeries([0] * d + list(self.coeffs), self.qmax, self.offset)
-
-    def with_offset(self, offset) -> "QSeries":
-        return QSeries(self.coeffs, self.qmax, offset)
+        return QSeries([0] * d + list(self.coeffs), self.qmax)
 
     def inverse(self) -> "QSeries":
         """Series inverse; requires unit constant term (+-1)."""
@@ -97,17 +84,17 @@ class QSeries:
         for d in range(1, self.qmax + 1):
             s = sum(self.coeffs[j] * inv[d - j] for j in range(1, d + 1))
             inv[d] = -a0 * s
-        return QSeries(inv, self.qmax, -self.offset)
+        return QSeries(inv, self.qmax)
 
     def truncate(self, qmax: int) -> "QSeries":
         if qmax > self.qmax:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: qmax + 1], qmax, self.offset)
+        return QSeries(self.coeffs[: qmax + 1], qmax)
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        result = QSeries([1], self.qmax, 0)
+        result = QSeries([1], self.qmax)
         for _ in range(e):
             result = result * self
         return result
@@ -115,28 +102,23 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.qmax == other.qmax
-            and self.offset == other.offset
-            and self.coeffs == other.coeffs
-        )
+        return self.qmax == other.qmax and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.qmax, self.coeffs, self.offset))
+        return hash((self.qmax, self.coeffs))
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.qmax >= 8 else ""
-        off = f", offset={self.offset}" if self.offset else ""
-        return f"QSeries([{head}{tail}], qmax={self.qmax}{off})"
+        return f"QSeries([{head}{tail}], qmax={self.qmax})"
 
 
-def q_one(qmax: int, offset=0) -> QSeries:
-    return QSeries([1], qmax, offset)
+def q_one(qmax: int) -> QSeries:
+    return QSeries([1], qmax)
 
 
-def q_zero(qmax: int, offset=0) -> QSeries:
-    return QSeries([0], qmax, offset)
+def q_zero(qmax: int) -> QSeries:
+    return QSeries([0], qmax)
 
 
 def q_monomial(d: int, qmax: int) -> QSeries:
@@ -272,9 +254,8 @@ class ZPolyQ:
         if not coeffs:
             raise ValueError("need at least the z^0 coefficient")
         qmax = coeffs[0].qmax
-        for c in coeffs:
-            if c.qmax != qmax or c.offset != 0:
-                raise ValueError("all z-coefficients must share qmax and offset 0")
+        if any(c.qmax != qmax for c in coeffs):
+            raise ValueError("all z-coefficients must share qmax")
         self.zdeg = len(coeffs) - 1
         self.coeffs = tuple(coeffs)
 

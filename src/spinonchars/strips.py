@@ -141,22 +141,23 @@ def _append_strips(n: int, remaining: int, reduced: bool, cols: list, out: list)
 
 
 def energy(strip: BorderStrip) -> Fraction:
-    """E(kappa): quadratic size term plus the row (equivalently column) statistic."""
+    """E(kappa): quadratic size term plus the row (equivalently column)
+    statistic.  Both forms are compared as the integers 2n*E."""
     n, m = strip.n, strip.size()
     r = len(strip.rows)
-    row_form = Fraction((n - 1) * m * m, 2 * n) + sum(
+    row_form = (n - 1) * m * m + 2 * n * sum(
         (i - r) * a for i, a in enumerate(strip.rows, start=1)
     )
     s = len(strip.cols)
-    col_form = Fraction(m * (n - m), 2 * n) + sum(
+    col_form = m * (n - m) + 2 * n * sum(
         (s - i) * b for i, b in enumerate(strip.cols, start=1)
     )
     if strip.is_reduced() and row_form != col_form:
         raise AssertionError(
             f"row/column energy mismatch on reduced strip {strip}: "
-            f"{row_form} != {col_form}"
+            f"2n*E = {row_form} != {col_form}"
         )
-    return row_form
+    return Fraction(row_form, 2 * n)
 
 
 def reduced_strips(n: int, k: int, e2_max: int):
@@ -296,25 +297,16 @@ def rapidity_to_strip(seq: RapiditySeq, n: int | None = None) -> BorderStrip:
     if n != seq.n:
         raise ValueError("rank mismatch")
     # find the least S >= 0 with S = k (mod n), S not a member, and every
-    # x > S a member exactly when x is not congruent to k (mod n)
+    # x > S a member exactly when x is not congruent to k (mod n); past stab
+    # the tail is the vacuum pattern, so some S <= stab + n qualifies
     horizon = seq.stab
     members = set(seq.members_upto(horizon))
-    s_val = None
-    cand = seq.k if seq.k > 0 else 0
-    while cand <= horizon + n:
-        ok = cand not in members or cand > horizon
-        if cand > horizon:
-            ok = True  # beyond stab the tail already matches the vacuum pattern
-        if ok:
-            ok = all(
-                (x in members) == (x % n != seq.k)
-                for x in range(cand + 1, horizon + 1)
-            )
-        if ok:
-            s_val = cand
+    for s_val in range(seq.k, horizon + n + 1, n):
+        if s_val not in members and all(
+            (x in members) == (x % n != seq.k) for x in range(s_val + 1, horizon + 1)
+        ):
             break
-        cand += n
-    if s_val is None:  # pragma: no cover - representation guarantees a cut
+    else:  # pragma: no cover - representation guarantees a cut
         raise AssertionError(f"no stabilization cut found for {seq}")
     below = [x for x in range(1, s_val) if seq.member(x)]
     if not below and s_val == 0:
@@ -497,14 +489,15 @@ def sl2_partition_to_strip(lam: Partition, n_spinons: int) -> BorderStrip:
     strip = BorderStrip.from_rows(rows, 2)
     if strip.size() != n_spinons + 2 * (r - 1) and rows != [0]:
         raise AssertionError(f"size identity failed for ({lam}, {n_spinons})")
-    lhs = lam.size() + Fraction(n_spinons * n_spinons, 4)
+    # the energy identity |lambda| + N^2/4 = kappa^2/4 + row statistic, times 4
+    lhs = 4 * lam.size() + n_spinons * n_spinons
     kappa = strip.size()
-    rhs = Fraction(kappa * kappa, 4) + sum(
+    rhs = kappa * kappa + 4 * sum(
         (i - len(strip.rows)) * a for i, a in enumerate(strip.rows, start=1)
     )
     if lhs != rhs:
         raise AssertionError(
-            f"energy identity failed for ({lam}, {n_spinons}): {lhs} != {rhs}"
+            f"energy identity failed for ({lam}, {n_spinons}): 4E = {lhs} != {rhs}"
         )
     return strip
 

@@ -6,6 +6,7 @@ overrides its suite reads."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -73,8 +74,6 @@ def run_cases(suite: str, cases: list[Case]) -> VerificationReport:
 
 def _series_locus(a, b):
     """First differing exponent between two QSeries, or None."""
-    if a.offset != b.offset:
-        return f"offset {a.offset} != {b.offset}"
     for d in range(min(a.qmax, b.qmax) + 1):
         if a.coeffs[d] != b.coeffs[d]:
             return {"q_degree": d, "lhs": a.coeffs[d], "rhs": b.coeffs[d]}
@@ -255,24 +254,8 @@ def bijection_cases(n: int | None = None) -> list[Case]:
                     lambda s=strip: (strips.energy(s), None)[1],
                 ))
 
-    def mode_lists(n: int, max_modes: int, max_value: int):
-        # a run of equal modes stacks a column, so runs are capped at height n
-        def rec(prefix, last, run):
-            if prefix:
-                yield list(prefix)
-            if len(prefix) == max_modes:
-                return
-            for v in range(last, max_value + 1):
-                if v > (max(prefix) + 1 if prefix else 0):
-                    break
-                new_run = run + 1 if prefix and v == last else 1
-                if new_run <= n:
-                    yield from rec(prefix + [v], v, new_run)
-
-        yield from rec([], 0, 0)
-
     for n in ranks:
-        for modes in mode_lists(n, 6, 4):
+        for modes in _mode_lists(n, 6, 4, [], 0, 0):
             cases.append(Case(
                 f"modes[n={n},{modes}]", {"n": n, "modes": modes},
                 lambda m=modes, n=n: _modes_case(m, n),
@@ -282,6 +265,25 @@ def bijection_cases(n: int | None = None) -> list[Case]:
         lambda: _harness_case(max_size, ranks),
     ))
     return cases
+
+
+def _mode_lists(n, max_modes, max_value, prefix, last, run):
+    """Yield every weakly increasing mode list that extends `prefix` (ending
+    in a run of `run` modes equal to `last`), rises by at most one at a step,
+    starts at 0, and has at most `max_modes` modes, none above `max_value`.
+    A run of equal modes stacks a column, so runs are capped at height n.  A
+    module-level generator, not a closure, so that no reference cycle
+    outlives the enumeration."""
+    if prefix:
+        yield list(prefix)
+    if len(prefix) == max_modes:
+        return
+    for v in range(last, max_value + 1):
+        if v > (last + 1 if prefix else 0):
+            break
+        new_run = run + 1 if prefix and v == last else 1
+        if new_run <= n:
+            yield from _mode_lists(n, max_modes, max_value, prefix + [v], v, new_run)
 
 
 def _modes_case(modes, n):
@@ -311,23 +313,13 @@ def _harness_case(max_size, ranks):
 # suite: spinon-cut
 
 def small_norm_weights(n: int, k: int, max_extra=2):
-    """Class-k weights with |lambda|^2/2 - Delta_k <= max_extra."""
-    delta = affine.conformal_dimension(n, k)
-    bound = 6
-    out = []
-
-    def rec(pos, vec):
-        if pos == n - 1:
-            if affine.weight_class(vec, n) != k:
-                return
-            if affine.weight_norm(vec, n) / 2 - delta <= max_extra:
-                out.append(tuple(vec))
-            return
-        for m in range(-bound, bound + 1):
-            rec(pos + 1, vec + [m])
-
-    rec(0, [])
-    return sorted(out)
+    """Class-k weights with coordinates in -6..6 and |lambda|^2/2 - Delta_k <=
+    max_extra, that is n|lambda|^2 - k(n-k) <= 2n max_extra, in sorted order."""
+    return sorted(
+        vec for vec in itertools.product(range(-6, 7), repeat=n - 1)
+        if affine.weight_class(vec, n) == k
+        and affine.scaled_weight_norm(vec, n) - k * (n - k) <= 2 * n * max_extra
+    )
 
 
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:

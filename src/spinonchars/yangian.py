@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .affine import CharacterTable, conformal_dimension
+from .affine import CharacterTable, sl2_spinon_grades
 from .partitions import Partition, SkewShape, partitions_of
 from .strips import energy, reduced_strips, sl2_partition_to_strip
 from .symfunc import SymPoly, complete, elementary, strip_schur, weight_projection
@@ -234,28 +234,17 @@ def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:
 def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     """ch = sum_{N = k mod 2} sum_{l(lambda) <= N} q^{N^2/4 + |lambda|}
     prod h_{m_i^lambda}, graded relative to Delta_k."""
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
     table = CharacterTable(2, k, qmax)
-    delta = table.delta
-    total = k
-    while True:
-        base = Fraction(total * total, 4) - delta
-        if base > qmax:
-            break
-        assert base.denominator == 1 and base >= 0
-        budget = qmax - int(base)
+    for total, base in sl2_spinon_grades(k, qmax):
         # prod h_{m_i} depends only on the multiset {m_0, m_1, ...}
         projections: dict[tuple[int, ...], dict] = {}
-        for size in range(budget + 1):
-            degree = int(base) + size
+        for size in range(qmax - base + 1):
             for lam in partitions_of(size, max_len=total):
                 key = tuple(sorted([total - len(lam), *lam.multiplicities().values()]))
                 if key not in projections:
                     projections[key] = weight_projection(sl2_hw_character(lam, total))
                 for w, c in projections[key].items():
-                    table.add(w, degree, c)
-        total += 2
+                    table.add(w, base + size, c)
     return table.prune().validate()
 
 

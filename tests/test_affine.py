@@ -11,12 +11,13 @@ from spinonchars.affine import (
     sl2_fermionic_character,
     sl2_spinon_enumeration,
     spinon_string_function,
-    string_function_closed,
     verify_spinon_cut,
     weight_class,
     weight_norm,
 )
+from spinonchars.qseries import euler_inverse, q_zero
 from spinonchars.verify import small_norm_weights
+from spinonchars.yangian import sl2_yangian_decomposition
 
 
 def test_conformal_dimensions_pinned():
@@ -55,12 +56,27 @@ def test_bosonic_vacuum_weight_zero_row_is_partition_numbers():
     assert table.row([0]) == [1, 1, 2, 3, 5, 7, 11]
 
 
-def test_string_function_closed_form():
-    s = string_function_closed(2, (0,), 6)
-    assert s.offset == 0
-    assert s.coeffs == (1, 1, 2, 3, 5, 7, 11)
-    t = string_function_closed(2, (1,), 6)
-    assert t.offset == Fraction(1, 4)
+def test_string_functions_are_graded_from_the_weight_norm():
+    """The bosonic row at lambda is 1/(q)_inf^{n-1} shifted by |lambda|^2/2 -
+    Delta_k, and the spinon cuts, graded from q^{|lambda|^2/2}, sum to the
+    unshifted series."""
+    qmax = 6
+    for n in (2, 3, 4):
+        closed = euler_inverse(qmax) ** (n - 1)
+        for k in range(n):
+            table = bosonic_character(n, k, qmax)
+            for coords in small_norm_weights(n, k, 1):
+                shift = weight_norm(coords, n) / 2 - conformal_dimension(n, k)
+                assert shift.denominator == 1 and shift >= 0, (n, k, coords)
+                assert table.row(coords) == list(closed.shift(int(shift)).coeffs), (
+                    n, k, coords)
+                # the cuts are non-negative, so a generous range of N can
+                # only add terms that a wrong grading would show
+                cuts = q_zero(qmax)
+                for n_spinons in range(k, n * (qmax + n + 6) + 1, n):
+                    cuts = cuts + spinon_string_function(
+                        n, k, coords, n_spinons, "alternating", qmax)
+                assert cuts == closed, (n, k, coords)
 
 
 def test_spinon_alternating_pinned():
@@ -103,12 +119,16 @@ def test_sl2_four_routes_identical():
 
 
 def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
-    # the m-bound of both forms is derived from qmax; each qmax checks it
+    # the root form's m-bound is derived from qmax, and the spinon routes stop
+    # their N loop at the first grade past qmax; each qmax checks both
     for k in (0, 1):
         for qmax in range(41):
             bos = bosonic_character(2, k, qmax)
             for form in ("root", "spinon"):
                 assert sl2_fermionic_character(k, form, qmax) == bos, (k, form, qmax)
+            if qmax <= 16:
+                assert sl2_spinon_enumeration(k, qmax) == bos, ("enum", k, qmax)
+                assert sl2_yangian_decomposition(k, qmax) == bos, ("yangian", k, qmax)
 
 
 def test_table_validation_rejects_wrong_class():

@@ -1,6 +1,4 @@
 """Exact q-series arithmetic: pinned small values and algebraic invariants."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,14 +96,6 @@ def test_truncated_pochhammers_skip_the_exact_product():
     pochhammer(80, 30)
     inv_pochhammer(80, 30)
     assert _poch_poly.cache_info().currsize == before
-
-
-def test_offset_mismatch_rejected():
-    a = QSeries([1, 1], 5, offset=Fraction(1, 2))
-    b = QSeries([1, 1], 5)
-    with pytest.raises(ValueError):
-        a + b
-    assert (a * b).offset == Fraction(1, 2)
 
 
 def test_inverse_requires_unit_constant():

@@ -25,6 +25,7 @@ from spinonchars.symfunc import (
     strip_schur,
     weight_projection,
 )
+from spinonchars.verify import build_suite, small_norm_weights
 from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition
 
 
@@ -89,8 +90,9 @@ def test_strip_schur_matches_jacobi_trudi():
 
 def test_schur_helpers_leave_no_cyclic_garbage():
     """Memoized minors, tableau fillings, strip recurrences, partition
-    generators and the recursive enumerations and sums of the other layers
-    are freed by reference counting, not left for the collector."""
+    generators and the recursive enumerations and sums of the other layers,
+    the verifier's case builders among them, are freed by reference
+    counting, not left for the collector."""
     shape = SkewShape(Partition([4, 3, 1]), Partition([2]))
     calls = {
         "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
@@ -106,6 +108,9 @@ def test_schur_helpers_leave_no_cyclic_garbage():
             3, 0, (0, 0), 3, "multisum", 6),
         "sl2_spinon_enumeration": lambda: sl2_spinon_enumeration(1, 6),
         "sl2_yangian_decomposition": lambda: sl2_yangian_decomposition(1, 6),
+        "small_norm_weights": lambda: small_norm_weights(3, 1),
+        "spinon-cut suite": lambda: build_suite("spinon-cut", n=2),
+        "bijections suite": lambda: build_suite("bijections", n=2),
     }
     was_enabled = gc.isenabled()
     gc.disable()  # an automatic collection would hide a cycle
