@@ -49,10 +49,11 @@ from .symfunc import (
     SymPoly,
     complete,
     elementary,
-    littlewood_richardson,
+    ribbon_expansion,
     rogers_szego,
     rs_generating_check,
     schur_skew,
+    skew_kostka,
     sl2_strip_product,
     stabilization_check,
     strip_schur,

@@ -5,7 +5,8 @@ the Rogers-Szego family).  Everything is exact.
 """
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from .partitions import Partition, SkewShape
 from .qseries import QSeries, euler_inverse, inv_pochhammer, q_one, q_zero, qmultinomial
@@ -92,8 +93,10 @@ class SymPoly:
         return f"SymPoly(nvars={self.nvars}, nterms={len(self.terms)})"
 
 
+@lru_cache(maxsize=None)
 def elementary(m: int, nvars: int) -> SymPoly:
-    """e_m: sum of squarefree degree-m monomials; zero for m < 0 or m > nvars."""
+    """e_m: sum of squarefree degree-m monomials; zero for m < 0 or m > nvars.
+    Memoized: no SymPoly is changed after construction, so callers share it."""
     if m < 0 or m > nvars:
         return SymPoly.zero(nvars)
     terms = {}
@@ -105,8 +108,10 @@ def elementary(m: int, nvars: int) -> SymPoly:
     return SymPoly(nvars, terms)
 
 
+@lru_cache(maxsize=None)
 def complete(m: int, nvars: int) -> SymPoly:
-    """h_m: sum of all degree-m monomials; zero for m < 0."""
+    """h_m: sum of all degree-m monomials; zero for m < 0.  Memoized, as
+    `elementary` is."""
     if m < 0:
         return SymPoly.zero(nvars)
     terms = {}
@@ -194,23 +199,78 @@ def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
-def littlewood_richardson(shape: SkewShape) -> dict[Partition, int]:
-    """Expand s_{lambda/mu} = sum_nu c^nu s_nu by leading-monomial subtraction."""
-    nvars = max(shape.size(), 1)
-    poly = schur_skew(shape, nvars, "jt_h")
-    out: dict[Partition, int] = {}
-    while not poly.is_zero():
-        lead = max(poly.terms)
-        coeff = poly.terms[lead]
-        nu_parts = [e for e in lead if e != 0]
-        if list(lead) != sorted(lead, reverse=True):
-            raise AssertionError(f"leading exponent {lead} is not a partition")
-        if coeff < 0:
-            raise AssertionError(f"negative expansion coefficient at {lead}")
-        nu = Partition(nu_parts)
-        out[nu] = coeff
-        poly = poly - schur_skew(SkewShape(nu), nvars, "jt_h") * coeff
-    return out
+def ribbon_expansion(rows) -> dict[Partition, int]:
+    """Expand the ribbon (border strip) Schur function with row lengths
+    `rows` as sum_nu d_{nu,alpha} s_nu by Gessel's rule (Stanley EC2 7.19):
+    d_{nu,alpha} is the number of standard Young tableaux of shape nu whose
+    descent composition is alpha = rows.  A ribbon rotated by 180 degrees has
+    the same Schur function, so the rows may be read in either order."""
+    alpha = tuple(rows)
+    if any(a < 1 for a in alpha):
+        raise ValueError(f"ribbon rows must be positive: {list(alpha)}")
+    return dict(_descent_table(sum(alpha)).get(alpha, {}))
+
+
+@lru_cache(maxsize=None)
+def _descent_table(size: int) -> dict[tuple[int, ...], dict[Partition, int]]:
+    """Descent composition -> shape nu -> number of standard Young tableaux
+    of shape nu, |nu| = size, with that descent composition.  Tableaux are
+    grown by placing 1, 2, ..., size; i is a descent when i+1 lands in a
+    lower row, which starts a new part of the composition.  Equal
+    (shape, last row, composition) prefixes are merged, so the work is
+    bounded by the number of such states, not of tableaux."""
+    states = {((), -1, ()): 1}  # (shape, row of the last entry, composition)
+    for _ in range(size):
+        grown: dict = {}
+        for (shape, last, comp), count in states.items():
+            padded = shape + (0,)
+            for row in range(len(padded)):
+                if row and padded[row - 1] == padded[row]:
+                    continue  # no addable cell in this row
+                new_shape = padded[:row] + (padded[row] + 1,) + shape[row + 1:]
+                new_comp = comp + (1,) if row > last else comp[:-1] + (comp[-1] + 1,)
+                key = (new_shape, row, new_comp)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    table: dict = {}
+    for (shape, _, comp), count in states.items():
+        by_shape = table.setdefault(comp, {})
+        nu = Partition(shape)
+        by_shape[nu] = by_shape.get(nu, 0) + count
+    return table
+
+
+def skew_kostka(outer: Partition, inner: Partition, mu) -> int:
+    """The number of semistandard tableaux of shape outer/inner with content
+    mu, which is the coefficient of x^mu in s_{outer/inner}: the number of
+    chains inner = k_0 < k_1 < ... < outer in which each k_i/k_{i-1} is a
+    horizontal strip of mu_i boxes.  With inner empty this is the Kostka
+    number K_{outer,mu}."""
+    target = tuple(outer)
+    layer = {tuple(inner[i] for i in range(1, len(target) + 1)): 1}
+    for m in mu:
+        grown: dict = {}
+        for kappa, count in layer.items():
+            for rho in _horizontal_strips(kappa, target, m):
+                grown[rho] = grown.get(rho, 0) + count
+        layer = grown
+    return layer.get(target, 0)
+
+
+def _horizontal_strips(kappa, outer, size) -> list[tuple[int, ...]]:
+    """Every rho inside `outer` such that rho/kappa is a horizontal strip of
+    `size` boxes.  Row i may grow by up to min(outer_i, kappa_{i-1}) -
+    kappa_i boxes, independently of the other rows; a row takes at least
+    what the rows below it cannot, so no prefix is built in vain."""
+    room = [min(outer[i], kappa[i - 1]) - kappa[i] if i else outer[0] - kappa[0]
+            for i in range(len(kappa))]
+    below = list(accumulate(reversed(room + [0])))[::-1]  # below[i]: rows i..
+    partial = [((), size)]
+    for i, r in enumerate(room):
+        partial = [(prefix + (kappa[i] + a,), rest - a)
+                   for prefix, rest in partial
+                   for a in range(max(0, rest - below[i + 1]), min(r, rest) + 1)]
+    return [prefix for prefix, rest in partial if rest == 0]
 
 
 def strip_schur(strip: BorderStrip, nvars: int) -> SymPoly:

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable
 
 from . import affine, qseries, strips, symfunc, yangian
@@ -160,8 +161,9 @@ def _sub_partitions(lam: Partition):
 def schur_cases() -> list[Case]:
     """The three skew-Schur routes on every skew shape with outer size <= 6 in
     1..4 variables, the straight-shape expansion of every border strip of size
-    <= 6 at ranks 2 and 3, and the rank-2 h-rewrite for 1 <= a, b <= 6.  The
-    suite takes neither a rank nor a truncation order."""
+    <= 6 at ranks 2 and 3, checked on the coefficient of every dominant
+    monomial (`_ribbon_locus`), and the rank-2 h-rewrite for 1 <= a, b <= 6.
+    The suite takes neither a rank nor a truncation order."""
     cases = []
 
     def check_shape(shape, nvars):
@@ -183,24 +185,13 @@ def schur_cases() -> list[Case]:
                     lambda s=shape, v=nvars: check_shape(s, v),
                 ))
 
-    def check_lr(strip):
-        coeffs = symfunc.littlewood_richardson(strip.shape)
-        nvars = max(strip.size(), 1)
-        lhs = symfunc.schur_skew(strip.shape, nvars, "jt_h").eval_ones()
-        rhs = 0
-        for nu, c in coeffs.items():
-            if c < 0:
-                return {"nu": list(nu.parts), "coeff": c}
-            rhs += c * symfunc.schur_skew(SkewShape(nu), nvars, "jt_h").eval_ones()
-        return None if lhs == rhs else {"dim_lhs": lhs, "dim_rhs": rhs}
-
     for n_rank in (2, 3):
         for size in range(7):
             for strip in strips.enumerate_border_strips(n_rank, size, reduced=False):
                 cases.append(Case(
                     f"lr[n={n_rank},rows={list(strip.rows)}]",
                     {"n": n_rank, "rows": list(strip.rows)},
-                    lambda s=strip: check_lr(s),
+                    lambda s=strip: _ribbon_locus(s, symfunc.ribbon_expansion(s.rows)),
                 ))
 
     for a in range(1, 7):
@@ -216,6 +207,27 @@ def schur_cases() -> list[Case]:
                 f"h-rewrite[a={a},b={b}]", {"a": a, "b": b}, check_h,
             ))
     return cases
+
+
+def _ribbon_locus(strip, coeffs):
+    """None if `coeffs` (partition -> coefficient) is the Schur expansion of
+    the strip's skew Schur function, else a locus.  For every partition mu of
+    |strip| the coefficient of the dominant monomial x^mu in s_strip, the
+    number of semistandard fillings of the strip with content mu, must equal
+    sum_nu c_nu K_{nu,mu}.  The Kostka matrix is unitriangular, so this
+    fixes every coefficient."""
+    size = strip.size()
+    for nu, c in coeffs.items():
+        if c < 0 or nu.size() != size:
+            return {"nu": list(nu.parts), "coeff": c}
+    outer, inner = strip.shape.outer, strip.shape.inner
+    for mu in partitions_of(size):
+        lhs = symfunc.skew_kostka(outer, inner, mu)
+        rhs = sum(c * symfunc.skew_kostka(nu, Partition(), mu)
+                  for nu, c in coeffs.items())
+        if lhs != rhs:
+            return {"mu": list(mu.parts), "lhs": lhs, "rhs": rhs}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +325,17 @@ def _harness_case(max_size, ranks):
 # suite: spinon-cut
 
 def small_norm_weights(n: int, k: int, max_extra=2):
-    """Class-k weights with coordinates in -6..6 and |lambda|^2/2 - Delta_k <=
-    max_extra, that is n|lambda|^2 - k(n-k) <= 2n max_extra, in sorted order."""
+    """Class-k weights with |lambda|^2/2 - Delta_k <= max_extra, that is
+    n|lambda|^2 <= k(n-k) + 2n max_extra, in sorted order.  Each coordinate
+    is a Dynkin label c_i = (lambda, alpha_i), so c_i^2 <= |alpha_i|^2
+    |lambda|^2 = 2|lambda|^2 and every such weight lies in the box
+    |c_i| <= isqrt(2(k(n-k) + 2n max_extra) // n)."""
+    budget = k * (n - k) + 2 * n * max_extra
+    bound = isqrt(max(2 * budget // n, 0))
     return sorted(
-        vec for vec in itertools.product(range(-6, 7), repeat=n - 1)
+        vec for vec in itertools.product(range(-bound, bound + 1), repeat=n - 1)
         if affine.weight_class(vec, n) == k
-        and affine.scaled_weight_norm(vec, n) - k * (n - k) <= 2 * n * max_extra
+        and affine.scaled_weight_norm(vec, n) <= budget
     )
 
 

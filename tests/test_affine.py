@@ -1,6 +1,8 @@
 """Level-1 character tables: bosonic lattice sums, string functions, and the
 fermionic spinon forms at rank two."""
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -8,6 +10,7 @@ from spinonchars.affine import (
     CharacterTable,
     bosonic_character,
     conformal_dimension,
+    scaled_weight_norm,
     sl2_fermionic_character,
     sl2_spinon_enumeration,
     spinon_string_function,
@@ -77,6 +80,23 @@ def test_string_functions_are_graded_from_the_weight_norm():
                     cuts = cuts + spinon_string_function(
                         n, k, coords, n_spinons, "alternating", qmax)
                 assert cuts == closed, (n, k, coords)
+
+
+def test_small_norm_weights_box_holds_every_weight():
+    """The proved box |c_i| <= B of `small_norm_weights` misses no weight
+    that a box of radius at least B + 2 finds, for n <= 5 and max_extra
+    <= 4."""
+    for n in range(2, 6):
+        budgets = {(k, extra): k * (n - k) + 2 * n * extra
+                   for k in range(n) for extra in range(5)}
+        radius = isqrt(2 * max(budgets.values()) // n) + 2
+        brute = [(vec, weight_class(vec, n), scaled_weight_norm(vec, n))
+                 for vec in product(range(-radius, radius + 1), repeat=n - 1)]
+        for (k, extra), budget in budgets.items():
+            expected = [vec for vec, cls, norm in brute if cls == k and norm <= budget]
+            assert small_norm_weights(n, k, extra) == expected, (n, k, extra)
+    # |7 Lambda_1|^2 / 2 - Delta_1 = 12 at n = 2: outside a fixed -6..6 box
+    assert small_norm_weights(2, 1, 12)[-1] == (7,)
 
 
 def test_spinon_alternating_pinned():

@@ -1,6 +1,7 @@
 """Symmetric polynomials: skew Schur routes, expansion coefficients, and the
 q-deformed binomial generating polynomials."""
 import gc
+from math import factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,18 +15,20 @@ from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, pa
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, enumerate_border_strips
 from spinonchars.symfunc import (
+    _descent_table,
     complete,
     elementary,
-    littlewood_richardson,
+    ribbon_expansion,
     rogers_szego,
     rs_generating_check,
     schur_skew,
+    skew_kostka,
     sl2_strip_product,
     stabilization_check,
     strip_schur,
     weight_projection,
 )
-from spinonchars.verify import build_suite, small_norm_weights
+from spinonchars.verify import _ribbon_locus, build_suite, small_norm_weights
 from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition
 
 
@@ -60,25 +63,74 @@ def test_schur_straight_shapes_pinned():
     assert schur_skew(SkewShape(Partition([2])), 3, "jt_h") == complete(2, 3)
 
 
-def test_littlewood_richardson_pinned():
-    lr = littlewood_richardson(SkewShape(Partition([2, 1]), Partition([1])))
-    assert {tuple(p.parts): c for p, c in lr.items()} == {(2,): 1, (1, 1): 1}
-    lr = littlewood_richardson(SkewShape(Partition([2, 2]), Partition([1])))
-    assert {tuple(p.parts): c for p, c in lr.items()} == {(2, 1): 1}
+def test_ribbon_expansion_pinned():
+    pinned = {
+        (1, 2): {(2, 1): 1},
+        (2, 2): {(3, 1): 1, (2, 2): 1},
+        (1, 2, 1): {(2, 2): 1, (2, 1, 1): 1},
+        (3, 1): {(3, 1): 1},
+        (): {(): 1},
+    }
+    for rows, expected in pinned.items():
+        got = ribbon_expansion(rows)
+        assert {tuple(p.parts): c for p, c in got.items()} == expected, rows
 
 
-def test_littlewood_richardson_nonnegative_and_dimension_correct():
-    for n in (2, 3):
-        for size in range(6):
+def test_ribbon_expansion_passes_the_dominant_monomial_check():
+    """Ranks 2-4 at size <= 7, in both orientations of the rows."""
+    for n in (2, 3, 4):
+        for size in range(8):
             for strip in enumerate_border_strips(n, size, reduced=False):
-                coeffs = littlewood_richardson(strip.shape)
-                nvars = max(size, 1)
-                lhs = schur_skew(strip.shape, nvars, "jt_h").eval_ones()
-                rhs = 0
-                for nu, c in coeffs.items():
-                    assert c >= 0, (strip, nu, c)
-                    rhs += c * schur_skew(SkewShape(nu), nvars, "jt_h").eval_ones()
-                assert lhs == rhs, strip
+                coeffs = ribbon_expansion(strip.rows)
+                assert ribbon_expansion(strip.rows[::-1]) == coeffs, strip
+                assert _ribbon_locus(strip, coeffs) is None, strip
+
+
+def test_ribbon_locus_catches_every_single_coefficient_error():
+    """One coefficient off by one, one missing shape added, or a shape of the
+    wrong size added: each gives a locus."""
+    for n in (2, 3):
+        for size in range(7):
+            for strip in enumerate_border_strips(n, size, reduced=False):
+                coeffs = ribbon_expansion(strip.rows)
+                wrong = [{**coeffs, nu: coeffs[nu] + d} for nu in coeffs for d in (1, -1)]
+                wrong += [{**coeffs, nu: 1}
+                          for nu in partitions_of(size) if nu not in coeffs]
+                wrong.append({**coeffs, Partition([size + 1]): 1})  # wrong size
+                for bad in wrong:
+                    assert _ribbon_locus(strip, bad) is not None, (strip, bad)
+
+
+def test_skew_kostka_is_the_monomial_coefficient():
+    """skew_kostka against the Jacobi-Trudi polynomial in three variables,
+    for every content with at most three parts."""
+    for lam in all_partitions_upto(5):
+        for mu in _sub_partitions(lam):
+            poly = schur_skew(SkewShape(lam, mu), 3, "jt_h")
+            for content in partitions_of(lam.size() - mu.size(), max_len=3):
+                exps = tuple(content[i] for i in range(1, 4))
+                assert skew_kostka(lam, mu, content) == poly.terms.get(exps, 0), (
+                    lam, mu, content)
+    # a content of another size fills no tableau
+    assert skew_kostka(Partition(), Partition(), (1,)) == 0
+    assert skew_kostka(Partition([2]), Partition(), (3,)) == 0
+
+
+def _hook_count(nu):
+    """f^nu by the hook length formula."""
+    conj = nu.conjugate()
+    hooks = (nu[i] - j + conj[j] - i + 1
+             for i in range(1, len(nu) + 1) for j in range(1, nu[i] + 1))
+    return factorial(nu.size()) // prod(hooks)
+
+
+def test_descent_table_counts_every_standard_tableau():
+    for size in range(9):
+        totals: dict = {}
+        for by_shape in _descent_table(size).values():
+            for nu, d in by_shape.items():
+                totals[nu] = totals.get(nu, 0) + d
+        assert totals == {nu: _hook_count(nu) for nu in partitions_of(size)}, size
 
 
 def test_strip_schur_matches_jacobi_trudi():
@@ -98,6 +150,8 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
         "schur_skew sst": lambda: schur_skew(shape, 3, "sst"),
         "strip_schur": lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
+        "ribbon_expansion": lambda: ribbon_expansion([3, 2, 4]),
+        "skew_kostka": lambda: skew_kostka(Partition([4, 3, 1]), Partition([2]), (2, 2, 2)),
         "partitions_of": lambda: list(partitions_of(8)),
         "enumerate_border_strips": lambda: enumerate_border_strips(3, 5, True),
         "gz_schemes": lambda: gz_schemes((3, 2, 1), (1,), 3, 2),
