@@ -88,22 +88,30 @@ def _render_table(table, fmt: str) -> str:
 BIJECTION_OBJECTS = ("strip", "motif", "rapidity", "modes", "sl2-partition")
 
 
+def _int(x) -> int:
+    """`x` if it is a JSON integer; a float, string or bool raises TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def _parse_payload(kind: str, payload: str, n: int):
     try:
         if kind == "strip":
             data = json.loads(payload)
             rows = data["rows"] if isinstance(data, dict) else data
-            return BorderStrip.from_rows(rows, n)
+            return BorderStrip.from_rows([_int(a) for a in rows], n)
         if kind == "motif":
             return Motif.parse(payload, n)
         if kind == "rapidity":
             data = json.loads(payload)
-            return RapiditySeq(n, data["k"], data["prefix"], data["stab"])
+            return RapiditySeq(n, _int(data["k"]), [_int(x) for x in data["prefix"]],
+                               _int(data["stab"]))
         if kind == "modes":
-            return [int(x) for x in json.loads(payload)]
+            return [_int(x) for x in json.loads(payload)]
         if kind == "sl2-partition":
             data = json.loads(payload)
-            return Partition(data["lam"]), int(data["N"])
+            return Partition([_int(p) for p in data["lam"]]), _int(data["N"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {payload!r}: {exc}") from exc
     raise UsageError(f"unknown object kind {kind!r}")

@@ -120,11 +120,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
 
-    def column_heights(self) -> tuple[int, ...]:
-        """Heights of columns 1..outer_1, left to right."""
-        oc, ic = self.outer.conjugate(), self.inner.conjugate()
-        return tuple(oc[j] - ic[j] for j in range(1, len(oc) + 1))
-
     def __eq__(self, other):
         if not isinstance(other, SkewShape):
             return NotImplemented

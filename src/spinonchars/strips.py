@@ -1,9 +1,14 @@
 """Border strips, rapidity sequences, motifs, and the bijections among them.
 
-Conventions (fixed once, used everywhere):
-  * rows <a_1..a_r> are read top to bottom; each lower row extends left with
-    exactly one column of overlap;
-  * columns [b_1..b_s] are read right to left (b_1 = rightmost column);
+A border strip (ribbon) is stored as its column composition.  Walk the strip
+from its top-right box by unit steps left or down: the columns [b_1..b_s] are
+the runs of the walk between left steps, read right to left (b_1 = rightmost
+column), and the rows <a_1..a_r> are its runs between down steps, read top to
+bottom.  Each composition determines the other (`_transpose`), so no skew
+shape is stored; `BorderStrip.shape` draws one on demand in canonical
+position (bottom-left box in column 1), each lower row extending left with
+exactly one column of overlap.
+
   * "reduced" means the leftmost column is shorter than n;
   * stabilization appends full columns of height n at the lower-left end.
 """
@@ -14,91 +19,73 @@ from fractions import Fraction
 from .partitions import Partition, SkewShape
 
 
+def _transpose(parts) -> tuple[int, ...]:
+    """The other run-length reading of a ribbon's walk.  A composition of m
+    cuts the walk's m - 1 steps at its partial sums; the rows cut it exactly
+    where the columns do not, so each reading is the complement of the
+    other."""
+    if not parts:
+        return ()
+    dual, run = [], 1
+    for i, p in enumerate(parts):
+        if i:
+            run += 1
+        for _ in range(p - 1):
+            dual.append(run)
+            run = 1
+    return tuple(dual + [run])
+
+
 class BorderStrip:
-    """A rank-n border strip in canonical position (bottom-left box in column 1)."""
+    """A rank-n border strip, given by its column heights b_1..b_s (right to
+    left), each in 1..n."""
 
-    __slots__ = ("n", "rows", "cols", "shape")
+    __slots__ = ("n", "cols", "rows")
 
-    def __init__(self, shape: SkewShape, n: int):
+    def __init__(self, cols, n: int):
         if n < 2:
             raise ValueError(f"rank must be >= 2, got {n}")
-        outer, inner = shape.outer, shape.inner
-        r = len(outer)
-        rows = []
-        for i in range(1, r + 1):
-            a = outer[i] - inner[i]
-            if a <= 0:
-                raise ValueError(f"row {i} of {shape} is empty: not connected")
-            rows.append(a)
-        for i in range(1, r):
-            overlap = outer[i + 1] - inner[i]
-            if overlap < 1:
-                raise ValueError(
-                    f"rows {i} and {i + 1} of {shape} do not touch: disconnected"
-                )
-            if overlap > 1:
-                raise ValueError(
-                    f"2x2 block at row {i}, column {outer[i + 1]} of {shape}"
-                )
-        if r > 0 and inner[r] != 0:
-            raise ValueError(f"{shape} is not in canonical position (bottom-left gap)")
-        cols = tuple(reversed(shape.column_heights()))
+        cols = tuple(cols)
         for j, b in enumerate(cols):
-            if b > n:
+            if not 1 <= b <= n:
+                bound = f"> n={n}" if b > n else "< 1"
                 raise ValueError(
-                    f"column {len(cols) - j} (from the left) has height {b} > n={n}"
+                    f"column {len(cols) - j} (from the left) has height {b} {bound}"
                 )
         self.n = n
-        self.rows = tuple(rows)
         self.cols = cols
-        self.shape = shape
+        self.rows = _transpose(cols)
 
     @staticmethod
     def from_rows(rows, n: int) -> "BorderStrip":
-        """Build the canonical strip with row lengths a_1..a_r (top to bottom)."""
+        """Build the strip with row lengths a_1..a_r (top to bottom)."""
         rows = [int(a) for a in rows if a != 0]
         if any(a < 0 for a in rows):
             raise ValueError(f"row lengths must be positive: {rows}")
-        if not rows:
-            return BorderStrip(SkewShape(Partition(), Partition()), n)
-        r = len(rows)
-        lam = [0] * r
-        mu = [0] * r
-        lam[r - 1] = rows[r - 1]
-        for i in range(r - 2, -1, -1):
-            mu[i] = lam[i + 1] - 1
-            lam[i] = mu[i] + rows[i]
-        return BorderStrip(SkewShape(Partition(lam), Partition(mu)), n)
+        return BorderStrip(_transpose(rows), n)
 
-    @staticmethod
-    def from_cols(cols, n: int) -> "BorderStrip":
-        """Build the canonical strip with column heights b_1..b_s (right to left)."""
-        cols = [int(b) for b in cols if b != 0]
-        if not cols:
-            return BorderStrip(SkewShape(Partition(), Partition()), n)
-        # column j (1-indexed, rightmost first) covers rows top_j..top_j+b_j-1
-        tops = [1]
-        for b in cols[:-1]:
-            tops.append(tops[-1] + b - 1)
-        r = tops[-1] + cols[-1] - 1
-        rows = [0] * r
-        for t, b in zip(tops, cols):
-            for i in range(t, t + b):
-                rows[i - 1] += 1
-        return BorderStrip.from_rows(rows, n)
+    @property
+    def shape(self) -> SkewShape:
+        """outer/inner in canonical position, built bottom row first."""
+        outer, inner = [], []
+        for a in reversed(self.rows):
+            start = outer[-1] - 1 if outer else 0
+            inner.append(start)
+            outer.append(start + a)
+        return SkewShape(Partition(outer[::-1]), Partition(inner[::-1]))
 
     def size(self) -> int:
-        return sum(self.rows)
+        return sum(self.cols)
 
     def is_reduced(self) -> bool:
         return not self.cols or self.cols[-1] < self.n
 
     def reduce(self) -> "BorderStrip":
         """Delete stabilized full columns at the left end."""
-        cols = list(self.cols)
+        cols = self.cols
         while cols and cols[-1] == self.n:
-            cols.pop()
-        return BorderStrip.from_cols(cols, self.n)
+            cols = cols[:-1]
+        return BorderStrip(cols, self.n)
 
     def to_dict(self) -> dict:
         return {"rows": list(self.rows), "cols": list(self.cols), "n": self.n}
@@ -106,10 +93,10 @@ class BorderStrip:
     def __eq__(self, other):
         if not isinstance(other, BorderStrip):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.cols == other.cols
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.n, self.cols))
 
     def __repr__(self):
         return f"BorderStrip(rows={list(self.rows)}, cols={list(self.cols)}, n={self.n})"
@@ -121,23 +108,21 @@ def enumerate_border_strips(n: int, size: int, reduced: bool) -> list[BorderStri
         raise ValueError("rank must be >= 2")
     if size < 0:
         raise ValueError("size must be >= 0")
-    if size == 0:
-        return [BorderStrip.from_rows([], n)]
     out: list[BorderStrip] = []
-    _append_strips(n, size, reduced, [], out)
+    _append_strips(n, size, reduced, (), out)
     return out
 
 
-def _append_strips(n: int, remaining: int, reduced: bool, cols: list, out: list) -> None:
+def _append_strips(n: int, remaining: int, reduced: bool, cols: tuple, out: list) -> None:
     """Append to `out` every strip whose column heights (right to left) extend
     `cols` by `remaining` boxes.  A module-level function, not a closure, so
     that no reference cycle keeps the strips alive."""
     if remaining == 0:
-        if not reduced or cols[-1] < n:
-            out.append(BorderStrip.from_cols(cols, n))
+        if not (reduced and cols and cols[-1] == n):
+            out.append(BorderStrip(cols, n))
         return
     for b in range(1, min(n, remaining) + 1):
-        _append_strips(n, remaining - b, reduced, cols + [b], out)
+        _append_strips(n, remaining - b, reduced, cols + (b,), out)
 
 
 def energy(strip: BorderStrip) -> Fraction:
@@ -178,7 +163,7 @@ def reduced_strips(n: int, k: int, e2_max: int):
     while stack:
         cols, m, e2 = stack.pop()
         if m % n == k:
-            strip = BorderStrip.from_cols(cols[::-1], n)
+            strip = BorderStrip(cols[::-1], n)
             if energy(strip) * (2 * n) != e2:
                 raise AssertionError(
                     f"energy increment identity fails on {strip}: "
@@ -398,29 +383,9 @@ def rapidity_to_motif(seq: RapiditySeq) -> Motif:
     return Motif(seq.n, bits).canonical()
 
 
-def _cells_to_strip(cells, n: int) -> BorderStrip:
-    """Convert a set of (row, col) cells to a canonical BorderStrip."""
-    by_row: dict[int, list[int]] = {}
-    for r, c in cells:
-        by_row.setdefault(r, []).append(c)
-    rows_sorted = sorted(by_row)
-    spans = []
-    for r in rows_sorted:
-        cs = sorted(by_row[r])
-        if cs != list(range(cs[0], cs[-1] + 1)):
-            raise ValueError(f"row {r} is not contiguous: {cs}")
-        spans.append((cs[0], cs[-1]))
-    for i in range(len(spans) - 1):
-        if spans[i + 1][1] != spans[i][0]:
-            raise ValueError(
-                f"rows {rows_sorted[i]} and {rows_sorted[i + 1]} do not overlap "
-                "in exactly one column"
-            )
-    return BorderStrip.from_rows([hi - lo + 1 for lo, hi in spans], n)
-
-
 def motif_to_strip(m: Motif, n: int | None = None) -> BorderStrip:
-    """Square construction: 1-bit places the next square under, 0-bit to the left.
+    """Square construction: a 1-bit places the next square under (same
+    column), a 0-bit to the left (a new column).
 
     The stabilized tail builds full columns, which are deleted (reduced form).
     """
@@ -428,16 +393,8 @@ def motif_to_strip(m: Motif, n: int | None = None) -> BorderStrip:
         n = m.n
     if n != m.n:
         raise ValueError("rank mismatch")
-    walk = list(m.bits) + [1] * (n - 1)  # complete the final column of the tail
-    r = c = 0
-    cells = [(0, 0)]
-    for b in walk:
-        if b == 1:
-            r += 1
-        else:
-            c -= 1
-        cells.append((r, c))
-    return _cells_to_strip(cells, n).reduce()
+    walk = "".join(map(str, m.bits)) + "1" * (n - 1)  # complete the tail's column
+    return BorderStrip([len(run) + 1 for run in walk.split("0")], n).reduce()
 
 
 def modes_to_strip(modes, n: int) -> BorderStrip:
@@ -454,15 +411,8 @@ def modes_to_strip(modes, n: int) -> BorderStrip:
     if set(modes) != needed:
         missing = sorted(needed - set(modes))
         raise ValueError(f"gap in mode values: {missing} missing from {modes}")
-    r = c = 0
-    cells = [(0, 0)]
-    for prev, cur in zip(modes, modes[1:]):
-        if cur == prev:
-            r -= 1
-        else:
-            c += 1
-        cells.append((r, c))
-    strip = _cells_to_strip(cells, n)
+    # each run of equal modes is one column; the largest mode is rightmost
+    strip = BorderStrip([modes.count(v) for v in range(modes[-1], -1, -1)], n)
     s = len(strip.cols)
     weighted = sum((s - i) * b for i, b in enumerate(strip.cols, start=1))
     if strip.size() != len(modes) or weighted != sum(modes):

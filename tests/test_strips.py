@@ -29,34 +29,62 @@ from spinonchars.strips import (
 # shapes and validation
 
 def test_strip_rows_and_cols_example():
-    """(2,2)/(1) has row lengths <1,2> and column heights [2,1] right-to-left."""
-    strip = BorderStrip(SkewShape(Partition([2, 2]), Partition([1])), 3)
+    """Column heights [2,1] right-to-left are the ribbon (2,2)/(1), with row
+    lengths <1,2>."""
+    strip = BorderStrip((2, 1), 3)
     assert strip.rows == (1, 2)
     assert strip.cols == (2, 1)
+    assert strip.shape == SkewShape(Partition([2, 2]), Partition([1]))
 
 
-def test_two_by_two_block_rejected():
-    with pytest.raises(ValueError, match="2x2"):
-        BorderStrip(SkewShape(Partition([2, 2]), Partition([])), 3)
+def _compositions(total, cap):
+    if total == 0:
+        yield ()
+        return
+    for b in range(1, min(cap, total) + 1):
+        for rest in _compositions(total - b, cap):
+            yield (b,) + rest
 
 
-def test_disconnected_rows_rejected():
-    with pytest.raises(ValueError, match="touch"):
-        BorderStrip(SkewShape(Partition([3, 1]), Partition([2])), 3)
+def test_shape_is_a_canonical_ribbon_with_the_strip_rows_and_cols():
+    """Oracle for the composition representation: for every composition with
+    parts <= n and size <= 10, n = 2..6, `shape` is connected, has no 2x2
+    block, sits in canonical position (bottom-left box in column 1), and its
+    row lengths and column heights, read off outer/inner through
+    Partition.conjugate, are the strip's rows and cols."""
+    for n in range(2, 7):
+        for size in range(11):
+            for cols in _compositions(size, n):
+                strip = BorderStrip(cols, n)
+                outer, inner = strip.shape.outer, strip.shape.inner
+                r = len(outer)
+                rows = tuple(outer[i] - inner[i] for i in range(1, r + 1))
+                assert all(a > 0 for a in rows), cols
+                for i in range(1, r):
+                    # rows i and i+1 share exactly one column: they touch,
+                    # and no 2x2 block forms
+                    assert outer[i + 1] - inner[i] == 1, cols
+                assert r == 0 or inner[r] == 0, cols
+                oc, ic = outer.conjugate(), inner.conjugate()
+                heights = tuple(oc[j] - ic[j] for j in range(len(oc), 0, -1))
+                assert rows == strip.rows, cols
+                assert heights == strip.cols, cols
+                assert BorderStrip.from_rows(rows, n) == strip, cols
 
 
 def test_column_height_capped_by_rank():
-    shape = SkewShape(Partition([1, 1, 1]), Partition([]))
-    BorderStrip(shape, 3)  # height 3 allowed at rank 3
+    BorderStrip((3,), 3)  # height 3 allowed at rank 3
     with pytest.raises(ValueError, match="height"):
-        BorderStrip(shape, 2)
+        BorderStrip((3,), 2)
+    with pytest.raises(ValueError, match="height"):
+        BorderStrip((1, 0), 2)
 
 
 def test_from_rows_round_trip():
     for rows in ([3], [1, 2], [2, 2], [1, 1, 4]):
         strip = BorderStrip.from_rows(rows, 5)
         assert list(strip.rows) == rows
-        assert BorderStrip.from_cols(strip.cols, 5) == strip
+        assert BorderStrip(strip.cols, 5) == strip
 
 
 def test_enumeration_count_rank3_size3():
@@ -101,7 +129,7 @@ def test_energy_increment_identity():
             for strip in enumerate_border_strips(n, size, reduced=True):
                 s, m = len(strip.cols), strip.size()
                 for b in range(1, n + 1):
-                    grown = BorderStrip.from_cols((b,) + strip.cols, n)
+                    grown = BorderStrip((b,) + strip.cols, n)
                     step = 2 * n * (energy(grown) - energy(strip))
                     assert step == b * (2 * (n * s - m) + n - b), (strip, b)
                     assert step >= n + 1, (strip, b)
@@ -254,3 +282,44 @@ def test_random_row_lists_reduce_to_reduced_strips(n, rows):
     reduced = strip.reduce()
     assert reduced.is_reduced()
     assert reduced.size() % n == strip.size() % n
+
+
+@st.composite
+def _column_runs(draw, max_size=30):
+    """(n, column heights) with n <= 6, heights in 1..n and total <= max_size."""
+    n = draw(st.integers(2, 6))
+    heights = []
+    for b in draw(st.lists(st.integers(1, n), max_size=max_size)):
+        if sum(heights) + b > max_size:
+            break
+        heights.append(b)
+    return n, heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_runs())
+def test_strip_rapidity_and_motif_round_trips(case):
+    """Reduced strips with n <= 6 and size <= 30 survive strip -> rapidity ->
+    strip and strip -> rapidity -> motif -> strip."""
+    n, cols = case
+    strip = BorderStrip(cols, n).reduce()
+    energy(strip)  # row and column forms asserted equal inside
+    seq = strip_to_rapidity(strip)
+    assert rapidity_to_strip(seq, n) == strip
+    assert motif_to_strip(rapidity_to_motif(seq), n) == strip
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_runs())
+def test_modes_to_strip_reads_runs_as_columns(case):
+    """Mode v fills the (v+1)-th column from the left, so the shape's column
+    heights, left to right, are the run lengths of the modes."""
+    n, runs = case
+    if not runs:
+        return
+    modes = [v for v, run in enumerate(runs) for _ in range(run)]
+    strip = modes_to_strip(modes, n)  # postcondition asserted inside
+    assert strip.size() == len(modes)
+    outer, inner = strip.shape.outer, strip.shape.inner
+    oc, ic = outer.conjugate(), inner.conjugate()
+    assert [oc[j] - ic[j] for j in range(1, len(oc) + 1)] == runs

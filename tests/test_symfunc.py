@@ -152,6 +152,8 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "strip_schur": lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
         "ribbon_expansion": lambda: ribbon_expansion([3, 2, 4]),
         "skew_kostka": lambda: skew_kostka(Partition([4, 3, 1]), Partition([2]), (2, 2, 2)),
+        "_ribbon_locus": lambda s=BorderStrip((2, 1, 3), 3): _ribbon_locus(
+            s, ribbon_expansion(s.rows)),
         "partitions_of": lambda: list(partitions_of(8)),
         "enumerate_border_strips": lambda: enumerate_border_strips(3, 5, True),
         "gz_schemes": lambda: gz_schemes((3, 2, 1), (1,), 3, 2),

@@ -67,7 +67,7 @@ def test_drinfeld_roots_form_unit_spaced_strings():
 
 def test_drinfeld_tame_skips_full_columns():
     # a full column of height n contributes to no P_i
-    strip = BorderStrip.from_cols([1, 2], 2)  # leftmost column full at rank 2
+    strip = BorderStrip([1, 2], 2)  # leftmost column full at rank 2
     polys = drinfeld_tame(strip.shape, 2)
     reduced = drinfeld_tame(strip.reduce().shape, 2)
     assert polys.poly_degrees() == reduced.poly_degrees()
