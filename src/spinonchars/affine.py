@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
+from operator import mul
 
 from .partitions import partitions_of
 from .qseries import QSeries, euler_inverse, inv_pochhammer, q_zero
@@ -43,7 +45,7 @@ def scaled_weight_norm(coords, n: int) -> int:
 
 def weight_class(coords, n: int) -> int:
     """Conjugacy class sum_i i*m_i mod n."""
-    return sum(i * m for i, m in enumerate(coords, start=1)) % n
+    return sum(map(mul, count(1), coords)) % n
 
 
 class CharacterTable:
@@ -79,7 +81,7 @@ class CharacterTable:
         for w, row in self.rows.items():
             if weight_class(w, self.n) != self.k:
                 raise AssertionError(f"weight {w} not in class {self.k} mod {self.n}")
-            if any(c < 0 for c in row):
+            if min(row) < 0:
                 raise AssertionError(f"negative multiplicity at weight {w}: {row}")
         return self
 
@@ -127,36 +129,51 @@ class CharacterTable:
 def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     """Lattice sum over (c_1..c_n) in Z^n with sum c_i = k; the vector
     k_i = c_i - k/n contributes q^{sum k_i^2/2} / (q)_inf^{n-1} at weight
-    (c_1-c_2, ..., c_{n-1}-c_n)."""
+    (c_1-c_2, ..., c_{n-1}-c_n).
+
+    Given sum c_i = k, the weight determines the vector, so each row is one
+    copy of the series 1/(q)_inf^{n-1}, shifted to the vector's degree."""
     table = CharacterTable(n, k, qmax)
-    power = euler_inverse(qmax) ** (n - 1)
-    budget = k + 2 * qmax  # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
-    _lattice_sum(table, power, math.isqrt(budget) + 1, k, budget, [])
-    return table.prune().validate()
-
-
-def _lattice_sum(table, power, bound, remaining_sum, remaining_sq, vec):
-    """Add the terms of every lattice vector that extends `vec`, with the
-    remaining entries summing to `remaining_sum` and their squares to at most
-    `remaining_sq`.  A module-level function, not a closure, so that no
-    reference cycle outlives the sum."""
-    n, k, qmax = table.n, table.k, table.qmax
-    if len(vec) == n - 1:
-        c = remaining_sum
-        if c * c > remaining_sq:
-            return
-        vec = vec + [c]
-        degree2 = sum(x * x for x in vec) - k
+    power = list((euler_inverse(qmax) ** (n - 1)).coeffs)
+    rows = table.rows
+    # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
+    for vec in lattice_vectors(n, k, k + 2 * qmax):
+        degree2 = sum(map(mul, vec, vec)) - k
         assert degree2 % 2 == 0 and degree2 >= 0
         degree = degree2 // 2
         weight = exps_to_fw(vec)
-        for d in range(degree, qmax + 1):
-            table.add(weight, d, power[d - degree])
+        assert weight not in rows, f"weight {weight} met twice"
+        rows[weight] = [0] * degree + power[:qmax + 1 - degree]
+    return table.prune().validate()
+
+
+def lattice_vectors(length: int, total: int, max_sq: int) -> list[tuple[int, ...]]:
+    """Every integer vector of the given length with entries summing to
+    `total` and squares summing to at most `max_sq`, in lexicographic order."""
+    out: list[tuple[int, ...]] = []
+    if length >= 1 and total * total <= length * max_sq:
+        _lattice_vectors(length, total, max_sq, (), out)
+    return out
+
+
+def _lattice_vectors(length, total, max_sq, prefix, out):
+    """Append to `out` every vector `prefix + rest` with `rest` as in
+    `lattice_vectors`; the caller has checked total^2 <= length * max_sq.
+
+    By Cauchy-Schwarz, r entries summing to t with squares summing to at most
+    R exist over the reals only if t^2 <= r R; an entry c is tried only if the
+    r - 1 entries after it can still meet that bound.  For r = 1 the bound is
+    exact: the last entry is t.  A module-level function, not a closure, so
+    that no reference cycle outlives the sum."""
+    if length == 1:
+        out.append(prefix + (total,))
         return
+    rest = length - 1
+    bound = math.isqrt(max_sq)
     for c in range(-bound, bound + 1):
-        if c * c <= remaining_sq:
-            _lattice_sum(table, power, bound, remaining_sum - c,
-                         remaining_sq - c * c, vec + [c])
+        left = max_sq - c * c
+        if (total - c) ** 2 <= rest * left:
+            _lattice_vectors(rest, total - c, left, prefix + (c,), out)
 
 
 def _spinon_a_values(n: int, coords, n_spinons: int):

@@ -55,31 +55,47 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
     raise UsageError(f"unknown kind {kind!r}")
 
 
-def _render_table(table, fmt: str) -> str:
+_JSON_ITEM = ",\n        "  # between the items of a list in the json layout
+
+
+def _sorted_rows(table):
+    """The table's nonzero rows as (weight, coeffs), in weight order."""
+    rows = table.prune().rows
+    return ((w, rows[w]) for w in sorted(rows))
+
+
+def _write_table(table, fmt: str, out) -> None:
+    """Write the table to `out` row by row, each line ending in a newline.
+    `json` has the layout of `json.dumps(table.to_json_dict(), indent=2)`;
+    the standard encoder falls back to pure Python when indenting, so the
+    layout is written here instead."""
     if fmt == "json":
-        return json.dumps(table.to_json_dict(), indent=2)
-    if fmt == "csv":
-        table.prune()
+        delta = f"{table.delta.numerator}/{table.delta.denominator}"
+        out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
+                  f'  "delta": "{delta}",\n  "qmax": {table.qmax},\n')
+        sep = '  "rows": [\n'
+        for w, coeffs in _sorted_rows(table):
+            out.write(f'{sep}    {{\n      "weight": [\n        '
+                      f'{_JSON_ITEM.join(map(str, w))}\n      ],\n'
+                      f'      "coeffs": [\n        '
+                      f'{_JSON_ITEM.join(map(str, coeffs))}\n      ]\n    }}')
+            sep = ",\n"
+        out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')
+    elif fmt == "csv":
         header = [f"w{i}" for i in range(1, table.n)] + ["qdegree", "coeff"]
-        lines = [",".join(header)]
-        for w in sorted(table.rows):
-            for d, c in enumerate(table.rows[w]):
-                if c:
-                    lines.append(",".join(str(x) for x in (*w, d, c)))
-        return "\n".join(lines)
-    if fmt == "pretty":
-        table.prune()
-        lines = [
-            f"n={table.n} k={table.k} qmax={table.qmax} "
-            f"delta={table.delta.numerator}/{table.delta.denominator}"
-        ]
-        for w in sorted(table.rows):
-            terms = " + ".join(
-                f"{c}*q^{d}" for d, c in enumerate(table.rows[w]) if c
-            )
-            lines.append(f"weight {w}: {terms or '0'}")
-        return "\n".join(lines)
-    raise UsageError(f"unknown format {fmt!r}")
+        out.write(",".join(header) + "\n")
+        for w, coeffs in _sorted_rows(table):
+            prefix = "".join(f"{x}," for x in w)
+            out.write("".join(f"{prefix}{d},{c}\n"
+                              for d, c in enumerate(coeffs) if c))
+    elif fmt == "pretty":
+        out.write(f"n={table.n} k={table.k} qmax={table.qmax} "
+                  f"delta={table.delta.numerator}/{table.delta.denominator}\n")
+        for w, coeffs in _sorted_rows(table):
+            terms = " + ".join(f"{c}*q^{d}" for d, c in enumerate(coeffs) if c)
+            out.write(f"weight {w}: {terms or '0'}\n")
+    else:
+        raise UsageError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +116,17 @@ def _parse_payload(kind: str, payload: str, n: int):
         if kind == "strip":
             data = json.loads(payload)
             rows = data["rows"] if isinstance(data, dict) else data
-            return BorderStrip.from_rows([_int(a) for a in rows], n)
+            return BorderStrip.from_rows(rows, n)
         if kind == "motif":
             return Motif.parse(payload, n)
         if kind == "rapidity":
             data = json.loads(payload)
-            return RapiditySeq(n, _int(data["k"]), [_int(x) for x in data["prefix"]],
-                               _int(data["stab"]))
+            return RapiditySeq(n, _int(data["k"]), data["prefix"], _int(data["stab"]))
         if kind == "modes":
             return [_int(x) for x in json.loads(payload)]
         if kind == "sl2-partition":
             data = json.loads(payload)
-            return Partition([_int(p) for p in data["lam"]]), _int(data["N"])
+            return Partition(data["lam"]), _int(data["N"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {payload!r}: {exc}") from exc
     raise UsageError(f"unknown object kind {kind!r}")
@@ -240,7 +255,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "char":
             table = _build_table(args.kind, args.n, args.k, args.qmax)
-            print(_render_table(table, args.format))
+            _write_table(table, args.format, sys.stdout)
             return 0
         if args.command == "verify":
             if args.jobs != 1:

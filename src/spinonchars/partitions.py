@@ -6,12 +6,19 @@ from functools import total_ordering
 
 @total_ordering
 class Partition:
-    """A weakly decreasing tuple of positive integers."""
+    """A weakly decreasing tuple of positive integers; zero parts are dropped.
+    A part that is not an `int` (a float, a string or a bool) raises
+    TypeError."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p != 0)
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int:
+                raise TypeError(f"parts must be ints, got {p!r}")
+        if 0 in parts:
+            parts = tuple(p for p in parts if p)
         for i in range(len(parts) - 1):
             if parts[i] < parts[i + 1]:
                 raise ValueError(f"parts not weakly decreasing: {parts}")

@@ -19,6 +19,16 @@ from fractions import Fraction
 from .partitions import Partition, SkewShape
 
 
+def _require_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple if every entry is an `int`; a float, string or
+    bool raises TypeError instead of being truncated."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {v!r}")
+    return values
+
+
 def _transpose(parts) -> tuple[int, ...]:
     """The other run-length reading of a ribbon's walk.  A composition of m
     cuts the walk's m - 1 steps at its partial sums; the rows cut it exactly
@@ -38,7 +48,7 @@ def _transpose(parts) -> tuple[int, ...]:
 
 class BorderStrip:
     """A rank-n border strip, given by its column heights b_1..b_s (right to
-    left), each in 1..n."""
+    left), each an `int` in 1..n."""
 
     __slots__ = ("n", "cols", "rows")
 
@@ -47,6 +57,8 @@ class BorderStrip:
             raise ValueError(f"rank must be >= 2, got {n}")
         cols = tuple(cols)
         for j, b in enumerate(cols):
+            if type(b) is not int:
+                raise TypeError(f"column heights must be ints, got {b!r}")
             if not 1 <= b <= n:
                 bound = f"> n={n}" if b > n else "< 1"
                 raise ValueError(
@@ -58,8 +70,9 @@ class BorderStrip:
 
     @staticmethod
     def from_rows(rows, n: int) -> "BorderStrip":
-        """Build the strip with row lengths a_1..a_r (top to bottom)."""
-        rows = [int(a) for a in rows if a != 0]
+        """Build the strip with row lengths a_1..a_r (top to bottom), each an
+        `int`; zero rows are dropped."""
+        rows = [a for a in _require_ints(rows, "row lengths") if a != 0]
         if any(a < 0 for a in rows):
             raise ValueError(f"row lengths must be positive: {rows}")
         return BorderStrip(_transpose(rows), n)
@@ -189,7 +202,7 @@ class RapiditySeq:
     def __init__(self, n: int, k: int, prefix, stab: int):
         if n < 2:
             raise ValueError("rank must be >= 2")
-        prefix = tuple(int(x) for x in prefix)
+        prefix = _require_ints(prefix, "rapidities")
         if list(prefix) != sorted(set(prefix)):
             raise ValueError(f"prefix must be strictly increasing: {prefix}")
         if prefix and prefix[0] < 1:
@@ -316,7 +329,7 @@ class Motif:
     def __init__(self, n: int, bits):
         if n < 2:
             raise ValueError("rank must be >= 2")
-        bits = tuple(int(b) for b in bits)
+        bits = _require_ints(bits, "bits")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1: {bits}")
         self.n = n

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
+from operator import sub
 
 from .partitions import Partition, SkewShape
 from .qseries import QSeries, inv_pochhammer, q_one, qmultinomial
@@ -315,7 +316,7 @@ def sl2_strip_product(rows) -> SymPoly:
 def exps_to_fw(exps) -> tuple[int, ...]:
     """Monomial exponents (c_1..c_n) -> fundamental-weight coordinates
     (c_1-c_2, ..., c_{n-1}-c_n)."""
-    return tuple(exps[j] - exps[j + 1] for j in range(len(exps) - 1))
+    return tuple(map(sub, exps, exps[1:]))
 
 
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], object]:

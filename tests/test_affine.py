@@ -10,6 +10,7 @@ from spinonchars.affine import (
     CharacterTable,
     bosonic_character,
     conformal_dimension,
+    lattice_vectors,
     scaled_weight_norm,
     sl2_fermionic_character,
     sl2_spinon_enumeration,
@@ -19,6 +20,7 @@ from spinonchars.affine import (
     weight_norm,
 )
 from spinonchars.qseries import euler_inverse, q_zero
+from spinonchars.symfunc import exps_to_fw
 from spinonchars.verify import small_norm_weights
 from spinonchars.yangian import sl2_yangian_decomposition
 
@@ -57,6 +59,33 @@ def test_bosonic_vacuum_weight_zero_row_is_partition_numbers():
     # only c = (0,0) has weight zero, so the row is 1/(q)_inf exactly
     table = bosonic_character(2, 0, 6)
     assert table.row([0]) == [1, 1, 2, 3, 5, 7, 11]
+
+
+def test_lattice_vectors_match_the_box():
+    """The Cauchy-Schwarz pruned search yields, in lexicographic order,
+    exactly the vectors of the box |c_i| <= isqrt(max_sq) with the given sum
+    and squares summing to at most max_sq.  The bosonic points (total k,
+    max_sq = k + 2 qmax) give distinct weights; the other sums and budgets
+    include those of the opposite parity, where a bound off by one shows."""
+    for n in range(2, 6):
+        for k in range(n):
+            for qmax in range(5):
+                vecs = lattice_vectors(n, k, k + 2 * qmax)
+                assert vecs == _box_vectors(n, k, k + 2 * qmax), (n, k, qmax)
+                weights = {exps_to_fw(v) for v in vecs}
+                assert len(weights) == len(vecs), (n, k, qmax)
+        for total in range(-3, 4):
+            for max_sq in range(9):
+                assert lattice_vectors(n, total, max_sq) == _box_vectors(
+                    n, total, max_sq), (n, total, max_sq)
+    assert lattice_vectors(1, 2, 4) == [(2,)]
+    assert lattice_vectors(1, 3, 4) == []
+
+
+def _box_vectors(length, total, max_sq):
+    bound = isqrt(max_sq)
+    return [vec for vec in product(range(-bound, bound + 1), repeat=length)
+            if sum(vec) == total and sum(c * c for c in vec) <= max_sq]
 
 
 def test_string_functions_are_graded_from_the_weight_norm():

@@ -1,10 +1,13 @@
 """Black-box CLI tests: exit codes, output determinism, and payload handling."""
+import hashlib
+import io
 import json
 
 import pytest
 
 from spinonchars import strips, verify
-from spinonchars.cli import main
+from spinonchars.affine import CharacterTable
+from spinonchars.cli import CHAR_KINDS, _build_table, _write_table, main
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +32,53 @@ def test_char_bosonic_json_pinned(capsys):
         {"weight": [0], "coeffs": [1, 1]},
         {"weight": [2], "coeffs": [0, 1]},
     ]
+
+
+def test_char_json_has_the_indent_2_layout(capsys):
+    """`char --format json` writes the bytes `json.dumps(..., indent=2)` and
+    `print` would, and its rows are the table's, in weight order."""
+    for kind in CHAR_KINDS:
+        n_values = (2, 3, 4) if kind in ("bosonic", "yangian") else (2,)
+        for n in n_values:
+            for k in range(n):
+                for qmax in (0, 3):
+                    argv = ("char", "--kind", kind, "--n", str(n), "--k", str(k),
+                            "--qmax", str(qmax), "--format", "json")
+                    code, out, _ = run_cli(capsys, *argv)
+                    assert code == 0, argv
+                    data = json.loads(out)
+                    assert out == json.dumps(data, indent=2) + "\n", argv
+                    table = _build_table(kind, n, k, qmax)
+                    assert out == json.dumps(table.to_json_dict(), indent=2) + "\n"
+                    rows = [(tuple(r["weight"]), r["coeffs"]) for r in data["rows"]]
+                    assert rows == sorted(table.rows.items()), argv
+
+
+def test_empty_table_renders_in_every_format():
+    table = CharacterTable(3, 1, 2)
+    rendered = {}
+    for fmt in ("json", "csv", "pretty"):
+        out = io.StringIO()
+        _write_table(table, fmt, out)
+        rendered[fmt] = out.getvalue()
+    assert rendered["json"] == json.dumps(table.to_json_dict(), indent=2) + "\n"
+    assert '"rows": []' in rendered["json"]
+    assert rendered["csv"] == "w1,w2,qdegree,coeff\n"
+    assert rendered["pretty"] == "n=3 k=1 qmax=2 delta=1/3\n"
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "ab517f7576d03a282b48c6f368ff0f7989461b0f5197f4799b06c9c15c8d1c09"),
+    ("csv", "7c48fc27f0e2f2583c0d09f7475dd076a8d7b41f09bb5752556c9e02ce5030d9"),
+    ("pretty", "c28a528c970fcc8e003106e72c1912cc48cafe3fc58ab10dc6453de00332ca79"),
+])
+def test_char_output_bytes_pinned(capsys, fmt, digest):
+    """The sha256 of each format at (n, k, qmax) = (4, 1, 6), as printed
+    before tables were written row by row."""
+    code, out, _ = run_cli(capsys, "char", "--kind", "bosonic", "--n", "4",
+                           "--k", "1", "--qmax", "6", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_char_rank_one_is_usage_error(capsys):

@@ -19,6 +19,14 @@ def test_partition_normalizes_and_validates():
         Partition([2, -1])
 
 
+def test_partition_refuses_non_integer_parts():
+    """A float, string or bool part raises TypeError instead of being
+    truncated (`int(2.7)` would be 2 and `int(True)` 1)."""
+    for parts in ([2.7, True], [2, 1.0], [True], ["3"], [3, 0.0]):
+        with pytest.raises(TypeError, match="parts must be ints"):
+            Partition(parts)
+
+
 def test_indexing_is_one_based_with_zero_tail():
     p = Partition([4, 2, 1])
     assert (p[1], p[2], p[3], p[4]) == (4, 2, 1, 0)

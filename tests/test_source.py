@@ -45,3 +45,30 @@ def test_no_unused_imports():
     assert modules
     unused = [line for path in modules for line in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _mentions_table(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "table" for n in ast.walk(node))
+
+
+def test_cli_renders_tables_without_the_indenting_encoder():
+    """`json.dumps(..., indent=...)` runs CPython's pure-Python encoder, which
+    took most of the time of a large `char --format json`; the CLI writes the
+    table layout itself.  No indenting `json.dump`/`json.dumps` call in
+    `cli.py` may take a table or sit in a function that takes one."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    offenders = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        has_table = any(a.arg == "table" for a in func.args.args)
+        for call in ast.walk(func):
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("dump", "dumps")
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "json"
+                    and any(kw.arg == "indent" for kw in call.keywords)
+                    and (has_table or any(map(_mentions_table, call.args)))):
+                offenders.append(f"cli.py:{call.lineno} in {func.name}")
+    assert not offenders, "indented JSON of a table:\n" + "\n".join(offenders)

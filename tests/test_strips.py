@@ -87,6 +87,25 @@ def test_from_rows_round_trip():
         assert BorderStrip(strip.cols, 5) == strip
 
 
+def test_labels_refuse_non_integer_entries():
+    """Strips, rapidity sequences and motifs raise TypeError for a float or
+    bool entry instead of truncating it; `Motif.parse` still reads digits."""
+    cases = (
+        lambda: BorderStrip.from_rows([1.5, 2], 3),
+        lambda: BorderStrip.from_rows([True, 2], 3),
+        lambda: BorderStrip((1.5,), 3),
+        lambda: BorderStrip((2, True), 3),
+        lambda: RapiditySeq(2, 0, [1.9], 2),
+        lambda: RapiditySeq(2, 0, [True], 2),
+        lambda: Motif(2, [1.0, 0]),
+        lambda: Motif(2, [True, 0]),
+    )
+    for make in cases:
+        with pytest.raises(TypeError, match="must be ints"):
+            make()
+    assert Motif.parse("10|", 2).bits == (1, 0)
+
+
 def test_enumeration_count_rank3_size3():
     """Three reduced rank-3 strips of size 3: <3>, <1,2>, <2,1>."""
     found = enumerate_border_strips(3, 3, reduced=True)
