@@ -20,6 +20,7 @@ from .qseries import (
     durfee_check,
     euler_inverse,
     inv_pochhammer,
+    inv_pochhammer_product,
     inv_pochhammer_z_expansion,
     lemma_d3_check,
     pochhammer,

@@ -14,7 +14,7 @@ from itertools import count
 from operator import mul
 
 from .partitions import partitions_of
-from .qseries import QSeries, euler_inverse, inv_pochhammer, q_zero
+from .qseries import QSeries, euler_inverse, inv_pochhammer_product, q_zero
 from .symfunc import exps_to_fw
 
 
@@ -198,6 +198,12 @@ def spinon_string_function(
     """The N-spinon cut of the string function, in either stated form, graded
     from q^{|lambda|^2/2}: coefficient d belongs to q^{|lambda|^2/2 + d}.
 
+    alternating: sum_{m=0}^{min A_i} (-1)^m q^{m(m-1)/2}
+                 / ((q)_m prod_i (q)_{A_i - m});
+    multisum:    the nested sum of `_multisum_terms`.
+    Every denominator is one `inv_pochhammer_product`, cached by its
+    multiset of indices, so terms sharing a multiset share one series.
+
     Returns the zero series when N is in the wrong class or some A_i fails to
     be a non-negative integer.
     """
@@ -211,22 +217,22 @@ def spinon_string_function(
         return total
     if form == "alternating":
         for m in range(min(a_vals) + 1):
-            term = inv_pochhammer(m, qmax)
-            for a in a_vals:
-                term = term * inv_pochhammer(a - m, qmax)
+            term = inv_pochhammer_product((m, *(a - m for a in a_vals)), qmax)
             term = term.shift(m * (m - 1) // 2)
             total = total + (term * (-1 if m % 2 else 1))
     else:
-        for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0,
-                                    QSeries([1], qmax)):
+        for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0, ()):
             total = total + term
     return total
 
 
 def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
     """Yield the terms of the multisum form below the prefix m_1..m_{j-1},
-    whose sum is s_prev = S_{j-1}.  A module-level generator, not a closure,
-    so that no reference cycle outlives the sum.
+    whose sum is s_prev = S_{j-1}, exponent the prefix's part of the power
+    of q and denom the tuple of its Pochhammer indices
+    (A_1, m_1, A_2 - S_1, m_2, ...).  Only a leaf builds a series, one
+    `inv_pochhammer_product` of its whole tuple.  A module-level generator,
+    not a closure, so that no reference cycle outlives the sum.
 
     Nested sum over m_1..m_{n-2}; S_j = m_1+...+m_j; the term is
     q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
@@ -240,17 +246,14 @@ def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
         exp = exponent + sub1 * sub2
         if exp > qmax:
             return
-        term = denom * inv_pochhammer(sub1, qmax) * inv_pochhammer(sub2, qmax)
-        yield term.shift(exp)
+        yield inv_pochhammer_product(denom + (sub1, sub2), qmax).shift(exp)
         return
     sub = a_vals[j - 1] - s_prev
     if sub < 0:
         return
-    base = denom * inv_pochhammer(sub, qmax)
     for m in range(n_spinons - s_prev + 1):
         yield from _multisum_terms(a_vals, n_spinons, qmax, j + 1, s_prev + m,
-                                   exponent + sub * m,
-                                   base * inv_pochhammer(m, qmax))
+                                   exponent + sub * m, denom + (sub, m))
 
 
 def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
@@ -320,7 +323,7 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
                  for total, grade in sl2_spinon_grades(k, qmax)
                  for m1 in range(total + 1))
     for m1, m2, degree0, weight in terms:
-        series = inv_pochhammer(m1, qmax) * inv_pochhammer(m2, qmax)
+        series = inv_pochhammer_product((m1, m2), qmax)
         for d in range(degree0, qmax + 1):
             table.add(weight, d, series[d - degree0])
     return table.prune().validate()

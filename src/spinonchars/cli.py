@@ -59,8 +59,9 @@ _JSON_ITEM = ",\n        "  # between the items of a list in the json layout
 
 
 def _sorted_rows(table):
-    """The table's nonzero rows as (weight, coeffs), in weight order."""
-    rows = table.prune().rows
+    """The table's rows as (weight, coeffs), in weight order; every table
+    builder has already pruned its all-zero rows."""
+    rows = table.rows
     return ((w, rows[w]) for w in sorted(rows))
 
 

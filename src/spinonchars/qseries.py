@@ -9,6 +9,7 @@ Python ints.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 
 class QSeries:
@@ -57,15 +58,12 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return QSeries([c * other for c in self.coeffs], self.qmax)
+        # coefficient d is a[0] b[d] + ... + a[d] b[0]: the first d + 1
+        # coefficients of a against the last d + 1 of b reversed through m
         m = min(self.qmax, other.qmax)
-        out = [0] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: m + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return QSeries(out, m)
+        a, rb = self.coeffs, other.coeffs[m::-1]
+        return QSeries([sum(map(mul, a[: d + 1], rb[m - d:]))
+                        for d in range(m + 1)], m)
 
     __rmul__ = __mul__
 
@@ -225,6 +223,26 @@ def inv_pochhammer(n: int, qmax: int) -> QSeries:
     return QSeries(coeffs, qmax)
 
 
+def inv_pochhammer_product(parts, qmax: int) -> QSeries:
+    """1 / prod_p (q)_p over the given parts, truncated at qmax.
+
+    The product depends only on the multiset of nonzero parts, so zeros are
+    dropped and the rest sorted before the cached build."""
+    key = tuple(sorted(p for p in parts if p))
+    if key and key[0] < 0:
+        raise ValueError(f"pochhammer index must be >= 0, got {key[0]}")
+    return _inv_pochhammer_product(key, qmax)
+
+
+@lru_cache(maxsize=None)
+def _inv_pochhammer_product(parts: tuple[int, ...], qmax: int) -> QSeries:
+    """`inv_pochhammer_product` of sorted positive parts: a new multiset costs
+    one product, the cached one without its largest part times 1/(q)_largest."""
+    if not parts:
+        return q_one(qmax)
+    return _inv_pochhammer_product(parts[:-1], qmax) * inv_pochhammer(parts[-1], qmax)
+
+
 def qbinomial(n: int, m: int, qmax: int) -> QSeries:
     """(q)_n / ((q)_m (q)_{n-m}) by exact polynomial division."""
     if m < 0 or m > n:
@@ -329,7 +347,7 @@ def durfee_check(m: int, qmax: int) -> bool:
                 break
             b += 1
             continue
-        term = (inv_pochhammer(a, qmax) * inv_pochhammer(b, qmax)).shift(a * b)
+        term = inv_pochhammer_product((a, b), qmax).shift(a * b)
         total = total + term
         b += 1
     return total == euler_inverse(qmax)
@@ -350,17 +368,13 @@ def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
     big_m, big_n = m_bound, n_bound
     lhs = q_zero(qmax)
     for j in range(min(big_m, big_n) + 1):
-        base = (
-            inv_pochhammer(big_m - j, qmax)
-            * inv_pochhammer(big_n - j, qmax)
-            * inv_pochhammer(j, qmax)
-        )
+        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax)
         if variant == "i":
             term = base.shift(j * (j - 1) // 2) * (-1 if j % 2 else 1)
         else:
             term = base.shift((big_m - j) * (big_n - j))
         lhs = lhs + term
-    rhs = inv_pochhammer(big_m, qmax) * inv_pochhammer(big_n, qmax)
+    rhs = inv_pochhammer_product((big_m, big_n), qmax)
     if variant == "i":
         rhs = rhs.shift(big_m * big_n) if big_m * big_n <= qmax else q_zero(qmax)
     return lhs == rhs

@@ -10,7 +10,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from operator import sub
 
 from .partitions import Partition, SkewShape
-from .qseries import QSeries, inv_pochhammer, q_one, qmultinomial
+from .qseries import QSeries, inv_pochhammer, inv_pochhammer_product, qmultinomial
 from .strips import BorderStrip
 
 
@@ -367,13 +367,8 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
         lhs = rogers_szego(total, nvars, qmax).scale_coeffs(
             inv_pochhammer(total, qmax)
         )
-        rhs_terms: dict = {}
-        for comp in _compositions(total, nvars):
-            coeff = q_one(qmax)
-            for v in comp:
-                coeff = coeff * inv_pochhammer(v, qmax)
-            rhs_terms[comp] = coeff
-        rhs = SymPoly(nvars, rhs_terms)
+        rhs = SymPoly(nvars, {comp: inv_pochhammer_product(comp, qmax)
+                              for comp in _compositions(total, nvars)})
         if lhs != rhs:
             return False
     return True

@@ -1,13 +1,14 @@
 """Level-1 character tables: bosonic lattice sums, string functions, and the
 fermionic spinon forms at rank two."""
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 
 import pytest
 
 from spinonchars.affine import (
     CharacterTable,
+    _spinon_a_values,
     bosonic_character,
     conformal_dimension,
     lattice_vectors,
@@ -19,7 +20,7 @@ from spinonchars.affine import (
     weight_class,
     weight_norm,
 )
-from spinonchars.qseries import euler_inverse, q_zero
+from spinonchars.qseries import euler_inverse, inv_pochhammer, q_one, q_zero
 from spinonchars.symfunc import exps_to_fw
 from spinonchars.verify import small_norm_weights
 from spinonchars.yangian import sl2_yangian_decomposition
@@ -144,6 +145,60 @@ def test_spinon_forms_agree():
                     b = spinon_string_function(n, k, coords, n_spinons,
                                                "multisum", 6)
                     assert a == b, (n, k, coords, n_spinons)
+
+
+def _chain(indices, qmax):
+    """1 / prod_i (q)_{indices[i]}, multiplied out factor by factor."""
+    series = q_one(qmax)
+    for i in indices:
+        series = series * inv_pochhammer(i, qmax)
+    return series
+
+
+def _oracle_cuts(n, k, coords, n_spinons, qmax):
+    """Both forms of the N-spinon cut, each term built by an explicit chain
+    of inverse Pochhammers: (alternating, multisum)."""
+    alternating, multisum = q_zero(qmax), q_zero(qmax)
+    a_vals = _spinon_a_values(n, coords, n_spinons)
+    if n_spinons % n != k % n or a_vals is None:
+        return alternating, multisum
+    for m in range(min(a_vals) + 1):
+        term = _chain([m, *(a - m for a in a_vals)], qmax).shift(m * (m - 1) // 2)
+        alternating = alternating + term * (-1) ** m
+    # m_1..m_{n-2} with S_j = m_1 + ... + m_j <= N; the term is
+    # q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
+    # / (prod_j (q)_{A_j - S_{j-1}} (q)_{m_j} (q)_{A_{n-1}-S_{n-2}} (q)_{A_n-S_{n-2}})
+    for ms in product(range(n_spinons + 1), repeat=n - 2):
+        sums = [0, *accumulate(ms)]
+        if sums[-1] > n_spinons:
+            continue
+        subs = [a_vals[j] - sums[j] for j in range(n - 2)]
+        last = [a_vals[n - 2] - sums[-1], a_vals[n - 1] - sums[-1]]
+        if min(subs + last) < 0:
+            continue
+        exp = sum(s * m for s, m in zip(subs, ms)) + last[0] * last[1]
+        if exp <= qmax:
+            multisum = multisum + _chain(subs + list(ms) + last, qmax).shift(exp)
+    return alternating, multisum
+
+
+def test_spinon_forms_match_the_explicit_chain_oracle():
+    """The cached denominators of both forms give the cuts that multiplying
+    out each term's inverse Pochhammers gives."""
+    qmax = 10
+    nonzero = 0
+    for n in (2, 3, 4):
+        for k in range(n):
+            for coords in small_norm_weights(n, k, 1):
+                for n_spinons in range(3 * n + 1):
+                    alternating, multisum = _oracle_cuts(n, k, coords, n_spinons, qmax)
+                    nonzero += not alternating.is_zero()
+                    case = (n, k, coords, n_spinons)
+                    assert spinon_string_function(
+                        n, k, coords, n_spinons, "alternating", qmax) == alternating, case
+                    assert spinon_string_function(
+                        n, k, coords, n_spinons, "multisum", qmax) == multisum, case
+    assert nonzero > 100
 
 
 def test_spinon_cut_reconstructs_string_functions():

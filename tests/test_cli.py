@@ -54,6 +54,20 @@ def test_char_json_has_the_indent_2_layout(capsys):
                     assert rows == sorted(table.rows.items()), argv
 
 
+def test_char_builders_return_no_zero_row():
+    """`char` writes `table.rows` as built, so every builder prunes its
+    all-zero rows itself."""
+    for kind in CHAR_KINDS:
+        n_values = (2, 3, 4) if kind in ("bosonic", "yangian") else (2,)
+        for n in n_values:
+            for k in range(n):
+                for qmax in range(7):
+                    table = _build_table(kind, n, k, qmax)
+                    assert table.rows, (kind, n, k, qmax)
+                    zero = [w for w, row in table.rows.items() if not any(row)]
+                    assert not zero, (kind, n, k, qmax, zero)
+
+
 def test_empty_table_renders_in_every_format():
     table = CharacterTable(3, 1, 2)
     rendered = {}

@@ -1,4 +1,6 @@
 """Exact q-series arithmetic: pinned small values and algebraic invariants."""
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from spinonchars.qseries import (
     durfee_check,
     euler_inverse,
     inv_pochhammer,
+    inv_pochhammer_product,
     inv_pochhammer_z_expansion,
     lemma_d3_check,
     pochhammer,
@@ -98,6 +101,27 @@ def test_truncated_pochhammers_skip_the_exact_product():
     assert _poch_poly.cache_info().currsize == before
 
 
+def test_inv_pochhammer_product_is_the_chain_of_factors():
+    """Every tuple of at most 4 parts <= 6, so every multiset in every order
+    and with any number of zeros, gives the left-to-right product of its
+    inverse Pochhammers at each order 0..12."""
+    for qmax in range(13):
+        chains = {(): q_one(qmax)}  # each tuple's chain extends its prefix's
+        for length in range(1, 5):
+            for parts in product(range(7), repeat=length):
+                chains[parts] = chains[parts[:-1]] * inv_pochhammer(parts[-1], qmax)
+        for parts, chain in chains.items():
+            assert inv_pochhammer_product(parts, qmax) == chain, (parts, qmax)
+    assert inv_pochhammer_product(iter([0, 3, 1]), 6) == inv_pochhammer_product(
+        (1, 3), 6)
+
+
+def test_inv_pochhammer_product_rejects_a_negative_part():
+    for parts in ((-1,), (2, -1), (0, 3, -2, 1)):
+        with pytest.raises(ValueError):
+            inv_pochhammer_product(parts, 5)
+
+
 def test_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
         QSeries([2, 1], 4).inverse()
@@ -129,6 +153,31 @@ def test_multiplication_commutes(a, b):
 def test_multiplication_associates_and_distributes(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _convolution(a, b):
+    """The product by the schoolbook double loop, truncated at the lower order."""
+    m = min(a.qmax, b.qmax)
+    out = [0] * (m + 1)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return m, tuple(out)
+
+
+mixed_series = st.builds(
+    QSeries,
+    st.lists(st.integers(-9, 9) | st.just(0), min_size=1, max_size=12),
+    st.integers(0, 11),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_series, mixed_series)
+def test_multiplication_is_the_truncated_convolution(a, b):
+    """Operands of different orders, with zero and negative coefficients."""
+    prod = a * b
+    assert (prod.qmax, prod.coeffs) == _convolution(a, b)
 
 
 def test_finite_product_z_expansion_pinned():

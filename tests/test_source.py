@@ -72,3 +72,42 @@ def test_cli_renders_tables_without_the_indenting_encoder():
                     and (has_table or any(map(_mentions_table, call.args)))):
                 offenders.append(f"cli.py:{call.lineno} in {func.name}")
     assert not offenders, "indented JSON of a table:\n" + "\n".join(offenders)
+
+
+def _is_inv_pochhammer_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "inv_pochhammer"
+
+
+def _inv_pochhammer_products(tree: ast.AST) -> list[int]:
+    """Lines where an `inv_pochhammer(...)` call is an operand of `*` or
+    `*=`: a denominator multiplied out factor by factor."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.value,)
+        else:
+            continue
+        if any(map(_is_inv_pochhammer_call, operands)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_denominators_are_built_by_inv_pochhammer_product():
+    """Outside `qseries.py`, a product of inverse Pochhammers is one
+    `inv_pochhammer_product` call, which caches it by its multiset of
+    indices; no module multiplies `inv_pochhammer(...)` results itself."""
+    for chain in ("inv_pochhammer(1, q) * inv_pochhammer(2, q)",
+                  "t = t * qseries.inv_pochhammer(a - m, q)",
+                  "t *= inv_pochhammer(a, q)"):
+        assert _inv_pochhammer_products(ast.parse(chain)), chain
+    assert not _inv_pochhammer_products(ast.parse("inv_pochhammer_product((1, 2), q)"))
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(PACKAGE.glob("*.py")) if path.name != "qseries.py"
+                 for line in _inv_pochhammer_products(ast.parse(path.read_text()))]
+    assert not offenders, "inverse Pochhammers multiplied out:\n" + "\n".join(offenders)

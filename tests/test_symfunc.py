@@ -10,6 +10,7 @@ from spinonchars.affine import (
     bosonic_character,
     sl2_spinon_enumeration,
     spinon_string_function,
+    verify_spinon_cut,
 )
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from spinonchars.qseries import QSeries
@@ -162,6 +163,11 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "bosonic_character": lambda: bosonic_character(3, 1, 4),
         "spinon_string_function multisum": lambda: spinon_string_function(
             3, 0, (0, 0), 3, "multisum", 6),
+        "spinon_string_function multisum n=4": lambda: spinon_string_function(
+            4, 0, (0, 0, 0), 8, "multisum", 9),
+        "spinon_string_function alternating": lambda: spinon_string_function(
+            4, 0, (0, 0, 0), 8, "alternating", 9),
+        "verify_spinon_cut": lambda: verify_spinon_cut(3, 1, (1, 0), 8),
         "sl2_spinon_enumeration": lambda: sl2_spinon_enumeration(1, 6),
         "sl2_yangian_decomposition": lambda: sl2_yangian_decomposition(1, 6),
         "small_norm_weights": lambda: small_norm_weights(3, 1),
