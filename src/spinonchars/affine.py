@@ -107,7 +107,6 @@ class CharacterTable:
         return self.first_difference(other) is None
 
     def to_json_dict(self) -> dict:
-        self.prune()
         return {
             "n": self.n,
             "k": self.k,
@@ -132,7 +131,8 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     (c_1-c_2, ..., c_{n-1}-c_n).
 
     Given sum c_i = k, the weight determines the vector, so each row is one
-    copy of the series 1/(q)_inf^{n-1}, shifted to the vector's degree."""
+    copy of the series 1/(q)_inf^{n-1}, shifted to the vector's degree.  That
+    degree is at most qmax, so every row holds a 1 and none needs pruning."""
     table = CharacterTable(n, k, qmax)
     power = list((euler_inverse(qmax) ** (n - 1)).coeffs)
     rows = table.rows
@@ -144,7 +144,7 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
         weight = exps_to_fw(vec)
         assert weight not in rows, f"weight {weight} met twice"
         rows[weight] = [0] * degree + power[:qmax + 1 - degree]
-    return table.prune().validate()
+    return table.validate()
 
 
 def lattice_vectors(length: int, total: int, max_sq: int) -> list[tuple[int, ...]]:
@@ -261,32 +261,37 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
 
     Both sides are graded from q^{|lambda|^2/2}, so the closed form
     c^Lambda_lambda = q^{|lambda|^2/2} / (q)_inf^{n-1} is 1/(q)_inf^{n-1}.
-    The cuts have non-negative coefficients, so once the partial sum matches
-    the closed form and two further admissible N contribute nothing below the
-    truncation, all later terms vanish there too.
+
+    The sum stops at a proved N.  Let Q_n(A; m) be the exponent of a term of
+    `_multisum_terms`, N = sum A_i.  Then Q_n(A; m) = A_1 m_1 +
+    Q_{n-1}(A_2 - m_1, ..., A_n - m_1; m_2, ...), and by induction
+    Q_n + sum A_i^2 / 2 >= N^2 / (2(n-1)) for all real A and m: at n = 2,
+    A_1 A_2 + (A_1^2 + A_2^2)/2 = N^2/2; in the step, with x = A_1,
+    z = N - A_1 - (n-1) m_1 and p = n - 1, twice p times the slack is
+    (z/sqrt(p-1) - sqrt(p-1) x)^2.  As sum A_i^2 = |lambda|^2 + N^2/n, every
+    term of the N-spinon cut sits at a degree d with 2n(n-1) d >= N^2 -
+    (n-1) n|lambda|^2, so no cut with N^2 > (n-1)(2n qmax + n|lambda|^2)
+    reaches q^qmax.  The cut just past that N is checked to vanish, and a
+    negative coefficient in any cut fails the check.
     """
     if weight_class(coords, n) != k % n:
         raise ValueError(f"weight {tuple(coords)} is not in class {k} mod {n}")
-    target = euler_inverse(qmax) ** (n - 1)
+    bound = (n - 1) * (2 * n * qmax + scaled_weight_norm(coords, n))
     partial = q_zero(qmax)
     n_spinons = k % n
-    cap = n * (qmax + n + 6)
-    matched_at = None
-    while n_spinons <= cap:
+    while n_spinons * n_spinons <= bound:
         term = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
         if any(c < 0 for c in term.coeffs):
             return False
-        if matched_at is None:
-            partial = partial + term
-            if partial == target:
-                matched_at = n_spinons
-        else:
-            if not term.is_zero():
-                return False
-            if n_spinons >= matched_at + 2 * n:
-                return True
+        partial = partial + term
         n_spinons += n
-    return False
+    past = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
+    if not past.is_zero():
+        raise AssertionError(
+            f"spinon cut: the {n_spinons}-spinon cut at weight {tuple(coords)} "
+            f"reaches q^{qmax}, past the bound N^2 <= {bound}"
+        )
+    return partial == euler_inverse(qmax) ** (n - 1)
 
 
 def sl2_spinon_grades(k: int, qmax: int):

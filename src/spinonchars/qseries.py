@@ -84,11 +84,6 @@ class QSeries:
             inv[d] = -a0 * s
         return QSeries(inv, self.qmax)
 
-    def truncate(self, qmax: int) -> "QSeries":
-        if qmax > self.qmax:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: qmax + 1], qmax)
-
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
@@ -287,7 +282,7 @@ class ZPolyQ:
         out = [q_zero(qmax) for _ in range(self.zdeg + other.zdeg + 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + (a * b).truncate(qmax)
+                out[i + j] = out[i + j] + a * b
         return ZPolyQ(out)
 
     def truncate_z(self, zdeg: int) -> "ZPolyQ":

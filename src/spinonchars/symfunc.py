@@ -1,39 +1,34 @@
-"""Symmetric polynomials in finitely many variables.
-
-SymPoly coefficients are ints or QSeries (for q-weighted polynomials such as
-the Rogers-Szego family).  Everything is exact.
+"""Symmetric polynomials in finitely many variables: integer coefficients;
+Rogers-Szego as composition -> q-series dicts.  Everything is exact.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
-from operator import sub
+from itertools import accumulate, combinations, combinations_with_replacement, takewhile
+from operator import add, sub
 
 from .partitions import Partition, SkewShape
-from .qseries import QSeries, inv_pochhammer, inv_pochhammer_product, qmultinomial
+from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
 from .strips import BorderStrip
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, QSeries):
-        return c.is_zero()
-    return c == 0
-
-
 class SymPoly:
-    """Map from exponent vectors (tuples of length nvars) to coefficients."""
+    """Map from exponent vectors (tuples of length nvars) to nonzero int
+    coefficients.  A coefficient that is not an `int` (a QSeries, a float or
+    a bool) raises TypeError."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent vector {exps} has wrong length")
-                if not _is_zero_coeff(coeff):
-                    self.terms[tuple(exps)] = coeff
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} has wrong length")
+            if type(coeff) is not int:
+                raise TypeError(f"coefficients must be ints, got {coeff!r}")
+            if coeff:
+                self.terms[tuple(exps)] = coeff
 
     @staticmethod
     def one(nvars: int) -> "SymPoly":
@@ -46,44 +41,32 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "SymPoly") -> "SymPoly":
+    def _nvars_with(self, other: "SymPoly") -> int:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return SymPoly(self.nvars, out)
+        return self.nvars
 
-    def __neg__(self) -> "SymPoly":
-        return SymPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "SymPoly") -> "SymPoly":
+        one = SymPoly.one(self._nvars_with(other))
+        return _sum_of_products(self.nvars, ((1, self, one), (1, other, one)))
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
+        one = SymPoly.one(self._nvars_with(other))
+        return _sum_of_products(self.nvars, ((1, self, one), (-1, other, one)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, QSeries)):
-            return SymPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return SymPoly(self.nvars, out)
+        if isinstance(other, int):
+            one = SymPoly.one(self.nvars)
+            return _sum_of_products(self.nvars, ((other, self, one),))
+        if not isinstance(other, SymPoly):
+            return NotImplemented
+        return _sum_of_products(self._nvars_with(other), ((1, self, other),))
 
     __rmul__ = __mul__
 
-    def scale_coeffs(self, factor) -> "SymPoly":
-        return SymPoly(self.nvars, {e: factor * c for e, c in self.terms.items()})
-
-    def eval_ones(self):
+    def eval_ones(self) -> int:
         """Sum of coefficients (the value at x_1 = ... = x_n = 1)."""
-        total = 0
-        for c in self.terms.values():
-            total = c + total
-        return total
+        return sum(self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
@@ -92,6 +75,24 @@ class SymPoly:
 
     def __repr__(self):
         return f"SymPoly(nvars={self.nvars}, nterms={len(self.terms)})"
+
+
+def _sum_of_products(nvars: int, products) -> SymPoly:
+    """sum of c * a * b over the (c, a, b) in `products`, with c an int and
+    a, b SymPolys in nvars variables.  The result is built in one dict, and
+    its zero coefficients are dropped once, at the end."""
+    out: dict = {}
+    get = out.get
+    for c, a, b in products:
+        for e1, c1 in a.terms.items():
+            c1 *= c
+            for e2, c2 in b.terms.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    poly = SymPoly.__new__(SymPoly)
+    poly.nvars = nvars
+    poly.terms = {e: c for e, c in out.items() if c}
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -138,16 +139,12 @@ def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
     if rows in memo:
         return memo[rows]
     col = len(matrix) - len(rows)
-    acc = SymPoly.zero(nvars)
-    for pos, r in enumerate(rows):
-        entry = matrix[r][col]
-        if entry.is_zero():
-            continue
-        sub = _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars)
-        term = entry * sub
-        acc = acc + (term if pos % 2 == 0 else -term)
-    memo[rows] = acc
-    return acc
+    memo[rows] = _sum_of_products(nvars, (
+        (-1 if pos % 2 else 1, matrix[r][col],
+         _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars))
+        for pos, r in enumerate(rows) if not matrix[r][col].is_zero()
+    ))
+    return memo[rows]
 
 
 def _sst_fillings(cells, filling: dict, idx: int, nvars: int):
@@ -284,15 +281,12 @@ def strip_schur(strip: BorderStrip, nvars: int) -> SymPoly:
     cols = strip.cols
     upto = [SymPoly.one(nvars)]  # upto[j]: the strip of the j rightmost columns
     for j in range(1, len(cols) + 1):
-        acc = SymPoly.zero(nvars)
-        height = 0
-        for t in range(1, j + 1):
-            height += cols[j - t]
-            if height > nvars:
-                break
-            term = elementary(height, nvars) * upto[j - t]
-            acc = acc + (term if t % 2 == 1 else -term)
-        upto.append(acc)
+        # heights[t]: columns j-1 down to j-1-t, peeled while e_height is nonzero
+        heights = takewhile(lambda h: h <= nvars, accumulate(cols[j - 1::-1]))
+        upto.append(_sum_of_products(nvars, (
+            (-1 if t % 2 else 1, elementary(h, nvars), upto[j - 1 - t])
+            for t, h in enumerate(heights)
+        )))
     return upto[-1]
 
 
@@ -319,13 +313,13 @@ def exps_to_fw(exps) -> tuple[int, ...]:
     return tuple(map(sub, exps, exps[1:]))
 
 
-def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], object]:
+def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
     """Collapse a SymPoly onto fundamental-weight coordinates (x_1...x_n = 1)."""
     out: dict = {}
     for e, c in poly.terms.items():
         w = exps_to_fw(e)
-        out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if not _is_zero_coeff(c)}
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
 
 
 def stabilization_check(cols, n: int) -> bool:
@@ -338,12 +332,12 @@ def stabilization_check(cols, n: int) -> bool:
     return weight_projection(p1) == weight_projection(p2)
 
 
-def rogers_szego(total: int, nvars: int, qmax: int) -> SymPoly:
-    """H_N: sum over compositions of N into nvars parts of qmultinomial * monomial."""
+def rogers_szego(total: int, nvars: int, qmax: int) -> dict:
+    """H_N as composition -> q-series: the coefficient of x^comp, over every
+    composition of N into nvars parts, is the q-multinomial of comp."""
     if total < 0:
         raise ValueError("N must be >= 0")
-    terms = {comp: qmultinomial(comp, qmax) for comp in _compositions(total, nvars)}
-    return SymPoly(nvars, terms)
+    return {comp: qmultinomial(comp, qmax) for comp in _compositions(total, nvars)}
 
 
 def _compositions(total: int, parts: int, prefix: tuple = ()):
@@ -364,11 +358,10 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
     single-variable expansion 1/(t z; q)_inf = sum_j z^j t^j / (q)_j.
     """
     for total in range(nmax + 1):
-        lhs = rogers_szego(total, nvars, qmax).scale_coeffs(
-            inv_pochhammer(total, qmax)
-        )
-        rhs = SymPoly(nvars, {comp: inv_pochhammer_product(comp, qmax)
-                              for comp in _compositions(total, nvars)})
+        scale = inv_pochhammer(total, qmax)
+        lhs = {comp: c * scale for comp, c in rogers_szego(total, nvars, qmax).items()}
+        rhs = {comp: inv_pochhammer_product(comp, qmax)
+               for comp in _compositions(total, nvars)}
         if lhs != rhs:
             return False
     return True

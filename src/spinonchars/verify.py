@@ -497,12 +497,8 @@ def _gz_case(lam, mu, n, n_spinons):
         tab = yangian.gz_to_sst(s)
         if yangian.sst_to_gz(tab, lam, mu, n, n_spinons) != s:
             return {"scheme": repr(s), "fault": "sst round trip"}
-    schur = symfunc.schur_skew(shape, n, "sst")
     # gz weights live on the N+n-variable torus; compare full monomial records
-    monomials: dict = {}
-    for e, c in schur.terms.items():
-        monomials[symfunc.exps_to_fw(e)] = monomials.get(
-            symfunc.exps_to_fw(e), 0) + c
+    monomials = symfunc.weight_projection(symfunc.schur_skew(shape, n, "sst"))
     if weights != monomials:
         return {"fault": "weight multiset mismatch",
                 "gz": {str(k): v for k, v in sorted(weights.items())},

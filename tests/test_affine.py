@@ -208,6 +208,32 @@ def test_spinon_cut_reconstructs_string_functions():
                 assert verify_spinon_cut(n, k, coords, 6), (n, k, coords)
 
 
+def test_spinon_cuts_start_at_the_proved_degree():
+    """On the spinon-cut census (ranks 2-4, |lambda|^2/2 - Delta_k <= 2, to
+    q^8), each nonzero N-spinon cut starts at a degree d with
+    2n(n-1) d >= N^2 - (n-1) n|lambda|^2, the bound `verify_spinon_cut`
+    stops at.  At some weights the last N inside the bound has a nonzero
+    cut, so a sum that stopped one N earlier would miss it."""
+    qmax = 8
+    last_nonzero = 0
+    for n in (2, 3, 4):
+        for k in range(n):
+            for coords in small_norm_weights(n, k):
+                norm = scaled_weight_norm(coords, n)
+                bound = (n - 1) * (2 * n * qmax + norm)
+                for n_spinons in range(k, isqrt(bound) + 2 * n + 1, n):
+                    cut = spinon_string_function(
+                        n, k, coords, n_spinons, "alternating", qmax)
+                    if cut.is_zero():
+                        continue
+                    lowest = next(d for d, c in enumerate(cut.coeffs) if c)
+                    floor = n_spinons * n_spinons - (n - 1) * norm
+                    assert 2 * n * (n - 1) * lowest >= floor, (
+                        n, k, coords, n_spinons, lowest)
+                    last_nonzero += (n_spinons + n) ** 2 > bound
+    assert last_nonzero > 0
+
+
 def test_spinon_number_mismatch_gives_zero():
     # N not matching the weight class cannot host any spinon configuration
     s = spinon_string_function(2, 0, (0,), 1, "alternating", 6)

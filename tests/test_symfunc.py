@@ -1,8 +1,10 @@
 """Symmetric polynomials: skew Schur routes, expansion coefficients, and the
 q-deformed binomial generating polynomials."""
 import gc
+from fractions import Fraction
 from math import factorial, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, pa
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, enumerate_border_strips
 from spinonchars.symfunc import (
+    SymPoly,
     _descent_table,
     complete,
     elementary,
@@ -218,17 +221,36 @@ def test_rogers_szego_at_q_one_is_multinomial_expansion():
     for total in range(5):
         for nvars in (1, 2, 3):
             poly = rogers_szego(total, nvars, 8)
-            at_one = sum(
-                sum(c.coeffs) for c in poly.terms.values()
-                if isinstance(c, QSeries)
-            )
+            assert all(isinstance(c, QSeries) for c in poly.values())
             # at q=1 the polynomial collapses to (x_1+...+x_nvars)^total
-            assert at_one == nvars ** total, (total, nvars)
+            assert sum(sum(c.coeffs) for c in poly.values()) == nvars ** total, (
+                total, nvars)
 
 
 def test_rogers_szego_generating_function():
     for nvars in (1, 2, 3):
         assert rs_generating_check(4, nvars, 4), nvars
+
+
+def test_sympoly_takes_int_coefficients_only():
+    """A coefficient that is not an int raises TypeError, as a part of a
+    Partition does; an exponent vector of the wrong length raises ValueError."""
+    for coeff in (QSeries([1], 4), 1.0, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            SymPoly(2, {(1, 0): coeff})
+    with pytest.raises(ValueError):
+        SymPoly(2, {(1, 0, 0): 1})
+    assert SymPoly(2, {(1, 0): 3, (0, 1): 0}).terms == {(1, 0): 3}
+
+
+def test_sympoly_arithmetic_drops_cancelled_terms():
+    x, y = SymPoly(2, {(1, 0): 1}), SymPoly(2, {(0, 1): 1})
+    assert (x + y) - y == x
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (x - x).is_zero() and (x * 0).is_zero()
+    assert 3 * x == x + x + x
+    with pytest.raises(ValueError):
+        x + SymPoly(3)
 
 
 def test_weight_projection_collapses_e2():
