@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import affine, strips, verify, yangian
 from .partitions import Partition
@@ -190,9 +191,43 @@ def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # verify
 
+_INF = float("inf")
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, with `pad` (a newline and the current
+    indent) in place of each newline.  The standard encoder falls back to
+    pure Python when indenting; here the containers are laid out directly
+    and each common scalar is written by the function the encoder itself
+    uses.  A JSON text holds a raw newline only where the layout puts one,
+    so whatever this does not lay out (a float that is not finite, a key
+    that is not a str, a subclass) is left to the encoder and re-indented."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and -_INF < obj < _INF:
+        return float.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return f"[{inner}{f',{inner}'.join(_json_text(v, inner) for v in obj)}{pad}]"
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = f",{inner}".join(f"{encode_basestring_ascii(key)}: {_json_text(v, inner)}"
+                                 for key, v in obj.items())
+        return f"{{{inner}{items}{pad}}}"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _render_report(report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
+        return _json_text(report.to_json_dict())
     if fmt == "pretty":
         lines = []
         for c in report.cases:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from .affine import CharacterTable, sl2_spinon_grades
 from .partitions import Partition, SkewShape, partitions_of
-from .strips import energy, reduced_strips, sl2_partition_to_strip
-from .symfunc import SymPoly, complete, elementary, strip_schur, weight_projection
+from .strips import energy, sl2_partition_to_strip
+from .symfunc import SymPoly, complete, elementary, exps_to_fw, strip_schur, weight_projection
 
 
 class DrinfeldPolys:
@@ -97,6 +97,16 @@ class GZScheme:
         self.rows = rows
         self.n_spinons = n_spinons
 
+    @classmethod
+    def _trusted(cls, rows: tuple[Partition, ...], n_spinons: int) -> "GZScheme":
+        """A scheme from rows that are already Partitions and already satisfy
+        every condition `__init__` checks; only `gz_schemes`, which builds
+        its chains valid by construction, calls it."""
+        scheme = cls.__new__(cls)
+        scheme.rows = rows
+        scheme.n_spinons = n_spinons
+        return scheme
+
     def __eq__(self, other):
         if not isinstance(other, GZScheme):
             return NotImplemented
@@ -110,7 +120,15 @@ class GZScheme:
 
 
 def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZScheme]:
-    """All interleaving-admissible chains from mu (row 0) to lam (row n)."""
+    """All interleaving-admissible chains from mu (row 0) to lam (row n).
+
+    Each chain is valid by construction, so it skips the checks of
+    `GZScheme.__init__`.  mu has at most N parts and lam at most N + n (both
+    checked here).  Row m (0 < m < n) is drawn by `_interlacing_above` with
+    at most N + m parts; row m - 1 has at most N + m - 1 parts and lies in
+    lam, so the length cap leaves a row above each of its parts, and row m
+    interleaves above it.  lam is kept only where it interleaves above row
+    n - 1."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if not isinstance(mu, Partition):
@@ -130,9 +148,9 @@ def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZ
             for nu in _interlacing_above(chain[-1], lam, n_spinons + m)
         ]
     return [
-        GZScheme(chain + [lam], n_spinons)
+        GZScheme._trusted((*chain, lam), n_spinons)
         for chain in chains
-        if _interleaves(lam, chain[-1]) and len(lam) <= n_spinons + n
+        if _interleaves(lam, chain[-1])
     ]
 
 
@@ -199,23 +217,174 @@ def sst_to_gz(
 
 
 def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
-    """ch L(Lambda_k) = sum over reduced border strips of class k of
-    q^{E(kappa)} s_kappa, graded relative to Delta_k.
+    """ch L(Lambda_k) = sum over reduced border strips kappa of class k of
+    q^{E(kappa)} s_kappa, graded relative to Delta_k, summed by the
+    transfer-matrix method (Stanley, EC1 4.7) over merged search states
+    instead of strip by strip.  Energies are kept as e2 = 2n*E, and
+    2n*Delta_k = k(n-k).
 
-    Energies are kept as 2n*E; 2n*Delta_k = k(n-k)."""
+    Search.  As in `strips.reduced_strips`, a strip is built by appending
+    its columns left to right.  For a prefix of s columns and m boxes let
+    d = n*s - m = sum_i (n - b_i).  Appending a column of height b adds
+    b(2d + n - b) to e2, by the column form of `strips.energy`, and sets
+    d <- d + n - b.
+
+    * Start: a strip is reduced when its leftmost column, the first one
+      appended, is shorter than n.  That term makes d >= 1 and no column
+      makes d smaller, so d = 0 holds for the empty prefix alone, which may
+      take heights 1..n-1 only; every other prefix takes 1..n.
+    * Class: m = n*s - d, so m = -d (mod n), and a prefix is a strip of class
+      k exactly when -d = k (mod n).
+    * Termination: the grade is (e2 - k(n-k)) / 2n <= qmax exactly when
+      e2 <= k(n-k) + 2n*qmax = e2_max.  The first column adds b(n-b) >= n-1
+      >= 1, and every later one at least 2d + n - 1 >= n + 1 (b(2d+n-b) is
+      concave in b, and its values at b = 1 and b = n are 2d+n-1 and 2dn),
+      so a prefix above e2_max has no extension within it.
+    * Completion: a prefix of class r != k is only a stage on the way.  Its
+      extensions to class k append heights b_i with sum_i b_i = k - r (mod
+      n), so sum_i b_i >= need = (k - r) mod n, not every b_i is n, and the
+      prefix's d only grows; they therefore add at least
+      sum_i b_i(2d + n - b_i) >= 2d*need + n - 1 to e2, and a prefix that
+      cannot afford that is dropped with its whole subtree.
+
+    Schur values.  A ribbon's skew Schur function is unchanged by a rotation
+    of 180 degrees, which reverses its columns.  So the column recurrence of
+    `symfunc.strip_schur`, read with the columns in the order they are
+    appended, gives the Schur function V_j of each prefix: appending height
+    b to a prefix of j columns with heights c_1..c_j gives
+    V_{j+1} = sum_t (-1)^t e_{b + c_j + ... + c_{j-t+1}} V_{j-t}, over the
+    t for which that height is at most n, since e_h = 0 for h > n.  As
+    b >= 1, only the tail, the run of latest columns whose heights sum to at
+    most n - 1, and the values of the last len(tail) + 1 prefixes are read.
+
+    Merging.  The future of a prefix (the e2 it may still add, the class it
+    ends in, and the recurrence) depends only on (e2, d, tail), and the
+    recurrence is linear in the carried values.  So prefixes with equal
+    states are merged by adding their vectors of values, and the states are
+    processed in increasing e2, which every column raises: a state is
+    complete before it is extended.  Each e2 <= e2_max, and d <= e2 (by
+    induction, b(2d+n-b) >= n - b), so the number of states is polynomial
+    in qmax, while the number of strips is not.
+
+    Weights.  Setting x_1...x_n = 1 is a ring homomorphism onto the group
+    ring of the weight lattice, and `_pack`, a group homomorphism from the
+    lattice to the integers, extends it to one onto Laurent polynomials in
+    one variable.  So every value is kept from the start as a dict from
+    packed fundamental-weight coordinates to coefficients, each e_h is
+    projected once, and the sum at each grade is the image of the true one.
+    An entry appears at most once in each column of a tableau, so a strip
+    of s columns has monomial exponents in [0, s] and weight coordinates in
+    [-s, s], and s <= 1 + e2_max // (n+1) by the termination bound.  With
+    the radix 2 * that + 1, `_pack` is injective on the weights the table
+    can hold, so a key that none of them packs to sums to zero at every
+    grade; `_unpack` is injective on all keys, and `prune` drops those
+    rows."""
     table = CharacterTable(n, k, qmax)
+    if n < 2:
+        raise ValueError("rank must be >= 2")
     base = k * (n - k)
-    for strip, e2 in reduced_strips(n, k, base + 2 * n * qmax):
+    e2_max = base + 2 * n * qmax
+    radix = 2 * (1 + e2_max // (n + 1)) + 1
+    elem = [()] + [tuple(_pack(exps_to_fw(e), radix) for e in elementary(h, n).terms)
+                   for h in range(1, n + 1)]
+    rows: dict[int, list[int]] = {}  # packed weight -> coefficients by grade
+    layers = {0: {(0, ()): [({0: 1},)]}}  # e2 -> (d, tail) -> value vectors
+    for e2 in range(e2_max + 1):
+        layer = layers.pop(e2, None)
+        if layer is None:
+            continue
         rel, rem = divmod(e2 - base, 2 * n)
-        if rem or rel < 0:
-            raise AssertionError(
-                f"strip {strip} has non-integral grade "
-                f"{Fraction(e2 - base, 2 * n)} over Delta_{k}"
-            )
-        poly = strip_schur(strip, n)
-        for w, c in weight_projection(poly).items():
-            table.add(w, rel, c)
+        for (d, tail), vecs in layer.items():
+            vec = vecs[0] if len(vecs) == 1 else _added(vecs)
+            if -d % n == k:
+                if rem or rel < 0:
+                    raise AssertionError(
+                        f"a class-{k} strip with 2n*E = {e2} has non-integral "
+                        f"grade {Fraction(e2 - base, 2 * n)} over Delta_{k}"
+                    )
+                for w, c in vec[-1].items():
+                    row = rows.get(w)
+                    if row is None:
+                        row = rows[w] = [0] * (qmax + 1)
+                    row[rel] += c
+            for b in range(1, n + 1 if d else n):
+                grown = e2 + b * (2 * d + n - b)
+                d_next = d + n - b
+                need = (k + d_next) % n
+                if grown + (2 * d_next * need + n - 1 if need else 0) > e2_max:
+                    continue
+                tail_next, value = _append_column(vec, tail, b, elem, n)
+                layers.setdefault(grown, {}).setdefault((d_next, tail_next), []).append(
+                    vec[len(vec) - len(tail_next):] + (value,))
+    if layers:  # a state put on a layer already swept would be lost
+        raise AssertionError(f"states left behind the sweep at 2n*E = {sorted(layers)}")
+    table.rows = {_unpack(w, radix, n - 1): row for w, row in rows.items()}
     return table.prune().validate()
+
+
+def _pack(weight, radix: int) -> int:
+    """sum_i weight_i * radix^i: a group homomorphism from the weight
+    lattice to the integers, injective on weights whose coordinates lie in
+    [-(radix // 2), radix // 2]."""
+    return sum(w * radix ** i for i, w in enumerate(weight))
+
+
+def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
+    """The weight of `length` coordinates whose first length - 1 lie in
+    [-(radix // 2), radix // 2] and that `_pack` maps to `key`.  Such a
+    weight exists for every int and is unique (balanced digits, the last
+    coordinate taking the rest), so distinct keys give distinct weights."""
+    half = radix // 2
+    weight = []
+    for _ in range(length - 1):
+        digit = (key + half) % radix - half
+        weight.append(digit)
+        key = (key - digit) // radix
+    weight.append(key)
+    return tuple(weight)
+
+
+def _added(vecs) -> tuple[dict, ...]:
+    """The entrywise sum of equally long vectors of packed polynomials; no
+    input dict is changed, since the vectors share their older entries."""
+    out = []
+    for polys in zip(*vecs):
+        acc = dict(polys[0])
+        get = acc.get
+        for poly in polys[1:]:
+            for w, c in poly.items():
+                acc[w] = get(w, 0) + c
+        out.append(acc)
+    return tuple(out)
+
+
+def _append_column(vec, tail: tuple, b: int, elem, n: int):
+    """(tail, value) after appending a column of height b to a prefix with
+    this tail and values `vec` (`vec[-1]` its own): the value is
+    sum_t (-1)^t e_{b + tail[-1] + ... + tail[-t]} vec[-1-t] while that
+    height is at most n, and the tail is the longest suffix of tail + (b,)
+    whose heights sum to at most n - 1."""
+    value: dict = {}
+    get = value.get
+    height, t = b, 0
+    while True:
+        poly, sign = vec[-1 - t], -1 if t % 2 else 1
+        for shift in elem[height]:
+            for w, c in poly.items():
+                w += shift
+                value[w] = get(w, 0) + sign * c
+        t += 1
+        if t > len(tail):
+            break
+        height += tail[-t]
+        if height > n:
+            break
+    tail += (b,)
+    total = sum(tail)
+    while total >= n:
+        total -= tail[0]
+        tail = tail[1:]
+    return tail, value
 
 
 def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:

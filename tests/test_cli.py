@@ -4,10 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinonchars import strips, verify
 from spinonchars.affine import CharacterTable
-from spinonchars.cli import CHAR_KINDS, _build_table, _write_table, main
+from spinonchars.cli import CHAR_KINDS, _build_table, _json_text, _render_report, _write_table, main
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +215,43 @@ def test_verify_suite_exit_zero_on_pass(capsys):
     ids = [c["id"] for c in report["cases"]]
     assert ids == sorted(ids)
     assert all("seconds" in c for c in report["cases"])
+
+
+def test_verify_json_report_has_the_indent_2_layout():
+    """`verify --format json` writes the bytes of `json.dumps(report, indent=2)`
+    without running that encoder: for a passing suite, and for a report
+    whose failing cases carry a dict, a string and a list as their loci."""
+    passing = verify.run_cases("gz", verify.build_suite("gz", n=2))
+    assert passing.passed
+    failing = verify.run_cases("made-up", [
+        verify.Case("a[1]", {"n": 2, "rows": [3, 1], "variant": "x\ty"},
+                    lambda: {"weight": [1, -1], "q_degree": 0, "lhs": 2, "rhs": None}),
+        verify.Case("b", {}, lambda: "exception: \u00e9 \"quoted\"\n"),
+        verify.Case("c", {"lam": []}, lambda: [[], {}, 1.5, True, False]),
+        verify.Case("d", {"n": 3}, lambda: None),
+    ])
+    assert not failing.passed
+    for report in (passing, failing):
+        assert _render_report(report, "json") == json.dumps(report.to_json_dict(), indent=2)
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.booleans() | st.none(), inner,
+                                     max_size=3)),
+    max_leaves=20,
+))
+def test_json_text_matches_the_indenting_encoder(value):
+    """Any JSON value, non-str keys, tuples and non-finite floats included."""
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_verify_jobs_accepts_only_one(capsys, monkeypatch):

@@ -111,3 +111,37 @@ def test_denominators_are_built_by_inv_pochhammer_product():
                  for path in sorted(PACKAGE.glob("*.py")) if path.name != "qseries.py"
                  for line in _inv_pochhammer_products(ast.parse(path.read_text()))]
     assert not offenders, "inverse Pochhammers multiplied out:\n" + "\n".join(offenders)
+
+
+def _called_names(func: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    return names
+
+
+def _reached_calls(tree: ast.Module, root: str) -> set[str]:
+    """Every name called by the module-level function `root` of `tree`, or
+    by a module-level function of `tree` that it reaches that way."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), [root]
+    while todo:
+        for name in _called_names(funcs[todo.pop()]) - called:
+            called.add(name)
+            if name in funcs:
+                todo.append(name)
+    return called
+
+
+def test_yangian_route_runs_no_strip_search():
+    """`yangian_decomposition` sums over merged search states; it neither
+    enumerates strips nor builds a Schur polynomial per strip, in itself or
+    in a helper of `yangian.py` it calls."""
+    probe = ast.parse("def f():\n    g()\n\ndef g():\n    strips.reduced_strips(1, 0, 2)\n")
+    assert "reduced_strips" in _reached_calls(probe, "f")
+    called = _reached_calls(ast.parse((PACKAGE / "yangian.py").read_text()),
+                            "yangian_decomposition")
+    assert "_append_column" in called
+    assert not called & {"reduced_strips", "strip_schur", "weight_projection", "energy"}

@@ -33,7 +33,7 @@ from spinonchars.symfunc import (
     weight_projection,
 )
 from spinonchars.verify import _ribbon_locus, build_suite, small_norm_weights
-from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition
+from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition, yangian_decomposition
 
 
 def _sub_partitions(lam):
@@ -173,6 +173,7 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "verify_spinon_cut": lambda: verify_spinon_cut(3, 1, (1, 0), 8),
         "sl2_spinon_enumeration": lambda: sl2_spinon_enumeration(1, 6),
         "sl2_yangian_decomposition": lambda: sl2_yangian_decomposition(1, 6),
+        "yangian_decomposition": lambda: yangian_decomposition(3, 1, 4),
         "small_norm_weights": lambda: small_norm_weights(3, 1),
         "spinon-cut suite": lambda: build_suite("spinon-cut", n=2),
         "bijections suite": lambda: build_suite("bijections", n=2),

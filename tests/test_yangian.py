@@ -3,11 +3,14 @@ characters into border-strip modules."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinonchars.affine import bosonic_character
+from spinonchars import verify, yangian
+from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
-from spinonchars.strips import BorderStrip
-from spinonchars.symfunc import schur_skew, weight_projection
+from spinonchars.strips import BorderStrip, reduced_strips
+from spinonchars.symfunc import schur_skew, strip_schur, weight_projection
 from spinonchars.yangian import (
     DrinfeldPolys,
     GZScheme,
@@ -134,8 +137,111 @@ def test_gz_interleaving_violation_rejected():
         GZScheme([Partition([2]), Partition([1])], 2)
 
 
+@pytest.mark.parametrize("rows,n_spinons,match", [
+    ([[1]], 1, "two rows"),
+    ([[1], [1, 1], [2]], 1, "interleaving"),
+    ([[1], [1, 1, 1]], 0, "too long"),
+    ([[1, 1], [2, 1]], 1, "bottom row"),
+])
+def test_gz_scheme_checks_public_input(rows, n_spinons, match):
+    with pytest.raises(ValueError, match=match):
+        GZScheme(rows, n_spinons)
+
+
+def test_gz_schemes_are_valid_without_the_constructor_check(monkeypatch):
+    """`gz_schemes` builds its schemes without `GZScheme.__init__`, and every
+    scheme it returns for the inputs of the `gz[` cases of `verify` passes
+    that check."""
+    params = [c.params for c in verify.build_suite("gz") if c.id.startswith("gz[")]
+    assert len(params) > 100
+    built = [yangian.gz_schemes(p["outer"], p["inner"], p["n"], p["N"]) for p in params]
+
+    def refuse(*args):
+        raise AssertionError("gz_schemes ran the constructor check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GZScheme, "__init__", refuse)
+        assert [yangian.gz_schemes(p["outer"], p["inner"], p["n"], p["N"])
+                for p in params] == built
+    for p, schemes in zip(params, built):
+        for scheme in schemes:
+            assert all(isinstance(row, Partition) for row in scheme.rows)
+            assert GZScheme(scheme.rows, p["N"]) == scheme, p
+
+
 # ---------------------------------------------------------------------------
 # decompositions
+
+def _strip_search(n, k, qmax):
+    """The Yangian route strip by strip: every reduced strip of class k up to
+    the truncation order, its Schur polynomial by the column recurrence,
+    projected onto weights.  The oracle of the transfer-matrix sum."""
+    table = CharacterTable(n, k, qmax)
+    base = k * (n - k)
+    for strip, e2 in reduced_strips(n, k, base + 2 * n * qmax):
+        rel, rem = divmod(e2 - base, 2 * n)
+        assert rem == 0 and rel >= 0, strip
+        for w, c in weight_projection(strip_schur(strip, n)).items():
+            table.add(w, rel, c)
+    return table.prune().validate()
+
+
+# every point at which the tests and the `decomposition` suite run the route
+ROUTE_POINTS = [
+    (2, 0, 6), (2, 1, 6), (3, 0, 4), (3, 1, 4), (3, 2, 4),  # small
+    (2, 0, 16), (3, 0, 9), (4, 0, 6),  # deep
+    (3, 0, 2), (3, 1, 1),  # anchors and acceptance 5
+    (2, 0, 8), (2, 1, 8), (3, 0, 5), (3, 1, 5), (3, 2, 5), (4, 0, 3), (4, 1, 3),
+]
+
+
+def _same_table(a, b):
+    return a == b and a.rows == b.rows
+
+
+@pytest.mark.parametrize("n,k,qmax", ROUTE_POINTS)
+def test_yangian_decomposition_matches_the_strip_search(n, k, qmax):
+    assert _same_table(yangian_decomposition(n, k, qmax), _strip_search(n, k, qmax))
+
+
+def test_route_points_cover_the_decomposition_suite():
+    for case in verify.build_suite("decomposition"):
+        if case.id.startswith("yangian["):
+            p = case.params
+            assert (p["n"], p["k"], p["qmax"]) in ROUTE_POINTS, case.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.integers(0, {2: 16, 3: 8, 4: 5, 5: 4}[n]))))
+def test_yangian_decomposition_matches_the_strip_search_hypothesis(point):
+    table = yangian_decomposition(*point)
+    assert _same_table(table, _strip_search(*point))
+    assert table == bosonic_character(*point)
+
+
+def test_yangian_decomposition_refuses_rank_one():
+    with pytest.raises(ValueError, match="rank"):
+        yangian_decomposition(1, 0, 2)
+
+
+@given(st.integers(1, 40), st.lists(st.integers(-40, 40), max_size=6),
+       st.integers(-10 ** 9, 10 ** 9))
+def test_packed_weights_round_trip(half, head, last):
+    """`_unpack` inverts `_pack` on weights whose coordinates but the last
+    lie in [-half, half]."""
+    weight = tuple(max(-half, min(half, w)) for w in head) + (last,)
+    radix = 2 * half + 1
+    assert yangian._unpack(yangian._pack(weight, radix), radix, len(weight)) == weight
+
+
+def test_unpack_is_injective_on_every_key():
+    """`_pack` undoes `_unpack` on every int, so distinct keys, those no
+    table weight packs to among them, unpack to distinct weights."""
+    for radix, length in ((3, 1), (3, 3), (5, 2), (7, 4)):
+        for key in range(-radix ** length - 50, radix ** length + 50):
+            assert yangian._pack(yangian._unpack(key, radix, length), radix) == key
+
 
 def test_yangian_decomposition_matches_bosonic_small():
     for n, k, qmax in [(2, 0, 6), (2, 1, 6), (3, 0, 4), (3, 1, 4), (3, 2, 4)]:
