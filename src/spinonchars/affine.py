@@ -14,7 +14,7 @@ from itertools import count
 from operator import mul
 
 from .partitions import partitions_of
-from .qseries import QSeries, euler_inverse, inv_pochhammer_product, q_zero
+from .qseries import QSeries, inv_pochhammer_product, q_zero
 from .symfunc import exps_to_fw
 
 
@@ -131,10 +131,11 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     (c_1-c_2, ..., c_{n-1}-c_n).
 
     Given sum c_i = k, the weight determines the vector, so each row is one
-    copy of the series 1/(q)_inf^{n-1}, shifted to the vector's degree.  That
+    copy of the series 1/(q)_inf^{n-1}, which is 1/(q)_qmax^{n-1} below the
+    truncation, shifted to the vector's degree.  That
     degree is at most qmax, so every row holds a 1 and none needs pruning."""
     table = CharacterTable(n, k, qmax)
-    power = list((euler_inverse(qmax) ** (n - 1)).coeffs)
+    power = list(inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs)
     rows = table.rows
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
     for vec in lattice_vectors(n, k, k + 2 * qmax):
@@ -291,7 +292,7 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
             f"spinon cut: the {n_spinons}-spinon cut at weight {tuple(coords)} "
             f"reaches q^{qmax}, past the bound N^2 <= {bound}"
         )
-    return partial == euler_inverse(qmax) ** (n - 1)
+    return partial == inv_pochhammer_product((qmax,) * (n - 1), qmax)
 
 
 def sl2_spinon_grades(k: int, qmax: int):

@@ -126,12 +126,10 @@ def _parse_payload(kind: str, payload: str, n: int):
             return RapiditySeq(n, _int(data["k"]), data["prefix"], _int(data["stab"]))
         if kind == "modes":
             return [_int(x) for x in json.loads(payload)]
-        if kind == "sl2-partition":
-            data = json.loads(payload)
-            return Partition(data["lam"]), _int(data["N"])
+        data = json.loads(payload)  # sl2-partition
+        return Partition(data["lam"]), _int(data["N"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {payload!r}: {exc}") from exc
-    raise UsageError(f"unknown object kind {kind!r}")
 
 
 def _to_strip(kind: str, obj, n: int) -> BorderStrip:
@@ -143,10 +141,8 @@ def _to_strip(kind: str, obj, n: int) -> BorderStrip:
         return strips.rapidity_to_strip(obj, n)
     if kind == "modes":
         return strips.modes_to_strip(obj, n)
-    if kind == "sl2-partition":
-        lam, n_spinons = obj
-        return strips.sl2_partition_to_strip(lam, n_spinons)
-    raise UsageError(f"unknown object kind {kind!r}")
+    lam, n_spinons = obj  # sl2-partition
+    return strips.sl2_partition_to_strip(lam, n_spinons)
 
 
 def _render_object(kind: str, obj) -> object:
@@ -154,19 +150,13 @@ def _render_object(kind: str, obj) -> object:
         return obj.to_dict()
     if kind == "motif":
         return obj.canonical().serialize()
-    if kind == "rapidity":
-        c = obj.canonical()
-        return {"n": c.n, "k": c.k, "prefix": list(c.prefix), "stab": c.stab}
-    raise UsageError(f"unknown target kind {kind!r}")
+    c = obj.canonical()  # rapidity
+    return {"n": c.n, "k": c.k, "prefix": list(c.prefix), "stab": c.stab}
 
 
 def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
     if n < 2:
         raise UsageError(f"--n must be >= 2, got {n}")
-    if src not in BIJECTION_OBJECTS:
-        raise UsageError(f"--from must be one of {BIJECTION_OBJECTS}")
-    if dst not in ("strip", "motif", "rapidity"):
-        raise UsageError("--to must be one of ('strip', 'motif', 'rapidity')")
     obj = _parse_payload(src, payload, n)
     try:
         strip = _to_strip(src, obj, n)

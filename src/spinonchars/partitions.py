@@ -4,6 +4,16 @@ from __future__ import annotations
 from functools import total_ordering
 
 
+def _require_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple if every entry is an `int`; a float, string or
+    bool raises TypeError instead of being truncated."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {v!r}")
+    return values
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing tuple of positive integers; zero parts are dropped.
@@ -13,10 +23,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(parts)
-        for p in parts:
-            if type(p) is not int:
-                raise TypeError(f"parts must be ints, got {p!r}")
+        parts = _require_ints(parts, "parts")
         if 0 in parts:
             parts = tuple(p for p in parts if p)
         for i in range(len(parts) - 1):

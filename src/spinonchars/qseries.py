@@ -73,25 +73,6 @@ class QSeries:
             raise ValueError("shift exponent must be non-negative")
         return QSeries([0] * d + list(self.coeffs), self.qmax)
 
-    def inverse(self) -> "QSeries":
-        """Series inverse; requires unit constant term (+-1)."""
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise ValueError(f"constant term {a0} is not a unit")
-        inv = [a0] + [0] * self.qmax
-        for d in range(1, self.qmax + 1):
-            s = sum(self.coeffs[j] * inv[d - j] for j in range(1, d + 1))
-            inv[d] = -a0 * s
-        return QSeries(inv, self.qmax)
-
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = QSeries([1], self.qmax)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented

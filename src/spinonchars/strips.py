@@ -16,17 +16,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, _require_ints
 
 
-def _require_ints(values, what: str) -> tuple[int, ...]:
-    """`values` as a tuple if every entry is an `int`; a float, string or
-    bool raises TypeError instead of being truncated."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not int:
-            raise TypeError(f"{what} must be ints, got {v!r}")
-    return values
+def _check_runs(member, last: int, n: int, what: str) -> None:
+    """Raise ValueError if n consecutive positions among 1..last satisfy
+    `member`.  Each caller passes a `last` past which its stabilized tail
+    leaves a gap in every n positions."""
+    run = 0
+    for x in range(1, last + 1):
+        run = run + 1 if member(x) else 0
+        if run >= n:
+            raise ValueError(f"{n} consecutive {what} ending at {x}")
 
 
 def _transpose(parts) -> tuple[int, ...]:
@@ -55,10 +56,8 @@ class BorderStrip:
     def __init__(self, cols, n: int):
         if n < 2:
             raise ValueError(f"rank must be >= 2, got {n}")
-        cols = tuple(cols)
+        cols = _require_ints(cols, "column heights")
         for j, b in enumerate(cols):
-            if type(b) is not int:
-                raise TypeError(f"column heights must be ints, got {b!r}")
             if not 1 <= b <= n:
                 bound = f"> n={n}" if b > n else "< 1"
                 raise ValueError(
@@ -215,7 +214,7 @@ class RapiditySeq:
         self.k = k % n
         self.prefix = prefix
         self.stab = stab
-        self._validate_runs()
+        _check_runs(self.member, stab + n + 1, n, "rapidities")
 
     def member(self, x: int) -> bool:
         if x < 1:
@@ -223,18 +222,6 @@ class RapiditySeq:
         if x <= self.stab:
             return x in self.prefix
         return x % self.n != self.k
-
-    def _validate_runs(self) -> None:
-        run = 0
-        for x in range(1, self.stab + self.n + 2):
-            if self.member(x):
-                run += 1
-                if run >= self.n:
-                    raise ValueError(
-                        f"{self.n} consecutive rapidities ending at {x}"
-                    )
-            else:
-                run = 0
 
     def members_upto(self, horizon: int) -> list[int]:
         return [x for x in range(1, horizon + 1) if self.member(x)]
@@ -334,14 +321,7 @@ class Motif:
             raise ValueError(f"bits must be 0/1: {bits}")
         self.n = n
         self.bits = bits
-        run = 0
-        for x in range(1, len(bits) + n + 1):
-            if self.bit(x):
-                run += 1
-                if run >= n:
-                    raise ValueError(f"{n} consecutive 1-bits ending at position {x}")
-            else:
-                run = 0
+        _check_runs(self.bit, len(bits) + n, n, "1-bits")
 
     def bit(self, pos: int) -> int:
         """Bit at 1-indexed position; tail is (1^{n-1},0) repeating."""
@@ -452,15 +432,11 @@ def sl2_partition_to_strip(lam: Partition, n_spinons: int) -> BorderStrip:
     strip = BorderStrip.from_rows(rows, 2)
     if strip.size() != n_spinons + 2 * (r - 1) and rows != [0]:
         raise AssertionError(f"size identity failed for ({lam}, {n_spinons})")
-    # the energy identity |lambda| + N^2/4 = kappa^2/4 + row statistic, times 4
-    lhs = 4 * lam.size() + n_spinons * n_spinons
-    kappa = strip.size()
-    rhs = kappa * kappa + 4 * sum(
-        (i - len(strip.rows)) * a for i, a in enumerate(strip.rows, start=1)
-    )
-    if lhs != rhs:
+    e = energy(strip)
+    if e != lam.size() + Fraction(n_spinons * n_spinons, 4):
         raise AssertionError(
-            f"energy identity failed for ({lam}, {n_spinons}): 4E = {lhs} != {rhs}"
+            f"energy identity failed for ({lam}, {n_spinons}): "
+            f"E = {e} != |lambda| + N^2/4"
         )
     return strip
 

@@ -6,11 +6,9 @@ overrides its suite reads."""
 from __future__ import annotations
 
 import inspect
-import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
 from typing import Callable
 
 from . import affine, qseries, strips, symfunc, yangian
@@ -332,18 +330,13 @@ def _harness_case(max_size, ranks):
 # suite: spinon-cut
 
 def small_norm_weights(n: int, k: int, max_extra=2):
-    """Class-k weights with |lambda|^2/2 - Delta_k <= max_extra, that is
-    n|lambda|^2 <= k(n-k) + 2n max_extra, in sorted order.  Each coordinate
-    is a Dynkin label c_i = (lambda, alpha_i), so c_i^2 <= |alpha_i|^2
-    |lambda|^2 = 2|lambda|^2 and every such weight lies in the box
-    |c_i| <= isqrt(2(k(n-k) + 2n max_extra) // n)."""
-    budget = k * (n - k) + 2 * n * max_extra
-    bound = isqrt(max(2 * budget // n, 0))
-    return sorted(
-        vec for vec in itertools.product(range(-bound, bound + 1), repeat=n - 1)
-        if affine.weight_class(vec, n) == k
-        and affine.scaled_weight_norm(vec, n) <= budget
-    )
+    """Class-k weights with |lambda|^2/2 - Delta_k <= max_extra, in sorted
+    order.  The weight of a vector c with sum c_i = k has |lambda|^2/2 -
+    Delta_k = (sum c_i^2 - k)/2, as in `affine.bosonic_character`, so these
+    are the weights of `affine.lattice_vectors(n, k, k + 2 max_extra)`, the
+    proved enumerator of the bosonic sum."""
+    return sorted(symfunc.exps_to_fw(vec)
+                  for vec in affine.lattice_vectors(n, k, k + 2 * max_extra))
 
 
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
@@ -367,7 +360,8 @@ def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case
                 for n_spinons in range(k, 3 * n + 1, n):
                     cases.append(Case(
                         f"cut-forms[n={n},k={k},w={list(coords)},N={n_spinons}]",
-                        {"n": n, "k": k, "weight": list(coords), "N": n_spinons},
+                        {"n": n, "k": k, "weight": list(coords), "N": n_spinons,
+                         "qmax": qmax},
                         lambda n=n, k=k, c=coords, N=n_spinons: _series_locus(
                             affine.spinon_string_function(n, k, c, N, "multisum", qmax),
                             affine.spinon_string_function(n, k, c, N, "alternating", qmax),

@@ -95,7 +95,9 @@ def test_string_functions_are_graded_from_the_weight_norm():
     unshifted series."""
     qmax = 6
     for n in (2, 3, 4):
-        closed = euler_inverse(qmax) ** (n - 1)
+        closed = q_one(qmax)
+        for _ in range(n - 1):
+            closed = closed * euler_inverse(qmax)
         for k in range(n):
             table = bosonic_character(n, k, qmax)
             for coords in small_norm_weights(n, k, 1):
@@ -113,9 +115,9 @@ def test_string_functions_are_graded_from_the_weight_norm():
 
 
 def test_small_norm_weights_box_holds_every_weight():
-    """The proved box |c_i| <= B of `small_norm_weights` misses no weight
-    that a box of radius at least B + 2 finds, for n <= 5 and max_extra
-    <= 4."""
+    """`small_norm_weights` finds every weight that a box of radius B + 2
+    finds, for n <= 5 and max_extra <= 4, where each Dynkin label obeys
+    c_i^2 <= 2|lambda|^2, so |c_i| <= B = isqrt(2 budget / n)."""
     for n in range(2, 6):
         budgets = {(k, extra): k * (n - k) + 2 * n * extra
                    for k in range(n) for extra in range(5)}

@@ -269,7 +269,8 @@ def test_verify_jobs_accepts_only_one(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suite,prefix", [("sl2", "sl2-four-way["),
-                                          ("decomposition", "yangian[")])
+                                          ("decomposition", "yangian["),
+                                          ("spinon-cut", "cut-forms[")])
 def test_verify_qmax_zero_is_honoured(capsys, suite, prefix):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--qmax", "0",
                            "--format", "json")

@@ -122,13 +122,6 @@ def test_inv_pochhammer_product_rejects_a_negative_part():
             inv_pochhammer_product(parts, 5)
 
 
-def test_inverse_requires_unit_constant():
-    with pytest.raises(ValueError):
-        QSeries([2, 1], 4).inverse()
-    s = QSeries([1, 3, 5], 6)
-    assert s * s.inverse() == q_one(6)
-
-
 def test_getitem_beyond_truncation_is_an_error():
     s = q_monomial(2, 4)
     assert s[2] == 1 and s[-3] == 0

@@ -74,26 +74,33 @@ def test_cli_renders_tables_without_the_indenting_encoder():
     assert not offenders, "indented JSON of a table:\n" + "\n".join(offenders)
 
 
-def _is_inv_pochhammer_call(node: ast.AST) -> bool:
+def _is_call_to(node: ast.AST, names: tuple[str, ...]) -> bool:
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "inv_pochhammer"
+    return name in names
+
+
+_INVERSES = ("euler_inverse", "inv_pochhammer")
 
 
 def _inv_pochhammer_products(tree: ast.AST) -> list[int]:
     """Lines where an `inv_pochhammer(...)` call is an operand of `*` or
-    `*=`: a denominator multiplied out factor by factor."""
+    `*=`, or an `euler_inverse(...)` or `inv_pochhammer(...)` call is raised
+    to a power by `**`: a denominator multiplied out factor by factor."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            operands = (node.left, node.right)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            found = _is_call_to(node.left, _INVERSES)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            found = any(_is_call_to(side, ("inv_pochhammer",))
+                        for side in (node.left, node.right))
         elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
-            operands = (node.value,)
+            found = _is_call_to(node.value, ("inv_pochhammer",))
         else:
-            continue
-        if any(map(_is_inv_pochhammer_call, operands)):
+            found = False
+        if found:
             lines.append(node.lineno)
     return lines
 
@@ -101,12 +108,16 @@ def _inv_pochhammer_products(tree: ast.AST) -> list[int]:
 def test_denominators_are_built_by_inv_pochhammer_product():
     """Outside `qseries.py`, a product of inverse Pochhammers is one
     `inv_pochhammer_product` call, which caches it by its multiset of
-    indices; no module multiplies `inv_pochhammer(...)` results itself."""
+    indices; no module multiplies `inv_pochhammer(...)` results itself or
+    raises `euler_inverse(...)` or `inv_pochhammer(...)` to a power."""
     for chain in ("inv_pochhammer(1, q) * inv_pochhammer(2, q)",
                   "t = t * qseries.inv_pochhammer(a - m, q)",
-                  "t *= inv_pochhammer(a, q)"):
+                  "t *= inv_pochhammer(a, q)",
+                  "euler_inverse(q) ** (n - 1)",
+                  "qseries.inv_pochhammer(2, q) ** 3"):
         assert _inv_pochhammer_products(ast.parse(chain)), chain
-    assert not _inv_pochhammer_products(ast.parse("inv_pochhammer_product((1, 2), q)"))
+    for clean in ("inv_pochhammer_product((1, 2), q)", "(total - c) ** 2"):
+        assert not _inv_pochhammer_products(ast.parse(clean)), clean
     offenders = [f"{path.name}:{line}"
                  for path in sorted(PACKAGE.glob("*.py")) if path.name != "qseries.py"
                  for line in _inv_pochhammer_products(ast.parse(path.read_text()))]

@@ -184,8 +184,17 @@ def test_vacuum_rapidity_maps_to_minimal_strip():
 
 
 def test_no_n_consecutive_rapidities():
-    with pytest.raises(ValueError, match="consecutive"):
-        RapiditySeq(2, 0, [1, 2], 2)
+    """A run of n members is refused, also one that the stabilized tail
+    completes: 3, 4, 5 in the rank-3 sequence, and positions 1-3 or 2-4 of
+    the rank-3 motifs."""
+    for make in (lambda: RapiditySeq(2, 0, [1, 2], 2),
+                 lambda: RapiditySeq(3, 0, [3], 3),
+                 lambda: Motif(3, [1, 1]),
+                 lambda: Motif(3, [0, 1])):
+        with pytest.raises(ValueError, match="consecutive"):
+            make()
+    assert RapiditySeq(3, 0, [2], 3).members_upto(6) == [2, 4, 5]
+    assert [Motif(3, [1, 0]).bit(x) for x in range(1, 7)] == [1, 0, 1, 1, 0, 1]
 
 
 def test_strip_rapidity_round_trip_census():
