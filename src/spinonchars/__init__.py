@@ -16,7 +16,6 @@ from .affine import (
 from .partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from .qseries import (
     QSeries,
-    ZPolyQ,
     durfee_check,
     euler_inverse,
     inv_pochhammer,

@@ -51,9 +51,7 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
         return affine.sl2_spinon_enumeration(k, qmax)
     if kind == "yangian":
         return yangian.yangian_decomposition(n, k, qmax)
-    if kind == "sl2-yangian":
-        return yangian.sl2_yangian_decomposition(k, qmax)
-    raise UsageError(f"unknown kind {kind!r}")
+    return yangian.sl2_yangian_decomposition(k, qmax)
 
 
 _JSON_ITEM = ",\n        "  # between the items of a list in the json layout
@@ -90,14 +88,12 @@ def _write_table(table, fmt: str, out) -> None:
             prefix = "".join(f"{x}," for x in w)
             out.write("".join(f"{prefix}{d},{c}\n"
                               for d, c in enumerate(coeffs) if c))
-    elif fmt == "pretty":
+    else:
         out.write(f"n={table.n} k={table.k} qmax={table.qmax} "
                   f"delta={table.delta.numerator}/{table.delta.denominator}\n")
         for w, coeffs in _sorted_rows(table):
             terms = " + ".join(f"{c}*q^{d}" for d, c in enumerate(coeffs) if c)
             out.write(f"weight {w}: {terms or '0'}\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +214,16 @@ def _json_text(obj, pad: str = "\n") -> str:
 def _render_report(report, fmt: str) -> str:
     if fmt == "json":
         return _json_text(report.to_json_dict())
-    if fmt == "pretty":
-        lines = []
-        for c in report.cases:
-            status = "PASS" if c.passed else "FAIL"
-            extra = "" if c.passed else f"  locus: {c.locus}"
-            lines.append(f"{status} {c.id} ({c.seconds:.3f}s){extra}")
-        lines.append(
-            f"{report.suite}: {sum(c.passed for c in report.cases)}/"
-            f"{len(report.cases)} passed"
-        )
-        return "\n".join(lines)
-    raise UsageError(f"unknown format {fmt!r}")
+    lines = []
+    for c in report.cases:
+        status = "PASS" if c.passed else "FAIL"
+        extra = "" if c.passed else f"  locus: {c.locus}"
+        lines.append(f"{status} {c.id} ({c.seconds:.3f}s){extra}")
+    lines.append(
+        f"{report.suite}: {sum(c.passed for c in report.cases)}/"
+        f"{len(report.cases)} passed"
+    )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -40,20 +40,8 @@ class QSeries:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QSeries([other], self.qmax)
         m = min(self.qmax, other.qmax)
         return QSeries([self.coeffs[d] + other.coeffs[d] for d in range(m + 1)], m)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.qmax)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QSeries([other], self.qmax)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -64,8 +52,6 @@ class QSeries:
         a, rb = self.coeffs, other.coeffs[m::-1]
         return QSeries([sum(map(mul, a[: d + 1], rb[m - d:]))
                         for d in range(m + 1)], m)
-
-    __rmul__ = __mul__
 
     def shift(self, d: int) -> "QSeries":
         """Multiply by q^d (d >= 0 integer); keeps qmax, drops overflow."""
@@ -101,55 +87,6 @@ def q_monomial(d: int, qmax: int) -> QSeries:
     if 0 <= d <= qmax:
         coeffs[d] = 1
     return QSeries(coeffs, qmax)
-
-
-# ---------------------------------------------------------------------------
-# exact polynomial helpers (dense int lists, low degree first)
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; den[0] must be a unit.
-
-    Raises ValueError if the division leaves a remainder.
-    """
-    if den[0] not in (1, -1):
-        raise ValueError("divisor constant term must be a unit")
-    deg = len(num) - len(den)
-    if deg < 0:
-        raise ValueError("quotient would have negative degree")
-    quo = [0] * (deg + 1)
-    for d in range(deg + 1):
-        s = num[d] - sum(den[j] * quo[d - j] for j in range(1, min(d, len(den) - 1) + 1))
-        quo[d] = den[0] * s
-    if _poly_mul(quo, den) != num:
-        raise ValueError("polynomial division is not exact")
-    return quo
-
-
-@lru_cache(maxsize=None)
-def _poch_poly(n: int) -> tuple[int, ...]:
-    """(q)_n = prod_{k=1}^{n} (1 - q^k) as an exact polynomial, of degree
-    n(n+1)/2; only the exact divisions of `qbinomial` and `qmultinomial`
-    need it untruncated."""
-    if n == 0:
-        return (1,)
-    prev = list(_poch_poly(n - 1))
-    factor = [1] + [0] * (n - 1) + [-1]
-    return tuple(_poly_mul(prev, factor))
-
-
-def _to_qseries(poly, qmax: int) -> QSeries:
-    return QSeries(list(poly[: qmax + 1]), qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -220,111 +157,70 @@ def _inv_pochhammer_product(parts: tuple[int, ...], qmax: int) -> QSeries:
 
 
 def qbinomial(n: int, m: int, qmax: int) -> QSeries:
-    """(q)_n / ((q)_m (q)_{n-m}) by exact polynomial division."""
+    """[N choose M]_q = (q)_N / ((q)_M (q)_{N-M}), truncated at qmax.
+
+    Built at order qmax by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]:
+    row k holds [n, k] for k = 0..M, and each step n updates the rows in
+    place from the right, so row k - 1 still holds [n-1, k-1] when row k
+    reads it."""
     if m < 0 or m > n:
         raise ValueError(f"qbinomial requires 0 <= M <= N, got N={n}, M={m}")
-    den = _poly_mul(list(_poch_poly(m)), list(_poch_poly(n - m)))
-    return _to_qseries(_poly_div_exact(list(_poch_poly(n)), den), qmax)
+    rows = [q_one(qmax)] + [q_zero(qmax)] * m
+    for step in range(1, n + 1):
+        for k in range(min(step, m), 0, -1):
+            rows[k] = rows[k - 1] + rows[k].shift(k)
+    return rows[m]
 
 
 def qmultinomial(ks, qmax: int) -> QSeries:
-    """(q)_{sum k_i} / prod_i (q)_{k_i} by exact polynomial division."""
+    """(q)_{k_1+...+k_r} / prod_i (q)_{k_i}, truncated at qmax: the product
+    over i of [k_1+...+k_i choose k_i]_q."""
     ks = list(ks)
     if any(k < 0 for k in ks):
         raise ValueError(f"qmultinomial requires non-negative parts, got {ks}")
-    den = [1]
+    out, total = q_one(qmax), 0
     for k in ks:
-        den = _poly_mul(den, list(_poch_poly(k)))
-    return _to_qseries(_poly_div_exact(list(_poch_poly(sum(ks))), den), qmax)
+        total += k
+        out = out * qbinomial(total, k, qmax)
+    return out
 
 
-class ZPolyQ:
-    """Polynomial in an auxiliary variable z with QSeries coefficients."""
-
-    __slots__ = ("zdeg", "coeffs")
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("need at least the z^0 coefficient")
-        qmax = coeffs[0].qmax
-        if any(c.qmax != qmax for c in coeffs):
-            raise ValueError("all z-coefficients must share qmax")
-        self.zdeg = len(coeffs) - 1
-        self.coeffs = tuple(coeffs)
-
-    def __getitem__(self, j: int) -> QSeries:
-        if j < 0 or j > self.zdeg:
-            return q_zero(self.coeffs[0].qmax)
-        return self.coeffs[j]
-
-    def __mul__(self, other: "ZPolyQ") -> "ZPolyQ":
-        qmax = min(self.coeffs[0].qmax, other.coeffs[0].qmax)
-        out = [q_zero(qmax) for _ in range(self.zdeg + other.zdeg + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ZPolyQ(out)
-
-    def truncate_z(self, zdeg: int) -> "ZPolyQ":
-        qmax = self.coeffs[0].qmax
-        coeffs = list(self.coeffs[: zdeg + 1])
-        while len(coeffs) < zdeg + 1:
-            coeffs.append(q_zero(qmax))
-        return ZPolyQ(coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZPolyQ):
-            return NotImplemented
-        return self.zdeg == other.zdeg and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ZPolyQ(zdeg={self.zdeg}, qmax={self.coeffs[0].qmax})"
-
-
-def pochhammer_z_expansion(n: int, qmax: int) -> ZPolyQ:
-    """(z;q)_N as a degree-N polynomial in z.
+def pochhammer_z_expansion(n: int, qmax: int) -> tuple[QSeries, ...]:
+    """(z;q)_N as its N + 1 z-coefficients.
 
     Coefficient of z^j is (-1)^j q^{j(j-1)/2} [N choose j]_q.
     """
     if n < 0:
         raise ValueError("N must be >= 0")
-    coeffs = []
-    for j in range(n + 1):
-        c = qbinomial(n, j, qmax).shift(j * (j - 1) // 2)
-        coeffs.append(c * (-1 if j % 2 else 1))
-    return ZPolyQ(coeffs)
+    return tuple(qbinomial(n, j, qmax).shift(j * (j - 1) // 2) * (-1 if j % 2 else 1)
+                 for j in range(n + 1))
 
 
-def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> ZPolyQ:
-    """(z;q)_N^{-1} modulo z^{zdeg+1}; coefficient of z^j is [N+j-1 choose j]_q."""
+def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[QSeries, ...]:
+    """(z;q)_N^{-1} modulo z^{zdeg+1}, as its zdeg + 1 z-coefficients;
+    coefficient of z^j is [N+j-1 choose j]_q."""
     if zdeg < 0:
         raise ValueError("zdeg must be >= 0")
     if n == 0:
         if zdeg > 0:
             raise ValueError("N=0 admits no inverse expansion beyond the constant 1")
-        return ZPolyQ([q_one(qmax)])
+        return (q_one(qmax),)
     if n < 0:
         raise ValueError("N must be >= 0")
-    return ZPolyQ([qbinomial(n + j - 1, j, qmax) for j in range(zdeg + 1)])
+    return tuple(qbinomial(n + j - 1, j, qmax) for j in range(zdeg + 1))
 
 
 def durfee_check(m: int, qmax: int) -> bool:
-    """Check sum_{a-b=m, a,b>=0} q^{ab}/((q)_a (q)_b) = 1/(q)_inf up to qmax."""
+    """Check sum_{a-b=m, a,b>=0} q^{ab}/((q)_a (q)_b) = 1/(q)_inf up to qmax.
+
+    With a = b + m, the term's exponent b(b+m) grows from b to b + 1 by
+    2b + 1 + m = b + a + 1 >= 1, so it increases strictly from the first
+    admissible b = max(0, -m), and the first b past qmax ends the sum: every
+    later term vanishes at this order."""
     total = q_zero(qmax)
-    b = 0
-    while True:
-        a = b + m
-        if a < 0:
-            b += 1
-            continue
-        if a * b > qmax:
-            if b > abs(m):
-                break
-            b += 1
-            continue
-        term = inv_pochhammer_product((a, b), qmax).shift(a * b)
-        total = total + term
+    b = max(0, -m)
+    while b * (b + m) <= qmax:
+        total = total + inv_pochhammer_product((b + m, b), qmax).shift(b * (b + m))
         b += 1
     return total == euler_inverse(qmax)
 
@@ -352,5 +248,5 @@ def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
         lhs = lhs + term
     rhs = inv_pochhammer_product((big_m, big_n), qmax)
     if variant == "i":
-        rhs = rhs.shift(big_m * big_n) if big_m * big_n <= qmax else q_zero(qmax)
+        rhs = rhs.shift(big_m * big_n)
     return lhs == rhs

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import affine, qseries, strips, symfunc, yangian
 from .partitions import Partition, SkewShape, all_partitions_upto, partitions_of
-from .qseries import ZPolyQ, q_one, q_zero
+from .qseries import q_one, q_zero
 
 
 @dataclass
@@ -120,10 +120,10 @@ def qids_cases(qmax: int | None = None) -> list[Case]:
         zdeg = n_val + 2
         lhs = qseries.pochhammer_z_expansion(n_val, qmax)
         rhs = qseries.inv_pochhammer_z_expansion(n_val, zdeg, qmax)
-        prod = (lhs * rhs).truncate_z(zdeg)
-        one = ZPolyQ([q_one(qmax)] + [q_zero(qmax)] * zdeg)
         for j in range(zdeg + 1):
-            locus = _series_locus(prod[j], one[j])
+            prod = sum((lhs[i] * rhs[j - i] for i in range(min(j, n_val) + 1)),
+                       q_zero(qmax))
+            locus = _series_locus(prod, q_one(qmax) if j == 0 else q_zero(qmax))
             if locus is not None:
                 return {"z_degree": j, **locus}
         return None
@@ -314,15 +314,32 @@ def _modes_case(modes, n):
 
 
 def _harness_case(max_size, ranks):
+    """The harness must return a structured verdict, never fail silently:
+    both conventions with their counts, a record per mismatch naming the
+    strip, the expected energy and what the convention gave (or its error),
+    a non-empty census and a conclusion."""
     report = strips.discover_rapidity_convention(max_size, ranks)
+    missing = {"census", "conventions", "conclusion"} - set(report)
+    if missing:
+        return f"report lacks {sorted(missing)}"
+    total = 0
     for name in ("literal", "tail"):
         data = report["conventions"].get(name)
         if data is None:
             return f"missing convention {name}"
+        missing = {"matches", "mismatch_count", "mismatches"} - set(data)
+        if missing:
+            return f"convention {name} lacks {sorted(missing)}"
         if data["mismatch_count"] != len(data["mismatches"]):
             return "mismatch records inconsistent"
-    if "conclusion" not in report:
-        return "no conclusion"
+        for rec in data["mismatches"]:
+            if not ({"strip", "expected"} <= set(rec) and ("got" in rec or "error" in rec)):
+                return f"convention {name} has a mismatch record with keys {sorted(rec)}"
+        total += data["matches"] + data["mismatch_count"]
+    if total == 0:
+        return "empty census"
+    if not isinstance(report["conclusion"], str):
+        return "conclusion is not a string"
     return None
 
 

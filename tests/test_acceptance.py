@@ -1,12 +1,11 @@
 """Acceptance suite: one test per top-level guarantee, with the reproduction
-bounds pinned.  Criteria 1-8 run the cases of the `verify` suites, whose
+bounds pinned.  Criteria 1-9 run the cases of the `verify` suites, whose
 builders in `verify.SUITES` hold the bounds.  Each test prints a single
 PASS/FAIL line for its criterion."""
 import time
 from fractions import Fraction
 
 from spinonchars import verify
-from spinonchars.strips import discover_rapidity_convention
 from spinonchars.yangian import yangian_decomposition
 
 
@@ -105,16 +104,5 @@ def test_acceptance_9_rapidity_energy_report():
     either a convention matching the strip energy on the census, or explicit
     per-strip mismatch records.  It must never fail silently."""
     started = time.perf_counter()
-    report = discover_rapidity_convention(max_size=6, ranks=(2, 3))
-    ok = {"census", "conventions", "conclusion"} <= set(report)
-    total = 0
-    for name in ("literal", "tail"):
-        data = report["conventions"].get(name, {})
-        ok = ok and {"matches", "mismatch_count", "mismatches"} <= set(data)
-        ok = ok and data["mismatch_count"] == len(data["mismatches"])
-        total += data.get("matches", 0) + data.get("mismatch_count", 0)
-        for rec in data.get("mismatches", []):
-            ok = ok and "strip" in rec and "expected" in rec
-            ok = ok and ("got" in rec or "error" in rec)
-    ok = ok and total > 0 and isinstance(report["conclusion"], str)
-    _report(9, "rapidity energy harness", started, ok=ok)
+    _report(9, "rapidity energy harness", started,
+            _run("bijections", "rapidity-convention-harness"))

@@ -345,6 +345,22 @@ def test_bijection_harness_runs_the_recorded_ranks(capsys, monkeypatch):
     assert censuses == [harness[0]["params"]]
 
 
+def test_bijection_harness_reports_a_record_without_its_expected_energy(monkeypatch):
+    discover = strips.discover_rapidity_convention
+
+    def drop_expected(*args, **kwargs):
+        report = discover(*args, **kwargs)
+        report["conventions"]["tail"]["mismatches"][0].pop("expected")
+        return report
+
+    monkeypatch.setattr(strips, "discover_rapidity_convention", drop_expected)
+    cases = [c for c in verify.build_suite("bijections", n=2)
+             if c.id == "rapidity-convention-harness"]
+    result = verify.run_cases("bijections", cases).cases[0]
+    assert not result.passed
+    assert "tail" in result.locus and "expected" not in result.locus
+
+
 def test_verify_bad_rank_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "sl2", "--n", "1")
     assert code == 2
