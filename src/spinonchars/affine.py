@@ -15,7 +15,6 @@ from operator import mul
 
 from .partitions import partitions_of
 from .qseries import QSeries, inv_pochhammer_product, q_zero
-from .symfunc import exps_to_fw
 
 
 def conformal_dimension(n: int, k: int) -> Fraction:
@@ -77,12 +76,17 @@ class CharacterTable:
         return self
 
     def validate(self) -> "CharacterTable":
-        """Class membership and non-negativity of every coefficient."""
-        for w, row in self.rows.items():
-            if weight_class(w, self.n) != self.k:
-                raise AssertionError(f"weight {w} not in class {self.k} mod {self.n}")
-            if min(row) < 0:
-                raise AssertionError(f"negative multiplicity at weight {w}: {row}")
+        """Class membership and non-negativity of every coefficient.  Each
+        check runs over all rows at once; a row is looked up only to name it
+        in the error when its check fails."""
+        n, k, rows = self.n, self.k, self.rows
+        labels = range(1, n)
+        wrong = [w for w in rows if sum(map(mul, labels, w)) % n != k]
+        if wrong:
+            raise AssertionError(f"weight {wrong[0]} not in class {k} mod {n}")
+        if rows and min(map(min, rows.values())) < 0:
+            w = next(w for w, row in rows.items() if min(row) < 0)
+            raise AssertionError(f"negative multiplicity at weight {w}: {rows[w]}")
         return self
 
     def row(self, weight) -> list[int]:
@@ -132,49 +136,74 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
 
     Given sum c_i = k, the weight determines the vector, so each row is one
     copy of the series 1/(q)_inf^{n-1}, which is 1/(q)_qmax^{n-1} below the
-    truncation, shifted to the vector's degree.  That
-    degree is at most qmax, so every row holds a 1 and none needs pruning."""
+    truncation, shifted to the vector's degree (sum c_i^2 - k)/2, the norm
+    coming from `lattice_weights` with the weight.  That degree is at most
+    qmax, so the rows take only the qmax + 1 values of the shifted series,
+    built once here; every row holds a 1 and none needs pruning.  Each row
+    is its own copy, so that `CharacterTable.add` on one leaves the rest."""
     table = CharacterTable(n, k, qmax)
     power = list(inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs)
+    shifted = [[0] * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
     rows = table.rows
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
-    for vec in lattice_vectors(n, k, k + 2 * qmax):
-        degree2 = sum(map(mul, vec, vec)) - k
+    for weight, norm in lattice_weights(n, k, k + 2 * qmax):
+        degree2 = norm - k
         assert degree2 % 2 == 0 and degree2 >= 0
-        degree = degree2 // 2
-        weight = exps_to_fw(vec)
         assert weight not in rows, f"weight {weight} met twice"
-        rows[weight] = [0] * degree + power[:qmax + 1 - degree]
+        rows[weight] = shifted[degree2 // 2].copy()
     return table.validate()
 
 
-def lattice_vectors(length: int, total: int, max_sq: int) -> list[tuple[int, ...]]:
-    """Every integer vector of the given length with entries summing to
-    `total` and squares summing to at most `max_sq`, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    if length >= 1 and total * total <= length * max_sq:
-        _lattice_vectors(length, total, max_sq, (), out)
-    return out
-
-
-def _lattice_vectors(length, total, max_sq, prefix, out):
-    """Append to `out` every vector `prefix + rest` with `rest` as in
-    `lattice_vectors`; the caller has checked total^2 <= length * max_sq.
+def lattice_weights(length: int, total: int,
+                    max_sq: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every integer vector (c_1..c_n), n = `length`, with entries summing to
+    `total` and squares summing to at most `max_sq`, as the pair of its
+    weight (c_1-c_2, ..., c_{n-1}-c_n) and its norm sum c_i^2, in
+    lexicographic order of the vectors.
 
     By Cauchy-Schwarz, r entries summing to t with squares summing to at most
     R exist over the reals only if t^2 <= r R; an entry c is tried only if the
     r - 1 entries after it can still meet that bound.  For r = 1 the bound is
-    exact: the last entry is t.  A module-level function, not a closure, so
-    that no reference cycle outlives the sum."""
+    exact: the last entry is t, so the last two entries are chosen in one
+    loop.  The weight and the norm are carried down the recursion, one
+    coordinate and one square per entry."""
+    if length < 1 or total * total > length * max_sq:
+        return []
     if length == 1:
-        out.append(prefix + (total,))
-        return
-    rest = length - 1
+        return [((), total * total)]
+    out: list[tuple[tuple[int, ...], int]] = []
     bound = math.isqrt(max_sq)
     for c in range(-bound, bound + 1):
         left = max_sq - c * c
-        if (total - c) ** 2 <= rest * left:
-            _lattice_vectors(rest, total - c, left, prefix + (c,), out)
+        if (total - c) ** 2 <= (length - 1) * left:
+            _lattice_weights(length - 1, total - c, left, c, (), c * c, out)
+    return out
+
+
+def _lattice_weights(length, total, left, prev, weight, norm, out):
+    """Append to `out` the pairs of `lattice_weights` for the vectors that
+    end in `length` entries summing to `total` with squares summing to at
+    most `left`, after a prefix whose last entry is `prev`, whose weight
+    coordinates are `weight` and whose squares sum to `norm`; the caller has
+    checked total^2 <= length * left.  A module-level function, not a
+    closure, so that no reference cycle outlives the sum."""
+    if length == 1:
+        out.append((weight + (prev - total,), norm + total * total))
+        return
+    bound = math.isqrt(left)
+    if length == 2:
+        for c in range(-bound, bound + 1):
+            last = total - c
+            sq = c * c + last * last
+            if sq <= left:
+                out.append((weight + (prev - c, c - last), norm + sq))
+        return
+    rest = length - 1
+    for c in range(-bound, bound + 1):
+        c2 = c * c
+        if (total - c) ** 2 <= rest * (left - c2):
+            _lattice_weights(rest, total - c, left - c2, c, weight + (prev - c,),
+                             norm + c2, out)
 
 
 def _spinon_a_values(n: int, coords, n_spinons: int):

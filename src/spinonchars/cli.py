@@ -54,9 +54,6 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
     return yangian.sl2_yangian_decomposition(k, qmax)
 
 
-_JSON_ITEM = ",\n        "  # between the items of a list in the json layout
-
-
 def _sorted_rows(table):
     """The table's rows as (weight, coeffs), in weight order; every table
     builder has already pruned its all-zero rows."""
@@ -64,21 +61,36 @@ def _sorted_rows(table):
     return ((w, rows[w]) for w in sorted(rows))
 
 
+def _json_int_list(count: int) -> str:
+    """The json layout of a list of `count` integers, as a `%d` template,
+    at the depth of a row's "weight" and "coeffs"."""
+    if not count:
+        return "[]"
+    return "[\n        " + ",\n        ".join(("%d",) * count) + "\n      ]"
+
+
 def _write_table(table, fmt: str, out) -> None:
     """Write the table to `out` row by row, each line ending in a newline.
     `json` has the layout of `json.dumps(table.to_json_dict(), indent=2)`;
     the standard encoder falls back to pure Python when indenting, so the
-    layout is written here instead."""
+    layout is written here instead: every row has as many weight coordinates
+    and coefficients as the next, so one `%` template per table lays out a
+    row, and each distinct coefficient list is laid out once."""
     if fmt == "json":
         delta = f"{table.delta.numerator}/{table.delta.denominator}"
         out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
                   f'  "delta": "{delta}",\n  "qmax": {table.qmax},\n')
+        row_text = ('%s    {\n      "weight": ' + _json_int_list(table.n - 1)
+                    + ',\n      "coeffs": %s\n    }')
+        coeffs_text = _json_int_list(table.qmax + 1)
+        laid_out: dict[tuple[int, ...], str] = {}
         sep = '  "rows": [\n'
         for w, coeffs in _sorted_rows(table):
-            out.write(f'{sep}    {{\n      "weight": [\n        '
-                      f'{_JSON_ITEM.join(map(str, w))}\n      ],\n'
-                      f'      "coeffs": [\n        '
-                      f'{_JSON_ITEM.join(map(str, coeffs))}\n      ]\n    }}')
+            key = tuple(coeffs)
+            text = laid_out.get(key)
+            if text is None:
+                text = laid_out[key] = coeffs_text % key
+            out.write(row_text % (sep, *w, text))
             sep = ",\n"
         out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')
     elif fmt == "csv":

@@ -350,10 +350,9 @@ def small_norm_weights(n: int, k: int, max_extra=2):
     """Class-k weights with |lambda|^2/2 - Delta_k <= max_extra, in sorted
     order.  The weight of a vector c with sum c_i = k has |lambda|^2/2 -
     Delta_k = (sum c_i^2 - k)/2, as in `affine.bosonic_character`, so these
-    are the weights of `affine.lattice_vectors(n, k, k + 2 max_extra)`, the
+    are the weights of `affine.lattice_weights(n, k, k + 2 max_extra)`, the
     proved enumerator of the bosonic sum."""
-    return sorted(symfunc.exps_to_fw(vec)
-                  for vec in affine.lattice_vectors(n, k, k + 2 * max_extra))
+    return sorted(weight for weight, _ in affine.lattice_weights(n, k, k + 2 * max_extra))
 
 
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:

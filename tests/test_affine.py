@@ -11,7 +11,7 @@ from spinonchars.affine import (
     _spinon_a_values,
     bosonic_character,
     conformal_dimension,
-    lattice_vectors,
+    lattice_weights,
     scaled_weight_norm,
     sl2_fermionic_character,
     sl2_spinon_enumeration,
@@ -62,30 +62,32 @@ def test_bosonic_vacuum_weight_zero_row_is_partition_numbers():
     assert table.row([0]) == [1, 1, 2, 3, 5, 7, 11]
 
 
-def test_lattice_vectors_match_the_box():
-    """The Cauchy-Schwarz pruned search yields, in lexicographic order,
-    exactly the vectors of the box |c_i| <= isqrt(max_sq) with the given sum
-    and squares summing to at most max_sq.  The bosonic points (total k,
-    max_sq = k + 2 qmax) give distinct weights; the other sums and budgets
-    include those of the opposite parity, where a bound off by one shows."""
-    for n in range(2, 6):
+def test_lattice_weights_match_the_box():
+    """The Cauchy-Schwarz pruned search yields, in lexicographic order of the
+    vectors, the (weight, norm) pair of exactly the vectors of the box
+    |c_i| <= isqrt(max_sq) with the given sum and squares summing to at most
+    max_sq.  The bosonic points (total k, max_sq = k + 2 qmax) give distinct
+    weights; the other sums and budgets include those of the opposite
+    parity, where a bound off by one shows."""
+    for n in range(1, 6):
         for k in range(n):
             for qmax in range(5):
-                vecs = lattice_vectors(n, k, k + 2 * qmax)
-                assert vecs == _box_vectors(n, k, k + 2 * qmax), (n, k, qmax)
-                weights = {exps_to_fw(v) for v in vecs}
-                assert len(weights) == len(vecs), (n, k, qmax)
+                pairs = lattice_weights(n, k, k + 2 * qmax)
+                assert pairs == _box_weights(n, k, k + 2 * qmax), (n, k, qmax)
+                assert len({w for w, _ in pairs}) == len(pairs), (n, k, qmax)
         for total in range(-3, 4):
             for max_sq in range(9):
-                assert lattice_vectors(n, total, max_sq) == _box_vectors(
+                assert lattice_weights(n, total, max_sq) == _box_weights(
                     n, total, max_sq), (n, total, max_sq)
-    assert lattice_vectors(1, 2, 4) == [(2,)]
-    assert lattice_vectors(1, 3, 4) == []
+    assert lattice_weights(1, 2, 4) == [((), 4)]
+    assert lattice_weights(1, 3, 4) == []
+    assert lattice_weights(0, 0, 4) == []
 
 
-def _box_vectors(length, total, max_sq):
+def _box_weights(length, total, max_sq):
     bound = isqrt(max_sq)
-    return [vec for vec in product(range(-bound, bound + 1), repeat=length)
+    return [(exps_to_fw(vec), sum(c * c for c in vec))
+            for vec in product(range(-bound, bound + 1), repeat=length)
             if sum(vec) == total and sum(c * c for c in vec) <= max_sq]
 
 
@@ -266,8 +268,31 @@ def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
 def test_table_validation_rejects_wrong_class():
     table = CharacterTable(2, 0, 2)
     table.add((1,), 0, 1)  # odd weight in the even class
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"weight \(1,\) not in class 0"):
         table.validate()
+
+
+def test_table_validation_rejects_a_negative_coefficient():
+    table = CharacterTable(3, 1, 2)
+    table.add((1, 0), 0, 1)
+    table.add((-1, 1), 2, -1)
+    table.add((0, 2), 1, 3)
+    with pytest.raises(AssertionError, match=r"negative multiplicity at weight \(-1, 1\)"):
+        table.validate()
+    table.add((-1, 1), 2, 1)
+    assert table.validate() is table
+
+
+def test_bosonic_rows_are_independent():
+    """The rows share the qmax + 1 shifted series as values, not as lists:
+    adding to one row leaves every other row as it was."""
+    table = bosonic_character(3, 0, 4)
+    before = {w: list(row) for w, row in table.rows.items()}
+    for w in before:
+        table.add(w, 4, 1)
+        assert table.rows[w] == before[w][:4] + [before[w][4] + 1], w
+        assert all(table.rows[v] == row for v, row in before.items() if v != w), w
+        table.add(w, 4, -1)
 
 
 def test_table_first_difference_locates_discrepancy():

@@ -83,6 +83,44 @@ def test_empty_table_renders_in_every_format():
     assert rendered["pretty"] == "n=3 k=1 qmax=2 delta=1/3\n"
 
 
+def _hand_built(n, k, qmax, rows):
+    table = CharacterTable(n, k, qmax)
+    for weight, coeffs in rows:
+        for degree, coeff in enumerate(coeffs):
+            table.add(weight, degree, coeff)
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    _hand_built(4, 1, 3, [((1, 0, 0), (1, 12, 345, 6789)),
+                          ((-3, 10, -12), (-5, 0, -170, 1)),
+                          ((0, -1, 1), (1, 12, 345, 6789)),
+                          ((-20, 0, 7), (0, 0, 0, 100000000000000000000))]),
+    _hand_built(2, 0, 4, [((w,), (w, -w, 10 * w, 0, -1)) for w in range(-12, 13, 3)]),
+    _hand_built(3, 2, 0, [((-1, -1), (7,)), ((2, 0), (-30,)), ((5, -4), (7,))]),
+    _hand_built(2, 1, 0, [((-101,), (-2,))]),
+    _hand_built(1, 0, 2, [((), (3, -1, 22))]),
+], ids=["multi-digit", "rank-2", "rank-3-qmax-0", "rank-2-qmax-0", "rank-1"])
+def test_json_table_layout_of_hand_built_tables(table):
+    """Tables no builder writes, with multi-digit and negative coefficients
+    and weights, a single weight coordinate, qmax = 0 and no weight
+    coordinate at all, are laid out as the indenting encoder lays them out."""
+    out = io.StringIO()
+    _write_table(table, "json", out)
+    assert out.getvalue() == json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
+def test_char_json_bytes_pinned_at_many_rows(capsys):
+    """The sha256 of the 1 221-row table (n, k, qmax) = (6, 0, 6) as printed
+    before each table was laid out by one row template."""
+    code, out, _ = run_cli(capsys, "char", "--kind", "bosonic", "--n", "6",
+                           "--k", "0", "--qmax", "6", "--format", "json")
+    assert code == 0
+    assert out.count('"weight"') == 1221
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7d66fd4c9ae427f7c8fe5e31f170a37e1c91c1b54af61575db837e1b21b84aed")
+
+
 @pytest.mark.parametrize("fmt,digest", [
     ("json", "ab517f7576d03a282b48c6f368ff0f7989461b0f5197f4799b06c9c15c8d1c09"),
     ("csv", "7c48fc27f0e2f2583c0d09f7475dd076a8d7b41f09bb5752556c9e02ce5030d9"),
