@@ -157,9 +157,8 @@ def _render_object(kind: str, obj) -> object:
     if kind == "strip":
         return obj.to_dict()
     if kind == "motif":
-        return obj.canonical().serialize()
-    c = obj.canonical()  # rapidity
-    return {"n": c.n, "k": c.k, "prefix": list(c.prefix), "stab": c.stab}
+        return obj.serialize()
+    return {"n": obj.n, "k": obj.k, "prefix": list(obj.prefix), "stab": obj.stab}
 
 
 def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
@@ -168,22 +167,18 @@ def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
     obj = _parse_payload(src, payload, n)
     try:
         strip = _to_strip(src, obj, n)
+        reduced = strip.reduce()
         if dst == "strip":
             image = strip
         elif dst == "rapidity":
-            image = strips.strip_to_rapidity(strip.reduce())
+            image = strips.strip_to_rapidity(reduced)
         else:
-            image = strips.rapidity_to_motif(
-                strips.strip_to_rapidity(strip.reduce())
-            )
+            image = strips.rapidity_to_motif(strips.strip_to_rapidity(reduced))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = {"from": src, "to": dst, "result": _render_object(dst, image)}
-    reduced = strip.reduce()
-    if reduced.size() > 0 or not strip.rows:
-        e = strips.energy(reduced)
-        out["energy"] = f"{e.numerator}/{e.denominator}"
-    return out
+    e = strips.energy(reduced)
+    return {"from": src, "to": dst, "result": _render_object(dst, image),
+            "energy": f"{e.numerator}/{e.denominator}"}
 
 
 # ---------------------------------------------------------------------------

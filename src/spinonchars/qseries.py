@@ -81,14 +81,6 @@ def q_zero(qmax: int) -> QSeries:
     return QSeries([0], qmax)
 
 
-def q_monomial(d: int, qmax: int) -> QSeries:
-    """q^d truncated at qmax (zero series if d > qmax)."""
-    coeffs = [0] * (qmax + 1)
-    if 0 <= d <= qmax:
-        coeffs[d] = 1
-    return QSeries(coeffs, qmax)
-
-
 # ---------------------------------------------------------------------------
 # public q-objects
 

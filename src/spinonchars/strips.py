@@ -15,6 +15,7 @@ exactly one column of overlap.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .partitions import Partition, SkewShape, _require_ints
 
@@ -193,7 +194,10 @@ class RapiditySeq:
     """Semi-infinite strictly increasing positive integers, stabilized.
 
     Members are: the explicit prefix (all <= stab), plus every integer x > stab
-    with x % n != k % n (the class-k vacuum pattern).
+    with x % n != k % n (the class-k vacuum pattern).  Only the canonical form
+    is stored: `stab` is the smallest index describing the sequence (0, or a
+    position where the sequence breaks the vacuum pattern) and the prefix
+    keeps the members up to it, so equal sequences have equal fields.
     """
 
     __slots__ = ("n", "k", "prefix", "stab")
@@ -210,9 +214,13 @@ class RapiditySeq:
             raise ValueError("prefix entries must not exceed the stabilization index")
         if stab < 0:
             raise ValueError("stabilization index must be >= 0")
+        k %= n
+        members = set(prefix)
+        while stab > 0 and (stab in members) == (stab % n != k):
+            stab -= 1
         self.n = n
-        self.k = k % n
-        self.prefix = prefix
+        self.k = k
+        self.prefix = tuple(x for x in prefix if x <= stab)
         self.stab = stab
         _check_runs(self.member, stab + n + 1, n, "rapidities")
 
@@ -226,29 +234,14 @@ class RapiditySeq:
     def members_upto(self, horizon: int) -> list[int]:
         return [x for x in range(1, horizon + 1) if self.member(x)]
 
-    def canonical(self) -> "RapiditySeq":
-        """Smallest stabilization index describing the same sequence."""
-        stab = self.stab
-        while stab > 0:
-            x = stab
-            if self.member(x) == (x % self.n != self.k):
-                stab -= 1
-            else:
-                break
-        prefix = tuple(x for x in self.prefix if x <= stab)
-        return RapiditySeq(self.n, self.k, prefix, stab)
-
     def __eq__(self, other):
         if not isinstance(other, RapiditySeq):
             return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            return False
-        a, b = self.canonical(), other.canonical()
-        return a.prefix == b.prefix and a.stab == b.stab
+        return (self.n, self.k, self.prefix, self.stab) == (
+            other.n, other.k, other.prefix, other.stab)
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.n, c.k, c.prefix, c.stab))
+        return hash((self.n, self.k, self.prefix, self.stab))
 
     def __repr__(self):
         return (
@@ -266,49 +259,31 @@ def strip_to_rapidity(strip: BorderStrip) -> RapiditySeq:
     """Stabilize the strip with full columns, read rows, take partial sums."""
     if not strip.is_reduced():
         raise ValueError("only reduced strips correspond to rapidity sequences")
-    n = strip.n
     total = strip.size()
-    partial = []
-    acc = 0
-    for a in strip.rows[:-1]:
-        acc += a
-        partial.append(acc)
-    return RapiditySeq(n, total % n, tuple(partial), total).canonical()
+    return RapiditySeq(strip.n, total % strip.n, accumulate(strip.rows[:-1]), total)
 
 
 def rapidity_to_strip(seq: RapiditySeq, n: int | None = None) -> BorderStrip:
+    """Cut the sequence at S, the least S >= 0 with S = k (mod n), S not a
+    member, and the vacuum pattern above S; the rows are the gaps between
+    0, the members below S, and S.  Above the canonical `stab` the sequence
+    is the vacuum and at `stab` > 0 it is not, so S is k when `stab` = 0 and
+    otherwise the first index past `stab` congruent to k."""
     if n is None:
         n = seq.n
     if n != seq.n:
         raise ValueError("rank mismatch")
-    # find the least S >= 0 with S = k (mod n), S not a member, and every
-    # x > S a member exactly when x is not congruent to k (mod n); past stab
-    # the tail is the vacuum pattern, so some S <= stab + n qualifies
-    horizon = seq.stab
-    members = set(seq.members_upto(horizon))
-    for s_val in range(seq.k, horizon + n + 1, n):
-        if s_val not in members and all(
-            (x in members) == (x % n != seq.k) for x in range(s_val + 1, horizon + 1)
-        ):
-            break
-    else:  # pragma: no cover - representation guarantees a cut
-        raise AssertionError(f"no stabilization cut found for {seq}")
-    below = [x for x in range(1, s_val) if seq.member(x)]
-    if not below and s_val == 0:
-        return BorderStrip.from_rows([], n)
-    rows = []
-    prev = 0
-    for x in below:
-        rows.append(x - prev)
-        prev = x
-    rows.append(s_val - prev)
-    return BorderStrip.from_rows(rows, n)
+    cut = seq.stab + (seq.k - seq.stab - 1) % n + 1 if seq.stab else seq.k
+    marks = [0, *seq.members_upto(cut - 1), cut]
+    return BorderStrip.from_rows([b - a for a, b in zip(marks, marks[1:])], n)
 
 
 class Motif:
     """A semi-infinite 0/1 sequence: explicit bits, then (1^{n-1},0) repeating.
 
     The 1-positions are the rapidities; the conjugacy class is len(bits) mod n.
+    Only the canonical form is stored: `bits` never ends in a (1^{n-1},0)
+    block, which the tail would repeat, so equal motifs have equal bits.
     """
 
     __slots__ = ("n", "bits")
@@ -319,6 +294,9 @@ class Motif:
         bits = _require_ints(bits, "bits")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1: {bits}")
+        block = (1,) * (n - 1) + (0,)
+        while bits[-n:] == block:  # fewer than n bits never match the block
+            bits = bits[:-n]
         self.n = n
         self.bits = bits
         _check_runs(self.bit, len(bits) + n, n, "1-bits")
@@ -332,16 +310,6 @@ class Motif:
     def k_class(self) -> int:
         return len(self.bits) % self.n
 
-    def canonical(self) -> "Motif":
-        bits = list(self.bits)
-        while len(bits) >= self.n:
-            block = bits[-self.n:]
-            if block == [1] * (self.n - 1) + [0]:
-                del bits[-self.n:]
-            else:
-                break
-        return Motif(self.n, bits)
-
     def serialize(self) -> str:
         return "".join(str(b) for b in self.bits) + "|"
 
@@ -354,10 +322,10 @@ class Motif:
     def __eq__(self, other):
         if not isinstance(other, Motif):
             return NotImplemented
-        return self.n == other.n and self.canonical().bits == other.canonical().bits
+        return self.n == other.n and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.n, self.canonical().bits))
+        return hash((self.n, self.bits))
 
     def __repr__(self):
         return f"Motif(n={self.n}, bits={self.serialize()!r})"
@@ -365,15 +333,13 @@ class Motif:
 
 def motif_to_rapidity(m: Motif) -> RapiditySeq:
     ones = tuple(x for x in range(1, len(m.bits) + 1) if m.bits[x - 1] == 1)
-    return RapiditySeq(m.n, m.k_class(), ones, len(m.bits)).canonical()
+    return RapiditySeq(m.n, m.k_class(), ones, len(m.bits))
 
 
 def rapidity_to_motif(seq: RapiditySeq) -> Motif:
-    length = seq.stab
-    while length % seq.n != seq.k:
-        length += 1
-    bits = [1 if seq.member(x) else 0 for x in range(1, length + 1)]
-    return Motif(seq.n, bits).canonical()
+    """Read the sequence's bits up to the first length >= stab of class k."""
+    length = seq.stab + (seq.k - seq.stab) % seq.n
+    return Motif(seq.n, [1 if seq.member(x) else 0 for x in range(1, length + 1)])
 
 
 def motif_to_strip(m: Motif, n: int | None = None) -> BorderStrip:

@@ -193,6 +193,21 @@ def test_bijection_motif_to_strip(capsys):
     assert data["energy"] == "0/1"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_bijection_reports_the_energy_of_a_full_column(capsys, n):
+    """A full column stabilizes the empty strip: it is the class-0 vacuum
+    and has energy 0, as the same label given as the empty strip does."""
+    for payload in ('{"rows": []}', json.dumps({"rows": [1] * n})):
+        code, out, _ = run_cli(
+            capsys, "bijection", "--from", "strip", "--to", "rapidity",
+            "--n", str(n), "--payload", payload,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["result"] == {"n": n, "k": 0, "prefix": [], "stab": 0}
+        assert data["energy"] == "0/1", payload
+
+
 def test_bijection_strip_to_rapidity_and_back(capsys):
     code, out, _ = run_cli(
         capsys, "bijection", "--from", "strip", "--to", "rapidity",

@@ -16,7 +16,6 @@ from spinonchars.qseries import (
     lemma_d3_check,
     pochhammer,
     pochhammer_z_expansion,
-    q_monomial,
     q_one,
     q_zero,
     qbinomial,
@@ -134,7 +133,7 @@ def test_inv_pochhammer_product_rejects_a_negative_part():
 
 
 def test_getitem_beyond_truncation_is_an_error():
-    s = q_monomial(2, 4)
+    s = q_one(4).shift(2)
     assert s[2] == 1 and s[-3] == 0
     with pytest.raises(IndexError):
         s[5]
@@ -189,7 +188,7 @@ def test_finite_product_z_expansion_pinned():
     exp = pochhammer_z_expansion(2, 6)
     assert exp[0] == q_one(6)
     assert exp[1] == QSeries([-1, -1], 6)
-    assert exp[2] == q_monomial(1, 6)
+    assert exp[2] == q_one(6).shift(1)
 
 
 def test_z_expansion_product_is_one():

@@ -103,7 +103,7 @@ def test_labels_refuse_non_integer_entries():
     for make in cases:
         with pytest.raises(TypeError, match="must be ints"):
             make()
-    assert Motif.parse("10|", 2).bits == (1, 0)
+    assert Motif.parse("0|", 2).bits == (0,)
 
 
 def test_enumeration_count_rank3_size3():
@@ -328,13 +328,26 @@ def _column_runs(draw, max_size=30):
 @given(_column_runs())
 def test_strip_rapidity_and_motif_round_trips(case):
     """Reduced strips with n <= 6 and size <= 30 survive strip -> rapidity ->
-    strip and strip -> rapidity -> motif -> strip."""
+    strip and strip -> rapidity -> motif -> strip.  The same labels built
+    with a padded stabilization index, or with extra vacuum blocks, store
+    the canonical fields and map back to the strip."""
     n, cols = case
     strip = BorderStrip(cols, n).reduce()
     energy(strip)  # row and column forms asserted equal inside
     seq = strip_to_rapidity(strip)
     assert rapidity_to_strip(seq, n) == strip
-    assert motif_to_strip(rapidity_to_motif(seq), n) == strip
+    motif = rapidity_to_motif(seq)
+    assert motif_to_strip(motif, n) == strip
+    for pad in (0, 1, n, 2 * n + 1):
+        stab = seq.stab + pad
+        tail = [x for x in range(seq.stab + 1, stab + 1) if x % n != seq.k]
+        padded = RapiditySeq(n, seq.k, seq.prefix + tuple(tail), stab)
+        assert (padded.prefix, padded.stab) == (seq.prefix, seq.stab)
+        assert rapidity_to_strip(padded, n) == strip
+    for extra in (1, 2):
+        padded = Motif(n, motif.bits + ((1,) * (n - 1) + (0,)) * extra)
+        assert padded.bits == motif.bits
+        assert motif_to_strip(padded, n) == strip
 
 
 @settings(max_examples=60, deadline=None)
