@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from operator import mul
 
@@ -48,7 +49,12 @@ def weight_class(coords, n: int) -> int:
 
 
 class CharacterTable:
-    """Weight -> coefficient array, graded relative to q^delta."""
+    """Weight -> coefficient array, graded relative to q^delta.
+
+    A row is a list or a tuple.  Builders may give several weights one
+    shared immutable tuple (`bosonic_character` does); `add` copies such a
+    row into a list of its own before changing it, so changing one weight's
+    row never changes another's."""
 
     def __init__(self, n: int, k: int, qmax: int):
         if not 0 <= k < n:
@@ -59,7 +65,7 @@ class CharacterTable:
         self.k = k
         self.qmax = qmax
         self.delta = conformal_dimension(n, k)
-        self.rows: dict[tuple[int, ...], list[int]] = {}
+        self.rows: dict[tuple[int, ...], list[int] | tuple[int, ...]] = {}
 
     def add(self, weight, degree: int, coeff: int) -> None:
         weight = tuple(weight)
@@ -67,9 +73,12 @@ class CharacterTable:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
         if not 0 <= degree <= self.qmax:
             raise ValueError(f"degree {degree} outside 0..{self.qmax}")
-        if weight not in self.rows:
-            self.rows[weight] = [0] * (self.qmax + 1)
-        self.rows[weight][degree] += coeff
+        row = self.rows.get(weight)
+        if row is None:
+            row = self.rows[weight] = [0] * (self.qmax + 1)
+        elif type(row) is tuple:
+            row = self.rows[weight] = list(row)
+        row[degree] += coeff
 
     def prune(self) -> "CharacterTable":
         self.rows = {w: r for w, r in self.rows.items() if any(r)}
@@ -90,7 +99,13 @@ class CharacterTable:
         return self
 
     def row(self, weight) -> list[int]:
-        return list(self.rows.get(tuple(weight), [0] * (self.qmax + 1)))
+        """The coefficients at `weight` as a new list; zeros at a weight
+        the table does not hold.  A weight of the wrong length raises
+        ValueError, as in `add`."""
+        weight = tuple(weight)
+        if len(weight) != self.n - 1:
+            raise ValueError(f"weight {weight} has wrong length for n={self.n}")
+        return list(self.rows.get(weight, [0] * (self.qmax + 1)))
 
     def first_difference(self, other: "CharacterTable"):
         """None if equal; else (weight, degree, self_coeff, other_coeff)."""
@@ -139,18 +154,20 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     truncation, shifted to the vector's degree (sum c_i^2 - k)/2, the norm
     coming from `lattice_weights` with the weight.  That degree is at most
     qmax, so the rows take only the qmax + 1 values of the shifted series,
-    built once here; every row holds a 1 and none needs pruning.  Each row
-    is its own copy, so that `CharacterTable.add` on one leaves the rest."""
+    built once here; every row holds a 1 and none needs pruning.  Every
+    weight of one degree holds the same immutable tuple, so the table has at
+    most qmax + 1 row objects; `CharacterTable.add` copies a row before it
+    changes it, so an add to one weight leaves the rest."""
     table = CharacterTable(n, k, qmax)
-    power = list(inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs)
-    shifted = [[0] * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
+    power = inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
+    shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
     rows = table.rows
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
     for weight, norm in lattice_weights(n, k, k + 2 * qmax):
         degree2 = norm - k
         assert degree2 % 2 == 0 and degree2 >= 0
         assert weight not in rows, f"weight {weight} met twice"
-        rows[weight] = shifted[degree2 // 2].copy()
+        rows[weight] = shifted[degree2 // 2]
     return table.validate()
 
 
@@ -234,6 +251,20 @@ def spinon_string_function(
     Every denominator is one `inv_pochhammer_product`, cached by its
     multiset of indices, so terms sharing a multiset share one series.
 
+    The alternating form is W-symmetric.  The Weyl group permutes the
+    eps_i, so a Weyl image w(lambda) has (w(lambda), eps_i) =
+    (lambda, eps_{s(i)}) for a permutation s, and its A_i are those of lambda
+    permuted.  The alternating form reads A only through min_i A_i and
+    prod_i (q)_{A_i - m}, both unchanged by any permutation of the A_i, so
+    it is a function of the multiset of the A_i (and qmax; N = sum A_i and
+    n = len(A)).  `_alternating_cut` is therefore memoized on the sorted
+    A_i: the cuts of a whole Weyl orbit are one computation.  The
+    multisum form is not keyed that way.  Its terms read A in order (the
+    exponent A_1 m_1 + ..., the indices A_1, A_2 - S_1, ...), and that it is
+    symmetric at all follows only from its equality with the alternating
+    form, which the `cut-forms` cases check; so it is evaluated at the
+    ordered A of each weight, and each check tests it there.
+
     Returns the zero series when N is in the wrong class or some A_i fails to
     be a non-negative integer.
     """
@@ -246,13 +277,22 @@ def spinon_string_function(
     if a_vals is None:
         return total
     if form == "alternating":
-        for m in range(min(a_vals) + 1):
-            term = inv_pochhammer_product((m, *(a - m for a in a_vals)), qmax)
-            term = term.shift(m * (m - 1) // 2)
-            total = total + (term * (-1 if m % 2 else 1))
-    else:
-        for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0, ()):
-            total = total + term
+        return _alternating_cut(tuple(sorted(a_vals)), qmax)
+    for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0, ()):
+        total = total + term
+    return total
+
+
+@lru_cache(maxsize=None)
+def _alternating_cut(a_sorted: tuple[int, ...], qmax: int) -> QSeries:
+    """The alternating form of `spinon_string_function` at the sorted A_i,
+    one per Weyl orbit (see there); the result is an immutable `QSeries`,
+    so every caller may share it."""
+    total = q_zero(qmax)
+    for m in range(a_sorted[0] + 1):
+        term = inv_pochhammer_product((m, *(a - m for a in a_sorted)), qmax)
+        term = term.shift(m * (m - 1) // 2)
+        total = total + (term * (-1 if m % 2 else 1))
     return total
 
 
@@ -303,6 +343,15 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     (n-1) n|lambda|^2, so no cut with N^2 > (n-1)(2n qmax + n|lambda|^2)
     reaches q^qmax.  The cut just past that N is checked to vanish, and a
     negative coefficient in any cut fails the check.
+
+    Each cut is the alternating form, which depends on the weight only
+    through the multiset of its A_i: a Weyl image of lambda permutes the
+    (lambda, eps_i), hence the A_i, and min_i A_i and prod_i (q)_{A_i - m}
+    do not see the order.  So the weights of one Weyl orbit share their
+    cuts, computed once by the memo of `_alternating_cut`; the checks above
+    still run on every cut, memoized or not.  The multisum form is not used
+    here; it is evaluated at the ordered A_i, never keyed by orbit, because
+    its symmetry is what comparing it with the alternating form tests.
     """
     if weight_class(coords, n) != k % n:
         raise ValueError(f"weight {tuple(coords)} is not in class {k} mod {n}")

@@ -33,6 +33,16 @@ class Partition:
             raise ValueError(f"parts must be positive: {parts}")
         self.parts = parts
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple of ints already positive and weakly
+        decreasing, skipping the checks of `__init__`; only the
+        enumerators of this module, which build their parts valid by
+        construction, call it."""
+        lam = cls.__new__(cls)
+        lam.parts = parts
+        return lam
+
     def __len__(self):
         return len(self.parts)
 
@@ -80,25 +90,57 @@ class Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield all partitions of n (optionally bounding part size and length)."""
+    """Yield all partitions of n (optionally bounding part size and length),
+    in decreasing lexicographic order of their parts."""
     if max_part is None:
         max_part = n
     if max_len is None:
         max_len = n
-    yield from _partitions(n, max_part, max_len, ())
+    yield from _partitions(n, max_part, max_len)
 
 
-def _partitions(remaining: int, cap: int, room: int, prefix: tuple):
-    """Partitions of `remaining` with parts <= cap and at most `room` parts,
-    each yielded after `prefix`.  A module-level generator, not a closure, so
-    that no reference cycle outlives the iteration."""
-    if remaining == 0:
-        yield Partition(prefix)
+def _partitions(n: int, cap: int, room: int):
+    """Partitions of n with parts <= cap and at most `room` parts, in
+    decreasing lexicographic order, enumerated in place on one list of parts
+    used as a stack; each partition is yielded as it is completed, not
+    passed up a chain of nested generators.
+
+    The first is the greedy one, parts of cap and then the remainder; one
+    exists iff n <= cap * room (the empty partition of 0 always does).  The
+    next after `parts` is the largest one below it in that order: it keeps
+    the longest prefix it can and lowers the part after that prefix by one,
+    to v, so the suffix it pops, of sum `rest`, and the one unit it frees
+    must be refilled with parts <= v in the room left.  That is possible iff
+    rest + 1 <= v * (room left), which only gets harder as v falls, and
+    the largest refill is again greedy.  The enumeration ends when no part
+    can be lowered."""
+    if n == 0:
+        yield Partition()
         return
-    if room == 0:
+    if n < 0 or cap < 1 or room < 1:
         return
-    for p in range(min(cap, remaining), 0, -1):
-        yield from _partitions(remaining - p, p, room - 1, prefix + (p,))
+    cap = min(cap, n)
+    if n > cap * room:
+        return
+    whole, rem = divmod(n, cap)
+    parts = [cap] * whole
+    if rem:
+        parts.append(rem)
+    trusted = Partition._trusted
+    while True:
+        yield trusted(tuple(parts))
+        rest = 0
+        while parts:
+            v = parts.pop() - 1
+            if v and rest + 1 <= v * (room - len(parts) - 1):
+                break
+            rest += v + 1
+        else:
+            return
+        whole, rem = divmod(rest + 1, v)
+        parts += [v] * (whole + 1)
+        if rem:
+            parts.append(rem)
 
 
 def all_partitions_upto(n: int):

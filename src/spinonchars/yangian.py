@@ -396,18 +396,25 @@ def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:
 
 def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     """ch = sum_{N = k mod 2} sum_{l(lambda) <= N} q^{N^2/4 + |lambda|}
-    prod h_{m_i^lambda}, graded relative to Delta_k."""
+    prod h_{m_i^lambda}, graded relative to Delta_k.
+
+    prod_i h_{m_i} in two variables, with m_0 = N - l(lambda), depends only
+    on the multiset of the m_i, its class.  So for each N the partitions
+    are counted by (|lambda|, class), and each class's weight projection is
+    added once per size, times its count, instead of once per partition."""
     table = CharacterTable(2, k, qmax)
     for total, base in sl2_spinon_grades(k, qmax):
-        # prod h_{m_i} depends only on the multiset {m_0, m_1, ...}
         projections: dict[tuple[int, ...], dict] = {}
+        counts: dict[tuple[int, tuple[int, ...]], int] = {}
         for size in range(qmax - base + 1):
             for lam in partitions_of(size, max_len=total):
                 key = tuple(sorted([total - len(lam), *lam.multiplicities().values()]))
                 if key not in projections:
                     projections[key] = weight_projection(sl2_hw_character(lam, total))
-                for w, c in projections[key].items():
-                    table.add(w, base + size, c)
+                counts[size, key] = counts.get((size, key), 0) + 1
+        for (size, key), count in counts.items():
+            for w, c in projections[key].items():
+                table.add(w, base + size, c * count)
     return table.prune().validate()
 
 

@@ -1,13 +1,14 @@
 """Level-1 character tables: bosonic lattice sums, string functions, and the
 fermionic spinon forms at rank two."""
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from math import isqrt
 
 import pytest
 
 from spinonchars.affine import (
     CharacterTable,
+    _alternating_cut,
     _spinon_a_values,
     bosonic_character,
     conformal_dimension,
@@ -53,7 +54,7 @@ def test_bosonic_table_pinned_small():
 def test_bosonic_table_weight_reflection_symmetry():
     table = bosonic_character(2, 0, 8)
     for (w,), row in table.rows.items():
-        assert table.row([-w]) == row, w
+        assert table.row([-w]) == list(row), w
 
 
 def test_bosonic_vacuum_weight_zero_row_is_partition_numbers():
@@ -159,6 +160,16 @@ def _chain(indices, qmax):
     return series
 
 
+def _oracle_alternating(a_vals, qmax):
+    """The alternating form at the A_i in the given order, each term built
+    by an explicit chain of inverse Pochhammers."""
+    alternating = q_zero(qmax)
+    for m in range(min(a_vals) + 1):
+        term = _chain([m, *(a - m for a in a_vals)], qmax).shift(m * (m - 1) // 2)
+        alternating = alternating + term * (-1) ** m
+    return alternating
+
+
 def _oracle_cuts(n, k, coords, n_spinons, qmax):
     """Both forms of the N-spinon cut, each term built by an explicit chain
     of inverse Pochhammers: (alternating, multisum)."""
@@ -166,9 +177,7 @@ def _oracle_cuts(n, k, coords, n_spinons, qmax):
     a_vals = _spinon_a_values(n, coords, n_spinons)
     if n_spinons % n != k % n or a_vals is None:
         return alternating, multisum
-    for m in range(min(a_vals) + 1):
-        term = _chain([m, *(a - m for a in a_vals)], qmax).shift(m * (m - 1) // 2)
-        alternating = alternating + term * (-1) ** m
+    alternating = _oracle_alternating(a_vals, qmax)
     # m_1..m_{n-2} with S_j = m_1 + ... + m_j <= N; the term is
     # q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
     # / (prod_j (q)_{A_j - S_{j-1}} (q)_{m_j} (q)_{A_{n-1}-S_{n-2}} (q)_{A_n-S_{n-2}})
@@ -203,6 +212,62 @@ def test_spinon_forms_match_the_explicit_chain_oracle():
                     assert spinon_string_function(
                         n, k, coords, n_spinons, "multisum", qmax) == multisum, case
     assert nonzero > 100
+
+
+def test_alternating_cut_is_constant_on_weyl_orbits():
+    """The premise of the orbit memo of `_alternating_cut`.  For n = 2..5,
+    each orbit of a vector c with entries in -1..1 summing to k, and
+    N = k + jn (j = 0..2): at every permutation of c, a Weyl image of the
+    weight exps_to_fw(c) with its A_i = j + c_i permuted alike, the
+    alternating form built term by term at the ordered A_i, without the
+    memo, is one series; the multisum form at those ordered A_i equals it;
+    and `spinon_string_function` returns it with the memo cold and warm."""
+    qmax = 6
+    moved = 0
+    for n in range(2, 6):
+        for k in range(n):
+            reps = {tuple(sorted(c)) for c in product((-1, 0, 1), repeat=n)
+                    if sum(c) == k}
+            for rep in sorted(reps):
+                images = sorted(set(permutations(rep)))
+                for j in range(3):
+                    n_spinons = k + j * n
+                    cuts = set()
+                    for vec in images:
+                        coords = exps_to_fw(vec)
+                        a_vals = _spinon_a_values(n, coords, n_spinons)
+                        if min(vec) + j < 0:
+                            assert a_vals is None
+                            continue
+                        assert a_vals == [j + c for c in vec]
+                        cut = _oracle_alternating(a_vals, qmax)
+                        cuts.add(cut)
+                        case = (n, k, vec, n_spinons)
+                        assert spinon_string_function(
+                            n, k, coords, n_spinons, "multisum", qmax) == cut, case
+                        _alternating_cut.cache_clear()
+                        for _ in ("cold", "warm"):
+                            assert spinon_string_function(
+                                n, k, coords, n_spinons, "alternating", qmax) == cut, case
+                    assert len(cuts) <= 1, (n, k, rep, n_spinons)
+                    if len(images) > 1 and cuts and not cuts.pop().is_zero():
+                        moved += 1
+    assert moved > 20
+
+
+def test_spinon_cut_verdicts_do_not_depend_on_the_memo():
+    """`verify_spinon_cut` gives each weight of the spinon-cut census, at
+    ranks 2-5 to q^8, the same verdict with the memo of `_alternating_cut`
+    cleared before the call as with the memo warm from every other weight."""
+    census = [(n, k, coords) for n in range(2, 6) for k in range(n)
+              for coords in small_norm_weights(n, k)]
+    cold = []
+    for n, k, coords in census:
+        _alternating_cut.cache_clear()
+        cold.append(verify_spinon_cut(n, k, coords, 8))
+    warm = [verify_spinon_cut(n, k, coords, 8) for n, k, coords in census]
+    assert cold == warm
+    assert all(cold)
 
 
 def test_spinon_cut_reconstructs_string_functions():
@@ -284,15 +349,34 @@ def test_table_validation_rejects_a_negative_coefficient():
 
 
 def test_bosonic_rows_are_independent():
-    """The rows share the qmax + 1 shifted series as values, not as lists:
-    adding to one row leaves every other row as it was."""
+    """The rows share the qmax + 1 shifted series as tuples: adding to one
+    row leaves every other row as it was."""
     table = bosonic_character(3, 0, 4)
     before = {w: list(row) for w, row in table.rows.items()}
     for w in before:
         table.add(w, 4, 1)
         assert table.rows[w] == before[w][:4] + [before[w][4] + 1], w
-        assert all(table.rows[v] == row for v, row in before.items() if v != w), w
+        assert all(list(table.rows[v]) == row for v, row in before.items() if v != w), w
         table.add(w, 4, -1)
+
+
+def test_bosonic_rows_are_shared_by_degree():
+    """Every weight of one degree holds the same row object, so the 2 691
+    rows of (6, 0, 8) are at most qmax + 1 objects."""
+    table = bosonic_character(6, 0, 8)
+    assert len(table.rows) == 2691
+    assert len({id(row) for row in table.rows.values()}) <= 8 + 1
+
+
+def test_table_row_rejects_a_weight_of_the_wrong_length():
+    """`row`, like `add`, refuses a weight of the wrong length instead of
+    reading it as a weight the table does not hold."""
+    table = bosonic_character(3, 0, 2)
+    assert table.row([0, 0]) == [1, 2, 5]
+    assert table.row([1, 0]) == [0, 0, 0]
+    for weight in ([0], [0, 0, 0], ()):
+        with pytest.raises(ValueError, match="wrong length for n=3"):
+            table.row(weight)
 
 
 def test_table_first_difference_locates_discrepancy():

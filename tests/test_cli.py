@@ -53,7 +53,7 @@ def test_char_json_has_the_indent_2_layout(capsys):
                     table = _build_table(kind, n, k, qmax)
                     assert out == json.dumps(table.to_json_dict(), indent=2) + "\n"
                     rows = [(tuple(r["weight"]), r["coeffs"]) for r in data["rows"]]
-                    assert rows == sorted(table.rows.items()), argv
+                    assert rows == [(w, list(row)) for w, row in sorted(table.rows.items())], argv
 
 
 def test_char_builders_return_no_zero_row():
@@ -133,6 +133,31 @@ def test_char_output_bytes_pinned(capsys, fmt, digest):
                            "--k", "1", "--qmax", "6", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["sl2-yangian", "spinon-enum"])
+def test_char_sl2_json_bytes_pinned_deep(capsys, kind):
+    """The sha256 of `char --format json` at (n, k, qmax) = (2, 1, 36), as
+    printed before the sl2 Yangian sum was grouped by multiplicity class
+    and partitions were enumerated on one stack."""
+    code, out, _ = run_cli(capsys, "char", "--kind", kind, "--n", "2", "--k", "1",
+                           "--qmax", "36", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2277a55f1879111e1e910deab630de4a0e3f93266d8d48fefe635f4dcac84e4c")
+
+
+def test_verify_spinon_cut_results_pinned(capsys):
+    """The sha256 of the (id, passed, locus) list of `verify --suite
+    spinon-cut --qmax 20`, as reported before the alternating cuts were
+    memoized by Weyl orbit; the case timings vary and are left out."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spinon-cut", "--qmax", "20",
+                           "--format", "json")
+    assert code == 0
+    results = [[c["id"], c["pass"], c["locus"]] for c in json.loads(out)["cases"]]
+    assert len(results) == 633
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "77c91f84e579bcc70dadb7712aecadde665d0f66a39c2ea6013c6512db6f0315")
 
 
 def test_char_rank_one_is_usage_error(capsys):

@@ -58,6 +58,43 @@ def test_partitions_of_respects_bounds():
         assert len(p) <= 4 and (not p.parts or p.parts[0] <= 3)
 
 
+def _brute_partitions(n):
+    """Every partition of n, in decreasing lexicographic order: the weakly
+    decreasing ones among the 2^(n-1) compositions of n, each read off the
+    set of cut points it is, sorted."""
+    found = []
+    for cuts in range(1 << max(n - 1, 0)):
+        parts, start = [], 0
+        for i in range(1, n):
+            if cuts >> (i - 1) & 1:
+                parts.append(i - start)
+                start = i
+        if n:
+            parts.append(n - start)
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            found.append(tuple(parts))
+    return sorted(found, reverse=True)
+
+
+def test_partitions_of_matches_the_brute_force_sequence():
+    """For n <= 15 and every max_part and max_len in 0..n+1 or None, the
+    exact sequence, order included, is the brute-force one filtered by the
+    bounds; each item is a valid `Partition`.  The empty partition of 0 is
+    yielded whatever the bounds, also at max_len = 0."""
+    assert list(partitions_of(0, max_len=0)) == [Partition()]
+    for n in range(16):
+        every = _brute_partitions(n)
+        for max_part in (None, *range(n + 2)):
+            for max_len in (None, *range(n + 2)):
+                got = list(partitions_of(n, max_part=max_part, max_len=max_len))
+                expected = [p for p in every
+                            if (max_len is None or len(p) <= max_len)
+                            and (max_part is None or not p or p[0] <= max_part)]
+                assert [lam.parts for lam in got] == expected, (n, max_part, max_len)
+                for lam in got:
+                    assert type(lam) is Partition and lam == Partition(lam.parts)
+
+
 def test_containment():
     assert Partition([3, 2]).contains(Partition([2, 2]))
     assert not Partition([3, 2]).contains(Partition([1, 1, 1]))
