@@ -344,14 +344,9 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     reaches q^qmax.  The cut just past that N is checked to vanish, and a
     negative coefficient in any cut fails the check.
 
-    Each cut is the alternating form, which depends on the weight only
-    through the multiset of its A_i: a Weyl image of lambda permutes the
-    (lambda, eps_i), hence the A_i, and min_i A_i and prod_i (q)_{A_i - m}
-    do not see the order.  So the weights of one Weyl orbit share their
-    cuts, computed once by the memo of `_alternating_cut`; the checks above
-    still run on every cut, memoized or not.  The multisum form is not used
-    here; it is evaluated at the ordered A_i, never keyed by orbit, because
-    its symmetry is what comparing it with the alternating form tests.
+    The cuts of one Weyl orbit are shared through the memo of
+    `_alternating_cut` (see `spinon_string_function`), and the checks above
+    still run on every cut.
     """
     if weight_class(coords, n) != k % n:
         raise ValueError(f"weight {tuple(coords)} is not in class {k} mod {n}")

@@ -75,10 +75,8 @@ def _write_table(table, fmt: str, out) -> None:
     the standard encoder falls back to pure Python when indenting, so the
     layout is written here instead: every row has as many weight coordinates
     and coefficients as the next, so one `%` template per table lays out a
-    row.  Each row object is laid out once, looked up by identity, so rows
-    a builder shares (`affine.bosonic_character`) cost one lookup each; and
-    each distinct coefficient list is laid out once, so equal rows held by
-    distinct objects (the Yangian tables) share one text too."""
+    row, and each distinct coefficient list is laid out once.  A tuple row
+    (`affine.bosonic_character` shares one per degree) is its own key."""
     if fmt == "json":
         delta = f"{table.delta.numerator}/{table.delta.denominator}"
         out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
@@ -86,17 +84,13 @@ def _write_table(table, fmt: str, out) -> None:
         row_text = ('%s    {\n      "weight": ' + _json_int_list(table.n - 1)
                     + ',\n      "coeffs": %s\n    }')
         coeffs_text = _json_int_list(table.qmax + 1)
-        by_value: dict[tuple[int, ...], str] = {}
-        by_object: dict[int, str] = {}  # the rows outlive the loop: ids stay unique
+        laid_out: dict[tuple[int, ...], str] = {}
         sep = '  "rows": [\n'
         for w, coeffs in _sorted_rows(table):
-            text = by_object.get(id(coeffs))
+            key = tuple(coeffs)
+            text = laid_out.get(key)
             if text is None:
-                key = tuple(coeffs)
-                text = by_value.get(key)
-                if text is None:
-                    text = by_value[key] = coeffs_text % key
-                by_object[id(coeffs)] = text
+                text = laid_out[key] = coeffs_text % key
             out.write(row_text % (sep, *w, text))
             sep = ",\n"
         out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')

@@ -90,30 +90,23 @@ class Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield all partitions of n (optionally bounding part size and length),
-    in decreasing lexicographic order of their parts."""
-    if max_part is None:
-        max_part = n
-    if max_len is None:
-        max_len = n
-    yield from _partitions(n, max_part, max_len)
+    """Yield all partitions of n with parts <= max_part and at most max_len
+    parts (no bound when None), in decreasing lexicographic order of their
+    parts.  A negative bound yields no partition of n > 0.
 
-
-def _partitions(n: int, cap: int, room: int):
-    """Partitions of n with parts <= cap and at most `room` parts, in
-    decreasing lexicographic order, enumerated in place on one list of parts
-    used as a stack; each partition is yielded as it is completed, not
-    passed up a chain of nested generators.
-
-    The first is the greedy one, parts of cap and then the remainder; one
-    exists iff n <= cap * room (the empty partition of 0 always does).  The
-    next after `parts` is the largest one below it in that order: it keeps
-    the longest prefix it can and lowers the part after that prefix by one,
-    to v, so the suffix it pops, of sum `rest`, and the one unit it frees
-    must be refilled with parts <= v in the room left.  That is possible iff
-    rest + 1 <= v * (room left), which only gets harder as v falls, and
-    the largest refill is again greedy.  The enumeration ends when no part
-    can be lowered."""
+    They are enumerated in place on one list of parts used as a stack; each
+    partition is yielded as it is completed, not passed up a chain of nested
+    generators.  The first is the greedy one, parts of cap = max_part and
+    then the remainder; one exists iff n <= cap * room, room = max_len (the
+    empty partition of 0 always does).  The next after `parts` is the
+    largest one below it in that order: it keeps the longest prefix it can
+    and lowers the part after that prefix by one, to v, so the suffix it
+    pops, of sum `rest`, and the one unit it frees must be refilled with
+    parts <= v in the room left.  That is possible iff rest + 1 <= v * (room
+    left), which only gets harder as v falls, and the largest refill is
+    again greedy.  The enumeration ends when no part can be lowered."""
+    cap = n if max_part is None else max_part
+    room = n if max_len is None else max_len
     if n == 0:
         yield Partition()
         return

@@ -77,18 +77,19 @@ def _brute_partitions(n):
 
 
 def test_partitions_of_matches_the_brute_force_sequence():
-    """For n <= 15 and every max_part and max_len in 0..n+1 or None, the
-    exact sequence, order included, is the brute-force one filtered by the
-    bounds; each item is a valid `Partition`.  The empty partition of 0 is
-    yielded whatever the bounds, also at max_len = 0."""
+    """For n <= 15, every max_part in 0..n+1 or None and every max_len in
+    -1..n+1 or None, the exact sequence, order included, is the brute-force
+    one filtered by the bounds; each item is a valid `Partition`.  The empty
+    partition of 0 is yielded whatever the bounds, also at max_len = 0 and
+    -1; a negative max_len yields no partition of n > 0."""
     assert list(partitions_of(0, max_len=0)) == [Partition()]
     for n in range(16):
         every = _brute_partitions(n)
         for max_part in (None, *range(n + 2)):
-            for max_len in (None, *range(n + 2)):
+            for max_len in (None, *range(-1, n + 2)):
                 got = list(partitions_of(n, max_part=max_part, max_len=max_len))
                 expected = [p for p in every
-                            if (max_len is None or len(p) <= max_len)
+                            if (max_len is None or not p or len(p) <= max_len)
                             and (max_part is None or not p or p[0] <= max_part)]
                 assert [lam.parts for lam in got] == expected, (n, max_part, max_len)
                 for lam in got:
