@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from operator import mul
+from itertools import accumulate, count
+from operator import itemgetter, mul, sub
 
-from .partitions import partitions_of
+from .partitions import partition_counts
 from .qseries import QSeries, inv_pochhammer_product, q_zero
 
 
@@ -48,13 +48,78 @@ def weight_class(coords, n: int) -> int:
     return sum(map(mul, count(1), coords)) % n
 
 
-class CharacterTable:
-    """Weight -> coefficient array, graded relative to q^delta.
+def dominant_weight(weight) -> tuple[int, ...]:
+    """The dominant weight (every coordinate >= 0) of the Weyl orbit of
+    `weight`.  With c_n = 0 and c_i = m_i + ... + m_{n-1}, a weight is
+    (c_1 - c_2, ..., c_{n-1} - c_n); the Weyl group S_n permutes the c_i,
+    and the weight of an arrangement is dominant exactly when it is weakly
+    decreasing."""
+    c = sorted(accumulate(reversed(weight), initial=0), reverse=True)
+    return tuple(map(sub, c, c[1:]))
 
-    A row is a list or a tuple.  Builders may give several weights one
-    shared immutable tuple (`bosonic_character` does); `add` copies such a
-    row into a list of its own before changing it, so changing one weight's
-    row never changes another's."""
+
+def orbit_size(dominant) -> int:
+    """The number of weights in the orbit of a dominant weight: the n!
+    arrangements of its c (see `dominant_weight`) over the r! orderings of
+    each run of r equal entries, which is a run of r - 1 zero coordinates."""
+    size, run = math.factorial(len(dominant) + 1), 1
+    for m in dominant:
+        run = run + 1 if m == 0 else 1
+        size //= run
+    return size
+
+
+def _arrangements(values: tuple[int, ...], memo: dict) -> dict[int, list[tuple[int, ...]]]:
+    """The distinct arrangements a of the sorted tuple `values`, grouped by
+    their first entry: a_1 -> the weights (a_1 - a_2, ..., a_{r-1} - a_r).
+    An arrangement that starts with v is v followed by one of the rest, so
+    its weight is (v - f, *w) for a group f -> w of the rest.  Removing the
+    same entries in any order leaves the same rest, and `memo` builds the
+    groups of each rest once."""
+    groups = memo.get(values)
+    if groups is not None:
+        return groups
+    if len(values) == 1:
+        groups = {values[0]: [()]}
+    else:
+        groups = {}
+        for i, v in enumerate(values):
+            if i and v == values[i - 1]:
+                continue
+            weights = groups[v] = []
+            for f, rest in _arrangements(values[:i] + values[i + 1:], memo).items():
+                head = (v - f,)
+                weights += [head + w for w in rest]
+    memo[values] = groups
+    return groups
+
+
+def _expand(pairs) -> list:
+    """(w, value) for every weight w of the orbit of each (dominant weight,
+    value) pair: the weights of the arrangements of its c (see
+    `dominant_weight`; c_n, ..., c_1 is sorted, since the key is dominant),
+    one tuple each, through one memo of `_arrangements` shared by all the
+    orbits."""
+    memo: dict = {}
+    return [(w, value) for key, value in pairs
+            for weights in _arrangements(tuple(accumulate(reversed(key), initial=0)),
+                                         memo).values()
+            for w in weights]
+
+
+class CharacterTable:
+    """Weight -> coefficient array, graded relative to q^delta, kept as one
+    row per Weyl orbit.
+
+    A level-1 character is W-invariant, so its string functions are
+    constant on each orbit of the Weyl group (Kac, Infinite-dimensional Lie
+    algebras, ch. 12).  `orbits` maps the dominant weight of each orbit to
+    the row that every weight of the orbit holds; `row` reads any weight
+    through its orbit, and `items` expands the orbits to one (weight, row)
+    pair per weight.  A row is a list or a tuple, and builders may give
+    several orbits one shared immutable tuple (`bosonic_character` does);
+    `add` copies such a row into a list of its own before changing it, so
+    changing one orbit's row never changes another's."""
 
     def __init__(self, n: int, k: int, qmax: int):
         if not 0 <= k < n:
@@ -65,60 +130,102 @@ class CharacterTable:
         self.k = k
         self.qmax = qmax
         self.delta = conformal_dimension(n, k)
-        self.rows: dict[tuple[int, ...], list[int] | tuple[int, ...]] = {}
+        self.orbits: dict[tuple[int, ...], list[int] | tuple[int, ...]] = {}
+
+    @classmethod
+    def from_weights(cls, n: int, k: int, qmax: int, rows) -> "CharacterTable":
+        """The table holding `rows[w]` at each weight w of the dict `rows`
+        and zeros at every other weight, with its all-zero rows dropped.
+        Raises AssertionError unless that is W-invariant: two weights of one
+        orbit hold different rows, or an orbit holds a row that is not zero
+        at only some of its weights."""
+        table = cls(n, k, qmax)
+        orbits, held = table.orbits, {}
+        for w, row in rows.items():
+            if len(w) != n - 1:
+                raise ValueError(f"weight {w} has wrong length for n={n}")
+            row = list(row)
+            if not any(row):
+                continue
+            key = dominant_weight(w)
+            first = orbits.setdefault(key, row)
+            if first != row:
+                raise AssertionError(
+                    f"not W-invariant: weights {w} and {key} of one orbit hold "
+                    f"{row} and {first}")
+            held[key] = held.get(key, 0) + 1
+        for key, count in held.items():
+            if count != orbit_size(key):
+                raise AssertionError(
+                    f"not W-invariant: the orbit of {key} holds a row at {count} "
+                    f"of its {orbit_size(key)} weights")
+        return table
 
     def add(self, weight, degree: int, coeff: int) -> None:
+        """Add coeff * q^degree at every weight of the orbit of `weight`."""
         weight = tuple(weight)
         if len(weight) != self.n - 1:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
         if not 0 <= degree <= self.qmax:
             raise ValueError(f"degree {degree} outside 0..{self.qmax}")
-        row = self.rows.get(weight)
+        key = dominant_weight(weight)
+        row = self.orbits.get(key)
         if row is None:
-            row = self.rows[weight] = [0] * (self.qmax + 1)
+            row = self.orbits[key] = [0] * (self.qmax + 1)
         elif type(row) is tuple:
-            row = self.rows[weight] = list(row)
+            row = self.orbits[key] = list(row)
         row[degree] += coeff
 
     def prune(self) -> "CharacterTable":
-        self.rows = {w: r for w, r in self.rows.items() if any(r)}
+        self.orbits = {w: r for w, r in self.orbits.items() if any(r)}
         return self
 
     def validate(self) -> "CharacterTable":
-        """Class membership and non-negativity of every coefficient.  Each
-        check runs over all rows at once; a row is looked up only to name it
-        in the error when its check fails."""
-        n, k, rows = self.n, self.k, self.rows
-        labels = range(1, n)
-        wrong = [w for w in rows if sum(map(mul, labels, w)) % n != k]
-        if wrong:
-            raise AssertionError(f"weight {wrong[0]} not in class {k} mod {n}")
-        if rows and min(map(min, rows.values())) < 0:
-            w = next(w for w, row in rows.items() if min(row) < 0)
-            raise AssertionError(f"negative multiplicity at weight {w}: {rows[w]}")
+        """Class membership and non-negativity of every coefficient, checked
+        once per orbit: the Weyl group moves a weight by roots, which are
+        in class 0, and every weight of an orbit holds the orbit's row.  A
+        failure names the orbit's dominant weight."""
+        n, k = self.n, self.k
+        for w, row in self.orbits.items():
+            if weight_class(w, n) != k:
+                raise AssertionError(f"weight {w} not in class {k} mod {n}")
+            if min(row) < 0:
+                raise AssertionError(f"negative multiplicity at weight {w}: {list(row)}")
         return self
 
     def row(self, weight) -> list[int]:
-        """The coefficients at `weight` as a new list; zeros at a weight
-        the table does not hold.  A weight of the wrong length raises
-        ValueError, as in `add`."""
+        """The coefficients at `weight`, the row of its orbit, as a new
+        list; zeros at a weight the table does not hold.  A weight of the
+        wrong length raises ValueError, as in `add`."""
         weight = tuple(weight)
         if len(weight) != self.n - 1:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
-        return list(self.rows.get(weight, [0] * (self.qmax + 1)))
+        return list(self.orbits.get(dominant_weight(weight), [0] * (self.qmax + 1)))
+
+    def items(self) -> list[tuple[tuple[int, ...], list[int] | tuple[int, ...]]]:
+        """(weight, row) for every weight of every orbit, in weight order;
+        the weights of one orbit share the orbit's row object."""
+        pairs = _expand(self.orbits.items())
+        pairs.sort(key=itemgetter(0))  # the int-tuple keys sort fastest
+        return pairs
 
     def first_difference(self, other: "CharacterTable"):
-        """None if equal; else (weight, degree, self_coeff, other_coeff)."""
+        """None if equal; else (weight, degree, self_coeff, other_coeff) at
+        the first weight in sorted order whose rows differ.  Rows are
+        compared once per orbit, and only the orbits that differ are
+        expanded to find that weight."""
         if (self.n, self.k, self.qmax, self.delta) != (
             other.n, other.k, other.qmax, other.delta,
         ):
             return ((), -1, None, None)
-        for w in sorted(set(self.rows) | set(other.rows)):
-            a, b = self.row(w), other.row(w)
-            for d in range(self.qmax + 1):
-                if a[d] != b[d]:
-                    return (w, d, a[d], b[d])
-        return None
+        differ = [key for key in self.orbits.keys() | other.orbits.keys()
+                  if self.row(key) != other.row(key)]
+        if not differ:
+            return None
+        w, key = min(_expand((key, key) for key in differ))
+        a, b = self.row(key), other.row(key)
+        d = next(d for d in range(self.qmax + 1) if a[d] != b[d])
+        return (w, d, a[d], b[d])
 
     def __eq__(self, other):
         if not isinstance(other, CharacterTable):
@@ -131,16 +238,13 @@ class CharacterTable:
             "k": self.k,
             "delta": f"{self.delta.numerator}/{self.delta.denominator}",
             "qmax": self.qmax,
-            "rows": [
-                {"weight": list(w), "coeffs": list(self.rows[w])}
-                for w in sorted(self.rows)
-            ],
+            "rows": [{"weight": list(w), "coeffs": list(row)} for w, row in self.items()],
         }
 
     def __repr__(self):
         return (
             f"CharacterTable(n={self.n}, k={self.k}, qmax={self.qmax}, "
-            f"delta={self.delta}, nrows={len(self.rows)})"
+            f"delta={self.delta}, norbits={len(self.orbits)})"
         )
 
 
@@ -151,32 +255,36 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
 
     Given sum c_i = k, the weight determines the vector, so each row is one
     copy of the series 1/(q)_inf^{n-1}, which is 1/(q)_qmax^{n-1} below the
-    truncation, shifted to the vector's degree (sum c_i^2 - k)/2, the norm
-    coming from `lattice_weights` with the weight.  That degree is at most
-    qmax, so the rows take only the qmax + 1 values of the shifted series,
-    built once here; every row holds a 1 and none needs pruning.  Every
-    weight of one degree holds the same immutable tuple, so the table has at
-    most qmax + 1 row objects; `CharacterTable.add` copies a row before it
-    changes it, so an add to one weight leaves the rest."""
+    truncation, shifted to the vector's degree (sum c_i^2 - k)/2.  That
+    degree is at most qmax, so the rows take only the qmax + 1 values of
+    the shifted series, built once here; every row holds a 1 and none needs
+    pruning.  A permutation of c keeps its sum and its norm and moves its
+    weight along the Weyl orbit, and the orbit's dominant weight is that of
+    the weakly decreasing arrangement (see `dominant_weight`), so only those
+    vectors are enumerated, one per orbit.  Every orbit of one degree holds
+    the same immutable tuple, so the table has at most qmax + 1 row
+    objects; `CharacterTable.add` copies a row before it changes it."""
     table = CharacterTable(n, k, qmax)
     power = inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
     shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
-    rows = table.rows
+    orbits = table.orbits
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
-    for weight, norm in lattice_weights(n, k, k + 2 * qmax):
+    for weight, norm in lattice_weights(n, k, k + 2 * qmax, dominant=True):
         degree2 = norm - k
         assert degree2 % 2 == 0 and degree2 >= 0
-        assert weight not in rows, f"weight {weight} met twice"
-        rows[weight] = shifted[degree2 // 2]
+        assert weight not in orbits, f"weight {weight} met twice"
+        orbits[weight] = shifted[degree2 // 2]
     return table.validate()
 
 
-def lattice_weights(length: int, total: int,
-                    max_sq: int) -> list[tuple[tuple[int, ...], int]]:
+def lattice_weights(length: int, total: int, max_sq: int,
+                    dominant: bool = False) -> list[tuple[tuple[int, ...], int]]:
     """Every integer vector (c_1..c_n), n = `length`, with entries summing to
     `total` and squares summing to at most `max_sq`, as the pair of its
     weight (c_1-c_2, ..., c_{n-1}-c_n) and its norm sum c_i^2, in
-    lexicographic order of the vectors.
+    lexicographic order of the vectors.  With `dominant`, only the weakly
+    decreasing vectors, whose weights are the dominant ones: each entry
+    after the first is at most the one before it.
 
     By Cauchy-Schwarz, r entries summing to t with squares summing to at most
     R exist over the reals only if t^2 <= r R; an entry c is tried only if the
@@ -193,34 +301,37 @@ def lattice_weights(length: int, total: int,
     for c in range(-bound, bound + 1):
         left = max_sq - c * c
         if (total - c) ** 2 <= (length - 1) * left:
-            _lattice_weights(length - 1, total - c, left, c, (), c * c, out)
+            _lattice_weights(length - 1, total - c, left, c, (), c * c, out, dominant)
     return out
 
 
-def _lattice_weights(length, total, left, prev, weight, norm, out):
+def _lattice_weights(length, total, left, prev, weight, norm, out, dominant):
     """Append to `out` the pairs of `lattice_weights` for the vectors that
     end in `length` entries summing to `total` with squares summing to at
     most `left`, after a prefix whose last entry is `prev`, whose weight
-    coordinates are `weight` and whose squares sum to `norm`; the caller has
-    checked total^2 <= length * left.  A module-level function, not a
-    closure, so that no reference cycle outlives the sum."""
+    coordinates are `weight` and whose squares sum to `norm`; with
+    `dominant`, no entry exceeds the one before it.  The caller has checked
+    total^2 <= length * left.  A module-level function, not a closure, so
+    that no reference cycle outlives the sum."""
     if length == 1:
-        out.append((weight + (prev - total,), norm + total * total))
+        if not (dominant and total > prev):
+            out.append((weight + (prev - total,), norm + total * total))
         return
     bound = math.isqrt(left)
+    top = min(bound, prev) if dominant else bound
     if length == 2:
-        for c in range(-bound, bound + 1):
+        for c in range(-bound, top + 1):
             last = total - c
             sq = c * c + last * last
-            if sq <= left:
+            if sq <= left and not (dominant and last > c):
                 out.append((weight + (prev - c, c - last), norm + sq))
         return
     rest = length - 1
-    for c in range(-bound, bound + 1):
+    for c in range(-bound, top + 1):
         c2 = c * c
         if (total - c) ** 2 <= rest * (left - c2):
             _lattice_weights(rest, total - c, left - c2, c, weight + (prev - c,),
-                             norm + c2, out)
+                             norm + c2, out, dominant)
 
 
 def _spinon_a_values(n: int, coords, n_spinons: int):
@@ -389,23 +500,26 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
                  at weight 2(m1-m2)+k  (prefactor q^{k^2/4} = q^{Delta_k});
     spinon form: sum over m1,m2 >= 0 with m1+m2 = k mod 2 of
                  q^{(m1+m2)^2/4} / ((q)_m1 (q)_m2) at weight m1-m2.
+    Both are summed weight by weight and folded into orbits by
+    `CharacterTable.from_weights`, which checks that the sum is W-invariant.
     """
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     if form not in ("root", "spinon"):
         raise ValueError(f"unknown form {form!r}")
-    table = CharacterTable(2, k, qmax)
     if form == "root":
         terms = _root_form_terms(k, qmax)
     else:
         terms = ((m1, total - m1, grade, (2 * m1 - total,))
                  for total, grade in sl2_spinon_grades(k, qmax)
                  for m1 in range(total + 1))
+    rows: dict[tuple[int], list[int]] = {}
     for m1, m2, degree0, weight in terms:
         series = inv_pochhammer_product((m1, m2), qmax)
+        row = rows.setdefault(weight, [0] * (qmax + 1))
         for d in range(degree0, qmax + 1):
-            table.add(weight, d, series[d - degree0])
-    return table.prune().validate()
+            row[d] += series[d - degree0]
+    return CharacterTable.from_weights(2, k, qmax, rows).validate()
 
 
 def _root_form_terms(k: int, qmax: int):
@@ -438,26 +552,24 @@ def _root_form_terms(k: int, qmax: int):
 
 def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
     """Enumerate the sl_2 spinon basis: M1+M2 spinons with weakly increasing
-    non-negative modes, energy (M1+M2)^2/4 + sum of modes, weight M1-M2."""
+    non-negative modes, energy (M1+M2)^2/4 + sum of modes, weight M1-M2.
+
+    The mode multisets of M spinons with modes summing to s are the
+    partitions of s with at most M parts (zeros padded), so the states of
+    each (M1, M2) are counted by `partitions.partition_counts` without
+    building a partition.  The counts are summed weight by weight and folded
+    into orbits by `CharacterTable.from_weights`, which checks that the sum
+    is W-invariant."""
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
-    table = CharacterTable(2, k, qmax)
+    rows: dict[tuple[int], list[int]] = {}
     for total, base in sl2_spinon_grades(k, qmax):
         budget = qmax - base
-        # mode multisets of M spinons = partitions with at most M parts (zeros
-        # padded); each partition is enumerated once and counted, by its
-        # length l, for every M >= l
-        at_most = [[0] * (budget + 1) for _ in range(total + 1)]
-        for size in range(budget + 1):
-            for lam in partitions_of(size, max_len=total):
-                at_most[len(lam)][size] += 1
-        for length in range(1, total + 1):
-            at_most[length] = [
-                a + b for a, b in zip(at_most[length - 1], at_most[length])
-            ]
+        at_most = partition_counts(total, budget)
         for m1_count in range(total + 1):
             m2_count = total - m1_count
             weight = (m1_count - m2_count,)
+            row = rows.setdefault(weight, [0] * (qmax + 1))
             for e1 in range(budget + 1):
                 c1 = at_most[m1_count][e1]
                 if c1 == 0:
@@ -465,5 +577,5 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
                 for e2 in range(budget - e1 + 1):
                     c2 = at_most[m2_count][e2]
                     if c2:
-                        table.add(weight, base + e1 + e2, c1 * c2)
-    return table.prune().validate()
+                        row[base + e1 + e2] += c1 * c2
+    return CharacterTable.from_weights(2, k, qmax, rows).validate()

@@ -54,11 +54,16 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
     return yangian.sl2_yangian_decomposition(k, qmax)
 
 
-def _sorted_rows(table):
-    """The table's rows as (weight, coeffs), in weight order; every table
-    builder has already pruned its all-zero rows."""
-    rows = table.rows
-    return ((w, rows[w]) for w in sorted(rows))
+def _laid_out(table, layout):
+    """(weight, layout(row)) for every weight of the table, in weight order.
+    The weights of one orbit share its row object (`CharacterTable.items`),
+    so `layout` runs once per row object: once per orbit at most."""
+    texts: dict[int, object] = {}
+    for w, row in table.items():
+        text = texts.get(id(row))
+        if text is None:
+            text = texts[id(row)] = layout(row)
+        yield w, text
 
 
 def _json_int_list(count: int) -> str:
@@ -70,13 +75,14 @@ def _json_int_list(count: int) -> str:
 
 
 def _write_table(table, fmt: str, out) -> None:
-    """Write the table to `out` row by row, each line ending in a newline.
+    """Write the table to `out` weight by weight, each line ending in a
+    newline; every table builder has already pruned its all-zero rows.
     `json` has the layout of `json.dumps(table.to_json_dict(), indent=2)`;
     the standard encoder falls back to pure Python when indenting, so the
     layout is written here instead: every row has as many weight coordinates
     and coefficients as the next, so one `%` template per table lays out a
-    row, and each distinct coefficient list is laid out once.  A tuple row
-    (`affine.bosonic_character` shares one per degree) is its own key."""
+    row.  In every format the text of an orbit's coefficients is laid out
+    once and written at each of its weights."""
     if fmt == "json":
         delta = f"{table.delta.numerator}/{table.delta.denominator}"
         out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
@@ -84,29 +90,24 @@ def _write_table(table, fmt: str, out) -> None:
         row_text = ('%s    {\n      "weight": ' + _json_int_list(table.n - 1)
                     + ',\n      "coeffs": %s\n    }')
         coeffs_text = _json_int_list(table.qmax + 1)
-        laid_out: dict[tuple[int, ...], str] = {}
         sep = '  "rows": [\n'
-        for w, coeffs in _sorted_rows(table):
-            key = tuple(coeffs)
-            text = laid_out.get(key)
-            if text is None:
-                text = laid_out[key] = coeffs_text % key
+        for w, text in _laid_out(table, lambda row: coeffs_text % tuple(row)):
             out.write(row_text % (sep, *w, text))
             sep = ",\n"
         out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')
     elif fmt == "csv":
         header = [f"w{i}" for i in range(1, table.n)] + ["qdegree", "coeff"]
         out.write(",".join(header) + "\n")
-        for w, coeffs in _sorted_rows(table):
-            prefix = "".join(f"{x}," for x in w)
-            out.write("".join(f"{prefix}{d},{c}\n"
-                              for d, c in enumerate(coeffs) if c))
+        # a weight's lines are its prefix joined to ["", "d,c\n", ...]
+        for w, lines in _laid_out(table, lambda row: ["", *(
+                f"{d},{c}\n" for d, c in enumerate(row) if c)]):
+            out.write("".join(f"{x}," for x in w).join(lines))
     else:
         out.write(f"n={table.n} k={table.k} qmax={table.qmax} "
                   f"delta={table.delta.numerator}/{table.delta.denominator}\n")
-        for w, coeffs in _sorted_rows(table):
-            terms = " + ".join(f"{c}*q^{d}" for d, c in enumerate(coeffs) if c)
-            out.write(f"weight {w}: {terms or '0'}\n")
+        for w, terms in _laid_out(table, lambda row: " + ".join(
+                f"{c}*q^{d}" for d, c in enumerate(row) if c) or "0"):
+            out.write(f"weight {w}: {terms}\n")
 
 
 # ---------------------------------------------------------------------------

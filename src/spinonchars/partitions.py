@@ -136,6 +136,26 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
             parts.append(rem)
 
 
+def partition_counts(max_len: int, max_size: int) -> list[list[int]]:
+    """counts[l][s], the number of partitions of s with at most l parts, for
+    0 <= l <= max_len and 0 <= s <= max_size, without building a partition.
+
+    Row 0 counts only the empty partition of 0.  For l >= 1,
+    p(s, <=l) = p(s, <=l-1) + p(s-l, <=l): a partition of s with at most l
+    parts has fewer than l parts, or exactly l parts, and taking 1 from
+    each of those l parts is a bijection onto the partitions of s - l with
+    at most l parts (its inverse adds 1 to each of l parts, zeros padded).
+    Row l is built in place from a copy of row l - 1 in increasing s, so
+    counts[l][s - l] is already p(s-l, <=l) when p(s, <=l) reads it."""
+    counts = [[1] + [0] * max_size]
+    for length in range(1, max_len + 1):
+        row = counts[-1][:]
+        for size in range(length, max_size + 1):
+            row[size] += row[size - length]
+        counts.append(row)
+    return counts
+
+
 def all_partitions_upto(n: int):
     """All partitions of 0..n."""
     for m in range(n + 1):

@@ -3,8 +3,10 @@ border-strip decompositions of the level-1 affine characters."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
-from .affine import CharacterTable, sl2_spinon_grades
+from .affine import CharacterTable, orbit_size, sl2_spinon_grades
 from .partitions import Partition, SkewShape, partitions_of
 from .strips import sl2_partition_to_strip
 from .symfunc import SymPoly, complete, elementary, exps_to_fw, strip_schur, weight_projection
@@ -260,29 +262,26 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     induction, b(2d+n-b) >= n - b), so the number of states is polynomial
     in qmax, while the number of strips is not.
 
-    Weights.  Setting x_1...x_n = 1 is a ring homomorphism onto the group
-    ring of the weight lattice, and `_pack`, a group homomorphism from the
-    lattice to the integers, extends it to one onto Laurent polynomials in
-    one variable.  So every value is kept from the start as a dict from
-    packed fundamental-weight coordinates to coefficients, each e_h is
-    projected once, and the sum at each grade is the image of the true one.
-    An entry appears at most once in each column of a tableau, so a strip
-    of s columns has monomial exponents in [0, s] and weight coordinates in
-    [-s, s], and s <= 1 + e2_max // (n+1) by the termination bound.  With
-    the radix 2 * that + 1, `_pack` is injective on the weights the table
-    can hold, so a key that none of them packs to sums to zero at every
-    grade; `_unpack` is injective on all keys, and `prune` drops those
-    rows."""
+    Monomial basis.  Setting x_1...x_n = 1, that is e_n = 1, is a ring
+    homomorphism from the symmetric polynomials in n variables onto the
+    W-invariant part of the group ring of the weight lattice.  It maps the
+    monomial symmetric function m_nu (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.2) to the sum over the Weyl orbit of the dominant
+    weight (nu_1 - nu_2, ..., nu_{n-1} - nu_n), and m_nu = e_n^{nu_n}
+    m_{nu - nu_n (1^n)}, so the m_nu with nu_n = 0 map onto that basis of
+    orbit sums, one to one.  So every value is kept from the start as a
+    dict from such a normalized nu to its coefficient of m_nu, each product
+    with e_h is taken on the normalized representative by `_times_e`, and
+    the sum at each grade is the image of the true one.  The coefficient of
+    m_nu is the table's row at every weight of nu's orbit, so the values
+    are the table's orbit rows, and no weight is expanded here."""
     table = CharacterTable(n, k, qmax)
     if n < 2:
         raise ValueError("rank must be >= 2")
     base = k * (n - k)
     e2_max = base + 2 * n * qmax
-    radix = 2 * (1 + e2_max // (n + 1)) + 1
-    elem = [()] + [tuple(_pack(exps_to_fw(e), radix) for e in elementary(h, n).terms)
-                   for h in range(1, n + 1)]
-    rows: dict[int, list[int]] = {}  # packed weight -> coefficients by grade
-    layers = {0: {(0, ()): [({0: 1},)]}}  # e2 -> (d, tail) -> value vectors
+    rows: dict[tuple[int, ...], list[int]] = {}  # normalized nu -> coefficients by grade
+    layers = {0: {(0, ()): [({(0,) * n: 1},)]}}  # e2 -> (d, tail) -> value vectors
     for e2 in range(e2_max + 1):
         layer = layers.pop(e2, None)
         if layer is None:
@@ -296,10 +295,10 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                         f"a class-{k} strip with 2n*E = {e2} has non-integral "
                         f"grade {Fraction(e2 - base, 2 * n)} over Delta_{k}"
                     )
-                for w, c in vec[-1].items():
-                    row = rows.get(w)
+                for nu, c in vec[-1].items():
+                    row = rows.get(nu)
                     if row is None:
-                        row = rows[w] = [0] * (qmax + 1)
+                        row = rows[nu] = [0] * (qmax + 1)
                     row[rel] += c
             for b in range(1, n + 1 if d else n):
                 grown = e2 + b * (2 * d + n - b)
@@ -307,40 +306,50 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                 need = (k + d_next) % n
                 if grown + (2 * d_next * need + n - 1 if need else 0) > e2_max:
                     continue
-                tail_next, value = _append_column(vec, tail, b, elem, n)
+                tail_next, value = _append_column(vec, tail, b, n)
                 layers.setdefault(grown, {}).setdefault((d_next, tail_next), []).append(
                     vec[len(vec) - len(tail_next):] + (value,))
     if layers:  # a state put on a layer already swept would be lost
         raise AssertionError(f"states left behind the sweep at 2n*E = {sorted(layers)}")
-    table.rows = {_unpack(w, radix, n - 1): row for w, row in rows.items()}
+    table.orbits = {exps_to_fw(nu): row for nu, row in rows.items()}
     return table.prune().validate()
 
 
-def _pack(weight, radix: int) -> int:
-    """sum_i weight_i * radix^i: a group homomorphism from the weight
-    lattice to the integers, injective on weights whose coordinates lie in
-    [-(radix // 2), radix // 2]."""
-    return sum(w * radix ** i for i, w in enumerate(weight))
+@lru_cache(maxsize=None)
+def _times_e(nu: tuple[int, ...], h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """m_nu e_h in n = len(nu) variables, as the pairs (mu, coefficient of
+    m_mu), each mu normalized to mu_n = 0 by e_n = 1 (see
+    `yangian_decomposition`).
 
-
-def _unpack(key: int, radix: int, length: int) -> tuple[int, ...]:
-    """The weight of `length` coordinates whose first length - 1 lie in
-    [-(radix // 2), radix // 2] and that `_pack` maps to `key`.  Such a
-    weight exists for every int and is unique (balanced digits, the last
-    coordinate taking the rest), so distinct keys give distinct weights."""
-    half = radix // 2
-    weight = []
-    for _ in range(length - 1):
-        digit = (key + half) % radix - half
-        weight.append(digit)
-        key = (key - digit) // radix
-    weight.append(key)
-    return tuple(weight)
+    The coefficient of m_mu in a symmetric polynomial is that of the
+    monomial x^mu.  In m_nu e_h, with e_h the sum of x^{1_S} over the
+    h-subsets S of the variables, x^mu is x^alpha x^{1_S} for an
+    arrangement alpha of nu with alpha + 1_S = mu, and S fixes alpha, so
+    c(mu) = #{S : mu - 1_S is an arrangement of nu}, the subset-count rule.
+    To read every c(mu) off one pass over the S at nu, count the pairs
+    (alpha, S) with alpha + 1_S an arrangement of mu both ways.  Permuting
+    alpha and S together shows that each of the |W nu| arrangements alpha
+    has N(mu) = #{S : nu + 1_S sorts to mu} of them, and each of the
+    |W mu| arrangements beta = alpha + 1_S of mu has c(mu) of them, so
+    c(mu) = N(mu) |W nu| / |W mu|, with |W nu| the number of arrangements
+    of nu (`affine.orbit_size`).  The 1_S are the exponent vectors of
+    `symfunc.elementary(h, n)`.  Memoized: the result is an immutable
+    tuple, and each (nu, h) is expanded once."""
+    counts: dict[tuple[int, ...], int] = {}
+    for ones in elementary(h, len(nu)).terms:
+        mu = tuple(sorted(map(add, nu, ones), reverse=True))
+        counts[mu] = counts.get(mu, 0) + 1
+    size = orbit_size(exps_to_fw(nu))
+    return tuple(
+        (tuple(p - mu[-1] for p in mu), count * size // orbit_size(exps_to_fw(mu)))
+        for mu, count in counts.items()
+    )
 
 
 def _added(vecs) -> tuple[dict, ...]:
-    """The entrywise sum of equally long vectors of packed polynomials; no
-    input dict is changed, since the vectors share their older entries."""
+    """The entrywise sum of equally long vectors of values in the monomial
+    basis; no input dict is changed, since the vectors share their older
+    entries."""
     out = []
     for polys in zip(*vecs):
         acc = dict(polys[0])
@@ -352,7 +361,7 @@ def _added(vecs) -> tuple[dict, ...]:
     return tuple(out)
 
 
-def _append_column(vec, tail: tuple, b: int, elem, n: int):
+def _append_column(vec, tail: tuple, b: int, n: int):
     """(tail, value) after appending a column of height b to a prefix with
     this tail and values `vec` (`vec[-1]` its own): the value is
     sum_t (-1)^t e_{b + tail[-1] + ... + tail[-t]} vec[-1-t] while that
@@ -363,10 +372,10 @@ def _append_column(vec, tail: tuple, b: int, elem, n: int):
     height, t = b, 0
     while True:
         poly, sign = vec[-1 - t], -1 if t % 2 else 1
-        for shift in elem[height]:
-            for w, c in poly.items():
-                w += shift
-                value[w] = get(w, 0) + sign * c
+        for nu, c in poly.items():
+            c *= sign
+            for mu, times in _times_e(nu, height):
+                value[mu] = get(mu, 0) + c * times
         t += 1
         if t > len(tail):
             break
@@ -401,8 +410,10 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     prod_i h_{m_i} in two variables, with m_0 = N - l(lambda), depends only
     on the multiset of the m_i, its class.  So for each N the partitions
     are counted by (|lambda|, class), and each class's weight projection is
-    added once per size, times its count, instead of once per partition."""
-    table = CharacterTable(2, k, qmax)
+    added once per size, times its count, instead of once per partition.
+    The sum is kept weight by weight and folded into orbits by
+    `CharacterTable.from_weights`, which checks that it is W-invariant."""
+    rows: dict[tuple[int, ...], list[int]] = {}
     for total, base in sl2_spinon_grades(k, qmax):
         projections: dict[tuple[int, ...], dict] = {}
         counts: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -414,8 +425,11 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
                 counts[size, key] = counts.get((size, key), 0) + 1
         for (size, key), count in counts.items():
             for w, c in projections[key].items():
-                table.add(w, base + size, c * count)
-    return table.prune().validate()
+                row = rows.get(w)
+                if row is None:
+                    row = rows[w] = [0] * (qmax + 1)
+                row[base + size] += c * count
+    return CharacterTable.from_weights(2, k, qmax, rows).validate()
 
 
 def hw_module_table(lam: Partition, n_spinons: int):

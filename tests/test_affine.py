@@ -12,7 +12,9 @@ from spinonchars.affine import (
     _spinon_a_values,
     bosonic_character,
     conformal_dimension,
+    dominant_weight,
     lattice_weights,
+    orbit_size,
     scaled_weight_norm,
     sl2_fermionic_character,
     sl2_spinon_enumeration,
@@ -46,14 +48,14 @@ def test_weight_norm_examples():
 
 def test_bosonic_table_pinned_small():
     table = bosonic_character(2, 0, 1)
-    assert {w: tuple(r) for w, r in table.rows.items()} == {
+    assert {w: tuple(r) for w, r in table.items()} == {
         (0,): (1, 1), (2,): (0, 1), (-2,): (0, 1),
     }
 
 
 def test_bosonic_table_weight_reflection_symmetry():
     table = bosonic_character(2, 0, 8)
-    for (w,), row in table.rows.items():
+    for (w,), row in table.items():
         assert table.row([-w]) == list(row), w
 
 
@@ -342,21 +344,27 @@ def test_table_validation_rejects_a_negative_coefficient():
     table.add((1, 0), 0, 1)
     table.add((-1, 1), 2, -1)
     table.add((0, 2), 1, 3)
-    with pytest.raises(AssertionError, match=r"negative multiplicity at weight \(-1, 1\)"):
+    # (-1, 1) is in the orbit of (1, 0), which names the row
+    with pytest.raises(AssertionError, match=r"negative multiplicity at weight \(1, 0\)"):
         table.validate()
     table.add((-1, 1), 2, 1)
     assert table.validate() is table
 
 
 def test_bosonic_rows_are_independent():
-    """The rows share the qmax + 1 shifted series as tuples: adding to one
-    row leaves every other row as it was."""
+    """The orbits share the qmax + 1 shifted series as tuples: adding to one
+    orbit's row changes every weight of that orbit and leaves every other
+    weight as it was."""
     table = bosonic_character(3, 0, 4)
-    before = {w: list(row) for w, row in table.rows.items()}
+    before = {w: list(row) for w, row in table.items()}
     for w in before:
         table.add(w, 4, 1)
-        assert table.rows[w] == before[w][:4] + [before[w][4] + 1], w
-        assert all(list(table.rows[v]) == row for v, row in before.items() if v != w), w
+        after = {v: list(row) for v, row in table.items()}
+        for v, row in before.items():
+            if dominant_weight(v) == dominant_weight(w):
+                assert after[v] == row[:4] + [row[4] + 1], (w, v)
+            else:
+                assert after[v] == row, (w, v)
         table.add(w, 4, -1)
 
 
@@ -364,8 +372,9 @@ def test_bosonic_rows_are_shared_by_degree():
     """Every weight of one degree holds the same row object, so the 2 691
     rows of (6, 0, 8) are at most qmax + 1 objects."""
     table = bosonic_character(6, 0, 8)
-    assert len(table.rows) == 2691
-    assert len({id(row) for row in table.rows.values()}) <= 8 + 1
+    pairs = table.items()
+    assert len(pairs) == 2691
+    assert len({id(row) for _, row in pairs}) <= 8 + 1
 
 
 def test_table_row_rejects_a_weight_of_the_wrong_length():
@@ -388,3 +397,108 @@ def test_table_first_difference_locates_discrepancy():
     b2 = CharacterTable(2, 0, 2)
     b2.add((0,), 1, 1)
     assert a.first_difference(b2) is None
+
+
+def _first_difference_by_weight(a, b):
+    """`CharacterTable.first_difference` as it reads a table kept one row
+    per weight: the weights of both expansions in sorted order, the first
+    differing degree at the first weight whose rows differ."""
+    rows_a, rows_b = dict(a.items()), dict(b.items())
+    zeros = [0] * (a.qmax + 1)
+    for w in sorted(rows_a.keys() | rows_b.keys()):
+        x, y = list(rows_a.get(w, zeros)), list(rows_b.get(w, zeros))
+        for d in range(a.qmax + 1):
+            if x[d] != y[d]:
+                return (w, d, x[d], y[d])
+    return None
+
+
+def test_orbit_expansion_matches_the_lattice_sum():
+    """`items` expands the bosonic orbits to exactly the weights of the
+    full lattice sum, in sorted order, each holding the closed series
+    shifted to its own degree (sum c_i^2 - k)/2; the dominant vectors are
+    the dominant part of the full enumeration."""
+    for n, k, qmax in ((2, 0, 9), (2, 1, 8), (3, 1, 6), (4, 2, 5), (5, 0, 5),
+                       (6, 3, 4), (7, 2, 3), (8, 0, 4), (8, 5, 2)):
+        closed = q_one(qmax)
+        for _ in range(n - 1):
+            closed = closed * euler_inverse(qmax)
+        full = lattice_weights(n, k, k + 2 * qmax)
+        degree = {w: (norm - k) // 2 for w, norm in full}
+        pairs = bosonic_character(n, k, qmax).items()
+        assert [w for w, _ in pairs] == sorted(degree), (n, k, qmax)
+        for w, row in pairs:
+            assert list(row) == list(closed.shift(degree[w]).coeffs), (n, k, qmax, w)
+        assert lattice_weights(n, k, k + 2 * qmax, dominant=True) == [
+            (w, norm) for w, norm in full if min(w) >= 0], (n, k, qmax)
+
+
+def test_orbits_are_the_permutations_of_c():
+    """The orbit of the weight of c is the set of weights of the
+    permutations of c: `dominant_weight` maps each to the one dominant
+    weight among them, `orbit_size` counts them, and `items` expands a
+    one-orbit table to exactly them."""
+    for n in range(1, 6):
+        for c in product(range(3), repeat=n):
+            orbit = sorted({exps_to_fw(p) for p in permutations(c)})
+            key = dominant_weight(exps_to_fw(c))
+            assert key in orbit and all(m >= 0 for m in key), c
+            assert {dominant_weight(w) for w in orbit} == {key}, c
+            assert orbit_size(key) == len(orbit), c
+            table = CharacterTable(n, weight_class(key, n), 0)
+            table.add(orbit[-1], 0, 1)
+            assert table.orbits == {key: [1]}, c
+            assert [w for w, _ in table.items()] == orbit, c
+
+
+def test_from_weights_refuses_a_table_that_is_not_w_invariant():
+    """The fold keeps one row per orbit and drops zero rows, and it raises
+    when two weights of an orbit disagree, a missing weight counting as a
+    zero row."""
+    table = CharacterTable.from_weights(
+        2, 0, 1, {(2,): [0, 1], (0,): (1, 1), (-2,): [0, 1], (4,): [0, 0]})
+    assert table.orbits == {(2,): [0, 1], (0,): [1, 1]}
+    assert table == bosonic_character(2, 0, 1)
+    with pytest.raises(AssertionError, match=r"not W-invariant: weights \(-2,\) and \(2,\)"):
+        CharacterTable.from_weights(2, 0, 1, {(2,): [0, 1], (0,): [1, 1], (-2,): [0, 2]})
+    with pytest.raises(AssertionError, match=r"orbit of \(2,\) holds a row at 1 of its 2"):
+        CharacterTable.from_weights(2, 0, 1, {(0,): [1, 1], (-2,): [0, 1]})
+    with pytest.raises(AssertionError, match=r"orbit of \(1, 0\) holds a row at 2 of its 3"):
+        CharacterTable.from_weights(3, 1, 0, {(1, 0): [1], (0, -1): [1]})
+    with pytest.raises(ValueError, match="wrong length for n=3"):
+        CharacterTable.from_weights(3, 1, 0, {(1,): [1]})
+
+
+def test_first_difference_names_the_smallest_weight_off_the_dominant_chamber():
+    """Tables that differ in two orbits, at weights off the dominant
+    chamber: the first difference is at the smallest differing weight in
+    sorted order, (-4, 2) in the orbit of (2, 2), although the other orbit,
+    of (0, 3), has the smaller dominant weight; its degree is the first one
+    at which that weight differs.  It agrees with the comparison weight by
+    weight, also when one table lacks an orbit."""
+    a = bosonic_character(3, 0, 4)
+    b = bosonic_character(3, 0, 4)
+    b.add((-2, 4), 4, 1)
+    b.add((3, -3), 2, 7)
+    x = a.row((2, 2))[4]
+    assert a.first_difference(b) == ((-4, 2), 4, x, x + 1)
+    assert b.first_difference(a) == ((-4, 2), 4, x + 1, x)
+    assert _first_difference_by_weight(a, b) == ((-4, 2), 4, x, x + 1)
+    c = CharacterTable(3, 0, 4)
+    c.orbits = {w: row for w, row in a.orbits.items() if w != (1, 1)}
+    assert a.first_difference(c) == _first_difference_by_weight(a, c) == (
+        (-2, 1), 1, 1, 0)
+    assert a.first_difference(bosonic_character(3, 0, 4)) is None
+
+
+def test_row_reads_every_weight_through_its_orbit():
+    """`row` answers at weights off the dominant chamber with their orbit's
+    row, and refuses a weight of the wrong length."""
+    table = bosonic_character(3, 0, 4)
+    pairs = table.items()
+    assert any(min(w) < 0 for w, _ in pairs)
+    for w, row in pairs:
+        assert table.row(w) == list(row) == table.row(dominant_weight(w)), w
+    for weight in ([1], [2, -1, 0]):
+        with pytest.raises(ValueError, match="wrong length for n=3"):
+            table.row(weight)

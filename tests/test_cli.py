@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinonchars import strips, verify
-from spinonchars.affine import CharacterTable
-from spinonchars.cli import CHAR_KINDS, _build_table, _json_text, _render_report, _write_table, main
+from spinonchars.affine import CharacterTable, bosonic_character
+from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _laid_out, _render_report,
+                             _write_table, main)
 
 
 def run_cli(capsys, *argv):
@@ -53,20 +54,21 @@ def test_char_json_has_the_indent_2_layout(capsys):
                     table = _build_table(kind, n, k, qmax)
                     assert out == json.dumps(table.to_json_dict(), indent=2) + "\n"
                     rows = [(tuple(r["weight"]), r["coeffs"]) for r in data["rows"]]
-                    assert rows == [(w, list(row)) for w, row in sorted(table.rows.items())], argv
+                    assert rows == [(w, list(row)) for w, row in table.items()], argv
 
 
 def test_char_builders_return_no_zero_row():
-    """`char` writes `table.rows` as built, so every builder prunes its
-    all-zero rows itself."""
+    """`char` writes the rows of `table.items()` as built, so every builder
+    prunes its all-zero rows itself."""
     for kind in CHAR_KINDS:
         n_values = (2, 3, 4) if kind in ("bosonic", "yangian") else (2,)
         for n in n_values:
             for k in range(n):
                 for qmax in range(7):
                     table = _build_table(kind, n, k, qmax)
-                    assert table.rows, (kind, n, k, qmax)
-                    zero = [w for w, row in table.rows.items() if not any(row)]
+                    pairs = table.items()
+                    assert pairs, (kind, n, k, qmax)
+                    zero = [w for w, row in pairs if not any(row)]
                     assert not zero, (kind, n, k, qmax, zero)
 
 
@@ -110,6 +112,17 @@ def test_json_table_layout_of_hand_built_tables(table):
     assert out.getvalue() == json.dumps(table.to_json_dict(), indent=2) + "\n"
 
 
+def test_writer_lays_out_each_row_object_once():
+    """The 2 691 weights of (6, 0, 8) share at most qmax + 1 row objects, and
+    the writer lays out the text of each of them once, in weight order."""
+    table = bosonic_character(6, 0, 8)
+    laid_out = []
+    pairs = list(_laid_out(table, lambda row: laid_out.append(row) or len(laid_out)))
+    assert [w for w, _ in pairs] == [w for w, _ in table.items()]
+    assert len(pairs) == 2691 and len(laid_out) <= 8 + 1
+    assert all(laid_out[text - 1] == row for (_, text), (_, row) in zip(pairs, table.items()))
+
+
 def test_char_json_bytes_pinned_at_many_rows(capsys):
     """The sha256 of the 1 221-row table (n, k, qmax) = (6, 0, 6) as printed
     before each table was laid out by one row template."""
@@ -131,6 +144,27 @@ def test_char_output_bytes_pinned(capsys, fmt, digest):
     before tables were written row by row."""
     code, out, _ = run_cli(capsys, "char", "--kind", "bosonic", "--n", "4",
                            "--k", "1", "--qmax", "6", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,n,k,qmax,fmt,digest", [
+    ("yangian", 6, 0, 8, "csv",
+     "93339dfff7f28f20084946ec1498e7496ac0109cc2fffc60563d7d3efd0ac523"),
+    ("yangian", 6, 0, 8, "pretty",
+     "2e94c9ba73414af27757bdbb7ae20d21b0478f8846e70f4bd9feec84a2b1d077"),
+    ("bosonic", 7, 3, 6, "csv",
+     "0af66873e827d245c9234323ce819f2dbe32b0cbebdf38be8e6de5af984a4305"),
+    ("bosonic", 7, 3, 6, "pretty",
+     "995f26241572db83406072fc6e88044e2b8729fd91160436dd2168e61436ccda"),
+])
+def test_char_orbit_expansion_bytes_pinned(capsys, kind, n, k, qmax, fmt, digest):
+    """The sha256 of `char` in the csv and pretty formats at two points of
+    rank 6 and 7, one of them off k = 0, as printed when tables were kept
+    one row per weight: every format writes the orbits expanded to the same
+    weights in the same order."""
+    code, out, _ = run_cli(capsys, "char", "--kind", kind, "--n", str(n), "--k", str(k),
+                           "--qmax", str(qmax), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

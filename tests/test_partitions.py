@@ -7,6 +7,7 @@ from spinonchars.partitions import (
     Partition,
     SkewShape,
     all_partitions_upto,
+    partition_counts,
     partitions_of,
 )
 
@@ -120,3 +121,16 @@ def test_sorted_lists_make_partitions(parts):
     p = Partition(sorted(parts, reverse=True))
     assert p.size() == sum(parts)
     assert len(p.conjugate()) == (max(parts) if parts else 0)
+
+
+def test_partition_counts_match_the_enumeration():
+    """`partition_counts` counts, by the recurrence alone, the partitions
+    that `partitions_of` enumerates with at most l parts, for every l and
+    size up to its bounds, past the size where the bound on parts binds."""
+    for max_len, max_size in ((0, 6), (1, 5), (4, 12), (9, 9), (3, 0)):
+        counts = partition_counts(max_len, max_size)
+        assert len(counts) == max_len + 1
+        for length in range(max_len + 1):
+            assert counts[length] == [
+                sum(1 for _ in partitions_of(size, max_len=length))
+                for size in range(max_size + 1)], (max_len, max_size, length)
