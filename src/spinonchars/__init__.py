@@ -11,7 +11,6 @@ from .affine import (
     spinon_string_function,
     verify_spinon_cut,
     weight_class,
-    weight_norm,
 )
 from .partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from .qseries import (

@@ -2,9 +2,10 @@
 and the sl_2 fermionic / spinon-basis forms.
 
 Weights are stored in fundamental-weight coordinates (m_1..m_{n-1}), which
-quotient by the torus relation x_1...x_n = 1.  Each table factors the exact
-rational conformal dimension Delta_k out of the grading, so stored q-degrees
-are non-negative integers.
+quotient by the torus relation x_1...x_n = 1.  `exps_to_fw` and `_eps`
+convert between them and the eps-coordinates (c_1..c_n), and no other module
+does.  Each table factors the exact rational conformal dimension Delta_k out
+of the grading, so stored q-degrees are non-negative integers.
 """
 from __future__ import annotations
 
@@ -25,22 +26,26 @@ def conformal_dimension(n: int, k: int) -> Fraction:
     return Fraction(k * (n - k), 2 * n)
 
 
-def weight_norm(coords, n: int) -> Fraction:
-    """(lambda, lambda) in fundamental-weight coordinates via the inverse Cartan
-    Gram matrix (Lambda_i, Lambda_j) = min(i,j) - ij/n."""
-    return Fraction(scaled_weight_norm(coords, n), n)
+def exps_to_fw(exps) -> tuple[int, ...]:
+    """Monomial exponents or eps-coordinates (c_1..c_n) -> fundamental-weight
+    coordinates (c_1-c_2, ..., c_{n-1}-c_n)."""
+    return tuple(map(sub, exps, exps[1:]))
+
+
+def _eps(weight) -> list[int]:
+    """The inverse of `exps_to_fw` with c_n = 0: c_i = m_i + ... + m_{n-1}."""
+    return [*accumulate(reversed(weight), initial=0)][::-1]
 
 
 def scaled_weight_norm(coords, n: int) -> int:
-    """n * (lambda, lambda) = sum_{i,j} m_i m_j (n min(i,j) - ij), an integer."""
+    """n * (lambda, lambda) = n sum c_i^2 - (sum c_i)^2, an integer, with
+    c = `_eps(coords)`: lambda = sum c_i eps_i, and (eps_i, eps_j) =
+    delta_ij - 1/n."""
     coords = tuple(coords)
     if len(coords) != n - 1:
         raise ValueError(f"expected {n - 1} coordinates, got {coords}")
-    return sum(
-        mi * mj * (n * min(i, j) - i * j)
-        for i, mi in enumerate(coords, start=1) if mi
-        for j, mj in enumerate(coords, start=1) if mj
-    )
+    c = _eps(coords)
+    return n * sum(x * x for x in c) - sum(c) ** 2
 
 
 def weight_class(coords, n: int) -> int:
@@ -50,12 +55,10 @@ def weight_class(coords, n: int) -> int:
 
 def dominant_weight(weight) -> tuple[int, ...]:
     """The dominant weight (every coordinate >= 0) of the Weyl orbit of
-    `weight`.  With c_n = 0 and c_i = m_i + ... + m_{n-1}, a weight is
-    (c_1 - c_2, ..., c_{n-1} - c_n); the Weyl group S_n permutes the c_i,
-    and the weight of an arrangement is dominant exactly when it is weakly
-    decreasing."""
-    c = sorted(accumulate(reversed(weight), initial=0), reverse=True)
-    return tuple(map(sub, c, c[1:]))
+    `weight`.  The weight is `exps_to_fw(c)` with c = `_eps(weight)`; the
+    Weyl group S_n permutes the c_i, and the weight of an arrangement is
+    dominant exactly when it is weakly decreasing."""
+    return exps_to_fw(sorted(_eps(weight), reverse=True))
 
 
 def orbit_size(dominant) -> int:
@@ -97,13 +100,11 @@ def _arrangements(values: tuple[int, ...], memo: dict) -> dict[int, list[tuple[i
 def _expand(pairs) -> list:
     """(w, value) for every weight w of the orbit of each (dominant weight,
     value) pair: the weights of the arrangements of its c (see
-    `dominant_weight`; c_n, ..., c_1 is sorted, since the key is dominant),
-    one tuple each, through one memo of `_arrangements` shared by all the
-    orbits."""
+    `dominant_weight`), one tuple each, through one memo of `_arrangements`
+    shared by all the orbits."""
     memo: dict = {}
     return [(w, value) for key, value in pairs
-            for weights in _arrangements(tuple(accumulate(reversed(key), initial=0)),
-                                         memo).values()
+            for weights in _arrangements(tuple(sorted(_eps(key))), memo).values()
             for w in weights]
 
 
@@ -116,10 +117,8 @@ class CharacterTable:
     algebras, ch. 12).  `orbits` maps the dominant weight of each orbit to
     the row that every weight of the orbit holds; `row` reads any weight
     through its orbit, and `items` expands the orbits to one (weight, row)
-    pair per weight.  A row is a list or a tuple, and builders may give
-    several orbits one shared immutable tuple (`bosonic_character` does);
-    `add` copies such a row into a list of its own before changing it, so
-    changing one orbit's row never changes another's."""
+    pair per weight.  No row changes once a builder returns it, so several
+    orbits may share one row object (`bosonic_character` shares them)."""
 
     def __init__(self, n: int, k: int, qmax: int):
         if not 0 <= k < n:
@@ -161,25 +160,6 @@ class CharacterTable:
                     f"of its {orbit_size(key)} weights")
         return table
 
-    def add(self, weight, degree: int, coeff: int) -> None:
-        """Add coeff * q^degree at every weight of the orbit of `weight`."""
-        weight = tuple(weight)
-        if len(weight) != self.n - 1:
-            raise ValueError(f"weight {weight} has wrong length for n={self.n}")
-        if not 0 <= degree <= self.qmax:
-            raise ValueError(f"degree {degree} outside 0..{self.qmax}")
-        key = dominant_weight(weight)
-        row = self.orbits.get(key)
-        if row is None:
-            row = self.orbits[key] = [0] * (self.qmax + 1)
-        elif type(row) is tuple:
-            row = self.orbits[key] = list(row)
-        row[degree] += coeff
-
-    def prune(self) -> "CharacterTable":
-        self.orbits = {w: r for w, r in self.orbits.items() if any(r)}
-        return self
-
     def validate(self) -> "CharacterTable":
         """Class membership and non-negativity of every coefficient, checked
         once per orbit: the Weyl group moves a weight by roots, which are
@@ -196,7 +176,7 @@ class CharacterTable:
     def row(self, weight) -> list[int]:
         """The coefficients at `weight`, the row of its orbit, as a new
         list; zeros at a weight the table does not hold.  A weight of the
-        wrong length raises ValueError, as in `add`."""
+        wrong length raises ValueError."""
         weight = tuple(weight)
         if len(weight) != self.n - 1:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
@@ -257,96 +237,59 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     copy of the series 1/(q)_inf^{n-1}, which is 1/(q)_qmax^{n-1} below the
     truncation, shifted to the vector's degree (sum c_i^2 - k)/2.  That
     degree is at most qmax, so the rows take only the qmax + 1 values of
-    the shifted series, built once here; every row holds a 1 and none needs
-    pruning.  A permutation of c keeps its sum and its norm and moves its
-    weight along the Weyl orbit, and the orbit's dominant weight is that of
-    the weakly decreasing arrangement (see `dominant_weight`), so only those
-    vectors are enumerated, one per orbit.  Every orbit of one degree holds
-    the same immutable tuple, so the table has at most qmax + 1 row
-    objects; `CharacterTable.add` copies a row before it changes it."""
+    the shifted series, built once here, and every row holds a 1.  A
+    permutation of c keeps its sum and its norm and moves its weight along
+    the Weyl orbit, and the orbit's dominant weight is that of the weakly
+    decreasing arrangement (see `dominant_weight`), so only those vectors
+    are enumerated, one per orbit.  Every orbit of one degree holds the
+    same tuple, so the table has at most qmax + 1 row objects."""
     table = CharacterTable(n, k, qmax)
     power = inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
     shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
     orbits = table.orbits
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
-    for weight, norm in lattice_weights(n, k, k + 2 * qmax, dominant=True):
-        degree2 = norm - k
+    for c in _decreasing_vectors(n, k, k + 2 * qmax):
+        weight, degree2 = exps_to_fw(c), sum(x * x for x in c) - k
         assert degree2 % 2 == 0 and degree2 >= 0
         assert weight not in orbits, f"weight {weight} met twice"
         orbits[weight] = shifted[degree2 // 2]
     return table.validate()
 
 
-def lattice_weights(length: int, total: int, max_sq: int,
-                    dominant: bool = False) -> list[tuple[tuple[int, ...], int]]:
-    """Every integer vector (c_1..c_n), n = `length`, with entries summing to
-    `total` and squares summing to at most `max_sq`, as the pair of its
-    weight (c_1-c_2, ..., c_{n-1}-c_n) and its norm sum c_i^2, in
-    lexicographic order of the vectors.  With `dominant`, only the weakly
-    decreasing vectors, whose weights are the dominant ones: each entry
-    after the first is at most the one before it.
+def _decreasing_vectors(length: int, total: int, max_sq: int, top: int | None = None):
+    """Yield every weakly decreasing integer vector (c_1..c_r), r = `length`,
+    with entries summing to `total`, squares summing to at most `max_sq`
+    and, given `top`, no entry above it, in lexicographic order; none if
+    r < 1.
 
     By Cauchy-Schwarz, r entries summing to t with squares summing to at most
-    R exist over the reals only if t^2 <= r R; an entry c is tried only if the
-    r - 1 entries after it can still meet that bound.  For r = 1 the bound is
-    exact: the last entry is t, so the last two entries are chosen in one
-    loop.  The weight and the norm are carried down the recursion, one
-    coordinate and one square per entry."""
-    if length < 1 or total * total > length * max_sq:
-        return []
-    if length == 1:
-        return [((), total * total)]
-    out: list[tuple[tuple[int, ...], int]] = []
-    bound = math.isqrt(max_sq)
-    for c in range(-bound, bound + 1):
-        left = max_sq - c * c
-        if (total - c) ** 2 <= (length - 1) * left:
-            _lattice_weights(length - 1, total - c, left, c, (), c * c, out, dominant)
-    return out
-
-
-def _lattice_weights(length, total, left, prev, weight, norm, out, dominant):
-    """Append to `out` the pairs of `lattice_weights` for the vectors that
-    end in `length` entries summing to `total` with squares summing to at
-    most `left`, after a prefix whose last entry is `prev`, whose weight
-    coordinates are `weight` and whose squares sum to `norm`; with
-    `dominant`, no entry exceeds the one before it.  The caller has checked
-    total^2 <= length * left.  A module-level function, not a closure, so
+    R exist over the reals only if t^2 <= r R; a prefix is extended only if
+    the entries after it can still meet that bound.  For r = 1 the bound is
+    exact: the last entry is t.  A module-level generator, not a closure, so
     that no reference cycle outlives the sum."""
+    if length < 1 or total * total > length * max_sq:
+        return
     if length == 1:
-        if not (dominant and total > prev):
-            out.append((weight + (prev - total,), norm + total * total))
+        if top is None or total <= top:
+            yield (total,)
         return
-    bound = math.isqrt(left)
-    top = min(bound, prev) if dominant else bound
-    if length == 2:
-        for c in range(-bound, top + 1):
-            last = total - c
-            sq = c * c + last * last
-            if sq <= left and not (dominant and last > c):
-                out.append((weight + (prev - c, c - last), norm + sq))
-        return
-    rest = length - 1
-    for c in range(-bound, top + 1):
-        c2 = c * c
-        if (total - c) ** 2 <= rest * (left - c2):
-            _lattice_weights(rest, total - c, left - c2, c, weight + (prev - c,),
-                             norm + c2, out, dominant)
+    bound = math.isqrt(max_sq)
+    for c in range(-bound, (bound if top is None else min(bound, top)) + 1):
+        for rest in _decreasing_vectors(length - 1, total - c, max_sq - c * c, c):
+            yield (c, *rest)
 
 
 def _spinon_a_values(n: int, coords, n_spinons: int):
     """The A_i = N/n + (lambda, eps_i), i = 1..n; None unless all are
-    non-negative integers.  As (lambda, eps_i) = m_i + ... + m_{n-1} -
-    sum_j j m_j / n, n A_i = N + n (m_i + ... + m_{n-1}) - sum_j j m_j."""
-    coords = tuple(coords)
-    weighted = sum(j * m for j, m in enumerate(coords, start=1))
-    a_vals = []
-    for i in range(1, n + 1):
-        a, rem = divmod(n_spinons + n * sum(coords[i - 1:]) - weighted, n)
-        if rem or a < 0:
-            return None
-        a_vals.append(a)
-    assert sum(a_vals) == n_spinons
+    non-negative integers.  As (lambda, eps_i) = c_i - sum_j c_j / n with
+    c = `_eps(coords)`, n A_i = N + n c_i - sum_j c_j, so every A_i is an
+    integer exactly when n divides N - sum_j c_j."""
+    c = _eps(coords)
+    shift, rem = divmod(n_spinons - sum(c), n)
+    a_vals = [shift + x for x in c]
+    if rem or min(a_vals) < 0:
+        return None
+    assert len(a_vals) == n and sum(a_vals) == n_spinons
     return a_vals
 
 

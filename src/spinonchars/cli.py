@@ -76,7 +76,7 @@ def _json_int_list(count: int) -> str:
 
 def _write_table(table, fmt: str, out) -> None:
     """Write the table to `out` weight by weight, each line ending in a
-    newline; every table builder has already pruned its all-zero rows.
+    newline; every table builder drops its all-zero rows itself.
     `json` has the layout of `json.dumps(table.to_json_dict(), indent=2)`;
     the standard encoder falls back to pure Python when indenting, so the
     layout is written here instead: every row has as many weight coordinates

@@ -317,7 +317,10 @@ class Motif:
     def parse(text: str, n: int) -> "Motif":
         if not text.endswith("|"):
             raise ValueError("motif string must end with the stabilization mark '|'")
-        return Motif(n, [int(c) for c in text[:-1]])
+        bits = text[:-1]
+        if not set(bits) <= {"0", "1"}:  # int() would also read non-ASCII digits
+            raise ValueError(f"motif bits must be the characters 0 and 1: {bits!r}")
+        return Motif(n, [int(c) for c in bits])
 
     def __eq__(self, other):
         if not isinstance(other, Motif):

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, takewhile
-from operator import add, sub
+from operator import add
 
+from .affine import exps_to_fw
 from .partitions import Partition, SkewShape
 from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
 from .strips import BorderStrip
@@ -305,12 +306,6 @@ def sl2_strip_product(rows) -> SymPoly:
         drop = 1 if i in (1, r) else 2
         poly = poly * complete(a - drop, 2)
     return poly
-
-
-def exps_to_fw(exps) -> tuple[int, ...]:
-    """Monomial exponents (c_1..c_n) -> fundamental-weight coordinates
-    (c_1-c_2, ..., c_{n-1}-c_n)."""
-    return tuple(map(sub, exps, exps[1:]))
 
 
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:

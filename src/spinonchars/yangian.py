@@ -6,10 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .affine import CharacterTable, orbit_size, sl2_spinon_grades
+from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
 from .partitions import Partition, SkewShape, partitions_of
 from .strips import sl2_partition_to_strip
-from .symfunc import SymPoly, complete, elementary, exps_to_fw, strip_schur, weight_projection
+from .symfunc import SymPoly, complete, elementary, strip_schur, weight_projection
 
 
 class DrinfeldPolys:
@@ -179,8 +179,7 @@ def _extend_rows(lower, lam, lmax, prefix, out) -> None:
 def gz_weight(scheme: GZScheme) -> tuple[int, ...]:
     """Fundamental-weight coordinates from the row-sum differences."""
     sums = [p.size() for p in scheme.rows]
-    eps = [sums[m] - sums[m - 1] for m in range(1, len(sums))]
-    return tuple(eps[j] - eps[j + 1] for j in range(len(eps) - 1))
+    return exps_to_fw([sums[m] - sums[m - 1] for m in range(1, len(sums))])
 
 
 def gz_to_sst(scheme: GZScheme) -> dict[tuple[int, int], int]:
@@ -311,8 +310,8 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                     vec[len(vec) - len(tail_next):] + (value,))
     if layers:  # a state put on a layer already swept would be lost
         raise AssertionError(f"states left behind the sweep at 2n*E = {sorted(layers)}")
-    table.orbits = {exps_to_fw(nu): row for nu, row in rows.items()}
-    return table.prune().validate()
+    table.orbits = {exps_to_fw(nu): row for nu, row in rows.items() if any(row)}
+    return table.validate()
 
 
 @lru_cache(maxsize=None)

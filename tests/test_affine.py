@@ -9,11 +9,12 @@ import pytest
 from spinonchars.affine import (
     CharacterTable,
     _alternating_cut,
+    _decreasing_vectors,
     _spinon_a_values,
     bosonic_character,
     conformal_dimension,
     dominant_weight,
-    lattice_weights,
+    exps_to_fw,
     orbit_size,
     scaled_weight_norm,
     sl2_fermionic_character,
@@ -21,12 +22,11 @@ from spinonchars.affine import (
     spinon_string_function,
     verify_spinon_cut,
     weight_class,
-    weight_norm,
 )
 from spinonchars.qseries import euler_inverse, inv_pochhammer, q_one, q_zero
-from spinonchars.symfunc import exps_to_fw
 from spinonchars.verify import small_norm_weights
 from spinonchars.yangian import sl2_yangian_decomposition
+from tables import hand_built
 
 
 def test_conformal_dimensions_pinned():
@@ -42,8 +42,37 @@ def test_weight_norm_examples():
         for k in range(1, n):
             coords = [0] * (n - 1)
             coords[k - 1] = 1
-            assert weight_norm(coords, n) == Fraction(k * (n - k), n)
+            assert scaled_weight_norm(coords, n) == k * (n - k)
             assert weight_class(coords, n) == k % n
+
+
+def test_scaled_weight_norm_is_the_gram_sum():
+    """n sum c_i^2 - (sum c_i)^2 is the inverse Cartan Gram sum
+    sum_{i,j} m_i m_j (n min(i,j) - ij) on a box of weights."""
+    for n in range(2, 7):
+        for coords in product(range(-2, 3), repeat=n - 1):
+            gram = sum(mi * mj * (n * min(i, j) - i * j)
+                       for i, mi in enumerate(coords, start=1)
+                       for j, mj in enumerate(coords, start=1))
+            assert scaled_weight_norm(coords, n) == gram, (n, coords)
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        scaled_weight_norm((1,), 3)
+
+
+def test_spinon_a_values_are_the_definition():
+    """A_i = N/n + (lambda, eps_i), with (Lambda_j, eps_i) = [i <= j] - j/n,
+    when every A_i is a non-negative integer, and None otherwise."""
+    for n in range(2, 7):
+        for coords in product(range(-1, 2), repeat=n - 1):
+            pairings = [sum(m * ((i <= j) - Fraction(j, n))
+                            for j, m in enumerate(coords, start=1))
+                        for i in range(1, n + 1)]
+            for n_spinons in range(2 * n):
+                a_vals = [Fraction(n_spinons, n) + p for p in pairings]
+                if any(a.denominator != 1 or a < 0 for a in a_vals):
+                    a_vals = None
+                assert _spinon_a_values(n, coords, n_spinons) == a_vals, (
+                    n, coords, n_spinons)
 
 
 def test_bosonic_table_pinned_small():
@@ -65,33 +94,26 @@ def test_bosonic_vacuum_weight_zero_row_is_partition_numbers():
     assert table.row([0]) == [1, 1, 2, 3, 5, 7, 11]
 
 
-def test_lattice_weights_match_the_box():
-    """The Cauchy-Schwarz pruned search yields, in lexicographic order of the
-    vectors, the (weight, norm) pair of exactly the vectors of the box
-    |c_i| <= isqrt(max_sq) with the given sum and squares summing to at most
-    max_sq.  The bosonic points (total k, max_sq = k + 2 qmax) give distinct
-    weights; the other sums and budgets include those of the opposite
-    parity, where a bound off by one shows."""
+def test_decreasing_vectors_match_the_box():
+    """The Cauchy-Schwarz pruned search yields, in lexicographic order,
+    exactly the weakly decreasing vectors of the box |c_i| <= isqrt(max_sq)
+    with the given sum and squares summing to at most max_sq.  The bosonic
+    points (total k, max_sq = k + 2 qmax) and the other sums and budgets,
+    which include those of the opposite parity, where a bound off by one
+    shows, are all checked."""
     for n in range(1, 6):
-        for k in range(n):
-            for qmax in range(5):
-                pairs = lattice_weights(n, k, k + 2 * qmax)
-                assert pairs == _box_weights(n, k, k + 2 * qmax), (n, k, qmax)
-                assert len({w for w, _ in pairs}) == len(pairs), (n, k, qmax)
-        for total in range(-3, 4):
-            for max_sq in range(9):
-                assert lattice_weights(n, total, max_sq) == _box_weights(
-                    n, total, max_sq), (n, total, max_sq)
-    assert lattice_weights(1, 2, 4) == [((), 4)]
-    assert lattice_weights(1, 3, 4) == []
-    assert lattice_weights(0, 0, 4) == []
-
-
-def _box_weights(length, total, max_sq):
-    bound = isqrt(max_sq)
-    return [(exps_to_fw(vec), sum(c * c for c in vec))
-            for vec in product(range(-bound, bound + 1), repeat=length)
-            if sum(vec) == total and sum(c * c for c in vec) <= max_sq]
+        points = {(k, k + 2 * qmax) for k in range(n) for qmax in range(5)}
+        points |= {(total, max_sq) for total in range(-3, 4) for max_sq in range(9)}
+        for total, max_sq in sorted(points):
+            bound = isqrt(max_sq)
+            box = [vec for vec in product(range(-bound, bound + 1), repeat=n)
+                   if sum(vec) == total and sum(c * c for c in vec) <= max_sq
+                   and all(a >= b for a, b in zip(vec, vec[1:]))]
+            assert list(_decreasing_vectors(n, total, max_sq)) == box, (n, total, max_sq)
+    assert list(_decreasing_vectors(1, 2, 4)) == [(2,)]
+    assert list(_decreasing_vectors(1, 3, 4)) == []
+    assert list(_decreasing_vectors(1, 2, 4, top=1)) == []
+    assert list(_decreasing_vectors(0, 0, 4)) == []
 
 
 def test_string_functions_are_graded_from_the_weight_norm():
@@ -106,7 +128,8 @@ def test_string_functions_are_graded_from_the_weight_norm():
         for k in range(n):
             table = bosonic_character(n, k, qmax)
             for coords in small_norm_weights(n, k, 1):
-                shift = weight_norm(coords, n) / 2 - conformal_dimension(n, k)
+                shift = (Fraction(scaled_weight_norm(coords, n), 2 * n)
+                         - conformal_dimension(n, k))
                 assert shift.denominator == 1 and shift >= 0, (n, k, coords)
                 assert table.row(coords) == list(closed.shift(int(shift)).coeffs), (
                     n, k, coords)
@@ -333,39 +356,18 @@ def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
 
 
 def test_table_validation_rejects_wrong_class():
-    table = CharacterTable(2, 0, 2)
-    table.add((1,), 0, 1)  # odd weight in the even class
+    table = hand_built(2, 0, 2, [((1,), (1, 0, 0))])  # odd weight in the even class
     with pytest.raises(AssertionError, match=r"weight \(1,\) not in class 0"):
         table.validate()
 
 
 def test_table_validation_rejects_a_negative_coefficient():
-    table = CharacterTable(3, 1, 2)
-    table.add((1, 0), 0, 1)
-    table.add((-1, 1), 2, -1)
-    table.add((0, 2), 1, 3)
+    table = hand_built(3, 1, 2, [((-1, 1), (1, 0, -1)), ((0, 2), (0, 3, 0))])
     # (-1, 1) is in the orbit of (1, 0), which names the row
     with pytest.raises(AssertionError, match=r"negative multiplicity at weight \(1, 0\)"):
         table.validate()
-    table.add((-1, 1), 2, 1)
+    table = hand_built(3, 1, 2, [((-1, 1), (1, 0, 0)), ((0, 2), (0, 3, 0))])
     assert table.validate() is table
-
-
-def test_bosonic_rows_are_independent():
-    """The orbits share the qmax + 1 shifted series as tuples: adding to one
-    orbit's row changes every weight of that orbit and leaves every other
-    weight as it was."""
-    table = bosonic_character(3, 0, 4)
-    before = {w: list(row) for w, row in table.items()}
-    for w in before:
-        table.add(w, 4, 1)
-        after = {v: list(row) for v, row in table.items()}
-        for v, row in before.items():
-            if dominant_weight(v) == dominant_weight(w):
-                assert after[v] == row[:4] + [row[4] + 1], (w, v)
-            else:
-                assert after[v] == row, (w, v)
-        table.add(w, 4, -1)
 
 
 def test_bosonic_rows_are_shared_by_degree():
@@ -378,8 +380,8 @@ def test_bosonic_rows_are_shared_by_degree():
 
 
 def test_table_row_rejects_a_weight_of_the_wrong_length():
-    """`row`, like `add`, refuses a weight of the wrong length instead of
-    reading it as a weight the table does not hold."""
+    """`row`, like `from_weights`, refuses a weight of the wrong length
+    instead of reading it as a weight the table does not hold."""
     table = bosonic_character(3, 0, 2)
     assert table.row([0, 0]) == [1, 2, 5]
     assert table.row([1, 0]) == [0, 0, 0]
@@ -389,13 +391,10 @@ def test_table_row_rejects_a_weight_of_the_wrong_length():
 
 
 def test_table_first_difference_locates_discrepancy():
-    a = CharacterTable(2, 0, 2)
-    b = CharacterTable(2, 0, 2)
-    a.add((0,), 1, 1)
-    b.add((0,), 1, 2)
+    a = hand_built(2, 0, 2, [((0,), (0, 1, 0))])
+    b = hand_built(2, 0, 2, [((0,), (0, 2, 0))])
     assert a.first_difference(b) == ((0,), 1, 1, 2)
-    b2 = CharacterTable(2, 0, 2)
-    b2.add((0,), 1, 1)
+    b2 = hand_built(2, 0, 2, [((0,), (0, 1, 0))])
     assert a.first_difference(b2) is None
 
 
@@ -415,22 +414,21 @@ def _first_difference_by_weight(a, b):
 
 def test_orbit_expansion_matches_the_lattice_sum():
     """`items` expands the bosonic orbits to exactly the weights of the
-    full lattice sum, in sorted order, each holding the closed series
-    shifted to its own degree (sum c_i^2 - k)/2; the dominant vectors are
-    the dominant part of the full enumeration."""
+    full lattice sum, the distinct permutations of each weakly decreasing
+    vector, in sorted order, each holding the closed series shifted to its
+    own degree (sum c_i^2 - k)/2."""
     for n, k, qmax in ((2, 0, 9), (2, 1, 8), (3, 1, 6), (4, 2, 5), (5, 0, 5),
                        (6, 3, 4), (7, 2, 3), (8, 0, 4), (8, 5, 2)):
         closed = q_one(qmax)
         for _ in range(n - 1):
             closed = closed * euler_inverse(qmax)
-        full = lattice_weights(n, k, k + 2 * qmax)
-        degree = {w: (norm - k) // 2 for w, norm in full}
+        degree = {exps_to_fw(p): (sum(x * x for x in c) - k) // 2
+                  for c in _decreasing_vectors(n, k, k + 2 * qmax)
+                  for p in set(permutations(c))}
         pairs = bosonic_character(n, k, qmax).items()
         assert [w for w, _ in pairs] == sorted(degree), (n, k, qmax)
         for w, row in pairs:
             assert list(row) == list(closed.shift(degree[w]).coeffs), (n, k, qmax, w)
-        assert lattice_weights(n, k, k + 2 * qmax, dominant=True) == [
-            (w, norm) for w, norm in full if min(w) >= 0], (n, k, qmax)
 
 
 def test_orbits_are_the_permutations_of_c():
@@ -445,9 +443,7 @@ def test_orbits_are_the_permutations_of_c():
             assert key in orbit and all(m >= 0 for m in key), c
             assert {dominant_weight(w) for w in orbit} == {key}, c
             assert orbit_size(key) == len(orbit), c
-            table = CharacterTable(n, weight_class(key, n), 0)
-            table.add(orbit[-1], 0, 1)
-            assert table.orbits == {key: [1]}, c
+            table = hand_built(n, weight_class(key, n), 0, [(orbit[-1], [1])])
             assert [w for w, _ in table.items()] == orbit, c
 
 
@@ -477,9 +473,12 @@ def test_first_difference_names_the_smallest_weight_off_the_dominant_chamber():
     at which that weight differs.  It agrees with the comparison weight by
     weight, also when one table lacks an orbit."""
     a = bosonic_character(3, 0, 4)
-    b = bosonic_character(3, 0, 4)
-    b.add((-2, 4), 4, 1)
-    b.add((3, -3), 2, 7)
+    changed = []
+    for weight, degree, coeff in (((-2, 4), 4, 1), ((3, -3), 2, 7)):
+        row = a.row(weight)
+        row[degree] += coeff
+        changed.append((weight, row))
+    b = hand_built(3, 0, 4, [*a.orbits.items(), *changed])
     x = a.row((2, 2))[4]
     assert a.first_difference(b) == ((-4, 2), 4, x, x + 1)
     assert b.first_difference(a) == ((-4, 2), 4, x + 1, x)

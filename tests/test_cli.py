@@ -11,6 +11,7 @@ from spinonchars import strips, verify
 from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _laid_out, _render_report,
                              _write_table, main)
+from tables import hand_built
 
 
 def run_cli(capsys, *argv):
@@ -59,7 +60,7 @@ def test_char_json_has_the_indent_2_layout(capsys):
 
 def test_char_builders_return_no_zero_row():
     """`char` writes the rows of `table.items()` as built, so every builder
-    prunes its all-zero rows itself."""
+    drops its all-zero rows itself."""
     for kind in CHAR_KINDS:
         n_values = (2, 3, 4) if kind in ("bosonic", "yangian") else (2,)
         for n in n_values:
@@ -85,23 +86,15 @@ def test_empty_table_renders_in_every_format():
     assert rendered["pretty"] == "n=3 k=1 qmax=2 delta=1/3\n"
 
 
-def _hand_built(n, k, qmax, rows):
-    table = CharacterTable(n, k, qmax)
-    for weight, coeffs in rows:
-        for degree, coeff in enumerate(coeffs):
-            table.add(weight, degree, coeff)
-    return table
-
-
 @pytest.mark.parametrize("table", [
-    _hand_built(4, 1, 3, [((1, 0, 0), (1, 12, 345, 6789)),
-                          ((-3, 10, -12), (-5, 0, -170, 1)),
-                          ((0, -1, 1), (1, 12, 345, 6789)),
-                          ((-20, 0, 7), (0, 0, 0, 100000000000000000000))]),
-    _hand_built(2, 0, 4, [((w,), (w, -w, 10 * w, 0, -1)) for w in range(-12, 13, 3)]),
-    _hand_built(3, 2, 0, [((-1, -1), (7,)), ((2, 0), (-30,)), ((5, -4), (7,))]),
-    _hand_built(2, 1, 0, [((-101,), (-2,))]),
-    _hand_built(1, 0, 2, [((), (3, -1, 22))]),
+    hand_built(4, 1, 3, [((1, 0, 0), (1, 12, 345, 6789)),
+                         ((-3, 10, -12), (-5, 0, -170, 1)),
+                         ((0, -1, 1), (1, 12, 345, 6789)),
+                         ((-20, 0, 7), (0, 0, 0, 100000000000000000000))]),
+    hand_built(2, 0, 4, [((w,), (w, -w, 10 * w, 0, -1)) for w in range(-12, 13, 3)]),
+    hand_built(3, 2, 0, [((-1, -1), (7,)), ((2, 0), (-30,)), ((5, -4), (7,))]),
+    hand_built(2, 1, 0, [((-101,), (-2,))]),
+    hand_built(1, 0, 2, [((), (3, -1, 22))]),
 ], ids=["multi-digit", "rank-2", "rank-3-qmax-0", "rank-2-qmax-0", "rank-1"])
 def test_json_table_layout_of_hand_built_tables(table):
     """Tables no builder writes, with multi-digit and negative coefficients
@@ -294,8 +287,10 @@ def test_bijection_sl2_partition_payload(capsys):
 
 
 def test_bijection_bad_payload_is_usage_error(capsys):
-    """Malformed JSON, and any number that is not a JSON integer (a float,
-    a string or a bool), is refused rather than truncated."""
+    """Malformed JSON, any number that is not a JSON integer (a float, a
+    string or a bool), and a motif bit that is not the ASCII digit 0 or 1
+    (such as the fullwidth digits of "１０|"), is refused rather than
+    truncated or read as a digit."""
     for src, payload in (
         ("strip", "not json"),
         ("strip", '{"rows": [1.5, 2]}'),
@@ -308,6 +303,7 @@ def test_bijection_bad_payload_is_usage_error(capsys):
         ("rapidity", '{"k": 0, "prefix": [], "stab": "2"}'),
         ("sl2-partition", '{"lam": [1.5], "N": 2}'),
         ("sl2-partition", '{"lam": [1], "N": true}'),
+        ("motif", "\uff11\uff10|"),
     ):
         code, out, err = run_cli(
             capsys, "bijection", "--from", src, "--to", "motif",
