@@ -21,7 +21,6 @@ from .qseries import (
     inv_pochhammer_product,
     inv_pochhammer_z_expansion,
     lemma_d3_check,
-    pochhammer,
     pochhammer_z_expansion,
     qbinomial,
     qmultinomial,
@@ -39,7 +38,6 @@ from .strips import (
     rapidity_energy,
     rapidity_to_motif,
     rapidity_to_strip,
-    reduced_strips,
     sl2_partition_to_strip,
     strip_to_rapidity,
     vacuum_rapidities,
@@ -53,8 +51,6 @@ from .symfunc import (
     rs_generating_check,
     schur_skew,
     skew_kostka,
-    sl2_strip_product,
-    stabilization_check,
     strip_schur,
     weight_projection,
 )

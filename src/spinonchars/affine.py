@@ -212,15 +212,6 @@ class CharacterTable:
             return NotImplemented
         return self.first_difference(other) is None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "delta": f"{self.delta.numerator}/{self.delta.denominator}",
-            "qmax": self.qmax,
-            "rows": [{"weight": list(w), "coeffs": list(row)} for w, row in self.items()],
-        }
-
     def __repr__(self):
         return (
             f"CharacterTable(n={self.n}, k={self.k}, qmax={self.qmax}, "
@@ -243,6 +234,8 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     decreasing arrangement (see `dominant_weight`), so only those vectors
     are enumerated, one per orbit.  Every orbit of one degree holds the
     same tuple, so the table has at most qmax + 1 row objects."""
+    if n < 2:
+        raise ValueError("rank must be >= 2")
     table = CharacterTable(n, k, qmax)
     power = inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
     shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]

@@ -77,9 +77,11 @@ def _json_int_list(count: int) -> str:
 def _write_table(table, fmt: str, out) -> None:
     """Write the table to `out` weight by weight, each line ending in a
     newline; every table builder drops its all-zero rows itself.
-    `json` has the layout of `json.dumps(table.to_json_dict(), indent=2)`;
-    the standard encoder falls back to pure Python when indenting, so the
-    layout is written here instead: every row has as many weight coordinates
+    `json` has the layout of `json.dumps(..., indent=2)` of the dict with
+    keys n, k, delta ("num/den"), qmax and rows, a list of
+    {"weight": [...], "coeffs": [...]} in weight order; the standard
+    encoder falls back to pure Python when indenting, so the layout is
+    written here instead: every row has as many weight coordinates
     and coefficients as the next, so one `%` template per table lays out a
     row.  In every format the text of an orbit's coefficients is laid out
     once and written at each of its weights."""

@@ -186,9 +186,6 @@ class SkewShape:
                 out.append((i, j))
         return out
 
-    def size(self) -> int:
-        return self.outer.size() - self.inner.size()
-
     def __eq__(self, other):
         if not isinstance(other, SkewShape):
             return NotImplemented

@@ -95,22 +95,6 @@ def euler_inverse(qmax: int) -> QSeries:
     return inv_pochhammer(qmax, qmax)
 
 
-def pochhammer(n: int, qmax: int) -> QSeries:
-    """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated at qmax.
-
-    Built at order qmax: starting from 1, each factor (1 - q^j) with
-    j <= min(n, qmax) is applied in place, c[d] -= c[d - j] for d from qmax
-    down to j, so every coefficient read still belongs to the previous
-    partial product.  Factors with j > qmax are 1 below the truncation."""
-    if n < 0:
-        raise ValueError(f"pochhammer index must be >= 0, got {n}")
-    coeffs = [1] + [0] * qmax
-    for j in range(1, min(n, qmax) + 1):
-        for d in range(qmax, j - 1, -1):
-            coeffs[d] -= coeffs[d - j]
-    return QSeries(coeffs, qmax)
-
-
 @lru_cache(maxsize=None)
 def inv_pochhammer(n: int, qmax: int) -> QSeries:
     """1/(q)_n truncated at qmax.

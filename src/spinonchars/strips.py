@@ -158,38 +158,6 @@ def energy(strip: BorderStrip) -> Fraction:
     return Fraction(row_form, 2 * n)
 
 
-def reduced_strips(n: int, k: int, e2_max: int):
-    """Yield (strip, e2) for every reduced rank-n strip of class k (size
-    congruent to k mod n) with e2 = 2n * energy(strip) <= e2_max.
-
-    Columns are appended left to right.  In the column form of `energy` a
-    column's weight is the number of columns to its left, so appending a
-    column of height b to a strip with s columns and m boxes raises 2n*E by
-    exactly b * (2(n*s - m) + n - b).  The leftmost column is shorter than n,
-    so n*s - m >= 1 once s >= 1, and every appended column raises 2n*E by at
-    least n + 1: a prefix above e2_max has no extension within it.
-    """
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    k %= n
-    stack = [((), 0, 0)]  # (column heights left to right, boxes, 2n*E)
-    while stack:
-        cols, m, e2 = stack.pop()
-        if m % n == k:
-            strip = BorderStrip(cols[::-1], n)
-            if energy(strip) * (2 * n) != e2:
-                raise AssertionError(
-                    f"energy increment identity fails on {strip}: "
-                    f"2n*E = {energy(strip) * (2 * n)} != {e2}"
-                )
-            yield strip, e2
-        s = len(cols)
-        for b in range(1, n + 1 if s else n):
-            grown = e2 + b * (2 * (n * s - m) + n - b)
-            if grown <= e2_max:
-                stack.append((cols + (b,), m + b, grown))
-
-
 class RapiditySeq:
     """Semi-infinite strictly increasing positive integers, stabilized.
 

@@ -65,10 +65,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def eval_ones(self) -> int:
-        """Sum of coefficients (the value at x_1 = ... = x_n = 1)."""
-        return sum(self.terms.values())
-
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -291,23 +287,6 @@ def strip_schur(strip: BorderStrip, nvars: int) -> SymPoly:
     return upto[-1]
 
 
-def sl2_strip_product(rows) -> SymPoly:
-    """s_<a_1..a_r> at n=2 as a product of complete symmetric polynomials."""
-    rows = list(rows)
-    if not rows:
-        return SymPoly.one(2)
-    if len(rows) == 1:
-        return schur_skew(BorderStrip.from_rows(rows, 2).shape, 2, "jt_h")
-    if rows[0] < 1 or rows[-1] < 1 or any(a < 2 for a in rows[1:-1]):
-        raise ValueError(f"invalid n=2 strip rows {rows}")
-    poly = SymPoly.one(2)
-    r = len(rows)
-    for i, a in enumerate(rows, start=1):
-        drop = 1 if i in (1, r) else 2
-        poly = poly * complete(a - drop, 2)
-    return poly
-
-
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
     """Collapse a SymPoly onto fundamental-weight coordinates (x_1...x_n = 1)."""
     out: dict = {}
@@ -315,16 +294,6 @@ def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
         w = exps_to_fw(e)
         out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}
-
-
-def stabilization_check(cols, n: int) -> bool:
-    """True iff appending a full column of height n leaves the weight-projected
-    Schur polynomial, in n variables, unchanged."""
-    base = BorderStrip(cols, n)
-    extended = BorderStrip(base.cols + (n,), n)
-    p1 = schur_skew(base.shape, n, "jt_h")
-    p2 = schur_skew(extended.shape, n, "jt_h")
-    return weight_projection(p1) == weight_projection(p2)
 
 
 def rogers_szego(total: int, nvars: int, qmax: int) -> dict:

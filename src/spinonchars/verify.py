@@ -5,26 +5,22 @@ these builders.  A builder's parameters (`n`, `qmax`, or neither) are the
 overrides its suite reads."""
 from __future__ import annotations
 
-import inspect
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import affine, qseries, strips, symfunc, yangian
 from .partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from .qseries import q_one, q_zero
 
 
-@dataclass
-class Case:
+class Case(NamedTuple):
     id: str
     params: dict
     run: Callable[[], object]  # returns None on pass, else a locus
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     id: str
     params: dict
     passed: bool
@@ -32,10 +28,9 @@ class CaseResult:
     seconds: float
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
-    cases: list[CaseResult] = field(default_factory=list)
+    cases: list[CaseResult]
 
     @property
     def passed(self) -> bool:
@@ -555,8 +550,10 @@ def build_suite(name: str, n: int | None = None, qmax: int | None = None) -> lis
     return _build(name, given)
 
 
-def _reads(name: str):
-    return inspect.signature(SUITES[name]).parameters
+def _reads(name: str) -> tuple[str, ...]:
+    """The parameter names of `SUITES[name]`: the overrides its suite reads."""
+    code = SUITES[name].__code__
+    return code.co_varnames[:code.co_argcount]
 
 
 def _build(name: str, given: dict) -> list[Case]:

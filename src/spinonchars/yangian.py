@@ -24,9 +24,6 @@ class DrinfeldPolys:
         self.n = n
         self.roots = roots
 
-    def poly_degrees(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.roots)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "P": [list(r) for r in self.roots]}
 
@@ -218,11 +215,13 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     instead of strip by strip.  Energies are kept as e2 = 2n*E, and
     2n*Delta_k = k(n-k).
 
-    Search.  As in `strips.reduced_strips`, a strip is built by appending
-    its columns left to right.  For a prefix of s columns and m boxes let
-    d = n*s - m = sum_i (n - b_i).  Appending a column of height b adds
-    b(2d + n - b) to e2, by the column form of `strips.energy`, and sets
-    d <- d + n - b.
+    Search.  A strip is built by appending its columns left to right, so
+    the first column appended is the leftmost, and each new column has
+    every earlier one to its left.  For a prefix of s columns and m boxes
+    let d = n*s - m = sum_i (n - b_i).  In the column form of
+    `strips.energy`, 2n*E = m(n - m) + 2n * sum_i (columns left of i) b_i,
+    so appending a column of height b adds b(n - 2m - b) + 2n*s*b =
+    b(2d + n - b) to e2, and sets d <- d + n - b.
 
     * Start: a strip is reduced when its leftmost column, the first one
       appended, is shorter than n.  That term makes d >= 1 and no column
@@ -274,9 +273,9 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     the sum at each grade is the image of the true one.  The coefficient of
     m_nu is the table's row at every weight of nu's orbit, so the values
     are the table's orbit rows, and no weight is expanded here."""
-    table = CharacterTable(n, k, qmax)
     if n < 2:
         raise ValueError("rank must be >= 2")
+    table = CharacterTable(n, k, qmax)
     base = k * (n - k)
     e2_max = base + 2 * n * qmax
     rows: dict[tuple[int, ...], list[int]] = {}  # normalized nu -> coefficients by grade

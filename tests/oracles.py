@@ -1,0 +1,118 @@
+"""Reference implementations that only the tests call: the strip search the
+Yangian route replaced, expansions and statistics no route needs, and
+hand-built character tables holding rows that no builder writes."""
+from spinonchars.affine import CharacterTable, dominant_weight
+from spinonchars.qseries import QSeries
+from spinonchars.strips import BorderStrip, energy
+from spinonchars.symfunc import SymPoly, complete, schur_skew, weight_projection
+
+
+def reduced_strips(n: int, k: int, e2_max: int):
+    """Yield (strip, e2) for every reduced rank-n strip of class k (size
+    congruent to k mod n) with e2 = 2n * energy(strip) <= e2_max.
+
+    Columns are appended left to right.  In the column form of `energy` a
+    column's weight is the number of columns to its left, so appending a
+    column of height b to a strip with s columns and m boxes raises 2n*E by
+    exactly b * (2(n*s - m) + n - b).  The leftmost column is shorter than n,
+    so n*s - m >= 1 once s >= 1, and every appended column raises 2n*E by at
+    least n + 1: a prefix above e2_max has no extension within it.
+    """
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    k %= n
+    stack = [((), 0, 0)]  # (column heights left to right, boxes, 2n*E)
+    while stack:
+        cols, m, e2 = stack.pop()
+        if m % n == k:
+            strip = BorderStrip(cols[::-1], n)
+            if energy(strip) * (2 * n) != e2:
+                raise AssertionError(
+                    f"energy increment identity fails on {strip}: "
+                    f"2n*E = {energy(strip) * (2 * n)} != {e2}"
+                )
+            yield strip, e2
+        s = len(cols)
+        for b in range(1, n + 1 if s else n):
+            grown = e2 + b * (2 * (n * s - m) + n - b)
+            if grown <= e2_max:
+                stack.append((cols + (b,), m + b, grown))
+
+
+def pochhammer(n: int, qmax: int) -> QSeries:
+    """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated at qmax.
+
+    Built at order qmax: starting from 1, each factor (1 - q^j) with
+    j <= min(n, qmax) is applied in place, c[d] -= c[d - j] for d from qmax
+    down to j, so every coefficient read still belongs to the previous
+    partial product.  Factors with j > qmax are 1 below the truncation."""
+    if n < 0:
+        raise ValueError(f"pochhammer index must be >= 0, got {n}")
+    coeffs = [1] + [0] * qmax
+    for j in range(1, min(n, qmax) + 1):
+        for d in range(qmax, j - 1, -1):
+            coeffs[d] -= coeffs[d - j]
+    return QSeries(coeffs, qmax)
+
+
+def sl2_strip_product(rows) -> SymPoly:
+    """s_<a_1..a_r> at n=2 as a product of complete symmetric polynomials."""
+    rows = list(rows)
+    if not rows:
+        return SymPoly.one(2)
+    if len(rows) == 1:
+        return schur_skew(BorderStrip.from_rows(rows, 2).shape, 2, "jt_h")
+    if rows[0] < 1 or rows[-1] < 1 or any(a < 2 for a in rows[1:-1]):
+        raise ValueError(f"invalid n=2 strip rows {rows}")
+    poly = SymPoly.one(2)
+    r = len(rows)
+    for i, a in enumerate(rows, start=1):
+        drop = 1 if i in (1, r) else 2
+        poly = poly * complete(a - drop, 2)
+    return poly
+
+
+def stabilization_check(cols, n: int) -> bool:
+    """True iff appending a full column of height n leaves the weight-projected
+    Schur polynomial, in n variables, unchanged."""
+    base = BorderStrip(cols, n)
+    extended = BorderStrip(base.cols + (n,), n)
+    p1 = schur_skew(base.shape, n, "jt_h")
+    p2 = schur_skew(extended.shape, n, "jt_h")
+    return weight_projection(p1) == weight_projection(p2)
+
+
+def eval_ones(poly: SymPoly) -> int:
+    """Sum of coefficients (the value at x_1 = ... = x_n = 1)."""
+    return sum(poly.terms.values())
+
+
+def poly_degrees(polys) -> tuple[int, ...]:
+    """The degrees of the Drinfel'd polynomials P_1..P_{n-1}."""
+    return tuple(len(r) for r in polys.roots)
+
+
+def skew_size(shape) -> int:
+    """The number of cells of a skew shape."""
+    return shape.outer.size() - shape.inner.size()
+
+
+def table_json_dict(table: CharacterTable) -> dict:
+    """The table as the dict whose `json.dumps(..., indent=2)` is the layout
+    of `char --format json`."""
+    return {
+        "n": table.n,
+        "k": table.k,
+        "delta": f"{table.delta.numerator}/{table.delta.denominator}",
+        "qmax": table.qmax,
+        "rows": [{"weight": list(w), "coeffs": list(row)} for w, row in table.items()],
+    }
+
+
+def hand_built(n, k, qmax, rows):
+    """The table whose orbit of each weight of the (weight, coefficients)
+    pairs `rows` holds those coefficients; a later weight of one orbit
+    replaces an earlier one."""
+    table = CharacterTable(n, k, qmax)
+    table.orbits = {dominant_weight(w): list(coeffs) for w, coeffs in rows}
+    return table

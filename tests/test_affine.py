@@ -26,7 +26,7 @@ from spinonchars.affine import (
 from spinonchars.qseries import euler_inverse, inv_pochhammer, q_one, q_zero
 from spinonchars.verify import small_norm_weights
 from spinonchars.yangian import sl2_yangian_decomposition
-from tables import hand_built
+from oracles import hand_built
 
 
 def test_conformal_dimensions_pinned():
@@ -80,6 +80,14 @@ def test_bosonic_table_pinned_small():
     assert {w: tuple(r) for w, r in table.items()} == {
         (0,): (1, 1), (2,): (0, 1), (-2,): (0, 1),
     }
+
+
+def test_bosonic_character_refuses_ranks_below_two():
+    """Ranks 0 and 1 are refused before a table is built, with the message
+    of `yangian_decomposition`."""
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="^rank must be >= 2$"):
+            bosonic_character(n, 0, 3)
 
 
 def test_bosonic_table_weight_reflection_symmetry():

@@ -2,6 +2,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from spinonchars import strips, verify
 from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _laid_out, _render_report,
                              _write_table, main)
-from tables import hand_built
+from oracles import hand_built, table_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +57,7 @@ def test_char_json_has_the_indent_2_layout(capsys):
                     data = json.loads(out)
                     assert out == json.dumps(data, indent=2) + "\n", argv
                     table = _build_table(kind, n, k, qmax)
-                    assert out == json.dumps(table.to_json_dict(), indent=2) + "\n"
+                    assert out == json.dumps(table_json_dict(table), indent=2) + "\n"
                     rows = [(tuple(r["weight"]), r["coeffs"]) for r in data["rows"]]
                     assert rows == [(w, list(row)) for w, row in table.items()], argv
 
@@ -80,7 +84,7 @@ def test_empty_table_renders_in_every_format():
         out = io.StringIO()
         _write_table(table, fmt, out)
         rendered[fmt] = out.getvalue()
-    assert rendered["json"] == json.dumps(table.to_json_dict(), indent=2) + "\n"
+    assert rendered["json"] == json.dumps(table_json_dict(table), indent=2) + "\n"
     assert '"rows": []' in rendered["json"]
     assert rendered["csv"] == "w1,w2,qdegree,coeff\n"
     assert rendered["pretty"] == "n=3 k=1 qmax=2 delta=1/3\n"
@@ -102,7 +106,7 @@ def test_json_table_layout_of_hand_built_tables(table):
     coordinate at all, are laid out as the indenting encoder lays them out."""
     out = io.StringIO()
     _write_table(table, "json", out)
-    assert out.getvalue() == json.dumps(table.to_json_dict(), indent=2) + "\n"
+    assert out.getvalue() == json.dumps(table_json_dict(table), indent=2) + "\n"
 
 
 def test_writer_lays_out_each_row_object_once():
@@ -473,6 +477,22 @@ def test_verify_bad_rank_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "sl2", "--n", "1")
     assert code == 2
     assert "--n" in err
+
+
+def test_cli_imports_neither_inspect_nor_dataclasses():
+    """In a fresh interpreter, importing the CLI loads neither `inspect` nor
+    `dataclasses` (with what `inspect` pulls in, about 12 ms of start-up),
+    and `cli.verify.build_suite`, which `perfbench/child.py` reads, still
+    builds every case."""
+    probe = ("import sys\n"
+             "from spinonchars import cli\n"
+             "print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))\n"
+             "print(len(cli.verify.build_suite('all', n=None, qmax=None)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == ["[]", "2631"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

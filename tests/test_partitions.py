@@ -10,6 +10,7 @@ from spinonchars.partitions import (
     partition_counts,
     partitions_of,
 )
+from oracles import skew_size
 
 
 def test_partition_normalizes_and_validates():
@@ -105,7 +106,7 @@ def test_containment():
 def test_skew_shape_cells_and_columns():
     shape = SkewShape(Partition([2, 2]), Partition([1]))
     assert sorted(shape.cells()) == [(0, 1), (1, 0), (1, 1)]
-    assert shape.size() == 3
+    assert skew_size(shape) == 3
     oc, ic = shape.outer.conjugate(), shape.inner.conjugate()
     assert [oc[j] - ic[j] for j in (1, 2)] == [1, 2]  # column heights, left to right
 

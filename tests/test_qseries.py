@@ -14,13 +14,13 @@ from spinonchars.qseries import (
     inv_pochhammer_product,
     inv_pochhammer_z_expansion,
     lemma_d3_check,
-    pochhammer,
     pochhammer_z_expansion,
     q_one,
     q_zero,
     qbinomial,
     qmultinomial,
 )
+from oracles import pochhammer
 
 
 def test_qbinomial_4_2_pinned():

@@ -1,5 +1,6 @@
 """Static checks on the package source, with the standard library's `ast`."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinonchars"
@@ -156,3 +157,45 @@ def test_yangian_route_runs_no_strip_search():
                             "yangian_decomposition")
     assert "_append_column" in called
     assert not called & {"reduced_strips", "strip_schur", "weight_projection", "energy"}
+
+
+def _named(tree: ast.AST):
+    """Every name read in `tree`, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and each method
+    of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_definition_is_used_in_src():
+    """Each module-level function and each method in the package is named
+    somewhere in it outside its own body, so no helper that only the tests
+    call stays in `src/` (those live in `tests/oracles.py`).  Exempt are
+    `__init__.py`, whose re-exports do not count as uses either, dunder
+    methods, which the language calls, and the argparse hook
+    `_Parser.error`.  The check matches names only: a method is taken as
+    used when any attribute of that name is read, so it cannot see an
+    unused method whose name another class also uses (`to_json_dict`,
+    `size`)."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert trees
+    mentions = Counter(name for tree in trees for name in _named(tree))
+    unused = [qualname for tree in trees for qualname, node in _definitions(tree)
+              if not (node.name.startswith("__") and node.name.endswith("__"))
+              and qualname != "_Parser.error"
+              and mentions[node.name] == Counter(_named(node))[node.name]]
+    assert not unused, "defined but never named in src/:\n" + "\n".join(unused)

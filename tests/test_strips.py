@@ -18,11 +18,11 @@ from spinonchars.strips import (
     motif_to_strip,
     rapidity_to_motif,
     rapidity_to_strip,
-    reduced_strips,
     sl2_partition_to_strip,
     strip_to_rapidity,
     vacuum_rapidities,
 )
+from oracles import reduced_strips
 
 
 # ---------------------------------------------------------------------------
