@@ -117,27 +117,26 @@ class CharacterTable:
     algebras, ch. 12).  `orbits` maps the dominant weight of each orbit to
     the row that every weight of the orbit holds; `row` reads any weight
     through its orbit, and `items` expands the orbits to one (weight, row)
-    pair per weight.  No row changes once a builder returns it, so several
-    orbits may share one row object (`bosonic_character` shares them)."""
+    pair per weight, laying out each orbit's row once if asked.  No row
+    changes once a builder returns it, so several orbits may share one row
+    object (`bosonic_character` shares them)."""
 
     def __init__(self, n: int, k: int, qmax: int):
-        if not 0 <= k < n:
-            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        self.delta = conformal_dimension(n, k)  # checks 0 <= k < n first
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
         self.n = n
         self.k = k
         self.qmax = qmax
-        self.delta = conformal_dimension(n, k)
         self.orbits: dict[tuple[int, ...], list[int] | tuple[int, ...]] = {}
 
     @classmethod
     def from_weights(cls, n: int, k: int, qmax: int, rows) -> "CharacterTable":
         """The table holding `rows[w]` at each weight w of the dict `rows`
-        and zeros at every other weight, with its all-zero rows dropped.
-        Raises AssertionError unless that is W-invariant: two weights of one
-        orbit hold different rows, or an orbit holds a row that is not zero
-        at only some of its weights."""
+        and zeros at every other weight, with its all-zero rows dropped,
+        checked by `validate`.  Raises AssertionError unless that is
+        W-invariant: two weights of one orbit hold different rows, or an
+        orbit holds a row that is not zero at only some of its weights."""
         table = cls(n, k, qmax)
         orbits, held = table.orbits, {}
         for w, row in rows.items():
@@ -158,7 +157,7 @@ class CharacterTable:
                 raise AssertionError(
                     f"not W-invariant: the orbit of {key} holds a row at {count} "
                     f"of its {orbit_size(key)} weights")
-        return table
+        return table.validate()
 
     def validate(self) -> "CharacterTable":
         """Class membership and non-negativity of every coefficient, checked
@@ -182,10 +181,12 @@ class CharacterTable:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
         return list(self.orbits.get(dominant_weight(weight), [0] * (self.qmax + 1)))
 
-    def items(self) -> list[tuple[tuple[int, ...], list[int] | tuple[int, ...]]]:
-        """(weight, row) for every weight of every orbit, in weight order;
-        the weights of one orbit share the orbit's row object."""
-        pairs = _expand(self.orbits.items())
+    def items(self, layout=None) -> list[tuple[tuple[int, ...], object]]:
+        """(weight, row) for every weight of every orbit, in weight order,
+        or (weight, layout(row)) with `layout` called once per orbit; the
+        weights of one orbit share one row, or one laid-out row, object."""
+        pairs = _expand((key, layout(row) if layout else row)
+                        for key, row in self.orbits.items())
         pairs.sort(key=itemgetter(0))  # the int-tuple keys sort fastest
         return pairs
 
@@ -455,7 +456,7 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
         row = rows.setdefault(weight, [0] * (qmax + 1))
         for d in range(degree0, qmax + 1):
             row[d] += series[d - degree0]
-    return CharacterTable.from_weights(2, k, qmax, rows).validate()
+    return CharacterTable.from_weights(2, k, qmax, rows)
 
 
 def _root_form_terms(k: int, qmax: int):
@@ -495,9 +496,7 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
     each (M1, M2) are counted by `partitions.partition_counts` without
     building a partition.  The counts are summed weight by weight and folded
     into orbits by `CharacterTable.from_weights`, which checks that the sum
-    is W-invariant."""
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
+    is W-invariant; `sl2_spinon_grades` checks k."""
     rows: dict[tuple[int], list[int]] = {}
     for total, base in sl2_spinon_grades(k, qmax):
         budget = qmax - base
@@ -514,4 +513,4 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
                     c2 = at_most[m2_count][e2]
                     if c2:
                         row[base + e1 + e2] += c1 * c2
-    return CharacterTable.from_weights(2, k, qmax, rows).validate()
+    return CharacterTable.from_weights(2, k, qmax, rows)

@@ -54,18 +54,6 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
     return yangian.sl2_yangian_decomposition(k, qmax)
 
 
-def _laid_out(table, layout):
-    """(weight, layout(row)) for every weight of the table, in weight order.
-    The weights of one orbit share its row object (`CharacterTable.items`),
-    so `layout` runs once per row object: once per orbit at most."""
-    texts: dict[int, object] = {}
-    for w, row in table.items():
-        text = texts.get(id(row))
-        if text is None:
-            text = texts[id(row)] = layout(row)
-        yield w, text
-
-
 def _json_int_list(count: int) -> str:
     """The json layout of a list of `count` integers, as a `%d` template,
     at the depth of a row's "weight" and "coeffs"."""
@@ -83,8 +71,8 @@ def _write_table(table, fmt: str, out) -> None:
     encoder falls back to pure Python when indenting, so the layout is
     written here instead: every row has as many weight coordinates
     and coefficients as the next, so one `%` template per table lays out a
-    row.  In every format the text of an orbit's coefficients is laid out
-    once and written at each of its weights."""
+    row.  In every format `table.items` lays out the text of an orbit's
+    coefficients once, and it is written at each of the orbit's weights."""
     if fmt == "json":
         delta = f"{table.delta.numerator}/{table.delta.denominator}"
         out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
@@ -93,7 +81,7 @@ def _write_table(table, fmt: str, out) -> None:
                     + ',\n      "coeffs": %s\n    }')
         coeffs_text = _json_int_list(table.qmax + 1)
         sep = '  "rows": [\n'
-        for w, text in _laid_out(table, lambda row: coeffs_text % tuple(row)):
+        for w, text in table.items(lambda row: coeffs_text % tuple(row)):
             out.write(row_text % (sep, *w, text))
             sep = ",\n"
         out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')
@@ -101,13 +89,13 @@ def _write_table(table, fmt: str, out) -> None:
         header = [f"w{i}" for i in range(1, table.n)] + ["qdegree", "coeff"]
         out.write(",".join(header) + "\n")
         # a weight's lines are its prefix joined to ["", "d,c\n", ...]
-        for w, lines in _laid_out(table, lambda row: ["", *(
+        for w, lines in table.items(lambda row: ["", *(
                 f"{d},{c}\n" for d, c in enumerate(row) if c)]):
             out.write("".join(f"{x}," for x in w).join(lines))
     else:
         out.write(f"n={table.n} k={table.k} qmax={table.qmax} "
                   f"delta={table.delta.numerator}/{table.delta.denominator}\n")
-        for w, terms in _laid_out(table, lambda row: " + ".join(
+        for w, terms in table.items(lambda row: " + ".join(
                 f"{c}*q^{d}" for d, c in enumerate(row) if c) or "0"):
             out.write(f"weight {w}: {terms}\n")
 
@@ -127,19 +115,18 @@ def _int(x) -> int:
 
 def _parse_payload(kind: str, payload: str, n: int):
     try:
-        if kind == "strip":
-            data = json.loads(payload)
-            rows = data["rows"] if isinstance(data, dict) else data
-            return BorderStrip.from_rows(rows, n)
         if kind == "motif":
             return Motif.parse(payload, n)
+        data = json.loads(payload)
+        if isinstance(data, dict) and _int(data.get("n", n)) != n:
+            raise UsageError(f"the payload has n={data['n']}, but --n is {n}")
+        if kind == "strip":
+            return BorderStrip.from_rows(data["rows"] if isinstance(data, dict) else data, n)
         if kind == "rapidity":
-            data = json.loads(payload)
             return RapiditySeq(n, _int(data["k"]), data["prefix"], _int(data["stab"]))
         if kind == "modes":
-            return [_int(x) for x in json.loads(payload)]
-        data = json.loads(payload)  # sl2-partition
-        return Partition(data["lam"]), _int(data["N"])
+            return [_int(x) for x in data]
+        return Partition(data["lam"]), _int(data["N"])  # sl2-partition
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {payload!r}: {exc}") from exc
 
@@ -168,6 +155,8 @@ def _render_object(kind: str, obj) -> object:
 def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
     if n < 2:
         raise UsageError(f"--n must be >= 2, got {n}")
+    if src == "sl2-partition" and n != 2:
+        raise UsageError("--from sl2-partition requires --n 2")
     obj = _parse_payload(src, payload, n)
     try:
         strip = _to_strip(src, obj, n)
@@ -186,7 +175,7 @@ def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# json text, and the verify report
 
 _INF = float("inf")
 
@@ -194,11 +183,10 @@ _INF = float("inf")
 def _json_text(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2)`, with `pad` (a newline and the current
     indent) in place of each newline.  The standard encoder falls back to
-    pure Python when indenting; here the containers are laid out directly
-    and each common scalar is written by the function the encoder itself
-    uses.  A JSON text holds a raw newline only where the layout puts one,
-    so whatever this does not lay out (a float that is not finite, a key
-    that is not a str, a subclass) is left to the encoder and re-indented."""
+    pure Python when indenting; here the containers are laid out directly,
+    each common scalar is written by the function the encoder itself uses,
+    and any other scalar (a float that is not finite, a subclass) by the
+    unindented encoder, which writes a scalar as the indenting one does."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -209,31 +197,32 @@ def _json_text(obj, pad: str = "\n") -> str:
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
     inner = pad + "  "
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         return f"[{inner}{f',{inner}'.join(_json_text(v, inner) for v in obj)}{pad}]"
-    if kind is dict and all(type(key) is str for key in obj):
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = f",{inner}".join(f"{encode_basestring_ascii(key)}: {_json_text(v, inner)}"
+        items = f",{inner}".join(f"{_json_key(key)}: {_json_text(v, inner)}"
                                  for key, v in obj.items())
         return f"{{{inner}{items}{pad}}}"
-    return json.dumps(obj, indent=2).replace("\n", pad)
+    return json.dumps(obj)
 
 
-def _render_report(report, fmt: str) -> str:
+def _json_key(key) -> str:
+    """A dict key as the encoder writes it: a str as itself, and any other
+    key as in the encoder's text of {key: 0}."""
+    return encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4]
+
+
+def _render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report.to_json_dict())
-    lines = []
-    for c in report.cases:
-        status = "PASS" if c.passed else "FAIL"
-        extra = "" if c.passed else f"  locus: {c.locus}"
-        lines.append(f"{status} {c.id} ({c.seconds:.3f}s){extra}")
-    lines.append(
-        f"{report.suite}: {sum(c.passed for c in report.cases)}/"
-        f"{len(report.cases)} passed"
-    )
+        return _json_text(report)
+    cases = report["cases"]
+    lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['id']} ({c['seconds']:.3f}s)"
+             + ("" if c["pass"] else f"  locus: {c['locus']}") for c in cases]
+    lines.append(f"{report['suite']}: {sum(c['pass'] for c in cases)}/{len(cases)} passed")
     return "\n".join(lines)
 
 
@@ -302,10 +291,10 @@ def main(argv=None) -> int:
                 raise UsageError(str(exc)) from exc
             report = verify.run_cases(args.suite, cases)
             print(_render_report(report, args.format))
-            return 0 if report.passed else 1
+            return 0 if report["passed"] else 1
         if args.command == "bijection":
             out = _bijection(args.src, args.dst, args.payload, args.n)
-            print(json.dumps(out, indent=2))
+            print(_json_text(out))
             return 0
     except UsageError as exc:
         print(f"spinonchars: error: {exc}", file=sys.stderr)

@@ -20,40 +20,11 @@ class Case(NamedTuple):
     run: Callable[[], object]  # returns None on pass, else a locus
 
 
-class CaseResult(NamedTuple):
-    id: str
-    params: dict
-    passed: bool
-    locus: object
-    seconds: float
-
-
-class VerificationReport(NamedTuple):
-    suite: str
-    cases: list[CaseResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "cases": [
-                {
-                    "id": c.id,
-                    "params": c.params,
-                    "pass": c.passed,
-                    "locus": c.locus,
-                    "seconds": round(c.seconds, 4),
-                }
-                for c in self.cases
-            ],
-        }
-
-
-def run_cases(suite: str, cases: list[Case]) -> VerificationReport:
+def run_cases(suite: str, cases: list[Case]) -> dict:
+    """Run every case and return the report that `verify --format json`
+    prints: {"suite", "passed", "cases"}, with one {"id", "params", "pass",
+    "locus", "seconds"} per case, sorted by id, and each time rounded to
+    4 places."""
     results = []
     for case in cases:
         start = time.perf_counter()
@@ -61,10 +32,11 @@ def run_cases(suite: str, cases: list[Case]) -> VerificationReport:
             locus = case.run()
         except Exception as exc:  # identity bugs must surface, not crash the run
             locus = f"exception: {exc}"
-        elapsed = time.perf_counter() - start
-        results.append(CaseResult(case.id, case.params, locus is None, locus, elapsed))
-    results.sort(key=lambda r: r.id)
-    return VerificationReport(suite, results)
+        results.append({"id": case.id, "params": case.params, "pass": locus is None,
+                        "locus": locus, "seconds": round(time.perf_counter() - start, 4)})
+    results.sort(key=lambda r: r["id"])
+    return {"suite": suite, "passed": all(r["pass"] for r in results),
+            "cases": results}
 
 
 def _series_locus(a, b):

@@ -427,7 +427,7 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
                 if row is None:
                     row = rows[w] = [0] * (qmax + 1)
                 row[base + size] += c * count
-    return CharacterTable.from_weights(2, k, qmax, rows).validate()
+    return CharacterTable.from_weights(2, k, qmax, rows)
 
 
 def hw_module_table(lam: Partition, n_spinons: int):

@@ -9,7 +9,7 @@ from spinonchars import verify
 from spinonchars.yangian import yangian_decomposition
 
 
-def _run(suite: str, *prefixes: str) -> verify.VerificationReport:
+def _run(suite: str, *prefixes: str) -> dict:
     """Run the default cases of `suite`, or those whose id starts with one of
     `prefixes`."""
     cases = [c for c in verify.build_suite(suite)
@@ -19,11 +19,12 @@ def _run(suite: str, *prefixes: str) -> verify.VerificationReport:
 
 
 def _report(num: int, label: str, started: float, report=None, ok: bool = True) -> None:
-    first = next((c for c in report.cases if not c.passed), None) if report else None
+    first = next((c for c in report["cases"] if not c["pass"]), None) if report else None
     ok = ok and first is None
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} [{label}]: {status} ({time.perf_counter() - started:.1f}s)")
-    detail = "" if first is None else f"first failing case {first.id}, locus {first.locus}"
+    detail = ("" if first is None
+              else f"first failing case {first['id']}, locus {first['locus']}")
     if detail:
         print(f"  {detail}")
     assert ok, f"acceptance criterion {num} ({label}) failed. {detail}"

@@ -25,7 +25,7 @@ from spinonchars.affine import (
 )
 from spinonchars.qseries import euler_inverse, inv_pochhammer, q_one, q_zero
 from spinonchars.verify import small_norm_weights
-from spinonchars.yangian import sl2_yangian_decomposition
+from spinonchars.yangian import sl2_yangian_decomposition, yangian_decomposition
 from oracles import hand_built
 
 
@@ -471,6 +471,43 @@ def test_from_weights_refuses_a_table_that_is_not_w_invariant():
         CharacterTable.from_weights(3, 1, 0, {(1, 0): [1], (0, -1): [1]})
     with pytest.raises(ValueError, match="wrong length for n=3"):
         CharacterTable.from_weights(3, 1, 0, {(1,): [1]})
+
+
+def test_from_weights_validates_the_table():
+    """`from_weights` returns a table `validate` has checked, so its
+    callers need not check it again."""
+    with pytest.raises(AssertionError, match=r"weight \(1,\) not in class 0"):
+        CharacterTable.from_weights(2, 0, 1, {(1,): [1, 0], (-1,): [1, 0]})
+    with pytest.raises(AssertionError, match=r"negative multiplicity at weight \(0,\)"):
+        CharacterTable.from_weights(2, 0, 1, {(0,): [1, -1]})
+
+
+_RANK_3_K = "need 0 <= k < n, got k=3, n=3"
+_RANK_2_K = "k must be 0 or 1"
+
+
+@pytest.mark.parametrize("build,bad_k,k_message", [
+    (lambda k, qmax: CharacterTable(3, k, qmax), 3, _RANK_3_K),
+    (lambda k, qmax: CharacterTable.from_weights(3, k, qmax, {}), 3, _RANK_3_K),
+    (lambda k, qmax: bosonic_character(3, k, qmax), 3, _RANK_3_K),
+    (lambda k, qmax: yangian_decomposition(3, k, qmax), 3, _RANK_3_K),
+    (lambda k, qmax: sl2_fermionic_character(k, "root", qmax), 2, _RANK_2_K),
+    (lambda k, qmax: sl2_fermionic_character(k, "spinon", qmax), 2, _RANK_2_K),
+    (sl2_spinon_enumeration, 2, _RANK_2_K),
+    (sl2_yangian_decomposition, 2, _RANK_2_K),
+], ids=["table", "from-weights", "bosonic", "yangian", "fermionic-root",
+        "fermionic-spinon", "spinon-enum", "sl2-yangian"])
+def test_builders_name_a_bad_k_before_a_bad_qmax(build, bad_k, k_message):
+    """Each builder refuses a k out of range with the message of the one
+    place that checks it, also when qmax is negative as well, and a
+    negative qmax with a good k with the table's message."""
+    for qmax in (2, -1):
+        with pytest.raises(ValueError) as raised:
+            build(bad_k, qmax)
+        assert str(raised.value) == k_message, qmax
+    with pytest.raises(ValueError) as raised:
+        build(1, -1)
+    assert str(raised.value) == "qmax must be >= 0"
 
 
 def test_first_difference_names_the_smallest_weight_off_the_dominant_chamber():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spinonchars import strips, verify
 from spinonchars.affine import CharacterTable, bosonic_character
-from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _laid_out, _render_report,
+from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _render_report,
                              _write_table, main)
 from oracles import hand_built, table_json_dict
 
@@ -109,14 +109,15 @@ def test_json_table_layout_of_hand_built_tables(table):
     assert out.getvalue() == json.dumps(table_json_dict(table), indent=2) + "\n"
 
 
-def test_writer_lays_out_each_row_object_once():
-    """The 2 691 weights of (6, 0, 8) share at most qmax + 1 row objects, and
-    the writer lays out the text of each of them once, in weight order."""
+def test_items_lays_out_each_orbit_once():
+    """The 2 691 weights of (6, 0, 8) lie in 24 orbits, and `items(layout)`
+    calls `layout` once per orbit, before the expansion, and gives each
+    weight the text of its orbit's row, in the weight order of `items()`."""
     table = bosonic_character(6, 0, 8)
     laid_out = []
-    pairs = list(_laid_out(table, lambda row: laid_out.append(row) or len(laid_out)))
+    pairs = table.items(lambda row: laid_out.append(row) or len(laid_out))
+    assert len(pairs) == 2691 and len(table.orbits) == 24 and len(laid_out) == 24
     assert [w for w, _ in pairs] == [w for w, _ in table.items()]
-    assert len(pairs) == 2691 and len(laid_out) <= 8 + 1
     assert all(laid_out[text - 1] == row for (_, text), (_, row) in zip(pairs, table.items()))
 
 
@@ -317,6 +318,34 @@ def test_bijection_bad_payload_is_usage_error(capsys):
         assert f"{src} payload" in err, (src, payload, err)
 
 
+def test_bijection_sl2_partition_requires_rank_two(capsys):
+    """An sl2 partition labels a rank-2 strip, so any other --n is refused
+    rather than answered at rank 2."""
+    code, out, err = run_cli(
+        capsys, "bijection", "--from", "sl2-partition", "--to", "strip",
+        "--n", "3", "--payload", '{"lam": [1], "N": 2}',
+    )
+    assert (code, out) == (2, "")
+    assert err == "spinonchars: error: --from sl2-partition requires --n 2\n"
+
+
+@pytest.mark.parametrize("src,payload", [
+    ("rapidity", '{"n": 3, "k": 1, "prefix": [1, 3], "stab": 4}'),
+    ("strip", '{"n": 3, "rows": [1, 2]}'),
+])
+def test_bijection_payload_rank_must_match(capsys, src, payload):
+    """A payload that carries its own "n" is answered only at that rank:
+    at any other --n it is refused, and at its own it is read as before."""
+    code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", "motif",
+                             "--n", "2", "--payload", payload)
+    assert (code, out) == (2, "")
+    assert err == "spinonchars: error: the payload has n=3, but --n is 2\n"
+    code, out, _ = run_cli(capsys, "bijection", "--from", src, "--to", "motif",
+                           "--n", "3", "--payload", payload)
+    assert code == 0
+    assert json.loads(out)["from"] == src
+
+
 def test_verify_suite_exit_zero_on_pass(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "sl2", "--format", "json",
@@ -334,7 +363,7 @@ def test_verify_json_report_has_the_indent_2_layout():
     without running that encoder: for a passing suite, and for a report
     whose failing cases carry a dict, a string and a list as their loci."""
     passing = verify.run_cases("gz", verify.build_suite("gz", n=2))
-    assert passing.passed
+    assert passing["passed"]
     failing = verify.run_cases("made-up", [
         verify.Case("a[1]", {"n": 2, "rows": [3, 1], "variant": "x\ty"},
                     lambda: {"weight": [1, -1], "q_degree": 0, "lhs": 2, "rhs": None}),
@@ -342,9 +371,9 @@ def test_verify_json_report_has_the_indent_2_layout():
         verify.Case("c", {"lam": []}, lambda: [[], {}, 1.5, True, False]),
         verify.Case("d", {"n": 3}, lambda: None),
     ])
-    assert not failing.passed
+    assert not failing["passed"]
     for report in (passing, failing):
-        assert _render_report(report, "json") == json.dumps(report.to_json_dict(), indent=2)
+        assert _render_report(report, "json") == json.dumps(report, indent=2)
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
@@ -357,13 +386,24 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
     lambda inner: (st.lists(inner, max_size=4)
                    | st.tuples(inner, inner)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-                   | st.dictionaries(st.integers() | st.booleans() | st.none(), inner,
-                                     max_size=3)),
+                   | st.dictionaries(st.integers() | st.booleans() | st.none()
+                                     | st.floats(allow_nan=True, allow_infinity=True),
+                                     inner, max_size=3)),
     max_leaves=20,
 ))
 def test_json_text_matches_the_indenting_encoder(value):
     """Any JSON value, non-str keys, tuples and non-finite floats included."""
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_the_encoder_refuses():
+    """A key or a value JSON has no text for raises the encoder's TypeError."""
+    for value in ({(1, 2): 0}, [{"a": object()}]):
+        with pytest.raises(TypeError) as ours:
+            _json_text(value)
+        with pytest.raises(TypeError) as encoder:
+            json.dumps(value, indent=2)
+        assert str(ours.value) == str(encoder.value)
 
 
 def test_verify_jobs_accepts_only_one(capsys, monkeypatch):
@@ -468,9 +508,9 @@ def test_bijection_harness_reports_a_record_without_its_expected_energy(monkeypa
     monkeypatch.setattr(strips, "discover_rapidity_convention", drop_expected)
     cases = [c for c in verify.build_suite("bijections", n=2)
              if c.id == "rapidity-convention-harness"]
-    result = verify.run_cases("bijections", cases).cases[0]
-    assert not result.passed
-    assert "tail" in result.locus and "expected" not in result.locus
+    result = verify.run_cases("bijections", cases)["cases"][0]
+    assert not result["pass"]
+    assert "tail" in result["locus"] and "expected" not in result["locus"]
 
 
 def test_verify_bad_rank_is_usage_error(capsys):

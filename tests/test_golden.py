@@ -1,0 +1,100 @@
+"""Byte-identity of the command line: the sha256 of the stdout, stderr and
+exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
+
+The commands cover every `char` kind in every format at ranks 2-4 (the
+usage errors of the rank-2 kinds among them), the 19 MB bosonic table at
+(8, 0, 10), the `verify` reports with their case times masked, and
+`bijection`s from every source to every target, two malformed payloads
+among them.  A change that means to
+alter no output leaves every digest as it is; one that means to alter an
+output regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and says which commands changed and why."""
+import contextlib
+import hashlib
+import io
+import json
+import re
+import shlex
+import sys
+from pathlib import Path
+
+from spinonchars.cli import CHAR_KINDS, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden_sha256.json"
+
+
+def _char(kind, n, k, qmax, fmt):
+    return ("char", "--kind", kind, "--n", str(n), "--k", str(k), "--qmax", str(qmax),
+            "--format", fmt)
+
+
+def _bijection(src, dst, n, payload):
+    return ("bijection", "--from", src, "--to", dst, "--n", str(n), "--payload", payload)
+
+
+COMMANDS = (
+    *(_char(kind, n, k, qmax, fmt)
+      for kind in CHAR_KINDS for fmt in ("json", "csv", "pretty")
+      for n in (2, 3, 4) for k in range(n) for qmax in (0, 3)),
+    _char("bosonic", 1, 0, 2, "pretty"),
+    _char("bosonic", 3, 3, 2, "pretty"),
+    _char("yangian", 3, 0, -1, "pretty"),
+    *(_char("bosonic", 8, 0, 10, fmt) for fmt in ("json", "csv", "pretty")),
+    ("verify", "--suite", "all", "--format", "json"),
+    ("verify", "--suite", "gz", "--n", "2", "--format", "pretty"),
+    ("verify", "--suite", "sl2", "--qmax", "4", "--format", "pretty"),
+    ("verify", "--suite", "schur", "--n", "2"),
+    *(_bijection(src, dst, n, payload)
+      for src, n, payload in (
+          ("strip", 2, '{"rows": []}'),
+          ("strip", 3, '{"rows": [1, 2]}'),
+          ("strip", 3, "[2, 3, 1]"),
+          ("strip", 3, '{"n": 3, "rows": [1, 2]}'),
+          ("strip", 3, '{"rows": [1, 1, 1]}'),
+          ("motif", 2, "10|"),
+          ("motif", 3, "101010|"),
+          ("rapidity", 3, '{"k": 0, "prefix": [1, 3], "stab": 4}'),
+          ("rapidity", 2, '{"n": 2, "k": 1, "prefix": [1], "stab": 3}'),
+          ("modes", 2, "[0, 0, 1, 2]"),
+          ("modes", 3, "[0, 1, 1, 1, 2]"),
+          ("sl2-partition", 2, '{"lam": [2, 1], "N": 3}'),
+          ("sl2-partition", 2, '{"lam": [], "N": 1}'),
+          ("strip", 2, "not json"),
+          ("rapidity", 2, '{"k": 0, "prefix": [1.0], "stab": 2}'),
+      )
+      for dst in ("strip", "motif", "rapidity")),
+)
+
+# a case's time is the one output that differs from run to run
+_TIMES = (re.compile(r'"seconds": [0-9.e-]+'), re.compile(r"\(\d+\.\d{3}s\)"))
+
+
+def _digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    text = out.getvalue()
+    if argv[0] == "verify":
+        text = _TIMES[1].sub("(Xs)", _TIMES[0].sub('"seconds": 0', text))
+    return hashlib.sha256(f"{text}\0{err.getvalue()}\0{code}".encode()).hexdigest()
+
+
+def test_every_command_prints_its_pinned_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    names = [shlex.join(argv) for argv in COMMANDS]
+    assert sorted(golden) == sorted(names), "regenerate golden_sha256.json"
+    differ = [name for name, argv in zip(names, COMMANDS) if _digest(argv) != golden[name]]
+    assert not differ, "output changed:\n" + "\n".join(differ)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: python {sys.argv[0]} --write")
+    GOLDEN.write_text(json.dumps({shlex.join(argv): _digest(argv) for argv in COMMANDS},
+                                 indent=1) + "\n")

@@ -48,31 +48,26 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def _mentions_table(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "table" for n in ast.walk(node))
-
-
 def test_cli_renders_tables_without_the_indenting_encoder():
     """`json.dumps(..., indent=...)` runs CPython's pure-Python encoder, which
-    took most of the time of a large `char --format json`; the CLI writes the
-    table layout itself.  No indenting `json.dump`/`json.dumps` call in
-    `cli.py` may take a table or sit in a function that takes one."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    offenders = []
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        has_table = any(a.arg == "table" for a in func.args.args)
-        for call in ast.walk(func):
-            if (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in ("dump", "dumps")
-                    and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id == "json"
-                    and any(kw.arg == "indent" for kw in call.keywords)
-                    and (has_table or any(map(_mentions_table, call.args)))):
-                offenders.append(f"cli.py:{call.lineno} in {func.name}")
-    assert not offenders, "indented JSON of a table:\n" + "\n".join(offenders)
+    took most of the time of a large `char --format json`; the CLI lays out
+    every JSON text it prints itself (`_write_table`, `_json_text`).  No
+    `json.dump`/`json.dumps` call in `cli.py` may indent."""
+    probe = ast.parse("json.dumps(x)\njson.dump(x, f, indent=2)")
+    assert [call.lineno for call in _indenting_dumps(probe)] == [2]
+    offenders = [f"cli.py:{call.lineno}"
+                 for call in _indenting_dumps(ast.parse((PACKAGE / "cli.py").read_text()))]
+    assert not offenders, "indenting JSON encoder:\n" + "\n".join(offenders)
+
+
+def _indenting_dumps(tree: ast.AST) -> list[ast.Call]:
+    return [call for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("dump", "dumps")
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "json"
+            and any(kw.arg == "indent" for kw in call.keywords)]
 
 
 def _is_call_to(node: ast.AST, names: tuple[str, ...]) -> bool:
@@ -188,8 +183,8 @@ def test_every_definition_is_used_in_src():
     methods, which the language calls, and the argparse hook
     `_Parser.error`.  The check matches names only: a method is taken as
     used when any attribute of that name is read, so it cannot see an
-    unused method whose name another class also uses (`to_json_dict`,
-    `size`)."""
+    unused method whose name another class also uses (`size`,
+    `is_zero`)."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     assert trees

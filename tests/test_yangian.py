@@ -187,7 +187,7 @@ def _strip_search(n, k, qmax):
         assert rem == 0 and rel >= 0, strip
         for w, c in weight_projection(strip_schur(strip, n)).items():
             rows.setdefault(w, [0] * (qmax + 1))[rel] += c
-    return CharacterTable.from_weights(n, k, qmax, rows).validate()
+    return CharacterTable.from_weights(n, k, qmax, rows)
 
 
 # every point at which the tests and the `decomposition` suite run the route
