@@ -162,10 +162,11 @@ class RapiditySeq:
     """Semi-infinite strictly increasing positive integers, stabilized.
 
     Members are: the explicit prefix (all <= stab), plus every integer x > stab
-    with x % n != k % n (the class-k vacuum pattern).  Only the canonical form
-    is stored: `stab` is the smallest index describing the sequence (0, or a
-    position where the sequence breaks the vacuum pattern) and the prefix
-    keeps the members up to it, so equal sequences have equal fields.
+    with x % n != k (the class-k vacuum pattern, 0 <= k < n; any other k raises
+    ValueError).  Only the canonical form is stored: `stab` is the smallest
+    index describing the sequence (0, or a position where the sequence breaks
+    the vacuum pattern) and the prefix keeps the members up to it, so equal
+    sequences have equal fields.
     """
 
     __slots__ = ("n", "k", "prefix", "stab")
@@ -182,7 +183,8 @@ class RapiditySeq:
             raise ValueError("prefix entries must not exceed the stabilization index")
         if stab < 0:
             raise ValueError("stabilization index must be >= 0")
-        k %= n
+        if not 0 <= k < n:
+            raise ValueError(f"class k must satisfy 0 <= k < n, got k={k}, n={n}")
         members = set(prefix)
         while stab > 0 and (stab in members) == (stab % n != k):
             stab -= 1

@@ -10,7 +10,6 @@ from operator import add
 from .affine import exps_to_fw
 from .partitions import Partition, SkewShape
 from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
-from .strips import BorderStrip
 
 
 class SymPoly:
@@ -268,8 +267,8 @@ def _horizontal_strips(kappa, outer, size) -> list[tuple[int, ...]]:
     return [prefix for prefix, rest in partial if rest == 0]
 
 
-def strip_schur(strip: BorderStrip, nvars: int) -> SymPoly:
-    """Skew Schur polynomial of a border strip via the column recurrence.
+def strip_schur(strip, nvars: int) -> SymPoly:
+    """Skew Schur polynomial of a `strips.BorderStrip` via the column recurrence.
 
     Peeling j columns off the left end contributes (-1)^{j-1} e_{(sum of those
     column heights)}; since e_m vanishes for m > nvars each step looks back

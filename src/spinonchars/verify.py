@@ -423,10 +423,20 @@ def decomposition_cases(n: int | None = None, qmax: int | None = None) -> list[C
 
 
 def _hw_case(lam, n_spinons):
+    """The (lambda, N) module's sl2 character against the Schur polynomial of
+    its border strip.  `strips.sl2_partition_to_strip` checks the strip's size
+    N + 2(r - 1), r its number of rows, and its energy |lambda| + N^2/4.  The
+    strip polynomial carries one (x1 x2) factor per extra row pair, invisible
+    in sl2 weights, so the character is lifted by e_2^{r - 1} first."""
     try:
-        yangian.hw_module_table(lam, n_spinons)
+        strip = strips.sl2_partition_to_strip(lam, n_spinons)
     except AssertionError as exc:
         return str(exc)
+    lifted = yangian.sl2_hw_character(lam, n_spinons)
+    for _ in range((strip.size() - n_spinons) // 2):
+        lifted = lifted * symfunc.elementary(2, 2)
+    if symfunc.strip_schur(strip, 2) != lifted:
+        return f"strip character mismatch for ({lam}, {n_spinons})"
     return None
 
 

@@ -8,8 +8,7 @@ from operator import add
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
 from .partitions import Partition, SkewShape, partitions_of
-from .strips import sl2_partition_to_strip
-from .symfunc import SymPoly, complete, elementary, strip_schur, weight_projection
+from .symfunc import SymPoly, complete, elementary, weight_projection
 
 
 class DrinfeldPolys:
@@ -194,17 +193,21 @@ def sst_to_gz(
     tableau: dict[tuple[int, int], int], lam: Partition, mu: Partition,
     n: int, n_spinons: int,
 ) -> GZScheme:
-    """Inverse of gz_to_sst: row m collects mu plus all boxes with entry <= m."""
+    """Inverse of gz_to_sst: row m collects mu plus all boxes with entry <= m.
+    The tableau is read once, counting its boxes per (row, entry); row m adds
+    the counts of entry m to row m - 1 (row 0 takes every entry <= 0), and
+    `Partition` drops the rows left empty."""
+    counts: dict[int, dict[int, int]] = {}  # entry -> row -> boxes
+    for (i, _), e in tableau.items():
+        by_row = counts.setdefault(max(e, 0), {})
+        by_row[i] = by_row.get(i, 0) + 1
+    nrows = max([len(mu)] + [i + 1 for i, _ in tableau])
+    widths = [mu[i + 1] for i in range(nrows)]
     rows = []
     for m in range(n + 1):
-        nrows = max([len(mu)] + [i + 1 for (i, _), e in tableau.items() if e <= m])
-        parts = []
-        for i in range(nrows):
-            width = mu[i + 1] + sum(
-                1 for (r, _), e in tableau.items() if r == i and e <= m
-            )
-            parts.append(width)
-        rows.append(Partition(parts))
+        for i, c in counts.get(m, {}).items():
+            widths[i] += c
+        rows.append(Partition(widths))
     return GZScheme(rows, n_spinons)
 
 
@@ -429,24 +432,3 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
                 row[base + size] += c * count
     return CharacterTable.from_weights(2, k, qmax, rows)
 
-
-def hw_module_table(lam: Partition, n_spinons: int):
-    """(energy, character, strip, drinfeld) for the (lambda, N) module; the
-    character is cross-checked against the border-strip route here, and the
-    energy E(strip) = |lambda| + N^2/4 by `strips.sl2_partition_to_strip`."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    energy_val = lam.size() + Fraction(n_spinons * n_spinons, 4)
-    character = sl2_hw_character(lam, n_spinons)
-    strip = sl2_partition_to_strip(lam, n_spinons)
-    # the strip Schur polynomial carries one extra (x1 x2) factor per row pair,
-    # invisible in sl2 weights: deg s_kappa = |kappa| vs deg character = N
-    extra = strip.size() - n_spinons
-    assert extra % 2 == 0 and extra >= 0
-    lifted = character
-    for _ in range(extra // 2):
-        lifted = lifted * elementary(2, 2)
-    if strip_schur(strip, 2) != lifted:
-        raise AssertionError(f"strip character mismatch for ({lam}, {n_spinons})")
-    drinfeld = drinfeld_tame(strip.shape, 2)
-    return energy_val, character, strip, drinfeld

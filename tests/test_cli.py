@@ -293,9 +293,10 @@ def test_bijection_sl2_partition_payload(capsys):
 
 def test_bijection_bad_payload_is_usage_error(capsys):
     """Malformed JSON, any number that is not a JSON integer (a float, a
-    string or a bool), and a motif bit that is not the ASCII digit 0 or 1
-    (such as the fullwidth digits of "１０|"), is refused rather than
-    truncated or read as a digit."""
+    string or a bool), a motif bit that is not the ASCII digit 0 or 1
+    (such as the fullwidth digits of "１０|"), and a rapidity class k
+    outside 0..n-1, is refused rather than truncated, read as a digit or
+    reduced mod n."""
     for src, payload in (
         ("strip", "not json"),
         ("strip", '{"rows": [1.5, 2]}'),
@@ -306,6 +307,7 @@ def test_bijection_bad_payload_is_usage_error(capsys):
         ("rapidity", '{"k": 0.5, "prefix": [], "stab": 0}'),
         ("rapidity", '{"k": 0, "prefix": [1.0], "stab": 2}'),
         ("rapidity", '{"k": 0, "prefix": [], "stab": "2"}'),
+        ("rapidity", '{"k": 5, "prefix": [], "stab": 0}'),
         ("sl2-partition", '{"lam": [1.5], "N": 2}'),
         ("sl2-partition", '{"lam": [1], "N": true}'),
         ("motif", "\uff11\uff10|"),
@@ -533,6 +535,29 @@ def test_cli_imports_neither_inspect_nor_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.splitlines() == ["[]", "2631"]
+
+
+def test_each_module_loads_only_its_own_imports():
+    """The package root imports nothing, so importing one module in a fresh
+    interpreter loads only it and the package modules it imports."""
+    probe = ("import importlib, sys\n"
+             "importlib.import_module('spinonchars.' + sys.argv[1])\n"
+             "print(' '.join(sorted(m.split('.')[1] for m in sys.modules\n"
+             "                      if m.startswith('spinonchars.'))))\n")
+    closures = {
+        "qseries": "qseries",
+        "partitions": "partitions",
+        "affine": "affine partitions qseries",
+        "strips": "partitions strips",
+        "yangian": "affine partitions qseries symfunc yangian",
+        "cli": "affine cli partitions qseries strips symfunc verify yangian",
+    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for module, loaded in closures.items():
+        out = subprocess.run([sys.executable, "-c", probe, module], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == loaded, module
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

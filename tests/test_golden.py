@@ -5,9 +5,9 @@ The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
-among them.  A change that means to
-alter no output leaves every digest as it is; one that means to alter an
-output regenerates the file with
+among them, and a rapidity payload whose class k is out of range.  A
+change that means to alter no output leaves every digest as it is; one that
+means to alter an output regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -66,6 +66,7 @@ COMMANDS = (
           ("rapidity", 2, '{"k": 0, "prefix": [1.0], "stab": 2}'),
       )
       for dst in ("strip", "motif", "rapidity")),
+    _bijection("rapidity", "rapidity", 2, '{"k": 5, "prefix": [], "stab": 0}'),
 )
 
 # a case's time is the one output that differs from run to run

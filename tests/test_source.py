@@ -40,9 +40,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    """Every name a module imports is read in it; `__init__.py` is exempt,
-    since its imports are the package's re-exports."""
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    """Every name a module imports is read in it, the package root included,
+    which re-exports nothing."""
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     unused = [line for path in modules for line in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
@@ -178,15 +178,15 @@ def _definitions(tree: ast.Module):
 def test_every_definition_is_used_in_src():
     """Each module-level function and each method in the package is named
     somewhere in it outside its own body, so no helper that only the tests
-    call stays in `src/` (those live in `tests/oracles.py`).  Exempt are
-    `__init__.py`, whose re-exports do not count as uses either, dunder
-    methods, which the language calls, and the argparse hook
+    call stays in `src/` (those live in `tests/oracles.py`).  Every module
+    counts, the package root included, which re-exports nothing.  Exempt are
+    dunder methods, which the language calls, and the argparse hook
     `_Parser.error`.  The check matches names only: a method is taken as
     used when any attribute of that name is read, so it cannot see an
     unused method whose name another class also uses (`size`,
     `is_zero`)."""
     trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+             for path in sorted(PACKAGE.glob("*.py"))]
     assert trees
     mentions = Counter(name for tree in trees for name in _named(tree))
     unused = [qualname for tree in trees for qualname, node in _definitions(tree)

@@ -183,6 +183,15 @@ def test_vacuum_rapidity_maps_to_minimal_strip():
     assert rapidity_to_strip(vacuum_rapidities(3, 2)).rows == (1, 1)
 
 
+def test_rapidity_class_must_be_in_range():
+    """The class k of a rapidity sequence is one of 0..n-1; any other k is
+    refused rather than reduced mod n."""
+    for k in (-1, 2, 5):
+        with pytest.raises(ValueError, match="0 <= k < n"):
+            RapiditySeq(2, k, [], 0)
+    assert RapiditySeq(2, 1, [], 0).k == 1
+
+
 def test_no_n_consecutive_rapidities():
     """A run of n members is refused, also one that the stabilized tail
     completes: 3, 4, 5 in the rank-3 sequence, and positions 1-3 or 2-4 of

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from spinonchars import verify, yangian
 from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
-from spinonchars.strips import BorderStrip
+from spinonchars.strips import BorderStrip, sl2_partition_to_strip
 from spinonchars.symfunc import SymPoly, elementary, schur_skew, strip_schur, weight_projection
 from spinonchars.yangian import (
     DrinfeldPolys,
@@ -20,7 +20,6 @@ from spinonchars.yangian import (
     gz_schemes,
     gz_to_sst,
     gz_weight,
-    hw_module_table,
     sl2_hw_character,
     sl2_yangian_decomposition,
     sst_to_gz,
@@ -290,17 +289,17 @@ def test_sl2_hw_character_dimensions():
     assert eval_ones(poly) == (1 + 1) ** 3  # m_0 = 1, m_1 = 1, m_2 = 1
 
 
-def test_hw_module_table_census():
+def test_hw_case_census(monkeypatch):
+    """`verify._hw_case` passes on every (lambda, N) with N, |lambda| < 6,
+    the tame module of each strip has Drinfel'd polynomials at n = 2, and a
+    wrong character is reported with its locus."""
     for n_spinons in range(6):
         for size in range(6):
             for lam in partitions_of(size, max_len=n_spinons):
-                e, ch, strip, polys = hw_module_table(lam, n_spinons)
-                assert e == size + Fraction(n_spinons * n_spinons, 4)
+                assert verify._hw_case(lam, n_spinons) is None, (lam, n_spinons)
+                strip = sl2_partition_to_strip(lam, n_spinons)
                 assert strip.n == 2
-                assert isinstance(polys, DrinfeldPolys)
-
-
-def test_hw_module_anchor():
-    e, ch, strip, _ = hw_module_table(Partition([2, 1]), 3)
-    assert strip.rows == (2, 3, 2)
-    assert e == Fraction(21, 4)
+                assert isinstance(drinfeld_tame(strip.shape, 2), DrinfeldPolys)
+    monkeypatch.setattr(yangian, "sl2_hw_character", lambda lam, N: SymPoly.one(2))
+    assert (verify._hw_case(Partition([2, 1]), 3)
+            == "strip character mismatch for (Partition(2, 1), 3)")
