@@ -121,74 +121,70 @@ def complete(m: int, nvars: int) -> SymPoly:
     return SymPoly(nvars, terms)
 
 
-def _det(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
-    """Determinant by first-column minor expansion with subset memoization."""
-    return _minor(matrix, tuple(range(len(matrix))), {}, nvars)
-
-
-def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
-    """Minor on `rows` and the last len(rows) columns.  A module-level
-    function, not a closure, so that the memo of SymPolys is freed on return
-    instead of waiting in a reference cycle for the collector."""
+@lru_cache(maxsize=None)
+def _jt_det(basis, nvars: int, rows: tuple, cols: tuple) -> SymPoly:
+    """det[basis(r - c, nvars)] over r in `rows` and c in `cols`, with
+    `basis` `complete` or `elementary`, by expansion along the first column.
+    Callers shift rows and cols so that cols[0] == 0 (see `schur_skew`); the
+    memo keeps every minor for the life of the process."""
     if not rows:
         return SymPoly.one(nvars)
-    if rows in memo:
-        return memo[rows]
-    col = len(matrix) - len(rows)
-    memo[rows] = _sum_of_products(nvars, (
-        (-1 if pos % 2 else 1, matrix[r][col],
-         _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars))
-        for pos, r in enumerate(rows) if not matrix[r][col].is_zero()
+    shift = cols[1] if len(cols) > 1 else 0
+    minor_cols = tuple(c - shift for c in cols[1:])
+    return _sum_of_products(nvars, (
+        (-1 if pos % 2 else 1, entry,
+         _jt_det(basis, nvars, tuple(x - shift for x in rows[:pos] + rows[pos + 1:]),
+                 minor_cols))
+        for pos, r in enumerate(rows) if not (entry := basis(r, nvars)).is_zero()
     ))
-    return memo[rows]
 
 
-def _sst_fillings(cells, filling: dict, idx: int, nvars: int):
-    """Yield every semi-standard completion of `filling` on cells[idx:], as
-    dicts cell -> entry in 1..nvars; `filling` is restored afterwards."""
-    if idx == len(cells):
-        yield dict(filling)
+def _add_sst_contents(neighbours, values: list, content: list, acc: dict):
+    """Count in acc, by content vector, every semi-standard completion, with
+    entries in 1..len(content), of the filling `values` of the first cells.
+    neighbours[i] holds the positions of the left and upper neighbours of
+    cell i, or None; `content` is the content of `values`.  Both are restored."""
+    idx = len(values)
+    if idx == len(neighbours):
+        e = tuple(content)
+        acc[e] = acc.get(e, 0) + 1
         return
-    i, j = cells[idx]
-    lo = 1
-    left = filling.get((i, j - 1))
-    if left is not None:
-        lo = max(lo, left)
-    up = filling.get((i - 1, j))
+    left, up = neighbours[idx]
+    lo = 1 if left is None else values[left]
     if up is not None:
-        lo = max(lo, up + 1)
-    for v in range(lo, nvars + 1):
-        filling[(i, j)] = v
-        yield from _sst_fillings(cells, filling, idx + 1, nvars)
-    filling.pop((i, j), None)
+        lo = max(lo, values[up] + 1)
+    for v in range(lo, len(content) + 1):
+        values.append(v)
+        content[v - 1] += 1
+        _add_sst_contents(neighbours, values, content, acc)
+        content[v - 1] -= 1
+        values.pop()
 
 
 def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
-    """Skew Schur polynomial by determinant (jt_h, jt_e) or tableau sum (sst)."""
-    lam, mu = shape.outer, shape.inner
-    if method == "jt_h":
-        r = len(lam)
-        matrix = [
-            [complete(lam[i] - mu[j] - i + j, nvars) for j in range(1, r + 1)]
-            for i in range(1, r + 1)
-        ]
-        return _det(matrix, nvars)
-    if method == "jt_e":
-        lc, mc = lam.conjugate(), mu.conjugate()
-        s = len(lc)
-        matrix = [
-            [elementary(lc[i] - mc[j] - i + j, nvars) for j in range(1, s + 1)]
-            for i in range(1, s + 1)
-        ]
-        return _det(matrix, nvars)
+    """Skew Schur polynomial by determinant (jt_h, jt_e) or tableau sum (sst).
+
+    jt_h is det[h_{lam_i - mu_j - i + j}] and jt_e det[e_{lam'_i - mu'_j - i +
+    j}] (Macdonald I.5), both `_jt_det` with rows lam_i - i and columns
+    mu_j - j (of the conjugates for jt_e).  The two determinant routes share
+    that one memo of minors for the life of the process, keyed by the row and
+    column index sequences shifted so that the first column is 0: an entry
+    depends only on a row index minus a column index, so the shift leaves the
+    minor unchanged, and shapes that differ by it share their minors.  sst
+    enumerates tableaux and reads no determinant."""
+    if method in ("jt_h", "jt_e"):
+        lam, mu, basis = shape.outer, shape.inner, complete
+        if method == "jt_e":
+            lam, mu, basis = lam.conjugate(), mu.conjugate(), elementary
+        shift, r = 1 - mu[1], len(lam)  # the first column index mu_1 - 1 goes to 0
+        return _jt_det(basis, nvars, tuple(lam[i] - i + shift for i in range(1, r + 1)),
+                       tuple(mu[j] - j + shift for j in range(1, r + 1)))
     if method == "sst":
+        cells = shape.cells()  # row by row, so each cell follows its neighbours
+        at = {cell: pos for pos, cell in enumerate(cells)}
         acc: dict = {}
-        for filling in _sst_fillings(shape.cells(), {}, 0, nvars):
-            e = [0] * nvars
-            for v in filling.values():
-                e[v - 1] += 1
-            e = tuple(e)
-            acc[e] = acc.get(e, 0) + 1
+        _add_sst_contents([(at.get((i, j - 1)), at.get((i - 1, j))) for i, j in cells],
+                          [], [0] * nvars, acc)
         return SymPoly(nvars, acc)
     raise ValueError(f"unknown method {method!r}")
 

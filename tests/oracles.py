@@ -1,10 +1,18 @@
 """Reference implementations that only the tests call: the strip search the
-Yangian route replaced, expansions and statistics no route needs, and
-hand-built character tables holding rows that no builder writes."""
+Yangian route replaced, the per-matrix Jacobi-Trudi determinant the shared
+minors replaced, expansions and statistics no route needs, and hand-built
+character tables holding rows that no builder writes."""
 from spinonchars.affine import CharacterTable, dominant_weight
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, energy
-from spinonchars.symfunc import SymPoly, complete, schur_skew, weight_projection
+from spinonchars.symfunc import (
+    SymPoly,
+    _sum_of_products,
+    complete,
+    elementary,
+    schur_skew,
+    weight_projection,
+)
 
 
 def reduced_strips(n: int, k: int, e2_max: int):
@@ -80,6 +88,37 @@ def stabilization_check(cols, n: int) -> bool:
     p1 = schur_skew(base.shape, n, "jt_h")
     p2 = schur_skew(extended.shape, n, "jt_h")
     return weight_projection(p1) == weight_projection(p2)
+
+
+def jacobi_trudi_matrix(shape, nvars: int, method: str) -> list[list[SymPoly]]:
+    """[h_{lam_i - mu_j - i + j}] (jt_h) or [e_{lam'_i - mu'_j - i + j}]
+    (jt_e) for i, j in 1..len(lam), written out entry by entry."""
+    lam, mu, basis = shape.outer, shape.inner, complete
+    if method == "jt_e":
+        lam, mu, basis = lam.conjugate(), mu.conjugate(), elementary
+    r = len(lam)
+    return [[basis(lam[i] - mu[j] - i + j, nvars) for j in range(1, r + 1)]
+            for i in range(1, r + 1)]
+
+
+def determinant(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
+    """Determinant by first-column minor expansion, with a memo of the minors
+    of this one matrix that is dropped on return."""
+    return _minor(matrix, tuple(range(len(matrix))), {}, nvars)
+
+
+def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
+    """Minor on `rows` and the last len(rows) columns."""
+    if not rows:
+        return SymPoly.one(nvars)
+    if rows not in memo:
+        col = len(matrix) - len(rows)
+        memo[rows] = _sum_of_products(nvars, (
+            (-1 if pos % 2 else 1, matrix[r][col],
+             _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars))
+            for pos, r in enumerate(rows) if not matrix[r][col].is_zero()
+        ))
+    return memo[rows]
 
 
 def eval_ones(poly: SymPoly) -> int:

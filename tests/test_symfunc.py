@@ -20,6 +20,7 @@ from spinonchars.strips import BorderStrip, enumerate_border_strips
 from spinonchars.symfunc import (
     SymPoly,
     _descent_table,
+    _jt_det,
     complete,
     elementary,
     ribbon_expansion,
@@ -32,7 +33,13 @@ from spinonchars.symfunc import (
 )
 from spinonchars.verify import _ribbon_locus, build_suite, small_norm_weights
 from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition, yangian_decomposition
-from oracles import eval_ones, sl2_strip_product, stabilization_check
+from oracles import (
+    determinant,
+    eval_ones,
+    jacobi_trudi_matrix,
+    sl2_strip_product,
+    stabilization_check,
+)
 
 
 def _sub_partitions(lam):
@@ -54,6 +61,27 @@ def test_three_schur_routes_agree_small_census():
                 b = schur_skew(shape, nvars, "jt_e")
                 c = schur_skew(shape, nvars, "sst")
                 assert a == b == c, (lam, mu, nvars)
+
+
+def test_shared_minors_equal_the_per_matrix_determinant():
+    """Both determinant routes against the cofactor expansion of the
+    Jacobi-Trudi matrix written out entry by entry, on every skew shape of
+    outer size 7 in 1-5 variables (past the size <= 6, <= 4 variables of the
+    `schur` suite).  The pairs run once in order from an empty memo of
+    minors and once in reverse order, so no result depends on which minors
+    the memo already held."""
+    pairs = [(SkewShape(lam, mu), nvars, method)
+             for lam in partitions_of(7) for mu in _sub_partitions(lam)
+             for nvars in range(1, 6) for method in ("jt_h", "jt_e")]
+    assert len(pairs) == 2 * 1095
+    expected = [determinant(jacobi_trudi_matrix(shape, nvars, method), nvars)
+                for shape, nvars, method in pairs]
+    _jt_det.cache_clear()
+    for (shape, nvars, method), want in zip(pairs, expected):
+        assert schur_skew(shape, nvars, method) == want, (shape, nvars, method)
+    _jt_det.cache_clear()
+    for (shape, nvars, method), want in zip(pairs[::-1], expected[::-1]):
+        assert schur_skew(shape, nvars, method) == want, (shape, nvars, method)
 
 
 def test_schur_straight_shapes_pinned():
@@ -144,13 +172,16 @@ def test_strip_schur_matches_jacobi_trudi():
 
 
 def test_schur_helpers_leave_no_cyclic_garbage():
-    """Memoized minors, tableau fillings, strip recurrences, partition
-    generators and the recursive enumerations and sums of the other layers,
-    the verifier's case builders among them, are freed by reference
-    counting, not left for the collector."""
+    """Tableau fillings, strip recurrences, partition generators and the
+    recursive enumerations and sums of the other layers, the verifier's case
+    builders among them, are freed by reference counting, not left for the
+    collector.  The minors of both determinant routes stay in a memo for the
+    life of the process, and neither filling nor reading it may create a
+    reference cycle."""
     shape = SkewShape(Partition([4, 3, 1]), Partition([2]))
     calls = {
         "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
+        "schur_skew jt_e": lambda: schur_skew(shape, 3, "jt_e"),
         "schur_skew sst": lambda: schur_skew(shape, 3, "sst"),
         "strip_schur": lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
         "ribbon_expansion": lambda: ribbon_expansion([3, 2, 4]),
