@@ -2,7 +2,6 @@
 bijections.  Exit codes: 0 success, 1 identity violation, 2 usage error."""
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -227,79 +226,125 @@ def _render_report(report: dict, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default already exits 2
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+# command -> (summary, {long option: int, str or a tuple of choices},
+# {field: default}); an option without a default is required, and its
+# field is its name without the leading "--"
+COMMANDS = {
+    "char": ("print a character table",
+             {"--kind": CHAR_KINDS, "--n": int, "--k": int, "--qmax": int,
+              "--format": ("json", "csv", "pretty")},
+             {"format": "pretty"}),
+    "verify": ("run a verification suite",
+               {"--suite": (*sorted(verify.SUITES), "all"), "--n": int, "--qmax": int,
+                "--jobs": int, "--format": ("json", "pretty")},
+               {"n": None, "qmax": None, "jobs": 1, "format": "pretty"}),
+    "bijection": ("map one label to another",
+                  {"--from": BIJECTION_OBJECTS, "--to": ("strip", "motif", "rapidity"),
+                   "--n": int, "--payload": str},
+                  {}),
+}
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spinonchars")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str | None) -> str:
+    if command is None:
+        return "\n".join(["usage: spinonchars COMMAND [--option value ...]", "", *(
+            f"  {name:<10} {summary}" for name, (summary, _, _) in COMMANDS.items()),
+            "", "`spinonchars COMMAND -h` lists the options of COMMAND."])
+    summary, options, defaults = COMMANDS[command]
+    lines = [f"usage: spinonchars {command} [--option value ...]", "", summary, ""]
+    for opt, kind in options.items():
+        text = "integer" if kind is int else "string" if kind is str else "{%s}" % ",".join(kind)
+        if opt[2:] in defaults:
+            default = defaults[opt[2:]]
+            text += " (optional)" if default is None else f" (default: {default})"
+        lines.append(f"  {opt:<10} {text}")
+    return "\n".join(lines)
 
-    p_char = sub.add_parser("char", help="print a character table")
-    p_char.add_argument("--kind", choices=CHAR_KINDS, required=True)
-    p_char.add_argument("--n", type=int, required=True)
-    p_char.add_argument("--k", type=int, required=True)
-    p_char.add_argument("--qmax", type=int, required=True)
-    p_char.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="pretty")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True,
-                          choices=sorted(verify.SUITES) + ["all"])
-    p_verify.add_argument("--n", type=int, default=None,
-                          help="restrict a suite that takes a rank to one rank")
-    p_verify.add_argument("--qmax", type=int, default=None,
-                          help="override the truncation order of a suite that "
-                               "takes one")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="must be 1: cases run in one process")
-    p_verify.add_argument("--format", choices=("json", "pretty"),
-                          default="pretty")
+def _value(opt: str, kind, text: str):
+    """`text` as the value of `opt`: an integer is an optional sign and ASCII
+    digits, and a choice must be one of the table's."""
+    if kind is int:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # more digits than `int` converts
+                pass
+        raise UsageError(f"argument {opt}: invalid int value: {text!r}")
+    if kind is not str and text not in kind:
+        raise UsageError(f"argument {opt}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(kind)})")
+    return text
 
-    p_bij = sub.add_parser("bijection", help="map one label to another")
-    p_bij.add_argument("--from", dest="src", required=True,
-                       choices=BIJECTION_OBJECTS)
-    p_bij.add_argument("--to", dest="dst", required=True,
-                       choices=("strip", "motif", "rapidity"))
-    p_bij.add_argument("--n", type=int, required=True)
-    p_bij.add_argument("--payload", required=True)
-    return parser
+
+def _parse(argv) -> dict | None:
+    """The fields of a command line, read from `COMMANDS`: `command` and one
+    field per option of that command.  Each option is `--opt value` or
+    `--opt=value`, spelled in full; the token after `--opt` is its value
+    unless it starts with `--`, and a repeated option keeps its last value.
+    `-h` or `--help` prints the help and returns None."""
+    command = argv[0] if argv else ""
+    if command in _HELP:
+        print(_help(None))
+        return None
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    _, options, defaults = COMMANDS[command]
+    fields = {"command": command, **defaults}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return None
+        opt, eq, text = token.partition("=")
+        if opt not in options:
+            raise UsageError(f"unrecognized argument: {token!r} "
+                             f"({command} takes {', '.join(options)})")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"argument {opt}: expected one argument")
+        fields[opt[2:]] = _value(opt, options[opt], text)
+    missing = [opt for opt in options if opt[2:] not in fields]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return fields
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "char":
-            table = _build_table(args.kind, args.n, args.k, args.qmax)
-            _write_table(table, args.format, sys.stdout)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
             return 0
-        if args.command == "verify":
-            if args.jobs != 1:
+        if args["command"] == "char":
+            table = _build_table(args["kind"], args["n"], args["k"], args["qmax"])
+            _write_table(table, args["format"], sys.stdout)
+            return 0
+        if args["command"] == "verify":
+            if args["jobs"] != 1:
                 raise UsageError(
-                    f"--jobs must be 1, got {args.jobs}: cases run in one process")
-            if args.n is not None and args.n < 2:
-                raise UsageError(f"--n must be >= 2, got {args.n}")
-            if args.qmax is not None and args.qmax < 0:
-                raise UsageError(f"--qmax must be >= 0, got {args.qmax}")
+                    f"--jobs must be 1, got {args['jobs']}: cases run in one process")
+            if args["n"] is not None and args["n"] < 2:
+                raise UsageError(f"--n must be >= 2, got {args['n']}")
+            if args["qmax"] is not None and args["qmax"] < 0:
+                raise UsageError(f"--qmax must be >= 0, got {args['qmax']}")
             try:
-                cases = verify.build_suite(args.suite, n=args.n, qmax=args.qmax)
+                cases = verify.build_suite(args["suite"], n=args["n"], qmax=args["qmax"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            report = verify.run_cases(args.suite, cases)
-            print(_render_report(report, args.format))
+            report = verify.run_cases(args["suite"], cases)
+            print(_render_report(report, args["format"]))
             return 0 if report["passed"] else 1
-        if args.command == "bijection":
-            out = _bijection(args.src, args.dst, args.payload, args.n)
-            print(_json_text(out))
-            return 0
+        out = _bijection(args["from"], args["to"], args["payload"], args["n"])
+        print(_json_text(out))
+        return 0
     except UsageError as exc:
         print(f"spinonchars: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR  # pragma: no cover
 
 
 if __name__ == "__main__":

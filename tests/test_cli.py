@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 
 from spinonchars import strips, verify
 from spinonchars.affine import CharacterTable, bosonic_character
-from spinonchars.cli import (CHAR_KINDS, _build_table, _json_text, _render_report,
-                             _write_table, main)
+from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
+                             _render_report, _write_table, main)
 from oracles import hand_built, table_json_dict
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -560,6 +557,109 @@ def test_each_module_loads_only_its_own_imports():
         assert out.stdout.strip() == loaded, module
 
 
+def test_char_loads_no_argument_parser():
+    """In a fresh interpreter, `cli.main` runs a `char --kind yangian`
+    command without loading `argparse`, or the `gettext` and `locale` that
+    `argparse` pulls in: building its parser took about 3 ms of a 5 ms
+    command."""
+    probe = ("import sys\n"
+             "from spinonchars import cli\n"
+             "code = cli.main(['char', '--kind', 'yangian', '--n', '3', '--k', '0',\n"
+             "                 '--qmax', '2'])\n"
+             "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines()[-1] == "0 []"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2
+
+
+_CHAR = ("char", "--kind", "yangian", "--n", "3", "--k", "1", "--qmax", "2")
+_VERIFY = ("verify", "--suite", "sl2")
+_BIJECTION = ("bijection", "--from", "motif", "--to", "strip", "--n", "2", "--payload", "10|")
+
+# (a malformed command line, what its one error line must name)
+MALFORMED = (
+    ((), "command"),
+    (("spinon",), "'spinon'"),
+    (("--kind", "yangian"), "'--kind'"),
+    ((*_CHAR, "--bogus", "1"), "'--bogus'"),
+    ((*_CHAR, "--form", "csv"), "'--form'"),
+    ((*_BIJECTION[:-2], "--pay", "10|"), "'--pay'"),
+    ((*_CHAR, "extra"), "'extra'"),
+    ((*_CHAR, "-n", "3"), "'-n'"),
+    ((*_CHAR, "--format"), "--format"),
+    (("char", "--kind", "--n", "3", "--k", "1", "--qmax", "2"), "--kind"),
+    ((*_VERIFY, "--qmax", "--n", "2"), "--qmax"),
+    *((argv[:i] + argv[i + 2:], argv[i])
+      for argv in (_CHAR, _VERIFY, _BIJECTION) for i in range(1, len(argv), 2)),
+    ((*_CHAR, "--n", "\u0663"), "--n"),
+    ((*_CHAR, "--qmax", "1_0"), "--qmax"),
+    ((*_CHAR, "--k", " 2"), "--k"),
+    ((*_BIJECTION, "--n", "2.0"), "--n"),
+    ((*_VERIFY, "--qmax", ""), "--qmax"),
+    ((*_VERIFY, "--jobs", "-"), "--jobs"),
+    ((*_CHAR, "--kind", "affine"), "--kind"),
+    ((*_CHAR, "--format", "JSON"), "--format"),
+    ((*_VERIFY, "--format", "csv"), "--format"),
+    ((*_VERIFY[:-1], "al"), "--suite"),
+    ((*_BIJECTION, "--from", "partition"), "--from"),
+    ((*_BIJECTION, "--to", "modes"), "--to"),
+)
+
+
+@pytest.mark.parametrize("argv,named", [
+    *MALFORMED,
+    # more digits than `int` converts
+    ((*_VERIFY, "--jobs", "1" * 5000), "--jobs"),
+])
+def test_malformed_command_line_is_one_usage_error(capsys, argv, named):
+    """No command, an unknown command, option or token, an option spelled
+    short, an option without its value, a missing required option, an
+    integer that is not an optional sign and ASCII digits, and a value
+    outside an option's choices: each exits 2 with one error line that
+    names what is wrong, and prints nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("spinonchars: error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv,same", [
+    ((*_CHAR, "--format", "csv"),
+     ("char", "--kind=yangian", "--n=3", "--k=1", "--qmax=2", "--format=csv")),
+    ((*_CHAR, "--format", "csv"),
+     ("char", "--kind", "bosonic", "--n", "4", "--k", "0", "--qmax", "9", "--format",
+      "json", *_CHAR[1:], "--format", "csv")),
+    ((*_CHAR, "--format", "json"), (*_CHAR[:4], "+3", *_CHAR[5:], "--format", "json")),
+    ((*_CHAR, "--qmax", "-1"), (*_CHAR, "--qmax=-1")),
+    (_BIJECTION, ("bijection", "--from=motif", "--to=strip", "--n=2", "--payload=10|")),
+    ((*_BIJECTION, "--payload", "1=0"), (*_BIJECTION, "--payload=1=0")),
+])
+def test_option_spellings_print_the_same_bytes(capsys, argv, same):
+    """`--opt=value` reads as `--opt value` (up to its first "="), a repeated
+    option keeps its last value, and an integer may carry a sign."""
+    assert run_cli(capsys, *same) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), *((command, "-h") for command in COMMANDS),
+    (*_CHAR, "--help"), ("verify", "--suite", "schur", "-h"),
+])
+def test_help_lists_every_option_and_choice(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if len(argv) == 1:
+        assert all(name in out and summary in out
+                   for name, (summary, _, _) in COMMANDS.items())
+        return
+    summary, options, _ = COMMANDS[argv[0]]
+    assert summary in out
+    for opt, kind in options.items():
+        assert f" {opt} " in out
+        assert all(choice in out for choice in (kind if isinstance(kind, tuple) else ()))

@@ -5,7 +5,9 @@ The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
-among them, and a rapidity payload whose class k is out of range.  A
+among them, and a rapidity payload whose class k is out of range, the
+malformed command lines of `test_cli.MALFORMED`, and two lines spelled
+`--opt=value`.  A
 change that means to alter no output leaves every digest as it is; one that
 means to alter an output regenerates the file with
 
@@ -22,6 +24,7 @@ import sys
 from pathlib import Path
 
 from spinonchars.cli import CHAR_KINDS, main
+from test_cli import MALFORMED
 
 GOLDEN = Path(__file__).resolve().parent / "golden_sha256.json"
 
@@ -67,6 +70,9 @@ COMMANDS = (
       )
       for dst in ("strip", "motif", "rapidity")),
     _bijection("rapidity", "rapidity", 2, '{"k": 5, "prefix": [], "stab": 0}'),
+    *(argv for argv, _ in MALFORMED),
+    ("char", "--kind=yangian", "--n=3", "--k=1", "--qmax=2", "--format=csv"),
+    ("bijection", "--from=motif", "--to=strip", "--n=2", "--payload=10|"),
 )
 
 # a case's time is the one output that differs from run to run
@@ -76,12 +82,9 @@ _TIMES = (re.compile(r'"seconds": [0-9.e-]+'), re.compile(r"\(\d+\.\d{3}s\)"))
 def _digest(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(list(argv))
     text = out.getvalue()
-    if argv[0] == "verify":
+    if argv[:1] == ("verify",):
         text = _TIMES[1].sub("(Xs)", _TIMES[0].sub('"seconds": 0', text))
     return hashlib.sha256(f"{text}\0{err.getvalue()}\0{code}".encode()).hexdigest()
 

@@ -180,17 +180,15 @@ def test_every_definition_is_used_in_src():
     somewhere in it outside its own body, so no helper that only the tests
     call stays in `src/` (those live in `tests/oracles.py`).  Every module
     counts, the package root included, which re-exports nothing.  Exempt are
-    dunder methods, which the language calls, and the argparse hook
-    `_Parser.error`.  The check matches names only: a method is taken as
-    used when any attribute of that name is read, so it cannot see an
-    unused method whose name another class also uses (`size`,
-    `is_zero`)."""
+    dunder methods, which the language calls.  The check matches names
+    only: a method is taken as used when any attribute of that name is
+    read, so it cannot see an unused method whose name another class also
+    uses (`size`, `is_zero`)."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))]
     assert trees
     mentions = Counter(name for tree in trees for name in _named(tree))
     unused = [qualname for tree in trees for qualname, node in _definitions(tree)
               if not (node.name.startswith("__") and node.name.endswith("__"))
-              and qualname != "_Parser.error"
               and mentions[node.name] == Counter(_named(node))[node.name]]
     assert not unused, "defined but never named in src/:\n" + "\n".join(unused)
