@@ -233,19 +233,15 @@ def strip_to_rapidity(strip: BorderStrip) -> RapiditySeq:
     return RapiditySeq(strip.n, total % strip.n, accumulate(strip.rows[:-1]), total)
 
 
-def rapidity_to_strip(seq: RapiditySeq, n: int | None = None) -> BorderStrip:
+def rapidity_to_strip(seq: RapiditySeq) -> BorderStrip:
     """Cut the sequence at S, the least S >= 0 with S = k (mod n), S not a
     member, and the vacuum pattern above S; the rows are the gaps between
     0, the members below S, and S.  Above the canonical `stab` the sequence
     is the vacuum and at `stab` > 0 it is not, so S is k when `stab` = 0 and
     otherwise the first index past `stab` congruent to k."""
-    if n is None:
-        n = seq.n
-    if n != seq.n:
-        raise ValueError("rank mismatch")
-    cut = seq.stab + (seq.k - seq.stab - 1) % n + 1 if seq.stab else seq.k
+    cut = seq.stab + (seq.k - seq.stab - 1) % seq.n + 1 if seq.stab else seq.k
     marks = [0, *seq.members_upto(cut - 1), cut]
-    return BorderStrip.from_rows([b - a for a, b in zip(marks, marks[1:])], n)
+    return BorderStrip.from_rows([b - a for a, b in zip(marks, marks[1:])], seq.n)
 
 
 class Motif:
@@ -315,23 +311,21 @@ def rapidity_to_motif(seq: RapiditySeq) -> Motif:
     return Motif(seq.n, [1 if seq.member(x) else 0 for x in range(1, length + 1)])
 
 
-def motif_to_strip(m: Motif, n: int | None = None) -> BorderStrip:
+def motif_to_strip(m: Motif) -> BorderStrip:
     """Square construction: a 1-bit places the next square under (same
     column), a 0-bit to the left (a new column).
 
     The stabilized tail builds full columns, which are deleted (reduced form).
     """
-    if n is None:
-        n = m.n
-    if n != m.n:
-        raise ValueError("rank mismatch")
-    walk = "".join(map(str, m.bits)) + "1" * (n - 1)  # complete the tail's column
-    return BorderStrip([len(run) + 1 for run in walk.split("0")], n).reduce()
+    walk = "".join(map(str, m.bits)) + "1" * (m.n - 1)  # complete the tail's column
+    return BorderStrip([len(run) + 1 for run in walk.split("0")], m.n).reduce()
 
 
 def modes_to_strip(modes, n: int) -> BorderStrip:
     """Square construction for mode sequences: equal mode stacks on top,
-    strictly larger mode moves right."""
+    strictly larger mode moves right.  The modes are read once, in time
+    linear in their number: from a first mode 0 each step rises by 0 or 1,
+    and each run of equal modes is one column."""
     modes = list(modes)
     if not modes:
         raise ValueError("mode list must be non-empty")
@@ -339,12 +333,15 @@ def modes_to_strip(modes, n: int) -> BorderStrip:
         raise ValueError("modes must be non-negative")
     if modes != sorted(modes):
         raise ValueError(f"modes must be weakly increasing: {modes}")
-    needed = set(range(modes[-1] + 1))
-    if set(modes) != needed:
-        missing = sorted(needed - set(modes))
-        raise ValueError(f"gap in mode values: {missing} missing from {modes}")
-    # each run of equal modes is one column; the largest mode is rightmost
-    strip = BorderStrip([modes.count(v) for v in range(modes[-1], -1, -1)], n)
+    runs: list[int] = []  # runs[v] counts the modes equal to v
+    for x in modes:
+        if x == len(runs):
+            runs.append(1)
+        elif x == len(runs) - 1:
+            runs[-1] += 1
+        else:
+            raise ValueError(f"gap in mode values: {len(runs)} missing from {modes}")
+    strip = BorderStrip(runs[::-1], n)  # the largest mode is the rightmost column
     s = len(strip.cols)
     weighted = sum((s - i) * b for i, b in enumerate(strip.cols, start=1))
     if strip.size() != len(modes) or weighted != sum(modes):
@@ -380,17 +377,16 @@ def sl2_partition_to_strip(lam: Partition, n_spinons: int) -> BorderStrip:
     return strip
 
 
-def rapidity_energy(seq: RapiditySeq, n: int, convention: str = "literal") -> Fraction:
+def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
     """Experimental: Delta_k minus the summed deviation from the vacuum.
 
     convention "literal": pair the i-th entry with the i-th vacuum entry;
     raises if the tails never align (divergent pairing).
     convention "tail": shift the pairing so the stabilized tails cancel.
     """
-    if n != seq.n:
-        raise ValueError("rank mismatch")
     if convention not in ("literal", "tail"):
         raise ValueError(f"unknown convention {convention!r}")
+    n = seq.n
     vac = vacuum_rapidities(n, seq.k)
     horizon = max(seq.stab, n) + 2 * n
     mem = seq.members_upto(horizon)
@@ -425,7 +421,7 @@ def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:
                     expected = energy(strip)
                     seq = strip_to_rapidity(strip)
                     try:
-                        got = rapidity_energy(seq, n, convention)
+                        got = rapidity_energy(seq, convention)
                     except ValueError as exc:
                         mismatches.append(
                             {"strip": strip.to_dict(), "expected": str(expected),

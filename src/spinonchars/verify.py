@@ -1,8 +1,11 @@
 """Verification suites: each case checks one identity and reports a locus on
-failure.  `SUITES` maps each suite name to its case builder, whose defaults
-are the pinned reproduction bounds; the CLI and the acceptance tests both run
-these builders.  A builder's parameters (`n`, `qmax`, or neither) are the
-overrides its suite reads."""
+failure.  A case is `(id, params, check)` and runs as `check(**params)`:
+each case kind has one module-level check whose parameter names are the keys
+of its JSON-plain `params`, the inputs the report prints, so a case can be
+re-run from its report record.  `SUITES` maps each suite name to its case
+builder, whose defaults are the pinned reproduction bounds; the CLI and the
+acceptance tests both run these builders.  A builder's parameters (`n`,
+`qmax`, or neither) are the overrides its suite reads."""
 from __future__ import annotations
 
 import time
@@ -16,20 +19,20 @@ from .qseries import q_one, q_zero
 
 class Case(NamedTuple):
     id: str
-    params: dict
-    run: Callable[[], object]  # returns None on pass, else a locus
+    params: dict  # JSON-plain; its keys are the parameter names of `check`
+    check: Callable[..., object]  # check(**params) is None on pass, else a locus
 
 
 def run_cases(suite: str, cases: list[Case]) -> dict:
-    """Run every case and return the report that `verify --format json`
-    prints: {"suite", "passed", "cases"}, with one {"id", "params", "pass",
-    "locus", "seconds"} per case, sorted by id, and each time rounded to
-    4 places."""
+    """Run every case as `check(**params)` and return the report that
+    `verify --format json` prints: {"suite", "passed", "cases"}, with one
+    {"id", "params", "pass", "locus", "seconds"} per case, sorted by id, and
+    each time rounded to 4 places."""
     results = []
     for case in cases:
         start = time.perf_counter()
         try:
-            locus = case.run()
+            locus = case.check(**case.params)
         except Exception as exc:  # identity bugs must surface, not crash the run
             locus = f"exception: {exc}"
         results.append({"id": case.id, "params": case.params, "pass": locus is None,
@@ -66,49 +69,46 @@ def qids_cases(qmax: int | None = None) -> list[Case]:
     if qmax is None:
         qmax = 30
     d3_qmax = min(qmax, 20)
-    cases = []
-    for m in range(-10, 11):
-        cases.append(Case(
-            f"durfee[m={m:+03d}]", {"m": m, "qmax": qmax},
-            lambda m=m: None if qseries.durfee_check(m, qmax) else "sum != 1/(q)oo",
-        ))
-    for big_m in range(11):
-        for big_n in range(11):
-            for variant in ("i", "ii"):
-                cases.append(Case(
-                    f"lemma-d3[{variant}][M={big_m:02d},N={big_n:02d}]",
-                    {"M": big_m, "N": big_n, "variant": variant, "qmax": d3_qmax},
-                    lambda M=big_m, N=big_n, v=variant: None
-                    if qseries.lemma_d3_check(M, N, v, d3_qmax)
-                    else "sides differ",
-                ))
+    return [
+        *(Case(f"durfee[m={m:+03d}]", {"m": m, "qmax": qmax}, _durfee)
+          for m in range(-10, 11)),
+        *(Case(f"lemma-d3[{variant}][M={big_m:02d},N={big_n:02d}]",
+               {"M": big_m, "N": big_n, "variant": variant, "qmax": d3_qmax}, _lemma_d3)
+          for big_m in range(11) for big_n in range(11) for variant in ("i", "ii")),
+        *(Case(f"z-expansion-product[N={n_val}]", {"N": n_val, "qmax": qmax}, _z_product)
+          for n_val in range(1, 9)),
+        *(Case(f"rs-generating[nvars={nvars}]", {"Nmax": 4, "nvars": nvars, "qmax": 4},
+               _rs_generating)
+          for nvars in range(1, 4)),
+    ]
 
-    def zprod_check(n_val):
-        zdeg = n_val + 2
-        lhs = qseries.pochhammer_z_expansion(n_val, qmax)
-        rhs = qseries.inv_pochhammer_z_expansion(n_val, zdeg, qmax)
-        for j in range(zdeg + 1):
-            prod = sum((lhs[i] * rhs[j - i] for i in range(min(j, n_val) + 1)),
-                       q_zero(qmax))
-            locus = _series_locus(prod, q_one(qmax) if j == 0 else q_zero(qmax))
-            if locus is not None:
-                return {"z_degree": j, **locus}
+
+def _durfee(m, qmax):
+    return None if qseries.durfee_check(m, qmax) else "sum != 1/(q)oo"
+
+
+def _lemma_d3(M, N, variant, qmax):
+    return None if qseries.lemma_d3_check(M, N, variant, qmax) else "sides differ"
+
+
+def _z_product(N, qmax):
+    """The z-expansions of (z; q)_N and 1/(z; q)_N multiply to 1 through
+    z^{N+2}."""
+    zdeg = N + 2
+    lhs = qseries.pochhammer_z_expansion(N, qmax)
+    rhs = qseries.inv_pochhammer_z_expansion(N, zdeg, qmax)
+    for j in range(zdeg + 1):
+        prod = sum((lhs[i] * rhs[j - i] for i in range(min(j, N) + 1)), q_zero(qmax))
+        locus = _series_locus(prod, q_one(qmax) if j == 0 else q_zero(qmax))
+        if locus is not None:
+            return {"z_degree": j, **locus}
+    return None
+
+
+def _rs_generating(Nmax, nvars, qmax):
+    if symfunc.rs_generating_check(Nmax, nvars, qmax):
         return None
-
-    for n_val in range(1, 9):
-        cases.append(Case(
-            f"z-expansion-product[N={n_val}]", {"N": n_val, "qmax": qmax},
-            lambda n_val=n_val: zprod_check(n_val),
-        ))
-    for nvars in range(1, 4):
-        cases.append(Case(
-            f"rs-generating[nvars={nvars}]",
-            {"Nmax": 4, "nvars": nvars, "qmax": 4},
-            lambda nv=nvars: None
-            if symfunc.rs_generating_check(4, nv, 4)
-            else "generating function mismatch",
-        ))
-    return cases
+    return "generating function mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -131,48 +131,37 @@ def schur_cases() -> list[Case]:
     monomial (`_ribbon_locus`), and the rank-2 h-rewrite for 1 <= a, b <= 6.
     The suite takes neither a rank nor a truncation order."""
     cases = []
-
-    def check_shape(shape, nvars):
-        base = symfunc.schur_skew(shape, nvars, "jt_h")
-        for method in ("jt_e", "sst"):
-            other = symfunc.schur_skew(shape, nvars, method)
-            if base != other:
-                return {"method": method, "shape": repr(shape)}
-        return None
-
     for lam in all_partitions_upto(6):
         for mu in _sub_partitions(lam):
-            shape = SkewShape(lam, mu)
             for nvars in range(1, 5):
                 cases.append(Case(
                     f"schur[{lam.parts}/{mu.parts},v={nvars}]",
-                    {"outer": list(lam.parts), "inner": list(mu.parts),
-                     "nvars": nvars},
-                    lambda s=shape, v=nvars: check_shape(s, v),
+                    {"outer": list(lam.parts), "inner": list(mu.parts), "nvars": nvars},
+                    _schur_routes,
                 ))
-
-    for n_rank in (2, 3):
+    for rank in (2, 3):
         for size in range(7):
-            for strip in strips.enumerate_border_strips(n_rank, size, reduced=False):
-                cases.append(Case(
-                    f"lr[n={n_rank},rows={list(strip.rows)}]",
-                    {"n": n_rank, "rows": list(strip.rows)},
-                    lambda s=strip: _ribbon_locus(s, symfunc.ribbon_expansion(s.rows)),
-                ))
-
+            for strip in strips.enumerate_border_strips(rank, size, reduced=False):
+                cases.append(Case(f"lr[n={rank},rows={list(strip.rows)}]",
+                                  {"n": rank, "rows": list(strip.rows)}, _lr))
     for a in range(1, 7):
         for b in range(1, 7):
-            def check_h(a=a, b=b):
-                lhs = (symfunc.complete(a, 2) * symfunc.complete(b, 2)
-                       - symfunc.complete(a + b, 2))
-                rhs = (symfunc.elementary(2, 2)
-                       * symfunc.complete(a - 1, 2)
-                       * symfunc.complete(b - 1, 2))
-                return None if lhs == rhs else {"a": a, "b": b}
-            cases.append(Case(
-                f"h-rewrite[a={a},b={b}]", {"a": a, "b": b}, check_h,
-            ))
+            cases.append(Case(f"h-rewrite[a={a},b={b}]", {"a": a, "b": b}, _h_rewrite))
     return cases
+
+
+def _schur_routes(outer, inner, nvars):
+    shape = SkewShape(outer, inner)
+    base = symfunc.schur_skew(shape, nvars, "jt_h")
+    for method in ("jt_e", "sst"):
+        if base != symfunc.schur_skew(shape, nvars, method):
+            return {"method": method, "shape": repr(shape)}
+    return None
+
+
+def _lr(n, rows):
+    strip = strips.BorderStrip.from_rows(rows, n)
+    return _ribbon_locus(strip, symfunc.ribbon_expansion(strip.rows))
 
 
 def _ribbon_locus(strip, coeffs):
@@ -202,6 +191,14 @@ def _kostka(nu: Partition, mu: Partition) -> int:
     return symfunc.skew_kostka(nu, Partition(), mu)
 
 
+def _h_rewrite(a, b):
+    """h_a h_b - h_{a+b} = e_2 h_{a-1} h_{b-1} in two variables."""
+    lhs = symfunc.complete(a, 2) * symfunc.complete(b, 2) - symfunc.complete(a + b, 2)
+    rhs = (symfunc.elementary(2, 2)
+           * symfunc.complete(a - 1, 2) * symfunc.complete(b - 1, 2))
+    return None if lhs == rhs else {"a": a, "b": b}
+
+
 # ---------------------------------------------------------------------------
 # suite: bijections
 
@@ -213,42 +210,40 @@ def bijection_cases(n: int | None = None) -> list[Case]:
     ranks = (2, 3) if n is None else (n,)
     max_size = 6
     cases = []
-    for n in ranks:
+    for rank in ranks:
         for size in range(max_size + 1):
-            for strip in strips.enumerate_border_strips(n, size, reduced=True):
-
-                def round_trips(strip=strip, n=n):
-                    seq = strips.strip_to_rapidity(strip)
-                    if strips.rapidity_to_strip(seq, n) != strip:
-                        return "strip->rapidity->strip failed"
-                    motif = strips.rapidity_to_motif(seq)
-                    if strips.motif_to_rapidity(motif) != seq:
-                        return "rapidity->motif->rapidity failed"
-                    if strips.motif_to_strip(motif) != strip:
-                        return "square construction disagrees with rapidity route"
-                    return None
-
-                cases.append(Case(
-                    f"roundtrip[n={n},rows={list(strip.rows)}]",
-                    {"n": n, "rows": list(strip.rows)}, round_trips,
-                ))
-                cases.append(Case(
-                    f"energy-forms[n={n},rows={list(strip.rows)}]",
-                    {"n": n, "rows": list(strip.rows)},
-                    lambda s=strip: (strips.energy(s), None)[1],
-                ))
-
-    for n in ranks:
-        for modes in _mode_lists(n, 6, 4, [], 0, 0):
-            cases.append(Case(
-                f"modes[n={n},{modes}]", {"n": n, "modes": modes},
-                lambda m=modes, n=n: _modes_case(m, n),
-            ))
-    cases.append(Case(
-        "rapidity-convention-harness", {"max_size": max_size, "ranks": list(ranks)},
-        lambda: _harness_case(max_size, ranks),
-    ))
+            for strip in strips.enumerate_border_strips(rank, size, reduced=True):
+                rows = list(strip.rows)
+                cases.append(Case(f"roundtrip[n={rank},rows={rows}]",
+                                  {"n": rank, "rows": rows}, _round_trips))
+                cases.append(Case(f"energy-forms[n={rank},rows={rows}]",
+                                  {"n": rank, "rows": rows}, _energy_forms))
+    for rank in ranks:
+        for modes in _mode_lists(rank, 6, 4, [], 0, 0):
+            cases.append(Case(f"modes[n={rank},{modes}]", {"n": rank, "modes": modes},
+                              _modes_case))
+    cases.append(Case("rapidity-convention-harness",
+                      {"max_size": max_size, "ranks": list(ranks)}, _harness_case))
     return cases
+
+
+def _round_trips(n, rows):
+    strip = strips.BorderStrip.from_rows(rows, n)
+    seq = strips.strip_to_rapidity(strip)
+    if strips.rapidity_to_strip(seq) != strip:
+        return "strip->rapidity->strip failed"
+    motif = strips.rapidity_to_motif(seq)
+    if strips.motif_to_rapidity(motif) != seq:
+        return "rapidity->motif->rapidity failed"
+    if strips.motif_to_strip(motif) != strip:
+        return "square construction disagrees with rapidity route"
+    return None
+
+
+def _energy_forms(n, rows):
+    """`strips.energy` raises if a reduced strip's two energy forms differ."""
+    strips.energy(strips.BorderStrip.from_rows(rows, n))
+    return None
 
 
 def _mode_lists(n, max_modes, max_value, prefix, last, run):
@@ -270,7 +265,7 @@ def _mode_lists(n, max_modes, max_value, prefix, last, run):
             yield from _mode_lists(n, max_modes, max_value, prefix + [v], v, new_run)
 
 
-def _modes_case(modes, n):
+def _modes_case(n, modes):
     try:
         strips.modes_to_strip(modes, n)
     except ValueError:
@@ -326,31 +321,34 @@ def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case
     """Cut sums against the closed string functions, and multisum against
     alternating cut forms (N <= 3n), for every weight with
     |lambda|^2/2 - Delta_k <= 2 at ranks 2, 3 and 4 (or rank `n`), to q^8."""
-    ranks = (2, 3, 4) if n is None else (n,)
     if qmax is None:
         qmax = 8
     cases = []
-    for n in ranks:
-        for k in range(n):
-            for coords in small_norm_weights(n, k):
-                cases.append(Case(
-                    f"spinon-cut[n={n},k={k},w={list(coords)}]",
-                    {"n": n, "k": k, "weight": list(coords), "qmax": qmax},
-                    lambda n=n, k=k, c=coords: None
-                    if affine.verify_spinon_cut(n, k, c, qmax)
-                    else "cut sum != closed form",
-                ))
-                for n_spinons in range(k, 3 * n + 1, n):
+    for rank in ((2, 3, 4) if n is None else (n,)):
+        for k in range(rank):
+            for coords in small_norm_weights(rank, k):
+                weight = list(coords)
+                cases.append(Case(f"spinon-cut[n={rank},k={k},w={weight}]",
+                                  {"n": rank, "k": k, "weight": weight, "qmax": qmax},
+                                  _spinon_cut))
+                for n_spinons in range(k, 3 * rank + 1, rank):
                     cases.append(Case(
-                        f"cut-forms[n={n},k={k},w={list(coords)},N={n_spinons}]",
-                        {"n": n, "k": k, "weight": list(coords), "N": n_spinons,
-                         "qmax": qmax},
-                        lambda n=n, k=k, c=coords, N=n_spinons: _series_locus(
-                            affine.spinon_string_function(n, k, c, N, "multisum", qmax),
-                            affine.spinon_string_function(n, k, c, N, "alternating", qmax),
-                        ),
+                        f"cut-forms[n={rank},k={k},w={weight},N={n_spinons}]",
+                        {"n": rank, "k": k, "weight": weight, "N": n_spinons, "qmax": qmax},
+                        _cut_forms,
                     ))
     return cases
+
+
+def _spinon_cut(n, k, weight, qmax):
+    return None if affine.verify_spinon_cut(n, k, weight, qmax) else "cut sum != closed form"
+
+
+def _cut_forms(n, k, weight, N, qmax):
+    return _series_locus(
+        affine.spinon_string_function(n, k, weight, N, "multisum", qmax),
+        affine.spinon_string_function(n, k, weight, N, "alternating", qmax),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +359,21 @@ def sl2_cases(qmax: int | None = None) -> list[Case]:
     k = 0, 1, to q^10.  The suite is rank 2 and takes no rank."""
     if qmax is None:
         qmax = 10
-    cases = []
-    for k in (0, 1):
-        def four_way(k=k):
-            bos = affine.bosonic_character(2, k, qmax)
-            for name, table in (
-                ("fermionic-root", affine.sl2_fermionic_character(k, "root", qmax)),
-                ("fermionic-spinon", affine.sl2_fermionic_character(k, "spinon", qmax)),
-                ("spinon-enum", affine.sl2_spinon_enumeration(k, qmax)),
-            ):
-                locus = _table_locus(bos, table)
-                if locus is not None:
-                    return {"kind": name, **locus}
-            return None
+    return [Case(f"sl2-four-way[k={k}]", {"k": k, "qmax": qmax}, _sl2_four_way)
+            for k in (0, 1)]
 
-        cases.append(Case(
-            f"sl2-four-way[k={k}]", {"k": k, "qmax": qmax}, four_way,
-        ))
-    return cases
+
+def _sl2_four_way(k, qmax):
+    bos = affine.bosonic_character(2, k, qmax)
+    for name, table in (
+        ("fermionic-root", affine.sl2_fermionic_character(k, "root", qmax)),
+        ("fermionic-spinon", affine.sl2_fermionic_character(k, "spinon", qmax)),
+        ("spinon-enum", affine.sl2_spinon_enumeration(k, qmax)),
+    ):
+        locus = _table_locus(bos, table)
+        if locus is not None:
+            return {"kind": name, **locus}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -395,48 +390,45 @@ def decomposition_cases(n: int | None = None, qmax: int | None = None) -> list[C
         ks = range(rank) if rank < 4 or qmax is not None else (0, 1)
         order = {2: 8, 3: 5}.get(rank, 3) if qmax is None else qmax
         for k in ks:
-            cases.append(Case(
-                f"yangian[n={rank},k={k},qmax={order}]",
-                {"n": rank, "k": k, "qmax": order},
-                lambda n=rank, k=k, q=order: _table_locus(
-                    affine.bosonic_character(n, k, q),
-                    yangian.yangian_decomposition(n, k, q),
-                ),
-            ))
+            cases.append(Case(f"yangian[n={rank},k={k},qmax={order}]",
+                              {"n": rank, "k": k, "qmax": order}, _yangian))
     for k in (0, 1):
-        cases.append(Case(
-            f"sl2-yangian[k={k},qmax=8]", {"k": k, "qmax": 8},
-            lambda k=k: _table_locus(
-                affine.bosonic_character(2, k, 8),
-                yangian.sl2_yangian_decomposition(k, 8),
-            ),
-        ))
+        cases.append(Case(f"sl2-yangian[k={k},qmax=8]", {"k": k, "qmax": 8}, _sl2_yangian))
     for n_spinons in range(6):
         for size in range(6):
             for lam in partitions_of(size, max_len=n_spinons):
-                cases.append(Case(
-                    f"hw-module[lam={list(lam.parts)},N={n_spinons}]",
-                    {"lam": list(lam.parts), "N": n_spinons},
-                    lambda lam=lam, N=n_spinons: _hw_case(lam, N),
-                ))
+                cases.append(Case(f"hw-module[lam={list(lam.parts)},N={n_spinons}]",
+                                  {"lam": list(lam.parts), "N": n_spinons}, _hw_case))
     return cases
 
 
-def _hw_case(lam, n_spinons):
+def _yangian(n, k, qmax):
+    return _table_locus(affine.bosonic_character(n, k, qmax),
+                        yangian.yangian_decomposition(n, k, qmax))
+
+
+def _sl2_yangian(k, qmax):
+    return _table_locus(affine.bosonic_character(2, k, qmax),
+                        yangian.sl2_yangian_decomposition(k, qmax))
+
+
+def _hw_case(lam, N):
     """The (lambda, N) module's sl2 character against the Schur polynomial of
-    its border strip.  `strips.sl2_partition_to_strip` checks the strip's size
-    N + 2(r - 1), r its number of rows, and its energy |lambda| + N^2/4.  The
-    strip polynomial carries one (x1 x2) factor per extra row pair, invisible
-    in sl2 weights, so the character is lifted by e_2^{r - 1} first."""
+    its border strip; `lam` is a `Partition` or its list of parts.
+    `strips.sl2_partition_to_strip` checks the strip's size N + 2(r - 1), r
+    its number of rows, and its energy |lambda| + N^2/4.  The strip
+    polynomial carries one (x1 x2) factor per extra row pair, invisible in
+    sl2 weights, so the character is lifted by e_2^{r - 1} first."""
+    lam = Partition(lam)
     try:
-        strip = strips.sl2_partition_to_strip(lam, n_spinons)
+        strip = strips.sl2_partition_to_strip(lam, N)
     except AssertionError as exc:
         return str(exc)
-    lifted = yangian.sl2_hw_character(lam, n_spinons)
-    for _ in range((strip.size() - n_spinons) // 2):
+    lifted = yangian.sl2_hw_character(lam, N)
+    for _ in range((strip.size() - N) // 2):
         lifted = lifted * symfunc.elementary(2, 2)
     if symfunc.strip_schur(strip, 2) != lifted:
-        return f"strip character mismatch for ({lam}, {n_spinons})"
+        return f"strip character mismatch for ({lam}, {N})"
     return None
 
 
@@ -452,40 +444,37 @@ def gz_cases(n: int | None = None) -> list[Case]:
     cases = []
     for lam in all_partitions_upto(5):
         for mu in _sub_partitions(lam):
-            for n in ranks:
+            for rank in ranks:
                 for n_spinons in range(3):
-                    if len(mu) > n_spinons or len(lam) > n_spinons + n:
+                    if len(mu) > n_spinons or len(lam) > n_spinons + rank:
                         continue
                     cases.append(Case(
-                        f"gz[{lam.parts}/{mu.parts},n={n},N={n_spinons}]",
+                        f"gz[{lam.parts}/{mu.parts},n={rank},N={n_spinons}]",
                         {"outer": list(lam.parts), "inner": list(mu.parts),
-                         "n": n, "N": n_spinons},
-                        lambda l=lam, m=mu, n=n, N=n_spinons: _gz_case(l, m, n, N),
+                         "n": rank, "N": n_spinons},
+                        _gz_case,
                     ))
     for lam in all_partitions_upto(6):
-        for n in (2, 3, 4):
-            if len(lam) > n:
+        for rank in (2, 3, 4):
+            if len(lam) > rank:
                 continue
-            cases.append(Case(
-                f"drinfeld[{lam.parts},n={n}]",
-                {"lam": list(lam.parts), "n": n},
-                lambda l=lam, n=n: _drinfeld_case(l, n),
-            ))
+            cases.append(Case(f"drinfeld[{lam.parts},n={rank}]",
+                              {"lam": list(lam.parts), "n": rank}, _drinfeld_case))
     return cases
 
 
-def _gz_case(lam, mu, n, n_spinons):
-    schemes = yangian.gz_schemes(lam, mu, n, n_spinons)
-    shape = SkewShape(lam, mu)
+def _gz_case(outer, inner, n, N):
+    lam, mu = Partition(outer), Partition(inner)
+    schemes = yangian.gz_schemes(lam, mu, n, N)
     weights: dict = {}
     for s in schemes:
         w = yangian.gz_weight(s)
         weights[w] = weights.get(w, 0) + 1
         tab = yangian.gz_to_sst(s)
-        if yangian.sst_to_gz(tab, lam, mu, n, n_spinons) != s:
+        if yangian.sst_to_gz(tab, lam, mu, n, N) != s:
             return {"scheme": repr(s), "fault": "sst round trip"}
     # gz weights live on the N+n-variable torus; compare full monomial records
-    monomials = symfunc.weight_projection(symfunc.schur_skew(shape, n, "sst"))
+    monomials = symfunc.weight_projection(symfunc.schur_skew(SkewShape(lam, mu), n, "sst"))
     if weights != monomials:
         return {"fault": "weight multiset mismatch",
                 "gz": {str(k): v for k, v in sorted(weights.items())},

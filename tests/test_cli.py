@@ -1,4 +1,5 @@
 """Black-box CLI tests: exit codes, output determinism, and payload handling."""
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinonchars import strips, verify
+from spinonchars import cli, strips, verify
 from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
                              _render_report, _write_table, main)
@@ -317,6 +318,19 @@ def test_bijection_bad_payload_is_usage_error(capsys):
         assert f"{src} payload" in err, (src, payload, err)
 
 
+def test_bijection_mode_gap_names_only_the_first_missing_mode(capsys):
+    """A mode list is read in time linear in its length, not in its largest
+    mode: the 12-byte payload [0, 1000000] is refused at once, on one short
+    line that names the first missing mode, not all 999 999 of them."""
+    code, out, err = run_cli(
+        capsys, "bijection", "--from", "modes", "--to", "strip",
+        "--n", "2", "--payload", "[0, 1000000]",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert "gap in mode values: 1 missing" in err
+
+
 def test_bijection_sl2_partition_requires_rank_two(capsys):
     """An sl2 partition labels a rank-2 strip, so any other --n is refused
     rather than answered at rank 2."""
@@ -365,10 +379,10 @@ def test_verify_json_report_has_the_indent_2_layout():
     assert passing["passed"]
     failing = verify.run_cases("made-up", [
         verify.Case("a[1]", {"n": 2, "rows": [3, 1], "variant": "x\ty"},
-                    lambda: {"weight": [1, -1], "q_degree": 0, "lhs": 2, "rhs": None}),
-        verify.Case("b", {}, lambda: "exception: \u00e9 \"quoted\"\n"),
-        verify.Case("c", {"lam": []}, lambda: [[], {}, 1.5, True, False]),
-        verify.Case("d", {"n": 3}, lambda: None),
+                    lambda **_: {"weight": [1, -1], "q_degree": 0, "lhs": 2, "rhs": None}),
+        verify.Case("b", {}, lambda **_: "exception: \u00e9 \"quoted\"\n"),
+        verify.Case("c", {"lam": []}, lambda **_: [[], {}, 1.5, True, False]),
+        verify.Case("d", {"n": 3}, lambda **_: None),
     ])
     assert not failing["passed"]
     for report in (passing, failing):
@@ -477,6 +491,31 @@ def test_verify_all_passes_each_suite_the_overrides_it_reads():
     assert [(c.id, c.params) for c in cases] == [(c.id, c.params) for c in expected]
 
 
+def test_each_case_reruns_from_its_report_record(capsys):
+    """A case is (id, params, check) and runs as `check(**params)`: its
+    params survive a JSON round trip and name exactly the parameters of
+    `check`, so one record of each kind in a `verify --format json` report
+    re-runs to the same verdict and locus."""
+    suites = (verify.build_suite("all"), verify.build_suite("all", n=3, qmax=2))
+    for cases in suites:
+        for case in cases:
+            assert json.loads(json.dumps(case.params)) == case.params, case.id
+            code = case.check.__code__
+            assert sorted(case.params) == sorted(code.co_varnames[:code.co_argcount]), case.id
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--n", "3", "--qmax", "2",
+                           "--format", "json")
+    assert code == 0
+    first = {}
+    for record in json.loads(out)["cases"]:
+        first.setdefault(record["id"].split("[")[0], record)
+    assert len(first) == 19
+    checks = {case.id: case.check for case in suites[1]}
+    for record in first.values():
+        locus = checks[record["id"]](**record["params"])
+        assert (locus is None, json.loads(json.dumps(locus))) == (
+            record["pass"], record["locus"]), record["id"]
+
+
 def test_bijection_harness_runs_the_recorded_ranks(capsys, monkeypatch):
     censuses = []
     discover = strips.discover_rapidity_convention
@@ -572,6 +611,19 @@ def test_char_loads_no_argument_parser():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_a_command_starts_with_the_heap_frozen(capsys, monkeypatch):
+    """`main` freezes the objects that exist when it starts, so a command
+    starts at the same allocation count of the collector whatever the
+    imports allocated, and no collection it runs traverses those objects."""
+    counts = []
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda argv: counts.append(gc.get_count()[0]) or parse(argv))
+    code, _, _ = run_cli(capsys, "char", "--kind", "yangian", "--n", "2", "--k", "0",
+                         "--qmax", "1")
+    assert code == 0
+    assert counts[0] < 5 and gc.get_freeze_count() > 0
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -192,3 +192,17 @@ def test_every_definition_is_used_in_src():
               if not (node.name.startswith("__") and node.name.endswith("__"))
               and mentions[node.name] == Counter(_named(node))[node.name]]
     assert not unused, "defined but never named in src/:\n" + "\n".join(unused)
+
+
+def test_verify_checks_are_module_level_functions():
+    """Each case of `verify.py` runs its check as `check(**params)`, so no
+    check is a closure or a default-argument lambda that could run inputs
+    other than the params its report prints: the module has no nested
+    function and no lambda but the sort key of `run_cases`."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    top = {node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node not in top]
+    lambdas = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+    assert not nested, f"nested functions at lines {nested}"
+    assert len(lambdas) == 1, f"lambdas at lines {lambdas}"

@@ -211,7 +211,7 @@ def test_strip_rapidity_round_trip_census():
         for size in range(8):
             for strip in enumerate_border_strips(n, size, reduced=True):
                 seq = strip_to_rapidity(strip)
-                assert rapidity_to_strip(seq, n) == strip, (n, strip)
+                assert rapidity_to_strip(seq) == strip, (n, strip)
 
 
 def test_rapidity_motif_round_trip_census():
@@ -344,19 +344,19 @@ def test_strip_rapidity_and_motif_round_trips(case):
     strip = BorderStrip(cols, n).reduce()
     energy(strip)  # row and column forms asserted equal inside
     seq = strip_to_rapidity(strip)
-    assert rapidity_to_strip(seq, n) == strip
+    assert rapidity_to_strip(seq) == strip
     motif = rapidity_to_motif(seq)
-    assert motif_to_strip(motif, n) == strip
+    assert motif_to_strip(motif) == strip
     for pad in (0, 1, n, 2 * n + 1):
         stab = seq.stab + pad
         tail = [x for x in range(seq.stab + 1, stab + 1) if x % n != seq.k]
         padded = RapiditySeq(n, seq.k, seq.prefix + tuple(tail), stab)
         assert (padded.prefix, padded.stab) == (seq.prefix, seq.stab)
-        assert rapidity_to_strip(padded, n) == strip
+        assert rapidity_to_strip(padded) == strip
     for extra in (1, 2):
         padded = Motif(n, motif.bits + ((1,) * (n - 1) + (0,)) * extra)
         assert padded.bits == motif.bits
-        assert motif_to_strip(padded, n) == strip
+        assert motif_to_strip(padded) == strip
 
 
 @settings(max_examples=60, deadline=None)
