@@ -8,7 +8,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import affine, strips, verify, yangian
-from .partitions import Partition
+from .partitions import Partition, _brief
 from .strips import BorderStrip, Motif, RapiditySeq
 
 USAGE_ERROR = 2
@@ -119,7 +119,7 @@ def _parse_payload(kind: str, payload: str, n: int):
             return Motif.parse(payload, n)
         data = json.loads(payload)
         if isinstance(data, dict) and _int(data.get("n", n)) != n:
-            raise UsageError(f"the payload has n={data['n']}, but --n is {n}")
+            raise UsageError(f"the payload has n={_brief(str(data['n']), 20)}, but --n is {n}")
         if kind == "strip":
             return BorderStrip.from_rows(data["rows"] if isinstance(data, dict) else data, n)
         if kind == "rapidity":
@@ -128,7 +128,8 @@ def _parse_payload(kind: str, payload: str, n: int):
             return [_int(x) for x in data]
         return Partition(data["lam"]), _int(data["N"])  # sl2-partition
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot parse {kind} payload {payload!r}: {exc}") from exc
+        raise UsageError(f"cannot parse {kind} payload {_brief(repr(payload), 50)}: "
+                         f"{_brief(str(exc), 90)}") from exc
 
 
 def _to_strip(kind: str, obj, n: int) -> BorderStrip:

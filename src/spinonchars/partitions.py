@@ -14,6 +14,24 @@ def _require_ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _brief(text: str, width: int) -> str:
+    """`text`, or its first width - 3 characters and "...", so that an error
+    quoting what it was given stays one short line."""
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def _shown(values, at: int) -> str:
+    """repr(values), as an error message quotes them, or, past 60
+    characters, their number and the entry at index `at`, the first
+    offending one, with the entry before it."""
+    text = repr(values)
+    if len(text) <= 60:
+        return text
+    lo = max(at - 1, 0)
+    near = ", ".join(_brief(repr(v), 12) for v in values[lo:at + 1])
+    return f"{len(values)} entries, [{lo}:{at + 1}] = [{near}]"
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing tuple of positive integers; zero parts are dropped.
@@ -28,9 +46,9 @@ class Partition:
             parts = tuple(p for p in parts if p)
         for i in range(len(parts) - 1):
             if parts[i] < parts[i + 1]:
-                raise ValueError(f"parts not weakly decreasing: {parts}")
+                raise ValueError(f"parts not weakly decreasing: {_shown(parts, i + 1)}")
         if parts and parts[-1] < 0:
-            raise ValueError(f"parts must be positive: {parts}")
+            raise ValueError(f"parts must be positive: {_shown(parts, len(parts) - 1)}")
         self.parts = parts
 
     @classmethod

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .partitions import Partition, SkewShape, _require_ints
+from .partitions import Partition, SkewShape, _require_ints, _shown
 
 
 def _check_runs(member, last: int, n: int, what: str) -> None:
@@ -73,8 +73,9 @@ class BorderStrip:
         """Build the strip with row lengths a_1..a_r (top to bottom), each an
         `int`; zero rows are dropped."""
         rows = [a for a in _require_ints(rows, "row lengths") if a != 0]
-        if any(a < 0 for a in rows):
-            raise ValueError(f"row lengths must be positive: {rows}")
+        for i, a in enumerate(rows):
+            if a < 0:
+                raise ValueError(f"row lengths must be positive: {_shown(rows, i)}")
         return BorderStrip(_transpose(rows), n)
 
     @property
@@ -175,8 +176,9 @@ class RapiditySeq:
         if n < 2:
             raise ValueError("rank must be >= 2")
         prefix = _require_ints(prefix, "rapidities")
-        if list(prefix) != sorted(set(prefix)):
-            raise ValueError(f"prefix must be strictly increasing: {prefix}")
+        for i in range(1, len(prefix)):
+            if prefix[i] <= prefix[i - 1]:
+                raise ValueError(f"prefix must be strictly increasing: {_shown(prefix, i)}")
         if prefix and prefix[0] < 1:
             raise ValueError("rapidities must be positive")
         if prefix and prefix[-1] > stab:
@@ -284,8 +286,9 @@ class Motif:
         if not text.endswith("|"):
             raise ValueError("motif string must end with the stabilization mark '|'")
         bits = text[:-1]
-        if not set(bits) <= {"0", "1"}:  # int() would also read non-ASCII digits
-            raise ValueError(f"motif bits must be the characters 0 and 1: {bits!r}")
+        for i, c in enumerate(bits):
+            if c not in "01":  # int() would also read non-ASCII digits
+                raise ValueError(f"motif bits must be the characters 0 and 1: {_shown(bits, i)}")
         return Motif(n, [int(c) for c in bits])
 
     def __eq__(self, other):
@@ -331,16 +334,17 @@ def modes_to_strip(modes, n: int) -> BorderStrip:
         raise ValueError("mode list must be non-empty")
     if any(x < 0 for x in modes):
         raise ValueError("modes must be non-negative")
-    if modes != sorted(modes):
-        raise ValueError(f"modes must be weakly increasing: {modes}")
+    for i in range(1, len(modes)):
+        if modes[i] < modes[i - 1]:
+            raise ValueError(f"modes must be weakly increasing: {_shown(modes, i)}")
     runs: list[int] = []  # runs[v] counts the modes equal to v
-    for x in modes:
+    for i, x in enumerate(modes):
         if x == len(runs):
             runs.append(1)
         elif x == len(runs) - 1:
             runs[-1] += 1
         else:
-            raise ValueError(f"gap in mode values: {len(runs)} missing from {modes}")
+            raise ValueError(f"gap in mode values: {len(runs)} missing from {_shown(modes, i)}")
     strip = BorderStrip(runs[::-1], n)  # the largest mode is the rightmost column
     s = len(strip.cols)
     weighted = sum((s - i) * b for i, b in enumerate(strip.cols, start=1))

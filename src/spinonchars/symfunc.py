@@ -4,7 +4,7 @@ Rogers-Szego as composition -> q-series dicts.  Everything is exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, takewhile
+from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add
 
 from .affine import exps_to_fw
@@ -261,25 +261,6 @@ def _horizontal_strips(kappa, outer, size) -> list[tuple[int, ...]]:
                    for prefix, rest in partial
                    for a in range(max(0, rest - below[i + 1]), min(r, rest) + 1)]
     return [prefix for prefix, rest in partial if rest == 0]
-
-
-def strip_schur(strip, nvars: int) -> SymPoly:
-    """Skew Schur polynomial of a `strips.BorderStrip` via the column recurrence.
-
-    Peeling j columns off the left end contributes (-1)^{j-1} e_{(sum of those
-    column heights)}; since e_m vanishes for m > nvars each step looks back
-    at most nvars columns.
-    """
-    cols = strip.cols
-    upto = [SymPoly.one(nvars)]  # upto[j]: the strip of the j rightmost columns
-    for j in range(1, len(cols) + 1):
-        # heights[t]: columns j-1 down to j-1-t, peeled while e_height is nonzero
-        heights = takewhile(lambda h: h <= nvars, accumulate(cols[j - 1::-1]))
-        upto.append(_sum_of_products(nvars, (
-            (-1 if t % 2 else 1, elementary(h, nvars), upto[j - 1 - t])
-            for t, h in enumerate(heights)
-        )))
-    return upto[-1]
 
 
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:

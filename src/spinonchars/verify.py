@@ -427,7 +427,7 @@ def _hw_case(lam, N):
     lifted = yangian.sl2_hw_character(lam, N)
     for _ in range((strip.size() - N) // 2):
         lifted = lifted * symfunc.elementary(2, 2)
-    if symfunc.strip_schur(strip, 2) != lifted:
+    if symfunc.schur_skew(strip.shape, 2) != lifted:
         return f"strip character mismatch for ({lam}, {N})"
     return None
 

@@ -244,24 +244,36 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
       sum_i b_i(2d + n - b_i) >= 2d*need + n - 1 to e2, and a prefix that
       cannot afford that is dropped with its whole subtree.
 
-    Schur values.  A ribbon's skew Schur function is unchanged by a rotation
-    of 180 degrees, which reverses its columns.  So the column recurrence of
-    `symfunc.strip_schur`, read with the columns in the order they are
-    appended, gives the Schur function V_j of each prefix: appending height
-    b to a prefix of j columns with heights c_1..c_j gives
-    V_{j+1} = sum_t (-1)^t e_{b + c_j + ... + c_{j-t+1}} V_{j-t}, over the
-    t for which that height is at most n, since e_h = 0 for h > n.  As
-    b >= 1, only the tail, the run of latest columns whose heights sum to at
-    most n - 1, and the values of the last len(tail) + 1 prefixes are read.
+    Schur values.  Let c_1..c_s be a strip's column heights, left to right.
+    In canonical position (`strips.BorderStrip.shape`) the strip fills
+    columns 1..s, and the top box of column i shares its row with the bottom
+    box of column i + 1, so mu'_i = lam'_{i+1} - 1 and
+    c_i = lam'_i - lam'_{i+1} + 1.  So the dual Jacobi-Trudi matrix
+    [e_{lam'_i - mu'_j - i + j}] (Macdonald I.5) has e_{c_i + ... + c_j} at
+    (i, j) for i <= j, e_0 = 1 at (j + 1, j), and 0 below.  Expand its
+    determinant along the first row.  In the minor of entry (1, j), rows
+    2..j meet columns 1..j-1 in a triangle with unit diagonal, later rows
+    meet them in zeros, and rows and columns j+1..s are the matrix of
+    c_{j+1}..c_s, so
+    s_kappa = sum_j (-1)^{j-1} e_{c_1 + ... + c_j} s_{ribbon c_{j+1}..c_s}.
+    Unrolled, s_kappa is the sum over the cuts of c_1..c_s into runs of
+    consecutive columns of the product over the runs of
+    (-1)^{len - 1} e_{height}, and e_h = 0 for h > n.  Columns are appended
+    in order, so a prefix's cuts all end in one open run: appending height b
+    closes it, times e_h for its height h, and opens a run of height b, or,
+    when h + b <= n, joins it with sign -1.  A strip's value is its sum with
+    the open run closed (`_close_run`).
 
     Merging.  The future of a prefix (the e2 it may still add, the class it
-    ends in, and the recurrence) depends only on (e2, d, tail), and the
-    recurrence is linear in the carried values.  So prefixes with equal
-    states are merged by adding their vectors of values, and the states are
-    processed in increasing e2, which every column raises: a state is
-    complete before it is extended.  Each e2 <= e2_max, and d <= e2 (by
-    induction, b(2d+n-b) >= n - b), so the number of states is polynomial
-    in qmax, while the number of strips is not.
+    ends in, and which runs it may join) depends only on (e2, d, h), with h
+    the height of its open run (0 for the empty prefix alone, which has no
+    run to join), and every step is linear in the carried sum.  So
+    prefixes and cuts with equal states are merged by adding their values
+    into one dict, and the states are processed in increasing e2, which
+    every column raises: a state is complete before it is extended.  Each
+    e2 <= e2_max, h <= n, and d <= e2 (by induction, b(2d+n-b) >= n - b),
+    so the number of states is polynomial in qmax, while the number of
+    strips is not.
 
     Monomial basis.  Setting x_1...x_n = 1, that is e_n = 1, is a ring
     homomorphism from the symmetric polynomials in n variables onto the
@@ -282,21 +294,21 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     base = k * (n - k)
     e2_max = base + 2 * n * qmax
     rows: dict[tuple[int, ...], list[int]] = {}  # normalized nu -> coefficients by grade
-    layers = {0: {(0, ()): [({(0,) * n: 1},)]}}  # e2 -> (d, tail) -> value vectors
+    layers = {0: {(0, 0): {(0,) * n: 1}}}  # e2 -> (d, h) -> value
     for e2 in range(e2_max + 1):
         layer = layers.pop(e2, None)
         if layer is None:
             continue
         rel, rem = divmod(e2 - base, 2 * n)
-        for (d, tail), vecs in layer.items():
-            vec = vecs[0] if len(vecs) == 1 else _added(vecs)
+        for (d, h), value in layer.items():
+            closed = _close_run(value, h)
             if -d % n == k:
                 if rem or rel < 0:
                     raise AssertionError(
                         f"a class-{k} strip with 2n*E = {e2} has non-integral "
                         f"grade {Fraction(e2 - base, 2 * n)} over Delta_{k}"
                     )
-                for nu, c in vec[-1].items():
+                for nu, c in closed.items():
                     row = rows.get(nu)
                     if row is None:
                         row = rows[nu] = [0] * (qmax + 1)
@@ -307,9 +319,10 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                 need = (k + d_next) % n
                 if grown + (2 * d_next * need + n - 1 if need else 0) > e2_max:
                     continue
-                tail_next, value = _append_column(vec, tail, b, n)
-                layers.setdefault(grown, {}).setdefault((d_next, tail_next), []).append(
-                    vec[len(vec) - len(tail_next):] + (value,))
+                states = layers.setdefault(grown, {})
+                _add_into(states.setdefault((d_next, b), {}), closed, 1)
+                if h and h + b <= n:
+                    _add_into(states.setdefault((d_next, h + b), {}), value, -1)
     if layers:  # a state put on a layer already swept would be lost
         raise AssertionError(f"states left behind the sweep at 2n*E = {sorted(layers)}")
     table.orbits = {exps_to_fw(nu): row for nu, row in rows.items() if any(row)}
@@ -347,48 +360,22 @@ def _times_e(nu: tuple[int, ...], h: int) -> tuple[tuple[tuple[int, ...], int], 
     )
 
 
-def _added(vecs) -> tuple[dict, ...]:
-    """The entrywise sum of equally long vectors of values in the monomial
-    basis; no input dict is changed, since the vectors share their older
-    entries."""
-    out = []
-    for polys in zip(*vecs):
-        acc = dict(polys[0])
-        get = acc.get
-        for poly in polys[1:]:
-            for w, c in poly.items():
-                acc[w] = get(w, 0) + c
-        out.append(acc)
-    return tuple(out)
+def _close_run(value: dict, h: int) -> dict:
+    """`value` times e_h in the monomial basis (see `yangian_decomposition`);
+    e_0 = 1 leaves the empty prefix's value as it is."""
+    closed: dict = {}
+    get = closed.get
+    for nu, c in value.items():
+        for mu, times in _times_e(nu, h):
+            closed[mu] = get(mu, 0) + c * times
+    return closed
 
 
-def _append_column(vec, tail: tuple, b: int, n: int):
-    """(tail, value) after appending a column of height b to a prefix with
-    this tail and values `vec` (`vec[-1]` its own): the value is
-    sum_t (-1)^t e_{b + tail[-1] + ... + tail[-t]} vec[-1-t] while that
-    height is at most n, and the tail is the longest suffix of tail + (b,)
-    whose heights sum to at most n - 1."""
-    value: dict = {}
-    get = value.get
-    height, t = b, 0
-    while True:
-        poly, sign = vec[-1 - t], -1 if t % 2 else 1
-        for nu, c in poly.items():
-            c *= sign
-            for mu, times in _times_e(nu, height):
-                value[mu] = get(mu, 0) + c * times
-        t += 1
-        if t > len(tail):
-            break
-        height += tail[-t]
-        if height > n:
-            break
-    tail += (b,)
-    total = sum(tail)
-    while total >= n:
-        total -= tail[0]
-        tail = tail[1:]
-    return tail, value
+def _add_into(acc: dict, value: dict, sign: int) -> None:
+    """Add sign * `value` into `acc`; `value` is not changed."""
+    get = acc.get
+    for nu, c in value.items():
+        acc[nu] = get(nu, 0) + sign * c
 
 
 def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:

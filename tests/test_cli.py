@@ -331,6 +331,63 @@ def test_bijection_mode_gap_names_only_the_first_missing_mode(capsys):
     assert "gap in mode values: 1 missing" in err
 
 
+_LONG = 20000
+
+
+@pytest.mark.parametrize("src,payload,reason,short,message", [
+    ("modes", json.dumps([*range(_LONG), 0]),
+     "modes must be weakly increasing: 20001 entries, [19999:20001] = [19999, 0]",
+     "[0, 2, 1]", "modes must be weakly increasing: [0, 2, 1]"),
+    ("modes", json.dumps([*range(_LONG), _LONG + 1]),
+     "gap in mode values: 20000 missing from 20001 entries, [19999:20001] = [19999, 20001]",
+     "[0, 2]", "gap in mode values: 1 missing from [0, 2]"),
+    ("strip", json.dumps([1] * _LONG + ["x"]), "row lengths must be ints, got 'x'",
+     '[1, "x"]', """cannot parse strip payload '[1, "x"]': row lengths must be ints, got 'x'"""),
+    ("motif", "1" * _LONG, "motif string must end with the stabilization mark '|'",
+     "11", "cannot parse motif payload '11': "
+           "motif string must end with the stabilization mark '|'"),
+    ("rapidity", json.dumps({"k": 0, "prefix": [*range(_LONG, 0, -1)], "stab": _LONG}),
+     "prefix must be strictly increasing: 20000 entries, [0:2] = [20000, 19999]",
+     '{"k": 0, "prefix": [2, 1], "stab": 2}',
+     """cannot parse rapidity payload '{"k": 0, "prefix": [2, 1], "stab": 2}': """
+     "prefix must be strictly increasing: (2, 1)"),
+    ("sl2-partition", json.dumps({"lam": [*range(1, _LONG + 1)], "N": 2}),
+     "parts not weakly decreasing: 20000 entries, [0:2] = [1, 2]",
+     '{"lam": [1, 2], "N": 3}',
+     """cannot parse sl2-partition payload '{"lam": [1, 2], "N": 3}': """
+     "parts not weakly decreasing: (1, 2)"),
+    ("strip", json.dumps([1] * _LONG + [-1]),
+     "row lengths must be positive: 20001 entries, [19999:20001] = [1, -1]",
+     "[1, -2, 3]", "cannot parse strip payload '[1, -2, 3]': "
+                   "row lengths must be positive: [1, -2, 3]"),
+    ("motif", "1" * _LONG + "2|",
+     "motif bits must be the characters 0 and 1: 20001 entries, [19999:20001] = ['1', '2']",
+     "12|", "cannot parse motif payload '12|': motif bits must be the characters 0 and 1: '12'"),
+    ("strip", f'{{"n": {"1" * 4000}, "rows": []}}',
+     f"the payload has n={'1' * 17}..., but --n is 2",
+     '{"n": 3, "rows": []}', "the payload has n=3, but --n is 2"),
+    ("rapidity", f'{{"k": {"1" * 4000}, "prefix": [], "stab": 0}}',
+     f"class k must satisfy 0 <= k < n, got k={'1' * 48}...",
+     '{"k": 5, "prefix": [], "stab": 0}',
+     """cannot parse rapidity payload '{"k": 5, "prefix": [], "stab": 0}': """
+     "class k must satisfy 0 <= k < n, got k=5, n=2"),
+])
+def test_bijection_error_on_a_long_payload_is_one_short_line(
+        capsys, src, payload, reason, short, message):
+    """A payload of 20 000 entries, or with a 4 000-digit number, is refused
+    on one line of at most 200 characters that keeps the reason and names
+    the first offending entry, not on a line as long as the payload; a
+    short payload's message quotes it whole, as before."""
+    code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                             "--n", "2", "--payload", payload)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) <= 200, len(err)
+    assert err.endswith(f"{reason}\n"), err
+    code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                             "--n", "2", "--payload", short)
+    assert (code, out, err) == (2, "", f"spinonchars: error: {message}\n")
+
+
 def test_bijection_sl2_partition_requires_rank_two(capsys):
     """An sl2 partition labels a rank-2 strip, so any other --n is refused
     rather than answered at rank 2."""

@@ -150,7 +150,7 @@ def test_yangian_route_runs_no_strip_search():
     assert "reduced_strips" in _reached_calls(probe, "f")
     called = _reached_calls(ast.parse((PACKAGE / "yangian.py").read_text()),
                             "yangian_decomposition")
-    assert "_append_column" in called
+    assert "_close_run" in called
     assert not called & {"reduced_strips", "strip_schur", "weight_projection", "energy"}
 
 

@@ -28,7 +28,6 @@ from spinonchars.symfunc import (
     rs_generating_check,
     schur_skew,
     skew_kostka,
-    strip_schur,
     weight_projection,
 )
 from spinonchars.verify import _ribbon_locus, build_suite, small_norm_weights
@@ -164,15 +163,8 @@ def test_descent_table_counts_every_standard_tableau():
         assert totals == {nu: _hook_count(nu) for nu in partitions_of(size)}, size
 
 
-def test_strip_schur_matches_jacobi_trudi():
-    for n in (2, 3, 4):
-        for size in range(7):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                assert strip_schur(strip, n) == schur_skew(strip.shape, n, "jt_h")
-
-
 def test_schur_helpers_leave_no_cyclic_garbage():
-    """Tableau fillings, strip recurrences, partition generators and the
+    """Tableau fillings, partition generators and the
     recursive enumerations and sums of the other layers, the verifier's case
     builders among them, are freed by reference counting, not left for the
     collector.  The minors of both determinant routes stay in a memo for the
@@ -183,7 +175,6 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
         "schur_skew jt_e": lambda: schur_skew(shape, 3, "jt_e"),
         "schur_skew sst": lambda: schur_skew(shape, 3, "sst"),
-        "strip_schur": lambda: strip_schur(BorderStrip.from_rows([2, 3, 1], 3), 3),
         "ribbon_expansion": lambda: ribbon_expansion([3, 2, 4]),
         "skew_kostka": lambda: skew_kostka(Partition([4, 3, 1]), Partition([2]), (2, 2, 2)),
         "_ribbon_locus": lambda s=BorderStrip((2, 1, 3), 3): _ribbon_locus(
@@ -229,7 +220,7 @@ def test_sl2_strip_product_matches_schur_up_to_e2_powers():
             r = len(strip.rows)
             for _ in range(r - 1):
                 lifted = lifted * e2
-            assert lifted == strip_schur(strip, 2), strip
+            assert lifted == schur_skew(strip.shape, 2), strip
 
 
 def test_complete_h_rewrite_with_e2_factor():

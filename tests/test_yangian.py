@@ -11,7 +11,7 @@ from spinonchars import verify, yangian
 from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from spinonchars.strips import BorderStrip, sl2_partition_to_strip
-from spinonchars.symfunc import SymPoly, elementary, schur_skew, strip_schur, weight_projection
+from spinonchars.symfunc import SymPoly, elementary, schur_skew, weight_projection
 from spinonchars.yangian import (
     DrinfeldPolys,
     GZScheme,
@@ -175,7 +175,7 @@ def test_gz_schemes_are_valid_without_the_constructor_check(monkeypatch):
 
 def _strip_search(n, k, qmax):
     """The Yangian route strip by strip: every reduced strip of class k up to
-    the truncation order, its Schur polynomial by the column recurrence,
+    the truncation order, its Schur polynomial by Jacobi-Trudi,
     projected onto weights, summed weight by weight and folded into orbits
     only at the end, where a sum that is not W-invariant raises.  The
     oracle of the transfer-matrix sum."""
@@ -184,7 +184,7 @@ def _strip_search(n, k, qmax):
     for strip, e2 in reduced_strips(n, k, base + 2 * n * qmax):
         rel, rem = divmod(e2 - base, 2 * n)
         assert rem == 0 and rel >= 0, strip
-        for w, c in weight_projection(strip_schur(strip, n)).items():
+        for w, c in weight_projection(schur_skew(strip.shape, n)).items():
             rows.setdefault(w, [0] * (qmax + 1))[rel] += c
     return CharacterTable.from_weights(n, k, qmax, rows)
 
@@ -260,6 +260,18 @@ def test_yangian_decomposition_matches_bosonic_small():
 def test_yangian_decomposition_matches_bosonic_deep(n, k, qmax):
     # deep enough that enumerating every strip size by size takes minutes
     assert yangian_decomposition(n, k, qmax) == bosonic_character(n, k, qmax)
+
+
+@pytest.mark.parametrize("n,qmax", [(2, 40), (3, 20), (4, 12), (5, 8), (6, 6), (7, 6), (8, 6)])
+def test_yangian_decomposition_matches_bosonic_in_every_class(n, qmax, monkeypatch):
+    """Every class at ranks 2-8, deep enough that the sum closes runs of
+    every height from 1 to n (and the empty prefix's run of height 0)."""
+    heights = set()
+    close = yangian._close_run
+    monkeypatch.setattr(yangian, "_close_run", lambda value, h: heights.add(h) or close(value, h))
+    for k in range(n):
+        assert yangian_decomposition(n, k, qmax) == bosonic_character(n, k, qmax), k
+    assert heights == set(range(n + 1))
 
 
 def test_yangian_vacuum_anchor_rank3():

@@ -27,11 +27,12 @@ SEED, SECONDS = 1, 30  # the run length BENCHMARK.json sets
 # read.  Other zeros are layers a workload does not run.
 ZERO_BY_CONSTRUCTION = (
     "Every workload: strips.kept and strips.kept_ratio count the "
-    "yangian_decomposition -> strip_schur calls, and the Yangian route calls "
-    "no strip_schur; symfunc.littlewood_richardson.*, qseries.inverse.calls "
-    "and affine.table_add.calls wrap functions that no longer exist.  "
-    "char-yangian: strips.enumerated, strips.enumerate_border_strips.calls, "
-    "strips.energy.calls, symfunc.strip_schur.calls and "
+    "yangian_decomposition -> strip_schur calls, and "
+    "symfunc.strip_schur.calls, symfunc.littlewood_richardson.*, "
+    "qseries.inverse.calls and affine.table_add.calls the calls of a "
+    "function; none of these functions exists any longer.  char-yangian: "
+    "strips.enumerated, "
+    "strips.enumerate_border_strips.calls, strips.energy.calls and "
     "symfunc.weight_projection.calls, since the Yangian route is a "
     "transfer-matrix sum that enumerates no strip.  Other zeros are layers a "
     "workload does not run: char-yangian runs no qseries, partitions or "
