@@ -104,6 +104,10 @@ def _write_table(table, fmt: str, out) -> None:
 # bijection
 
 BIJECTION_OBJECTS = ("strip", "motif", "rapidity", "modes", "sl2-partition")
+# A label's strip, its rapidities and its printed image take time and memory
+# linear in the strip's boxes, which a short payload can make huge: each
+# payload is refused if its numbers give more boxes than this.
+MAX_STRIP_BOXES = 10**5
 
 
 def _int(x) -> int:
@@ -121,15 +125,32 @@ def _parse_payload(kind: str, payload: str, n: int):
         if isinstance(data, dict) and _int(data.get("n", n)) != n:
             raise UsageError(f"the payload has n={_brief(str(data['n']), 20)}, but --n is {n}")
         if kind == "strip":
-            return BorderStrip.from_rows(data["rows"] if isinstance(data, dict) else data, n)
+            rows = data["rows"] if isinstance(data, dict) else data
+            _check_boxes(kind, sum(a for a in rows if type(a) is int and a > 0))
+            return BorderStrip.from_rows(rows, n)
         if kind == "rapidity":
-            return RapiditySeq(n, _int(data["k"]), data["prefix"], _int(data["stab"]))
+            k, stab = _int(data["k"]), _int(data["stab"])
+            _check_boxes(kind, stab)
+            return RapiditySeq(n, k, data["prefix"], stab)
         if kind == "modes":
             return [_int(x) for x in data]
-        return Partition(data["lam"]), _int(data["N"])  # sl2-partition
+        lam, n_spinons = Partition(data["lam"]), _int(data["N"])  # sl2-partition
+        _check_boxes(kind, n_spinons + 2 * lam[1])
+        return lam, n_spinons
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {_brief(repr(payload), 50)}: "
                          f"{_brief(str(exc), 90)}") from exc
+
+
+def _check_boxes(kind: str, boxes: int) -> None:
+    """Refuse a payload whose strip has more than `MAX_STRIP_BOXES` boxes,
+    counted from its numbers before the strip is built: a strip's positive
+    rows, a rapidity sequence's `stab`, and N + 2 lambda_1 for an
+    sl2-partition (`strips.sl2_partition_to_strip`).  A modes or motif
+    payload is about as long as its strip and needs no check."""
+    if boxes > MAX_STRIP_BOXES:
+        raise UsageError(f"the {kind} payload gives a strip of more than "
+                         f"{MAX_STRIP_BOXES} boxes, the most a bijection takes")
 
 
 def _to_strip(kind: str, obj, n: int) -> BorderStrip:

@@ -51,16 +51,6 @@ class Partition:
             raise ValueError(f"parts must be positive: {_shown(parts, len(parts) - 1)}")
         self.parts = parts
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """A partition from a tuple of ints already positive and weakly
-        decreasing, skipping the checks of `__init__`; only the
-        enumerators of this module, which build their parts valid by
-        construction, call it."""
-        lam = cls.__new__(cls)
-        lam.parts = parts
-        return lam
-
     def __len__(self):
         return len(self.parts)
 
@@ -110,48 +100,23 @@ class Partition:
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
     """Yield all partitions of n with parts <= max_part and at most max_len
     parts (no bound when None), in decreasing lexicographic order of their
-    parts.  A negative bound yields no partition of n > 0.
-
-    They are enumerated in place on one list of parts used as a stack; each
-    partition is yielded as it is completed, not passed up a chain of nested
-    generators.  The first is the greedy one, parts of cap = max_part and
-    then the remainder; one exists iff n <= cap * room, room = max_len (the
-    empty partition of 0 always does).  The next after `parts` is the
-    largest one below it in that order: it keeps the longest prefix it can
-    and lowers the part after that prefix by one, to v, so the suffix it
-    pops, of sum `rest`, and the one unit it frees must be refilled with
-    parts <= v in the room left.  That is possible iff rest + 1 <= v * (room
-    left), which only gets harder as v falls, and the largest refill is
-    again greedy.  The enumeration ends when no part can be lowered."""
+    parts.  The empty partition of 0 is yielded whatever the bounds; a
+    negative bound yields no partition of n > 0."""
     cap = n if max_part is None else max_part
     room = n if max_len is None else max_len
+    for parts in _decreasing_parts(n, cap, room):
+        yield Partition(parts)
+
+
+def _decreasing_parts(n: int, cap: int, room: int):
+    """The parts of `partitions_of`, as tuples.  A first part v leaves n - v
+    to at most room - 1 parts <= v, which exist iff n - v <= v * (room - 1)."""
     if n == 0:
-        yield Partition()
-        return
-    if n < 0 or cap < 1 or room < 1:
-        return
-    cap = min(cap, n)
-    if n > cap * room:
-        return
-    whole, rem = divmod(n, cap)
-    parts = [cap] * whole
-    if rem:
-        parts.append(rem)
-    trusted = Partition._trusted
-    while True:
-        yield trusted(tuple(parts))
-        rest = 0
-        while parts:
-            v = parts.pop() - 1
-            if v and rest + 1 <= v * (room - len(parts) - 1):
-                break
-            rest += v + 1
-        else:
-            return
-        whole, rem = divmod(rest + 1, v)
-        parts += [v] * (whole + 1)
-        if rem:
-            parts.append(rem)
+        yield ()
+    for v in range(min(cap, n), 0, -1):
+        if n - v <= v * (room - 1):
+            for rest in _decreasing_parts(n - v, v, room - 1):
+                yield (v, *rest)
 
 
 def partition_counts(max_len: int, max_size: int) -> list[list[int]]:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import combinations
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
-from .partitions import Partition, SkewShape, partitions_of
-from .symfunc import SymPoly, complete, elementary, weight_projection
+from .partitions import Partition, SkewShape
+from .symfunc import SymPoly, complete
 
 
 class DrinfeldPolys:
@@ -346,12 +346,12 @@ def _times_e(nu: tuple[int, ...], h: int) -> tuple[tuple[tuple[int, ...], int], 
     has N(mu) = #{S : nu + 1_S sorts to mu} of them, and each of the
     |W mu| arrangements beta = alpha + 1_S of mu has c(mu) of them, so
     c(mu) = N(mu) |W nu| / |W mu|, with |W nu| the number of arrangements
-    of nu (`affine.orbit_size`).  The 1_S are the exponent vectors of
-    `symfunc.elementary(h, n)`.  Memoized: the result is an immutable
-    tuple, and each (nu, h) is expanded once."""
+    of nu (`affine.orbit_size`).  The S come from `itertools.combinations`.
+    Memoized: the result is an immutable tuple, and each (nu, h) is
+    expanded once."""
     counts: dict[tuple[int, ...], int] = {}
-    for ones in elementary(h, len(nu)).terms:
-        mu = tuple(sorted(map(add, nu, ones), reverse=True))
+    for subset in combinations(range(len(nu)), h):
+        mu = tuple(sorted((p + (i in subset) for i, p in enumerate(nu)), reverse=True))
         counts[mu] = counts.get(mu, 0) + 1
     size = orbit_size(exps_to_fw(nu))
     return tuple(
@@ -393,29 +393,45 @@ def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:
 
 def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     """ch = sum_{N = k mod 2} sum_{l(lambda) <= N} q^{N^2/4 + |lambda|}
-    prod h_{m_i^lambda}, graded relative to Delta_k.
+    prod_{i>=0} h_{m_i}, graded relative to Delta_k, with m_0 = N - l(lambda)
+    and m_i the number of parts i, by a transfer matrix (Stanley, EC1 4.7).
 
-    prod_i h_{m_i} in two variables, with m_0 = N - l(lambda), depends only
-    on the multiset of the m_i, its class.  So for each N the partitions
-    are counted by (|lambda|, class), and each class's weight projection is
-    added once per size, times its count, instead of once per partition.
-    The sum is kept weight by weight and folded into orbits by
-    `CharacterTable.from_weights`, which checks that it is W-invariant."""
-    rows: dict[tuple[int, ...], list[int]] = {}
+    The tuples (m_0, m_1, ...) of non-negative integers with sum N are the
+    partitions with at most N parts, of size sum_i i m_i, so the sum is
+    [t^N] prod_{i>=0} sum_{m>=0} t^m q^{im} h_m.  A state (placed, left) is
+    the t-degree of the factors i = 1, 2, ... taken so far and the q-degree
+    left of the budget qmax - (N^2 - k)/4.  No factor lowers either degree,
+    so a block of m parts i needs m <= N - placed (t-degree N is the last
+    one kept) and i*m <= left (a grade past the budget exceeds qmax).  A
+    state that fits no block of parts i fits none of larger parts, and the
+    factor i = 0 adds no q-degree, so h_{N - placed} then closes the state;
+    at i = budget + 1 every state closes.  The rest of a product's sum
+    depends only on its state, linearly, so the products reaching one state
+    share one dict from sl2 weight to coefficient.  `from_weights` folds
+    the rows into orbits and checks that they are W-invariant."""
+    rows: dict[tuple[int], list[int]] = {}
     for total, base in sl2_spinon_grades(k, qmax):
-        projections: dict[tuple[int, ...], dict] = {}
-        counts: dict[tuple[int, tuple[int, ...]], int] = {}
-        for size in range(qmax - base + 1):
-            for lam in partitions_of(size, max_len=total):
-                key = tuple(sorted([total - len(lam), *lam.multiplicities().values()]))
-                if key not in projections:
-                    projections[key] = weight_projection(sl2_hw_character(lam, total))
-                counts[size, key] = counts.get((size, key), 0) + 1
-        for (size, key), count in counts.items():
-            for w, c in projections[key].items():
-                row = rows.get(w)
-                if row is None:
-                    row = rows[w] = [0] * (qmax + 1)
-                row[base + size] += c * count
+        states = {(0, qmax - base): {0: 1}}  # (parts placed, budget left) -> weight -> coeff
+        for part in range(1, qmax - base + 2):
+            grown: dict[tuple[int, int], dict] = {}
+            for (placed, left), value in states.items():
+                most = min(total - placed, left // part)
+                if not most:  # no block of this part size fits, nor of a larger one
+                    for w, c in _times_h(value, total - placed).items():
+                        rows.setdefault((w,), [0] * (qmax + 1))[qmax - left] += c
+                    continue
+                for m in range(most + 1):
+                    _add_into(grown.setdefault((placed + m, left - part * m), {}),
+                              _times_h(value, m), 1)
+            states = grown
     return CharacterTable.from_weights(2, k, qmax, rows)
 
+
+def _times_h(value: dict, m: int) -> dict:
+    """`value` (sl2 weight -> coefficient) times h_m in two variables, whose
+    monomials x_1^a x_2^(m-a) have the weights m, m - 2, ..., -m."""
+    out: dict = {}
+    for w, c in value.items():
+        for v in range(w - m, w + m + 1, 2):
+            out[v] = out.get(v, 0) + c
+    return out

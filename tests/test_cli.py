@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,52 @@ def test_bijection_mode_gap_names_only_the_first_missing_mode(capsys):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and len(err) < 200, err
     assert "gap in mode values: 1 missing" in err
+
+
+_PAST_CEILING = "the {} payload gives a strip of more than {} boxes, the most a bijection takes"
+
+
+@pytest.mark.parametrize("src,payload", [
+    ("strip", "[1000000000]"),
+    ("strip", '{"rows": [60000, 0, 40001]}'),
+    ("rapidity", '{"k": 0, "prefix": [], "stab": 1000000000}'),
+    ("sl2-partition", '{"lam": [1000000000], "N": 1}'),
+    ("sl2-partition", '{"lam": [], "N": 3000000}'),
+])
+def test_bijection_refuses_a_strip_past_the_ceiling_at_once(capsys, src, payload):
+    """A short payload whose numbers give a strip of more than
+    `cli.MAX_STRIP_BOXES` boxes is refused on one short line within 50 ms,
+    before a list as long as the strip is built (the last payload took
+    3.8 s and 271 MB without the ceiling)."""
+    for dst in ("strip", "motif", "rapidity"):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", dst,
+                                 "--n", "2", "--payload", payload)
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (2, "")
+        assert err == f"spinonchars: error: {_PAST_CEILING.format(src, 100000)}\n"
+        assert len(err) <= 200 and elapsed < 0.05, (dst, elapsed)
+
+
+def test_bijection_ceiling_counts_each_payload_from_its_numbers(capsys, monkeypatch):
+    """A strip payload is measured by the sum of its rows, a rapidity payload
+    by `stab` and an sl2-partition by N + 2 lambda_1, its strip's boxes; a
+    payload at the ceiling is answered, and one box more is refused."""
+    monkeypatch.setattr(cli, "MAX_STRIP_BOXES", 10)
+    for src, at, past in (
+        ("strip", "[4, 6]", "[5, 0, 6]"),
+        ("rapidity", '{"k": 0, "prefix": [], "stab": 10}',
+         '{"k": 0, "prefix": [], "stab": 11}'),
+        ("sl2-partition", '{"lam": [4, 1], "N": 2}', '{"lam": [4, 1], "N": 3}'),
+    ):
+        code, out, _ = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                               "--n", "2", "--payload", at)
+        assert code == 0, (src, at)
+        assert sum(json.loads(out)["result"]["rows"]) <= 10 + 2, (src, at)
+        code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                                 "--n", "2", "--payload", past)
+        assert (code, out, err) == (
+            2, "", f"spinonchars: error: {_PAST_CEILING.format(src, 10)}\n"), (src, past)
 
 
 _LONG = 20000

@@ -5,7 +5,8 @@ The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
-among them, and a rapidity payload whose class k is out of range, the
+and three whose strip would exceed `cli.MAX_STRIP_BOXES` among them, and a
+rapidity payload whose class k is out of range, the
 malformed command lines of `test_cli.MALFORMED`, and two lines spelled
 `--opt=value`.  A
 change that means to alter no output leaves every digest as it is; one that
@@ -67,6 +68,9 @@ COMMANDS = (
           ("sl2-partition", 2, '{"lam": [], "N": 1}'),
           ("strip", 2, "not json"),
           ("rapidity", 2, '{"k": 0, "prefix": [1.0], "stab": 2}'),
+          ("strip", 2, "[1000000000]"),
+          ("rapidity", 2, '{"k": 0, "prefix": [], "stab": 1000000000}'),
+          ("sl2-partition", 2, '{"lam": [1000000000], "N": 1}'),
       )
       for dst in ("strip", "motif", "rapidity")),
     _bijection("rapidity", "rapidity", 2, '{"k": 5, "prefix": [], "stab": 0}'),

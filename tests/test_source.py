@@ -151,7 +151,22 @@ def test_yangian_route_runs_no_strip_search():
     called = _reached_calls(ast.parse((PACKAGE / "yangian.py").read_text()),
                             "yangian_decomposition")
     assert "_close_run" in called
-    assert not called & {"reduced_strips", "strip_schur", "weight_projection", "energy"}
+    assert not called & {"reduced_strips", "strip_schur", "weight_projection", "energy",
+                         "elementary"}
+
+
+def test_rank_2_yangian_route_walks_no_partition():
+    """`sl2_yangian_decomposition` sums over part sizes; neither it nor a
+    helper of `yangian.py` it calls enumerates partitions or builds a
+    module's `SymPoly`."""
+    walk = {"partitions_of", "sl2_hw_character", "weight_projection", "complete"}
+    probe = ast.parse("def sl2_yangian_decomposition():\n    f()\n\n"
+                      "def f():\n    g()\n\ndef g():\n    sl2_hw_character(lam, 2)\n")
+    assert _reached_calls(probe, "sl2_yangian_decomposition") & walk == {"sl2_hw_character"}
+    called = _reached_calls(ast.parse((PACKAGE / "yangian.py").read_text()),
+                            "sl2_yangian_decomposition")
+    assert "_times_h" in called
+    assert not called & walk
 
 
 def _named(tree: ast.AST):

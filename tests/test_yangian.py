@@ -301,6 +301,21 @@ def test_sl2_hw_character_dimensions():
     assert eval_ones(poly) == (1 + 1) ** 3  # m_0 = 1, m_1 = 1, m_2 = 1
 
 
+def test_sl2_route_h_factors_chain_to_the_module_characters():
+    """`_times_h` chained over m_0 = N - l(lambda), m_1, m_2, ... from the
+    weight 0 gives the weights of `sl2_hw_character`, for every N <= 6 and
+    |lambda| <= 6; the `hw-module` cases check that character against each
+    strip's Schur polynomial, so they vouch for what the rank-2 route sums."""
+    for n_spinons in range(7):
+        for size in range(7):
+            for lam in partitions_of(size, max_len=n_spinons):
+                value = {0: 1}
+                for m in (n_spinons - len(lam), *lam.multiplicities().values()):
+                    value = yangian._times_h(value, m)
+                expected = weight_projection(sl2_hw_character(lam, n_spinons))
+                assert {(w,): c for w, c in value.items()} == expected, (lam, n_spinons)
+
+
 def test_hw_case_census(monkeypatch):
     """`verify._hw_case` passes on every (lambda, N) with N, |lambda| < 6,
     the tame module of each strip has Drinfel'd polynomials at n = 2, and a

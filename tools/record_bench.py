@@ -36,7 +36,10 @@ ZERO_BY_CONSTRUCTION = (
     "symfunc.weight_projection.calls, since the Yangian route is a "
     "transfer-matrix sum that enumerates no strip.  Other zeros are layers a "
     "workload does not run: char-yangian runs no qseries, partitions or "
-    "verify code, and series-deep enumerates no strip."
+    "verify code, and series-deep enumerates no strip and no partition and "
+    "runs no symfunc code (partitions.partitions_of.yielded, "
+    "symfunc.weight_projection.calls and symfunc.self_s read 0), since its "
+    "rank-2 module sum is a transfer matrix over part sizes."
 )
 
 
