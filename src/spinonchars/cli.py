@@ -1,5 +1,9 @@
 """Command-line interface: character tables, verification suites, and label
-bijections.  Exit codes: 0 success, 1 identity violation, 2 usage error."""
+bijections.  Exit codes: 0 success, 1 identity violation, 2 usage error.
+
+Only what `char` runs, `affine` and `yangian` (and through them `partitions`
+and `qseries`), loads with this module: `verify` (with `strips` and
+`symfunc`) loads in the verify command and `strips` in the bijection helpers."""
 from __future__ import annotations
 
 import gc
@@ -7,11 +11,13 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import affine, strips, verify, yangian
+from . import affine, yangian
 from .partitions import Partition, _brief
-from .strips import BorderStrip, Motif, RapiditySeq
 
 USAGE_ERROR = 2
+# The largest --n: `affine._decreasing_vectors` nests a generator per
+# coordinate, out of stack near rank 500; `--kind yangian` took 1.2 s at 600.
+MAX_RANK = 200
 
 
 class UsageError(Exception):
@@ -32,15 +38,12 @@ CHAR_KINDS = (
 
 
 def _build_table(kind: str, n: int, k: int, qmax: int):
-    if n < 2:
-        raise UsageError(f"--n must be >= 2, got {n}")
     if not 0 <= k < n:
         raise UsageError(f"--k must satisfy 0 <= k < n, got k={k}, n={n}")
     if qmax < 0:
         raise UsageError(f"--qmax must be >= 0, got {qmax}")
-    if kind in ("fermionic-root", "fermionic-spinon", "spinon-enum", "sl2-yangian"):
-        if n != 2:
-            raise UsageError(f"--kind {kind} requires --n 2")
+    if n != 2 and kind in ("fermionic-root", "fermionic-spinon", "spinon-enum", "sl2-yangian"):
+        raise UsageError(f"--kind {kind} requires --n 2")
     if kind == "bosonic":
         return affine.bosonic_character(n, k, qmax)
     if kind == "fermionic-root":
@@ -118,6 +121,7 @@ def _int(x) -> int:
 
 
 def _parse_payload(kind: str, payload: str, n: int):
+    from .strips import BorderStrip, Motif, RapiditySeq
     try:
         if kind == "motif":
             return Motif.parse(payload, n)
@@ -153,7 +157,8 @@ def _check_boxes(kind: str, boxes: int) -> None:
                          f"{MAX_STRIP_BOXES} boxes, the most a bijection takes")
 
 
-def _to_strip(kind: str, obj, n: int) -> BorderStrip:
+def _to_strip(kind: str, obj, n: int):
+    from . import strips
     if kind == "strip":
         return obj
     if kind == "motif":
@@ -162,8 +167,7 @@ def _to_strip(kind: str, obj, n: int) -> BorderStrip:
         return strips.rapidity_to_strip(obj)
     if kind == "modes":
         return strips.modes_to_strip(obj, n)
-    lam, n_spinons = obj  # sl2-partition
-    return strips.sl2_partition_to_strip(lam, n_spinons)
+    return strips.sl2_partition_to_strip(*obj)  # sl2-partition: (lambda, N)
 
 
 def _render_object(kind: str, obj) -> object:
@@ -175,8 +179,7 @@ def _render_object(kind: str, obj) -> object:
 
 
 def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
-    if n < 2:
-        raise UsageError(f"--n must be >= 2, got {n}")
+    from . import strips
     if src == "sl2-partition" and n != 2:
         raise UsageError("--from sl2-partition requires --n 2")
     obj = _parse_payload(src, payload, n)
@@ -260,7 +263,8 @@ COMMANDS = {
               "--format": ("json", "csv", "pretty")},
              {"format": "pretty"}),
     "verify": ("run a verification suite",
-               {"--suite": (*sorted(verify.SUITES), "all"), "--n": int, "--qmax": int,
+               {"--suite": ("bijections", "decomposition", "gz", "qids", "schur", "sl2",
+                           "spinon-cut", "all"), "--n": int, "--qmax": int,
                 "--jobs": int, "--format": ("json", "pretty")},
                {"n": None, "qmax": None, "jobs": 1, "format": "pretty"}),
     "bijection": ("map one label to another",
@@ -340,26 +344,31 @@ def _parse(argv) -> dict | None:
 
 def main(argv=None) -> int:
     # The objects that exist now (module-level definitions) live for the
-    # process: freezing them keeps them out of every collection and resets
-    # the collector's allocation count, so how many collections a command
-    # runs depends on what it allocates, not on what the imports did.
+    # process: freezing them keeps them out of every collection.  No command
+    # leaves cyclic garbage, so the collector is off while one runs, and its
+    # state is restored for an in-process caller.
     gc.freeze()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             return 0
+        if args["command"] == "verify" and args["jobs"] != 1:
+            raise UsageError(
+                f"--jobs must be 1, got {args['jobs']}: cases run in one process")
+        n = args["n"]
+        if n is not None and not 2 <= n <= MAX_RANK:
+            raise UsageError(f"--n must be >= 2, got {n}" if n < 2 else
+                             f"--n must be <= {MAX_RANK}, got {_brief(str(n), 20)}")
         if args["command"] == "char":
-            table = _build_table(args["kind"], args["n"], args["k"], args["qmax"])
+            table = _build_table(args["kind"], n, args["k"], args["qmax"])
             _write_table(table, args["format"], sys.stdout)
             return 0
         if args["command"] == "verify":
-            if args["jobs"] != 1:
-                raise UsageError(
-                    f"--jobs must be 1, got {args['jobs']}: cases run in one process")
-            if args["n"] is not None and args["n"] < 2:
-                raise UsageError(f"--n must be >= 2, got {args['n']}")
             if args["qmax"] is not None and args["qmax"] < 0:
                 raise UsageError(f"--qmax must be >= 0, got {args['qmax']}")
+            from . import verify
             try:
                 cases = verify.build_suite(args["suite"], n=args["n"], qmax=args["qmax"])
             except ValueError as exc:
@@ -373,6 +382,18 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"spinonchars: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def __getattr__(name: str):
+    """`cli.verify`, imported on first read, for `perfbench/child.py`; this
+    goes once ROADMAP item 1 makes it import `spinonchars.verify` itself."""
+    if name != "verify":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return verify
 
 
 if __name__ == "__main__":

@@ -412,6 +412,17 @@ def _sl2_yangian(k, qmax):
                         yangian.sl2_yangian_decomposition(k, qmax))
 
 
+def sl2_hw_character(lam: Partition, n_spinons: int) -> symfunc.SymPoly:
+    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda)."""
+    if len(lam) > n_spinons:
+        raise ValueError("need l(lambda) <= N")
+    mult = lam.multiplicities()
+    poly = symfunc.complete(n_spinons - len(lam), 2)  # the m_0 factor
+    for i in sorted(mult):
+        poly = poly * symfunc.complete(mult[i], 2)
+    return poly
+
+
 def _hw_case(lam, N):
     """The (lambda, N) module's sl2 character against the Schur polynomial of
     its border strip; `lam` is a `Partition` or its list of parts.
@@ -424,7 +435,7 @@ def _hw_case(lam, N):
         strip = strips.sl2_partition_to_strip(lam, N)
     except AssertionError as exc:
         return str(exc)
-    lifted = yangian.sl2_hw_character(lam, N)
+    lifted = sl2_hw_character(lam, N)
     for _ in range((strip.size() - N) // 2):
         lifted = lifted * symfunc.elementary(2, 2)
     if symfunc.schur_skew(strip.shape, 2) != lifted:

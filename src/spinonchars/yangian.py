@@ -8,7 +8,6 @@ from itertools import combinations
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
 from .partitions import Partition, SkewShape
-from .symfunc import SymPoly, complete
 
 
 class DrinfeldPolys:
@@ -376,19 +375,6 @@ def _add_into(acc: dict, value: dict, sign: int) -> None:
     get = acc.get
     for nu, c in value.items():
         acc[nu] = get(nu, 0) + sign * c
-
-
-def sl2_hw_character(lam: Partition, n_spinons: int) -> SymPoly:
-    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda)."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if len(lam) > n_spinons:
-        raise ValueError("need l(lambda) <= N")
-    mult = lam.multiplicities()
-    poly = complete(n_spinons - len(lam), 2)  # the m_0 factor
-    for i in sorted(mult):
-        poly = poly * complete(mult[i], 2)
-    return poly
 
 
 def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:

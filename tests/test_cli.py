@@ -689,8 +689,10 @@ def test_each_module_loads_only_its_own_imports():
         "partitions": "partitions",
         "affine": "affine partitions qseries",
         "strips": "partitions strips",
-        "yangian": "affine partitions qseries symfunc yangian",
-        "cli": "affine cli partitions qseries strips symfunc verify yangian",
+        "symfunc": "affine partitions qseries symfunc",
+        "yangian": "affine partitions qseries yangian",
+        "verify": "affine partitions qseries strips symfunc verify yangian",
+        "cli": "affine cli partitions qseries yangian",
     }
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -698,6 +700,43 @@ def test_each_module_loads_only_its_own_imports():
         out = subprocess.run([sys.executable, "-c", probe, module], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": path})
         assert out.stdout.strip() == loaded, module
+
+
+def test_a_command_loads_only_the_layers_it_runs():
+    """In a fresh interpreter, a `char` command of every kind loads none of
+    `verify`, `strips` and `symfunc`, a `bijection` loads `strips` but no
+    `verify`, and `cli.verify`, which `perfbench/child.py` reads, is
+    imported on first read as `spinonchars.verify`."""
+    probe = ("import contextlib, io, sys\n"
+             "from spinonchars import cli\n"
+             "def loaded():\n"
+             "    return ' '.join(sorted(m[12:] for m in sys.modules\n"
+             "                           if m.startswith('spinonchars.')))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [cli.main(['char', '--kind', kind, '--n', '2', '--k', '1',\n"
+             "                       '--qmax', '4']) for kind in cli.CHAR_KINDS]\n"
+             "    codes += [cli.main(['char', '--kind', kind, '--n', '3', '--k', '0',\n"
+             "                        '--qmax', '3']) for kind in ('bosonic', 'yangian')]\n"
+             "    after_char = loaded()\n"
+             "    codes.append(cli.main(['bijection', '--from', 'motif', '--to', 'rapidity',\n"
+             "                           '--n', '3', '--payload', '101010|']))\n"
+             "    after_bijection = loaded()\n"
+             "import spinonchars.verify\n"
+             "print(codes, after_char, after_bijection, sep='\\n')\n"
+             "print(cli.verify is spinonchars.verify)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == [str([0] * (len(CHAR_KINDS) + 3)),
+                                "affine cli partitions qseries yangian",
+                                "affine cli partitions qseries strips yangian", "True"]
+
+
+def test_suite_choices_are_the_verify_suites():
+    """`COMMANDS` spells the `--suite` choices out, so that `cli` need not
+    import `verify`; they are the suites of `verify.SUITES` and "all"."""
+    assert COMMANDS["verify"][1]["--suite"] == (*sorted(verify.SUITES), "all")
 
 
 def test_char_loads_no_argument_parser():
@@ -720,14 +759,97 @@ def test_char_loads_no_argument_parser():
 def test_a_command_starts_with_the_heap_frozen(capsys, monkeypatch):
     """`main` freezes the objects that exist when it starts, so a command
     starts at the same allocation count of the collector whatever the
-    imports allocated, and no collection it runs traverses those objects."""
-    counts = []
+    imports allocated, and runs with the collector off; the collector's
+    state before the command is restored after it, on success and on a
+    usage error."""
+    seen = []
     parse = cli._parse
-    monkeypatch.setattr(cli, "_parse", lambda argv: counts.append(gc.get_count()[0]) or parse(argv))
+    monkeypatch.setattr(cli, "_parse", lambda argv: seen.append(
+        (gc.get_count()[0], gc.isenabled())) or parse(argv))
+    assert gc.isenabled()
     code, _, _ = run_cli(capsys, "char", "--kind", "yangian", "--n", "2", "--k", "0",
                          "--qmax", "1")
     assert code == 0
-    assert counts[0] < 5 and gc.get_freeze_count() > 0
+    assert seen[0][0] < 5 and not seen[0][1] and gc.get_freeze_count() > 0
+    assert gc.isenabled()
+    assert run_cli(capsys, "char", "--kind", "yangian", "--n", "1")[0] == 2
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(capsys, *_CHAR)[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv", [
+    *(("char", "--kind", kind, "--n", "2", "--k", "1", "--qmax", "12", "--format", fmt)
+      for kind in CHAR_KINDS for fmt in ("json", "csv", "pretty")),
+    ("char", "--kind", "bosonic", "--n", "8", "--k", "0", "--qmax", "4", "--format", "json"),
+    ("char", "--kind", "yangian", "--n", "4", "--k", "2", "--qmax", "4", "--format", "csv"),
+    ("verify", "--suite", "all", "--format", "json"),
+    ("verify", "--suite", "spinon-cut", "--qmax", "8"),
+    *(("bijection", "--from", src, "--to", dst, "--n", "3", "--payload", payload)
+      for src, payload in (("strip", "[2, 3, 1]"), ("motif", "101010|"),
+                           ("rapidity", '{"k": 0, "prefix": [1, 3], "stab": 4}'),
+                           ("modes", "[0, 1, 1, 1, 2]"))
+      for dst in ("strip", "motif", "rapidity")),
+    ("bijection", "--from", "sl2-partition", "--to", "motif", "--n", "2",
+     "--payload", '{"lam": [2, 1], "N": 3}'),
+])
+def test_a_command_leaves_no_cyclic_garbage(capsys, argv):
+    """Every command kind frees what it allocates by reference counting
+    alone, which is why `main` may run it with the collector off: with the
+    collector off throughout, a collection after the command finds no
+    unreachable object."""
+    gc.collect()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert gc.collect() == 0
+
+
+_PAST_RANK = "spinonchars: error: --n must be <= {}, got {}\n"
+
+
+@pytest.mark.parametrize("argv,given", [
+    (("char", "--kind", "bosonic", "--n", "2000", "--k", "0", "--qmax", "1"), "2000"),
+    (("char", "--kind", "yangian", "--n", "2000", "--k", "0", "--qmax", "1"), "2000"),
+    (("char", "--kind", "spinon-enum", "--n", "201", "--k", "0", "--qmax", "1"), "201"),
+    (("bijection", "--from", "strip", "--to", "motif", "--n", "1000000", "--payload", "[1]"),
+     "1000000"),
+    (("bijection", "--from", "motif", "--to", "strip", "--n", "1000000", "--payload", "1|"),
+     "1000000"),
+    (("verify", "--suite", "gz", "--n", "201"), "201"),
+    (("char", "--kind", "bosonic", "--n", "9" * 4000, "--k", "0", "--qmax", "1"),
+     "9" * 17 + "..."),
+])
+def test_a_rank_past_the_ceiling_is_refused_at_once(capsys, argv, given):
+    """A `--n` above `cli.MAX_RANK` is refused by every command on one short
+    line within 50 ms: past it, the bosonic route ran out of stack (rank
+    2000 died of a `RecursionError`, exit 1), the Yangian route ran for
+    more than 20 s at rank 2000 and order 1, and a bijection took 0.35 s at
+    rank 10^6."""
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    assert err == _PAST_RANK.format(cli.MAX_RANK, given)
+    assert len(err) <= 200 and elapsed < 0.05, elapsed
+
+
+def test_a_rank_at_the_ceiling_is_answered(capsys):
+    """Each command runs at `--n` = `cli.MAX_RANK`, the bosonic route's
+    recursion among them, even from inside this test runner's stack."""
+    rank = str(cli.MAX_RANK)
+    for kind in ("bosonic", "yangian"):
+        code, out, _ = run_cli(capsys, "char", "--kind", kind, "--n", rank, "--k", "0",
+                               "--qmax", "0", "--format", "csv")
+        assert (code, out.count("\n")) == (0, 2), kind
+    code, out, _ = run_cli(capsys, "bijection", "--from", "strip", "--to", "motif",
+                           "--n", rank, "--payload", "[1]")
+    assert (code, json.loads(out)["energy"]) == (0, "199/400")
+    assert run_cli(capsys, "char", "--kind", "bosonic", "--n", str(cli.MAX_RANK + 1),
+                   "--k", "0", "--qmax", "0")[0] == 2
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

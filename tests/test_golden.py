@@ -2,7 +2,8 @@
 exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 
 The commands cover every `char` kind in every format at ranks 2-4 (the
-usage errors of the rank-2 kinds among them), the 19 MB bosonic table at
+usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
+refused by each command, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
 and three whose strip would exceed `cli.MAX_STRIP_BOXES` among them, and a
@@ -46,11 +47,13 @@ COMMANDS = (
     _char("bosonic", 1, 0, 2, "pretty"),
     _char("bosonic", 3, 3, 2, "pretty"),
     _char("yangian", 3, 0, -1, "pretty"),
+    *(_char(kind, 2000, 0, 1, "pretty") for kind in ("bosonic", "yangian")),
     *(_char("bosonic", 8, 0, 10, fmt) for fmt in ("json", "csv", "pretty")),
     ("verify", "--suite", "all", "--format", "json"),
     ("verify", "--suite", "gz", "--n", "2", "--format", "pretty"),
     ("verify", "--suite", "sl2", "--qmax", "4", "--format", "pretty"),
     ("verify", "--suite", "schur", "--n", "2"),
+    ("verify", "--suite", "gz", "--n", "201"),
     *(_bijection(src, dst, n, payload)
       for src, n, payload in (
           ("strip", 2, '{"rows": []}'),
@@ -74,6 +77,8 @@ COMMANDS = (
       )
       for dst in ("strip", "motif", "rapidity")),
     _bijection("rapidity", "rapidity", 2, '{"k": 5, "prefix": [], "stab": 0}'),
+    _bijection("strip", "motif", 1000000, "[1]"),
+    _bijection("motif", "strip", 1000000, "1|"),
     *(argv for argv, _ in MALFORMED),
     ("char", "--kind=yangian", "--n=3", "--k=1", "--qmax=2", "--format=csv"),
     ("bijection", "--from=motif", "--to=strip", "--n=2", "--payload=10|"),

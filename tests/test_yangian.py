@@ -12,6 +12,7 @@ from spinonchars.affine import CharacterTable, bosonic_character
 from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
 from spinonchars.strips import BorderStrip, sl2_partition_to_strip
 from spinonchars.symfunc import SymPoly, elementary, schur_skew, weight_projection
+from spinonchars.verify import sl2_hw_character
 from spinonchars.yangian import (
     DrinfeldPolys,
     GZScheme,
@@ -20,7 +21,6 @@ from spinonchars.yangian import (
     gz_schemes,
     gz_to_sst,
     gz_weight,
-    sl2_hw_character,
     sl2_yangian_decomposition,
     sst_to_gz,
     yangian_decomposition,
@@ -327,6 +327,6 @@ def test_hw_case_census(monkeypatch):
                 strip = sl2_partition_to_strip(lam, n_spinons)
                 assert strip.n == 2
                 assert isinstance(drinfeld_tame(strip.shape, 2), DrinfeldPolys)
-    monkeypatch.setattr(yangian, "sl2_hw_character", lambda lam, N: SymPoly.one(2))
+    monkeypatch.setattr(verify, "sl2_hw_character", lambda lam, N: SymPoly.one(2))
     assert (verify._hw_case(Partition([2, 1]), 3)
             == "strip character mismatch for (Partition(2, 1), 3)")

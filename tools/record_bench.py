@@ -39,7 +39,14 @@ ZERO_BY_CONSTRUCTION = (
     "verify code, and series-deep enumerates no strip and no partition and "
     "runs no symfunc code (partitions.partitions_of.yielded, "
     "symfunc.weight_projection.calls and symfunc.self_s read 0), since its "
-    "rank-2 module sum is a transfer matrix over part sizes."
+    "rank-2 module sum is a transfer matrix over part sizes.  The tracer "
+    "wraps only the layers loaded when it installs, and `cli` imports "
+    "verify, strips and symfunc inside the command that runs them, so no "
+    "function of theirs is wrapped: on verify-all every strips.* and "
+    "symfunc.* metric, verify.self_s and verify.build_suite.s read 0, and on "
+    "series-deep (its spinon-cut command) verify.self_s and "
+    "verify.build_suite.s; their time is charged to cli.self_s.  "
+    "verify.cases is read from the report and stays live."
 )
 
 
