@@ -370,13 +370,13 @@ def main(argv=None) -> int:
                 raise UsageError(f"--qmax must be >= 0, got {args['qmax']}")
             from . import verify
             try:
-                cases = verify.build_suite(args["suite"], n=args["n"], qmax=args["qmax"])
+                cases = verify.build_suite(args["suite"], n=n, qmax=args["qmax"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             report = verify.run_cases(args["suite"], cases)
             print(_render_report(report, args["format"]))
             return 0 if report["passed"] else 1
-        out = _bijection(args["from"], args["to"], args["payload"], args["n"])
+        out = _bijection(args["from"], args["to"], args["payload"], n)
         print(_json_text(out))
         return 0
     except UsageError as exc:
