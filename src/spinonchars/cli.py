@@ -39,9 +39,9 @@ CHAR_KINDS = (
 
 def _build_table(kind: str, n: int, k: int, qmax: int):
     if not 0 <= k < n:
-        raise UsageError(f"--k must satisfy 0 <= k < n, got k={k}, n={n}")
+        raise UsageError(f"--k must satisfy 0 <= k < n, got k={_brief(str(k), 20)}, n={n}")
     if qmax < 0:
-        raise UsageError(f"--qmax must be >= 0, got {qmax}")
+        raise UsageError(f"--qmax must be >= 0, got {_brief(str(qmax), 20)}")
     if n != 2 and kind in ("fermionic-root", "fermionic-spinon", "spinon-enum", "sl2-yangian"):
         raise UsageError(f"--kind {kind} requires --n 2")
     if kind == "bosonic":
@@ -355,19 +355,19 @@ def main(argv=None) -> int:
         if args is None:
             return 0
         if args["command"] == "verify" and args["jobs"] != 1:
-            raise UsageError(
-                f"--jobs must be 1, got {args['jobs']}: cases run in one process")
+            raise UsageError(f"--jobs must be 1, got {_brief(str(args['jobs']), 20)}: "
+                             "cases run in one process")
         n = args["n"]
         if n is not None and not 2 <= n <= MAX_RANK:
-            raise UsageError(f"--n must be >= 2, got {n}" if n < 2 else
-                             f"--n must be <= {MAX_RANK}, got {_brief(str(n), 20)}")
+            bound = ">= 2" if n < 2 else f"<= {MAX_RANK}"
+            raise UsageError(f"--n must be {bound}, got {_brief(str(n), 20)}")
         if args["command"] == "char":
             table = _build_table(args["kind"], n, args["k"], args["qmax"])
             _write_table(table, args["format"], sys.stdout)
             return 0
         if args["command"] == "verify":
             if args["qmax"] is not None and args["qmax"] < 0:
-                raise UsageError(f"--qmax must be >= 0, got {args['qmax']}")
+                raise UsageError(f"--qmax must be >= 0, got {_brief(str(args['qmax']), 20)}")
             from . import verify
             try:
                 cases = verify.build_suite(args["suite"], n=n, qmax=args["qmax"])

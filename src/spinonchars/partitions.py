@@ -1,7 +1,7 @@
-"""Partitions and skew shapes (English notation, 0-indexed cells)."""
+"""Partitions, skew shapes and horizontal strips (English notation)."""
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 
 def _require_ints(values, what: str) -> tuple[int, ...]:
@@ -139,6 +139,34 @@ def partition_counts(max_len: int, max_size: int) -> list[list[int]]:
     return counts
 
 
+@lru_cache(maxsize=None)
+def horizontal_strips(kappa: tuple[int, ...], outer: tuple[int, ...]):
+    """(rho, |rho| - |kappa|) for each rho inside `outer` such that rho/kappa
+    is a horizontal strip, in increasing order of rho; all three are tuples
+    of one length, zeros padded.  rho/kappa is a horizontal strip when rho
+    interlaces above kappa, kappa_i <= rho_i <= kappa_{i-1}, so each rho_i
+    ranges over kappa_i..min(outer_i, kappa_{i-1}) (..outer_1 for the first)
+    on its own.  Chains of strips are semistandard tableaux and GZ schemes.
+    Memoized: the result is an immutable tuple, met many times."""
+    strips = (((), 0),)
+    for i, low in enumerate(kappa):
+        high = min(outer[i], kappa[i - 1]) if i else outer[0]
+        strips = tuple((rho + (v,), size + v - low)
+                       for rho, size in strips for v in range(low, high + 1))
+    return strips
+
+
+def ends_at(kappa: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """Whether outer/kappa is a horizontal strip, for kappa inside outer
+    (tuples of one length): kappa_i >= outer_{i+1} in every row."""
+    return all(k >= o for k, o in zip(kappa, outer[1:]))
+
+
+def padded(lam: Partition, length: int) -> tuple[int, ...]:
+    """The parts of `lam` with zeros appended up to `length` entries."""
+    return lam.parts + (0,) * (length - len(lam))
+
+
 def all_partitions_upto(n: int):
     """All partitions of 0..n."""
     for m in range(n + 1):
@@ -159,15 +187,6 @@ class SkewShape:
             raise ValueError(f"inner {inner} not contained in outer {outer}")
         self.outer = outer
         self.inner = inner
-
-    def cells(self) -> list[tuple[int, int]]:
-        """Cells (row, col), 0-indexed, row-major."""
-        out = []
-        for i in range(len(self.outer)):
-            lo = self.inner[i + 1]
-            for j in range(lo, self.outer.parts[i]):
-                out.append((i, j))
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SkewShape):

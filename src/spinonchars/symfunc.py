@@ -4,11 +4,11 @@ Rogers-Szego as composition -> q-series dicts.  Everything is exact.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from .affine import exps_to_fw
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, ends_at, horizontal_strips, padded
 from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
 
 
@@ -139,28 +139,6 @@ def _jt_det(basis, nvars: int, rows: tuple, cols: tuple) -> SymPoly:
     ))
 
 
-def _add_sst_contents(neighbours, values: list, content: list, acc: dict):
-    """Count in acc, by content vector, every semi-standard completion, with
-    entries in 1..len(content), of the filling `values` of the first cells.
-    neighbours[i] holds the positions of the left and upper neighbours of
-    cell i, or None; `content` is the content of `values`.  Both are restored."""
-    idx = len(values)
-    if idx == len(neighbours):
-        e = tuple(content)
-        acc[e] = acc.get(e, 0) + 1
-        return
-    left, up = neighbours[idx]
-    lo = 1 if left is None else values[left]
-    if up is not None:
-        lo = max(lo, values[up] + 1)
-    for v in range(lo, len(content) + 1):
-        values.append(v)
-        content[v - 1] += 1
-        _add_sst_contents(neighbours, values, content, acc)
-        content[v - 1] -= 1
-        values.pop()
-
-
 def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
     """Skew Schur polynomial by determinant (jt_h, jt_e) or tableau sum (sst).
 
@@ -170,8 +148,14 @@ def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
     that one memo of minors for the life of the process, keyed by the row and
     column index sequences shifted so that the first column is 0: an entry
     depends only on a row index minus a column index, so the shift leaves the
-    minor unchanged, and shapes that differ by it share their minors.  sst
-    enumerates tableaux and reads no determinant."""
+    minor unchanged, and shapes that differ by it share their minors.
+
+    sst sums over the semistandard tableaux with entries 1..nvars, read as
+    chains inner = k_0 <= k_1 <= ... <= k_nvars = outer in which k_i/k_{i-1},
+    the cells holding i, is a horizontal strip, by a transfer matrix (Stanley,
+    EC1 4.7): the chains that reach one k_i share its dict from content
+    prefix to count, and the last strip must end at outer (`ends_at`).  It
+    reads no determinant."""
     if method in ("jt_h", "jt_e"):
         lam, mu, basis = shape.outer, shape.inner, complete
         if method == "jt_e":
@@ -180,12 +164,23 @@ def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
         return _jt_det(basis, nvars, tuple(lam[i] - i + shift for i in range(1, r + 1)),
                        tuple(mu[j] - j + shift for j in range(1, r + 1)))
     if method == "sst":
-        cells = shape.cells()  # row by row, so each cell follows its neighbours
-        at = {cell: pos for pos, cell in enumerate(cells)}
-        acc: dict = {}
-        _add_sst_contents([(at.get((i, j - 1)), at.get((i - 1, j))) for i, j in cells],
-                          [], [0] * nvars, acc)
-        return SymPoly(nvars, acc)
+        target = shape.outer.parts
+        layer = {padded(shape.inner, len(target)): {(): 1}}  # k_i -> content -> count
+        for i in range(1, nvars + 1):
+            grown: dict = {}
+            for kappa, counts in layer.items():
+                if i < nvars:
+                    steps = horizontal_strips(kappa, target)
+                else:  # the last strip ends at outer
+                    size = sum(target) - sum(kappa)
+                    steps = ((target, size),) if ends_at(kappa, target) else ()
+                for rho, size in steps:
+                    into = grown.setdefault(rho, {})
+                    for prefix, c in counts.items():
+                        key = (*prefix, size)
+                        into[key] = into.get(key, 0) + c
+            layer = grown
+        return SymPoly(nvars, layer.get(target, {}))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -237,30 +232,15 @@ def skew_kostka(outer: Partition, inner: Partition, mu) -> int:
     horizontal strip of mu_i boxes.  With inner empty this is the Kostka
     number K_{outer,mu}."""
     target = tuple(outer)
-    layer = {tuple(inner[i] for i in range(1, len(target) + 1)): 1}
+    layer = {padded(inner, len(target)): 1}
     for m in mu:
         grown: dict = {}
         for kappa, count in layer.items():
-            for rho in _horizontal_strips(kappa, target, m):
-                grown[rho] = grown.get(rho, 0) + count
+            for rho, size in horizontal_strips(kappa, target):
+                if size == m:
+                    grown[rho] = grown.get(rho, 0) + count
         layer = grown
     return layer.get(target, 0)
-
-
-def _horizontal_strips(kappa, outer, size) -> list[tuple[int, ...]]:
-    """Every rho inside `outer` such that rho/kappa is a horizontal strip of
-    `size` boxes.  Row i may grow by up to min(outer_i, kappa_{i-1}) -
-    kappa_i boxes, independently of the other rows; a row takes at least
-    what the rows below it cannot, so no prefix is built in vain."""
-    room = [min(outer[i], kappa[i - 1]) - kappa[i] if i else outer[0] - kappa[0]
-            for i in range(len(kappa))]
-    below = list(accumulate(reversed(room + [0])))[::-1]  # below[i]: rows i..
-    partial = [((), size)]
-    for i, r in enumerate(room):
-        partial = [(prefix + (kappa[i] + a,), rest - a)
-                   for prefix, rest in partial
-                   for a in range(max(0, rest - below[i + 1]), min(r, rest) + 1)]
-    return [prefix for prefix, rest in partial if rest == 0]
 
 
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:

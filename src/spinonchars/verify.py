@@ -484,8 +484,9 @@ def _gz_case(outer, inner, n, N):
         tab = yangian.gz_to_sst(s)
         if yangian.sst_to_gz(tab, lam, mu, n, N) != s:
             return {"scheme": repr(s), "fault": "sst round trip"}
-    # gz weights live on the N+n-variable torus; compare full monomial records
-    monomials = symfunc.weight_projection(symfunc.schur_skew(SkewShape(lam, mu), n, "sst"))
+    # the weights of s_{lam/mu} in n variables, by jt_h: a determinant, not
+    # the horizontal-strip walk that builds the schemes
+    monomials = symfunc.weight_projection(symfunc.schur_skew(SkewShape(lam, mu), n, "jt_h"))
     if weights != monomials:
         return {"fault": "weight multiset mismatch",
                 "gz": {str(k): v for k, v in sorted(weights.items())},

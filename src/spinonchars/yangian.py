@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, ends_at, horizontal_strips, padded
 
 
 class DrinfeldPolys:
@@ -113,13 +113,15 @@ class GZScheme:
 def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZScheme]:
     """All interleaving-admissible chains from mu (row 0) to lam (row n).
 
-    Each chain is valid by construction, so it skips the checks of
-    `GZScheme.__init__`.  mu has at most N parts and lam at most N + n (both
-    checked here).  Row m (0 < m < n) is drawn by `_interlacing_above` with
-    at most N + m parts; row m - 1 has at most N + m - 1 parts and lies in
-    lam, so the length cap leaves a row above each of its parts, and row m
-    interleaves above it.  lam is kept only where it interleaves above row
-    n - 1."""
+    Row m interleaves above row m - 1 exactly when row m / row m - 1 is a
+    horizontal strip, so rows 1..n-1 are drawn by `horizontal_strips` inside
+    lam, padded to len(lam) parts, and a chain is kept where lam / row n - 1
+    is a horizontal strip too (`ends_at`).  mu has at most N parts and lam
+    at most N + n (both checked here).  No row needs a length cap: a row
+    that interlaces above one of l parts has at most l + 1 (its part l + 2
+    is at most part l + 1 of the row below, 0), so row m has at most N + m
+    parts.  The chains are valid by construction, so they skip the checks
+    of `GZScheme.__init__`."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if not isinstance(mu, Partition):
@@ -131,44 +133,18 @@ def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZ
     if len(lam) > n_spinons + n:
         raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
 
-    chains = [[mu]]
-    for m in range(1, n):
-        chains = [
-            chain + [nu]
-            for chain in chains
-            for nu in _interlacing_above(chain[-1], lam, n_spinons + m)
-        ]
-    return [
-        GZScheme._trusted((*chain, lam), n_spinons)
-        for chain in chains
-        if _interleaves(lam, chain[-1])
-    ]
+    outer = lam.parts
+    chains = [(padded(mu, len(outer)),)]
+    for _ in range(n - 1):
+        chains = [(*chain, rho) for chain in chains
+                  for rho, _ in horizontal_strips(chain[-1], outer)]
+    return [GZScheme._trusted((*map(Partition, chain), lam), n_spinons)
+            for chain in chains if ends_at(chain[-1], outer)]
 
 
 def _interleaves(upper: Partition, lower: Partition) -> bool:
     top = max(len(upper), len(lower)) + 1
     return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(1, top + 1))
-
-
-def _interlacing_above(lower: Partition, lam: Partition, max_len: int) -> list:
-    """All nu with at most `max_len` parts, interlacing above `lower` and
-    contained in lam."""
-    out: list = []
-    _extend_rows(lower, lam, min(max_len, len(lam), len(lower) + 1), [], out)
-    return out
-
-
-def _extend_rows(lower, lam, lmax, prefix, out) -> None:
-    """Append to `out` every interlacing completion of rows 1..len(prefix).
-    A module-level function, not a closure, so that no reference cycle keeps
-    the results alive."""
-    i = len(prefix) + 1
-    if i > lmax:
-        out.append(Partition(prefix))
-        return
-    hi = min(lam[i], lower[i - 1]) if i >= 2 else lam[1]
-    for v in range(lower[i], hi + 1):
-        _extend_rows(lower, lam, lmax, prefix + [v], out)
 
 
 def gz_weight(scheme: GZScheme) -> tuple[int, ...]:

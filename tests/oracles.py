@@ -1,8 +1,12 @@
 """Reference implementations that only the tests call: the strip search the
 Yangian route replaced, the per-matrix Jacobi-Trudi determinant the shared
 minors replaced, expansions and statistics no route needs, and hand-built
-character tables holding rows that no builder writes."""
+character tables holding rows that no builder writes, and the skew shapes
+the property tests draw."""
+from hypothesis import strategies as st
+
 from spinonchars.affine import CharacterTable, dominant_weight
+from spinonchars.partitions import Partition, SkewShape
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, energy
 from spinonchars.symfunc import (
@@ -155,3 +159,19 @@ def hand_built(n, k, qmax, rows):
     table = CharacterTable(n, k, qmax)
     table.orbits = {dominant_weight(w): list(coeffs) for w, coeffs in rows}
     return table
+
+
+@st.composite
+def skew_shapes(draw, max_size: int) -> SkewShape:
+    """A skew shape lam/mu with |lam| <= max_size: lam from weakly decreasing
+    parts while they fit, then each part of mu at most its part of lam and
+    the part of mu above it."""
+    lam: list[int] = []
+    for part in sorted(draw(st.lists(st.integers(1, max_size), max_size=max_size)),
+                       reverse=True):
+        if sum(lam) + part <= max_size:
+            lam.append(part)
+    mu: list[int] = []
+    for part in lam:
+        mu.append(draw(st.integers(0, min([part, *mu[-1:]]))))
+    return SkewShape(Partition(lam), Partition(mu))

@@ -837,6 +837,29 @@ def test_a_rank_past_the_ceiling_is_refused_at_once(capsys, argv, given):
     assert len(err) <= 200 and elapsed < 0.05, elapsed
 
 
+# an integer option of 4000 digits, within what `int` converts
+HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("char", "--kind", "bosonic", "--n", "-" + HUGE, "--k", "0", "--qmax", "1"),
+     f"--n must be >= 2, got -{'9' * 16}..."),
+    (("char", "--kind", "bosonic", "--n", "3", "--k", HUGE, "--qmax", "1"),
+     f"--k must satisfy 0 <= k < n, got k={'9' * 17}..., n=3"),
+    (("char", "--kind", "bosonic", "--n", "3", "--k", "0", "--qmax", "-" + HUGE),
+     f"--qmax must be >= 0, got -{'9' * 16}..."),
+    (("verify", "--suite", "sl2", "--qmax", "-" + HUGE),
+     f"--qmax must be >= 0, got -{'9' * 16}..."),
+    (("verify", "--suite", "sl2", "--jobs", HUGE),
+     f"--jobs must be 1, got {'9' * 17}...: cases run in one process"),
+])
+def test_an_out_of_range_integer_is_quoted_short(capsys, argv, message):
+    """An integer option out of its range is refused on one line that quotes
+    at most 20 characters of it, as the `--n` ceiling does: quoted whole,
+    4000 digits made a 4 kB error line."""
+    assert run_cli(capsys, *argv) == (2, "", f"spinonchars: error: {message}\n")
+
+
 def test_a_rank_at_the_ceiling_is_answered(capsys):
     """Each command runs at `--n` = `cli.MAX_RANK`, the bosonic route's
     recursion among them, even from inside this test runner's stack."""

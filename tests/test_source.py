@@ -169,6 +169,17 @@ def test_rank_2_yangian_route_walks_no_partition():
     assert not called & walk
 
 
+def test_every_tableau_count_walks_horizontal_strips():
+    """The `sst` route of `schur_skew`, `skew_kostka` and `gz_schemes` build
+    their chains from `partitions.horizontal_strips`, the package's one
+    enumerator of horizontal strips, in themselves or in a helper of their
+    module."""
+    for module, root in (("symfunc.py", "schur_skew"), ("symfunc.py", "skew_kostka"),
+                         ("yangian.py", "gz_schemes")):
+        tree = ast.parse((PACKAGE / module).read_text())
+        assert "horizontal_strips" in _reached_calls(tree, root), root
+
+
 def _named(tree: ast.AST):
     """Every name read in `tree`, as a bare name or as an attribute."""
     for node in ast.walk(tree):

@@ -36,6 +36,7 @@ from oracles import (
     determinant,
     eval_ones,
     jacobi_trudi_matrix,
+    skew_shapes,
     sl2_strip_product,
     stabilization_check,
 )
@@ -60,6 +61,17 @@ def test_three_schur_routes_agree_small_census():
                 b = schur_skew(shape, nvars, "jt_e")
                 c = schur_skew(shape, nvars, "sst")
                 assert a == b == c, (lam, mu, nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_shapes(10), st.integers(1, 5))
+def test_three_schur_routes_agree_past_the_census(shape, nvars):
+    """The determinant routes and the horizontal-strip walk of `sst` on skew
+    shapes of outer size <= 10 in <= 5 variables, past the size <= 6, <= 4
+    variables of the `schur` suite."""
+    want = schur_skew(shape, nvars, "jt_h")
+    assert schur_skew(shape, nvars, "jt_e") == want
+    assert schur_skew(shape, nvars, "sst") == want
 
 
 def test_shared_minors_equal_the_per_matrix_determinant():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinonchars import verify, yangian
@@ -25,7 +25,7 @@ from spinonchars.yangian import (
     sst_to_gz,
     yangian_decomposition,
 )
-from oracles import eval_ones, poly_degrees, reduced_strips
+from oracles import eval_ones, poly_degrees, reduced_strips, skew_shapes
 
 
 def _sub_partitions(lam):
@@ -99,7 +99,7 @@ def test_gz_counts_match_schur_monomials():
                     if len(mu) > n_spinons or len(lam) > n_spinons + n:
                         continue
                     schemes = gz_schemes(lam, mu, n, n_spinons)
-                    schur = schur_skew(SkewShape(lam, mu), n, "sst")
+                    schur = schur_skew(SkewShape(lam, mu), n, "jt_h")
                     total = sum(
                         c for c in schur.terms.values()
                     ) if schur.terms else 0
@@ -117,7 +117,7 @@ def test_gz_weights_match_schur_weight_projection():
                 for s in schemes:
                     w = gz_weight(s)
                     got[w] = got.get(w, 0) + 1
-                expected = weight_projection(schur_skew(SkewShape(lam, mu), n, "sst"))
+                expected = weight_projection(schur_skew(SkewShape(lam, mu), n, "jt_h"))
                 assert got == expected, (lam, mu, n)
 
 
@@ -131,6 +131,26 @@ def test_gz_sst_round_trip():
                     for s in gz_schemes(lam, mu, n, n_spinons):
                         tab = gz_to_sst(s)
                         assert sst_to_gz(tab, lam, mu, n, n_spinons) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_shapes(7), st.integers(0, 3), st.integers(2, 4))
+def test_gz_schemes_past_the_census(shape, n_spinons, n):
+    """At outer size <= 7, N <= 3 and n <= 4 (the `gz` suite stops at 5, 2
+    and 3): the schemes count the monomials of s_{lam/mu} in n variables
+    and carry its weights, both read off the `jt_h` determinant, and each
+    scheme survives the round trip through its tableau."""
+    lam, mu = shape.outer, shape.inner
+    assume(len(mu) <= n_spinons and len(lam) <= n_spinons + n)
+    schemes = gz_schemes(lam, mu, n, n_spinons)
+    schur = schur_skew(shape, n, "jt_h")
+    assert len(schemes) == sum(schur.terms.values())
+    got: dict = {}
+    for s in schemes:
+        w = gz_weight(s)
+        got[w] = got.get(w, 0) + 1
+        assert sst_to_gz(gz_to_sst(s), lam, mu, n, n_spinons) == s
+    assert got == weight_projection(schur)
 
 
 def test_gz_interleaving_violation_rejected():
