@@ -12,7 +12,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import affine, yangian
-from .partitions import Partition, _brief
+from .partitions import _brief, partition
 
 USAGE_ERROR = 2
 # The largest --n: `affine._decreasing_vectors` nests a generator per
@@ -138,8 +138,8 @@ def _parse_payload(kind: str, payload: str, n: int):
             return RapiditySeq(n, k, data["prefix"], stab)
         if kind == "modes":
             return [_int(x) for x in data]
-        lam, n_spinons = Partition(data["lam"]), _int(data["N"])  # sl2-partition
-        _check_boxes(kind, n_spinons + 2 * lam[1])
+        lam, n_spinons = partition(data["lam"]), _int(data["N"])  # sl2-partition
+        _check_boxes(kind, n_spinons + 2 * (lam[0] if lam else 0))
         return lam, n_spinons
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse {kind} payload {_brief(repr(payload), 50)}: "

@@ -1,7 +1,12 @@
-"""Partitions, skew shapes and horizontal strips (English notation)."""
+"""Partitions and horizontal strips (English notation).
+
+A partition is the tuple of its positive parts, weakly decreasing, and a
+skew shape outer/inner is the pair (outer, inner) of partitions with inner
+inside outer.  Tuples compare, hash and sort as the partitions they are; only
+the walks and the rows of a GZ scheme pad them with zeros to one length."""
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 
 def _require_ints(values, what: str) -> tuple[int, ...]:
@@ -32,69 +37,32 @@ def _shown(values, at: int) -> str:
     return f"{len(values)} entries, [{lo}:{at + 1}] = [{near}]"
 
 
-@total_ordering
-class Partition:
-    """A weakly decreasing tuple of positive integers; zero parts are dropped.
-    A part that is not an `int` (a float, a string or a bool) raises
-    TypeError."""
+def partition(parts) -> tuple[int, ...]:
+    """`parts` as a partition, the tuple of its positive parts: zero parts
+    are dropped, and the rest must be weakly decreasing and positive.  A
+    part that is not an `int` (a float, a string or a bool) raises
+    TypeError.  A partition that comes from outside a walk (a payload, a
+    case's params, a list given to a public function) is checked here; the
+    walks build theirs valid."""
+    parts = _require_ints(parts, "parts")
+    if 0 in parts:
+        parts = tuple(p for p in parts if p)
+    for i in range(len(parts) - 1):
+        if parts[i] < parts[i + 1]:
+            raise ValueError(f"parts not weakly decreasing: {_shown(parts, i + 1)}")
+    if parts and parts[-1] < 0:
+        raise ValueError(f"parts must be positive: {_shown(parts, len(parts) - 1)}")
+    return parts
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts=()):
-        parts = _require_ints(parts, "parts")
-        if 0 in parts:
-            parts = tuple(p for p in parts if p)
-        for i in range(len(parts) - 1):
-            if parts[i] < parts[i + 1]:
-                raise ValueError(f"parts not weakly decreasing: {_shown(parts, i + 1)}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"parts must be positive: {_shown(parts, len(parts) - 1)}")
-        self.parts = parts
+def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition: its part j counts the parts of lam >= j."""
+    return tuple(sum(p >= j for p in lam) for j in range(1, lam[0] + 1)) if lam else ()
 
-    def __len__(self):
-        return len(self.parts)
 
-    def __getitem__(self, i: int) -> int:
-        """1-indexed part access; parts beyond the length are 0."""
-        if i < 1:
-            raise IndexError("parts are 1-indexed")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p >= i) for i in range(1, self.parts[0] + 1)
-        )
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def contains(self, other: "Partition") -> bool:
-        return all(self[i] >= other[i] for i in range(1, len(other) + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+def contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """Whether the diagram of mu lies inside that of lam."""
+    return len(mu) <= len(lam) and all(a >= b for a, b in zip(lam, mu))
 
 
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None):
@@ -104,12 +72,11 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
     negative bound yields no partition of n > 0."""
     cap = n if max_part is None else max_part
     room = n if max_len is None else max_len
-    for parts in _decreasing_parts(n, cap, room):
-        yield Partition(parts)
+    yield from _decreasing_parts(n, cap, room)
 
 
 def _decreasing_parts(n: int, cap: int, room: int):
-    """The parts of `partitions_of`, as tuples.  A first part v leaves n - v
+    """The partitions of `partitions_of`.  A first part v leaves n - v
     to at most room - 1 parts <= v, which exist iff n - v <= v * (room - 1)."""
     if n == 0:
         yield ()
@@ -162,9 +129,9 @@ def ends_at(kappa: tuple[int, ...], outer: tuple[int, ...]) -> bool:
     return all(k >= o for k, o in zip(kappa, outer[1:]))
 
 
-def padded(lam: Partition, length: int) -> tuple[int, ...]:
+def padded(lam: tuple[int, ...], length: int) -> tuple[int, ...]:
     """The parts of `lam` with zeros appended up to `length` entries."""
-    return lam.parts + (0,) * (length - len(lam))
+    return lam + (0,) * (length - len(lam))
 
 
 def all_partitions_upto(n: int):
@@ -172,29 +139,3 @@ def all_partitions_upto(n: int):
     for m in range(n + 1):
         yield from partitions_of(m)
 
-
-class SkewShape:
-    """The diagram of outer minus the diagram of inner (inner inside outer)."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer: Partition, inner: Partition = Partition()):
-        if not isinstance(outer, Partition):
-            outer = Partition(outer)
-        if not isinstance(inner, Partition):
-            inner = Partition(inner)
-        if not outer.contains(inner):
-            raise ValueError(f"inner {inner} not contained in outer {outer}")
-        self.outer = outer
-        self.inner = inner
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewShape):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
-    def __repr__(self):
-        return f"SkewShape({self.outer.parts}/{self.inner.parts})"

@@ -14,10 +14,11 @@ exactly one column of overlap.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from .partitions import Partition, SkewShape, _require_ints, _shown
+from .partitions import _require_ints, _shown, partition
 
 
 def _check_runs(member, last: int, n: int, what: str) -> None:
@@ -79,14 +80,16 @@ class BorderStrip:
         return BorderStrip(_transpose(rows), n)
 
     @property
-    def shape(self) -> SkewShape:
-        """outer/inner in canonical position, built bottom row first."""
+    def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(outer, inner) in canonical position, built bottom row first; the
+        zero parts of inner, at its bottom, are dropped."""
         outer, inner = [], []
         for a in reversed(self.rows):
             start = outer[-1] - 1 if outer else 0
-            inner.append(start)
+            if start:
+                inner.append(start)
             outer.append(start + a)
-        return SkewShape(Partition(outer[::-1]), Partition(inner[::-1]))
+        return tuple(outer[::-1]), tuple(inner[::-1])
 
     def size(self) -> int:
         return sum(self.cols)
@@ -355,25 +358,24 @@ def modes_to_strip(modes, n: int) -> BorderStrip:
     return strip
 
 
-def sl2_partition_to_strip(lam: Partition, n_spinons: int) -> BorderStrip:
+def sl2_partition_to_strip(lam, n_spinons: int) -> BorderStrip:
     """Strip attached to (lambda, N) at n=2: rows m_{i-1}+2 with boundary rows
     one shorter (and the single-row case collapsing to <N>)."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = partition(lam)
     if len(lam) > n_spinons:
         raise ValueError(f"need l(lambda) <= N, got l={len(lam)}, N={n_spinons}")
-    mult = lam.multiplicities()
+    mult = Counter(lam)  # one pass: part size -> its number of parts
     m0 = n_spinons - len(lam)
-    r = (lam.parts[0] + 1) if lam.parts else 1
+    r = lam[0] + 1 if lam else 1
     rows = []
     for i in range(1, r + 1):
-        mi = m0 if i == 1 else mult.get(i - 1, 0)
+        mi = m0 if i == 1 else mult[i - 1]
         rows.append(mi + 2 - (1 if i == 1 else 0) - (1 if i == r else 0))
     strip = BorderStrip.from_rows(rows, 2)
     if strip.size() != n_spinons + 2 * (r - 1) and rows != [0]:
         raise AssertionError(f"size identity failed for ({lam}, {n_spinons})")
     e = energy(strip)
-    if e != lam.size() + Fraction(n_spinons * n_spinons, 4):
+    if e != sum(lam) + Fraction(n_spinons * n_spinons, 4):
         raise AssertionError(
             f"energy identity failed for ({lam}, {n_spinons}): "
             f"E = {e} != |lambda| + N^2/4"

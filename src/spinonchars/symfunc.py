@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from .affine import exps_to_fw
-from .partitions import Partition, SkewShape, ends_at, horizontal_strips, padded
+from .partitions import conjugate, ends_at, horizontal_strips, padded
 from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
 
 
@@ -139,8 +139,9 @@ def _jt_det(basis, nvars: int, rows: tuple, cols: tuple) -> SymPoly:
     ))
 
 
-def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
-    """Skew Schur polynomial by determinant (jt_h, jt_e) or tableau sum (sst).
+def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
+    """Skew Schur polynomial of the shape (outer, inner) by determinant (jt_h,
+    jt_e) or tableau sum (sst).
 
     jt_h is det[h_{lam_i - mu_j - i + j}] and jt_e det[e_{lam'_i - mu'_j - i +
     j}] (Macdonald I.5), both `_jt_det` with rows lam_i - i and columns
@@ -156,35 +157,36 @@ def schur_skew(shape: SkewShape, nvars: int, method: str = "jt_h") -> SymPoly:
     EC1 4.7): the chains that reach one k_i share its dict from content
     prefix to count, and the last strip must end at outer (`ends_at`).  It
     reads no determinant."""
+    outer, inner = shape
     if method in ("jt_h", "jt_e"):
-        lam, mu, basis = shape.outer, shape.inner, complete
+        lam, mu, basis = outer, inner, complete
         if method == "jt_e":
-            lam, mu, basis = lam.conjugate(), mu.conjugate(), elementary
-        shift, r = 1 - mu[1], len(lam)  # the first column index mu_1 - 1 goes to 0
-        return _jt_det(basis, nvars, tuple(lam[i] - i + shift for i in range(1, r + 1)),
-                       tuple(mu[j] - j + shift for j in range(1, r + 1)))
+            lam, mu, basis = conjugate(lam), conjugate(mu), elementary
+        mu = padded(mu, len(lam))
+        shift = mu[0] if mu else 0  # the first column index mu_1 - 1 goes to 0
+        return _jt_det(basis, nvars, tuple(p - i - shift for i, p in enumerate(lam)),
+                       tuple(p - j - shift for j, p in enumerate(mu)))
     if method == "sst":
-        target = shape.outer.parts
-        layer = {padded(shape.inner, len(target)): {(): 1}}  # k_i -> content -> count
+        layer = {padded(inner, len(outer)): {(): 1}}  # k_i -> content -> count
         for i in range(1, nvars + 1):
             grown: dict = {}
             for kappa, counts in layer.items():
                 if i < nvars:
-                    steps = horizontal_strips(kappa, target)
+                    steps = horizontal_strips(kappa, outer)
                 else:  # the last strip ends at outer
-                    size = sum(target) - sum(kappa)
-                    steps = ((target, size),) if ends_at(kappa, target) else ()
+                    size = sum(outer) - sum(kappa)
+                    steps = ((outer, size),) if ends_at(kappa, outer) else ()
                 for rho, size in steps:
                     into = grown.setdefault(rho, {})
                     for prefix, c in counts.items():
                         key = (*prefix, size)
                         into[key] = into.get(key, 0) + c
             layer = grown
-        return SymPoly(nvars, layer.get(target, {}))
+        return SymPoly(nvars, layer.get(outer, {}))
     raise ValueError(f"unknown method {method!r}")
 
 
-def ribbon_expansion(rows) -> dict[Partition, int]:
+def ribbon_expansion(rows) -> dict[tuple[int, ...], int]:
     """Expand the ribbon (border strip) Schur function with row lengths
     `rows` as sum_nu d_{nu,alpha} s_nu by Gessel's rule (Stanley EC2 7.19):
     d_{nu,alpha} is the number of standard Young tableaux of shape nu whose
@@ -197,7 +199,7 @@ def ribbon_expansion(rows) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def _descent_table(size: int) -> dict[tuple[int, ...], dict[Partition, int]]:
+def _descent_table(size: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """Descent composition -> shape nu -> number of standard Young tableaux
     of shape nu, |nu| = size, with that descent composition.  Tableaux are
     grown by placing 1, 2, ..., size; i is a descent when i+1 lands in a
@@ -220,27 +222,25 @@ def _descent_table(size: int) -> dict[tuple[int, ...], dict[Partition, int]]:
     table: dict = {}
     for (shape, _, comp), count in states.items():
         by_shape = table.setdefault(comp, {})
-        nu = Partition(shape)
-        by_shape[nu] = by_shape.get(nu, 0) + count
+        by_shape[shape] = by_shape.get(shape, 0) + count
     return table
 
 
-def skew_kostka(outer: Partition, inner: Partition, mu) -> int:
+def skew_kostka(outer: tuple[int, ...], inner: tuple[int, ...], mu) -> int:
     """The number of semistandard tableaux of shape outer/inner with content
     mu, which is the coefficient of x^mu in s_{outer/inner}: the number of
     chains inner = k_0 < k_1 < ... < outer in which each k_i/k_{i-1} is a
     horizontal strip of mu_i boxes.  With inner empty this is the Kostka
     number K_{outer,mu}."""
-    target = tuple(outer)
-    layer = {padded(inner, len(target)): 1}
+    layer = {padded(inner, len(outer)): 1}
     for m in mu:
         grown: dict = {}
         for kappa, count in layer.items():
-            for rho, size in horizontal_strips(kappa, target):
+            for rho, size in horizontal_strips(kappa, outer):
                 if size == m:
                     grown[rho] = grown.get(rho, 0) + count
         layer = grown
-    return layer.get(target, 0)
+    return layer.get(outer, 0)
 
 
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
-from .partitions import Partition, SkewShape, ends_at, horizontal_strips, padded
+from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
 
 
 class DrinfeldPolys:
@@ -35,155 +35,100 @@ class DrinfeldPolys:
         return f"DrinfeldPolys(n={self.n}, roots={halves})"
 
 
-def drinfeld_evaluation(lam: Partition, n: int) -> DrinfeldPolys:
+def drinfeld_evaluation(lam, n: int) -> DrinfeldPolys:
     """Evaluation module of highest weight lam: P_i has the unit-spaced string
     of roots (i-1)/2 + lam_i - j, j = 0..lam_i-lam_{i+1}-1 (halves stored)."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"lambda must have at most {n} parts")
-    roots = []
-    for i in range(1, n):
-        string = [
-            (i - 1) + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])
-        ]
-        roots.append(string)
-    return DrinfeldPolys(n, roots)
+    lam = padded(lam, n)
+    return DrinfeldPolys(n, [[i + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])]
+                             for i in range(n - 1)])
 
 
-def drinfeld_tame(shape: SkewShape, n: int) -> DrinfeldPolys:
-    """Tame module of a skew shape: each column of height i contributes the
-    root (lam'_j + mu'_j)/2 + j - 1/2 to P_i (halves stored)."""
-    lc, mc = shape.outer.conjugate(), shape.inner.conjugate()
+def drinfeld_tame(shape: tuple, n: int) -> DrinfeldPolys:
+    """Tame module of the skew shape (outer, inner): each column j of height i
+    contributes the root (lam'_j + mu'_j)/2 + j - 1/2 to P_i (halves
+    stored)."""
+    lc = conjugate(shape[0])
+    mc = padded(conjugate(shape[1]), len(lc))
     roots: list[list[int]] = [[] for _ in range(n - 1)]
-    for j in range(1, len(lc) + 1):
-        height = lc[j] - mc[j]
+    for j, (a, b) in enumerate(zip(lc, mc), start=1):
+        height = a - b
         if height == 0:
             continue
         if height > n:
             raise ValueError(f"column {j} has height {height} > n={n}")
         if height == n:
             continue  # full columns contribute to no P_i
-        roots[height - 1].append((lc[j] + mc[j]) + 2 * j - 1)
+        roots[height - 1].append(a + b + 2 * j - 1)
     return DrinfeldPolys(n, roots)
 
 
-class GZScheme:
-    """A chain of partitions mu = row_0 <= row_1 <= ... <= row_n = lam with the
-    interleaving condition row_{m,i} >= row_{m-1,i} >= row_{m,i+1}."""
-
-    __slots__ = ("rows", "n_spinons")
-
-    def __init__(self, rows, n_spinons: int):
-        rows = tuple(p if isinstance(p, Partition) else Partition(p) for p in rows)
-        if len(rows) < 2:
-            raise ValueError("a scheme needs at least two rows")
-        for m in range(1, len(rows)):
-            if len(rows[m]) > n_spinons + m:
-                raise ValueError(f"row {m} too long: {rows[m]}")
-            if not _interleaves(rows[m], rows[m - 1]):
-                raise ValueError(f"interleaving fails between rows {m - 1} and {m}")
-        if len(rows[0]) > n_spinons:
-            raise ValueError("bottom row too long")
-        self.rows = rows
-        self.n_spinons = n_spinons
-
-    @classmethod
-    def _trusted(cls, rows: tuple[Partition, ...], n_spinons: int) -> "GZScheme":
-        """A scheme from rows that are already Partitions and already satisfy
-        every condition `__init__` checks; only `gz_schemes`, which builds
-        its chains valid by construction, calls it."""
-        scheme = cls.__new__(cls)
-        scheme.rows = rows
-        scheme.n_spinons = n_spinons
-        return scheme
-
-    def __eq__(self, other):
-        if not isinstance(other, GZScheme):
-            return NotImplemented
-        return self.rows == other.rows and self.n_spinons == other.n_spinons
-
-    def __hash__(self):
-        return hash((self.rows, self.n_spinons))
-
-    def __repr__(self):
-        return f"GZScheme({[list(p.parts) for p in self.rows]}, N={self.n_spinons})"
-
-
-def gz_schemes(lam: Partition, mu: Partition, n: int, n_spinons: int) -> list[GZScheme]:
-    """All interleaving-admissible chains from mu (row 0) to lam (row n).
+def gz_schemes(lam, mu, n: int, n_spinons: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All GZ schemes from mu (row 0) to lam (row n): the chains of rows, each
+    padded to len(lam) parts, in which row m interleaves above row m - 1,
+    row_{m,i} >= row_{m-1,i} >= row_{m,i+1}.
 
     Row m interleaves above row m - 1 exactly when row m / row m - 1 is a
     horizontal strip, so rows 1..n-1 are drawn by `horizontal_strips` inside
-    lam, padded to len(lam) parts, and a chain is kept where lam / row n - 1
-    is a horizontal strip too (`ends_at`).  mu has at most N parts and lam
-    at most N + n (both checked here).  No row needs a length cap: a row
-    that interlaces above one of l parts has at most l + 1 (its part l + 2
-    is at most part l + 1 of the row below, 0), so row m has at most N + m
-    parts.  The chains are valid by construction, so they skip the checks
-    of `GZScheme.__init__`."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if not isinstance(mu, Partition):
-        mu = Partition(mu)
-    if not lam.contains(mu):
+    lam, and a chain is kept where lam / row n - 1 is a horizontal strip too
+    (`ends_at`).  mu has at most N parts and lam at most N + n (both checked
+    here).  No row needs a length cap: a row that interlaces above one of l
+    parts has at most l + 1 (its part l + 2 is at most part l + 1 of the row
+    below, 0), so row m has at most N + m parts."""
+    lam, mu = partition(lam), partition(mu)
+    if not contains(lam, mu):
         raise ValueError(f"{mu} not contained in {lam}")
     if len(mu) > n_spinons:
         raise ValueError(f"l(mu)={len(mu)} exceeds N={n_spinons}")
     if len(lam) > n_spinons + n:
         raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
-
-    outer = lam.parts
-    chains = [(padded(mu, len(outer)),)]
+    chains = [(padded(mu, len(lam)),)]
     for _ in range(n - 1):
         chains = [(*chain, rho) for chain in chains
-                  for rho, _ in horizontal_strips(chain[-1], outer)]
-    return [GZScheme._trusted((*map(Partition, chain), lam), n_spinons)
-            for chain in chains if ends_at(chain[-1], outer)]
+                  for rho, _ in horizontal_strips(chain[-1], lam)]
+    return [(*chain, lam) for chain in chains if ends_at(chain[-1], lam)]
 
 
-def _interleaves(upper: Partition, lower: Partition) -> bool:
-    top = max(len(upper), len(lower)) + 1
-    return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(1, top + 1))
-
-
-def gz_weight(scheme: GZScheme) -> tuple[int, ...]:
+def gz_weight(scheme) -> tuple[int, ...]:
     """Fundamental-weight coordinates from the row-sum differences."""
-    sums = [p.size() for p in scheme.rows]
+    sums = [sum(row) for row in scheme]
     return exps_to_fw([sums[m] - sums[m - 1] for m in range(1, len(sums))])
 
 
-def gz_to_sst(scheme: GZScheme) -> dict[tuple[int, int], int]:
+def gz_to_sst(scheme) -> dict[tuple[int, int], int]:
     """Boxes added between row m-1 and row m receive entry m (cells 0-indexed)."""
     tableau: dict[tuple[int, int], int] = {}
-    for m in range(1, len(scheme.rows)):
-        upper, lower = scheme.rows[m], scheme.rows[m - 1]
-        for i in range(1, len(upper) + 1):
-            for j in range(lower[i], upper[i]):
-                tableau[(i - 1, j)] = m
+    for m in range(1, len(scheme)):
+        for i, (low, high) in enumerate(zip(scheme[m - 1], scheme[m])):
+            for j in range(low, high):
+                tableau[(i, j)] = m
     return tableau
 
 
-def sst_to_gz(
-    tableau: dict[tuple[int, int], int], lam: Partition, mu: Partition,
-    n: int, n_spinons: int,
-) -> GZScheme:
-    """Inverse of gz_to_sst: row m collects mu plus all boxes with entry <= m.
-    The tableau is read once, counting its boxes per (row, entry); row m adds
-    the counts of entry m to row m - 1 (row 0 takes every entry <= 0), and
-    `Partition` drops the rows left empty."""
-    counts: dict[int, dict[int, int]] = {}  # entry -> row -> boxes
+def sst_to_gz(tableau: dict[tuple[int, int], int], lam, mu, n: int):
+    """Inverse of gz_to_sst: row m is mu plus the boxes with entry <= m, each
+    row padded to len(lam) parts.  The tableau is read once, counting its
+    boxes per (entry, row).  Raises ValueError unless `tableau` is a
+    semistandard tableau of shape lam/mu with entries 1..n: the rows so built
+    never shrink, so they form a scheme exactly when each interleaves above
+    the one before (`ends_at`) and the last is lam, and the tableau is that
+    scheme's exactly when `gz_to_sst` gives it back, which also refuses every
+    entry outside 1..n and every cell outside the rows of lam."""
+    lam, mu = partition(lam), partition(mu)
+    counts: dict[tuple[int, int], int] = {}  # (entry, row) -> boxes
     for (i, _), e in tableau.items():
-        by_row = counts.setdefault(max(e, 0), {})
-        by_row[i] = by_row.get(i, 0) + 1
-    nrows = max([len(mu)] + [i + 1 for i, _ in tableau])
-    widths = [mu[i + 1] for i in range(nrows)]
-    rows = []
-    for m in range(n + 1):
-        for i, c in counts.get(m, {}).items():
-            widths[i] += c
-        rows.append(Partition(widths))
-    return GZScheme(rows, n_spinons)
+        counts[e, i] = counts.get((e, i), 0) + 1
+    rows = [padded(mu, len(lam))]
+    for m in range(1, n + 1):
+        rows.append(tuple(p + counts.get((m, i), 0) for i, p in enumerate(rows[-1])))
+    scheme = tuple(rows)
+    if (scheme[-1] != lam or not all(map(ends_at, scheme, scheme[1:]))
+            or gz_to_sst(scheme) != tableau):
+        raise ValueError(f"not a semistandard tableau of shape {lam}/{mu} "
+                         f"with entries 1..{n}")
+    return scheme
 
 
 def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:

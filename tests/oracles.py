@@ -6,7 +6,7 @@ the property tests draw."""
 from hypothesis import strategies as st
 
 from spinonchars.affine import CharacterTable, dominant_weight
-from spinonchars.partitions import Partition, SkewShape
+from spinonchars.partitions import conjugate, padded
 from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, energy
 from spinonchars.symfunc import (
@@ -96,13 +96,15 @@ def stabilization_check(cols, n: int) -> bool:
 
 def jacobi_trudi_matrix(shape, nvars: int, method: str) -> list[list[SymPoly]]:
     """[h_{lam_i - mu_j - i + j}] (jt_h) or [e_{lam'_i - mu'_j - i + j}]
-    (jt_e) for i, j in 1..len(lam), written out entry by entry."""
-    lam, mu, basis = shape.outer, shape.inner, complete
+    (jt_e) for i, j in 1..len(lam), written out entry by entry, for the
+    shape (lam, mu)."""
+    lam, mu = shape
+    basis = complete
     if method == "jt_e":
-        lam, mu, basis = lam.conjugate(), mu.conjugate(), elementary
+        lam, mu, basis = conjugate(lam), conjugate(mu), elementary
     r = len(lam)
-    return [[basis(lam[i] - mu[j] - i + j, nvars) for j in range(1, r + 1)]
-            for i in range(1, r + 1)]
+    mu = padded(mu, r)
+    return [[basis(lam[i] - mu[j] - i + j, nvars) for j in range(r)] for i in range(r)]
 
 
 def determinant(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
@@ -136,8 +138,8 @@ def poly_degrees(polys) -> tuple[int, ...]:
 
 
 def skew_size(shape) -> int:
-    """The number of cells of a skew shape."""
-    return shape.outer.size() - shape.inner.size()
+    """The number of cells of a skew shape (outer, inner)."""
+    return sum(shape[0]) - sum(shape[1])
 
 
 def table_json_dict(table: CharacterTable) -> dict:
@@ -162,10 +164,10 @@ def hand_built(n, k, qmax, rows):
 
 
 @st.composite
-def skew_shapes(draw, max_size: int) -> SkewShape:
-    """A skew shape lam/mu with |lam| <= max_size: lam from weakly decreasing
-    parts while they fit, then each part of mu at most its part of lam and
-    the part of mu above it."""
+def skew_shapes(draw, max_size: int) -> tuple:
+    """A skew shape (lam, mu) with |lam| <= max_size: lam from weakly
+    decreasing parts while they fit, then each part of mu at most its part of
+    lam and the part of mu above it, its zero parts dropped."""
     lam: list[int] = []
     for part in sorted(draw(st.lists(st.integers(1, max_size), max_size=max_size)),
                        reverse=True):
@@ -174,4 +176,4 @@ def skew_shapes(draw, max_size: int) -> SkewShape:
     mu: list[int] = []
     for part in lam:
         mu.append(draw(st.integers(0, min([part, *mu[-1:]]))))
-    return SkewShape(Partition(lam), Partition(mu))
+    return tuple(lam), tuple(p for p in mu if p)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinonchars import cli, strips, verify
-from spinonchars.affine import CharacterTable, bosonic_character
+from spinonchars.affine import (CharacterTable, _decreasing_vectors, bosonic_character,
+                               exps_to_fw, orbit_size)
 from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
                              _render_report, _write_table, main)
 from oracles import hand_built, table_json_dict
@@ -659,6 +660,28 @@ def test_verify_bad_rank_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "sl2", "--n", "1")
     assert code == 2
     assert "--n" in err
+
+
+def _spinon_cut_census(n):
+    """The number of weights in the spinon-cut census at rank n, the weights
+    of `bosonic_character(n, k, 2)` for every k, counted from the orbit
+    sizes of their dominant weights without expanding one."""
+    return sum(orbit_size(exps_to_fw(c))
+               for k in range(n) for c in _decreasing_vectors(n, k, k + 4))
+
+
+@pytest.mark.parametrize("suite,rank", [("spinon-cut", 9), ("spinon-cut", 200), ("all", 9)])
+def test_spinon_cut_refuses_a_rank_past_its_census(capsys, suite, rank):
+    """`spinon-cut` builds every weight of its census before a case runs:
+    8 587 at rank 8, whose run takes about 10 s, and 22 129 at rank 9.  Its
+    ceiling is the last rank under 10 000 weights, and a rank past it is
+    refused on one line with exit 2, also when `--suite all` passes it on."""
+    ceiling = verify.MAX_SPINON_CUT_RANK
+    assert [_spinon_cut_census(n) for n in (8, 9)] == [8587, 22129]
+    assert _spinon_cut_census(ceiling) < 10_000 < _spinon_cut_census(ceiling + 1)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(rank))
+    assert (code, out) == (2, "")
+    assert err == f"spinonchars: error: suite spinon-cut takes --n <= {ceiling}, got {rank}\n"
 
 
 def test_cli_imports_neither_inspect_nor_dataclasses():

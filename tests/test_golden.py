@@ -3,7 +3,8 @@ exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 
 The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
-refused by each command, integer options of 4000 digits out of their
+refused by each command, ranks past `verify.MAX_SPINON_CUT_RANK` refused
+by the `spinon-cut` suite, integer options of 4000 digits out of their
 range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
@@ -57,6 +58,7 @@ COMMANDS = (
     ("verify", "--suite", "sl2", "--qmax", "4", "--format", "pretty"),
     ("verify", "--suite", "schur", "--n", "2"),
     ("verify", "--suite", "gz", "--n", "201"),
+    *(("verify", "--suite", "spinon-cut", "--n", rank) for rank in ("9", "200")),
     ("verify", "--suite", "sl2", "--qmax", "-" + HUGE),
     ("verify", "--suite", "sl2", "--jobs", HUGE),
     *(_bijection(src, dst, n, payload)

@@ -1,7 +1,13 @@
-"""Static checks on the package source, with the standard library's `ast`."""
+"""Static checks on the package source, with the standard library's `ast`,
+and on the one representation of partitions that the source keeps."""
 import ast
 from collections import Counter
 from pathlib import Path
+
+from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
+from spinonchars.strips import BorderStrip
+from spinonchars.symfunc import ribbon_expansion
+from spinonchars.yangian import gz_schemes
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinonchars"
 
@@ -232,3 +238,29 @@ def test_verify_checks_are_module_level_functions():
     lambdas = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
     assert not nested, f"nested functions at lines {nested}"
     assert len(lambdas) == 1, f"lambdas at lines {lambdas}"
+
+
+def _tuple_of_ints(value) -> bool:
+    return type(value) is tuple and all(type(part) is int for part in value)
+
+
+def test_a_partition_is_a_tuple():
+    """`partitions.py` defines no class: a partition is the tuple of its
+    parts, a skew shape the pair (outer, inner) and a GZ scheme the tuple of
+    its rows.  Every function that hands one out gives a tuple of ints."""
+    tree = ast.parse((PACKAGE / "partitions.py").read_text())
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    given = {
+        "partition": [partition([3, 1, 0]), partition(()), partition(iter([2, 2]))],
+        "conjugate": [conjugate((3, 1)), conjugate(())],
+        "partitions_of": list(partitions_of(5)) + list(partitions_of(0)),
+        "horizontal_strips": [rho for rho, _ in horizontal_strips((2, 1, 0), (3, 2, 1))],
+        "BorderStrip.shape": [part for cols in ((2, 1, 3), (1,), ())
+                              for part in BorderStrip(cols, 3).shape],
+        "ribbon_expansion": [nu for rows in ((1, 2, 1), (3,), ())
+                             for nu in ribbon_expansion(rows)],
+        "gz_schemes": [row for scheme in gz_schemes([3, 1], [1], 3, 1) for row in scheme],
+    }
+    for name, values in given.items():
+        assert values, name
+        assert all(_tuple_of_ints(value) for value in values), (name, values)

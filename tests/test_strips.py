@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinonchars.partitions import Partition, SkewShape, partitions_of
+from spinonchars.partitions import conjugate, padded, partitions_of
 from spinonchars.strips import (
     BorderStrip,
     Motif,
@@ -34,7 +34,7 @@ def test_strip_rows_and_cols_example():
     strip = BorderStrip((2, 1), 3)
     assert strip.rows == (1, 2)
     assert strip.cols == (2, 1)
-    assert strip.shape == SkewShape(Partition([2, 2]), Partition([1]))
+    assert strip.shape == ((2, 2), (1,))
 
 
 def _compositions(total, cap):
@@ -51,22 +51,24 @@ def test_shape_is_a_canonical_ribbon_with_the_strip_rows_and_cols():
     parts <= n and size <= 10, n = 2..6, `shape` is connected, has no 2x2
     block, sits in canonical position (bottom-left box in column 1), and its
     row lengths and column heights, read off outer/inner through
-    Partition.conjugate, are the strip's rows and cols."""
+    `conjugate`, are the strip's rows and cols."""
     for n in range(2, 7):
         for size in range(11):
             for cols in _compositions(size, n):
                 strip = BorderStrip(cols, n)
-                outer, inner = strip.shape.outer, strip.shape.inner
+                outer, inner = strip.shape
                 r = len(outer)
-                rows = tuple(outer[i] - inner[i] for i in range(1, r + 1))
+                inner = padded(inner, r)
+                rows = tuple(a - b for a, b in zip(outer, inner))
                 assert all(a > 0 for a in rows), cols
-                for i in range(1, r):
+                for i in range(r - 1):
                     # rows i and i+1 share exactly one column: they touch,
                     # and no 2x2 block forms
                     assert outer[i + 1] - inner[i] == 1, cols
-                assert r == 0 or inner[r] == 0, cols
-                oc, ic = outer.conjugate(), inner.conjugate()
-                heights = tuple(oc[j] - ic[j] for j in range(len(oc), 0, -1))
+                assert r == 0 or inner[-1] == 0, cols
+                oc = conjugate(outer)
+                ic = padded(conjugate(inner), len(oc))
+                heights = tuple(a - b for a, b in zip(oc, ic))[::-1]
                 assert rows == strip.rows, cols
                 assert heights == strip.cols, cols
                 assert BorderStrip.from_rows(rows, n) == strip, cols
@@ -279,8 +281,8 @@ def test_modes_postconditions_census():
 
 
 def test_sl2_partition_strip_examples():
-    assert sl2_partition_to_strip(Partition([]), 3).rows == (3,)
-    strip = sl2_partition_to_strip(Partition([2, 1]), 3)
+    assert sl2_partition_to_strip([], 3).rows == (3,)
+    strip = sl2_partition_to_strip((2, 1), 3)
     assert strip.rows == (2, 3, 2)
     assert energy(strip) == Fraction(3 * 3, 4) + 3
 
@@ -370,6 +372,7 @@ def test_modes_to_strip_reads_runs_as_columns(case):
     modes = [v for v, run in enumerate(runs) for _ in range(run)]
     strip = modes_to_strip(modes, n)  # postcondition asserted inside
     assert strip.size() == len(modes)
-    outer, inner = strip.shape.outer, strip.shape.inner
-    oc, ic = outer.conjugate(), inner.conjugate()
-    assert [oc[j] - ic[j] for j in range(1, len(oc) + 1)] == runs
+    outer, inner = strip.shape
+    oc = conjugate(outer)
+    ic = padded(conjugate(inner), len(oc))
+    assert [a - b for a, b in zip(oc, ic)] == runs

@@ -1,5 +1,6 @@
 """Drinfel'd polynomials, GZ schemes, and the decomposition of the level-1
 characters into border-strip modules."""
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 
 from spinonchars import verify, yangian
 from spinonchars.affine import CharacterTable, bosonic_character
-from spinonchars.partitions import Partition, SkewShape, all_partitions_upto, partitions_of
+from spinonchars.partitions import all_partitions_upto, padded, partitions_of
 from spinonchars.strips import BorderStrip, sl2_partition_to_strip
 from spinonchars.symfunc import SymPoly, elementary, schur_skew, weight_projection
-from spinonchars.verify import sl2_hw_character
+from spinonchars.verify import _sub_partitions, sl2_hw_character
 from spinonchars.yangian import (
     DrinfeldPolys,
-    GZScheme,
     drinfeld_evaluation,
     drinfeld_tame,
     gz_schemes,
@@ -28,22 +28,12 @@ from spinonchars.yangian import (
 from oracles import eval_ones, poly_degrees, reduced_strips, skew_shapes
 
 
-def _sub_partitions(lam):
-    if not lam.parts:
-        yield Partition()
-        return
-    for size in range(lam.size() + 1):
-        for mu in partitions_of(size, max_part=lam[1], max_len=len(lam)):
-            if lam.contains(mu):
-                yield mu
-
-
 # ---------------------------------------------------------------------------
 # Drinfel'd polynomials
 
 def test_drinfeld_evaluation_pinned():
     # lambda = (2,1) at rank 2: single root at u = -... stored in half-units
-    polys = drinfeld_evaluation(Partition([2, 1]), 2)
+    polys = drinfeld_evaluation([2, 1], 2)
     assert poly_degrees(polys) == (1,)
 
 
@@ -52,7 +42,7 @@ def test_drinfeld_tame_equals_evaluation_on_straight_shapes():
         for n in (2, 3, 4):
             if len(lam) > n:
                 continue
-            assert drinfeld_tame(SkewShape(lam), n) == drinfeld_evaluation(lam, n), (
+            assert drinfeld_tame((lam, ()), n) == drinfeld_evaluation(lam, n), (
                 lam, n,
             )
 
@@ -79,14 +69,14 @@ def test_drinfeld_tame_skips_full_columns():
 
 def test_drinfeld_column_too_tall_rejected():
     with pytest.raises(ValueError, match="height"):
-        drinfeld_tame(SkewShape(Partition([1, 1, 1])), 2)
+        drinfeld_tame(((1, 1, 1), ()), 2)
 
 
 # ---------------------------------------------------------------------------
 # GZ schemes
 
 def test_gz_pinned_single_box():
-    schemes = gz_schemes(Partition([1]), Partition([]), 2, 0)
+    schemes = gz_schemes([1], [], 2, 0)
     assert len(schemes) == 2
     assert sorted(gz_weight(s) for s in schemes) == [(-1,), (1,)]
 
@@ -99,7 +89,7 @@ def test_gz_counts_match_schur_monomials():
                     if len(mu) > n_spinons or len(lam) > n_spinons + n:
                         continue
                     schemes = gz_schemes(lam, mu, n, n_spinons)
-                    schur = schur_skew(SkewShape(lam, mu), n, "jt_h")
+                    schur = schur_skew((lam, mu), n, "jt_h")
                     total = sum(
                         c for c in schur.terms.values()
                     ) if schur.terms else 0
@@ -117,7 +107,7 @@ def test_gz_weights_match_schur_weight_projection():
                 for s in schemes:
                     w = gz_weight(s)
                     got[w] = got.get(w, 0) + 1
-                expected = weight_projection(schur_skew(SkewShape(lam, mu), n, "jt_h"))
+                expected = weight_projection(schur_skew((lam, mu), n, "jt_h"))
                 assert got == expected, (lam, mu, n)
 
 
@@ -130,7 +120,7 @@ def test_gz_sst_round_trip():
                         continue
                     for s in gz_schemes(lam, mu, n, n_spinons):
                         tab = gz_to_sst(s)
-                        assert sst_to_gz(tab, lam, mu, n, n_spinons) == s
+                        assert sst_to_gz(tab, lam, mu, n) == s
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +130,7 @@ def test_gz_schemes_past_the_census(shape, n_spinons, n):
     and 3): the schemes count the monomials of s_{lam/mu} in n variables
     and carry its weights, both read off the `jt_h` determinant, and each
     scheme survives the round trip through its tableau."""
-    lam, mu = shape.outer, shape.inner
+    lam, mu = shape
     assume(len(mu) <= n_spinons and len(lam) <= n_spinons + n)
     schemes = gz_schemes(lam, mu, n, n_spinons)
     schur = schur_skew(shape, n, "jt_h")
@@ -149,45 +139,58 @@ def test_gz_schemes_past_the_census(shape, n_spinons, n):
     for s in schemes:
         w = gz_weight(s)
         got[w] = got.get(w, 0) + 1
-        assert sst_to_gz(gz_to_sst(s), lam, mu, n, n_spinons) == s
+        assert sst_to_gz(gz_to_sst(s), lam, mu, n) == s
     assert got == weight_projection(schur)
 
 
-def test_gz_interleaving_violation_rejected():
-    with pytest.raises(ValueError, match="interleaving"):
-        GZScheme([Partition([2]), Partition([1])], 2)
-
-
-@pytest.mark.parametrize("rows,n_spinons,match", [
-    ([[1]], 1, "two rows"),
-    ([[1], [1, 1], [2]], 1, "interleaving"),
-    ([[1], [1, 1, 1]], 0, "too long"),
-    ([[1, 1], [2, 1]], 1, "bottom row"),
-])
-def test_gz_scheme_checks_public_input(rows, n_spinons, match):
-    with pytest.raises(ValueError, match=match):
-        GZScheme(rows, n_spinons)
-
-
-def test_gz_schemes_are_valid_without_the_constructor_check(monkeypatch):
-    """`gz_schemes` builds its schemes without `GZScheme.__init__`, and every
-    scheme it returns for the inputs of the `gz[` cases of `verify` passes
-    that check."""
+def test_gz_schemes_interleave_within_their_length_bounds():
+    """Every scheme `gz_schemes` returns for the inputs of the `gz[` cases of
+    `verify` is a chain of n + 1 tuples of len(lam) ints from mu, padded, to
+    lam, in which each row interleaves above the one before, row_{m,i} >=
+    row_{m-1,i} >= row_{m,i+1}; row 0 has at most N parts and row m at most
+    N + m."""
     params = [c.params for c in verify.build_suite("gz") if c.id.startswith("gz[")]
     assert len(params) > 100
-    built = [yangian.gz_schemes(p["outer"], p["inner"], p["n"], p["N"]) for p in params]
+    for p in params:
+        lam, mu, n, n_spinons = tuple(p["outer"]), tuple(p["inner"]), p["n"], p["N"]
+        for scheme in gz_schemes(lam, mu, n, n_spinons):
+            assert len(scheme) == n + 1, p
+            assert scheme[0] == padded(mu, len(lam)) and scheme[-1] == lam, (p, scheme)
+            for m, row in enumerate(scheme):
+                assert type(row) is tuple and len(row) == len(lam), (p, scheme)
+                assert all(type(part) is int for part in row), (p, scheme)
+                assert sum(part > 0 for part in row) <= n_spinons + m, (p, scheme)
+            for low, high in zip(scheme, scheme[1:]):
+                assert all(h >= b for h, b in zip(high, low)), (p, scheme)
+                assert all(b >= h for b, h in zip(low, high[1:])), (p, scheme)
 
-    def refuse(*args):
-        raise AssertionError("gz_schemes ran the constructor check")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(GZScheme, "__init__", refuse)
-        assert [yangian.gz_schemes(p["outer"], p["inner"], p["n"], p["N"])
-                for p in params] == built
-    for p, schemes in zip(params, built):
-        for scheme in schemes:
-            assert all(isinstance(row, Partition) for row in scheme.rows)
-            assert GZScheme(scheme.rows, p["N"]) == scheme, p
+def test_gz_interleaving_violation_rejected():
+    """A column that repeats an entry counts rows (0, 0), (1, 1), (1, 1), of
+    which the second does not interleave above the first."""
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        sst_to_gz({(0, 0): 1, (1, 0): 1}, [1, 1], [], 2)
+
+
+def test_sst_to_gz_reads_a_tableau_of_the_shape():
+    assert sst_to_gz({(0, 0): 1, (0, 1): 2}, [2], [], 2) == ((0,), (1,), (2,))
+    assert sst_to_gz({(0, 1): 2, (1, 0): 2}, [2, 1], [1], 2) == ((1, 0), (1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("tableau,lam", [
+    ({(0, 0): 1}, [2]),  # ends at (1)
+    ({(0, 0): 1, (0, 1): 1, (0, 2): 2}, [2]),  # ends at (3)
+    ({(0, 0): 1, (0, 1): 3}, [2]),  # entry 3 > n
+    ({(0, 0): 2, (0, 1): 1}, [2]),  # a row decreases
+    ({(0, 0): 0, (0, 1): 1}, [2]),  # entry 0 < 1
+    ({(0, 0): 1, (0, 2): 2}, [2]),  # a cell outside lam
+])
+def test_sst_to_gz_refuses_what_is_not_a_tableau_of_the_shape(tableau, lam):
+    """Rows counted from these tableaux fail to end at lam, to interleave, or
+    to give the tableau back, and each is refused, where the count alone
+    once returned a scheme or dropped an entry."""
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        sst_to_gz(tableau, lam, [], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +319,7 @@ def test_sl2_yangian_matches_bosonic():
 
 def test_sl2_hw_character_dimensions():
     # dim = product of (m_i + 1) over the mode multiplicities
-    lam = Partition([2, 1])
-    poly = sl2_hw_character(lam, 3)
+    poly = sl2_hw_character((2, 1), 3)
     assert eval_ones(poly) == (1 + 1) ** 3  # m_0 = 1, m_1 = 1, m_2 = 1
 
 
@@ -330,7 +332,7 @@ def test_sl2_route_h_factors_chain_to_the_module_characters():
         for size in range(7):
             for lam in partitions_of(size, max_len=n_spinons):
                 value = {0: 1}
-                for m in (n_spinons - len(lam), *lam.multiplicities().values()):
+                for m in (n_spinons - len(lam), *Counter(lam).values()):
                     value = yangian._times_h(value, m)
                 expected = weight_projection(sl2_hw_character(lam, n_spinons))
                 assert {(w,): c for w, c in value.items()} == expected, (lam, n_spinons)
@@ -348,5 +350,5 @@ def test_hw_case_census(monkeypatch):
                 assert strip.n == 2
                 assert isinstance(drinfeld_tame(strip.shape, 2), DrinfeldPolys)
     monkeypatch.setattr(verify, "sl2_hw_character", lambda lam, N: SymPoly.one(2))
-    assert (verify._hw_case(Partition([2, 1]), 3)
-            == "strip character mismatch for (Partition(2, 1), 3)")
+    assert (verify._hw_case([2, 1], 3)
+            == "strip character mismatch for ((2, 1), 3)")

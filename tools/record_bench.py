@@ -29,8 +29,11 @@ ZERO_BY_CONSTRUCTION = (
     "Every workload: strips.kept and strips.kept_ratio count the "
     "yangian_decomposition -> strip_schur calls, and "
     "symfunc.strip_schur.calls, symfunc.littlewood_richardson.*, "
-    "qseries.inverse.calls and affine.table_add.calls the calls of a "
-    "function; none of these functions exists any longer.  char-yangian: "
+    "qseries.inverse.calls, affine.table_add.calls and "
+    "partitions.conjugate.calls (it reads the method Partition.conjugate; "
+    "a partition is a tuple, and conjugate is the module function "
+    "partitions.conjugate) the calls of a function; none of these functions "
+    "exists any longer.  char-yangian: "
     "strips.enumerated, "
     "strips.enumerate_border_strips.calls, strips.energy.calls and "
     "symfunc.weight_projection.calls, since the Yangian route is a "
