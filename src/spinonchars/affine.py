@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .partitions import partition_counts
 from .qseries import QSeries, inv_pochhammer_product, q_zero
@@ -72,40 +72,137 @@ def orbit_size(dominant) -> int:
     return size
 
 
-def _arrangements(values: tuple[int, ...], memo: dict) -> dict[int, list[tuple[int, ...]]]:
+def _arrangements(values: tuple[int, ...], steps, memo: dict, span: int, levels,
+                  heads) -> dict:
     """The distinct arrangements a of the sorted tuple `values`, grouped by
-    their first entry: a_1 -> the weights (a_1 - a_2, ..., a_{r-1} - a_r).
-    An arrangement that starts with v is v followed by one of the rest, so
-    its weight is (v - f, *w) for a group f -> w of the rest.  Removing the
-    same entries in any order leaves the same rest, and `memo` builds the
-    groups of each rest once."""
-    groups = memo.get(values)
-    if groups is not None:
-        return groups
-    if len(values) == 1:
-        groups = {values[0]: [()]}
-    else:
+    their first entry: a_1 -> (keys, pieces), one integer key (see
+    `_expand`) and one laid-out piece for each arrangement's weight
+    (a_1 - a_2, ..., a_{r-1} - a_r), r = len(values).
+
+    A weight's coordinate x at index n - s (n = len(levels) - 1) has the
+    piece levels[s](x), made once and kept in heads[s], and the digit
+    x + span, worth (2 span + 1)**(s - 2) in the key.  For r >= 3 an
+    arrangement is v, u and then an arrangement of the rest, the other
+    r - 2 entries, that starts with some f, for one of the `steps` of
+    `values` (see `_steps`): its piece is the pieces of v - u and u - f in
+    front of the rest's piece, and its key is their digits' worth plus the
+    rest's key, with the rest's groups read from `memo`.  Two or fewer
+    entries are written out; the empty weight has the key 0 and the piece
+    levels[1], the whole weight at n = 1 and an empty end otherwise."""
+    r = len(values)
+    if r == 1:
+        return {values[0]: ([0], [levels[1]])}
+    if r == 2:
+        a, b = values
         groups = {}
-        for i, v in enumerate(values):
-            if i and v == values[i - 1]:
-                continue
-            weights = groups[v] = []
-            for f, rest in _arrangements(values[:i] + values[i + 1:], memo).items():
-                head = (v - f,)
-                weights += [head + w for w in rest]
-    memo[values] = groups
+        for v, f in ((a, b), (b, a))[:1 + (a != b)]:
+            piece = heads[2].get(v - f)
+            if piece is None:
+                piece = heads[2][v - f] = levels[2](v - f)
+            groups[v] = ([v - f + span], [piece])
+        return groups
+    groups = {}
+    base = 2 * span + 1
+    scale = base ** (r - 3)
+    firsts, seconds = heads[r], heads[r - 1]
+    for v, rests in steps:
+        keys, pieces = groups[v] = [], []
+        for u, rest in rests:
+            first = firsts.get(v - u)
+            if first is None:
+                first = firsts[v - u] = levels[r](v - u)
+            first_key = (v - u + span) * base * scale
+            for f, (rest_keys, rest_pieces) in memo[rest].items():
+                second = seconds.get(u - f)
+                if second is None:
+                    second = seconds[u - f] = levels[r - 1](u - f)
+                head, head_key = first + second, first_key + (u - f + span) * scale
+                if len(rest_keys) == 1:
+                    keys.append(head_key + rest_keys[0])
+                    pieces.append(head + rest_pieces[0])
+                else:
+                    keys += [head_key + key for key in rest_keys]
+                    pieces += [head + piece for piece in rest_pieces]
     return groups
 
 
-def _expand(pairs) -> list:
-    """(w, value) for every weight w of the orbit of each (dominant weight,
-    value) pair: the weights of the arrangements of its c (see
-    `dominant_weight`), one tuple each, through one memo of `_arrangements`
-    shared by all the orbits."""
+def _steps(values: tuple[int, ...], rests: dict) -> list[tuple[int, list]]:
+    """(v, [(u, rest), ...]) for each distinct entry v of the sorted tuple
+    `values`, in increasing order, with each distinct entry u of the others
+    and the rest after removing v and u; each rest is also put in the dict
+    `rests`."""
+    steps = []
+    for i, v in enumerate(values):
+        if i and v == values[i - 1]:
+            continue
+        others = values[:i] + values[i + 1:]
+        pairs = []
+        for j, u in enumerate(others):
+            if j and u == others[j - 1]:
+                continue
+            rest = others[:j] + others[j + 1:]
+            pairs.append((u, rest))
+            rests[rest] = None
+        steps.append((v, pairs))
+    return steps
+
+
+def _expand(orbits: dict, levels) -> tuple[list, list]:
+    """(pieces, values): for every weight of the orbit of each (dominant
+    weight, value) pair of `orbits`, its piece laid out by `levels` (see
+    `_arrangements`) and the orbit's value object, in weight order.  The
+    weights are the arrangements of each c (see `dominant_weight`), and
+    they are put in order by sorting their integer keys.
+
+    Every c has n entries.  The tuples its arrangements reach by removing
+    two entries at a time form layers of n, n - 2, n - 4, ... entries, and
+    each layer is built from the one below, which is then dropped: removing
+    the same entries in any order leaves the same rest, so the groups of
+    each rest, and every piece of them, are built once and shared by every
+    orbit that reaches them, and at most two layers are held at once.
+    Each step lays out two coordinates because a rest of n - 1 entries is
+    reached by one orbit only, unless two c of the table differ in a single
+    entry: one coordinate a step built 71 191 such pieces for
+    (n, k, qmax) = (8, 0, 10), as many as the table has weights, and shared
+    none.
+
+    The keys sort as the weights do.  Every entry of one c lies between its
+    least and its greatest, so |w_i| <= span, the largest spread of a c, at
+    every weight w; the digits w_i + span of its key are then 0..2 span,
+    below the base 2 span + 1, and every weight has n - 1 of them, w_i worth
+    base**(n - 1 - i).  Let w < w' first differ at coordinate j, so their
+    digits agree before j and w'_j + span >= w_j + span + 1.  The digits of
+    w after j add at most sum_{i > j} (base - 1) base**(n - 1 - i) =
+    base**(n - 1 - j) - 1 to its key, less than the extra base**(n - 1 - j)
+    of w'_j, so key(w) < key(w')."""
+    values = [tuple(sorted(accumulate(reversed(key), initial=0))) for key in orbits]
+    span = max((c[-1] - c[0] for c in values), default=0)
+    layers = [dict.fromkeys(values)]  # tuple -> its steps, down to two entries or fewer
+    while len(next(iter(layers[-1]), ())) > 2:
+        layer, below = layers[-1], {}
+        for c in layer:
+            layer[c] = _steps(c, below)
+        layers.append(below)
+    heads = [{} for _ in levels]
     memo: dict = {}
-    return [(w, value) for key, value in pairs
-            for weights in _arrangements(tuple(sorted(_eps(key))), memo).values()
-            for w in weights]
+    for layer in reversed(layers):
+        memo = {c: _arrangements(c, steps, memo, span, levels, heads)
+                for c, steps in layer.items()}
+    keys: list[int] = []
+    pieces: list = []
+    held: list = []
+    for c, value in zip(values, orbits.values()):
+        for group_keys, group_pieces in memo.pop(c).values():
+            keys += group_keys
+            pieces += group_pieces
+        held += [value] * (len(keys) - len(held))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [*map(pieces.__getitem__, order)], [*map(held.__getitem__, order)]
+
+
+def _coordinate(x: int) -> tuple[int]:
+    """The piece of one weight coordinate in a weight tuple."""
+    return (x,)
 
 
 class CharacterTable:
@@ -116,10 +213,9 @@ class CharacterTable:
     constant on each orbit of the Weyl group (Kac, Infinite-dimensional Lie
     algebras, ch. 12).  `orbits` maps the dominant weight of each orbit to
     the row that every weight of the orbit holds; `row` reads any weight
-    through its orbit, and `items` expands the orbits to one (weight, row)
-    pair per weight, laying out each orbit's row once if asked.  No row
-    changes once a builder returns it, so several orbits may share one row
-    object (`bosonic_character` shares them)."""
+    through its orbit, and `items` and `laid_out` expand the orbits to one
+    entry per weight.  No row changes once a builder returns it, so several
+    orbits may share one row object (`bosonic_character` shares them)."""
 
     def __init__(self, n: int, k: int, qmax: int):
         self.delta = conformal_dimension(n, k)  # checks 0 <= k < n first
@@ -181,14 +277,22 @@ class CharacterTable:
             raise ValueError(f"weight {weight} has wrong length for n={self.n}")
         return list(self.orbits.get(dominant_weight(weight), [0] * (self.qmax + 1)))
 
-    def items(self, layout=None) -> list[tuple[tuple[int, ...], object]]:
-        """(weight, row) for every weight of every orbit, in weight order,
-        or (weight, layout(row)) with `layout` called once per orbit; the
-        weights of one orbit share one row, or one laid-out row, object."""
-        pairs = _expand((key, layout(row) if layout else row)
-                        for key, row in self.orbits.items())
-        pairs.sort(key=itemgetter(0))  # the int-tuple keys sort fastest
-        return pairs
+    def items(self) -> list[tuple[tuple[int, ...], object]]:
+        """(weight, row) for every weight of every orbit, in weight order;
+        the weights of one orbit share its row object.  The weights are
+        pieces of `_expand` with each coordinate laid out as a 1-tuple."""
+        return list(zip(*_expand(self.orbits, [None, (), *[_coordinate] * (self.n - 1)])))
+
+    def laid_out(self, levels, tail) -> tuple[list, list]:
+        """(pieces, texts), two lists with one entry for every weight of
+        every orbit, in weight order (see `_expand`): a weight's piece is
+        the pieces of its coordinates in order, joined by `+`, and its text
+        is tail(row) of its orbit's row, called once per orbit.  levels[1]
+        is the piece of the empty weight (n = 1; an empty end of a longer
+        one), and levels[s](x), s = 2..n, the piece of the coordinate x at
+        index n - s, made once for each x; every piece of a sub-arrangement
+        of an orbit's c is built once (see `_arrangements`)."""
+        return _expand({key: tail(row) for key, row in self.orbits.items()}, levels)
 
     def first_difference(self, other: "CharacterTable"):
         """None if equal; else (weight, degree, self_coeff, other_coeff) at
@@ -199,11 +303,12 @@ class CharacterTable:
             other.n, other.k, other.qmax, other.delta,
         ):
             return ((), -1, None, None)
-        differ = [key for key in self.orbits.keys() | other.orbits.keys()
-                  if self.row(key) != other.row(key)]
+        differ = {key: key for key in self.orbits.keys() | other.orbits.keys()
+                  if self.row(key) != other.row(key)}
         if not differ:
             return None
-        w, key = min(_expand((key, key) for key in differ))
+        weights, keys = _expand(differ, [None, (), *[_coordinate] * (self.n - 1)])
+        w, key = weights[0], keys[0]
         a, b = self.row(key), other.row(key)
         d = next(d for d in range(self.qmax + 1) if a[d] != b[d])
         return (w, d, a[d], b[d])
@@ -250,6 +355,18 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     return table.validate()
 
 
+def weight_count(n: int, k: int, qmax: int, stop: int) -> int:
+    """The number of weights of the level-1 table (n, k, qmax), the orbit
+    sizes of the dominant vectors that `bosonic_character` enumerates, or
+    the first partial sum past `stop`, which ends the count."""
+    count = 0
+    for c in _decreasing_vectors(n, k, k + 2 * qmax):
+        count += orbit_size(exps_to_fw(c))
+        if count > stop:
+            break
+    return count
+
+
 def _decreasing_vectors(length: int, total: int, max_sq: int, top: int | None = None):
     """Yield every weakly decreasing integer vector (c_1..c_r), r = `length`,
     with entries summing to `total`, squares summing to at most `max_sq`
@@ -259,8 +376,12 @@ def _decreasing_vectors(length: int, total: int, max_sq: int, top: int | None = 
     By Cauchy-Schwarz, r entries summing to t with squares summing to at most
     R exist over the reals only if t^2 <= r R; a prefix is extended only if
     the entries after it can still meet that bound.  For r = 1 the bound is
-    exact: the last entry is t.  A module-level generator, not a closure, so
-    that no reference cycle outlives the sum."""
+    exact: the last entry is t.  The first entry is the largest, so it is at
+    least the mean t / r, and no smaller one is tried: from each smaller one
+    the search went on through every later entry before it found nothing,
+    which took minutes at r = 200 and R = 80 000.  A module-level
+    generator, not a closure, so that no reference cycle outlives the
+    sum."""
     if length < 1 or total * total > length * max_sq:
         return
     if length == 1:
@@ -268,7 +389,8 @@ def _decreasing_vectors(length: int, total: int, max_sq: int, top: int | None = 
             yield (total,)
         return
     bound = math.isqrt(max_sq)
-    for c in range(-bound, (bound if top is None else min(bound, top)) + 1):
+    for c in range(max(-bound, -(-total // length)),
+                   (bound if top is None else min(bound, top)) + 1):
         for rest in _decreasing_vectors(length - 1, total - c, max_sq - c * c, c):
             yield (c, *rest)
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 import gc
 import json
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from math import isqrt
+from operator import add
 
 from . import affine, yangian
 from .partitions import _brief, partition
@@ -18,6 +21,10 @@ USAGE_ERROR = 2
 # The largest --n: `affine._decreasing_vectors` nests a generator per
 # coordinate, out of stack near rank 500; `--kind yangian` took 1.2 s at 600.
 MAX_RANK = 200
+# The most numbers a char table holds, weights * (n + qmax): each weight has
+# n - 1 coordinates and qmax + 1 coefficients.  (200, 0, 1) holds 8 000 001
+# in 90 MB of json; (50, 0, 2), at 71 981 052, wrote 875 MB.
+MAX_TABLE_NUMBERS = 10**7
 
 
 class UsageError(Exception):
@@ -44,6 +51,7 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
         raise UsageError(f"--qmax must be >= 0, got {_brief(str(qmax), 20)}")
     if n != 2 and kind in ("fermionic-root", "fermionic-spinon", "spinon-enum", "sl2-yangian"):
         raise UsageError(f"--kind {kind} requires --n 2")
+    _check_numbers(n, k, qmax)
     if kind == "bosonic":
         return affine.bosonic_character(n, k, qmax)
     if kind == "fermionic-root":
@@ -57,50 +65,99 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
     return yangian.sl2_yangian_decomposition(k, qmax)
 
 
+def _check_numbers(n: int, k: int, qmax: int) -> None:
+    """Refuse a table of more than `MAX_TABLE_NUMBERS` numbers, its weights
+    counted by `affine.weight_count` before any route runs.  A weight is
+    that of one vector c with sum k and sum c_i^2 <= k + 2 qmax (see
+    `affine.bosonic_character`), so every |c_i| <= isqrt(k + 2 qmax) = b,
+    c_n follows from the rest, and a table of at most (2b + 1)^(n-1)
+    weights under the ceiling passes without a count.  Every table holds a
+    weight at degree 0, so a row longer than the ceiling is refused before
+    the count."""
+    most = MAX_TABLE_NUMBERS // (n + qmax)
+    if (2 * isqrt(k + 2 * qmax) + 1) ** (n - 1) <= most:
+        return
+    if not most or affine.weight_count(n, k, qmax, most) > most:
+        raise UsageError(f"--n {n} --k {k} --qmax {_brief(str(qmax), 20)} gives a table of "
+                         f"more than {MAX_TABLE_NUMBERS} numbers (n + qmax at each weight), "
+                         "the most char writes")
+
+
 def _json_int_list(count: int) -> str:
-    """The json layout of a list of `count` integers, as a `%d` template,
-    at the depth of a row's "weight" and "coeffs"."""
-    if not count:
-        return "[]"
+    """The json layout of a list of `count` >= 1 integers, as a `%d`
+    template, at the depth of a row's "coeffs"."""
     return "[\n        " + ",\n        ".join(("%d",) * count) + "\n      ]"
 
 
 def _write_table(table, fmt: str, out) -> None:
-    """Write the table to `out` weight by weight, each line ending in a
+    """Write the table to `out` in weight order, each line ending in a
     newline; every table builder drops its all-zero rows itself.
     `json` has the layout of `json.dumps(..., indent=2)` of the dict with
     keys n, k, delta ("num/den"), qmax and rows, a list of
     {"weight": [...], "coeffs": [...]} in weight order; the standard
     encoder falls back to pure Python when indenting, so the layout is
-    written here instead: every row has as many weight coordinates
-    and coefficients as the next, so one `%` template per table lays out a
-    row.  In every format `table.items` lays out the text of an orbit's
-    coefficients once, and it is written at each of the orbit's weights."""
+    written here instead.
+
+    A row is its weight's text, laid out coordinate by coordinate inside
+    the orbit expansion (`CharacterTable.laid_out`, with the levels of
+    `_levels`), then the text of its orbit's coefficients, laid out once
+    per orbit; the text before a weight that is the same in every row opens
+    the rows and separates them.  A weight's text and its orbit's are kept
+    apart until the rows are written, `_ROWS_PER_WRITE` at a time."""
+    n = table.n
+    delta = f"{table.delta.numerator}/{table.delta.denominator}"
     if fmt == "json":
-        delta = f"{table.delta.numerator}/{table.delta.denominator}"
-        out.write(f'{{\n  "n": {table.n},\n  "k": {table.k},\n'
+        out.write(f'{{\n  "n": {n},\n  "k": {table.k},\n'
                   f'  "delta": "{delta}",\n  "qmax": {table.qmax},\n')
-        row_text = ('%s    {\n      "weight": ' + _json_int_list(table.n - 1)
-                    + ',\n      "coeffs": %s\n    }')
-        coeffs_text = _json_int_list(table.qmax + 1)
-        sep = '  "rows": [\n'
-        for w, text in table.items(lambda row: coeffs_text % tuple(row)):
-            out.write(row_text % (sep, *w, text))
-            sep = ",\n"
-        out.write("\n  ]\n}\n" if sep == ",\n" else '  "rows": []\n}\n')
+        coeffs_text = ',\n      "coeffs": ' + _json_int_list(table.qmax + 1) + "\n    }"
+        rows = table.laid_out(_levels(n, "[", "\n        %d,", "\n        %d\n      ]", "[]"),
+                              lambda row: coeffs_text % tuple(row))
+        if not rows[1]:
+            out.write('  "rows": []\n}\n')
+            return
+        head = '\n    {\n      "weight": '
+        _write_rows(rows, add, '  "rows": [' + head, "," + head, out)
+        out.write("\n  ]\n}\n")
     elif fmt == "csv":
-        header = [f"w{i}" for i in range(1, table.n)] + ["qdegree", "coeff"]
-        out.write(",".join(header) + "\n")
+        out.write(",".join([*(f"w{i}" for i in range(1, n)), "qdegree", "coeff"]) + "\n")
         # a weight's lines are its prefix joined to ["", "d,c\n", ...]
-        for w, lines in table.items(lambda row: ["", *(
-                f"{d},{c}\n" for d, c in enumerate(row) if c)]):
-            out.write("".join(f"{x}," for x in w).join(lines))
+        rows = table.laid_out(_levels(n, "", "%d,", "%d,", ""), lambda row: ["", *(
+            f"{d},{c}\n" for d, c in enumerate(row) if c)])
+        _write_rows(rows, str.join, "", "", out)
     else:
-        out.write(f"n={table.n} k={table.k} qmax={table.qmax} "
-                  f"delta={table.delta.numerator}/{table.delta.denominator}\n")
-        for w, terms in table.items(lambda row: " + ".join(
-                f"{c}*q^{d}" for d, c in enumerate(row) if c) or "0"):
-            out.write(f"weight {w}: {terms}\n")
+        out.write(f"n={n} k={table.k} qmax={table.qmax} delta={delta}\n")
+        rows = table.laid_out(
+            _levels(n, "(", "%d, ", "%d,)" if n == 2 else "%d)", "()"),
+            lambda row: ": " + (" + ".join(f"{c}*q^{d}" for d, c in enumerate(row) if c)
+                                or "0") + "\n")
+        _write_rows(rows, add, "weight ", "weight ", out)
+
+
+def _levels(n: int, head: str, middle: str, last: str, empty: str) -> list:
+    """The levels of `CharacterTable.laid_out` for a weight's text: `head`,
+    then each of the n - 1 coordinates laid out by the `%d` template
+    `middle`, the last one by `last`; `empty` is the whole text of the
+    empty weight (n = 1)."""
+    levels = [None, empty if n == 1 else "", *[middle.__mod__] * (n - 1)]
+    if n > 1:
+        levels[2] = last.__mod__
+        levels[n] = (head + (last if n == 2 else middle)).__mod__
+    return levels
+
+
+# rows joined into one string per `out.write`
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(rows: tuple, combine, opening: str, sep: str, out) -> None:
+    """Write combine(piece, text) for each weight of the pair `rows` from
+    `laid_out`, in order, after `opening` and joined by `sep`; nothing if
+    there is no weight."""
+    pieces, texts = rows
+    rows = map(combine, pieces, texts)
+    for start in range(0, len(texts), _ROWS_PER_WRITE):
+        out.write(sep if start else opening)
+        out.write(sep.join(islice(rows, _ROWS_PER_WRITE)))
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,6 @@ def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case
     alternating cut forms (N <= 3n), for every weight with
     |lambda|^2/2 - Delta_k <= 2 at ranks 2, 3 and 4 (or rank `n`, at most
     `MAX_SPINON_CUT_RANK`), to q^8."""
-    if n is not None and n > MAX_SPINON_CUT_RANK:
-        raise ValueError(f"suite spinon-cut takes --n <= {MAX_SPINON_CUT_RANK}, got {n}")
     if qmax is None:
         qmax = 8
     cases = []
@@ -389,9 +387,17 @@ def _sl2_four_way(k, qmax):
 # ---------------------------------------------------------------------------
 # suite: decomposition
 
+# The largest rank of the decomposition suite.  Its case count does not grow
+# with the rank, but the Yangian route of its two tables does: the suite
+# took 1.6 s at rank 34, 8.5 s at 36, 10.6 s at 38, 16 s at 40 and more
+# than 40 s at 50.
+MAX_DECOMPOSITION_RANK = 36
+
+
 def decomposition_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
     """The border-strip decomposition against the bosonic tables at n=2 to
-    q^8, n=3 to q^5 and n=4 (k=0,1) to q^3, or at rank `n` only; a given
+    q^8, n=3 to q^5 and n=4 (k=0,1) to q^3, or at rank `n` only (at most
+    `MAX_DECOMPOSITION_RANK`, the k=0,1 tables to q^3); a given
     `qmax` replaces these orders and takes every k.  Also the rank-2 module
     sum to q^8 and the module checks for every partition of size <= 5 with
     N <= 5 spinons, which take neither a rank nor an order."""
@@ -456,11 +462,16 @@ def _hw_case(lam, N):
 # ---------------------------------------------------------------------------
 # suite: gz (branching schemes and Drinfel'd polynomial cross-checks)
 
+# The largest rank of the gz suite, whose 238 cases take longer at each
+# rank: the suite took 6.0 s at rank 10, 10.6 s at 11 and 18.2 s at 12.
+MAX_GZ_RANK = 10
+
+
 def gz_cases(n: int | None = None) -> list[Case]:
     """GZ schemes against skew Schur polynomials for outer size <= 5 and up to
-    2 spinons at ranks 2 and 3 (or rank `n`), and the two Drinfel'd
-    polynomial routes for every partition of size <= 6 at ranks 2-4.  No
-    truncation order."""
+    2 spinons at ranks 2 and 3 (or rank `n`, at most `MAX_GZ_RANK`), and
+    the two Drinfel'd polynomial routes for every partition of size <= 6 at
+    ranks 2-4.  No truncation order."""
     ranks = (2, 3) if n is None else (n,)
     cases = []
     for lam in all_partitions_upto(5):
@@ -526,16 +537,25 @@ SUITES = {
     "gz": gz_cases,
 }
 
+# the largest --n of each suite whose run grows with the rank, smallest first
+MAX_RANKS = {"spinon-cut": MAX_SPINON_CUT_RANK, "gz": MAX_GZ_RANK,
+             "decomposition": MAX_DECOMPOSITION_RANK}
+
 
 def build_suite(name: str, n: int | None = None, qmax: int | None = None) -> list[Case]:
     """The cases of one suite, or of every suite for "all".  "all" passes each
     builder the overrides it reads; a named suite given an override it does
-    not read raises ValueError naming the flag."""
+    not read raises ValueError naming the flag.  A rank past `MAX_RANKS` of
+    the suite, or for "all" past the smallest of them, raises ValueError
+    naming that suite's ceiling before any case is built."""
     given = {"n": n, "qmax": qmax}
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    for suite, most in MAX_RANKS.items():
+        if n is not None and n > most and name in (suite, "all"):
+            raise ValueError(f"suite {suite} takes --n <= {most}, got {n}")
     if name == "all":
         return [case for key in sorted(SUITES) for case in _build(key, given)]
-    if name not in SUITES:
-        raise KeyError(name)
     unread = [flag for flag, value in given.items()
               if value is not None and flag not in _reads(name)]
     if unread:

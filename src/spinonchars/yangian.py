@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import add, sub
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
 from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
@@ -314,31 +315,41 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     factor i = 0 adds no q-degree, so h_{N - placed} then closes the state;
     at i = budget + 1 every state closes.  The rest of a product's sum
     depends only on its state, linearly, so the products reaching one state
-    share one dict from sl2 weight to coefficient.  `from_weights` folds
-    the rows into orbits and checks that they are W-invariant."""
-    rows: dict[tuple[int], list[int]] = {}
-    for total, base in sl2_spinon_grades(k, qmax):
-        states = {(0, qmax - base): {0: 1}}  # (parts placed, budget left) -> weight -> coeff
+    share one value.  A product reaching (placed, left) is a product of h's
+    of total degree placed, whose weights are among -placed, -placed + 2,
+    ..., placed, so a value is the list of its placed + 1 coefficients
+    there, and two values of one state add entry by entry.  The closed
+    values are added into one column per grade, over the weights -top,
+    -top + 2, ..., top of the largest N, and each weight's row is read
+    across the columns; `from_weights` folds the rows into orbits and
+    checks that they are W-invariant."""
+    grades = list(sl2_spinon_grades(k, qmax))
+    top = grades[-1][0] if grades else 0  # no grade when qmax < 0: from_weights refuses it
+    columns = [[0] * (top + 1) for _ in range(qmax + 1)]
+    for total, base in grades:
+        low, high = (top - total) // 2, (top + total) // 2 + 1
+        states = {(0, qmax - base): [1]}  # (parts placed, budget left) -> coefficients
         for part in range(1, qmax - base + 2):
-            grown: dict[tuple[int, int], dict] = {}
+            grown: dict[tuple[int, int], list[int]] = {}
             for (placed, left), value in states.items():
                 most = min(total - placed, left // part)
                 if not most:  # no block of this part size fits, nor of a larger one
-                    for w, c in _times_h(value, total - placed).items():
-                        rows.setdefault((w,), [0] * (qmax + 1))[qmax - left] += c
+                    column = columns[qmax - left]
+                    column[low:high] = map(add, column[low:high], _times_h(value, total - placed))
                     continue
                 for m in range(most + 1):
-                    _add_into(grown.setdefault((placed + m, left - part * m), {}),
-                              _times_h(value, m), 1)
+                    key, times = (placed + m, left - part * m), _times_h(value, m)
+                    held = grown.get(key)
+                    grown[key] = times if held is None else [*map(add, held, times)]
             states = grown
+    rows = {(2 * i - top,): row for i, row in enumerate(zip(*columns))}
     return CharacterTable.from_weights(2, k, qmax, rows)
 
 
-def _times_h(value: dict, m: int) -> dict:
-    """`value` (sl2 weight -> coefficient) times h_m in two variables, whose
-    monomials x_1^a x_2^(m-a) have the weights m, m - 2, ..., -m."""
-    out: dict = {}
-    for w, c in value.items():
-        for v in range(w - m, w + m + 1, 2):
-            out[v] = out.get(v, 0) + c
-    return out
+def _times_h(value: list[int], m: int) -> list[int]:
+    """`value`, the coefficients at the sl2 weights -p, -p + 2, ..., p, times
+    h_m in two variables, whose monomials have the weights -m, -m + 2, ...,
+    m: the coefficients at -p - m, ..., p + m.  Weight -p - m + 2j takes
+    value[i] for j - m <= i <= j, a difference of two prefix sums."""
+    sums = [0, *accumulate(value)]
+    return [*map(sub, sums[1:] + sums[-1:] * m, [0] * m + sums[:-1])]

@@ -7,15 +7,17 @@ import os
 import subprocess
 import sys
 import time
+from itertools import accumulate, permutations
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinonchars import cli, strips, verify
+from spinonchars import affine, cli, strips, verify
 from spinonchars.affine import (CharacterTable, _decreasing_vectors, bosonic_character,
-                               exps_to_fw, orbit_size)
+                               dominant_weight, exps_to_fw, orbit_size)
 from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
                              _render_report, _write_table, main)
 from oracles import hand_built, table_json_dict
@@ -109,16 +111,96 @@ def test_json_table_layout_of_hand_built_tables(table):
     assert out.getvalue() == json.dumps(table_json_dict(table), indent=2) + "\n"
 
 
-def test_items_lays_out_each_orbit_once():
-    """The 2 691 weights of (6, 0, 8) lie in 24 orbits, and `items(layout)`
-    calls `layout` once per orbit, before the expansion, and gives each
-    weight the text of its orbit's row, in the weight order of `items()`."""
-    table = bosonic_character(6, 0, 8)
-    laid_out = []
-    pairs = table.items(lambda row: laid_out.append(row) or len(laid_out))
-    assert len(pairs) == 2691 and len(table.orbits) == 24 and len(laid_out) == 24
-    assert [w for w, _ in pairs] == [w for w, _ in table.items()]
-    assert all(laid_out[text - 1] == row for (_, text), (_, row) in zip(pairs, table.items()))
+@pytest.mark.parametrize("n,k,qmax", [(6, 0, 8), (8, 0, 10)])
+def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, k, qmax):
+    """`laid_out` builds the groups of each tuple of c entries once, lays
+    out each coordinate value of each level once and each orbit's row once,
+    and within every group built, and over the whole table, the order of
+    the integer keys is the sorted order of the weight tuples."""
+    table = bosonic_character(n, k, qmax)
+    arrangements, built = affine._arrangements, []
+
+    def spy(values, *args):
+        groups = arrangements(values, *args)
+        built.append((values, groups))
+        return groups
+
+    monkeypatch.setattr(affine, "_arrangements", spy)
+    coordinates = []
+
+    def coordinate(level):
+        return lambda x: coordinates.append((level, x)) or (x,)
+
+    rows = []
+    levels = [None, (), *map(coordinate, range(2, n + 1))]
+    weights, texts = table.laid_out(levels, lambda row: rows.append(row) or len(rows))
+    tuples = [values for values, _ in built]
+    assert len(tuples) == len(set(tuples)) and len(coordinates) == len(set(coordinates))
+    assert len(rows) == len(table.orbits) == len({*texts})
+    assert all(rows[text - 1] is table.orbits[dominant_weight(w)] for w, text in zip(weights, texts))
+    for values, groups in built:
+        pairs = [pair for keys, pieces in groups.values() for pair in zip(keys, pieces)]
+        assert len({key for key, _ in pairs}) == len(pairs), values
+        assert [w for _, w in sorted(pairs, key=itemgetter(0))] == sorted(w for _, w in pairs)
+    assert weights == sorted({*weights}) and len(weights) == sum(map(orbit_size, table.orbits))
+
+
+def _reference_texts(table) -> dict:
+    """The three formats of `char`, written from the weights of each orbit
+    found as the weights of the distinct permutations of its c, with the
+    standard json encoder."""
+    n, k, qmax = table.n, table.k, table.qmax
+    rows = {}
+    for key, row in table.orbits.items():
+        c = [*accumulate(reversed(key), initial=0)][::-1]
+        for p in set(permutations(c)):
+            rows[tuple(p[i] - p[i + 1] for i in range(n - 1))] = list(row)
+    ordered = sorted(rows.items())
+    delta = f"{table.delta.numerator}/{table.delta.denominator}"
+    head = {"n": n, "k": k, "delta": delta, "qmax": qmax}
+    rows_json = [{"weight": list(w), "coeffs": row} for w, row in ordered]
+    csv = "".join([",".join([*(f"w{i}" for i in range(1, n)), "qdegree", "coeff"]) + "\n", *(
+        ",".join(map(str, (*w, d, c))) + "\n" for w, row in ordered
+        for d, c in enumerate(row) if c)])
+    pretty = "".join([f"n={n} k={k} qmax={qmax} delta={delta}\n", *(
+        f"weight {w}: " + (" + ".join(f"{c}*q^{d}" for d, c in enumerate(row) if c) or "0")
+        + "\n" for w, row in ordered)])
+    return {"json": json.dumps({**head, "rows": rows_json}, indent=2) + "\n",
+            "csv": csv, "pretty": pretty}
+
+
+@st.composite
+def _hand_built_tables(draw):
+    """A W-invariant table of rank 1 to 7 with up to four orbits, each named
+    by a weight with coordinates of up to three digits of either sign, and
+    coefficients of up to twelve digits of either sign, to q^0..q^4."""
+    n, qmax = draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    k = draw(st.integers(0, n - 1))
+    coordinate = st.integers(-3, 3) | st.integers(-999, 999)
+    coefficient = st.integers(-9, 9) | st.integers(-10**12, 10**12)
+    rows = draw(st.lists(st.tuples(st.tuples(*[coordinate] * (n - 1)),
+                                   st.lists(coefficient, min_size=qmax + 1, max_size=qmax + 1)),
+                         max_size=4))
+    return hand_built(n, k, qmax, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hand_built_tables())
+@example(hand_built(1, 0, 2, [((), (3, -1, 22))]))
+@example(hand_built(3, 1, 2, []))
+@example(hand_built(3, 0, 0, [((2, 0), (1,)), ((1, 1), (-20,))]))
+def test_every_format_lays_out_hand_built_tables(table):
+    """The json, csv and pretty texts of drawn tables are those written
+    weight by weight from an expansion of each orbit that does not go
+    through `laid_out`.  The examples are rank 1, the empty table, and the
+    orbits of (2, 0) and (1, 1), whose weights (0, -2) and (-1, 2) have
+    equal keys if the key's base is 2 span instead of 2 span + 1, the first
+    orbit's weight then coming first."""
+    expected = _reference_texts(table)
+    for fmt in ("json", "csv", "pretty"):
+        out = io.StringIO()
+        _write_table(table, fmt, out)
+        assert out.getvalue() == expected[fmt], fmt
 
 
 def test_char_json_bytes_pinned_at_many_rows(capsys):
@@ -682,6 +764,70 @@ def test_spinon_cut_refuses_a_rank_past_its_census(capsys, suite, rank):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(rank))
     assert (code, out) == (2, "")
     assert err == f"spinonchars: error: suite spinon-cut takes --n <= {ceiling}, got {rank}\n"
+
+
+@pytest.mark.parametrize("argv,suite,ceiling", [
+    (("gz", "--n", "11"), "gz", verify.MAX_GZ_RANK),
+    (("decomposition", "--n", "37"), "decomposition", verify.MAX_DECOMPOSITION_RANK),
+    (("decomposition", "--n", "200", "--qmax", "1"), "decomposition",
+     verify.MAX_DECOMPOSITION_RANK),
+    (("all", "--n", "11"), "spinon-cut", verify.MAX_SPINON_CUT_RANK),
+    (("all", "--n", "37"), "spinon-cut", verify.MAX_SPINON_CUT_RANK),
+])
+def test_verify_refuses_a_rank_past_its_suite_ceiling(capsys, monkeypatch, argv, suite, ceiling):
+    """`gz` and `decomposition` grow with the rank (gz took 18 s at rank 12,
+    decomposition more than 40 s at rank 50), so each has a ceiling, and
+    `all` takes the smallest; a rank past it is refused on one line with
+    exit 2 within 50 ms, before any suite builds a case."""
+    monkeypatch.setattr(verify, "SUITES", {name: None for name in verify.SUITES})
+    assert verify.MAX_SPINON_CUT_RANK < verify.MAX_GZ_RANK < verify.MAX_DECOMPOSITION_RANK
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    assert err == f"spinonchars: error: suite {suite} takes --n <= {ceiling}, got {argv[2]}\n"
+    assert elapsed < 0.05, elapsed
+
+
+@pytest.mark.parametrize("n,k,qmax", [(2, 0, 9), (2, 1, 8), (3, 1, 6), (5, 0, 5),
+                                      (8, 0, 10), (8, 5, 2)])
+def test_weight_count_counts_the_expanded_weights(n, k, qmax):
+    """`affine.weight_count` counts the weights of a table from its
+    dominant vectors, and stops at the first partial count past `stop`."""
+    weights = len(bosonic_character(n, k, qmax).items())
+    assert affine.weight_count(n, k, qmax, weights) == weights
+    partial = affine.weight_count(n, k, qmax, weights // 2)
+    assert weights // 2 < partial <= weights
+
+
+@pytest.mark.parametrize("n,k,qmax", [(50, 0, 2), (200, 0, 2), (200, 0, 40000),
+                                      (200, 199, 3), (2, 0, 10**7), (3, 0, int("9" * 4000))])
+def test_char_refuses_a_table_past_the_ceiling_at_once(capsys, monkeypatch, n, k, qmax):
+    """A table of more than `cli.MAX_TABLE_NUMBERS` numbers, n + qmax at each
+    weight, is refused on one line with exit 2 within 50 ms, its weights
+    counted before any route runs: (50, 0, 2) has 1 384 251 weights and
+    wrote 875 MB, and (200, 0, 2), 388 149 501 weights, ran out of memory."""
+    for route in ("bosonic_character", "sl2_fermionic_character"):
+        monkeypatch.setattr(affine, route, None)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "char", "--kind", "bosonic", "--n", str(n),
+                             "--k", str(k), "--qmax", str(qmax))
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    quoted = str(qmax) if qmax < 10**20 else "9" * 17 + "..."
+    assert err == (f"spinonchars: error: --n {n} --k {k} --qmax {quoted} gives a table of "
+                   f"more than {cli.MAX_TABLE_NUMBERS} numbers (n + qmax at each weight), "
+                   "the most char writes\n")
+    assert elapsed < 0.05, elapsed
+
+
+def test_char_ceiling_admits_the_rank_200_table_of_order_one():
+    """(200, 0, 1), 39 801 weights of 8 000 001 numbers, is under the
+    ceiling, and so is every table of the benchmark and the golden file."""
+    assert affine.weight_count(200, 0, 1, cli.MAX_TABLE_NUMBERS) * 201 == 8_000_001
+    cli._check_numbers(200, 0, 1)
+    for n, k, qmax in ((8, 0, 10), (2, 0, 120), (2, 1, 120), (2, 1, 36), (4, 3, 3)):
+        cli._check_numbers(n, k, qmax)
 
 
 def test_cli_imports_neither_inspect_nor_dataclasses():

@@ -3,8 +3,9 @@ exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 
 The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
-refused by each command, ranks past `verify.MAX_SPINON_CUT_RANK` refused
-by the `spinon-cut` suite, integer options of 4000 digits out of their
+refused by each command, a table past `cli.MAX_TABLE_NUMBERS` refused,
+ranks past `verify.MAX_RANKS` refused by the `spinon-cut`, `gz` and
+`decomposition` suites, integer options of 4000 digits out of their
 range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
@@ -50,6 +51,7 @@ COMMANDS = (
     _char("bosonic", 3, 3, 2, "pretty"),
     _char("yangian", 3, 0, -1, "pretty"),
     *(_char(kind, 2000, 0, 1, "pretty") for kind in ("bosonic", "yangian")),
+    _char("bosonic", 50, 0, 2, "pretty"),
     *(_char("bosonic", n, k, qmax, "pretty")
       for n, k, qmax in (("-" + HUGE, 0, 1), (3, HUGE, 1), (3, 0, "-" + HUGE))),
     *(_char("bosonic", 8, 0, 10, fmt) for fmt in ("json", "csv", "pretty")),
@@ -59,6 +61,8 @@ COMMANDS = (
     ("verify", "--suite", "schur", "--n", "2"),
     ("verify", "--suite", "gz", "--n", "201"),
     *(("verify", "--suite", "spinon-cut", "--n", rank) for rank in ("9", "200")),
+    ("verify", "--suite", "gz", "--n", "11"),
+    ("verify", "--suite", "decomposition", "--n", "37"),
     ("verify", "--suite", "sl2", "--qmax", "-" + HUGE),
     ("verify", "--suite", "sl2", "--jobs", HUGE),
     *(_bijection(src, dst, n, payload)

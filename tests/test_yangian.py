@@ -327,15 +327,20 @@ def test_sl2_route_h_factors_chain_to_the_module_characters():
     """`_times_h` chained over m_0 = N - l(lambda), m_1, m_2, ... from the
     weight 0 gives the weights of `sl2_hw_character`, for every N <= 6 and
     |lambda| <= 6; the `hw-module` cases check that character against each
-    strip's Schur polynomial, so they vouch for what the rank-2 route sums."""
+    strip's Schur polynomial, so they vouch for what the rank-2 route sums.
+    A value lists the coefficients at the weights -p, -p + 2, ..., p, so
+    after the chain, at p = N, and zero coefficients are read as absent."""
     for n_spinons in range(7):
         for size in range(7):
             for lam in partitions_of(size, max_len=n_spinons):
-                value = {0: 1}
+                value = [1]
                 for m in (n_spinons - len(lam), *Counter(lam).values()):
                     value = yangian._times_h(value, m)
+                assert len(value) == n_spinons + 1, (lam, n_spinons)
+                weights = range(-n_spinons, n_spinons + 1, 2)
                 expected = weight_projection(sl2_hw_character(lam, n_spinons))
-                assert {(w,): c for w, c in value.items()} == expected, (lam, n_spinons)
+                assert {(w,): c for w, c in zip(weights, value) if c} == expected, (
+                    lam, n_spinons)
 
 
 def test_hw_case_census(monkeypatch):
