@@ -296,19 +296,19 @@ class CharacterTable:
 
     def first_difference(self, other: "CharacterTable"):
         """None if equal; else (weight, degree, self_coeff, other_coeff) at
-        the first weight in sorted order whose rows differ.  Rows are
-        compared once per orbit, and only the orbits that differ are
-        expanded to find that weight."""
+        the first weight in sorted order whose rows differ.  No orbit is
+        expanded: the orbit of m starts at c_n, c_1, ..., c_{n-1}, as w_1 =
+        c_a - c_b is least at a least c_a and a greatest c_b, and each later
+        w_i at the greatest c left (c as in `dominant_weight`, c_n = 0)."""
         if (self.n, self.k, self.qmax, self.delta) != (
             other.n, other.k, other.qmax, other.delta,
         ):
             return ((), -1, None, None)
-        differ = {key: key for key in self.orbits.keys() | other.orbits.keys()
-                  if self.row(key) != other.row(key)}
+        differ = [key for key in self.orbits.keys() | other.orbits.keys()
+                  if self.row(key) != other.row(key)]
         if not differ:
             return None
-        weights, keys = _expand(differ, [None, (), *[_coordinate] * (self.n - 1)])
-        w, key = weights[0], keys[0]
+        w, key = min(((-sum(key), *key[:-1]), key) for key in differ)
         a, b = self.row(key), other.row(key)
         d = next(d for d in range(self.qmax + 1) if a[d] != b[d])
         return (w, d, a[d], b[d])

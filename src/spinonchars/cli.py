@@ -19,7 +19,8 @@ from .partitions import _brief, partition
 
 USAGE_ERROR = 2
 # The largest --n: `affine._decreasing_vectors` nests a generator per
-# coordinate, out of stack near rank 500; `--kind yangian` took 1.2 s at 600.
+# coordinate, out of stack near rank 500; `--kind yangian` took 7 ms at 600
+# (order 1, in process).
 MAX_RANK = 200
 # The most numbers a char table holds, weights * (n + qmax): each weight has
 # n - 1 coordinates and qmax + 1 coefficients.  (200, 0, 1) holds 8 000 001

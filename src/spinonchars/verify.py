@@ -387,20 +387,13 @@ def _sl2_four_way(k, qmax):
 # ---------------------------------------------------------------------------
 # suite: decomposition
 
-# The largest rank of the decomposition suite.  Its case count does not grow
-# with the rank, but the Yangian route of its two tables does: the suite
-# took 1.6 s at rank 34, 8.5 s at 36, 10.6 s at 38, 16 s at 40 and more
-# than 40 s at 50.
-MAX_DECOMPOSITION_RANK = 36
-
-
 def decomposition_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
     """The border-strip decomposition against the bosonic tables at n=2 to
-    q^8, n=3 to q^5 and n=4 (k=0,1) to q^3, or at rank `n` only (at most
-    `MAX_DECOMPOSITION_RANK`, the k=0,1 tables to q^3); a given
-    `qmax` replaces these orders and takes every k.  Also the rank-2 module
-    sum to q^8 and the module checks for every partition of size <= 5 with
-    N <= 5 spinons, which take neither a rank nor an order."""
+    q^8, n=3 to q^5 and n=4 (k=0,1) to q^3, or at rank `n` only (the k=0,1
+    tables to q^3); a given `qmax` replaces these orders and takes every k.
+    Also the rank-2 module sum to q^8 and the module checks for every
+    partition of size <= 5 with N <= 5 spinons, which take neither a rank
+    nor an order."""
     cases = []
     for rank in ((2, 3, 4) if n is None else (n,)):
         ks = range(rank) if rank < 4 or qmax is not None else (0, 1)
@@ -537,17 +530,16 @@ SUITES = {
     "gz": gz_cases,
 }
 
-# the largest --n of each suite whose run grows with the rank, smallest first
-MAX_RANKS = {"spinon-cut": MAX_SPINON_CUT_RANK, "gz": MAX_GZ_RANK,
-             "decomposition": MAX_DECOMPOSITION_RANK}
+# the largest --n of each suite whose cases grow with the rank, smallest first
+MAX_RANKS = {"spinon-cut": MAX_SPINON_CUT_RANK, "gz": MAX_GZ_RANK}
 
 
 def build_suite(name: str, n: int | None = None, qmax: int | None = None) -> list[Case]:
     """The cases of one suite, or of every suite for "all".  "all" passes each
     builder the overrides it reads; a named suite given an override it does
-    not read raises ValueError naming the flag.  A rank past `MAX_RANKS` of
-    the suite, or for "all" past the smallest of them, raises ValueError
-    naming that suite's ceiling before any case is built."""
+    not read raises ValueError naming the flag.  A rank past the ceiling of
+    `spinon-cut` or `gz` in `MAX_RANKS`, or for "all" past the smaller one,
+    raises ValueError naming that suite's ceiling before any case is built."""
     given = {"n": n, "qmax": qmax}
     if name != "all" and name not in SUITES:
         raise KeyError(name)

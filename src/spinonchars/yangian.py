@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, groupby
+from math import comb
 from operator import add, sub
 
 from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
@@ -267,18 +268,21 @@ def _times_e(nu: tuple[int, ...], h: int) -> tuple[tuple[tuple[int, ...], int], 
     has N(mu) = #{S : nu + 1_S sorts to mu} of them, and each of the
     |W mu| arrangements beta = alpha + 1_S of mu has c(mu) of them, so
     c(mu) = N(mu) |W nu| / |W mu|, with |W nu| the number of arrangements
-    of nu (`affine.orbit_size`).  The S come from `itertools.combinations`.
-    Memoized: the result is an immutable tuple, and each (nu, h) is
-    expanded once."""
-    counts: dict[tuple[int, ...], int] = {}
-    for subset in combinations(range(len(nu)), h):
-        mu = tuple(sorted((p + (i in subset) for i, p in enumerate(nu)), reverse=True))
-        counts[mu] = counts.get(mu, 0) + 1
+    of nu (`affine.orbit_size`).  N(mu) is counted per run i of r_i parts
+    v_i: the S taking j_i places of each run, sum j_i = h, are prod C(r_i,
+    j_i), and nu + 1_S sorts to v_i + 1 on the first j_i places of run i and
+    v_i on the rest, which is sorted already (v_{i+1} + 1 <= v_i) and gives
+    back each j_i, so distinct choices (j_i) give distinct mu.  Memoized:
+    the result is an immutable tuple, and each (nu, h) is expanded once."""
+    prefixes = [((), h, 1)]  # (parts so far, boxes left, subsets reaching them)
+    for v, run in groupby(nu):
+        r = len(list(run))
+        prefixes = [(mu + (v + 1,) * j + (v,) * (r - j), left - j, subsets * comb(r, j))
+                    for mu, left, subsets in prefixes for j in range(min(r, left) + 1)
+                    if left - j <= len(nu) - len(mu) - r]  # the later runs fit the rest
     size = orbit_size(exps_to_fw(nu))
-    return tuple(
-        (tuple(p - mu[-1] for p in mu), count * size // orbit_size(exps_to_fw(mu)))
-        for mu, count in counts.items()
-    )
+    return tuple((tuple(p - mu[-1] for p in mu), subsets * size // orbit_size(exps_to_fw(mu)))
+                 for mu, _, subsets in prefixes)
 
 
 def _close_run(value: dict, h: int) -> dict:

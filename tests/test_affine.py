@@ -537,6 +537,34 @@ def test_first_difference_names_the_smallest_weight_off_the_dominant_chamber():
     assert a.first_difference(bosonic_character(3, 0, 4)) is None
 
 
+@pytest.mark.parametrize("n,k,qmax", [(2, 1, 5), (3, 0, 4), (4, 1, 3), (5, 2, 2)])
+def test_first_difference_finds_each_orbit_first_weight(n, k, qmax):
+    """Each orbit of a table changed in turn, alone or with the orbit after
+    it: the weight named is the one the comparison weight by weight names."""
+    a = bosonic_character(n, k, qmax)
+    keys = sorted(a.orbits)
+    for i in range(len(keys)):
+        for changed in (keys[i:i + 1], keys[i:i + 2]):
+            b = hand_built(n, k, qmax, a.orbits.items())
+            for w in changed:
+                b.orbits[w] = [c + 1 for c in a.orbits[w]]
+            assert a.first_difference(b) == _first_difference_by_weight(a, b), changed
+
+
+def test_first_difference_expands_no_orbit():
+    """At rank 200 the orbit of the fundamental weight omega_7 holds
+    C(200, 7), about 2.2e12, weights; the first of them, (-1, 0^6, 1, 0^191),
+    is named without expanding it."""
+    a = bosonic_character(200, 7, 1)
+    omega_7 = (0,) * 6 + (1,) + (0,) * 192
+    b = hand_built(200, 7, 1, a.orbits.items())
+    x = a.orbits[omega_7][0]
+    b.orbits[omega_7] = [x + 1, *a.orbits[omega_7][1:]]
+    first = (-1, *(0,) * 6, 1, *(0,) * 191)
+    assert a.first_difference(b) == (first, 0, x, x + 1)
+    assert a != b
+
+
 def test_row_reads_every_weight_through_its_orbit():
     """`row` answers at weights off the dominant chamber with their orbit's
     row, and refuses a weight of the wrong length."""

@@ -4,9 +4,9 @@ exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 The commands cover every `char` kind in every format at ranks 2-4 (the
 usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
 refused by each command, a table past `cli.MAX_TABLE_NUMBERS` refused,
-ranks past `verify.MAX_RANKS` refused by the `spinon-cut`, `gz` and
-`decomposition` suites, integer options of 4000 digits out of their
-range, the 19 MB bosonic table at
+ranks past `verify.MAX_RANKS` refused by the `spinon-cut` and `gz`
+suites, the `decomposition` suite at rank 37, integer options of 4000
+digits out of their range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
 and three whose strip would exceed `cli.MAX_STRIP_BOXES` among them, and a

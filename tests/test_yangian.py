@@ -2,7 +2,7 @@
 characters into border-strip modules."""
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,18 +258,27 @@ def test_times_e_matches_the_polynomial_product():
     """`_times_e` gives m_nu e_h in the monomial basis: the coefficient of
     each dominant monomial x^mu of the product of polynomials, with mu
     normalized by e_n = 1 (a product is homogeneous, so no two of its mu
-    normalize alike)."""
-    for n in (2, 3, 4):
-        for nu in product(range(4), repeat=n - 1):
-            nu = (*sorted(nu, reverse=True), 0)
+    normalize alike).  The parts 0, 1, 2 make runs of every length up to n,
+    each one below the next, so a run's raised parts meet the run above."""
+    for n in range(2, 8):
+        for nu in combinations_with_replacement(range(3), n - 1):
+            nu = (*reversed(nu), 0)
             m_nu = SymPoly(n, {p: 1 for p in set(permutations(nu))})
-            for h in range(1, n + 1):
+            for h in range(n + 1):
                 expected = {
                     tuple(x - e[-1] for x in e): c
                     for e, c in (m_nu * elementary(h, n)).terms.items()
                     if list(e) == sorted(e, reverse=True)
                 }
                 assert dict(yangian._times_e(nu, h)) == expected, (nu, h)
+
+
+@pytest.mark.parametrize("n,k,qmax", [(37, 0, 3), (50, 0, 3), (100, 3, 2), (200, 0, 1),
+                                      (200, 7, 1)])
+def test_yangian_decomposition_matches_bosonic_at_large_rank(n, k, qmax):
+    """`_times_e` counts its images per run of equal parts, so the route is
+    polynomial in the rank: a few ms at each of these points."""
+    assert yangian_decomposition(n, k, qmax) == bosonic_character(n, k, qmax)
 
 
 def test_yangian_decomposition_matches_bosonic_small():

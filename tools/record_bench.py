@@ -7,22 +7,36 @@ workload it lists, once with `--trace 0` (end-to-end metrics) and once with
 `--trace 1` (per-layer metrics), and reads the JSON object on the last line
 of each run's stdout.  The file holds, per workload and trace mode,
 `correct`, `attempted`, `failed` and every metric with its unit, plus the
-commit, the core count and the Python version.  Exits 1 if any run fails or
-reports a failed operation; the file is still written.
+commit, the core count and the Python version.
+
+It also times the Yangian route over the rank in process (`rank_sweep`):
+`yangian_decomposition(n, k, 3)` for k = 0, 1 at n = 4, 8, ..., 128 and 200,
+each the best of three runs with the `_times_e` memo cleared, and the
+least-squares slope of log(seconds) against log(n) for each k: a route
+polynomial in the rank keeps that slope bounded, and an exponential one's
+rises with n.
+
+Exits 1 if any run fails or reports a failed operation; the file is still
+written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 WORKLOADS = ("char-yangian", "series-deep", "verify-all")
 SEED, SECONDS = 1, 30  # the run length BENCHMARK.json sets
+SWEEP_RANKS = (4, 8, 16, 32, 64, 128, 200)
+SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
 # Per-layer counters that read 0 by construction; they are recorded as they
 # read.  Other zeros are layers a workload does not run.
 ZERO_BY_CONSTRUCTION = (
@@ -73,6 +87,29 @@ def run(workload: str, trace: int) -> dict:
     return record
 
 
+def rank_sweep() -> dict:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from spinonchars import yangian
+    points, slopes = [], {}
+    for k in SWEEP_KS:
+        times = []
+        for n in SWEEP_RANKS:
+            best = math.inf
+            for _ in range(SWEEP_REPEATS):
+                yangian._times_e.cache_clear()
+                started = time.perf_counter()
+                yangian.yangian_decomposition(n, k, SWEEP_QMAX)
+                best = min(best, time.perf_counter() - started)
+            times.append(best)
+            points.append({"n": n, "k": k, "qmax": SWEEP_QMAX, "seconds": round(best, 6)})
+        fit = statistics.linear_regression([math.log(n) for n in SWEEP_RANKS],
+                                           [math.log(t) for t in times])
+        slopes[f"k={k}"] = round(fit.slope, 3)
+    return {"route": "yangian.yangian_decomposition, in process, best of "
+                     f"{SWEEP_REPEATS} with a cold _times_e memo",
+            "points": points, "log_log_slope_in_n": slopes}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True)
@@ -92,6 +129,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS}",
         "note": ZERO_BY_CONSTRUCTION,
         "runs": runs,
+        "rank_sweep": rank_sweep(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
