@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .partitions import partition_counts
 from .qseries import QSeries, inv_pochhammer_product, q_zero
@@ -440,43 +440,64 @@ def spinon_string_function(
     """
     if form not in ("multisum", "alternating"):
         raise ValueError(f"unknown form {form!r}")
-    total = q_zero(qmax)
     if n_spinons % n != k % n:
-        return total
+        return q_zero(qmax)
     a_vals = _spinon_a_values(n, coords, n_spinons)
     if a_vals is None:
-        return total
+        return q_zero(qmax)
     if form == "alternating":
         return _alternating_cut(tuple(sorted(a_vals)), qmax)
-    for term in _multisum_terms(a_vals, n_spinons, qmax, 1, 0, 0, ()):
-        total = total + term
-    return total
+    total = [0] * (qmax + 1)
+    for exp, denom in _multisum_terms(a_vals, qmax, 1, 0, 0, ()):
+        # the series of 1/denom times q^exp, added in place: map stops at
+        # the end of total[exp:]
+        total[exp:] = map(add, total[exp:], inv_pochhammer_product(denom, qmax).coeffs)
+    return QSeries(total, qmax)
 
 
 @lru_cache(maxsize=None)
 def _alternating_cut(a_sorted: tuple[int, ...], qmax: int) -> QSeries:
     """The alternating form of `spinon_string_function` at the sorted A_i,
     one per Weyl orbit (see there); the result is an immutable `QSeries`,
-    so every caller may share it."""
-    total = q_zero(qmax)
+    so every caller may share it.  Each signed term is added into one
+    coefficient list at its exponent m(m-1)/2, which grows with m, so the
+    first m whose exponent passes qmax ends the sum: it and every later
+    term vanish at this order."""
+    total = [0] * (qmax + 1)
     for m in range(a_sorted[0] + 1):
-        term = inv_pochhammer_product((m, *(a - m for a in a_sorted)), qmax)
-        term = term.shift(m * (m - 1) // 2)
-        total = total + (term * (-1 if m % 2 else 1))
-    return total
+        d = m * (m - 1) // 2
+        if d > qmax:
+            break
+        term = inv_pochhammer_product((m, *(a - m for a in a_sorted)), qmax).coeffs
+        total[d:] = map(sub if m % 2 else add, total[d:], term)
+    return QSeries(total, qmax)
 
 
-def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
-    """Yield the terms of the multisum form below the prefix m_1..m_{j-1},
-    whose sum is s_prev = S_{j-1}, exponent the prefix's part of the power
-    of q and denom the tuple of its Pochhammer indices
-    (A_1, m_1, A_2 - S_1, m_2, ...).  Only a leaf builds a series, one
-    `inv_pochhammer_product` of its whole tuple.  A module-level generator,
-    not a closure, so that no reference cycle outlives the sum.
+def _multisum_terms(a_vals, qmax, j, s_prev, exponent, denom):
+    """Yield (exponent, Pochhammer indices) for each term of the multisum
+    form below the prefix m_1..m_{j-1}, whose sum is s_prev = S_{j-1},
+    exponent the prefix's part of the power of q and denom the tuple of its
+    Pochhammer indices (A_1, m_1, A_2 - S_1, m_2, ...); the caller builds
+    each term's series, one `inv_pochhammer_product` of its whole tuple.  A
+    module-level generator, not a closure, so that no reference cycle
+    outlives the sum.
 
     Nested sum over m_1..m_{n-2}; S_j = m_1+...+m_j; the term is
     q^{sum_j (A_j - S_{j-1}) m_j + (A_{n-1} - S_{n-2})(A_n - S_{n-2})}
-    over (q)_{A_1} (q)_{A_2-S_1} ... (q)_{A_n-S_{n-2}} prod_j (q)_{m_j}."""
+    over (q)_{A_1} (q)_{A_2-S_1} ... (q)_{A_n-S_{n-2}} prod_j (q)_{m_j}.
+    Only terms whose indices are all non-negative and whose exponent is at
+    most qmax are yielded, and the walk over m_j stops at two bounds that
+    drop no such term:
+    - m_j > A_{j+1} - S_{j-1}.  The index A_{j+1} - S_j of the next level
+      (at j = n - 2 the leaf's A_{n-1} - S_{n-2}) is then negative, and it
+      only falls as m_j grows, so no later m_j has a term.  As
+      A_{j+1} <= N, this also keeps S_j <= N.
+    - exponent + (A_j - S_{j-1}) m_j > qmax.  Every index on the way to a
+      leaf is non-negative (a negative one yields nothing), so every later
+      part of the exponent, (A_i - S_{i-1}) m_i for i >= j and the leaf's
+      (A_{n-1} - S_{n-2})(A_n - S_{n-2}), is a product of non-negatives:
+      each term below this m_j, and below every larger one, has an
+      exponent past qmax."""
     n = len(a_vals)
     if j == n - 1:
         sub1 = a_vals[n - 2] - s_prev
@@ -484,16 +505,18 @@ def _multisum_terms(a_vals, n_spinons, qmax, j, s_prev, exponent, denom):
         if sub1 < 0 or sub2 < 0:
             return
         exp = exponent + sub1 * sub2
+        if exp <= qmax:
+            yield exp, denom + (sub1, sub2)
+        return
+    index = a_vals[j - 1] - s_prev
+    if index < 0:
+        return
+    for m in range(a_vals[j] - s_prev + 1):
+        exp = exponent + index * m
         if exp > qmax:
             return
-        yield inv_pochhammer_product(denom + (sub1, sub2), qmax).shift(exp)
-        return
-    sub = a_vals[j - 1] - s_prev
-    if sub < 0:
-        return
-    for m in range(n_spinons - s_prev + 1):
-        yield from _multisum_terms(a_vals, n_spinons, qmax, j + 1, s_prev + m,
-                                   exponent + sub * m, denom + (sub, m))
+        yield from _multisum_terms(a_vals, qmax, j + 1, s_prev + m, exp,
+                                   denom + (index, m))
 
 
 def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
@@ -521,13 +544,13 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     if weight_class(coords, n) != k % n:
         raise ValueError(f"weight {tuple(coords)} is not in class {k} mod {n}")
     bound = (n - 1) * (2 * n * qmax + scaled_weight_norm(coords, n))
-    partial = q_zero(qmax)
+    partial = [0] * (qmax + 1)
     n_spinons = k % n
     while n_spinons * n_spinons <= bound:
-        term = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
-        if any(c < 0 for c in term.coeffs):
+        term = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax).coeffs
+        if min(term) < 0:
             return False
-        partial = partial + term
+        partial[:] = map(add, partial, term)
         n_spinons += n
     past = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
     if not past.is_zero():
@@ -535,7 +558,7 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
             f"spinon cut: the {n_spinons}-spinon cut at weight {tuple(coords)} "
             f"reaches q^{qmax}, past the bound N^2 <= {bound}"
         )
-    return partial == inv_pochhammer_product((qmax,) * (n - 1), qmax)
+    return tuple(partial) == inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
 
 
 def sl2_spinon_grades(k: int, qmax: int):

@@ -5,11 +5,17 @@ series graded from a rational power of q is stored from that power: the
 caller knows the leading exponent, and every comparison puts both sides at
 the same one.  All arithmetic is exact; coefficients are arbitrary-precision
 Python ints.
+
+Every QSeries keeps one invariant: `coeffs` is a tuple of exactly qmax + 1
+ints.  The public constructor pads or cuts its input to that; every result
+built in this module is already such a tuple and is wrapped by the private
+`_series`, which trusts it and copies nothing.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from itertools import islice
+from operator import add, mul, neg, sub
 
 
 class QSeries:
@@ -18,15 +24,15 @@ class QSeries:
     __slots__ = ("qmax", "coeffs")
 
     def __init__(self, coeffs, qmax: int | None = None):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if qmax is None:
             qmax = len(coeffs) - 1
         if qmax < 0:
             raise ValueError(f"qmax must be >= 0, got {qmax}")
-        if len(coeffs) < qmax + 1:
-            coeffs = coeffs + [0] * (qmax + 1 - len(coeffs))
+        if len(coeffs) <= qmax:
+            coeffs += (0,) * (qmax + 1 - len(coeffs))
         self.qmax = qmax
-        self.coeffs = tuple(coeffs[: qmax + 1])
+        self.coeffs = coeffs[: qmax + 1]
 
     def __getitem__(self, d: int) -> int:
         """Coefficient of q^d; 0 beyond the truncation is an error."""
@@ -37,27 +43,38 @@ class QSeries:
         return self.coeffs[d]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other):
-        m = min(self.qmax, other.qmax)
-        return QSeries([self.coeffs[d] + other.coeffs[d] for d in range(m + 1)], m)
+        # map stops at the shorter tuple: the lower of the two orders
+        return _series(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
+        a = self.coeffs
         if isinstance(other, int):
-            return QSeries([c * other for c in self.coeffs], self.qmax)
-        # coefficient d is a[0] b[d] + ... + a[d] b[0]: the first d + 1
-        # coefficients of a against the last d + 1 of b reversed through m
-        m = min(self.qmax, other.qmax)
-        a, rb = self.coeffs, other.coeffs[m::-1]
-        return QSeries([sum(map(mul, a[: d + 1], rb[m - d:]))
-                        for d in range(m + 1)], m)
+            if other == 1:
+                return self
+            return _series(tuple(map(neg, a)) if other == -1 else
+                           tuple(c * other for c in a))
+        b = other.coeffs
+        size = min(len(a), len(b))
+        # a = q^la A and b = q^lb B, so a b = q^(la + lb) A B: coefficient e of
+        # A B is A[0] B[e] + ... + A[e] B[0], the first e + 1 entries of A
+        # against the last e + 1 of B reversed through its entry top
+        la = next((i for i, c in enumerate(a) if c), size)
+        lb = next((i for i, c in enumerate(b) if c), size)
+        top = size - 1 - la - lb
+        if top < 0:
+            return _series((0,) * size)
+        a, rb = a[la:la + top + 1], b[lb + top:lb - 1 if lb else None:-1]
+        return _series((0,) * (la + lb) + tuple(
+            sum(map(mul, a[: e + 1], rb[top - e:])) for e in range(top + 1)))
 
     def shift(self, d: int) -> "QSeries":
         """Multiply by q^d (d >= 0 integer); keeps qmax, drops overflow."""
         if d < 0:
             raise ValueError("shift exponent must be non-negative")
-        return QSeries([0] * d + list(self.coeffs), self.qmax)
+        return self if d == 0 else _series(_shifted(self.coeffs, d))
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -71,6 +88,21 @@ class QSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.qmax >= 8 else ""
         return f"QSeries([{head}{tail}], qmax={self.qmax})"
+
+
+def _series(coeffs: tuple) -> QSeries:
+    """The QSeries of a tuple that already keeps the invariant (see the
+    module docstring), taken as it is."""
+    series = object.__new__(QSeries)
+    series.qmax = len(coeffs) - 1
+    series.coeffs = coeffs
+    return series
+
+
+def _shifted(coeffs: tuple, d: int) -> tuple:
+    """The coefficients of q^d times `coeffs` at the same order, d >= 0."""
+    size = len(coeffs)
+    return (0,) * size if d >= size else (0,) * d + coeffs[: size - d]
 
 
 def q_one(qmax: int) -> QSeries:
@@ -132,20 +164,30 @@ def _inv_pochhammer_product(parts: tuple[int, ...], qmax: int) -> QSeries:
     return _inv_pochhammer_product(parts[:-1], qmax) * inv_pochhammer(parts[-1], qmax)
 
 
-def qbinomial(n: int, m: int, qmax: int) -> QSeries:
-    """[N choose M]_q = (q)_N / ((q)_M (q)_{N-M}), truncated at qmax.
+def _q_pascal(width: int, qmax: int):
+    """Yield, for step s = 0, 1, 2, ..., the list `rows` whose entry k is
+    the coefficient tuple of [s choose k]_q at order qmax, k = 0..width
+    (zero for k > s).  The same list is updated in place between yields, so
+    a caller takes the tuples it needs before asking for the next step.
 
-    Built at order qmax by the q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k]:
-    row k holds [n, k] for k = 0..M, and each step n updates the rows in
-    place from the right, so row k - 1 still holds [n-1, k-1] when row k
-    reads it."""
+    Step s applies the q-Pascal rule [s, k] = [s-1, k-1] + q^k [s-1, k] to
+    each row k <= min(s, width), from the right, so row k - 1 still holds
+    [s-1, k-1] when row k reads it."""
+    rows = [(1,) + (0,) * qmax] + [(0,) * (qmax + 1)] * width
+    step = 0
+    while True:
+        yield rows
+        step += 1
+        for k in range(min(step, width), 0, -1):
+            rows[k] = tuple(map(add, rows[k - 1], _shifted(rows[k], k)))
+
+
+def qbinomial(n: int, m: int, qmax: int) -> QSeries:
+    """[N choose M]_q = (q)_N / ((q)_M (q)_{N-M}), truncated at qmax, the
+    row M of step N of `_q_pascal`."""
     if m < 0 or m > n:
         raise ValueError(f"qbinomial requires 0 <= M <= N, got N={n}, M={m}")
-    rows = [q_one(qmax)] + [q_zero(qmax)] * m
-    for step in range(1, n + 1):
-        for k in range(min(step, m), 0, -1):
-            rows[k] = rows[k - 1] + rows[k].shift(k)
-    return rows[m]
+    return _series(next(islice(_q_pascal(m, qmax), n, None))[m])
 
 
 def qmultinomial(ks, qmax: int) -> QSeries:
@@ -164,17 +206,23 @@ def qmultinomial(ks, qmax: int) -> QSeries:
 def pochhammer_z_expansion(n: int, qmax: int) -> tuple[QSeries, ...]:
     """(z;q)_N as its N + 1 z-coefficients.
 
-    Coefficient of z^j is (-1)^j q^{j(j-1)/2} [N choose j]_q.
+    Coefficient of z^j is (-1)^j q^{j(j-1)/2} [N choose j]_q; every
+    [N choose j]_q is row j of step N of one `_q_pascal` pass.
     """
     if n < 0:
         raise ValueError("N must be >= 0")
-    return tuple(qbinomial(n, j, qmax).shift(j * (j - 1) // 2) * (-1 if j % 2 else 1)
-                 for j in range(n + 1))
+    rows = next(islice(_q_pascal(n, qmax), n, None))
+    out = []
+    for j, row in enumerate(rows):
+        row = _shifted(row, j * (j - 1) // 2)
+        out.append(_series(tuple(map(neg, row)) if j % 2 else row))
+    return tuple(out)
 
 
 def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[QSeries, ...]:
     """(z;q)_N^{-1} modulo z^{zdeg+1}, as its zdeg + 1 z-coefficients;
-    coefficient of z^j is [N+j-1 choose j]_q."""
+    coefficient of z^j is [N+j-1 choose j]_q, row j of step N - 1 + j of
+    one `_q_pascal` pass."""
     if zdeg < 0:
         raise ValueError("zdeg must be >= 0")
     if n == 0:
@@ -183,7 +231,8 @@ def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[QSeries, .
         return (q_one(qmax),)
     if n < 0:
         raise ValueError("N must be >= 0")
-    return tuple(qbinomial(n + j - 1, j, qmax) for j in range(zdeg + 1))
+    steps = islice(_q_pascal(zdeg, qmax), n - 1, n + zdeg)
+    return tuple(_series(rows[j]) for j, rows in enumerate(steps))
 
 
 def durfee_check(m: int, qmax: int) -> bool:
@@ -192,13 +241,14 @@ def durfee_check(m: int, qmax: int) -> bool:
     With a = b + m, the term's exponent b(b+m) grows from b to b + 1 by
     2b + 1 + m = b + a + 1 >= 1, so it increases strictly from the first
     admissible b = max(0, -m), and the first b past qmax ends the sum: every
-    later term vanishes at this order."""
-    total = q_zero(qmax)
+    later term vanishes at this order.  Each term is added into one
+    coefficient list at its exponent: map stops at the end of the list."""
+    total = [0] * (qmax + 1)
     b = max(0, -m)
-    while b * (b + m) <= qmax:
-        total = total + inv_pochhammer_product((b + m, b), qmax).shift(b * (b + m))
+    while (d := b * (b + m)) <= qmax:
+        total[d:] = map(add, total[d:], inv_pochhammer_product((b + m, b), qmax).coeffs)
         b += 1
-    return total == euler_inverse(qmax)
+    return tuple(total) == euler_inverse(qmax).coeffs
 
 
 def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
@@ -208,21 +258,21 @@ def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
                   = q^{MN} / ((q)_M (q)_N)
     variant "ii": sum_j q^{(M-j)(N-j)} / ((q)_{M-j}(q)_{N-j}(q)_j)
                   = 1 / ((q)_M (q)_N)
-    """
+    Each term is added into one coefficient list at its exponent."""
     if m_bound < 0 or n_bound < 0:
         raise ValueError("M and N must be >= 0")
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     big_m, big_n = m_bound, n_bound
-    lhs = q_zero(qmax)
+    lhs = [0] * (qmax + 1)
     for j in range(min(big_m, big_n) + 1):
-        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax)
+        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax).coeffs
         if variant == "i":
-            term = base.shift(j * (j - 1) // 2) * (-1 if j % 2 else 1)
+            d, op = j * (j - 1) // 2, sub if j % 2 else add
         else:
-            term = base.shift((big_m - j) * (big_n - j))
-        lhs = lhs + term
+            d, op = (big_m - j) * (big_n - j), add
+        lhs[d:] = map(op, lhs[d:], base)
     rhs = inv_pochhammer_product((big_m, big_n), qmax)
     if variant == "i":
         rhs = rhs.shift(big_m * big_n)
-    return lhs == rhs
+    return tuple(lhs) == rhs.coeffs

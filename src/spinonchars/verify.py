@@ -11,11 +11,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import lru_cache
+from operator import add
 from typing import Callable, NamedTuple
 
 from . import affine, qseries, strips, symfunc, yangian
 from .partitions import all_partitions_upto, contains, partition, partitions_of
-from .qseries import q_one, q_zero
+from .qseries import QSeries, q_one, q_zero
 
 
 class Case(NamedTuple):
@@ -99,8 +100,11 @@ def _z_product(N, qmax):
     lhs = qseries.pochhammer_z_expansion(N, qmax)
     rhs = qseries.inv_pochhammer_z_expansion(N, zdeg, qmax)
     for j in range(zdeg + 1):
-        prod = sum((lhs[i] * rhs[j - i] for i in range(min(j, N) + 1)), q_zero(qmax))
-        locus = _series_locus(prod, q_one(qmax) if j == 0 else q_zero(qmax))
+        total = [0] * (qmax + 1)
+        for i in range(min(j, N) + 1):
+            total[:] = map(add, total, (lhs[i] * rhs[j - i]).coeffs)
+        locus = _series_locus(QSeries(total, qmax),
+                              q_one(qmax) if j == 0 else q_zero(qmax))
         if locus is not None:
             return {"z_degree": j, **locus}
     return None
@@ -160,8 +164,22 @@ def _schur_routes(outer, inner, nvars):
 
 
 def _lr(n, rows):
-    strip = strips.BorderStrip.from_rows(rows, n)
-    return _ribbon_locus(strip, symfunc.ribbon_expansion(strip.rows))
+    """The case runs its own gate: `BorderStrip.from_rows` refuses rows that
+    are not positive ints, or whose strip has a column taller than n.  The
+    rank does nothing else, as a strip's shape, size and Schur expansion are
+    those of its rows at every rank that holds it, so the check past the
+    gate is `_lr_check`, memoized on the rows, and a strip of the census at
+    ranks 2 and 3 is checked once."""
+    return _lr_check(strips.BorderStrip.from_rows(rows, n).rows)
+
+
+@lru_cache(maxsize=None)
+def _lr_check(rows: tuple[int, ...]):
+    """The check of `_lr` for the rows of a strip.  A column of a ribbon
+    spans consecutive rows, so no column is taller than the number of rows,
+    and rank max(2, that number) holds the strip."""
+    strip = strips.BorderStrip.from_rows(rows, max(2, len(rows)))
+    return _ribbon_locus(strip, symfunc.ribbon_expansion(rows))
 
 
 def _ribbon_locus(strip, coeffs):
@@ -456,7 +474,8 @@ def _hw_case(lam, N):
 # suite: gz (branching schemes and Drinfel'd polynomial cross-checks)
 
 # The largest rank of the gz suite, whose 238 cases take longer at each
-# rank: the suite took 6.0 s at rank 10, 10.6 s at 11 and 18.2 s at 12.
+# rank: in process, the suite took 2.4-2.8 s at rank 10, 5.6 s at 11 and
+# 6.6 s at 12.
 MAX_GZ_RANK = 10
 
 
@@ -489,8 +508,20 @@ def gz_cases(n: int | None = None) -> list[Case]:
 
 
 def _gz_case(outer, inner, n, N):
-    lam, mu = partition(outer), partition(inner)
-    schemes = yangian.gz_schemes(lam, mu, n, N)
+    """The case runs its own gate, the bounds of `yangian.gz_shape` that
+    `gz_schemes` checks: mu inside lam, l(mu) <= N and l(lam) <= N + n.  N
+    does nothing else (see `gz_schemes`), so the check past the gate is
+    `_gz_check`, memoized on (lam, mu, n), and the cases that differ only
+    in N share one."""
+    return _gz_check(*yangian.gz_shape(outer, inner, n, N), n)
+
+
+@lru_cache(maxsize=None)
+def _gz_check(lam, mu, n):
+    """The GZ schemes of lam/mu at rank n, each round-tripped through its
+    tableau, against the weights of s_{lam/mu}.  The schemes are built at
+    the least N that the bounds of `yangian.gz_shape` admit."""
+    schemes = yangian.gz_schemes(lam, mu, n, max(len(mu), len(lam) - n))
     weights: dict = {}
     for s in schemes:
         w = yangian.gz_weight(s)

@@ -67,6 +67,20 @@ def drinfeld_tame(shape: tuple, n: int) -> DrinfeldPolys:
     return DrinfeldPolys(n, roots)
 
 
+def gz_shape(lam, mu, n: int, n_spinons: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lam, mu) as partitions, or ValueError unless mu lies in lam, mu has
+    at most N parts and lam at most N + n: the shapes whose GZ schemes
+    `gz_schemes` builds."""
+    lam, mu = partition(lam), partition(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{mu} not contained in {lam}")
+    if len(mu) > n_spinons:
+        raise ValueError(f"l(mu)={len(mu)} exceeds N={n_spinons}")
+    if len(lam) > n_spinons + n:
+        raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
+    return lam, mu
+
+
 def gz_schemes(lam, mu, n: int, n_spinons: int) -> list[tuple[tuple[int, ...], ...]]:
     """All GZ schemes from mu (row 0) to lam (row n): the chains of rows, each
     padded to len(lam) parts, in which row m interleaves above row m - 1,
@@ -76,16 +90,12 @@ def gz_schemes(lam, mu, n: int, n_spinons: int) -> list[tuple[tuple[int, ...], .
     horizontal strip, so rows 1..n-1 are drawn by `horizontal_strips` inside
     lam, and a chain is kept where lam / row n - 1 is a horizontal strip too
     (`ends_at`).  mu has at most N parts and lam at most N + n (both checked
-    here).  No row needs a length cap: a row that interlaces above one of l
-    parts has at most l + 1 (its part l + 2 is at most part l + 1 of the row
-    below, 0), so row m has at most N + m parts."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} not contained in {lam}")
-    if len(mu) > n_spinons:
-        raise ValueError(f"l(mu)={len(mu)} exceeds N={n_spinons}")
-    if len(lam) > n_spinons + n:
-        raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
+    here, by `gz_shape`).  No row needs a length cap: a row that interlaces
+    above one of l parts has at most l + 1 (its part l + 2 is at most part
+    l + 1 of the row below, 0), so row m has at most N + m parts.  N enters
+    only through those two bounds: every N that passes them gives the same
+    schemes."""
+    lam, mu = gz_shape(lam, mu, n, n_spinons)
     chains = [(padded(mu, len(lam)),)]
     for _ in range(n - 1):
         chains = [(*chain, rho) for chain in chains

@@ -228,15 +228,15 @@ def _oracle_cuts(n, k, coords, n_spinons, qmax):
     return alternating, multisum
 
 
-def test_spinon_forms_match_the_explicit_chain_oracle():
-    """The cached denominators of both forms give the cuts that multiplying
-    out each term's inverse Pochhammers gives."""
-    qmax = 10
+def _match_the_oracle(ranks, max_extra, spinons, qmax) -> int:
+    """Assert that both forms equal `_oracle_cuts` at every weight of
+    `small_norm_weights(n, k, max_extra)` and N <= spinons * n, n in
+    `ranks`; return how many cuts are not zero."""
     nonzero = 0
-    for n in (2, 3, 4):
+    for n in ranks:
         for k in range(n):
-            for coords in small_norm_weights(n, k, 1):
-                for n_spinons in range(3 * n + 1):
+            for coords in small_norm_weights(n, k, max_extra):
+                for n_spinons in range(spinons * n + 1):
                     alternating, multisum = _oracle_cuts(n, k, coords, n_spinons, qmax)
                     nonzero += not alternating.is_zero()
                     case = (n, k, coords, n_spinons)
@@ -244,7 +244,21 @@ def test_spinon_forms_match_the_explicit_chain_oracle():
                         n, k, coords, n_spinons, "alternating", qmax) == alternating, case
                     assert spinon_string_function(
                         n, k, coords, n_spinons, "multisum", qmax) == multisum, case
-    assert nonzero > 100
+    return nonzero
+
+
+def test_spinon_forms_match_the_explicit_chain_oracle():
+    """The cached denominators of both forms give the cuts that multiplying
+    out each term's inverse Pochhammers gives."""
+    assert _match_the_oracle((2, 3, 4), 1, 3, 10) > 100
+
+
+def test_multisum_cut_offs_drop_no_term_at_rank_5():
+    """The two early stops of `_multisum_terms` (an index that would turn
+    negative, an exponent past qmax) against the unpruned oracle at rank 5,
+    N <= 20 and q^12, where they end most branches: every weight of the
+    orbits of the fundamental weights and of 0, in every class."""
+    assert _match_the_oracle((5,), 0, 4, 12) == 125
 
 
 def test_alternating_cut_is_constant_on_weyl_orbits():

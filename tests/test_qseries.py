@@ -183,6 +183,74 @@ def test_multiplication_is_the_truncated_convolution(a, b):
     assert (prod.qmax, prod.coeffs) == _convolution(a, b)
 
 
+@st.composite
+def shifted_series(draw):
+    """A random series at a random order 0..11, shifted by 0..qmax + 2, so
+    that long runs of leading zeros and all-zero series occur."""
+    qmax = draw(st.integers(0, 11))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=qmax + 1))
+    return QSeries([0] * draw(st.integers(0, qmax + 2)) + coeffs, qmax)
+
+
+def _well_formed(series, qmax):
+    """The invariant of every QSeries: a tuple of exactly qmax + 1 ints."""
+    coeffs = series.coeffs
+    assert series.qmax == qmax
+    assert type(coeffs) is tuple and len(coeffs) == qmax + 1, coeffs
+    assert all(type(c) is int for c in coeffs), coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_series(), shifted_series())
+def test_arithmetic_matches_explicit_loops_on_shifted_series(a, b):
+    """`*`, `+`, `shift` and `* int` against the schoolbook convolution and
+    coefficient-by-coefficient loops, with every result well formed."""
+    m = min(a.qmax, b.qmax)
+    prod = a * b
+    _well_formed(prod, m)
+    assert (prod.qmax, prod.coeffs) == _convolution(a, b)
+    total = a + b
+    _well_formed(total, m)
+    assert total.coeffs == tuple(a.coeffs[d] + b.coeffs[d] for d in range(m + 1))
+    for d in range(a.qmax + 3):
+        shifted = a.shift(d)
+        _well_formed(shifted, a.qmax)
+        assert shifted.coeffs == tuple(a.coeffs[e - d] if e >= d else 0
+                                       for e in range(a.qmax + 1)), d
+    for k in (0, 1, -1, 2, -3, 7):
+        scaled = a * k
+        _well_formed(scaled, a.qmax)
+        assert scaled.coeffs == tuple(c * k for c in a.coeffs), k
+
+
+def test_qbinomials_are_ratios_of_pochhammers():
+    """[n choose m]_q = (q)_n / ((q)_m (q)_{n-m}) for every 0 <= m <= n <= 20,
+    read from `qbinomial` and from both z-expansions, against the oracle
+    (q)_n and the inverse Pochhammers, with every coefficient well formed."""
+    qmax = 24
+
+    def ratio(n, m):
+        return pochhammer(n, qmax) * inv_pochhammer(m, qmax) * inv_pochhammer(n - m, qmax)
+
+    for n in range(21):
+        rows = pochhammer_z_expansion(n, qmax)
+        assert len(rows) == n + 1
+        for m in range(n + 1):
+            expected = ratio(n, m)
+            got = qbinomial(n, m, qmax)
+            _well_formed(got, qmax)
+            assert got == expected, (n, m)
+            _well_formed(rows[m], qmax)
+            assert rows[m] == expected.shift(m * (m - 1) // 2) * (-1) ** m, (n, m)
+        if n:
+            zdeg = 21 - n
+            inverse = inv_pochhammer_z_expansion(n, zdeg, qmax)
+            assert len(inverse) == zdeg + 1
+            for j, coeff in enumerate(inverse):
+                _well_formed(coeff, qmax)
+                assert coeff == ratio(n + j - 1, j), (n, j)
+
+
 def test_finite_product_z_expansion_pinned():
     """(z; q)_2 = 1 - (1+q)z + q z^2."""
     exp = pochhammer_z_expansion(2, 6)
