@@ -12,20 +12,54 @@ import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import add
+from operator import add, itemgetter
 
 from . import affine, yangian
 from .partitions import _brief, partition
 
 USAGE_ERROR = 2
-# The largest --n: `affine._decreasing_vectors` nests a generator per
-# coordinate, out of stack near rank 500; `--kind yangian` took 7 ms at 600
-# (order 1, in process).
-MAX_RANK = 200
-# The most numbers a char table holds, weights * (n + qmax): each weight has
-# n - 1 coordinates and qmax + 1 coefficients.  (200, 0, 1) holds 8 000 001
-# in 90 MB of json; (50, 0, 2), at 71 981 052, wrote 875 MB.
-MAX_TABLE_NUMBERS = 10**7
+# command -> {what: most}: every ceiling on outside input, each checked before
+# any work and printed by `spinonchars COMMAND -h`.  A `verify` entry
+# "SUITE --flag" bounds that flag of one suite, and `--suite all`, which
+# passes each flag to every suite that reads it, is held to the smallest entry
+# of each flag.  Each comment says what ran at the ceiling and past it (in
+# process, one run each).
+CEILINGS = {
+    "char": {
+        # `affine._decreasing_vectors` nests a generator per coordinate, out of
+        # stack near rank 500; `--kind yangian` took 7 ms at 600 (order 1).
+        "--n": 200,
+        # weights * (n + qmax): each weight has n - 1 coordinates and qmax + 1
+        # coefficients.  (200, 0, 1) holds 8 000 001 in 90 MB of json;
+        # (50, 0, 2), at 71 981 052, wrote 875 MB.
+        "numbers": 10**7,
+    },
+    "verify": {
+        "--n": 200,  # as for char; `decomposition` took 0.02 s at 200
+        # the census, built before any case runs: 8 587 weights at rank 8,
+        # whose run took 2.5 s (4.4 s at q^40), and 22 129 at rank 9
+        "spinon-cut --n": 8,
+        # 2.2-3.3 s at rank 10, 5.6 s at 11 and 6.6 s at 12
+        "gz --n": 10,
+        # 1.4 s at q^320, 6.8 s at q^640
+        "qids --qmax": 320,
+        # 2.4 s at q^300, 6.0 s at q^400; past 30 s at q^1000
+        "sl2 --qmax": 300,
+        # 0.44 s at q^40 and 3.2 s at q^80 (ranks 2-4).  With --qmax every k
+        # is taken, and the rank drives the cost: 18.5 s at q^40 --n 8, 13.3 s
+        # at q^0 --n 200 and 32 s at q^4; q^40 --n 200 ran past 300 s.
+        "decomposition --qmax": 40,
+        # 0.06 s at q^40 and 2.6 s at q^160 (ranks 2-4), 4.4 s at q^40 --n 8
+        "spinon-cut --qmax": 40,
+    },
+    "bijection": {
+        "--n": 200,  # as for char
+        # a label's strip, its rapidities and its printed image take time and
+        # memory linear in the strip's boxes, which a short payload can make
+        # huge: 10^5 boxes took 0.17 s and 23 MB, 3 * 10^6 took 3.8 s and 271 MB
+        "boxes": 10**5,
+    },
+}
 
 
 class UsageError(Exception):
@@ -67,7 +101,7 @@ def _build_table(kind: str, n: int, k: int, qmax: int):
 
 
 def _check_numbers(n: int, k: int, qmax: int) -> None:
-    """Refuse a table of more than `MAX_TABLE_NUMBERS` numbers, its weights
+    """Refuse a table of more numbers than the ceiling, its weights
     counted by `affine.weight_count` before any route runs.  A weight is
     that of one vector c with sum k and sum c_i^2 <= k + 2 qmax (see
     `affine.bosonic_character`), so every |c_i| <= isqrt(k + 2 qmax) = b,
@@ -75,12 +109,13 @@ def _check_numbers(n: int, k: int, qmax: int) -> None:
     weights under the ceiling passes without a count.  Every table holds a
     weight at degree 0, so a row longer than the ceiling is refused before
     the count."""
-    most = MAX_TABLE_NUMBERS // (n + qmax)
+    ceiling = CEILINGS["char"]["numbers"]
+    most = ceiling // (n + qmax)
     if (2 * isqrt(k + 2 * qmax) + 1) ** (n - 1) <= most:
         return
     if not most or affine.weight_count(n, k, qmax, most) > most:
         raise UsageError(f"--n {n} --k {k} --qmax {_brief(str(qmax), 20)} gives a table of "
-                         f"more than {MAX_TABLE_NUMBERS} numbers (n + qmax at each weight), "
+                         f"more than {ceiling} numbers (n + qmax at each weight), "
                          "the most char writes")
 
 
@@ -165,10 +200,6 @@ def _write_rows(rows: tuple, combine, opening: str, sep: str, out) -> None:
 # bijection
 
 BIJECTION_OBJECTS = ("strip", "motif", "rapidity", "modes", "sl2-partition")
-# A label's strip, its rapidities and its printed image take time and memory
-# linear in the strip's boxes, which a short payload can make huge: each
-# payload is refused if its numbers give more boxes than this.
-MAX_STRIP_BOXES = 10**5
 
 
 def _int(x) -> int:
@@ -205,14 +236,15 @@ def _parse_payload(kind: str, payload: str, n: int):
 
 
 def _check_boxes(kind: str, boxes: int) -> None:
-    """Refuse a payload whose strip has more than `MAX_STRIP_BOXES` boxes,
+    """Refuse a payload whose strip has more boxes than the ceiling,
     counted from its numbers before the strip is built: a strip's positive
     rows, a rapidity sequence's `stab`, and N + 2 lambda_1 for an
     sl2-partition (`strips.sl2_partition_to_strip`).  A modes or motif
     payload is about as long as its strip and needs no check."""
-    if boxes > MAX_STRIP_BOXES:
+    ceiling = CEILINGS["bijection"]["boxes"]
+    if boxes > ceiling:
         raise UsageError(f"the {kind} payload gives a strip of more than "
-                         f"{MAX_STRIP_BOXES} boxes, the most a bijection takes")
+                         f"{ceiling} boxes, the most a bijection takes")
 
 
 def _to_strip(kind: str, obj, n: int):
@@ -346,6 +378,8 @@ def _help(command: str | None) -> str:
             default = defaults[opt[2:]]
             text += " (optional)" if default is None else f" (default: {default})"
         lines.append(f"  {opt:<10} {text}")
+    lines += ["", "ceilings (past one, exit 2 before any work):", *(
+        f"  {what:<20} {most}" for what, most in CEILINGS[command].items())]
     return "\n".join(lines)
 
 
@@ -400,6 +434,19 @@ def _parse(argv) -> dict | None:
     return fields
 
 
+def _check_suite(suite: str, given: dict) -> None:
+    """Refuse a value in `given` ({"--n": n, "--qmax": qmax}, None where a
+    flag is not given) past an entry "SUITE --flag" of `CEILINGS["verify"]`
+    for this suite, or for any suite under `--suite all`.  The entries are
+    tried from the smallest, so `all` names the suite with the smallest
+    entry of the flag, the first in the table on a tie."""
+    for key, most in sorted(CEILINGS["verify"].items(), key=itemgetter(1)):
+        name, _, flag = key.rpartition(" ")
+        value = given.get(flag)
+        if name and suite in (name, "all") and value is not None and value > most:
+            raise UsageError(f"suite {name} takes {flag} <= {most}, got {_brief(str(value), 20)}")
+
+
 def main(argv=None) -> int:
     # The objects that exist now (module-level definitions) live for the
     # process: freezing them keeps them out of every collection.  No command
@@ -416,8 +463,9 @@ def main(argv=None) -> int:
             raise UsageError(f"--jobs must be 1, got {_brief(str(args['jobs']), 20)}: "
                              "cases run in one process")
         n = args["n"]
-        if n is not None and not 2 <= n <= MAX_RANK:
-            bound = ">= 2" if n < 2 else f"<= {MAX_RANK}"
+        most = CEILINGS[args["command"]]["--n"]
+        if n is not None and not 2 <= n <= most:
+            bound = ">= 2" if n < 2 else f"<= {most}"
             raise UsageError(f"--n must be {bound}, got {_brief(str(n), 20)}")
         if args["command"] == "char":
             table = _build_table(args["kind"], n, args["k"], args["qmax"])
@@ -426,6 +474,7 @@ def main(argv=None) -> int:
         if args["command"] == "verify":
             if args["qmax"] is not None and args["qmax"] < 0:
                 raise UsageError(f"--qmax must be >= 0, got {_brief(str(args['qmax']), 20)}")
+            _check_suite(args["suite"], {"--n": n, "--qmax": args["qmax"]})
             from . import verify
             try:
                 cases = verify.build_suite(args["suite"], n=n, qmax=args["qmax"])

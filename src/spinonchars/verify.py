@@ -335,18 +335,11 @@ def small_norm_weights(n: int, k: int, max_extra=2):
     return [weight for weight, _ in affine.bosonic_character(n, k, max_extra).items()]
 
 
-# The largest rank of the spinon-cut census, whose weights are built before
-# any case runs.  Counted from the orbit sizes of the dominant weights, a
-# rank's census holds 8 587 weights at rank 8, whose run takes about 10 s,
-# 22 129 at rank 9, 319 005 at rank 12 and about 2.2e8 at rank 20.
-MAX_SPINON_CUT_RANK = 8
-
-
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
     """Cut sums against the closed string functions, and multisum against
     alternating cut forms (N <= 3n), for every weight with
-    |lambda|^2/2 - Delta_k <= 2 at ranks 2, 3 and 4 (or rank `n`, at most
-    `MAX_SPINON_CUT_RANK`), to q^8."""
+    |lambda|^2/2 - Delta_k <= 2 at ranks 2, 3 and 4 (or rank `n`), to q^8.
+    Every weight of the census is built before a case runs."""
     if qmax is None:
         qmax = 8
     cases = []
@@ -473,15 +466,9 @@ def _hw_case(lam, N):
 # ---------------------------------------------------------------------------
 # suite: gz (branching schemes and Drinfel'd polynomial cross-checks)
 
-# The largest rank of the gz suite, whose 238 cases take longer at each
-# rank: in process, the suite took 2.4-2.8 s at rank 10, 5.6 s at 11 and
-# 6.6 s at 12.
-MAX_GZ_RANK = 10
-
-
 def gz_cases(n: int | None = None) -> list[Case]:
     """GZ schemes against skew Schur polynomials for outer size <= 5 and up to
-    2 spinons at ranks 2 and 3 (or rank `n`, at most `MAX_GZ_RANK`), and
+    2 spinons at ranks 2 and 3 (or rank `n`), and
     the two Drinfel'd polynomial routes for every partition of size <= 6 at
     ranks 2-4.  No truncation order."""
     ranks = (2, 3) if n is None else (n,)
@@ -561,22 +548,15 @@ SUITES = {
     "gz": gz_cases,
 }
 
-# the largest --n of each suite whose cases grow with the rank, smallest first
-MAX_RANKS = {"spinon-cut": MAX_SPINON_CUT_RANK, "gz": MAX_GZ_RANK}
-
 
 def build_suite(name: str, n: int | None = None, qmax: int | None = None) -> list[Case]:
     """The cases of one suite, or of every suite for "all".  "all" passes each
     builder the overrides it reads; a named suite given an override it does
-    not read raises ValueError naming the flag.  A rank past the ceiling of
-    `spinon-cut` or `gz` in `MAX_RANKS`, or for "all" past the smaller one,
-    raises ValueError naming that suite's ceiling before any case is built."""
+    not read raises ValueError naming the flag.  No rank or order is
+    refused here: the command line holds each to its ceiling."""
     given = {"n": n, "qmax": qmax}
     if name != "all" and name not in SUITES:
         raise KeyError(name)
-    for suite, most in MAX_RANKS.items():
-        if n is not None and n > most and name in (suite, "all"):
-            raise ValueError(f"suite {suite} takes --n <= {most}, got {n}")
     if name == "all":
         return [case for key in sorted(SUITES) for case in _build(key, given)]
     unread = [flag for flag, value in given.items()

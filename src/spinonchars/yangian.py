@@ -8,7 +8,7 @@ from itertools import accumulate, groupby
 from math import comb
 from operator import add, sub
 
-from .affine import CharacterTable, exps_to_fw, orbit_size, sl2_spinon_grades
+from .affine import CharacterTable, exps_to_fw, sl2_spinon_grades
 from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
 
 
@@ -268,31 +268,34 @@ def _times_e(nu: tuple[int, ...], h: int) -> tuple[tuple[tuple[int, ...], int], 
     `yangian_decomposition`).
 
     The coefficient of m_mu in a symmetric polynomial is that of the
-    monomial x^mu.  In m_nu e_h, with e_h the sum of x^{1_S} over the
-    h-subsets S of the variables, x^mu is x^alpha x^{1_S} for an
+    monomial x^mu, mu sorted.  In m_nu e_h, with e_h the sum of x^{1_S} over
+    the h-subsets S of the variables, x^mu is x^alpha x^{1_S} for an
     arrangement alpha of nu with alpha + 1_S = mu, and S fixes alpha, so
-    c(mu) = #{S : mu - 1_S is an arrangement of nu}, the subset-count rule.
-    To read every c(mu) off one pass over the S at nu, count the pairs
-    (alpha, S) with alpha + 1_S an arrangement of mu both ways.  Permuting
-    alpha and S together shows that each of the |W nu| arrangements alpha
-    has N(mu) = #{S : nu + 1_S sorts to mu} of them, and each of the
-    |W mu| arrangements beta = alpha + 1_S of mu has c(mu) of them, so
-    c(mu) = N(mu) |W nu| / |W mu|, with |W nu| the number of arrangements
-    of nu (`affine.orbit_size`).  N(mu) is counted per run i of r_i parts
-    v_i: the S taking j_i places of each run, sum j_i = h, are prod C(r_i,
-    j_i), and nu + 1_S sorts to v_i + 1 on the first j_i places of run i and
-    v_i on the rest, which is sorted already (v_{i+1} + 1 <= v_i) and gives
-    back each j_i, so distinct choices (j_i) give distinct mu.  Memoized:
-    the result is an immutable tuple, and each (nu, h) is expanded once."""
-    prefixes = [((), h, 1)]  # (parts so far, boxes left, subsets reaching them)
+    c(mu) = #{S : mu - 1_S is an arrangement of nu}.  The S taking j_i
+    places of each run i of r_i parts v_i of nu, sum j_i = h, give the mu
+    with v_i + 1 on the first j_i places of run i and v_i on the rest, which
+    is sorted already (v_{i+1} + 1 <= v_i) and gives back each j_i, so
+    distinct choices (j_i) give distinct mu.  The places of mu of value u
+    hold the a raised parts of the run of value u - 1 and the b unraised
+    parts of the run of value u (a or b is 0 where that run is missing).  An
+    S with mu - 1_S an arrangement of nu takes a of these a + b places,
+    since the count of each value in mu - 1_S, taken from the largest value
+    down, fixes how many places of each value S takes; so c(mu) =
+    prod_u C(a + b, a), one binomial wherever a run's raised parts meet the
+    unraised parts of the run above.  Memoized: the result is an immutable
+    tuple, and each (nu, h) is expanded once."""
+    # (parts so far, boxes left, c(mu) so far, unraised parts of the last run)
+    prefixes = [((), h, 1, 0)]
+    above = None  # the value of the last run
     for v, run in groupby(nu):
         r = len(list(run))
-        prefixes = [(mu + (v + 1,) * j + (v,) * (r - j), left - j, subsets * comb(r, j))
-                    for mu, left, subsets in prefixes for j in range(min(r, left) + 1)
+        meets = above == v + 1
+        prefixes = [(mu + (v + 1,) * j + (v,) * (r - j), left - j,
+                     c * comb(j + kept, j) if meets else c, r - j)
+                    for mu, left, c, kept in prefixes for j in range(min(r, left) + 1)
                     if left - j <= len(nu) - len(mu) - r]  # the later runs fit the rest
-    size = orbit_size(exps_to_fw(nu))
-    return tuple((tuple(p - mu[-1] for p in mu), subsets * size // orbit_size(exps_to_fw(mu)))
-                 for mu, _, subsets in prefixes)
+        above = v
+    return tuple((tuple(p - mu[-1] for p in mu), c) for mu, _, c, _ in prefixes)
 
 
 def _close_run(value: dict, h: int) -> dict:

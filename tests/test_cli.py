@@ -426,10 +426,11 @@ _PAST_CEILING = "the {} payload gives a strip of more than {} boxes, the most a 
     ("sl2-partition", '{"lam": [], "N": 3000000}'),
 ])
 def test_bijection_refuses_a_strip_past_the_ceiling_at_once(capsys, src, payload):
-    """A short payload whose numbers give a strip of more than
-    `cli.MAX_STRIP_BOXES` boxes is refused on one short line within 50 ms,
+    """A short payload whose numbers give a strip of more than the ceiling's
+    10^5 boxes is refused on one short line within 50 ms,
     before a list as long as the strip is built (the last payload took
     3.8 s and 271 MB without the ceiling)."""
+    assert cli.CEILINGS["bijection"]["boxes"] == 100000
     for dst in ("strip", "motif", "rapidity"):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", dst,
@@ -444,7 +445,7 @@ def test_bijection_ceiling_counts_each_payload_from_its_numbers(capsys, monkeypa
     """A strip payload is measured by the sum of its rows, a rapidity payload
     by `stab` and an sl2-partition by N + 2 lambda_1, its strip's boxes; a
     payload at the ceiling is answered, and one box more is refused."""
-    monkeypatch.setattr(cli, "MAX_STRIP_BOXES", 10)
+    monkeypatch.setitem(cli.CEILINGS["bijection"], "boxes", 10)
     for src, at, past in (
         ("strip", "[4, 6]", "[5, 0, 6]"),
         ("rapidity", '{"k": 0, "prefix": [], "stab": 10}',
@@ -755,10 +756,10 @@ def _spinon_cut_census(n):
 @pytest.mark.parametrize("suite,rank", [("spinon-cut", 9), ("spinon-cut", 200), ("all", 9)])
 def test_spinon_cut_refuses_a_rank_past_its_census(capsys, suite, rank):
     """`spinon-cut` builds every weight of its census before a case runs:
-    8 587 at rank 8, whose run takes about 10 s, and 22 129 at rank 9.  Its
+    8 587 at rank 8, whose run took 2.5 s, and 22 129 at rank 9.  Its
     ceiling is the last rank under 10 000 weights, and a rank past it is
     refused on one line with exit 2, also when `--suite all` passes it on."""
-    ceiling = verify.MAX_SPINON_CUT_RANK
+    ceiling = cli.CEILINGS["verify"]["spinon-cut --n"]
     assert [_spinon_cut_census(n) for n in (8, 9)] == [8587, 22129]
     assert _spinon_cut_census(ceiling) < 10_000 < _spinon_cut_census(ceiling + 1)
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(rank))
@@ -767,16 +768,16 @@ def test_spinon_cut_refuses_a_rank_past_its_census(capsys, suite, rank):
 
 
 @pytest.mark.parametrize("argv,suite,ceiling", [
-    (("gz", "--n", "11"), "gz", verify.MAX_GZ_RANK),
-    (("all", "--n", "11"), "spinon-cut", verify.MAX_SPINON_CUT_RANK),
-    (("all", "--n", "37"), "spinon-cut", verify.MAX_SPINON_CUT_RANK),
+    (("gz", "--n", "11"), "gz", cli.CEILINGS["verify"]["gz --n"]),
+    (("all", "--n", "11"), "spinon-cut", cli.CEILINGS["verify"]["spinon-cut --n"]),
+    (("all", "--n", "37"), "spinon-cut", cli.CEILINGS["verify"]["spinon-cut --n"]),
 ])
 def test_verify_refuses_a_rank_past_its_suite_ceiling(capsys, monkeypatch, argv, suite, ceiling):
     """`gz` grows with the rank (it took 18 s at rank 12), so it has a
     ceiling, and `all` takes the smallest; a rank past it is refused on one
     line with exit 2 within 50 ms, before any suite builds a case."""
     monkeypatch.setattr(verify, "SUITES", {name: None for name in verify.SUITES})
-    assert verify.MAX_SPINON_CUT_RANK < verify.MAX_GZ_RANK
+    assert cli.CEILINGS["verify"]["spinon-cut --n"] < cli.CEILINGS["verify"]["gz --n"]
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--suite", *argv)
     elapsed = time.perf_counter() - started
@@ -785,13 +786,39 @@ def test_verify_refuses_a_rank_past_its_suite_ceiling(capsys, monkeypatch, argv,
     assert elapsed < 0.05, elapsed
 
 
+# suite -> its --qmax ceiling
+_QMAX_CEILINGS = {key.split()[0]: most for key, most in cli.CEILINGS["verify"].items()
+                  if key.endswith(" --qmax")}
+
+
+@pytest.mark.parametrize("suite", [*sorted(_QMAX_CEILINGS), "all"])
+def test_verify_refuses_a_qmax_past_its_suite_ceiling(capsys, monkeypatch, suite):
+    """Each suite that takes `--qmax` has a ceiling on it (`sl2` ran past
+    30 s at q^1000), and `all` takes the smallest, the first in the table
+    on a tie.  A value at the ceiling passes the check, and one past it, up
+    to 4000 digits, is refused on one line with exit 2 within 50 ms, before
+    any suite builds a case."""
+    assert sorted(_QMAX_CEILINGS) == ["decomposition", "qids", "sl2", "spinon-cut"]
+    named = min(_QMAX_CEILINGS, key=_QMAX_CEILINGS.get) if suite == "all" else suite
+    most = _QMAX_CEILINGS[named]
+    cli._check_suite(suite, {"--n": None, "--qmax": most})
+    monkeypatch.setattr(verify, "SUITES", {name: None for name in verify.SUITES})
+    for given, quoted in ((str(most + 1),) * 2, ("1000",) * 2, (HUGE, "9" * 17 + "...")):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--qmax", given)
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (2, "")
+        assert err == f"spinonchars: error: suite {named} takes --qmax <= {most}, got {quoted}\n"
+        assert elapsed < 0.05, elapsed
+
+
 def test_verify_decomposition_runs_at_the_largest_rank(capsys):
-    """`decomposition` has no ceiling of its own: at `cli.MAX_RANK` its
+    """`decomposition` has no rank ceiling of its own: at the `--n` ceiling its
     Yangian route sums the k=0,1 tables to q^3 in a few ms, and the suite
     passes all of its 76 cases."""
     started = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify", "--suite", "decomposition",
-                           "--n", str(cli.MAX_RANK), "--format", "json")
+                           "--n", str(cli.CEILINGS["verify"]["--n"]), "--format", "json")
     elapsed = time.perf_counter() - started
     assert code == 0
     report = json.loads(out)
@@ -815,7 +842,7 @@ def test_weight_count_counts_the_expanded_weights(n, k, qmax):
 @pytest.mark.parametrize("n,k,qmax", [(50, 0, 2), (200, 0, 2), (200, 0, 40000),
                                       (200, 199, 3), (2, 0, 10**7), (3, 0, int("9" * 4000))])
 def test_char_refuses_a_table_past_the_ceiling_at_once(capsys, monkeypatch, n, k, qmax):
-    """A table of more than `cli.MAX_TABLE_NUMBERS` numbers, n + qmax at each
+    """A table of more than the ceiling's 10^7 numbers, n + qmax at each
     weight, is refused on one line with exit 2 within 50 ms, its weights
     counted before any route runs: (50, 0, 2) has 1 384 251 weights and
     wrote 875 MB, and (200, 0, 2), 388 149 501 weights, ran out of memory."""
@@ -827,8 +854,9 @@ def test_char_refuses_a_table_past_the_ceiling_at_once(capsys, monkeypatch, n, k
     elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
     quoted = str(qmax) if qmax < 10**20 else "9" * 17 + "..."
+    most = cli.CEILINGS["char"]["numbers"]
     assert err == (f"spinonchars: error: --n {n} --k {k} --qmax {quoted} gives a table of "
-                   f"more than {cli.MAX_TABLE_NUMBERS} numbers (n + qmax at each weight), "
+                   f"more than {most} numbers (n + qmax at each weight), "
                    "the most char writes\n")
     assert elapsed < 0.05, elapsed
 
@@ -836,7 +864,7 @@ def test_char_refuses_a_table_past_the_ceiling_at_once(capsys, monkeypatch, n, k
 def test_char_ceiling_admits_the_rank_200_table_of_order_one():
     """(200, 0, 1), 39 801 weights of 8 000 001 numbers, is under the
     ceiling, and so is every table of the benchmark and the golden file."""
-    assert affine.weight_count(200, 0, 1, cli.MAX_TABLE_NUMBERS) * 201 == 8_000_001
+    assert affine.weight_count(200, 0, 1, cli.CEILINGS["char"]["numbers"]) * 201 == 8_000_001
     cli._check_numbers(200, 0, 1)
     for n, k, qmax in ((8, 0, 10), (2, 0, 120), (2, 1, 120), (2, 1, 36), (4, 3, 3)):
         cli._check_numbers(n, k, qmax)
@@ -1005,7 +1033,7 @@ _PAST_RANK = "spinonchars: error: --n must be <= {}, got {}\n"
      "9" * 17 + "..."),
 ])
 def test_a_rank_past_the_ceiling_is_refused_at_once(capsys, argv, given):
-    """A `--n` above `cli.MAX_RANK` is refused by every command on one short
+    """A `--n` above the ceiling of its command is refused on one short
     line within 50 ms: past it, the bosonic route ran out of stack (rank
     2000 died of a `RecursionError`, exit 1), the Yangian route ran for
     more than 20 s at rank 2000 and order 1, and a bijection took 0.35 s at
@@ -1014,7 +1042,7 @@ def test_a_rank_past_the_ceiling_is_refused_at_once(capsys, argv, given):
     code, out, err = run_cli(capsys, *argv)
     elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
-    assert err == _PAST_RANK.format(cli.MAX_RANK, given)
+    assert err == _PAST_RANK.format(cli.CEILINGS[argv[0]]["--n"], given)
     assert len(err) <= 200 and elapsed < 0.05, elapsed
 
 
@@ -1042,9 +1070,11 @@ def test_an_out_of_range_integer_is_quoted_short(capsys, argv, message):
 
 
 def test_a_rank_at_the_ceiling_is_answered(capsys):
-    """Each command runs at `--n` = `cli.MAX_RANK`, the bosonic route's
+    """Each command runs at its `--n` ceiling, the bosonic route's
     recursion among them, even from inside this test runner's stack."""
-    rank = str(cli.MAX_RANK)
+    most = cli.CEILINGS["char"]["--n"]
+    assert cli.CEILINGS["bijection"]["--n"] == most
+    rank = str(most)
     for kind in ("bosonic", "yangian"):
         code, out, _ = run_cli(capsys, "char", "--kind", kind, "--n", rank, "--k", "0",
                                "--qmax", "0", "--format", "csv")
@@ -1052,7 +1082,7 @@ def test_a_rank_at_the_ceiling_is_answered(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--from", "strip", "--to", "motif",
                            "--n", rank, "--payload", "[1]")
     assert (code, json.loads(out)["energy"]) == (0, "199/400")
-    assert run_cli(capsys, "char", "--kind", "bosonic", "--n", str(cli.MAX_RANK + 1),
+    assert run_cli(capsys, "char", "--kind", "bosonic", "--n", str(most + 1),
                    "--k", "0", "--qmax", "0")[0] == 2
 
 
@@ -1145,3 +1175,15 @@ def test_help_lists_every_option_and_choice(capsys, argv):
     for opt, kind in options.items():
         assert f" {opt} " in out
         assert all(choice in out for choice in (kind if isinstance(kind, tuple) else ()))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_prints_each_ceiling_of_its_command(capsys, command):
+    """`spinonchars COMMAND -h` prints every entry of `cli.CEILINGS[COMMAND]`,
+    the one table of ceilings on outside input, on a line of its own."""
+    assert sorted(cli.CEILINGS) == sorted(COMMANDS)
+    code, out, _ = run_cli(capsys, command, "-h")
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    for what, most in cli.CEILINGS[command].items():
+        assert [*what.split(), str(most)] in lines, what

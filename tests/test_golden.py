@@ -2,14 +2,15 @@
 exit code of each command in `COMMANDS`, pinned in `golden_sha256.json`.
 
 The commands cover every `char` kind in every format at ranks 2-4 (the
-usage errors of the rank-2 kinds among them), ranks past `cli.MAX_RANK`
-refused by each command, a table past `cli.MAX_TABLE_NUMBERS` refused,
-ranks past `verify.MAX_RANKS` refused by the `spinon-cut` and `gz`
-suites, the `decomposition` suite at rank 37, integer options of 4000
-digits out of their range, the 19 MB bosonic table at
+usage errors of the rank-2 kinds among them), and the refusals of the
+ceilings in `cli.CEILINGS`: ranks past `--n` refused by each command, a
+table past the most numbers `char` writes, ranks past the `spinon-cut` and
+`gz` entries, and orders past the `--qmax` entry of each suite that takes
+one and of `all`.  Also the `decomposition` suite at rank 37, integer
+options of 4000 digits out of their range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
-and three whose strip would exceed `cli.MAX_STRIP_BOXES` among them, and a
+and three whose strip would exceed the box ceiling among them, and a
 rapidity payload whose class k is out of range, the
 malformed command lines of `test_cli.MALFORMED`, and two lines spelled
 `--opt=value`.  A
@@ -65,6 +66,8 @@ COMMANDS = (
     ("verify", "--suite", "decomposition", "--n", "37"),
     ("verify", "--suite", "sl2", "--qmax", "-" + HUGE),
     ("verify", "--suite", "sl2", "--jobs", HUGE),
+    *(("verify", "--suite", suite, "--qmax", "1000")
+      for suite in ("decomposition", "qids", "sl2", "spinon-cut", "all")),
     *(_bijection(src, dst, n, payload)
       for src, n, payload in (
           ("strip", 2, '{"rows": []}'),

@@ -66,6 +66,24 @@ def test_cli_renders_tables_without_the_indenting_encoder():
     assert not offenders, "indenting JSON encoder:\n" + "\n".join(offenders)
 
 
+def test_no_module_binds_a_ceiling_of_its_own():
+    """`cli.CEILINGS` is the one table of ceilings on outside input, so no
+    module binds a `MAX_*` name at module level."""
+    probe = ast.parse("MAX_A = 1\nMAX_B: int = 2\nMAXED = 3\ndef f():\n    MAX_C = 4")
+    assert _module_max_names(probe) == ["MAX_A", "MAX_B"]
+    offenders = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in _module_max_names(ast.parse(path.read_text()))]
+    assert not offenders, "module-level MAX_* names:\n" + "\n".join(offenders)
+
+
+def _module_max_names(tree: ast.Module) -> list[str]:
+    targets = [target for node in tree.body for target in (
+        node.targets if isinstance(node, ast.Assign) else
+        [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])]
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and name.id.startswith("MAX_")]
+
+
 def _indenting_dumps(tree: ast.AST) -> list[ast.Call]:
     return [call for call in ast.walk(tree)
             if isinstance(call, ast.Call)
