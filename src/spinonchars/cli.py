@@ -332,8 +332,20 @@ def _json_key(key) -> str:
 
 
 def _render_report(report: dict, fmt: str) -> str:
+    """The report of `verify.run_cases` as text.  "json" is the text of
+    `json.dumps(report, indent=2)`: each case record, whose fields are those
+    of `run_cases` in its order, is laid out by one f-string, and
+    `_json_text` writes only the values."""
     if fmt == "json":
-        return _json_text(report)
+        pad = "\n      "  # the newline and indent of a field of a case record
+        records = ",".join(
+            f'\n    {{{pad}"id": {_json_text(c["id"])},{pad}"params": '
+            f'{_json_text(c["params"], pad)},{pad}"pass": {_json_text(c["pass"])},'
+            f'{pad}"locus": {_json_text(c["locus"], pad)},{pad}"seconds": '
+            f'{_json_text(c["seconds"])}\n    }}' for c in report["cases"])
+        cases = f"[{records}\n  ]" if records else "[]"
+        return (f'{{\n  "suite": {_json_text(report["suite"])},\n  "passed": '
+                f'{_json_text(report["passed"])},\n  "cases": {cases}\n}}')
     cases = report["cases"]
     lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['id']} ({c['seconds']:.3f}s)"
              + ("" if c["pass"] else f"  locus: {c['locus']}") for c in cases]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import add
 
 from .affine import exps_to_fw
 from .partitions import conjugate, ends_at, horizontal_strips, padded
@@ -13,30 +12,42 @@ from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
 
 
 class SymPoly:
-    """Map from exponent vectors (tuples of length nvars) to nonzero int
-    coefficients.  A coefficient that is not an `int` (a QSeries, a float or
-    a bool) raises TypeError."""
+    """Map from monomials to nonzero int coefficients.  `terms` keys each
+    monomial by its exponent vector packed into one int, a byte per variable
+    with x_1 most significant, so a product of monomials is one integer add;
+    `monomials()` unpacks.  `degree` is at least the total degree (equal to
+    it unless + or - cancelled a top-degree term).  The constructor takes
+    exponent tuples: one outside 0..255 raises ValueError, and a coefficient
+    that is not an `int` (a QSeries, a float or a bool) TypeError."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "degree")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms = {}
+        self.degree = 0
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
             if type(coeff) is not int:
                 raise TypeError(f"coefficients must be ints, got {coeff!r}")
             if coeff:
-                self.terms[tuple(exps)] = coeff
+                self.terms[int.from_bytes(bytes(exps), "big")] = coeff
+                self.degree = max(self.degree, sum(exps))
 
     @staticmethod
     def one(nvars: int) -> "SymPoly":
-        return SymPoly(nvars, {(0,) * nvars: 1})
+        return _poly(nvars, {0: 1}, 0)
 
     @staticmethod
     def zero(nvars: int) -> "SymPoly":
         return SymPoly(nvars)
+
+    def monomials(self):
+        """Yield (exponent tuple, coefficient) for every term."""
+        nvars = self.nvars
+        for key, coeff in self.terms.items():
+            yield tuple(key.to_bytes(nvars, "big")), coeff
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -73,22 +84,46 @@ class SymPoly:
         return f"SymPoly(nvars={self.nvars}, nterms={len(self.terms)})"
 
 
+_MAX_DEGREE = 255  # the largest exponent one byte of a packed key holds
+
+
+def _poly(nvars: int, terms: dict, degree: int) -> SymPoly:
+    """The SymPoly of packed `terms`, trusted to hold nonzero ints."""
+    poly = SymPoly.__new__(SymPoly)
+    poly.nvars, poly.terms, poly.degree = nvars, terms, degree
+    return poly
+
+
 def _sum_of_products(nvars: int, products) -> SymPoly:
     """sum of c * a * b over the (c, a, b) in `products`, with c an int and
     a, b SymPolys in nvars variables.  The result is built in one dict, and
-    its zero coefficients are dropped once, at the end."""
+    its zero coefficients are dropped once, at the end.
+
+    Adding packed keys adds exponent vectors byte by byte while no entry
+    passes 255.  An entry e1_i + e2_i of a product is at most |e1| + |e2|
+    <= a.degree + b.degree, so a pair whose degrees sum past 255 raises
+    ValueError before it is multiplied: no byte ever carries."""
     out: dict = {}
     get = out.get
+    degree = 0
     for c, a, b in products:
+        d = a.degree + b.degree
+        if d > _MAX_DEGREE:
+            raise ValueError(f"a product of degree {d} passes {_MAX_DEGREE}, "
+                             "the largest exponent a packed monomial holds")
+        degree = max(degree, d)
         for e1, c1 in a.terms.items():
             c1 *= c
             for e2, c2 in b.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    poly = SymPoly.__new__(SymPoly)
-    poly.nvars = nvars
-    poly.terms = {e: c for e, c in out.items() if c}
-    return poly
+    return _poly(nvars, {e: c for e, c in out.items() if c}, degree)
+
+
+def _packed(idx, nvars: int) -> int:
+    """The packed key of the monomial x_{i+1} for each i in `idx`, a
+    repeated i raising its exponent."""
+    return sum(1 << 8 * (nvars - 1 - i) for i in idx)
 
 
 @lru_cache(maxsize=None)
@@ -97,28 +132,21 @@ def elementary(m: int, nvars: int) -> SymPoly:
     Memoized: no SymPoly is changed after construction, so callers share it."""
     if m < 0 or m > nvars:
         return SymPoly.zero(nvars)
-    terms = {}
-    for idx in combinations(range(nvars), m):
-        e = [0] * nvars
-        for i in idx:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return SymPoly(nvars, terms)
+    return _poly(nvars, dict.fromkeys((_packed(idx, nvars)
+                                       for idx in combinations(range(nvars), m)), 1), m)
 
 
 @lru_cache(maxsize=None)
 def complete(m: int, nvars: int) -> SymPoly:
     """h_m: sum of all degree-m monomials; zero for m < 0.  Memoized, as
-    `elementary` is."""
+    `elementary` is.  An m past 255 raises ValueError, as x_1^m has no
+    packed key."""
     if m < 0:
         return SymPoly.zero(nvars)
-    terms = {}
-    for idx in combinations_with_replacement(range(nvars), m):
-        e = [0] * nvars
-        for i in idx:
-            e[i] += 1
-        terms[tuple(e)] = 1
-    return SymPoly(nvars, terms)
+    if m > _MAX_DEGREE:
+        raise ValueError(f"h_{m} has an exponent past {_MAX_DEGREE}")
+    return _poly(nvars, dict.fromkeys((_packed(idx, nvars) for idx in
+                                       combinations_with_replacement(range(nvars), m)), 1), m)
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +184,16 @@ def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
     the cells holding i, is a horizontal strip, by a transfer matrix (Stanley,
     EC1 4.7): the chains that reach one k_i share its dict from content
     prefix to count, and the last strip must end at outer (`ends_at`).  It
-    reads no determinant."""
+    reads no determinant.  Layer i depends only on (inner, outer, i), so the
+    layers are shared across variable counts (`_sst_layer`): the polynomial
+    in nvars variables is the last, `ends_at`, step from layer nvars - 1.
+
+    Every route refuses a shape of more than 255 cells with ValueError: its
+    polynomial's degree would pass what a packed monomial holds."""
     outer, inner = shape
+    cells = sum(outer) - sum(inner)
+    if cells > _MAX_DEGREE:
+        raise ValueError(f"a skew shape of more than {_MAX_DEGREE} cells")
     if method in ("jt_h", "jt_e"):
         lam, mu, basis = outer, inner, complete
         if method == "jt_e":
@@ -167,23 +203,38 @@ def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
         return _jt_det(basis, nvars, tuple(p - i - shift for i, p in enumerate(lam)),
                        tuple(p - j - shift for j, p in enumerate(mu)))
     if method == "sst":
-        layer = {padded(inner, len(outer)): {(): 1}}  # k_i -> content -> count
-        for i in range(1, nvars + 1):
-            grown: dict = {}
-            for kappa, counts in layer.items():
-                if i < nvars:
-                    steps = horizontal_strips(kappa, outer)
-                else:  # the last strip ends at outer
-                    size = sum(outer) - sum(kappa)
-                    steps = ((outer, size),) if ends_at(kappa, outer) else ()
-                for rho, size in steps:
-                    into = grown.setdefault(rho, {})
-                    for prefix, c in counts.items():
-                        key = (*prefix, size)
-                        into[key] = into.get(key, 0) + c
-            layer = grown
-        return SymPoly(nvars, layer.get(outer, {}))
+        inner = padded(inner, len(outer))
+        if not nvars:
+            return SymPoly(0, {(): 1} if inner == outer else {})
+        terms: dict = {}
+        total = sum(outer)
+        for kappa, counts in _sst_layer(inner, outer, nvars - 1).items():
+            if ends_at(kappa, outer):  # the last strip ends at outer
+                size = total - sum(kappa)
+                for prefix, c in counts.items():
+                    key = (prefix << 8) + size
+                    terms[key] = terms.get(key, 0) + c
+        return _poly(nvars, terms, cells)
     raise ValueError(f"unknown method {method!r}")
+
+
+@lru_cache(maxsize=None)
+def _sst_layer(inner: tuple, outer: tuple, i: int) -> dict:
+    """k_i -> packed content prefix -> count, over the chains inner = k_0 <=
+    ... <= k_i inside outer whose steps are horizontal strips; inner is
+    padded to len(outer).  A prefix holds the i step sizes, one byte each,
+    the first most significant.  Memoized for the life of the process:
+    callers read these dicts and never change them."""
+    if not i:
+        return {inner: {0: 1}}
+    grown: dict = {}
+    for kappa, counts in _sst_layer(inner, outer, i - 1).items():
+        for rho, size in horizontal_strips(kappa, outer):
+            into = grown.setdefault(rho, {})
+            for prefix, c in counts.items():
+                key = (prefix << 8) + size
+                into[key] = into.get(key, 0) + c
+    return grown
 
 
 def ribbon_expansion(rows) -> dict[tuple[int, ...], int]:
@@ -246,7 +297,7 @@ def skew_kostka(outer: tuple[int, ...], inner: tuple[int, ...], mu) -> int:
 def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
     """Collapse a SymPoly onto fundamental-weight coordinates (x_1...x_n = 1)."""
     out: dict = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.monomials():
         w = exps_to_fw(e)
         out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call: the strip search the
 Yangian route replaced, the per-matrix Jacobi-Trudi determinant the shared
-minors replaced, expansions and statistics no route needs, and hand-built
+minors replaced, the tuple-keyed polynomial arithmetic the packed monomials
+replaced, expansions and statistics no route needs, and hand-built
 character tables holding rows that no builder writes, and the skew shapes
-the property tests draw."""
+and polynomials the property tests draw."""
 from hypothesis import strategies as st
 
 from spinonchars.affine import CharacterTable, dominant_weight
@@ -127,6 +128,20 @@ def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
     return memo[rows]
 
 
+def tuple_sum_of_products(products) -> dict:
+    """sum of c * a * b over the (c, a, b) in `products`, with c an int and
+    a, b dicts from exponent tuples to int coefficients, as such a dict
+    without zero coefficients: each product of monomials adds the exponent
+    tuples entry by entry, with no bound on an entry."""
+    out: dict = {}
+    for c, a, b in products:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def eval_ones(poly: SymPoly) -> int:
     """Sum of coefficients (the value at x_1 = ... = x_n = 1)."""
     return sum(poly.terms.values())
@@ -177,3 +192,23 @@ def skew_shapes(draw, max_size: int) -> tuple:
     for part in lam:
         mu.append(draw(st.integers(0, min([part, *mu[-1:]]))))
     return tuple(lam), tuple(p for p in mu if p)
+
+
+@st.composite
+def monomial_dicts(draw, nvars: int, degree: int) -> dict:
+    """A dict from exponent tuples of length nvars to int coefficients, the
+    input `SymPoly` takes: one term of total degree exactly `degree` with a
+    nonzero coefficient, then up to five more of total degree at most
+    `degree`, whose coefficients may be 0 or past a machine word.  Each
+    exponent tuple cuts its total degree at sorted points, so every entry
+    is at most `degree`."""
+    def exponents(total: int) -> tuple:
+        cuts = sorted(draw(st.lists(st.integers(0, total),
+                                    min_size=nvars - 1, max_size=nvars - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+    coeffs = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+    terms = {exponents(degree): draw(coeffs.filter(bool))}
+    for _ in range(draw(st.integers(0, 5))):
+        terms.setdefault(exponents(draw(st.integers(0, degree))), draw(coeffs))
+    return terms

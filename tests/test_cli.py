@@ -561,10 +561,15 @@ def test_verify_suite_exit_zero_on_pass(capsys):
 
 def test_verify_json_report_has_the_indent_2_layout():
     """`verify --format json` writes the bytes of `json.dumps(report, indent=2)`
-    without running that encoder: for a passing suite, and for a report
-    whose failing cases carry a dict, a string and a list as their loci."""
+    without running that encoder: for a passing suite, for every case of
+    `--suite all`, for a report with no case, and for a report whose failing
+    cases carry a dict, a string and a list as their loci."""
     passing = verify.run_cases("gz", verify.build_suite("gz", n=2))
     assert passing["passed"]
+    everything = verify.run_cases("all", verify.build_suite("all"))
+    assert everything["passed"] and len(everything["cases"]) == 2631
+    empty = verify.run_cases("empty", [])
+    assert empty == {"suite": "empty", "passed": True, "cases": []}
     failing = verify.run_cases("made-up", [
         verify.Case("a[1]", {"n": 2, "rows": [3, 1], "variant": "x\ty"},
                     lambda **_: {"weight": [1, -1], "q_degree": 0, "lhs": 2, "rhs": None}),
@@ -573,7 +578,7 @@ def test_verify_json_report_has_the_indent_2_layout():
         verify.Case("d", {"n": 3}, lambda **_: None),
     ])
     assert not failing["passed"]
-    for report in (passing, failing):
+    for report in (passing, everything, empty, failing):
         assert _render_report(report, "json") == json.dumps(report, indent=2)
 
 
@@ -754,17 +759,22 @@ def _spinon_cut_census(n):
 
 
 @pytest.mark.parametrize("suite,rank", [("spinon-cut", 9), ("spinon-cut", 200), ("all", 9)])
-def test_spinon_cut_refuses_a_rank_past_its_census(capsys, suite, rank):
+def test_spinon_cut_refuses_a_rank_past_its_census(capsys, monkeypatch, suite, rank):
     """`spinon-cut` builds every weight of its census before a case runs:
     8 587 at rank 8, whose run took 2.5 s, and 22 129 at rank 9.  Its
     ceiling is the last rank under 10 000 weights, and a rank past it is
-    refused on one line with exit 2, also when `--suite all` passes it on."""
+    refused on one line with exit 2 within 50 ms, before any suite builds a
+    case, also when `--suite all` passes it on."""
     ceiling = cli.CEILINGS["verify"]["spinon-cut --n"]
     assert [_spinon_cut_census(n) for n in (8, 9)] == [8587, 22129]
     assert _spinon_cut_census(ceiling) < 10_000 < _spinon_cut_census(ceiling + 1)
+    monkeypatch.setattr(verify, "SUITES", {name: None for name in verify.SUITES})
+    started = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", str(rank))
+    elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
     assert err == f"spinonchars: error: suite spinon-cut takes --n <= {ceiling}, got {rank}\n"
+    assert elapsed < 0.05, elapsed
 
 
 @pytest.mark.parametrize("argv,suite,ceiling", [

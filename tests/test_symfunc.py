@@ -1,11 +1,12 @@
 """Symmetric polynomials: skew Schur routes, expansion coefficients, and the
 q-deformed binomial generating polynomials."""
 import gc
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinonchars.affine import (
@@ -21,6 +22,7 @@ from spinonchars.symfunc import (
     SymPoly,
     _descent_table,
     _jt_det,
+    _sst_layer,
     complete,
     elementary,
     ribbon_expansion,
@@ -36,9 +38,11 @@ from oracles import (
     determinant,
     eval_ones,
     jacobi_trudi_matrix,
+    monomial_dicts,
     skew_shapes,
     sl2_strip_product,
     stabilization_check,
+    tuple_sum_of_products,
 )
 
 
@@ -54,14 +58,98 @@ def test_three_schur_routes_agree_small_census():
 
 
 @settings(max_examples=60, deadline=None)
-@given(skew_shapes(10), st.integers(1, 5))
+@given(skew_shapes(12), st.integers(1, 5))
 def test_three_schur_routes_agree_past_the_census(shape, nvars):
     """The determinant routes and the horizontal-strip walk of `sst` on skew
-    shapes of outer size <= 10 in <= 5 variables, past the size <= 6, <= 4
+    shapes of outer size <= 12 in <= 5 variables, past the size <= 6, <= 4
     variables of the `schur` suite."""
     want = schur_skew(shape, nvars, "jt_h")
     assert schur_skew(shape, nvars, "jt_e") == want
     assert schur_skew(shape, nvars, "sst") == want
+
+
+def test_sst_layers_are_shared_across_variable_counts():
+    """Every memo of the package is cleared, and the shapes of the 920
+    `schur[` cases of the `schur` suite run from the most variables down, so
+    each case at nvars = v reads layer v - 1 that a case with more variables
+    built.  Each result equals the one of a warm run in suite order and both
+    determinant routes, and every layer of a shape was built once.  A
+    caller that changes a returned polynomial changes no later result."""
+    cases = [((tuple(c.params["outer"]), tuple(c.params["inner"])), c.params["nvars"])
+             for c in build_suite("schur") if c.id.startswith("schur[")]
+    assert len(cases) == 920
+    warm = {case: schur_skew(*case, "sst") for case in cases}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinonchars."):
+            for memo in vars(module).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+    for shape, nvars in sorted(cases, key=lambda case: -case[1]):
+        got = schur_skew(shape, nvars, "sst")
+        assert got == warm[shape, nvars], (shape, nvars)
+        assert got == schur_skew(shape, nvars, "jt_h") == schur_skew(shape, nvars, "jt_e"), (
+            shape, nvars)
+    assert _sst_layer.cache_info().misses == 4 * len({shape for shape, _ in cases})
+    shape = ((4, 3, 1), (2,))
+    for nvars in range(1, 5):
+        returned = schur_skew(shape, nvars, "sst")
+        returned.terms.clear()
+        returned.terms[1] = 7
+    for nvars in range(1, 6):
+        assert schur_skew(shape, nvars, "sst") == schur_skew(shape, nvars, "jt_h"), nvars
+
+
+@st.composite
+def _polynomial_pairs(draw) -> tuple:
+    """(nvars, a, b): two dicts of `monomial_dicts` in 1..6 variables whose
+    degrees sum to at most 255."""
+    nvars = draw(st.integers(1, 6))
+    degree = draw(st.integers(0, 255))
+    return (nvars, draw(monomial_dicts(nvars, degree)),
+            draw(monomial_dicts(nvars, draw(st.integers(0, 255 - degree)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial_pairs(), st.integers(-3, 3) | st.integers(-2**70, 2**70))
+@example((1, {(200,): 1, (3,): -2}, {(55,): 3, (0,): 1}), 2)
+@example((3, {(100, 50, 105): 2, (0, 0, 0): 1}, {(0, 0, 0): -1}), 0)
+def test_packed_kernel_matches_the_tuple_keyed_oracle(pair, k):
+    """`+`, `-`, `*` and `* int` of polynomials in 1..6 variables, read back
+    through `monomials()`, against tuple-keyed arithmetic, up to products
+    of degree 255: x_1^200 * x_1^55 fills one byte exactly."""
+    nvars, a, b = pair
+    one = {(0,) * nvars: 1}
+    p, q = SymPoly(nvars, a), SymPoly(nvars, b)
+    assert dict(p.monomials()) == {e: c for e, c in a.items() if c}
+    assert dict((p + q).monomials()) == tuple_sum_of_products([(1, a, one), (1, b, one)])
+    assert dict((p - q).monomials()) == tuple_sum_of_products([(1, a, one), (-1, b, one)])
+    assert dict((p * q).monomials()) == tuple_sum_of_products([(1, a, b)])
+    assert dict((p * k).monomials()) == tuple_sum_of_products([(k, a, one)])
+    assert k * p == p * k
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 255))
+def test_packed_kernel_refuses_a_degree_past_255(nvars, degree):
+    """A product whose factors' degrees sum to 256 raises ValueError before
+    a byte could carry, even where no one exponent would pass 255, and so
+    does an exponent of 256 (or -1) given to the constructor, a complete
+    symmetric polynomial h_256 and a skew shape of 256 cells."""
+    rest = (0,) * (nvars - 1)
+    p = SymPoly(nvars, {(degree, *rest): 1})
+    q = SymPoly(nvars, {(*rest, 256 - degree): 1})
+    with pytest.raises(ValueError):
+        p * q
+    for exps in ((256, *rest), (-1, *rest)):
+        with pytest.raises(ValueError):
+            SymPoly(nvars, {exps: 1})
+    with pytest.raises(ValueError):
+        complete(256, nvars)
+    for method in ("jt_h", "jt_e", "sst"):
+        with pytest.raises(ValueError):
+            schur_skew(((200, 56), ()), nvars, method)
+    assert dict((p * SymPoly(nvars, {(255 - degree, *rest): 1})).monomials()) == {
+        (255, *rest): 1}
 
 
 def test_shared_minors_equal_the_per_matrix_determinant():
@@ -138,10 +226,10 @@ def test_skew_kostka_is_the_monomial_coefficient():
     for every content with at most three parts."""
     for lam in all_partitions_upto(5):
         for mu in _sub_partitions(lam):
-            poly = schur_skew((lam, mu), 3, "jt_h")
+            monomials = dict(schur_skew((lam, mu), 3, "jt_h").monomials())
             for content in partitions_of(sum(lam) - sum(mu), max_len=3):
                 exps = content + (0,) * (3 - len(content))
-                assert skew_kostka(lam, mu, content) == poly.terms.get(exps, 0), (
+                assert skew_kostka(lam, mu, content) == monomials.get(exps, 0), (
                     lam, mu, content)
     # a content of another size fills no tableau
     assert skew_kostka((), (), (1,)) == 0
@@ -263,13 +351,13 @@ def test_sympoly_takes_int_coefficients_only():
             SymPoly(2, {(1, 0): coeff})
     with pytest.raises(ValueError):
         SymPoly(2, {(1, 0, 0): 1})
-    assert SymPoly(2, {(1, 0): 3, (0, 1): 0}).terms == {(1, 0): 3}
+    assert dict(SymPoly(2, {(1, 0): 3, (0, 1): 0}).monomials()) == {(1, 0): 3}
 
 
 def test_sympoly_arithmetic_drops_cancelled_terms():
     x, y = SymPoly(2, {(1, 0): 1}), SymPoly(2, {(0, 1): 1})
     assert (x + y) - y == x
-    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert dict(((x + y) * (x - y)).monomials()) == {(2, 0): 1, (0, 2): -1}
     assert (x - x).is_zero() and (x * 0).is_zero()
     assert 3 * x == x + x + x
     with pytest.raises(ValueError):

@@ -267,7 +267,7 @@ def test_times_e_matches_the_polynomial_product():
             for h in range(n + 1):
                 expected = {
                     tuple(x - e[-1] for x in e): c
-                    for e, c in (m_nu * elementary(h, n)).terms.items()
+                    for e, c in (m_nu * elementary(h, n)).monomials()
                     if list(e) == sorted(e, reverse=True)
                 }
                 assert dict(yangian._times_e(nu, h)) == expected, (nu, h)
