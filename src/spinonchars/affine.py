@@ -16,7 +16,7 @@ from itertools import accumulate, count
 from operator import add, mul, sub
 
 from .partitions import partition_counts
-from .qseries import QSeries, inv_pochhammer_product, q_zero
+from .qseries import inv_pochhammer_product
 
 
 def conformal_dimension(n: int, k: int) -> Fraction:
@@ -343,7 +343,7 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     if n < 2:
         raise ValueError("rank must be >= 2")
     table = CharacterTable(n, k, qmax)
-    power = inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
+    power = inv_pochhammer_product((qmax,) * (n - 1), qmax)
     shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
     orbits = table.orbits
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
@@ -411,7 +411,7 @@ def _spinon_a_values(n: int, coords, n_spinons: int):
 
 def spinon_string_function(
     n: int, k: int, coords, n_spinons: int, form: str, qmax: int
-) -> QSeries:
+) -> tuple:
     """The N-spinon cut of the string function, in either stated form, graded
     from q^{|lambda|^2/2}: coefficient d belongs to q^{|lambda|^2/2 + d}.
 
@@ -440,26 +440,28 @@ def spinon_string_function(
     """
     if form not in ("multisum", "alternating"):
         raise ValueError(f"unknown form {form!r}")
+    if qmax < 0:
+        raise ValueError(f"qmax must be >= 0, got {qmax}")
     if n_spinons % n != k % n:
-        return q_zero(qmax)
+        return (0,) * (qmax + 1)
     a_vals = _spinon_a_values(n, coords, n_spinons)
     if a_vals is None:
-        return q_zero(qmax)
+        return (0,) * (qmax + 1)
     if form == "alternating":
         return _alternating_cut(tuple(sorted(a_vals)), qmax)
     total = [0] * (qmax + 1)
     for exp, denom in _multisum_terms(a_vals, qmax, 1, 0, 0, ()):
         # the series of 1/denom times q^exp, added in place: map stops at
         # the end of total[exp:]
-        total[exp:] = map(add, total[exp:], inv_pochhammer_product(denom, qmax).coeffs)
-    return QSeries(total, qmax)
+        total[exp:] = map(add, total[exp:], inv_pochhammer_product(denom, qmax))
+    return tuple(total)
 
 
 @lru_cache(maxsize=None)
-def _alternating_cut(a_sorted: tuple[int, ...], qmax: int) -> QSeries:
+def _alternating_cut(a_sorted: tuple[int, ...], qmax: int) -> tuple:
     """The alternating form of `spinon_string_function` at the sorted A_i,
-    one per Weyl orbit (see there); the result is an immutable `QSeries`,
-    so every caller may share it.  Each signed term is added into one
+    one per Weyl orbit (see there); the result is an immutable tuple, so
+    every caller may share it.  Each signed term is added into one
     coefficient list at its exponent m(m-1)/2, which grows with m, so the
     first m whose exponent passes qmax ends the sum: it and every later
     term vanish at this order."""
@@ -468,9 +470,9 @@ def _alternating_cut(a_sorted: tuple[int, ...], qmax: int) -> QSeries:
         d = m * (m - 1) // 2
         if d > qmax:
             break
-        term = inv_pochhammer_product((m, *(a - m for a in a_sorted)), qmax).coeffs
+        term = inv_pochhammer_product((m, *(a - m for a in a_sorted)), qmax)
         total[d:] = map(sub if m % 2 else add, total[d:], term)
-    return QSeries(total, qmax)
+    return tuple(total)
 
 
 def _multisum_terms(a_vals, qmax, j, s_prev, exponent, denom):
@@ -547,18 +549,17 @@ def verify_spinon_cut(n: int, k: int, coords, qmax: int) -> bool:
     partial = [0] * (qmax + 1)
     n_spinons = k % n
     while n_spinons * n_spinons <= bound:
-        term = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax).coeffs
+        term = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
         if min(term) < 0:
             return False
         partial[:] = map(add, partial, term)
         n_spinons += n
-    past = spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)
-    if not past.is_zero():
+    if any(spinon_string_function(n, k, coords, n_spinons, "alternating", qmax)):
         raise AssertionError(
             f"spinon cut: the {n_spinons}-spinon cut at weight {tuple(coords)} "
             f"reaches q^{qmax}, past the bound N^2 <= {bound}"
         )
-    return tuple(partial) == inv_pochhammer_product((qmax,) * (n - 1), qmax).coeffs
+    return tuple(partial) == inv_pochhammer_product((qmax,) * (n - 1), qmax)
 
 
 def sl2_spinon_grades(k: int, qmax: int):

@@ -1,15 +1,16 @@
 """Truncated q-series with exact integer coefficients.
 
-A QSeries holds coefficients of q^0..q^qmax (inclusive truncation).  A
-series graded from a rational power of q is stored from that power: the
-caller knows the leading exponent, and every comparison puts both sides at
-the same one.  All arithmetic is exact; coefficients are arbitrary-precision
-Python ints.
+A truncated q-series is the tuple of its coefficients of q^0..q^qmax
+(inclusive truncation): exactly qmax + 1 ints, so its order is its length
+minus one.  A series graded from a rational power of q is stored from that
+power: the caller knows the leading exponent, and every comparison puts both
+sides at the same one.  All arithmetic is exact; coefficients are
+arbitrary-precision Python ints.
 
-Every QSeries keeps one invariant: `coeffs` is a tuple of exactly qmax + 1
-ints.  The public constructor pads or cuts its input to that; every result
-built in this module is already such a tuple and is wrapped by the private
-`_series`, which trusts it and copies nothing.
+Every function here that takes `qmax` refuses a negative one with
+ValueError, and every series it returns is such a tuple.  On tuples `+`
+concatenates and `* int` repeats, so series are multiplied by `product`
+and added coefficient by coefficient, never with those operators.
 """
 from __future__ import annotations
 
@@ -18,105 +19,39 @@ from itertools import islice
 from operator import add, mul, neg, sub
 
 
-class QSeries:
-    """sum_{d=0}^{qmax} coeffs[d] q^d, truncated inclusively."""
-
-    __slots__ = ("qmax", "coeffs")
-
-    def __init__(self, coeffs, qmax: int | None = None):
-        coeffs = tuple(coeffs)
-        if qmax is None:
-            qmax = len(coeffs) - 1
-        if qmax < 0:
-            raise ValueError(f"qmax must be >= 0, got {qmax}")
-        if len(coeffs) <= qmax:
-            coeffs += (0,) * (qmax + 1 - len(coeffs))
-        self.qmax = qmax
-        self.coeffs = coeffs[: qmax + 1]
-
-    def __getitem__(self, d: int) -> int:
-        """Coefficient of q^d; 0 beyond the truncation is an error."""
-        if d < 0:
-            return 0
-        if d > self.qmax:
-            raise IndexError(f"degree {d} beyond truncation order {self.qmax}")
-        return self.coeffs[d]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other):
-        # map stops at the shorter tuple: the lower of the two orders
-        return _series(tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        a = self.coeffs
-        if isinstance(other, int):
-            if other == 1:
-                return self
-            return _series(tuple(map(neg, a)) if other == -1 else
-                           tuple(c * other for c in a))
-        b = other.coeffs
-        size = min(len(a), len(b))
-        # a = q^la A and b = q^lb B, so a b = q^(la + lb) A B: coefficient e of
-        # A B is A[0] B[e] + ... + A[e] B[0], the first e + 1 entries of A
-        # against the last e + 1 of B reversed through its entry top
-        la = next((i for i, c in enumerate(a) if c), size)
-        lb = next((i for i, c in enumerate(b) if c), size)
-        top = size - 1 - la - lb
-        if top < 0:
-            return _series((0,) * size)
-        a, rb = a[la:la + top + 1], b[lb + top:lb - 1 if lb else None:-1]
-        return _series((0,) * (la + lb) + tuple(
-            sum(map(mul, a[: e + 1], rb[top - e:])) for e in range(top + 1)))
-
-    def shift(self, d: int) -> "QSeries":
-        """Multiply by q^d (d >= 0 integer); keeps qmax, drops overflow."""
-        if d < 0:
-            raise ValueError("shift exponent must be non-negative")
-        return self if d == 0 else _series(_shifted(self.coeffs, d))
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.qmax == other.qmax and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.qmax, self.coeffs))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.qmax >= 8 else ""
-        return f"QSeries([{head}{tail}], qmax={self.qmax})"
-
-
-def _series(coeffs: tuple) -> QSeries:
-    """The QSeries of a tuple that already keeps the invariant (see the
-    module docstring), taken as it is."""
-    series = object.__new__(QSeries)
-    series.qmax = len(coeffs) - 1
-    series.coeffs = coeffs
-    return series
-
-
 def _shifted(coeffs: tuple, d: int) -> tuple:
     """The coefficients of q^d times `coeffs` at the same order, d >= 0."""
     size = len(coeffs)
     return (0,) * size if d >= size else (0,) * d + coeffs[: size - d]
 
 
-def q_one(qmax: int) -> QSeries:
-    return QSeries([1], qmax)
-
-
-def q_zero(qmax: int) -> QSeries:
-    return QSeries([0], qmax)
+def _one(qmax: int) -> tuple:
+    """The series 1 at order qmax, which must be >= 0."""
+    if qmax < 0:
+        raise ValueError(f"qmax must be >= 0, got {qmax}")
+    return (1,) + (0,) * qmax
 
 
 # ---------------------------------------------------------------------------
 # public q-objects
 
-def euler_inverse(qmax: int) -> QSeries:
+def product(a: tuple, b: tuple) -> tuple:
+    """The product of two series, at the lower order of the two."""
+    size = min(len(a), len(b))
+    # a = q^la A and b = q^lb B, so a b = q^(la + lb) A B: coefficient e of
+    # A B is A[0] B[e] + ... + A[e] B[0], the first e + 1 entries of A
+    # against the last e + 1 of B reversed through its entry top
+    la = next((i for i, c in enumerate(a) if c), size)
+    lb = next((i for i, c in enumerate(b) if c), size)
+    top = size - 1 - la - lb
+    if top < 0:
+        return (0,) * size
+    a, rb = a[la:la + top + 1], b[lb + top:lb - 1 if lb else None:-1]
+    return (0,) * (la + lb) + tuple(
+        sum(map(mul, a[: e + 1], rb[top - e:])) for e in range(top + 1))
+
+
+def euler_inverse(qmax: int) -> tuple:
     """1 / prod_{k>=1} (1 - q^k); coefficient of q^m counts partitions of m.
 
     Factors (1 - q^k) with k > qmax are 1 below the truncation, so this is
@@ -128,7 +63,7 @@ def euler_inverse(qmax: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def inv_pochhammer(n: int, qmax: int) -> QSeries:
+def inv_pochhammer(n: int, qmax: int) -> tuple:
     """1/(q)_n truncated at qmax.
 
     Built at order qmax: starting from 1, dividing by each factor (1 - q^j)
@@ -137,14 +72,14 @@ def inv_pochhammer(n: int, qmax: int) -> QSeries:
     j > qmax are 1 below the truncation."""
     if n < 0:
         raise ValueError(f"pochhammer index must be >= 0, got {n}")
-    coeffs = [1] + [0] * qmax
+    coeffs = list(_one(qmax))
     for j in range(1, min(n, qmax) + 1):
         for d in range(j, qmax + 1):
             coeffs[d] += coeffs[d - j]
-    return QSeries(coeffs, qmax)
+    return tuple(coeffs)
 
 
-def inv_pochhammer_product(parts, qmax: int) -> QSeries:
+def inv_pochhammer_product(parts, qmax: int) -> tuple:
     """1 / prod_p (q)_p over the given parts, truncated at qmax.
 
     The product depends only on the multiset of nonzero parts, so zeros are
@@ -156,12 +91,13 @@ def inv_pochhammer_product(parts, qmax: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _inv_pochhammer_product(parts: tuple[int, ...], qmax: int) -> QSeries:
+def _inv_pochhammer_product(parts: tuple[int, ...], qmax: int) -> tuple:
     """`inv_pochhammer_product` of sorted positive parts: a new multiset costs
     one product, the cached one without its largest part times 1/(q)_largest."""
     if not parts:
-        return q_one(qmax)
-    return _inv_pochhammer_product(parts[:-1], qmax) * inv_pochhammer(parts[-1], qmax)
+        return _one(qmax)
+    return product(_inv_pochhammer_product(parts[:-1], qmax),
+                   inv_pochhammer(parts[-1], qmax))
 
 
 def _q_pascal(width: int, qmax: int):
@@ -173,7 +109,7 @@ def _q_pascal(width: int, qmax: int):
     Step s applies the q-Pascal rule [s, k] = [s-1, k-1] + q^k [s-1, k] to
     each row k <= min(s, width), from the right, so row k - 1 still holds
     [s-1, k-1] when row k reads it."""
-    rows = [(1,) + (0,) * qmax] + [(0,) * (qmax + 1)] * width
+    rows = [_one(qmax)] + [(0,) * (qmax + 1)] * width
     step = 0
     while True:
         yield rows
@@ -182,28 +118,28 @@ def _q_pascal(width: int, qmax: int):
             rows[k] = tuple(map(add, rows[k - 1], _shifted(rows[k], k)))
 
 
-def qbinomial(n: int, m: int, qmax: int) -> QSeries:
+def qbinomial(n: int, m: int, qmax: int) -> tuple:
     """[N choose M]_q = (q)_N / ((q)_M (q)_{N-M}), truncated at qmax, the
     row M of step N of `_q_pascal`."""
     if m < 0 or m > n:
         raise ValueError(f"qbinomial requires 0 <= M <= N, got N={n}, M={m}")
-    return _series(next(islice(_q_pascal(m, qmax), n, None))[m])
+    return next(islice(_q_pascal(m, qmax), n, None))[m]
 
 
-def qmultinomial(ks, qmax: int) -> QSeries:
+def qmultinomial(ks, qmax: int) -> tuple:
     """(q)_{k_1+...+k_r} / prod_i (q)_{k_i}, truncated at qmax: the product
     over i of [k_1+...+k_i choose k_i]_q."""
     ks = list(ks)
     if any(k < 0 for k in ks):
         raise ValueError(f"qmultinomial requires non-negative parts, got {ks}")
-    out, total = q_one(qmax), 0
+    out, total = _one(qmax), 0
     for k in ks:
         total += k
-        out = out * qbinomial(total, k, qmax)
+        out = product(out, qbinomial(total, k, qmax))
     return out
 
 
-def pochhammer_z_expansion(n: int, qmax: int) -> tuple[QSeries, ...]:
+def pochhammer_z_expansion(n: int, qmax: int) -> tuple[tuple, ...]:
     """(z;q)_N as its N + 1 z-coefficients.
 
     Coefficient of z^j is (-1)^j q^{j(j-1)/2} [N choose j]_q; every
@@ -215,11 +151,11 @@ def pochhammer_z_expansion(n: int, qmax: int) -> tuple[QSeries, ...]:
     out = []
     for j, row in enumerate(rows):
         row = _shifted(row, j * (j - 1) // 2)
-        out.append(_series(tuple(map(neg, row)) if j % 2 else row))
+        out.append(tuple(map(neg, row)) if j % 2 else row)
     return tuple(out)
 
 
-def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[QSeries, ...]:
+def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[tuple, ...]:
     """(z;q)_N^{-1} modulo z^{zdeg+1}, as its zdeg + 1 z-coefficients;
     coefficient of z^j is [N+j-1 choose j]_q, row j of step N - 1 + j of
     one `_q_pascal` pass."""
@@ -228,11 +164,11 @@ def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[QSeries, .
     if n == 0:
         if zdeg > 0:
             raise ValueError("N=0 admits no inverse expansion beyond the constant 1")
-        return (q_one(qmax),)
+        return (_one(qmax),)
     if n < 0:
         raise ValueError("N must be >= 0")
     steps = islice(_q_pascal(zdeg, qmax), n - 1, n + zdeg)
-    return tuple(_series(rows[j]) for j, rows in enumerate(steps))
+    return tuple(rows[j] for j, rows in enumerate(steps))
 
 
 def durfee_check(m: int, qmax: int) -> bool:
@@ -246,9 +182,9 @@ def durfee_check(m: int, qmax: int) -> bool:
     total = [0] * (qmax + 1)
     b = max(0, -m)
     while (d := b * (b + m)) <= qmax:
-        total[d:] = map(add, total[d:], inv_pochhammer_product((b + m, b), qmax).coeffs)
+        total[d:] = map(add, total[d:], inv_pochhammer_product((b + m, b), qmax))
         b += 1
-    return tuple(total) == euler_inverse(qmax).coeffs
+    return tuple(total) == euler_inverse(qmax)
 
 
 def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
@@ -266,7 +202,7 @@ def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
     big_m, big_n = m_bound, n_bound
     lhs = [0] * (qmax + 1)
     for j in range(min(big_m, big_n) + 1):
-        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax).coeffs
+        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax)
         if variant == "i":
             d, op = j * (j - 1) // 2, sub if j % 2 else add
         else:
@@ -274,5 +210,5 @@ def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
         lhs[d:] = map(op, lhs[d:], base)
     rhs = inv_pochhammer_product((big_m, big_n), qmax)
     if variant == "i":
-        rhs = rhs.shift(big_m * big_n)
-    return tuple(lhs) == rhs.coeffs
+        rhs = _shifted(rhs, big_m * big_n)
+    return tuple(lhs) == rhs

@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .affine import exps_to_fw
 from .partitions import conjugate, ends_at, horizontal_strips, padded
-from .qseries import inv_pochhammer, inv_pochhammer_product, qmultinomial
+from .qseries import inv_pochhammer, inv_pochhammer_product, product, qmultinomial
 
 
 class SymPoly:
@@ -18,7 +18,7 @@ class SymPoly:
     `monomials()` unpacks.  `degree` is at least the total degree (equal to
     it unless + or - cancelled a top-degree term).  The constructor takes
     exponent tuples: one outside 0..255 raises ValueError, and a coefficient
-    that is not an `int` (a QSeries, a float or a bool) TypeError."""
+    that is not an `int` (a q-series tuple, a float or a bool) TypeError."""
 
     __slots__ = ("nvars", "terms", "degree")
 
@@ -328,9 +328,12 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
     The right side's t^N coefficient is expanded independently via the
     single-variable expansion 1/(t z; q)_inf = sum_j z^j t^j / (q)_j.
     """
+    if qmax < 0:
+        raise ValueError(f"qmax must be >= 0, got {qmax}")
     for total in range(nmax + 1):
         scale = inv_pochhammer(total, qmax)
-        lhs = {comp: c * scale for comp, c in rogers_szego(total, nvars, qmax).items()}
+        lhs = {comp: product(c, scale)
+               for comp, c in rogers_szego(total, nvars, qmax).items()}
         rhs = {comp: inv_pochhammer_product(comp, qmax)
                for comp in _compositions(total, nvars)}
         if lhs != rhs:

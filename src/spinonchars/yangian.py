@@ -12,46 +12,24 @@ from .affine import CharacterTable, exps_to_fw, sl2_spinon_grades
 from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
 
 
-class DrinfeldPolys:
-    """Monic P_1..P_{n-1} stored as multisets of roots in half-integer units."""
-
-    __slots__ = ("n", "roots")
-
-    def __init__(self, n: int, roots):
-        roots = tuple(tuple(sorted(r)) for r in roots)
-        if len(roots) != n - 1:
-            raise ValueError(f"expected {n - 1} root multisets, got {len(roots)}")
-        self.n = n
-        self.roots = roots
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "P": [list(r) for r in self.roots]}
-
-    def __eq__(self, other):
-        if not isinstance(other, DrinfeldPolys):
-            return NotImplemented
-        return self.n == other.n and self.roots == other.roots
-
-    def __repr__(self):
-        halves = [[Fraction(h, 2) for h in r] for r in self.roots]
-        return f"DrinfeldPolys(n={self.n}, roots={halves})"
-
-
-def drinfeld_evaluation(lam, n: int) -> DrinfeldPolys:
-    """Evaluation module of highest weight lam: P_i has the unit-spaced string
-    of roots (i-1)/2 + lam_i - j, j = 0..lam_i-lam_{i+1}-1 (halves stored)."""
+def drinfeld_evaluation(lam, n: int) -> tuple[tuple[int, ...], ...]:
+    """The monic Drinfel'd polynomials P_1..P_{n-1} of the evaluation module
+    of highest weight lam, each as the sorted tuple of its roots in
+    half-integer units: P_i has the unit-spaced string of roots
+    (i-1)/2 + lam_i - j, j = 0..lam_i-lam_{i+1}-1 (halves stored)."""
     lam = partition(lam)
     if len(lam) > n:
         raise ValueError(f"lambda must have at most {n} parts")
     lam = padded(lam, n)
-    return DrinfeldPolys(n, [[i + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])]
-                             for i in range(n - 1)])
+    return tuple(tuple(sorted(i + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])))
+                 for i in range(n - 1))
 
 
-def drinfeld_tame(shape: tuple, n: int) -> DrinfeldPolys:
-    """Tame module of the skew shape (outer, inner): each column j of height i
-    contributes the root (lam'_j + mu'_j)/2 + j - 1/2 to P_i (halves
-    stored)."""
+def drinfeld_tame(shape: tuple, n: int) -> tuple[tuple[int, ...], ...]:
+    """The Drinfel'd polynomials P_1..P_{n-1} of the tame module of the skew
+    shape (outer, inner), as `drinfeld_evaluation` gives them: each column j
+    of height i contributes the root (lam'_j + mu'_j)/2 + j - 1/2 to P_i
+    (halves stored)."""
     lc = conjugate(shape[0])
     mc = padded(conjugate(shape[1]), len(lc))
     roots: list[list[int]] = [[] for _ in range(n - 1)]
@@ -64,7 +42,7 @@ def drinfeld_tame(shape: tuple, n: int) -> DrinfeldPolys:
         if height == n:
             continue  # full columns contribute to no P_i
         roots[height - 1].append(a + b + 2 * j - 1)
-    return DrinfeldPolys(n, roots)
+    return tuple(tuple(sorted(r)) for r in roots)
 
 
 def gz_shape(lam, mu, n: int, n_spinons: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

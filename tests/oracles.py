@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spinonchars.affine import CharacterTable, dominant_weight
 from spinonchars.partitions import conjugate, padded
-from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, energy
 from spinonchars.symfunc import (
     SymPoly,
@@ -52,7 +51,7 @@ def reduced_strips(n: int, k: int, e2_max: int):
                 stack.append((cols + (b,), m + b, grown))
 
 
-def pochhammer(n: int, qmax: int) -> QSeries:
+def pochhammer(n: int, qmax: int) -> tuple:
     """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated at qmax.
 
     Built at order qmax: starting from 1, each factor (1 - q^j) with
@@ -65,7 +64,7 @@ def pochhammer(n: int, qmax: int) -> QSeries:
     for j in range(1, min(n, qmax) + 1):
         for d in range(qmax, j - 1, -1):
             coeffs[d] -= coeffs[d - j]
-    return QSeries(coeffs, qmax)
+    return tuple(coeffs)
 
 
 def sl2_strip_product(rows) -> SymPoly:
@@ -149,7 +148,7 @@ def eval_ones(poly: SymPoly) -> int:
 
 def poly_degrees(polys) -> tuple[int, ...]:
     """The degrees of the Drinfel'd polynomials P_1..P_{n-1}."""
-    return tuple(len(r) for r in polys.roots)
+    return tuple(len(r) for r in polys)
 
 
 def skew_size(shape) -> int:

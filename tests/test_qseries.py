@@ -1,13 +1,17 @@
-"""Exact q-series arithmetic: pinned small values and algebraic invariants."""
-from itertools import product
+"""Exact q-series arithmetic: pinned small values and algebraic invariants.
+A series is the tuple of its qmax + 1 coefficients."""
+import inspect
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinonchars import qseries
+from spinonchars.affine import spinon_string_function, verify_spinon_cut
 from spinonchars.partitions import partitions_of
 from spinonchars.qseries import (
-    QSeries,
+    _shifted,
     durfee_check,
     euler_inverse,
     inv_pochhammer,
@@ -15,22 +19,41 @@ from spinonchars.qseries import (
     inv_pochhammer_z_expansion,
     lemma_d3_check,
     pochhammer_z_expansion,
-    q_one,
-    q_zero,
+    product,
     qbinomial,
     qmultinomial,
 )
+from spinonchars.symfunc import rogers_szego, rs_generating_check
 from oracles import pochhammer
+
+
+def _one(qmax):
+    return (1,) + (0,) * qmax
+
+
+def _zero(qmax):
+    return (0,) * (qmax + 1)
+
+
+def _at_order(coeffs, qmax):
+    """The series of `coeffs` at order qmax: cut, or padded with zeros."""
+    coeffs = tuple(coeffs[: qmax + 1])
+    return coeffs + (0,) * (qmax + 1 - len(coeffs))
+
+
+def _sum(*series):
+    """Coefficient-wise sum, at the lower order."""
+    return tuple(map(sum, zip(*series)))
 
 
 def test_qbinomial_4_2_pinned():
     """[4 choose 2]_q = 1 + q + 2q^2 + q^3 + q^4."""
-    assert qbinomial(4, 2, 4).coeffs == (1, 1, 2, 1, 1)
+    assert qbinomial(4, 2, 4) == (1, 1, 2, 1, 1)
 
 
 def test_qmultinomial_1_1_1_pinned():
     """[3; 1,1,1]_q = 1 + 2q + 2q^2 + q^3."""
-    assert qmultinomial([1, 1, 1], 3).coeffs == (1, 2, 2, 1)
+    assert qmultinomial([1, 1, 1], 3) == (1, 2, 2, 1)
 
 
 def test_qbinomial_counts_partitions_in_a_box():
@@ -40,7 +63,7 @@ def test_qbinomial_counts_partitions_in_a_box():
         for m in range(n + 1):
             counts = tuple(sum(1 for _ in partitions_of(d, max_part=n - m, max_len=m))
                            for d in range(16))
-            assert qbinomial(n, m, 15).coeffs == counts, (n, m)
+            assert qbinomial(n, m, 15) == counts, (n, m)
 
 
 def test_qbinomial_symmetry_and_unimodality_examples():
@@ -49,18 +72,18 @@ def test_qbinomial_symmetry_and_unimodality_examples():
             a = qbinomial(n, m, 20)
             b = qbinomial(n, n - m, 20)
             assert a == b, f"[{n},{m}] != [{n},{n - m}]"
-            assert all(c >= 0 for c in a.coeffs)
+            assert all(c >= 0 for c in a)
 
 
 def test_pochhammer_times_inverse_is_one():
     for n in range(7):
-        prod = pochhammer(n, 15) * inv_pochhammer(n, 15)
-        assert prod == q_one(15), f"(q)_{n} * 1/(q)_{n} != 1"
+        prod = product(pochhammer(n, 15), inv_pochhammer(n, 15))
+        assert prod == _one(15), f"(q)_{n} * 1/(q)_{n} != 1"
 
 
 def test_euler_inverse_counts_partitions():
     # partition numbers p(0..10)
-    assert euler_inverse(10).coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    assert euler_inverse(10) == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
 
 def test_euler_inverse_matches_pentagonal_recurrence():
@@ -76,7 +99,7 @@ def test_euler_inverse_matches_pentagonal_recurrence():
                 total += sign * p[m - j * (3 * j + 1) // 2]
             j += 1
         p.append(total)
-    assert euler_inverse(qmax).coeffs == tuple(p)
+    assert euler_inverse(qmax) == tuple(p)
 
 
 def _exact_pochhammer(n):
@@ -96,9 +119,8 @@ def test_truncated_pochhammers():
     for qmax in range(13):
         for n in range(2 * qmax + 1):
             poch, inv = pochhammer(n, qmax), inv_pochhammer(n, qmax)
-            assert poch * inv == q_one(qmax), (n, qmax)
-            exact = _exact_pochhammer(n)[: qmax + 1]
-            assert poch.coeffs == exact + (0,) * (qmax + 1 - len(exact)), (n, qmax)
+            assert product(poch, inv) == _one(qmax), (n, qmax)
+            assert poch == _at_order(_exact_pochhammer(n), qmax), (n, qmax)
             if n >= qmax:
                 assert inv == euler_inverse(qmax), (n, qmax)
 
@@ -111,15 +133,64 @@ def test_negative_pochhammer_index_rejected():
         euler_inverse(-1)
 
 
+def _public_functions(module):
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_") and callable(obj)
+            and getattr(obj, "__module__", None) == module.__name__}
+
+
+# one call per public `qseries` function that takes an order, and per
+# function of another layer that builds a series at the order it is given
+NEGATIVE_ORDER_CALLS = {
+    "euler_inverse": lambda q: euler_inverse(q),
+    "inv_pochhammer": lambda q: inv_pochhammer(2, q),
+    "inv_pochhammer_product": lambda q: inv_pochhammer_product((1, 2), q),
+    "inv_pochhammer_product-empty": lambda q: inv_pochhammer_product((0,), q),
+    "qbinomial": lambda q: qbinomial(3, 1, q),
+    "qmultinomial": lambda q: qmultinomial((1, 1), q),
+    "qmultinomial-empty": lambda q: qmultinomial((), q),
+    "pochhammer_z_expansion": lambda q: pochhammer_z_expansion(2, q),
+    "inv_pochhammer_z_expansion": lambda q: inv_pochhammer_z_expansion(2, 1, q),
+    "inv_pochhammer_z_expansion-empty": lambda q: inv_pochhammer_z_expansion(0, 0, q),
+    "durfee_check": lambda q: durfee_check(0, q),
+    "lemma_d3_check": lambda q: lemma_d3_check(1, 1, "i", q),
+    "spinon_string_function-alternating":
+        lambda q: spinon_string_function(3, 0, (0, 0), 3, "alternating", q),
+    "spinon_string_function-multisum":
+        lambda q: spinon_string_function(3, 0, (0, 0), 3, "multisum", q),
+    "spinon_string_function-zero":
+        lambda q: spinon_string_function(3, 0, (0, 0), 1, "alternating", q),
+    "verify_spinon_cut": lambda q: verify_spinon_cut(3, 0, (0, 0), q),
+    "rogers_szego": lambda q: rogers_szego(2, 2, q),
+    "rs_generating_check": lambda q: rs_generating_check(2, 2, q),
+    "rs_generating_check-empty": lambda q: rs_generating_check(-1, 2, q),
+}
+
+
+def test_negative_order_calls_cover_every_public_qseries_function():
+    takes_order = {name for name in _public_functions(qseries)
+                   if "qmax" in inspect.signature(getattr(qseries, name)).parameters}
+    assert takes_order <= {key.split("-")[0] for key in NEGATIVE_ORDER_CALLS}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_ORDER_CALLS.values(), ids=NEGATIVE_ORDER_CALLS)
+@pytest.mark.parametrize("qmax", (-1, -3))
+def test_a_negative_order_is_refused(call, qmax):
+    """No function builds a series of a negative order: a series of length
+    0 or less would break the invariant every caller trusts."""
+    with pytest.raises(ValueError):
+        call(qmax)
+
+
 def test_inv_pochhammer_product_is_the_chain_of_factors():
     """Every tuple of at most 4 parts <= 6, so every multiset in every order
     and with any number of zeros, gives the left-to-right product of its
     inverse Pochhammers at each order 0..12."""
     for qmax in range(13):
-        chains = {(): q_one(qmax)}  # each tuple's chain extends its prefix's
+        chains = {(): _one(qmax)}  # each tuple's chain extends its prefix's
         for length in range(1, 5):
-            for parts in product(range(7), repeat=length):
-                chains[parts] = chains[parts[:-1]] * inv_pochhammer(parts[-1], qmax)
+            for parts in cartesian(range(7), repeat=length):
+                chains[parts] = product(chains[parts[:-1]], inv_pochhammer(parts[-1], qmax))
         for parts, chain in chains.items():
             assert inv_pochhammer_product(parts, qmax) == chain, (parts, qmax)
     assert inv_pochhammer_product(iter([0, 3, 1]), 6) == inv_pochhammer_product(
@@ -133,43 +204,41 @@ def test_inv_pochhammer_product_rejects_a_negative_part():
 
 
 def test_getitem_beyond_truncation_is_an_error():
-    s = q_one(4).shift(2)
-    assert s[2] == 1 and s[-3] == 0
+    s = _shifted(_one(4), 2)
+    assert s == (0, 0, 1, 0, 0) and s[2] == 1
     with pytest.raises(IndexError):
         s[5]
 
 
-small_series = st.builds(
-    lambda cs: QSeries(cs, 8),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=9),
-)
+small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=9).map(
+    lambda cs: _at_order(cs, 8))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_series, small_series)
 def test_multiplication_commutes(a, b):
-    assert a * b == b * a
+    assert product(a, b) == product(b, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_series, small_series, small_series)
 def test_multiplication_associates_and_distributes(a, b, c):
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert product(product(a, b), c) == product(a, product(b, c))
+    assert product(a, _sum(b, c)) == _sum(product(a, b), product(a, c))
 
 
 def _convolution(a, b):
     """The product by the schoolbook double loop, truncated at the lower order."""
-    m = min(a.qmax, b.qmax)
+    m = min(len(a), len(b)) - 1
     out = [0] * (m + 1)
     for i in range(m + 1):
         for j in range(m + 1 - i):
-            out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return m, tuple(out)
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
 
 
 mixed_series = st.builds(
-    QSeries,
+    _at_order,
     st.lists(st.integers(-9, 9) | st.just(0), min_size=1, max_size=12),
     st.integers(0, 11),
 )
@@ -179,8 +248,7 @@ mixed_series = st.builds(
 @given(mixed_series, mixed_series)
 def test_multiplication_is_the_truncated_convolution(a, b):
     """Operands of different orders, with zero and negative coefficients."""
-    prod = a * b
-    assert (prod.qmax, prod.coeffs) == _convolution(a, b)
+    assert product(a, b) == _convolution(a, b)
 
 
 @st.composite
@@ -189,38 +257,71 @@ def shifted_series(draw):
     that long runs of leading zeros and all-zero series occur."""
     qmax = draw(st.integers(0, 11))
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=qmax + 1))
-    return QSeries([0] * draw(st.integers(0, qmax + 2)) + coeffs, qmax)
+    return _at_order([0] * draw(st.integers(0, qmax + 2)) + coeffs, qmax)
 
 
 def _well_formed(series, qmax):
-    """The invariant of every QSeries: a tuple of exactly qmax + 1 ints."""
-    coeffs = series.coeffs
-    assert series.qmax == qmax
-    assert type(coeffs) is tuple and len(coeffs) == qmax + 1, coeffs
-    assert all(type(c) is int for c in coeffs), coeffs
+    """The invariant of every series: a tuple of exactly qmax + 1 ints."""
+    assert type(series) is tuple and len(series) == qmax + 1, series
+    assert all(type(c) is int for c in series), series
 
 
 @settings(max_examples=200, deadline=None)
 @given(shifted_series(), shifted_series())
 def test_arithmetic_matches_explicit_loops_on_shifted_series(a, b):
-    """`*`, `+`, `shift` and `* int` against the schoolbook convolution and
-    coefficient-by-coefficient loops, with every result well formed."""
-    m = min(a.qmax, b.qmax)
-    prod = a * b
-    _well_formed(prod, m)
-    assert (prod.qmax, prod.coeffs) == _convolution(a, b)
-    total = a + b
-    _well_formed(total, m)
-    assert total.coeffs == tuple(a.coeffs[d] + b.coeffs[d] for d in range(m + 1))
-    for d in range(a.qmax + 3):
-        shifted = a.shift(d)
-        _well_formed(shifted, a.qmax)
-        assert shifted.coeffs == tuple(a.coeffs[e - d] if e >= d else 0
-                                       for e in range(a.qmax + 1)), d
-    for k in (0, 1, -1, 2, -3, 7):
-        scaled = a * k
-        _well_formed(scaled, a.qmax)
-        assert scaled.coeffs == tuple(c * k for c in a.coeffs), k
+    """`product` and `_shifted` against the schoolbook convolution and a
+    coefficient-by-coefficient loop, with every result well formed."""
+    prod = product(a, b)
+    _well_formed(prod, min(len(a), len(b)) - 1)
+    assert prod == _convolution(a, b)
+    for d in range(len(a) + 2):
+        shifted = _shifted(a, d)
+        _well_formed(shifted, len(a) - 1)
+        assert shifted == tuple(a[e - d] if e >= d else 0 for e in range(len(a))), d
+
+
+orders = st.integers(0, 12)
+indices = st.integers(0, 8)
+
+# For each public function of `qseries`, a strategy of (arguments, order
+# of the result).
+CALLS = {
+    "euler_inverse": st.builds(lambda q: ((q,), q), orders),
+    "inv_pochhammer": st.builds(lambda n, q: ((n, q), q), indices, orders),
+    "inv_pochhammer_product": st.builds(lambda ps, q: ((ps, q), q),
+                                        st.lists(indices, max_size=4), orders),
+    "qbinomial": st.builds(lambda n, m, q: ((n + m, m, q), q), indices, indices, orders),
+    "qmultinomial": st.builds(lambda ks, q: ((ks, q), q), st.lists(indices, max_size=4),
+                              orders),
+    "pochhammer_z_expansion": st.builds(lambda n, q: ((n, q), q), indices, orders),
+    "inv_pochhammer_z_expansion": st.builds(
+        lambda n, z, q: ((n, z if n else 0, q), q), indices, indices, orders),
+    "product": st.builds(lambda a, b: ((a, b), min(len(a), len(b)) - 1),
+                         shifted_series(), shifted_series()),
+    "durfee_check": st.builds(lambda m, q: ((m, q), q), st.integers(-8, 8), orders),
+    "lemma_d3_check": st.builds(lambda m, n, v, q: ((m, n, v, q), q),
+                                indices, indices, st.sampled_from(("i", "ii")), orders),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_series_is_a_tuple_of_qmax_plus_one_ints(data):
+    """Every public function of `qseries`, at small random arguments,
+    returns series that keep the invariant; a z-expansion is a tuple of
+    them, and a check of an identity returns True."""
+    assert set(CALLS) == _public_functions(qseries)
+    name = data.draw(st.sampled_from(sorted(CALLS)))
+    args, qmax = data.draw(CALLS[name])
+    result = getattr(qseries, name)(*args)
+    if name.endswith("_check"):
+        assert result is True, (name, args)
+    elif name.endswith("_z_expansion"):
+        assert type(result) is tuple and result, (name, args)
+        for entry in result:
+            _well_formed(entry, qmax)
+    else:
+        _well_formed(result, qmax)
 
 
 def test_qbinomials_are_ratios_of_pochhammers():
@@ -230,7 +331,8 @@ def test_qbinomials_are_ratios_of_pochhammers():
     qmax = 24
 
     def ratio(n, m):
-        return pochhammer(n, qmax) * inv_pochhammer(m, qmax) * inv_pochhammer(n - m, qmax)
+        return product(product(pochhammer(n, qmax), inv_pochhammer(m, qmax)),
+                       inv_pochhammer(n - m, qmax))
 
     for n in range(21):
         rows = pochhammer_z_expansion(n, qmax)
@@ -241,7 +343,9 @@ def test_qbinomials_are_ratios_of_pochhammers():
             _well_formed(got, qmax)
             assert got == expected, (n, m)
             _well_formed(rows[m], qmax)
-            assert rows[m] == expected.shift(m * (m - 1) // 2) * (-1) ** m, (n, m)
+            sign = (-1) ** m
+            assert rows[m] == tuple(sign * c for c in _shifted(expected, m * (m - 1) // 2)), (
+                n, m)
         if n:
             zdeg = 21 - n
             inverse = inv_pochhammer_z_expansion(n, zdeg, qmax)
@@ -254,9 +358,9 @@ def test_qbinomials_are_ratios_of_pochhammers():
 def test_finite_product_z_expansion_pinned():
     """(z; q)_2 = 1 - (1+q)z + q z^2."""
     exp = pochhammer_z_expansion(2, 6)
-    assert exp[0] == q_one(6)
-    assert exp[1] == QSeries([-1, -1], 6)
-    assert exp[2] == q_one(6).shift(1)
+    assert exp[0] == _one(6)
+    assert exp[1] == (-1, -1, 0, 0, 0, 0, 0)
+    assert exp[2] == _shifted(_one(6), 1)
 
 
 def test_z_expansion_product_is_one():
@@ -266,10 +370,10 @@ def test_z_expansion_product_is_one():
         rhs = inv_pochhammer_z_expansion(n, zdeg, 12)
         assert (len(lhs), len(rhs)) == (n + 1, zdeg + 1)
         for j in range(zdeg + 1):
-            prod = q_zero(12)
+            prod = _zero(12)
             for i in range(min(j, n) + 1):
-                prod = prod + lhs[i] * rhs[j - i]
-            assert prod == (q_one(12) if j == 0 else q_zero(12)), f"N={n}, z^{j} residue {prod}"
+                prod = _sum(prod, product(lhs[i], rhs[j - i]))
+            assert prod == (_one(12) if j == 0 else _zero(12)), f"N={n}, z^{j} residue {prod}"
 
 
 def test_inverse_z_expansion_rejects_empty_product_tail():

@@ -4,6 +4,7 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from spinonchars import qseries
 from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
 from spinonchars.strips import BorderStrip
 from spinonchars.symfunc import ribbon_expansion
@@ -103,21 +104,28 @@ def _is_call_to(node: ast.AST, names: tuple[str, ...]) -> bool:
 
 
 _INVERSES = ("euler_inverse", "inv_pochhammer")
+_SERIES_FUNCTIONS = tuple(name for name, obj in vars(qseries).items()
+                          if not name.startswith("_") and callable(obj)
+                          and getattr(obj, "__module__", None) == qseries.__name__)
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 
 
-def _inv_pochhammer_products(tree: ast.AST) -> list[int]:
-    """Lines where an `inv_pochhammer(...)` call is an operand of `*` or
-    `*=`, or an `euler_inverse(...)` or `inv_pochhammer(...)` call is raised
-    to a power by `**`: a denominator multiplied out factor by factor."""
+def _series_operators(tree: ast.AST) -> list[int]:
+    """Lines where a call to a `qseries` function is an operand of `+`, `-`,
+    `*` or `**`, or the value of their augmented assignments: a series is a
+    tuple, so `+` concatenates and `* int` repeats without an error.  Also
+    the lines where `product` is given an `inv_pochhammer(...)` or
+    `euler_inverse(...)` call: a denominator multiplied out factor by
+    factor."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            found = _is_call_to(node.left, _INVERSES)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            found = any(_is_call_to(side, ("inv_pochhammer",))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            found = any(_is_call_to(side, _SERIES_FUNCTIONS)
                         for side in (node.left, node.right))
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
-            found = _is_call_to(node.value, ("inv_pochhammer",))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, _OPERATORS):
+            found = _is_call_to(node.value, _SERIES_FUNCTIONS)
+        elif _is_call_to(node, ("product",)):
+            found = any(_is_call_to(arg, _INVERSES) for arg in node.args)
         else:
             found = False
         if found:
@@ -128,20 +136,30 @@ def _inv_pochhammer_products(tree: ast.AST) -> list[int]:
 def test_denominators_are_built_by_inv_pochhammer_product():
     """Outside `qseries.py`, a product of inverse Pochhammers is one
     `inv_pochhammer_product` call, which caches it by its multiset of
-    indices; no module multiplies `inv_pochhammer(...)` results itself or
-    raises `euler_inverse(...)` or `inv_pochhammer(...)` to a power."""
+    indices; no module multiplies `inv_pochhammer(...)` results itself,
+    with `product` or an operator, and no module applies `+`, `-`, `*` or
+    `**` to the result of a `qseries` call."""
     for chain in ("inv_pochhammer(1, q) * inv_pochhammer(2, q)",
                   "t = t * qseries.inv_pochhammer(a - m, q)",
                   "t *= inv_pochhammer(a, q)",
                   "euler_inverse(q) ** (n - 1)",
-                  "qseries.inv_pochhammer(2, q) ** 3"):
-        assert _inv_pochhammer_products(ast.parse(chain)), chain
-    for clean in ("inv_pochhammer_product((1, 2), q)", "(total - c) ** 2"):
-        assert not _inv_pochhammer_products(ast.parse(clean)), clean
+                  "qseries.inv_pochhammer(2, q) ** 3",
+                  "product(inv_pochhammer(1, q), s)",
+                  "qseries.product(s, qseries.euler_inverse(q))",
+                  "qbinomial(4, 2, q) + s",
+                  "s - qseries.pochhammer_z_expansion(2, q)",
+                  "2 * product(a, b)",
+                  "t += qmultinomial(ks, q)"):
+        assert _series_operators(ast.parse(chain)), chain
+    for clean in ("inv_pochhammer_product((1, 2), q)", "(total - c) ** 2",
+                  "product(inv_pochhammer_product((1, 2), q), s)",
+                  "(qmax,) * (n - 1)", "len(qbinomial(4, 2, q)) - 1",
+                  "euler_inverse(q)[3] + 1"):
+        assert not _series_operators(ast.parse(clean)), clean
     offenders = [f"{path.name}:{line}"
                  for path in sorted(PACKAGE.glob("*.py")) if path.name != "qseries.py"
-                 for line in _inv_pochhammer_products(ast.parse(path.read_text()))]
-    assert not offenders, "inverse Pochhammers multiplied out:\n" + "\n".join(offenders)
+                 for line in _series_operators(ast.parse(path.read_text()))]
+    assert not offenders, "series arithmetic by hand:\n" + "\n".join(offenders)
 
 
 def _called_names(func: ast.AST) -> set[str]:

@@ -16,7 +16,6 @@ from spinonchars.affine import (
     verify_spinon_cut,
 )
 from spinonchars.partitions import all_partitions_upto, conjugate, partitions_of
-from spinonchars.qseries import QSeries
 from spinonchars.strips import BorderStrip, enumerate_border_strips
 from spinonchars.symfunc import (
     SymPoly,
@@ -332,9 +331,9 @@ def test_rogers_szego_at_q_one_is_multinomial_expansion():
     for total in range(5):
         for nvars in (1, 2, 3):
             poly = rogers_szego(total, nvars, 8)
-            assert all(isinstance(c, QSeries) for c in poly.values())
+            assert all(type(c) is tuple and len(c) == 9 for c in poly.values())
             # at q=1 the polynomial collapses to (x_1+...+x_nvars)^total
-            assert sum(sum(c.coeffs) for c in poly.values()) == nvars ** total, (
+            assert sum(sum(c) for c in poly.values()) == nvars ** total, (
                 total, nvars)
 
 
@@ -346,7 +345,7 @@ def test_rogers_szego_generating_function():
 def test_sympoly_takes_int_coefficients_only():
     """A coefficient that is not an int raises TypeError, as a part given to
     `partition` does; an exponent vector of the wrong length raises ValueError."""
-    for coeff in (QSeries([1], 4), 1.0, True, Fraction(1)):
+    for coeff in ((1, 0, 0, 0, 0), 1.0, True, Fraction(1)):
         with pytest.raises(TypeError):
             SymPoly(2, {(1, 0): coeff})
     with pytest.raises(ValueError):

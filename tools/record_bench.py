@@ -47,7 +47,10 @@ ZERO_BY_CONSTRUCTION = (
     "partitions.conjugate.calls (it reads the method Partition.conjugate; "
     "a partition is a tuple, and conjugate is the module function "
     "partitions.conjugate) the calls of a function; none of these functions "
-    "exists any longer.  char-yangian: "
+    "exists any longer.  So do qseries.mul.calls and qseries.add.calls: they "
+    "read the operators QSeries.__mul__ and __add__, and a series is now a "
+    "tuple, multiplied by the module function qseries.product and added "
+    "coefficient by coefficient.  char-yangian: "
     "strips.enumerated, "
     "strips.enumerate_border_strips.calls, strips.energy.calls and "
     "symfunc.weight_projection.calls, since the Yangian route is a "
