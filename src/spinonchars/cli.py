@@ -45,9 +45,10 @@ CEILINGS = {
         "qids --qmax": 320,
         # 2.4 s at q^300, 6.0 s at q^400; past 30 s at q^1000
         "sl2 --qmax": 300,
-        # 0.44 s at q^40 and 3.2 s at q^80 (ranks 2-4).  With --qmax every k
-        # is taken, and the rank drives the cost: 18.5 s at q^40 --n 8, 13.3 s
-        # at q^0 --n 200 and 32 s at q^4; q^40 --n 200 ran past 300 s.
+        # 0.49 s at q^40 and 2.9 s at q^80 (ranks 2-4).  With --qmax every k
+        # is taken, and the rank drives the cost: 12.6-14.0 s at q^40 --n 8,
+        # and at --n 200 1.0 s at q^0, 4.5-4.8 s at q^4 (3.6 s of it the
+        # bosonic route) and 53-65 s in 680 MB at q^10.
         "decomposition --qmax": 40,
         # 0.06 s at q^40 and 2.6 s at q^160 (ranks 2-4), 4.4 s at q^40 --n 8
         "spinon-cut --qmax": 40,
@@ -210,10 +211,11 @@ def _int(x) -> int:
 
 
 def _parse_payload(kind: str, payload: str, n: int):
-    from .strips import BorderStrip, Motif, RapiditySeq
+    from .strips import BorderStrip, RapiditySeq, motif_to_rapidity
     try:
         if kind == "motif":
-            return Motif.parse(payload, n)
+            motif_to_rapidity(payload, n)
+            return payload
         data = json.loads(payload)
         if isinstance(data, dict) and _int(data.get("n", n)) != n:
             raise UsageError(f"the payload has n={_brief(str(data['n']), 20)}, but --n is {n}")
@@ -252,7 +254,7 @@ def _to_strip(kind: str, obj, n: int):
     if kind == "strip":
         return obj
     if kind == "motif":
-        return strips.motif_to_strip(obj)
+        return strips.motif_to_strip(obj, n)
     if kind == "rapidity":
         return strips.rapidity_to_strip(obj)
     if kind == "modes":
@@ -264,7 +266,7 @@ def _render_object(kind: str, obj) -> object:
     if kind == "strip":
         return obj.to_dict()
     if kind == "motif":
-        return obj.serialize()
+        return obj
     return {"n": obj.n, "k": obj.k, "prefix": list(obj.prefix), "stab": obj.stab}
 
 

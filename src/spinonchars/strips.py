@@ -11,6 +11,12 @@ exactly one column of overlap.
 
   * "reduced" means the leftmost column is shorter than n;
   * stabilization appends full columns of height n at the lower-left end.
+
+A motif is the text of a rapidity sequence, such as "0110|": its explicit
+bits, then '|' for (1^{n-1}, 0) repeating.  Its 1-positions are the
+sequence's members and that tail is the class-k vacuum, so it is read into a
+`RapiditySeq` (`motif_to_rapidity`) and written back from one
+(`rapidity_to_motif`), and no motif class is kept.
 """
 from __future__ import annotations
 
@@ -19,17 +25,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .partitions import _require_ints, _shown, partition
-
-
-def _check_runs(member, last: int, n: int, what: str) -> None:
-    """Raise ValueError if n consecutive positions among 1..last satisfy
-    `member`.  Each caller passes a `last` past which its stabilized tail
-    leaves a gap in every n positions."""
-    run = 0
-    for x in range(1, last + 1):
-        run = run + 1 if member(x) else 0
-        if run >= n:
-            raise ValueError(f"{n} consecutive {what} ending at {x}")
 
 
 def _transpose(parts) -> tuple[int, ...]:
@@ -197,17 +192,17 @@ class RapiditySeq:
         self.k = k
         self.prefix = tuple(x for x in prefix if x <= stab)
         self.stab = stab
-        _check_runs(self.member, stab + n + 1, n, "rapidities")
-
-    def member(self, x: int) -> bool:
-        if x < 1:
-            return False
-        if x <= self.stab:
-            return x in self.prefix
-        return x % self.n != self.k
+        # a run ending past stab + n lies in the tail, which skips x = k mod n
+        near = self.members_upto(stab + n)
+        for low, x in zip(near, near[n - 1:]):
+            if x - low == n - 1:
+                raise ValueError(f"{n} consecutive rapidities ending at {x}")
 
     def members_upto(self, horizon: int) -> list[int]:
-        return [x for x in range(1, horizon + 1) if self.member(x)]
+        """The members in 1..horizon, in increasing order."""
+        tail = range(self.stab + 1, horizon + 1)
+        return [x for x in self.prefix if x <= horizon] + [
+            x for x in tail if x % self.n != self.k]
 
     def __eq__(self, other):
         if not isinstance(other, RapiditySeq):
@@ -249,82 +244,41 @@ def rapidity_to_strip(seq: RapiditySeq) -> BorderStrip:
     return BorderStrip.from_rows([b - a for a, b in zip(marks, marks[1:])], seq.n)
 
 
-class Motif:
-    """A semi-infinite 0/1 sequence: explicit bits, then (1^{n-1},0) repeating.
-
-    The 1-positions are the rapidities; the conjugacy class is len(bits) mod n.
-    Only the canonical form is stored: `bits` never ends in a (1^{n-1},0)
-    block, which the tail would repeat, so equal motifs have equal bits.
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits):
-        if n < 2:
-            raise ValueError("rank must be >= 2")
-        bits = _require_ints(bits, "bits")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0/1: {bits}")
-        block = (1,) * (n - 1) + (0,)
-        while bits[-n:] == block:  # fewer than n bits never match the block
-            bits = bits[:-n]
-        self.n = n
-        self.bits = bits
-        _check_runs(self.bit, len(bits) + n, n, "1-bits")
-
-    def bit(self, pos: int) -> int:
-        """Bit at 1-indexed position; tail is (1^{n-1},0) repeating."""
-        if pos <= len(self.bits):
-            return self.bits[pos - 1]
-        return 0 if (pos - len(self.bits)) % self.n == 0 else 1
-
-    def k_class(self) -> int:
-        return len(self.bits) % self.n
-
-    def serialize(self) -> str:
-        return "".join(str(b) for b in self.bits) + "|"
-
-    @staticmethod
-    def parse(text: str, n: int) -> "Motif":
-        if not text.endswith("|"):
-            raise ValueError("motif string must end with the stabilization mark '|'")
-        bits = text[:-1]
-        for i, c in enumerate(bits):
-            if c not in "01":  # int() would also read non-ASCII digits
-                raise ValueError(f"motif bits must be the characters 0 and 1: {_shown(bits, i)}")
-        return Motif(n, [int(c) for c in bits])
-
-    def __eq__(self, other):
-        if not isinstance(other, Motif):
-            return NotImplemented
-        return self.n == other.n and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.n, self.bits))
-
-    def __repr__(self):
-        return f"Motif(n={self.n}, bits={self.serialize()!r})"
+def motif_to_rapidity(text: str, n: int) -> RapiditySeq:
+    """The sequence whose members are the text's 1-positions, of class k =
+    (number of bits) mod n, so that past the bits the tail is the vacuum."""
+    if not text.endswith("|"):
+        raise ValueError("motif string must end with the stabilization mark '|'")
+    bits = text[:-1]
+    for i, c in enumerate(bits):
+        if c not in "01":  # int() would also read non-ASCII digits
+            raise ValueError(f"motif bits must be the characters 0 and 1: {_shown(bits, i)}")
+    ones = [x for x, c in enumerate(bits, start=1) if c == "1"]
+    return RapiditySeq(n, len(bits) % n, ones, len(bits))
 
 
-def motif_to_rapidity(m: Motif) -> RapiditySeq:
-    ones = tuple(x for x in range(1, len(m.bits) + 1) if m.bits[x - 1] == 1)
-    return RapiditySeq(m.n, m.k_class(), ones, len(m.bits))
-
-
-def rapidity_to_motif(seq: RapiditySeq) -> Motif:
-    """Read the sequence's bits up to the first length >= stab of class k."""
+def rapidity_to_motif(seq: RapiditySeq) -> str:
+    """The sequence's bits up to the first length >= stab of class k, then
+    '|'.  A text of length L is a motif of the sequence exactly when
+    L = k (mod n) and the vacuum tail starts by L, that is L >= stab, since
+    the canonical stab is 0 or a position that breaks the vacuum.  So the
+    text is the shortest motif of the sequence, and every other one is it
+    with (1^{n-1}, 0) blocks appended: equal sequences give equal texts."""
     length = seq.stab + (seq.k - seq.stab) % seq.n
-    return Motif(seq.n, [1 if seq.member(x) else 0 for x in range(1, length + 1)])
+    ones = set(seq.members_upto(length))
+    return "".join("1" if x in ones else "0" for x in range(1, length + 1)) + "|"
 
 
-def motif_to_strip(m: Motif) -> BorderStrip:
+def motif_to_strip(text: str, n: int) -> BorderStrip:
     """Square construction: a 1-bit places the next square under (same
     column), a 0-bit to the left (a new column).
 
-    The stabilized tail builds full columns, which are deleted (reduced form).
+    The text is checked by `motif_to_rapidity`.  The tail, and any tail
+    block that ends the text, builds full columns, which are deleted.
     """
-    walk = "".join(map(str, m.bits)) + "1" * (m.n - 1)  # complete the tail's column
-    return BorderStrip([len(run) + 1 for run in walk.split("0")], m.n).reduce()
+    motif_to_rapidity(text, n)
+    walk = text[:-1] + "1" * (n - 1)  # complete the tail's column
+    return BorderStrip([len(run) + 1 for run in walk.split("0")], n).reduce()
 
 
 def modes_to_strip(modes, n: int) -> BorderStrip:

@@ -308,6 +308,8 @@ def rogers_szego(total: int, nvars: int, qmax: int) -> dict:
     composition of N into nvars parts, is the q-multinomial of comp."""
     if total < 0:
         raise ValueError("N must be >= 0")
+    if nvars < 1:
+        raise ValueError(f"nvars must be >= 1, got {nvars}")
     return {comp: qmultinomial(comp, qmax) for comp in _compositions(total, nvars)}
 
 
@@ -330,6 +332,8 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
     """
     if qmax < 0:
         raise ValueError(f"qmax must be >= 0, got {qmax}")
+    if nvars < 1:
+        raise ValueError(f"nvars must be >= 1, got {nvars}")
     for total in range(nmax + 1):
         scale = inv_pochhammer(total, qmax)
         lhs = {comp: product(c, scale)

@@ -250,9 +250,9 @@ def _round_trips(n, rows):
     if strips.rapidity_to_strip(seq) != strip:
         return "strip->rapidity->strip failed"
     motif = strips.rapidity_to_motif(seq)
-    if strips.motif_to_rapidity(motif) != seq:
+    if strips.motif_to_rapidity(motif, n) != seq:
         return "rapidity->motif->rapidity failed"
-    if strips.motif_to_strip(motif) != strip:
+    if strips.motif_to_strip(motif, n) != strip:
         return "square construction disagrees with rapidity route"
     return None
 

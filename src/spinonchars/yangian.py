@@ -147,12 +147,19 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
       >= 1, and every later one at least 2d + n - 1 >= n + 1 (b(2d+n-b) is
       concave in b, and its values at b = 1 and b = n are 2d+n-1 and 2dn),
       so a prefix above e2_max has no extension within it.
-    * Completion: a prefix of class r != k is only a stage on the way.  Its
-      extensions to class k append heights b_i with sum_i b_i = k - r (mod
-      n), so sum_i b_i >= need = (k - r) mod n, not every b_i is n, and the
-      prefix's d only grows; they therefore add at least
-      sum_i b_i(2d + n - b_i) >= 2d*need + n - 1 to e2, and a prefix that
-      cannot afford that is dropped with its whole subtree.
+    * Completion: a prefix of class r != k (so d >= 1) is only a stage on
+      the way.  Its extensions to class k append heights b_1..b_t with
+      sum_i b_i = need = (k - r) mod n (mod n), at deficits d = d_1 <= d_2
+      <= ..., and column i adds b_i(2d_i + n - b_i), which grows with d_i.
+      Merge b_1 and b_2 into one column of height c = b_1 + b_2, less n if
+      that passes n, so c is in 1..n and the class is kept.  Without a wrap
+      this adds 2n*b_2 less and leaves a deficit n smaller to the later
+      columns.  With one, put x = n - b_1, so b_2 = c + x: it adds
+      (n - x)(2d + x) + x(2d + n + x) > 0 less and leaves the same deficit.
+      Merging until one column is left, no extension adds less than the
+      one column of height need, which adds need(2d + n - need); a prefix
+      that cannot afford that is dropped with its whole subtree, and every
+      prefix kept has a completion within e2_max.
 
     Schur values.  Let c_1..c_s be a strip's column heights, left to right.
     In canonical position (`strips.BorderStrip.shape`) the strip fills
@@ -227,7 +234,7 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                 grown = e2 + b * (2 * d + n - b)
                 d_next = d + n - b
                 need = (k + d_next) % n
-                if grown + (2 * d_next * need + n - 1 if need else 0) > e2_max:
+                if grown + need * (2 * d_next + n - need) > e2_max:
                     continue
                 states = layers.setdefault(grown, {})
                 _add_into(states.setdefault((d_next, b), {}), closed, 1)

@@ -402,6 +402,16 @@ def test_bijection_bad_payload_is_usage_error(capsys):
         assert f"{src} payload" in err, (src, payload, err)
 
 
+def test_bijection_motif_run_is_refused_as_rapidities(capsys):
+    """A motif's 1-bits are the rapidities of its sequence, so n of them in
+    a row are refused with the sequence's message."""
+    code, out, err = run_cli(capsys, "bijection", "--from", "motif", "--to", "strip",
+                             "--n", "3", "--payload", "111|")
+    assert (code, out) == (2, "")
+    assert err == ("spinonchars: error: cannot parse motif payload '111|': "
+                   "3 consecutive rapidities ending at 3\n")
+
+
 def test_bijection_mode_gap_names_only_the_first_missing_mode(capsys):
     """A mode list is read in time linear in its length, not in its largest
     mode: the 12-byte payload [0, 1000000] is refused at once, on one short
@@ -460,6 +470,22 @@ def test_bijection_ceiling_counts_each_payload_from_its_numbers(capsys, monkeypa
                                  "--n", "2", "--payload", past)
         assert (code, out, err) == (
             2, "", f"spinonchars: error: {_PAST_CEILING.format(src, 10)}\n"), (src, past)
+
+
+@pytest.mark.parametrize("src,payload", [
+    ("rapidity", json.dumps({"k": 1, "prefix": [*range(1, 100000, 2)], "stab": 100000})),
+    ("motif", "10" * 50000 + "|"),
+], ids=["rapidity", "motif"])
+def test_bijection_reads_a_label_at_the_ceiling_in_linear_time(capsys, src, payload):
+    """A rapidity or motif payload of 10^5 positions, every other one a
+    member, is answered within 2 s for each target.  Each took over 90 s
+    when a membership test scanned the prefix, once per position."""
+    for dst in ("strip", "motif", "rapidity"):
+        started = time.perf_counter()
+        code, _, _ = run_cli(capsys, "bijection", "--from", src, "--to", dst,
+                             "--n", "3", "--payload", payload)
+        elapsed = time.perf_counter() - started
+        assert code == 0 and elapsed < 2, (dst, elapsed)
 
 
 _LONG = 20000

@@ -182,6 +182,16 @@ def test_a_negative_order_is_refused(call, qmax):
         call(qmax)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rogers_szego(2, 0, 4), lambda: rogers_szego(0, -1, 4),
+    lambda: rs_generating_check(2, 0, 3), lambda: rs_generating_check(-1, 0, 3)])
+def test_no_variables_is_refused(call):
+    """H_N is a polynomial in at least one variable: nvars < 1 is refused
+    rather than recursed on without end."""
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
+        call()
+
+
 def test_inv_pochhammer_product_is_the_chain_of_factors():
     """Every tuple of at most 4 parts <= 6, so every multiset in every order
     and with any number of zeros, gives the left-to-right product of its

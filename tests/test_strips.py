@@ -1,5 +1,7 @@
 """Border strips, rapidity sequences, motifs, and the bijections between them."""
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from spinonchars.partitions import conjugate, padded, partitions_of
 from spinonchars.strips import (
     BorderStrip,
-    Motif,
     RapiditySeq,
     discover_rapidity_convention,
     energy,
@@ -90,8 +91,9 @@ def test_from_rows_round_trip():
 
 
 def test_labels_refuse_non_integer_entries():
-    """Strips, rapidity sequences and motifs raise TypeError for a float or
-    bool entry instead of truncating it; `Motif.parse` still reads digits."""
+    """Strips and rapidity sequences raise TypeError for a float or bool
+    entry instead of truncating it; a motif text is read character by
+    character."""
     cases = (
         lambda: BorderStrip.from_rows([1.5, 2], 3),
         lambda: BorderStrip.from_rows([True, 2], 3),
@@ -99,13 +101,11 @@ def test_labels_refuse_non_integer_entries():
         lambda: BorderStrip((2, True), 3),
         lambda: RapiditySeq(2, 0, [1.9], 2),
         lambda: RapiditySeq(2, 0, [True], 2),
-        lambda: Motif(2, [1.0, 0]),
-        lambda: Motif(2, [True, 0]),
     )
     for make in cases:
         with pytest.raises(TypeError, match="must be ints"):
             make()
-    assert Motif.parse("0|", 2).bits == (0,)
+    assert rapidity_to_motif(motif_to_rapidity("0|", 2)) == "0|"
 
 
 def test_enumeration_count_rank3_size3():
@@ -197,15 +197,15 @@ def test_rapidity_class_must_be_in_range():
 def test_no_n_consecutive_rapidities():
     """A run of n members is refused, also one that the stabilized tail
     completes: 3, 4, 5 in the rank-3 sequence, and positions 1-3 or 2-4 of
-    the rank-3 motifs."""
+    the rank-3 motifs "11|" and "01|"."""
     for make in (lambda: RapiditySeq(2, 0, [1, 2], 2),
                  lambda: RapiditySeq(3, 0, [3], 3),
-                 lambda: Motif(3, [1, 1]),
-                 lambda: Motif(3, [0, 1])):
-        with pytest.raises(ValueError, match="consecutive"):
+                 lambda: motif_to_rapidity("11|", 3),
+                 lambda: motif_to_rapidity("01|", 3)):
+        with pytest.raises(ValueError, match="consecutive rapidities"):
             make()
     assert RapiditySeq(3, 0, [2], 3).members_upto(6) == [2, 4, 5]
-    assert [Motif(3, [1, 0]).bit(x) for x in range(1, 7)] == [1, 0, 1, 1, 0, 1]
+    assert motif_to_rapidity("10|", 3).members_upto(6) == [1, 3, 4, 6]
 
 
 def test_strip_rapidity_round_trip_census():
@@ -222,7 +222,7 @@ def test_rapidity_motif_round_trip_census():
             for strip in enumerate_border_strips(n, size, reduced=True):
                 seq = strip_to_rapidity(strip)
                 motif = rapidity_to_motif(seq)
-                assert motif_to_rapidity(motif) == seq, (n, strip)
+                assert motif_to_rapidity(motif, n) == seq, (n, strip)
 
 
 def test_motif_square_construction_matches_rapidity_route():
@@ -230,19 +230,44 @@ def test_motif_square_construction_matches_rapidity_route():
         for size in range(8):
             for strip in enumerate_border_strips(n, size, reduced=True):
                 motif = rapidity_to_motif(strip_to_rapidity(strip))
-                assert motif_to_strip(motif) == strip, (n, strip)
+                assert motif_to_strip(motif, n) == strip, (n, strip)
 
 
 def test_motif_examples_pinned():
-    assert motif_to_strip(Motif.parse("|", 2)).size() == 0
-    assert motif_to_strip(Motif.parse("10|", 2)).size() == 0
-    assert motif_to_strip(Motif.parse("0|", 2)).rows == (1,)
-    assert Motif.parse("10|", 2) == Motif.parse("|", 2)  # canonical tail block
+    assert motif_to_strip("|", 2).size() == 0
+    assert motif_to_strip("10|", 2).size() == 0
+    assert motif_to_strip("0|", 2).rows == (1,)
+    # a trailing tail block: "10|" and "|" are one sequence, written as "|"
+    assert motif_to_rapidity("10|", 2) == motif_to_rapidity("|", 2) == vacuum_rapidities(2, 0)
+    assert rapidity_to_motif(motif_to_rapidity("10|", 2)) == "|"
+    assert rapidity_to_motif(RapiditySeq(3, 0, [2], 3)) == "010|"
 
 
 def test_motif_class_is_bit_count_mod_rank():
-    assert Motif(3, [1, 0]).k_class() == 2
-    assert Motif(3, [0, 1, 0]).k_class() == 0
+    assert motif_to_rapidity("10|", 3).k == 2
+    assert motif_to_rapidity("010|", 3).k == 0
+
+
+def test_every_short_motif_text():
+    """Every 0/1 text of at most 10 bits at n = 2..4, (1^{n-1}, 0) blocks at
+    its end included, which no census of reduced strips reaches.  A text is
+    refused, also by the square construction, exactly when its bits and two
+    tail blocks hold n consecutive 1s.
+    An accepted one gives the strip of its rapidity sequence, and the
+    sequence's motif is the text with its trailing tail blocks removed."""
+    for n in (2, 3, 4):
+        block = "1" * (n - 1) + "0"
+        for size in range(11):
+            for bits in map("".join, product("01", repeat=size)):
+                text = bits + "|"
+                if "1" * n in bits + block * 2:
+                    for read in (motif_to_rapidity, motif_to_strip):
+                        with pytest.raises(ValueError, match="consecutive rapidities"):
+                            read(text, n)
+                    continue
+                seq = motif_to_rapidity(text, n)
+                assert motif_to_strip(text, n) == rapidity_to_strip(seq), (n, text)
+                assert rapidity_to_motif(seq) == re.sub(f"({block})*$", "", bits) + "|"
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +373,7 @@ def test_strip_rapidity_and_motif_round_trips(case):
     seq = strip_to_rapidity(strip)
     assert rapidity_to_strip(seq) == strip
     motif = rapidity_to_motif(seq)
-    assert motif_to_strip(motif) == strip
+    assert motif_to_strip(motif, n) == strip
     for pad in (0, 1, n, 2 * n + 1):
         stab = seq.stab + pad
         tail = [x for x in range(seq.stab + 1, stab + 1) if x % n != seq.k]
@@ -356,9 +381,10 @@ def test_strip_rapidity_and_motif_round_trips(case):
         assert (padded.prefix, padded.stab) == (seq.prefix, seq.stab)
         assert rapidity_to_strip(padded) == strip
     for extra in (1, 2):
-        padded = Motif(n, motif.bits + ((1,) * (n - 1) + (0,)) * extra)
-        assert padded.bits == motif.bits
-        assert motif_to_strip(padded) == strip
+        padded = motif[:-1] + ("1" * (n - 1) + "0") * extra + "|"
+        assert motif_to_rapidity(padded, n) == seq
+        assert rapidity_to_motif(motif_to_rapidity(padded, n)) == motif
+        assert motif_to_strip(padded, n) == strip
 
 
 @settings(max_examples=60, deadline=None)

@@ -306,6 +306,21 @@ def test_yangian_decomposition_matches_bosonic_in_every_class(n, qmax, monkeypat
     assert heights == set(range(n + 1))
 
 
+@pytest.mark.parametrize("n,k,qmax,closed", [
+    (2, 0, 11, 77), (2, 1, 10, 67), (3, 0, 6, 54), (3, 1, 5, 47), (4, 0, 4, 36),
+    (5, 0, 3, 21), (8, 4, 10, 487), (200, 100, 0, 2)])
+def test_the_sweep_keeps_only_prefixes_it_can_complete(n, k, qmax, closed, monkeypatch):
+    """A prefix is kept only if one column of the height its class lacks
+    still fits in the table, the least any completion costs.  Before that
+    bound the sweep closed as many runs at each small point but 1 202 at
+    (200, 100, 0), whose only strip is one column of height 100."""
+    calls = []
+    close = yangian._close_run
+    monkeypatch.setattr(yangian, "_close_run", lambda value, h: calls.append(h) or close(value, h))
+    assert yangian_decomposition(n, k, qmax) == bosonic_character(n, k, qmax)
+    assert len(calls) == closed
+
+
 def test_yangian_vacuum_anchor_rank3():
     # first excited level of the rank-3 vacuum is the adjoint: 8 states
     table = yangian_decomposition(3, 0, 2)

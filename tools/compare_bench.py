@@ -7,7 +7,11 @@ Unpacks PARENT_REV with `git archive` into a temporary directory, then for
 pair i = 1..N runs `perfbench/run.py --workload W --seed i --seconds S
 --trace 0` once there and once in the working tree, each with its own
 `perfbench/`, the parent first in odd pairs and the working tree first in
-even ones.  S defaults to `run_seconds` of `BENCHMARK.json`.
+even ones.  S defaults to `run_seconds` of `BENCHMARK.json`.  Each side reads
+bytecode from an empty directory of its own (`PYTHONPYCACHEPREFIX`) and
+writes none (`PYTHONDONTWRITEBYTECODE=1`), so both compile every module at
+each start as a fresh checkout does, whatever `__pycache__` the working tree
+holds.
 
 For each end-to-end metric of `BENCHMARK.json` it prints each side's median
 and quartiles, the pairs the change won (ties count for neither side), the
@@ -45,12 +49,14 @@ def unpack(rev: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object on the last line of one `perfbench/run.py` run in `tree`."""
+def run(tree: str, cache: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON object on the last line of one `perfbench/run.py` run in
+    `tree` that reads bytecode only from `cache` and writes none."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True, cwd=tree, timeout=600 + 20 * seconds)
+        capture_output=True, text=True, cwd=tree, timeout=600 + 20 * seconds,
+        env={**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"run in {tree} printed nothing: {proc.stderr[-500:]}")
@@ -97,14 +103,18 @@ def main(argv=None) -> int:
 
     values = {"parent": {}, "change": {}}
     ok = True
-    with tempfile.TemporaryDirectory(prefix="compare_bench_") as parent_tree:
-        unpack(args.parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="compare_bench_") as tmp:
+        trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        unpack(args.parent_rev, trees["parent"])
+        caches = {side: os.path.join(tmp, f"pycache-{side}") for side in trees}
+        for cache in caches.values():
+            os.mkdir(cache)
         for seed in range(1, args.pairs + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             line = [f"pair {seed}:"]
             for side in order:
-                result = run(trees[side], args.workload, seed, args.seconds)
+                result = run(trees[side], caches[side], args.workload, seed,
+                             args.seconds)
                 ok &= result["failed"] == 0
                 line.append(f"{side} failed={result['failed']}/{result['attempted']}")
                 for name, metric in result["metrics"].items():
