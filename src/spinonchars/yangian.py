@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import groupby
 from math import comb
-from operator import add, sub
 
 from .affine import CharacterTable, exps_to_fw, sl2_spinon_grades
-from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
+from .partitions import (conjugate, contains, ends_at, horizontal_strips, padded, partition,
+                         partition_counts)
 
 
 def drinfeld_evaluation(lam, n: int) -> tuple[tuple[int, ...], ...]:
@@ -304,54 +304,94 @@ def _add_into(acc: dict, value: dict, sign: int) -> None:
 def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     """ch = sum_{N = k mod 2} sum_{l(lambda) <= N} q^{N^2/4 + |lambda|}
     prod_{i>=0} h_{m_i}, graded relative to Delta_k, with m_0 = N - l(lambda)
-    and m_i the number of parts i, by a transfer matrix (Stanley, EC1 4.7).
+    and m_i the number of parts i, by one transfer matrix over part sizes
+    (Stanley, EC1 4.7) shared by every N.
 
-    The tuples (m_0, m_1, ...) of non-negative integers with sum N are the
-    partitions with at most N parts, of size sum_i i m_i, so the sum is
-    [t^N] prod_{i>=0} sum_{m>=0} t^m q^{im} h_m.  A state (placed, left) is
-    the t-degree of the factors i = 1, 2, ... taken so far and the q-degree
-    left of the budget qmax - (N^2 - k)/4.  No factor lowers either degree,
-    so a block of m parts i needs m <= N - placed (t-degree N is the last
-    one kept) and i*m <= left (a grade past the budget exceeds qmax).  A
-    state that fits no block of parts i fits none of larger parts, and the
-    factor i = 0 adds no q-degree, so h_{N - placed} then closes the state;
-    at i = budget + 1 every state closes.  The rest of a product's sum
-    depends only on its state, linearly, so the products reaching one state
-    share one value.  A product reaching (placed, left) is a product of h's
-    of total degree placed, whose weights are among -placed, -placed + 2,
-    ..., placed, so a value is the list of its placed + 1 coefficients
-    there, and two values of one state add entry by entry.  The closed
-    values are added into one column per grade, over the weights -top,
-    -top + 2, ..., top of the largest N, and each weight's row is read
-    across the columns; `from_weights` folds the rows into orbits and
-    checks that they are W-invariant."""
+    Table.  V[p][s] is the sum of prod_{i>=1} h_{m_i(lambda)} over the
+    partitions lambda with p parts and size s.  It is built part size by
+    part size, i = 1, 2, ...: a block of m parts i adds m to p and i*m to s
+    and multiplies by h_m, and the partitions that reach one (p, s) share
+    their future, so their products share one value.  The step of part
+    size i reads each (p, s) as it was before the step and adds into
+    (p + m, s + i*m) for m >= 1; the sources are read in decreasing p, so
+    every target has been read already and the table is updated in place.
+
+    Pruning.  N spinons fill the grades (N^2 - k)/4 + s with s at most
+    budget(N) = qmax - (N^2 - k)/4, which falls as N rises, and (p, s)
+    serves the N >= p of class k, so it serves one exactly when s <= cap[p],
+    the budget of the least such N.  That N does not fall as p rises, so
+    cap does not rise, and no block lowers p or s: an extension (p', s') of
+    a state with s > cap[p] has s' >= s > cap[p] >= cap[p'].  So a state
+    past its cap serves no N, nor does any extension of it, and none is
+    made; p stops at top, the largest N, and no part size past cap[1] fits.
+
+    Close.  N takes V[p][s] h_{N - p} (the m_0 = N - p zeros) at grade
+    (N^2 - k)/4 + s, for every p <= N and s <= budget(N) <= cap[p].
+
+    Packing.  A value of p parts is a polynomial in the sl2 weights -p,
+    -p + 2, ..., p, carried as one int whose slot j, `width` bits wide, holds
+    the coefficient at weight -p + 2j.  h_m in two variables is then
+    1 + y + ... + y^m at y = 2^width (`_packed_h`): a product adds weights,
+    hence slot indices, and a sum adds slot by slot, while no slot reaches
+    2^width.  Each grade's column is one int over the weights -top, ...,
+    top, into which N's closed values go raised by (top - N)/2 slots.
+
+    Width.  Every coefficient here is a sum of coefficients of products
+    prod_i h_{m_i}, all non-negative, and such a coefficient is at most the
+    product's dimension prod_i (m_i + 1) <= 2^{sum_i m_i} (as m + 1 <= 2^m),
+    with sum_i m_i <= top.  A column's slot at grade (N^2 - k)/4 + s sums,
+    over the N of class k, one product per partition of s with at most N
+    parts, and a slot of V[p][s] one per partition of s with p parts; there
+    s <= qmax and N, p <= top.  The partitions of s with at most l parts
+    are at most those of qmax with at most top (add 1 to the largest part,
+    or make a part 1, to go from s to s + 1; qmax = 0 when top = 0),
+    counted by `partition_counts` without the identity under test.  So
+    every slot of every term and partial sum is below 2^width for width the
+    bit length of (number of N) * p(qmax, <= top) * 2^top.  A column with a
+    bit above slot top raises AssertionError rather than being truncated.
+    Each weight's row is read across the columns; `from_weights` folds the
+    rows into orbits and checks that they are W-invariant."""
     grades = list(sl2_spinon_grades(k, qmax))
-    top = grades[-1][0] if grades else 0  # no grade when qmax < 0: from_weights refuses it
-    columns = [[0] * (top + 1) for _ in range(qmax + 1)]
+    if not grades:  # qmax < 0: from_weights refuses it
+        return CharacterTable.from_weights(2, k, qmax, {})
+    top = grades[-1][0]
+    width = (len(grades) * partition_counts(top, qmax)[top][qmax] << top).bit_length()
+    h = [_packed_h(m, width) for m in range(top + 1)]
+    cap = [qmax - (least * least - k) // 4
+           for p in range(top + 1) for least in (p + (p - k) % 2,)]
+    values = [[0] * (budget + 1) for budget in cap]  # [parts][size] -> packed value
+    values[0][0] = 1
+    for part in range(1, cap[1] + 1 if top else 0):
+        # the p whose cap[p + 1] admits this part size: a prefix, as cap does not rise
+        for p in reversed(range(sum(most >= part for most in cap) - 1)):
+            blocks = [*zip(values[p + 1:], cap[p + 1:], h[1:])]  # m = 1, 2, ...
+            for s, value in enumerate(values[p][:cap[p + 1] - part + 1]):
+                if value:
+                    size = s
+                    for row, most, times in blocks:
+                        size += part
+                        if size > most:
+                            break
+                        row[size] += value * times
+    columns = [0] * (qmax + 1)
     for total, base in grades:
-        low, high = (top - total) // 2, (top + total) // 2 + 1
-        states = {(0, qmax - base): [1]}  # (parts placed, budget left) -> coefficients
-        for part in range(1, qmax - base + 2):
-            grown: dict[tuple[int, int], list[int]] = {}
-            for (placed, left), value in states.items():
-                most = min(total - placed, left // part)
-                if not most:  # no block of this part size fits, nor of a larger one
-                    column = columns[qmax - left]
-                    column[low:high] = map(add, column[low:high], _times_h(value, total - placed))
-                    continue
-                for m in range(most + 1):
-                    key, times = (placed + m, left - part * m), _times_h(value, m)
-                    held = grown.get(key)
-                    grown[key] = times if held is None else [*map(add, held, times)]
-            states = grown
-    rows = {(2 * i - top,): row for i, row in enumerate(zip(*columns))}
+        shift = width * ((top - total) // 2)
+        for p, row in enumerate(values[:total + 1]):
+            times = h[total - p] << shift
+            for s, value in enumerate(row[:qmax - base + 1], start=base):
+                columns[s] += value * times
+    mask, bits = (1 << width) - 1, width * (top + 1)
+    for grade, column in enumerate(columns):
+        if column >> bits:
+            raise AssertionError(f"the column at q^{grade} overflows its {top + 1} "
+                                 f"slots of {width} bits")
+    rows = {(2 * j - top,): [column >> (width * j) & mask for column in columns]
+            for j in range(top + 1)}
     return CharacterTable.from_weights(2, k, qmax, rows)
 
 
-def _times_h(value: list[int], m: int) -> list[int]:
-    """`value`, the coefficients at the sl2 weights -p, -p + 2, ..., p, times
-    h_m in two variables, whose monomials have the weights -m, -m + 2, ...,
-    m: the coefficients at -p - m, ..., p + m.  Weight -p - m + 2j takes
-    value[i] for j - m <= i <= j, a difference of two prefix sums."""
-    sums = [0, *accumulate(value)]
-    return [*map(sub, sums[1:] + sums[-1:] * m, [0] * m + sums[:-1])]
+def _packed_h(m: int, width: int) -> int:
+    """h_m in two variables, whose monomials have the sl2 weights -m,
+    -m + 2, ..., m, each with coefficient 1, packed as in
+    `sl2_yangian_decomposition`: 1 + y + ... + y^m at y = 2^width."""
+    return ((1 << width * (m + 1)) - 1) // ((1 << width) - 1)

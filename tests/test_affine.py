@@ -378,7 +378,8 @@ def test_sl2_four_routes_identical():
 def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
     # the root form's m-bound is derived from qmax, and the spinon routes stop
     # their N loop at the first grade past qmax; each qmax checks both, and
-    # the part-size budget of the module sum at every qmax <= 24 and at 40
+    # the part-size caps and the slot width of the module sum, at every
+    # qmax <= 40 and at 80
     for k in (0, 1):
         for qmax in range(41):
             bos = bosonic_character(2, k, qmax)
@@ -386,8 +387,8 @@ def test_sl2_fermionic_forms_match_bosonic_past_the_derived_bound():
                 assert sl2_fermionic_character(k, form, qmax) == bos, (k, form, qmax)
             if qmax <= 16:
                 assert sl2_spinon_enumeration(k, qmax) == bos, ("enum", k, qmax)
-            if qmax <= 24 or qmax == 40:
-                assert sl2_yangian_decomposition(k, qmax) == bos, ("yangian", k, qmax)
+            assert sl2_yangian_decomposition(k, qmax) == bos, ("yangian", k, qmax)
+        assert sl2_yangian_decomposition(k, 80) == bosonic_character(2, k, 80), k
 
 
 def test_table_validation_rejects_wrong_class():

@@ -200,15 +200,20 @@ def test_yangian_route_runs_no_strip_search():
 def test_rank_2_yangian_route_walks_no_partition():
     """`sl2_yangian_decomposition` sums over part sizes; neither it nor a
     helper of `yangian.py` it calls enumerates partitions or builds a
-    module's `SymPoly`."""
+    module's `SymPoly`.  Nor does it reach the q-series products, whose
+    identity sum_m h_m t^m = 1/((1 - t x_1)(1 - t x_2)) would make it the
+    fermionic spinon form and end its independence of that route."""
     walk = {"partitions_of", "sl2_hw_character", "weight_projection", "complete"}
+    series = {"inv_pochhammer", "inv_pochhammer_product", "product",
+              "sl2_fermionic_character"}
     probe = ast.parse("def sl2_yangian_decomposition():\n    f()\n\n"
                       "def f():\n    g()\n\ndef g():\n    sl2_hw_character(lam, 2)\n")
     assert _reached_calls(probe, "sl2_yangian_decomposition") & walk == {"sl2_hw_character"}
     called = _reached_calls(ast.parse((PACKAGE / "yangian.py").read_text()),
                             "sl2_yangian_decomposition")
-    assert "_times_h" in called
+    assert "_packed_h" in called
     assert not called & walk
+    assert not called & series
 
 
 def test_every_tableau_count_walks_horizontal_strips():

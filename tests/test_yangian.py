@@ -341,6 +341,18 @@ def test_sl2_yangian_matches_bosonic():
         assert sl2_yangian_decomposition(k, 8) == bosonic_character(2, k, 8), k
 
 
+def test_sl2_route_refuses_slots_too_narrow(monkeypatch):
+    """With every partition count read as 1, the slot width falls below the
+    bit length of the largest coefficient at q^40, so slots carry into each
+    other; the route raises AssertionError instead of returning a table."""
+    monkeypatch.setattr(yangian, "partition_counts",
+                        lambda length, size: [[1] * (size + 1)] * (length + 1))
+    assert sl2_yangian_decomposition(0, 20) == bosonic_character(2, 0, 20)
+    for k in (0, 1):
+        with pytest.raises(AssertionError, match="overflows|not W-invariant"):
+            sl2_yangian_decomposition(k, 40)
+
+
 def test_sl2_hw_character_dimensions():
     # dim = product of (m_i + 1) over the mode multiplicities
     poly = sl2_hw_character((2, 1), 3)
@@ -348,22 +360,27 @@ def test_sl2_hw_character_dimensions():
 
 
 def test_sl2_route_h_factors_chain_to_the_module_characters():
-    """`_times_h` chained over m_0 = N - l(lambda), m_1, m_2, ... from the
-    weight 0 gives the weights of `sl2_hw_character`, for every N <= 6 and
-    |lambda| <= 6; the `hw-module` cases check that character against each
-    strip's Schur polynomial, so they vouch for what the rank-2 route sums.
-    A value lists the coefficients at the weights -p, -p + 2, ..., p, so
-    after the chain, at p = N, and zero coefficients are read as absent."""
+    """The packed `_packed_h` chained over m_0 = N - l(lambda), m_1, m_2,
+    ... from the weight 0 gives the weights of `sl2_hw_character`, for every
+    N <= 6 and |lambda| <= 6; the `hw-module` cases check that character
+    against each strip's Schur polynomial, so they vouch for what the
+    rank-2 route sums.  Slot j of a packed value, `width` bits wide, holds
+    the coefficient at the weight -p + 2j, so after the chain, at p = N;
+    zero coefficients are read as absent.  Every coefficient is at most the
+    dimension 2^6 < 2^width, so no slot carries into the next."""
+    width = 8
     for n_spinons in range(7):
         for size in range(7):
             for lam in partitions_of(size, max_len=n_spinons):
-                value = [1]
+                value = 1
                 for m in (n_spinons - len(lam), *Counter(lam).values()):
-                    value = yangian._times_h(value, m)
-                assert len(value) == n_spinons + 1, (lam, n_spinons)
+                    value *= yangian._packed_h(m, width)
+                assert value >> width * (n_spinons + 1) == 0, (lam, n_spinons)
+                coeffs = [value >> width * j & (1 << width) - 1
+                          for j in range(n_spinons + 1)]
                 weights = range(-n_spinons, n_spinons + 1, 2)
                 expected = weight_projection(sl2_hw_character(lam, n_spinons))
-                assert {(w,): c for w, c in zip(weights, value) if c} == expected, (
+                assert {(w,): c for w, c in zip(weights, coeffs) if c} == expected, (
                     lam, n_spinons)
 
 

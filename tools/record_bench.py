@@ -14,7 +14,12 @@ It also times the Yangian route over the rank in process (`rank_sweep`):
 each the best of three runs with the `_times_e` memo cleared, and the
 least-squares slope of log(seconds) against log(n) for each k: a route
 polynomial in the rank keeps that slope bounded, and an exponential one's
-rises with n.
+rises with n.  Likewise it times the rank-2 routes over the order
+(`order_sweep`): `yangian.sl2_yangian_decomposition(k, q)`,
+`yangian.yangian_decomposition(2, k, q)` and `affine.bosonic_character(2,
+k, q)` for k = 0, 1 at q = 10, 20, 40, 80 and 160, each the best of three
+runs with every memo they read cleared, and the slope of log(seconds)
+against log(q) for each route and k.
 
 Exits 1 if any run fails or reports a failed operation; the file is still
 written.
@@ -37,6 +42,7 @@ WORKLOADS = ("char-yangian", "series-deep", "verify-all")
 SEED, SECONDS = 1, 30  # the run length BENCHMARK.json sets
 SWEEP_RANKS = (4, 8, 16, 32, 64, 128, 200)
 SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
+SWEEP_ORDERS = (10, 20, 40, 80, 160)
 # Per-layer counters that read 0 by construction; they are recorded as they
 # read.  Other zeros are layers a workload does not run.
 ZERO_BY_CONSTRUCTION = (
@@ -113,6 +119,38 @@ def rank_sweep() -> dict:
             "points": points, "log_log_slope_in_n": slopes}
 
 
+def order_sweep() -> dict:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from spinonchars import affine, qseries, yangian
+    routes = {
+        "sl2_yangian_decomposition": yangian.sl2_yangian_decomposition,
+        "yangian_decomposition": lambda k, q: yangian.yangian_decomposition(2, k, q),
+        "bosonic_character": lambda k, q: affine.bosonic_character(2, k, q),
+    }
+    memos = (yangian._times_e, qseries.inv_pochhammer, qseries._inv_pochhammer_product)
+    points, slopes = [], {}
+    for name, route in routes.items():
+        for k in SWEEP_KS:
+            times = []
+            for q in SWEEP_ORDERS:
+                best = math.inf
+                for _ in range(SWEEP_REPEATS):
+                    for memo in memos:
+                        memo.cache_clear()
+                    started = time.perf_counter()
+                    route(k, q)
+                    best = min(best, time.perf_counter() - started)
+                times.append(best)
+                points.append({"route": name, "n": 2, "k": k, "qmax": q,
+                               "seconds": round(best, 6)})
+            fit = statistics.linear_regression([math.log(q) for q in SWEEP_ORDERS],
+                                               [math.log(t) for t in times])
+            slopes[f"{name} k={k}"] = round(fit.slope, 3)
+    return {"routes": "the rank-2 routes in process, best of "
+                      f"{SWEEP_REPEATS} with cold memos",
+            "points": points, "log_log_slope_in_qmax": slopes}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True)
@@ -133,6 +171,7 @@ def main(argv=None) -> int:
         "note": ZERO_BY_CONSTRUCTION,
         "runs": runs,
         "rank_sweep": rank_sweep(),
+        "order_sweep": order_sweep(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
