@@ -96,6 +96,24 @@ def run(workload: str, trace: int) -> dict:
     return record
 
 
+def best_seconds(call, memos) -> float:
+    """The least of SWEEP_REPEATS timings of `call()`, each with `memos`
+    cleared first."""
+    best = math.inf
+    for _ in range(SWEEP_REPEATS):
+        for memo in memos:
+            memo.cache_clear()
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def log_log_slope(xs, times) -> float:
+    fit = statistics.linear_regression([math.log(x) for x in xs], [math.log(t) for t in times])
+    return round(fit.slope, 3)
+
+
 def rank_sweep() -> dict:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from spinonchars import yangian
@@ -103,17 +121,11 @@ def rank_sweep() -> dict:
     for k in SWEEP_KS:
         times = []
         for n in SWEEP_RANKS:
-            best = math.inf
-            for _ in range(SWEEP_REPEATS):
-                yangian._times_e.cache_clear()
-                started = time.perf_counter()
-                yangian.yangian_decomposition(n, k, SWEEP_QMAX)
-                best = min(best, time.perf_counter() - started)
+            best = best_seconds(lambda: yangian.yangian_decomposition(n, k, SWEEP_QMAX),
+                                (yangian._times_e,))
             times.append(best)
             points.append({"n": n, "k": k, "qmax": SWEEP_QMAX, "seconds": round(best, 6)})
-        fit = statistics.linear_regression([math.log(n) for n in SWEEP_RANKS],
-                                           [math.log(t) for t in times])
-        slopes[f"k={k}"] = round(fit.slope, 3)
+        slopes[f"k={k}"] = log_log_slope(SWEEP_RANKS, times)
     return {"route": "yangian.yangian_decomposition, in process, best of "
                      f"{SWEEP_REPEATS} with a cold _times_e memo",
             "points": points, "log_log_slope_in_n": slopes}
@@ -133,19 +145,11 @@ def order_sweep() -> dict:
         for k in SWEEP_KS:
             times = []
             for q in SWEEP_ORDERS:
-                best = math.inf
-                for _ in range(SWEEP_REPEATS):
-                    for memo in memos:
-                        memo.cache_clear()
-                    started = time.perf_counter()
-                    route(k, q)
-                    best = min(best, time.perf_counter() - started)
+                best = best_seconds(lambda: route(k, q), memos)
                 times.append(best)
                 points.append({"route": name, "n": 2, "k": k, "qmax": q,
                                "seconds": round(best, 6)})
-            fit = statistics.linear_regression([math.log(q) for q in SWEEP_ORDERS],
-                                               [math.log(t) for t in times])
-            slopes[f"{name} k={k}"] = round(fit.slope, 3)
+            slopes[f"{name} k={k}"] = log_log_slope(SWEEP_ORDERS, times)
     return {"routes": "the rank-2 routes in process, best of "
                       f"{SWEEP_REPEATS} with cold memos",
             "points": points, "log_log_slope_in_qmax": slopes}
