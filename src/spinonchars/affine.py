@@ -4,8 +4,17 @@ and the sl_2 fermionic / spinon-basis forms.
 Weights are stored in fundamental-weight coordinates (m_1..m_{n-1}), which
 quotient by the torus relation x_1...x_n = 1.  `exps_to_fw` and `_eps`
 convert between them and the eps-coordinates (c_1..c_n), and no other module
-does.  Each table factors the exact rational conformal dimension Delta_k out
-of the grading, so stored q-degrees are non-negative integers.
+does.
+
+A character table is a dict from the dominant weight of each Weyl orbit to
+the row that every weight of the orbit holds: the tuple of its qmax + 1
+coefficients, graded relative to q^Delta_k, so stored q-degrees are
+non-negative integers.  A level-1 character is W-invariant, so its string
+functions are constant on each orbit of the Weyl group (Kac,
+Infinite-dimensional Lie algebras, ch. 12).  Every builder drops its all-zero
+rows, so two tables of one (n, k, qmax) are equal exactly when their dicts
+are.  No row changes once a builder returns it, so several orbits may share
+one row object (`bosonic_character` shares them).
 """
 from __future__ import annotations
 
@@ -205,127 +214,93 @@ def _coordinate(x: int) -> tuple[int]:
     return (x,)
 
 
-class CharacterTable:
-    """Weight -> coefficient array, graded relative to q^delta, kept as one
-    row per Weyl orbit.
-
-    A level-1 character is W-invariant, so its string functions are
-    constant on each orbit of the Weyl group (Kac, Infinite-dimensional Lie
-    algebras, ch. 12).  `orbits` maps the dominant weight of each orbit to
-    the row that every weight of the orbit holds; `row` reads any weight
-    through its orbit, and `items` and `laid_out` expand the orbits to one
-    entry per weight.  No row changes once a builder returns it, so several
-    orbits may share one row object (`bosonic_character` shares them)."""
-
-    def __init__(self, n: int, k: int, qmax: int):
-        self.delta = conformal_dimension(n, k)  # checks 0 <= k < n first
-        if qmax < 0:
-            raise ValueError("qmax must be >= 0")
-        self.n = n
-        self.k = k
-        self.qmax = qmax
-        self.orbits: dict[tuple[int, ...], list[int] | tuple[int, ...]] = {}
-
-    @classmethod
-    def from_weights(cls, n: int, k: int, qmax: int, rows) -> "CharacterTable":
-        """The table holding `rows[w]` at each weight w of the dict `rows`
-        and zeros at every other weight, with its all-zero rows dropped,
-        checked by `validate`.  Raises AssertionError unless that is
-        W-invariant: two weights of one orbit hold different rows, or an
-        orbit holds a row that is not zero at only some of its weights."""
-        table = cls(n, k, qmax)
-        orbits, held = table.orbits, {}
-        for w, row in rows.items():
-            if len(w) != n - 1:
-                raise ValueError(f"weight {w} has wrong length for n={n}")
-            row = list(row)
-            if not any(row):
-                continue
-            key = dominant_weight(w)
-            first = orbits.setdefault(key, row)
-            if first != row:
-                raise AssertionError(
-                    f"not W-invariant: weights {w} and {key} of one orbit hold "
-                    f"{row} and {first}")
-            held[key] = held.get(key, 0) + 1
-        for key, count in held.items():
-            if count != orbit_size(key):
-                raise AssertionError(
-                    f"not W-invariant: the orbit of {key} holds a row at {count} "
-                    f"of its {orbit_size(key)} weights")
-        return table.validate()
-
-    def validate(self) -> "CharacterTable":
-        """Class membership and non-negativity of every coefficient, checked
-        once per orbit: the Weyl group moves a weight by roots, which are
-        in class 0, and every weight of an orbit holds the orbit's row.  A
-        failure names the orbit's dominant weight."""
-        n, k = self.n, self.k
-        for w, row in self.orbits.items():
-            if weight_class(w, n) != k:
-                raise AssertionError(f"weight {w} not in class {k} mod {n}")
-            if min(row) < 0:
-                raise AssertionError(f"negative multiplicity at weight {w}: {list(row)}")
-        return self
-
-    def row(self, weight) -> list[int]:
-        """The coefficients at `weight`, the row of its orbit, as a new
-        list; zeros at a weight the table does not hold.  A weight of the
-        wrong length raises ValueError."""
-        weight = tuple(weight)
-        if len(weight) != self.n - 1:
-            raise ValueError(f"weight {weight} has wrong length for n={self.n}")
-        return list(self.orbits.get(dominant_weight(weight), [0] * (self.qmax + 1)))
-
-    def items(self) -> list[tuple[tuple[int, ...], object]]:
-        """(weight, row) for every weight of every orbit, in weight order;
-        the weights of one orbit share its row object.  The weights are
-        pieces of `_expand` with each coordinate laid out as a 1-tuple."""
-        return list(zip(*_expand(self.orbits, [None, (), *[_coordinate] * (self.n - 1)])))
-
-    def laid_out(self, levels, tail) -> tuple[list, list]:
-        """(pieces, texts), two lists with one entry for every weight of
-        every orbit, in weight order (see `_expand`): a weight's piece is
-        the pieces of its coordinates in order, joined by `+`, and its text
-        is tail(row) of its orbit's row, called once per orbit.  levels[1]
-        is the piece of the empty weight (n = 1; an empty end of a longer
-        one), and levels[s](x), s = 2..n, the piece of the coordinate x at
-        index n - s, made once for each x; every piece of a sub-arrangement
-        of an orbit's c is built once (see `_arrangements`)."""
-        return _expand({key: tail(row) for key, row in self.orbits.items()}, levels)
-
-    def first_difference(self, other: "CharacterTable"):
-        """None if equal; else (weight, degree, self_coeff, other_coeff) at
-        the first weight in sorted order whose rows differ.  No orbit is
-        expanded: the orbit of m starts at c_n, c_1, ..., c_{n-1}, as w_1 =
-        c_a - c_b is least at a least c_a and a greatest c_b, and each later
-        w_i at the greatest c left (c as in `dominant_weight`, c_n = 0)."""
-        if (self.n, self.k, self.qmax, self.delta) != (
-            other.n, other.k, other.qmax, other.delta,
-        ):
-            return ((), -1, None, None)
-        differ = [key for key in self.orbits.keys() | other.orbits.keys()
-                  if self.row(key) != other.row(key)]
-        if not differ:
-            return None
-        w, key = min(((-sum(key), *key[:-1]), key) for key in differ)
-        a, b = self.row(key), other.row(key)
-        d = next(d for d in range(self.qmax + 1) if a[d] != b[d])
-        return (w, d, a[d], b[d])
-
-    def __eq__(self, other):
-        if not isinstance(other, CharacterTable):
-            return NotImplemented
-        return self.first_difference(other) is None
-
-    def __repr__(self):
-        return (
-            f"CharacterTable(n={self.n}, k={self.k}, qmax={self.qmax}, "
-            f"delta={self.delta}, norbits={len(self.orbits)})"
-        )
+def _check_table(n: int, k: int, qmax: int) -> None:
+    """Refuse the arguments of a table: k before qmax."""
+    conformal_dimension(n, k)  # checks 0 <= k < n
+    if qmax < 0:
+        raise ValueError("qmax must be >= 0")
 
 
-def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
+def from_weights(n: int, k: int, qmax: int, rows) -> dict:
+    """The table holding `rows[w]` at each weight w of the dict `rows` and
+    zeros at every other weight, with its all-zero rows dropped, checked by
+    `validate`.  Raises AssertionError unless that is W-invariant: two
+    weights of one orbit hold different rows, or an orbit holds a row that
+    is not zero at only some of its weights."""
+    _check_table(n, k, qmax)
+    orbits, held = {}, {}
+    for w, row in rows.items():
+        if len(w) != n - 1:
+            raise ValueError(f"weight {w} has wrong length for n={n}")
+        row = tuple(row)
+        if not any(row):
+            continue
+        key = dominant_weight(w)
+        first = orbits.setdefault(key, row)
+        if first != row:
+            raise AssertionError(
+                f"not W-invariant: weights {w} and {key} of one orbit hold "
+                f"{list(row)} and {list(first)}")
+        held[key] = held.get(key, 0) + 1
+    for key, count in held.items():
+        if count != orbit_size(key):
+            raise AssertionError(
+                f"not W-invariant: the orbit of {key} holds a row at {count} "
+                f"of its {orbit_size(key)} weights")
+    return validate(orbits, n, k)
+
+
+def validate(orbits: dict, n: int, k: int) -> dict:
+    """`orbits`, after checking class membership and non-negativity of every
+    coefficient once per orbit: the Weyl group moves a weight by roots,
+    which are in class 0, and every weight of an orbit holds the orbit's
+    row.  A failure names the orbit's dominant weight."""
+    for w, row in orbits.items():
+        if weight_class(w, n) != k:
+            raise AssertionError(f"weight {w} not in class {k} mod {n}")
+        if min(row) < 0:
+            raise AssertionError(f"negative multiplicity at weight {w}: {list(row)}")
+    return orbits
+
+
+def weight_rows(orbits: dict) -> list[tuple[tuple[int, ...], tuple]]:
+    """(weight, row) for every weight of every orbit, in weight order; the
+    weights of one orbit share its row object.  The weights are pieces of
+    `_expand` with each coordinate laid out as a 1-tuple."""
+    length = len(next(iter(orbits), ()))  # n - 1
+    return list(zip(*_expand(orbits, [None, (), *[_coordinate] * length])))
+
+
+def laid_out(orbits: dict, levels, tail) -> tuple[list, list]:
+    """(pieces, texts), two lists with one entry for every weight of every
+    orbit, in weight order (see `_expand`): a weight's piece is the pieces
+    of its coordinates in order, joined by `+`, and its text is tail(row) of
+    its orbit's row, called once per orbit.  levels[1] is the piece of the
+    empty weight (n = 1; an empty end of a longer one), and levels[s](x),
+    s = 2..n, the piece of the coordinate x at index n - s, made once for
+    each x; every piece of a sub-arrangement of an orbit's c is built once
+    (see `_arrangements`)."""
+    return _expand({key: tail(row) for key, row in orbits.items()}, levels)
+
+
+def first_difference(a: dict, b: dict):
+    """None if the tables `a` and `b`, of one (n, k, qmax), are equal; else
+    (weight, degree, a_coeff, b_coeff) at the first weight in sorted order
+    whose rows differ.  No orbit is expanded: the orbit of m starts at c_n,
+    c_1, ..., c_{n-1}, as w_1 = c_a - c_b is least at a least c_a and a
+    greatest c_b, and each later w_i at the greatest c left (c as in
+    `dominant_weight`, c_n = 0)."""
+    differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
+    if not differ:
+        return None
+    w, key = min(((-sum(key), *key[:-1]), key) for key in differ)
+    x, y = a.get(key), b.get(key)
+    x, y = x or (0,) * len(y), y or (0,) * len(x)
+    d = next(d for d, (p, q) in enumerate(zip(x, y)) if p != q)
+    return (w, d, x[d], y[d])
+
+
+def bosonic_character(n: int, k: int, qmax: int) -> dict:
     """Lattice sum over (c_1..c_n) in Z^n with sum c_i = k; the vector
     k_i = c_i - k/n contributes q^{sum k_i^2/2} / (q)_inf^{n-1} at weight
     (c_1-c_2, ..., c_{n-1}-c_n).
@@ -342,17 +317,17 @@ def bosonic_character(n: int, k: int, qmax: int) -> CharacterTable:
     same tuple, so the table has at most qmax + 1 row objects."""
     if n < 2:
         raise ValueError("rank must be >= 2")
-    table = CharacterTable(n, k, qmax)
+    _check_table(n, k, qmax)
     power = inv_pochhammer_product((qmax,) * (n - 1), qmax)
     shifted = [(0,) * degree + power[:qmax + 1 - degree] for degree in range(qmax + 1)]
-    orbits = table.orbits
+    orbits = {}
     # sum c_i^2 <= k + 2 qmax  <=>  relative degree <= qmax
     for c in _decreasing_vectors(n, k, k + 2 * qmax):
         weight, degree2 = exps_to_fw(c), sum(x * x for x in c) - k
         assert degree2 % 2 == 0 and degree2 >= 0
         assert weight not in orbits, f"weight {weight} met twice"
         orbits[weight] = shifted[degree2 // 2]
-    return table.validate()
+    return validate(orbits, n, k)
 
 
 def weight_count(n: int, k: int, qmax: int, stop: int) -> int:
@@ -575,8 +550,8 @@ def sl2_spinon_grades(k: int, qmax: int):
         n_spinons += 2
 
 
-def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
-    """The two fermionic sl_2 forms as CharacterTables.
+def sl2_fermionic_character(k: int, form: str, qmax: int) -> dict:
+    """The two fermionic sl_2 forms as tables.
 
     root form:   sum over m1,m2 >= 0 of
                  q^{m1^2 - m1 m2 + m2^2 + k(m1-m2)} / ((q)_m1 (q)_m2)
@@ -584,12 +559,13 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
     spinon form: sum over m1,m2 >= 0 with m1+m2 = k mod 2 of
                  q^{(m1+m2)^2/4} / ((q)_m1 (q)_m2) at weight m1-m2.
     Both are summed weight by weight and folded into orbits by
-    `CharacterTable.from_weights`, which checks that the sum is W-invariant.
+    `from_weights`, which checks that the sum is W-invariant.
     """
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     if form not in ("root", "spinon"):
         raise ValueError(f"unknown form {form!r}")
+    _check_table(2, k, qmax)
     if form == "root":
         terms = _root_form_terms(k, qmax)
     else:
@@ -602,7 +578,7 @@ def sl2_fermionic_character(k: int, form: str, qmax: int) -> CharacterTable:
         row = rows.setdefault(weight, [0] * (qmax + 1))
         for d in range(degree0, qmax + 1):
             row[d] += series[d - degree0]
-    return CharacterTable.from_weights(2, k, qmax, rows)
+    return from_weights(2, k, qmax, rows)
 
 
 def _root_form_terms(k: int, qmax: int):
@@ -633,7 +609,7 @@ def _root_form_terms(k: int, qmax: int):
                 yield m1, m2, exp, (2 * (m1 - m2) + k,)
 
 
-def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
+def sl2_spinon_enumeration(k: int, qmax: int) -> dict:
     """Enumerate the sl_2 spinon basis: M1+M2 spinons with weakly increasing
     non-negative modes, energy (M1+M2)^2/4 + sum of modes, weight M1-M2.
 
@@ -641,10 +617,12 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
     partitions of s with at most M parts (zeros padded), so the states of
     each (M1, M2) are counted by `partitions.partition_counts` without
     building a partition.  The counts are summed weight by weight and folded
-    into orbits by `CharacterTable.from_weights`, which checks that the sum
-    is W-invariant; `sl2_spinon_grades` checks k."""
+    into orbits by `from_weights`, which checks that the sum is
+    W-invariant; `sl2_spinon_grades` checks k."""
+    grades = [*sl2_spinon_grades(k, qmax)]
+    _check_table(2, k, qmax)
     rows: dict[tuple[int], list[int]] = {}
-    for total, base in sl2_spinon_grades(k, qmax):
+    for total, base in grades:
         budget = qmax - base
         at_most = partition_counts(total, budget)
         for m1_count in range(total + 1):
@@ -659,4 +637,4 @@ def sl2_spinon_enumeration(k: int, qmax: int) -> CharacterTable:
                     c2 = at_most[m2_count][e2]
                     if c2:
                         row[base + e1 + e2] += c1 * c2
-    return CharacterTable.from_weights(2, k, qmax, rows)
+    return from_weights(2, k, qmax, rows)

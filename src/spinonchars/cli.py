@@ -126,9 +126,10 @@ def _json_int_list(count: int) -> str:
     return "[\n        " + ",\n        ".join(("%d",) * count) + "\n      ]"
 
 
-def _write_table(table, fmt: str, out) -> None:
-    """Write the table to `out` in weight order, each line ending in a
-    newline; every table builder drops its all-zero rows itself.
+def _write_table(orbits: dict, n: int, k: int, qmax: int, fmt: str, out) -> None:
+    """Write the table (n, k, qmax) of orbit rows `orbits` to `out` in
+    weight order, each line ending in a newline; every table builder drops
+    its all-zero rows itself.
     `json` has the layout of `json.dumps(..., indent=2)` of the dict with
     keys n, k, delta ("num/den"), qmax and rows, a list of
     {"weight": [...], "coeffs": [...]} in weight order; the standard
@@ -136,19 +137,19 @@ def _write_table(table, fmt: str, out) -> None:
     written here instead.
 
     A row is its weight's text, laid out coordinate by coordinate inside
-    the orbit expansion (`CharacterTable.laid_out`, with the levels of
+    the orbit expansion (`affine.laid_out`, with the levels of
     `_levels`), then the text of its orbit's coefficients, laid out once
     per orbit; the text before a weight that is the same in every row opens
     the rows and separates them.  A weight's text and its orbit's are kept
     apart until the rows are written, `_ROWS_PER_WRITE` at a time."""
-    n = table.n
-    delta = f"{table.delta.numerator}/{table.delta.denominator}"
+    dim = affine.conformal_dimension(n, k)
+    delta = f"{dim.numerator}/{dim.denominator}"
     if fmt == "json":
-        out.write(f'{{\n  "n": {n},\n  "k": {table.k},\n'
-                  f'  "delta": "{delta}",\n  "qmax": {table.qmax},\n')
-        coeffs_text = ',\n      "coeffs": ' + _json_int_list(table.qmax + 1) + "\n    }"
-        rows = table.laid_out(_levels(n, "[", "\n        %d,", "\n        %d\n      ]", "[]"),
-                              lambda row: coeffs_text % tuple(row))
+        out.write(f'{{\n  "n": {n},\n  "k": {k},\n'
+                  f'  "delta": "{delta}",\n  "qmax": {qmax},\n')
+        coeffs_text = ',\n      "coeffs": ' + _json_int_list(qmax + 1) + "\n    }"
+        levels = _levels(n, "[", "\n        %d,", "\n        %d\n      ]", "[]")
+        rows = affine.laid_out(orbits, levels, coeffs_text.__mod__)
         if not rows[1]:
             out.write('  "rows": []\n}\n')
             return
@@ -158,20 +159,20 @@ def _write_table(table, fmt: str, out) -> None:
     elif fmt == "csv":
         out.write(",".join([*(f"w{i}" for i in range(1, n)), "qdegree", "coeff"]) + "\n")
         # a weight's lines are its prefix joined to ["", "d,c\n", ...]
-        rows = table.laid_out(_levels(n, "", "%d,", "%d,", ""), lambda row: ["", *(
+        rows = affine.laid_out(orbits, _levels(n, "", "%d,", "%d,", ""), lambda row: ["", *(
             f"{d},{c}\n" for d, c in enumerate(row) if c)])
         _write_rows(rows, str.join, "", "", out)
     else:
-        out.write(f"n={n} k={table.k} qmax={table.qmax} delta={delta}\n")
-        rows = table.laid_out(
-            _levels(n, "(", "%d, ", "%d,)" if n == 2 else "%d)", "()"),
+        out.write(f"n={n} k={k} qmax={qmax} delta={delta}\n")
+        rows = affine.laid_out(
+            orbits, _levels(n, "(", "%d, ", "%d,)" if n == 2 else "%d)", "()"),
             lambda row: ": " + (" + ".join(f"{c}*q^{d}" for d, c in enumerate(row) if c)
                                 or "0") + "\n")
         _write_rows(rows, add, "weight ", "weight ", out)
 
 
 def _levels(n: int, head: str, middle: str, last: str, empty: str) -> list:
-    """The levels of `CharacterTable.laid_out` for a weight's text: `head`,
+    """The levels of `affine.laid_out` for a weight's text: `head`,
     then each of the n - 1 coordinates laid out by the `%d` template
     `middle`, the last one by `last`; `empty` is the whole text of the
     empty weight (n = 1)."""
@@ -464,9 +465,13 @@ def _check_suite(suite: str, given: dict) -> None:
 def main(argv=None) -> int:
     # The objects that exist now (module-level definitions) live for the
     # process: freezing them keeps them out of every collection.  No command
-    # leaves cyclic garbage, so the collector is off while one runs, and its
-    # state is restored for an in-process caller.
-    gc.freeze()
+    # leaves cyclic garbage, so the collector is off while one runs.  An
+    # in-process caller gets the collector's state back, and what was frozen
+    # here is unfrozen, so that its own cyclic garbage is still collected;
+    # a heap the caller froze is left as it is.
+    froze = not gc.get_freeze_count()
+    if froze:
+        gc.freeze()
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -482,8 +487,9 @@ def main(argv=None) -> int:
             bound = ">= 2" if n < 2 else f"<= {most}"
             raise UsageError(f"--n must be {bound}, got {_brief(str(n), 20)}")
         if args["command"] == "char":
-            table = _build_table(args["kind"], n, args["k"], args["qmax"])
-            _write_table(table, args["format"], sys.stdout)
+            k, qmax = args["k"], args["qmax"]
+            _write_table(_build_table(args["kind"], n, k, qmax), n, k, qmax, args["format"],
+                         sys.stdout)
             return 0
         if args["command"] == "verify":
             if args["qmax"] is not None and args["qmax"] < 0:
@@ -504,6 +510,8 @@ def main(argv=None) -> int:
         print(f"spinonchars: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     finally:
+        if froze:
+            gc.unfreeze()
         if enabled:
             gc.enable()
 

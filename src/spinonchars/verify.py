@@ -53,7 +53,7 @@ def _series_locus(a, b):
 
 
 def _table_locus(a, b):
-    diff = a.first_difference(b)
+    diff = affine.first_difference(a, b)
     if diff is None:
         return None
     w, d, x, y = diff
@@ -331,7 +331,7 @@ def small_norm_weights(n: int, k: int, max_extra=2):
     Delta_k = (sum c_i^2 - k)/2, as in `affine.bosonic_character`, so these
     are the weights of that table to q^max_extra, every one of whose rows
     holds a 1."""
-    return [weight for weight, _ in affine.bosonic_character(n, k, max_extra).items()]
+    return [weight for weight, _ in affine.weight_rows(affine.bosonic_character(n, k, max_extra))]
 
 
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:

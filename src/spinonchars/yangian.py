@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import comb
 
-from .affine import CharacterTable, exps_to_fw, sl2_spinon_grades
+from .affine import _check_table, exps_to_fw, from_weights, sl2_spinon_grades, validate
 from .partitions import (conjugate, contains, ends_at, horizontal_strips, padded, partition,
                          partition_counts)
 
@@ -121,7 +121,7 @@ def sst_to_gz(tableau: dict[tuple[int, int], int], lam, mu, n: int):
     return scheme
 
 
-def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
+def yangian_decomposition(n: int, k: int, qmax: int) -> dict:
     """ch L(Lambda_k) = sum over reduced border strips kappa of class k of
     q^{E(kappa)} s_kappa, graded relative to Delta_k, summed by the
     transfer-matrix method (Stanley, EC1 4.7) over merged search states
@@ -207,7 +207,7 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
     are the table's orbit rows, and no weight is expanded here."""
     if n < 2:
         raise ValueError("rank must be >= 2")
-    table = CharacterTable(n, k, qmax)
+    _check_table(n, k, qmax)
     base = k * (n - k)
     e2_max = base + 2 * n * qmax
     rows: dict[tuple[int, ...], list[int]] = {}  # normalized nu -> coefficients by grade
@@ -242,8 +242,8 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> CharacterTable:
                     _add_into(states.setdefault((d_next, h + b), {}), value, -1)
     if layers:  # a state put on a layer already swept would be lost
         raise AssertionError(f"states left behind the sweep at 2n*E = {sorted(layers)}")
-    table.orbits = {exps_to_fw(nu): row for nu, row in rows.items() if any(row)}
-    return table.validate()
+    return validate({exps_to_fw(nu): tuple(row) for nu, row in rows.items() if any(row)},
+                    n, k)
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +301,7 @@ def _add_into(acc: dict, value: dict, sign: int) -> None:
         acc[nu] = get(nu, 0) + sign * c
 
 
-def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
+def sl2_yangian_decomposition(k: int, qmax: int) -> dict:
     """ch = sum_{N = k mod 2} sum_{l(lambda) <= N} q^{N^2/4 + |lambda|}
     prod_{i>=0} h_{m_i}, graded relative to Delta_k, with m_0 = N - l(lambda)
     and m_i the number of parts i, by one transfer matrix over part sizes
@@ -352,8 +352,7 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
     Each weight's row is read across the columns; `from_weights` folds the
     rows into orbits and checks that they are W-invariant."""
     grades = list(sl2_spinon_grades(k, qmax))
-    if not grades:  # qmax < 0: from_weights refuses it
-        return CharacterTable.from_weights(2, k, qmax, {})
+    _check_table(2, k, qmax)
     top = grades[-1][0]
     width = (len(grades) * partition_counts(top, qmax)[top][qmax] << top).bit_length()
     h = [_packed_h(m, width) for m in range(top + 1)]
@@ -387,7 +386,7 @@ def sl2_yangian_decomposition(k: int, qmax: int) -> CharacterTable:
                                  f"slots of {width} bits")
     rows = {(2 * j - top,): [column >> (width * j) & mask for column in columns]
             for j in range(top + 1)}
-    return CharacterTable.from_weights(2, k, qmax, rows)
+    return from_weights(2, k, qmax, rows)
 
 
 def _packed_h(m: int, width: int) -> int:

@@ -6,7 +6,7 @@ character tables holding rows that no builder writes, and the skew shapes
 and polynomials the property tests draw."""
 from hypothesis import strategies as st
 
-from spinonchars.affine import CharacterTable, dominant_weight
+from spinonchars.affine import conformal_dimension, dominant_weight, weight_rows
 from spinonchars.partitions import conjugate, padded
 from spinonchars.strips import BorderStrip, energy
 from spinonchars.symfunc import (
@@ -156,25 +156,24 @@ def skew_size(shape) -> int:
     return sum(shape[0]) - sum(shape[1])
 
 
-def table_json_dict(table: CharacterTable) -> dict:
-    """The table as the dict whose `json.dumps(..., indent=2)` is the layout
-    of `char --format json`."""
+def table_json_dict(orbits: dict, n: int, k: int, qmax: int) -> dict:
+    """The table (n, k, qmax) of orbit rows `orbits` as the dict whose
+    `json.dumps(..., indent=2)` is the layout of `char --format json`."""
+    delta = conformal_dimension(n, k)
     return {
-        "n": table.n,
-        "k": table.k,
-        "delta": f"{table.delta.numerator}/{table.delta.denominator}",
-        "qmax": table.qmax,
-        "rows": [{"weight": list(w), "coeffs": list(row)} for w, row in table.items()],
+        "n": n,
+        "k": k,
+        "delta": f"{delta.numerator}/{delta.denominator}",
+        "qmax": qmax,
+        "rows": [{"weight": list(w), "coeffs": list(row)} for w, row in weight_rows(orbits)],
     }
 
 
-def hand_built(n, k, qmax, rows):
+def hand_built(rows) -> dict:
     """The table whose orbit of each weight of the (weight, coefficients)
-    pairs `rows` holds those coefficients; a later weight of one orbit
-    replaces an earlier one."""
-    table = CharacterTable(n, k, qmax)
-    table.orbits = {dominant_weight(w): list(coeffs) for w, coeffs in rows}
-    return table
+    pairs `rows` holds those coefficients, as a tuple; a later weight of one
+    orbit replaces an earlier one."""
+    return {dominant_weight(w): tuple(coeffs) for w, coeffs in rows}
 
 
 @st.composite

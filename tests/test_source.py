@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 from spinonchars import qseries
+from spinonchars.cli import CHAR_KINDS, _build_table
 from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
 from spinonchars.strips import BorderStrip
 from spinonchars.symfunc import ribbon_expansion
@@ -305,3 +306,23 @@ def test_a_partition_is_a_tuple():
     for name, values in given.items():
         assert values, name
         assert all(_tuple_of_ints(value) for value in values), (name, values)
+
+
+def test_a_character_table_is_a_dict_of_tuple_rows():
+    """`affine.py` defines no class, and no module names the deleted table
+    class: a character table is the dict from the dominant weight of each
+    Weyl orbit to its row.  Every `char` kind builds, at two points, a dict
+    whose keys are int tuples of length n - 1 and whose values are tuples
+    of qmax + 1 ints, none of them all zero."""
+    tree = ast.parse((PACKAGE / "affine.py").read_text())
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert not [path.name for path in PACKAGE.glob("*.py")
+                if "CharacterTable" in path.read_text()]
+    for kind in CHAR_KINDS:
+        rank_2 = kind not in ("bosonic", "yangian")
+        for n, k, qmax in ((2, 0, 6), (2, 1, 5)) if rank_2 else ((3, 2, 4), (5, 1, 2)):
+            table = _build_table(kind, n, k, qmax)
+            assert type(table) is dict and table, (kind, n, k, qmax)
+            for key, row in table.items():
+                assert _tuple_of_ints(key) and len(key) == n - 1, (kind, key)
+                assert _tuple_of_ints(row) and len(row) == qmax + 1 and any(row), (kind, row)

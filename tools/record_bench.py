@@ -56,7 +56,10 @@ ZERO_BY_CONSTRUCTION = (
     "exists any longer.  So do qseries.mul.calls and qseries.add.calls: they "
     "read the operators QSeries.__mul__ and __add__, and a series is now a "
     "tuple, multiplied by the module function qseries.product and added "
-    "coefficient by coefficient.  char-yangian: "
+    "coefficient by coefficient.  The tracer's METHODS entry "
+    "affine.CharacterTable names a class that no longer exists (a character "
+    "table is a plain dict of orbit rows), and install() skips it.  "
+    "char-yangian: "
     "strips.enumerated, "
     "strips.enumerate_border_strips.calls, strips.energy.calls and "
     "symfunc.weight_projection.calls, since the Yangian route is a "
