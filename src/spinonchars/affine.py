@@ -19,7 +19,6 @@ one row object (`bosonic_character` shares them).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from operator import add, mul, sub
@@ -28,10 +27,12 @@ from .partitions import partition_counts
 from .qseries import inv_pochhammer_product
 
 
-def conformal_dimension(n: int, k: int) -> Fraction:
-    """Delta_k = k(n-k)/2n, the level-1 highest-weight grade offset."""
-    if not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+def conformal_dimension(n: int, k: int):
+    """Delta_k = k(n-k)/2n, the level-1 highest-weight grade offset, as a
+    `Fraction`.  `fractions` is imported here, not with the module: no
+    `char` command reads it, and it loads `decimal`."""
+    from fractions import Fraction
+    _check_table(n, k, 0)
     return Fraction(k * (n - k), 2 * n)
 
 
@@ -209,14 +210,10 @@ def _expand(orbits: dict, levels) -> tuple[list, list]:
     return [*map(pieces.__getitem__, order)], [*map(held.__getitem__, order)]
 
 
-def _coordinate(x: int) -> tuple[int]:
-    """The piece of one weight coordinate in a weight tuple."""
-    return (x,)
-
-
 def _check_table(n: int, k: int, qmax: int) -> None:
     """Refuse the arguments of a table: k before qmax."""
-    conformal_dimension(n, k)  # checks 0 <= k < n
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
 
@@ -263,14 +260,6 @@ def validate(orbits: dict, n: int, k: int) -> dict:
     return orbits
 
 
-def weight_rows(orbits: dict) -> list[tuple[tuple[int, ...], tuple]]:
-    """(weight, row) for every weight of every orbit, in weight order; the
-    weights of one orbit share its row object.  The weights are pieces of
-    `_expand` with each coordinate laid out as a 1-tuple."""
-    length = len(next(iter(orbits), ()))  # n - 1
-    return list(zip(*_expand(orbits, [None, (), *[_coordinate] * length])))
-
-
 def laid_out(orbits: dict, levels, tail) -> tuple[list, list]:
     """(pieces, texts), two lists with one entry for every weight of every
     orbit, in weight order (see `_expand`): a weight's piece is the pieces
@@ -281,23 +270,6 @@ def laid_out(orbits: dict, levels, tail) -> tuple[list, list]:
     each x; every piece of a sub-arrangement of an orbit's c is built once
     (see `_arrangements`)."""
     return _expand({key: tail(row) for key, row in orbits.items()}, levels)
-
-
-def first_difference(a: dict, b: dict):
-    """None if the tables `a` and `b`, of one (n, k, qmax), are equal; else
-    (weight, degree, a_coeff, b_coeff) at the first weight in sorted order
-    whose rows differ.  No orbit is expanded: the orbit of m starts at c_n,
-    c_1, ..., c_{n-1}, as w_1 = c_a - c_b is least at a least c_a and a
-    greatest c_b, and each later w_i at the greatest c left (c as in
-    `dominant_weight`, c_n = 0)."""
-    differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
-    if not differ:
-        return None
-    w, key = min(((-sum(key), *key[:-1]), key) for key in differ)
-    x, y = a.get(key), b.get(key)
-    x, y = x or (0,) * len(y), y or (0,) * len(x)
-    d = next(d for d, (p, q) in enumerate(zip(x, y)) if p != q)
-    return (w, d, x[d], y[d])
 
 
 def bosonic_character(n: int, k: int, qmax: int) -> dict:

@@ -2,8 +2,9 @@
 bijections.  Exit codes: 0 success, 1 identity violation, 2 usage error.
 
 Only what `char` runs, `affine` and `yangian` (and through them `partitions`
-and `qseries`), loads with this module: `verify` (with `strips` and
-`symfunc`) loads in the verify command and `strips` in the bijection helpers."""
+and `qseries`), loads with this module: `verify` loads in the verify command,
+and with it `strips` and `symfunc` for the suites that read them, and
+`strips` loads in the bijection helpers."""
 from __future__ import annotations
 
 import gc
@@ -11,7 +12,7 @@ import json
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, itemgetter
 
 from . import affine, yangian
@@ -142,8 +143,8 @@ def _write_table(orbits: dict, n: int, k: int, qmax: int, fmt: str, out) -> None
     per orbit; the text before a weight that is the same in every row opens
     the rows and separates them.  A weight's text and its orbit's are kept
     apart until the rows are written, `_ROWS_PER_WRITE` at a time."""
-    dim = affine.conformal_dimension(n, k)
-    delta = f"{dim.numerator}/{dim.denominator}"
+    common = gcd(k * (n - k), 2 * n)  # Delta_k = k(n - k)/2n, in lowest terms
+    delta = f"{k * (n - k) // common}/{2 * n // common}"
     if fmt == "json":
         out.write(f'{{\n  "n": {n},\n  "k": {k},\n'
                   f'  "delta": "{delta}",\n  "qmax": {qmax},\n')

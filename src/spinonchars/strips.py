@@ -344,6 +344,7 @@ def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
     raises if the tails never align (divergent pairing).
     convention "tail": shift the pairing so the stabilized tails cancel.
     """
+    from .affine import conformal_dimension  # here, so that `strips` loads alone
     if convention not in ("literal", "tail"):
         raise ValueError(f"unknown convention {convention!r}")
     n = seq.n
@@ -364,8 +365,7 @@ def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
         j = i + shift
         if 0 <= j < len(mem):
             deviation += mem[j] - vmem[i]
-    delta = Fraction(seq.k * (n - seq.k), 2 * n)
-    return delta - deviation
+    return conformal_dimension(n, seq.k) - deviation
 
 
 def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:

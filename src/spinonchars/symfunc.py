@@ -1,14 +1,21 @@
-"""Symmetric polynomials in finitely many variables: integer coefficients;
-Rogers-Szego as composition -> q-series dicts.  Everything is exact.
+"""Symmetric polynomials in finitely many variables, with integer
+coefficients; the q-binomials and the identities built on them, and
+Rogers-Szego as composition -> q-series dicts; GZ schemes and Drinfel'd
+polynomials.  Everything is exact.
+
+No `char` command reads this module: it holds what only the verification
+suites and the tests check, so that a command that builds a table does not
+load it.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
+from operator import add, neg, sub
 
 from .affine import exps_to_fw
-from .partitions import conjugate, ends_at, horizontal_strips, padded
-from .qseries import inv_pochhammer, inv_pochhammer_product, product, qmultinomial
+from .partitions import conjugate, contains, ends_at, horizontal_strips, padded, partition
+from .qseries import _one, inv_pochhammer, inv_pochhammer_product, product
 
 
 class SymPoly:
@@ -303,6 +310,140 @@ def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
     return {w: c for w, c in out.items() if c}
 
 
+# ---------------------------------------------------------------------------
+# q-binomials, and the identities built on them
+
+def _shifted(coeffs: tuple, d: int) -> tuple:
+    """The coefficients of q^d times `coeffs` at the same order, d >= 0."""
+    size = len(coeffs)
+    return (0,) * size if d >= size else (0,) * d + coeffs[: size - d]
+
+
+def euler_inverse(qmax: int) -> tuple:
+    """1 / prod_{k>=1} (1 - q^k); coefficient of q^m counts partitions of m.
+
+    Factors (1 - q^k) with k > qmax are 1 below the truncation, so this is
+    1/(q)_qmax at order qmax, built by `inv_pochhammer` without expanding
+    (q)_qmax."""
+    if qmax < 0:
+        raise ValueError("qmax must be >= 0")
+    return inv_pochhammer(qmax, qmax)
+
+
+def _q_pascal(width: int, qmax: int):
+    """Yield, for step s = 0, 1, 2, ..., the list `rows` whose entry k is
+    the coefficient tuple of [s choose k]_q at order qmax, k = 0..width
+    (zero for k > s).  The same list is updated in place between yields, so
+    a caller takes the tuples it needs before asking for the next step.
+
+    Step s applies the q-Pascal rule [s, k] = [s-1, k-1] + q^k [s-1, k] to
+    each row k <= min(s, width), from the right, so row k - 1 still holds
+    [s-1, k-1] when row k reads it."""
+    rows = [_one(qmax)] + [(0,) * (qmax + 1)] * width
+    step = 0
+    while True:
+        yield rows
+        step += 1
+        for k in range(min(step, width), 0, -1):
+            rows[k] = tuple(map(add, rows[k - 1], _shifted(rows[k], k)))
+
+
+def qbinomial(n: int, m: int, qmax: int) -> tuple:
+    """[N choose M]_q = (q)_N / ((q)_M (q)_{N-M}), truncated at qmax, the
+    row M of step N of `_q_pascal`."""
+    if m < 0 or m > n:
+        raise ValueError(f"qbinomial requires 0 <= M <= N, got N={n}, M={m}")
+    return next(islice(_q_pascal(m, qmax), n, None))[m]
+
+
+def qmultinomial(ks, qmax: int) -> tuple:
+    """(q)_{k_1+...+k_r} / prod_i (q)_{k_i}, truncated at qmax: the product
+    over i of [k_1+...+k_i choose k_i]_q."""
+    ks = list(ks)
+    if any(k < 0 for k in ks):
+        raise ValueError(f"qmultinomial requires non-negative parts, got {ks}")
+    out, total = _one(qmax), 0
+    for k in ks:
+        total += k
+        out = product(out, qbinomial(total, k, qmax))
+    return out
+
+
+def pochhammer_z_expansion(n: int, qmax: int) -> tuple[tuple, ...]:
+    """(z;q)_N as its N + 1 z-coefficients.
+
+    Coefficient of z^j is (-1)^j q^{j(j-1)/2} [N choose j]_q; every
+    [N choose j]_q is row j of step N of one `_q_pascal` pass.
+    """
+    if n < 0:
+        raise ValueError("N must be >= 0")
+    rows = next(islice(_q_pascal(n, qmax), n, None))
+    out = []
+    for j, row in enumerate(rows):
+        row = _shifted(row, j * (j - 1) // 2)
+        out.append(tuple(map(neg, row)) if j % 2 else row)
+    return tuple(out)
+
+
+def inv_pochhammer_z_expansion(n: int, zdeg: int, qmax: int) -> tuple[tuple, ...]:
+    """(z;q)_N^{-1} modulo z^{zdeg+1}, as its zdeg + 1 z-coefficients;
+    coefficient of z^j is [N+j-1 choose j]_q, row j of step N - 1 + j of
+    one `_q_pascal` pass."""
+    if zdeg < 0:
+        raise ValueError("zdeg must be >= 0")
+    if n == 0:
+        if zdeg > 0:
+            raise ValueError("N=0 admits no inverse expansion beyond the constant 1")
+        return (_one(qmax),)
+    if n < 0:
+        raise ValueError("N must be >= 0")
+    steps = islice(_q_pascal(zdeg, qmax), n - 1, n + zdeg)
+    return tuple(rows[j] for j, rows in enumerate(steps))
+
+
+def durfee_check(m: int, qmax: int) -> bool:
+    """Check sum_{a-b=m, a,b>=0} q^{ab}/((q)_a (q)_b) = 1/(q)_inf up to qmax.
+
+    With a = b + m, the term's exponent b(b+m) grows from b to b + 1 by
+    2b + 1 + m = b + a + 1 >= 1, so it increases strictly from the first
+    admissible b = max(0, -m), and the first b past qmax ends the sum: every
+    later term vanishes at this order.  Each term is added into one
+    coefficient list at its exponent: map stops at the end of the list."""
+    total = [0] * (qmax + 1)
+    b = max(0, -m)
+    while (d := b * (b + m)) <= qmax:
+        total[d:] = map(add, total[d:], inv_pochhammer_product((b + m, b), qmax))
+        b += 1
+    return tuple(total) == euler_inverse(qmax)
+
+
+def lemma_d3_check(m_bound: int, n_bound: int, variant: str, qmax: int) -> bool:
+    """Two finite q-identities relating alternating/shifted sums to 1/((q)_M (q)_N).
+
+    variant "i":  sum_j (-1)^j q^{j(j-1)/2} / ((q)_{M-j}(q)_{N-j}(q)_j)
+                  = q^{MN} / ((q)_M (q)_N)
+    variant "ii": sum_j q^{(M-j)(N-j)} / ((q)_{M-j}(q)_{N-j}(q)_j)
+                  = 1 / ((q)_M (q)_N)
+    Each term is added into one coefficient list at its exponent."""
+    if m_bound < 0 or n_bound < 0:
+        raise ValueError("M and N must be >= 0")
+    if variant not in ("i", "ii"):
+        raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
+    big_m, big_n = m_bound, n_bound
+    lhs = [0] * (qmax + 1)
+    for j in range(min(big_m, big_n) + 1):
+        base = inv_pochhammer_product((big_m - j, big_n - j, j), qmax)
+        if variant == "i":
+            d, op = j * (j - 1) // 2, sub if j % 2 else add
+        else:
+            d, op = (big_m - j) * (big_n - j), add
+        lhs[d:] = map(op, lhs[d:], base)
+    rhs = inv_pochhammer_product((big_m, big_n), qmax)
+    if variant == "i":
+        rhs = _shifted(rhs, big_m * big_n)
+    return tuple(lhs) == rhs
+
+
 def rogers_szego(total: int, nvars: int, qmax: int) -> dict:
     """H_N as composition -> q-series: the coefficient of x^comp, over every
     composition of N into nvars parts, is the q-multinomial of comp."""
@@ -343,3 +484,115 @@ def rs_generating_check(nmax: int, nvars: int, qmax: int) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# GZ schemes and Drinfel'd polynomials
+
+def drinfeld_evaluation(lam, n: int) -> tuple[tuple[int, ...], ...]:
+    """The monic Drinfel'd polynomials P_1..P_{n-1} of the evaluation module
+    of highest weight lam, each as the sorted tuple of its roots in
+    half-integer units: P_i has the unit-spaced string of roots
+    (i-1)/2 + lam_i - j, j = 0..lam_i-lam_{i+1}-1 (halves stored)."""
+    lam = partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"lambda must have at most {n} parts")
+    lam = padded(lam, n)
+    return tuple(tuple(sorted(i + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])))
+                 for i in range(n - 1))
+
+
+def drinfeld_tame(shape: tuple, n: int) -> tuple[tuple[int, ...], ...]:
+    """The Drinfel'd polynomials P_1..P_{n-1} of the tame module of the skew
+    shape (outer, inner), as `drinfeld_evaluation` gives them: each column j
+    of height i contributes the root (lam'_j + mu'_j)/2 + j - 1/2 to P_i
+    (halves stored)."""
+    lc = conjugate(shape[0])
+    mc = padded(conjugate(shape[1]), len(lc))
+    roots: list[list[int]] = [[] for _ in range(n - 1)]
+    for j, (a, b) in enumerate(zip(lc, mc), start=1):
+        height = a - b
+        if height == 0:
+            continue
+        if height > n:
+            raise ValueError(f"column {j} has height {height} > n={n}")
+        if height == n:
+            continue  # full columns contribute to no P_i
+        roots[height - 1].append(a + b + 2 * j - 1)
+    return tuple(tuple(sorted(r)) for r in roots)
+
+
+def gz_shape(lam, mu, n: int, n_spinons: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lam, mu) as partitions, or ValueError unless mu lies in lam, mu has
+    at most N parts and lam at most N + n: the shapes whose GZ schemes
+    `gz_schemes` builds."""
+    lam, mu = partition(lam), partition(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{mu} not contained in {lam}")
+    if len(mu) > n_spinons:
+        raise ValueError(f"l(mu)={len(mu)} exceeds N={n_spinons}")
+    if len(lam) > n_spinons + n:
+        raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
+    return lam, mu
+
+
+def gz_schemes(lam, mu, n: int, n_spinons: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All GZ schemes from mu (row 0) to lam (row n): the chains of rows, each
+    padded to len(lam) parts, in which row m interleaves above row m - 1,
+    row_{m,i} >= row_{m-1,i} >= row_{m,i+1}.
+
+    Row m interleaves above row m - 1 exactly when row m / row m - 1 is a
+    horizontal strip, so rows 1..n-1 are drawn by `horizontal_strips` inside
+    lam, and a chain is kept where lam / row n - 1 is a horizontal strip too
+    (`ends_at`).  mu has at most N parts and lam at most N + n (both checked
+    here, by `gz_shape`).  No row needs a length cap: a row that interlaces
+    above one of l parts has at most l + 1 (its part l + 2 is at most part
+    l + 1 of the row below, 0), so row m has at most N + m parts.  N enters
+    only through those two bounds: every N that passes them gives the same
+    schemes."""
+    lam, mu = gz_shape(lam, mu, n, n_spinons)
+    chains = [(padded(mu, len(lam)),)]
+    for _ in range(n - 1):
+        chains = [(*chain, rho) for chain in chains
+                  for rho, _ in horizontal_strips(chain[-1], lam)]
+    return [(*chain, lam) for chain in chains if ends_at(chain[-1], lam)]
+
+
+def gz_weight(scheme) -> tuple[int, ...]:
+    """Fundamental-weight coordinates from the row-sum differences."""
+    sums = [sum(row) for row in scheme]
+    return exps_to_fw([sums[m] - sums[m - 1] for m in range(1, len(sums))])
+
+
+def gz_to_sst(scheme) -> dict[tuple[int, int], int]:
+    """Boxes added between row m-1 and row m receive entry m (cells 0-indexed)."""
+    tableau: dict[tuple[int, int], int] = {}
+    for m in range(1, len(scheme)):
+        for i, (low, high) in enumerate(zip(scheme[m - 1], scheme[m])):
+            for j in range(low, high):
+                tableau[(i, j)] = m
+    return tableau
+
+
+def sst_to_gz(tableau: dict[tuple[int, int], int], lam, mu, n: int):
+    """Inverse of gz_to_sst: row m is mu plus the boxes with entry <= m, each
+    row padded to len(lam) parts.  The tableau is read once, counting its
+    boxes per (entry, row).  Raises ValueError unless `tableau` is a
+    semistandard tableau of shape lam/mu with entries 1..n: the rows so built
+    never shrink, so they form a scheme exactly when each interleaves above
+    the one before (`ends_at`) and the last is lam, and the tableau is that
+    scheme's exactly when `gz_to_sst` gives it back, which also refuses every
+    entry outside 1..n and every cell outside the rows of lam."""
+    lam, mu = partition(lam), partition(mu)
+    counts: dict[tuple[int, int], int] = {}  # (entry, row) -> boxes
+    for (i, _), e in tableau.items():
+        counts[e, i] = counts.get((e, i), 0) + 1
+    rows = [padded(mu, len(lam))]
+    for m in range(1, n + 1):
+        rows.append(tuple(p + counts.get((m, i), 0) for i, p in enumerate(rows[-1])))
+    scheme = tuple(rows)
+    if (scheme[-1] != lam or not all(map(ends_at, scheme, scheme[1:]))
+            or gz_to_sst(scheme) != tableau):
+        raise ValueError(f"not a semistandard tableau of shape {lam}/{mu} "
+                         f"with entries 1..{n}")
+    return scheme

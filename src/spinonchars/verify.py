@@ -5,7 +5,11 @@ of its JSON-plain `params`, the inputs the report prints, so a case can be
 re-run from its report record.  `SUITES` maps each suite name to its case
 builder, whose defaults are the pinned reproduction bounds; the CLI and the
 acceptance tests both run these builders.  A builder's parameters (`n`,
-`qmax`, or neither) are the overrides its suite reads."""
+`qmax`, or neither) are the overrides its suite reads.
+
+`strips` and `symfunc` are imported inside the builders and checks that
+read them, so that a suite which reads neither (`spinon-cut`, `sl2`) does
+not load them."""
 from __future__ import annotations
 
 import time
@@ -14,7 +18,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, NamedTuple
 
-from . import affine, qseries, strips, symfunc, yangian
+from . import affine, qseries, yangian
 from .partitions import all_partitions_upto, contains, partition, partitions_of
 
 
@@ -52,8 +56,39 @@ def _series_locus(a, b):
     return None
 
 
+def _coordinate(x: int) -> tuple[int]:
+    """The piece of one weight coordinate in a weight tuple."""
+    return (x,)
+
+
+def weight_rows(orbits: dict) -> list[tuple[tuple[int, ...], tuple]]:
+    """(weight, row) for every weight of every orbit of the table `orbits`
+    (see `affine`), in weight order; the weights of one orbit share its row
+    object.  The weights are pieces of `affine._expand` with each
+    coordinate laid out as a 1-tuple."""
+    length = len(next(iter(orbits), ()))  # n - 1
+    return list(zip(*affine._expand(orbits, [None, (), *[_coordinate] * length])))
+
+
+def first_difference(a: dict, b: dict):
+    """None if the tables `a` and `b`, of one (n, k, qmax), are equal; else
+    (weight, degree, a_coeff, b_coeff) at the first weight in sorted order
+    whose rows differ.  No orbit is expanded: the orbit of m starts at c_n,
+    c_1, ..., c_{n-1}, as w_1 = c_a - c_b is least at a least c_a and a
+    greatest c_b, and each later w_i at the greatest c left (c as in
+    `affine.dominant_weight`, c_n = 0)."""
+    differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
+    if not differ:
+        return None
+    w, key = min(((-sum(key), *key[:-1]), key) for key in differ)
+    x, y = a.get(key), b.get(key)
+    x, y = x or (0,) * len(y), y or (0,) * len(x)
+    d = next(d for d, (p, q) in enumerate(zip(x, y)) if p != q)
+    return (w, d, x[d], y[d])
+
+
 def _table_locus(a, b):
-    diff = affine.first_difference(a, b)
+    diff = first_difference(a, b)
     if diff is None:
         return None
     w, d, x, y = diff
@@ -86,19 +121,22 @@ def qids_cases(qmax: int | None = None) -> list[Case]:
 
 
 def _durfee(m, qmax):
-    return None if qseries.durfee_check(m, qmax) else "sum != 1/(q)oo"
+    from . import symfunc
+    return None if symfunc.durfee_check(m, qmax) else "sum != 1/(q)oo"
 
 
 def _lemma_d3(M, N, variant, qmax):
-    return None if qseries.lemma_d3_check(M, N, variant, qmax) else "sides differ"
+    from . import symfunc
+    return None if symfunc.lemma_d3_check(M, N, variant, qmax) else "sides differ"
 
 
 def _z_product(N, qmax):
     """The z-expansions of (z; q)_N and 1/(z; q)_N multiply to 1 through
     z^{N+2}."""
+    from . import symfunc
     zdeg = N + 2
-    lhs = qseries.pochhammer_z_expansion(N, qmax)
-    rhs = qseries.inv_pochhammer_z_expansion(N, zdeg, qmax)
+    lhs = symfunc.pochhammer_z_expansion(N, qmax)
+    rhs = symfunc.inv_pochhammer_z_expansion(N, zdeg, qmax)
     for j in range(zdeg + 1):
         total = [0] * (qmax + 1)
         for i in range(min(j, N) + 1):
@@ -110,6 +148,7 @@ def _z_product(N, qmax):
 
 
 def _rs_generating(Nmax, nvars, qmax):
+    from . import symfunc
     if symfunc.rs_generating_check(Nmax, nvars, qmax):
         return None
     return "generating function mismatch"
@@ -131,6 +170,7 @@ def schur_cases() -> list[Case]:
     <= 6 at ranks 2 and 3, checked on the coefficient of every dominant
     monomial (`_ribbon_locus`), and the rank-2 h-rewrite for 1 <= a, b <= 6.
     The suite takes neither a rank nor a truncation order."""
+    from . import strips
     cases = []
     for lam in all_partitions_upto(6):
         for mu in _sub_partitions(lam):
@@ -152,6 +192,7 @@ def schur_cases() -> list[Case]:
 
 
 def _schur_routes(outer, inner, nvars):
+    from . import symfunc
     shape = partition(outer), partition(inner)
     if not contains(*shape):
         raise ValueError(f"inner {shape[1]} not contained in outer {shape[0]}")
@@ -169,6 +210,7 @@ def _lr(n, rows):
     those of its rows at every rank that holds it, so the check past the
     gate is `_lr_check`, memoized on the rows, and a strip of the census at
     ranks 2 and 3 is checked once."""
+    from . import strips
     return _lr_check(strips.BorderStrip.from_rows(rows, n).rows)
 
 
@@ -177,6 +219,7 @@ def _lr_check(rows: tuple[int, ...]):
     """The check of `_lr` for the rows of a strip.  A column of a ribbon
     spans consecutive rows, so no column is taller than the number of rows,
     and rank max(2, that number) holds the strip."""
+    from . import strips, symfunc
     strip = strips.BorderStrip.from_rows(rows, max(2, len(rows)))
     return _ribbon_locus(strip, symfunc.ribbon_expansion(rows))
 
@@ -188,6 +231,7 @@ def _ribbon_locus(strip, coeffs):
     number of semistandard fillings of the strip with content mu, must equal
     sum_nu c_nu K_{nu,mu}.  The Kostka matrix is unitriangular, so this
     fixes every coefficient."""
+    from . import symfunc
     size = strip.size()
     for nu, c in coeffs.items():
         if c < 0 or sum(nu) != size:
@@ -205,11 +249,13 @@ def _ribbon_locus(strip, coeffs):
 def _kostka(nu: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """K_{nu,mu}, computed once: the strips of a census share their straight
     shapes and contents."""
+    from . import symfunc
     return symfunc.skew_kostka(nu, (), mu)
 
 
 def _h_rewrite(a, b):
     """h_a h_b - h_{a+b} = e_2 h_{a-1} h_{b-1} in two variables."""
+    from . import symfunc
     lhs = symfunc.complete(a, 2) * symfunc.complete(b, 2) - symfunc.complete(a + b, 2)
     rhs = (symfunc.elementary(2, 2)
            * symfunc.complete(a - 1, 2) * symfunc.complete(b - 1, 2))
@@ -224,6 +270,7 @@ def bijection_cases(n: int | None = None) -> list[Case]:
     <= 6, and the mode-list postconditions, at ranks 2 and 3 (or rank `n`);
     plus the rapidity-energy convention harness on the same census.  No
     truncation order."""
+    from . import strips
     ranks = (2, 3) if n is None else (n,)
     max_size = 6
     cases = []
@@ -245,6 +292,7 @@ def bijection_cases(n: int | None = None) -> list[Case]:
 
 
 def _round_trips(n, rows):
+    from . import strips
     strip = strips.BorderStrip.from_rows(rows, n)
     seq = strips.strip_to_rapidity(strip)
     if strips.rapidity_to_strip(seq) != strip:
@@ -259,6 +307,7 @@ def _round_trips(n, rows):
 
 def _energy_forms(n, rows):
     """`strips.energy` raises if a reduced strip's two energy forms differ."""
+    from . import strips
     strips.energy(strips.BorderStrip.from_rows(rows, n))
     return None
 
@@ -283,6 +332,7 @@ def _mode_lists(n, max_modes, max_value, prefix, last, run):
 
 
 def _modes_case(n, modes):
+    from . import strips
     try:
         strips.modes_to_strip(modes, n)
     except ValueError:
@@ -297,6 +347,7 @@ def _harness_case(max_size, ranks):
     both conventions with their counts, a record per mismatch naming the
     strip, the expected energy and what the convention gave (or its error),
     a non-empty census and a conclusion."""
+    from . import strips
     report = strips.discover_rapidity_convention(max_size, ranks)
     missing = {"census", "conventions", "conclusion"} - set(report)
     if missing:
@@ -331,7 +382,7 @@ def small_norm_weights(n: int, k: int, max_extra=2):
     Delta_k = (sum c_i^2 - k)/2, as in `affine.bosonic_character`, so these
     are the weights of that table to q^max_extra, every one of whose rows
     holds a 1."""
-    return [weight for weight, _ in affine.weight_rows(affine.bosonic_character(n, k, max_extra))]
+    return [weight for weight, _ in weight_rows(affine.bosonic_character(n, k, max_extra))]
 
 
 def spinon_cut_cases(n: int | None = None, qmax: int | None = None) -> list[Case]:
@@ -431,9 +482,10 @@ def _sl2_yangian(k, qmax):
                         yangian.sl2_yangian_decomposition(k, qmax))
 
 
-def sl2_hw_character(lam: tuple[int, ...], n_spinons: int) -> symfunc.SymPoly:
-    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda); the
-    m_i of the parts are counted in one pass."""
+def sl2_hw_character(lam: tuple[int, ...], n_spinons: int):
+    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda), as a
+    `symfunc.SymPoly`; the m_i of the parts are counted in one pass."""
+    from . import symfunc
     if len(lam) > n_spinons:
         raise ValueError("need l(lambda) <= N")
     poly = symfunc.complete(n_spinons - len(lam), 2)  # the m_0 factor
@@ -449,6 +501,7 @@ def _hw_case(lam, N):
     its number of rows, and its energy |lambda| + N^2/4.  The strip
     polynomial carries one (x1 x2) factor per extra row pair, invisible in
     sl2 weights, so the character is lifted by e_2^{r - 1} first."""
+    from . import strips, symfunc
     lam = partition(lam)
     try:
         strip = strips.sl2_partition_to_strip(lam, N)
@@ -494,26 +547,28 @@ def gz_cases(n: int | None = None) -> list[Case]:
 
 
 def _gz_case(outer, inner, n, N):
-    """The case runs its own gate, the bounds of `yangian.gz_shape` that
+    """The case runs its own gate, the bounds of `symfunc.gz_shape` that
     `gz_schemes` checks: mu inside lam, l(mu) <= N and l(lam) <= N + n.  N
     does nothing else (see `gz_schemes`), so the check past the gate is
     `_gz_check`, memoized on (lam, mu, n), and the cases that differ only
     in N share one."""
-    return _gz_check(*yangian.gz_shape(outer, inner, n, N), n)
+    from . import symfunc
+    return _gz_check(*symfunc.gz_shape(outer, inner, n, N), n)
 
 
 @lru_cache(maxsize=None)
 def _gz_check(lam, mu, n):
     """The GZ schemes of lam/mu at rank n, each round-tripped through its
     tableau, against the weights of s_{lam/mu}.  The schemes are built at
-    the least N that the bounds of `yangian.gz_shape` admit."""
-    schemes = yangian.gz_schemes(lam, mu, n, max(len(mu), len(lam) - n))
+    the least N that the bounds of `symfunc.gz_shape` admit."""
+    from . import symfunc
+    schemes = symfunc.gz_schemes(lam, mu, n, max(len(mu), len(lam) - n))
     weights: dict = {}
     for s in schemes:
-        w = yangian.gz_weight(s)
+        w = symfunc.gz_weight(s)
         weights[w] = weights.get(w, 0) + 1
-        tab = yangian.gz_to_sst(s)
-        if yangian.sst_to_gz(tab, lam, mu, n) != s:
+        tab = symfunc.gz_to_sst(s)
+        if symfunc.sst_to_gz(tab, lam, mu, n) != s:
             return {"scheme": repr(s), "fault": "sst round trip"}
     # the weights of s_{lam/mu} in n variables, by jt_h: a determinant, not
     # the horizontal-strip walk that builds the schemes
@@ -526,8 +581,9 @@ def _gz_check(lam, mu, n):
 
 
 def _drinfeld_case(lam, n):
-    ev = yangian.drinfeld_evaluation(lam, n)
-    tame = yangian.drinfeld_tame((partition(lam), ()), n)
+    from . import symfunc
+    ev = symfunc.drinfeld_evaluation(lam, n)
+    tame = symfunc.drinfeld_tame((partition(lam), ()), n)
     if ev != tame:
         return {"fault": "evaluation != tame", "ev": [list(r) for r in ev],
                 "tame": [list(r) for r in tame]}

@@ -1,124 +1,13 @@
-"""Yangian-side combinatorics: Drinfel'd polynomials, GZ schemes, and the
-border-strip decompositions of the level-1 affine characters."""
+"""The border-strip decompositions of the level-1 affine characters: the
+Yangian route at every rank and the rank-2 module sum."""
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb
+from math import comb, gcd
 
 from .affine import _check_table, exps_to_fw, from_weights, sl2_spinon_grades, validate
-from .partitions import (conjugate, contains, ends_at, horizontal_strips, padded, partition,
-                         partition_counts)
-
-
-def drinfeld_evaluation(lam, n: int) -> tuple[tuple[int, ...], ...]:
-    """The monic Drinfel'd polynomials P_1..P_{n-1} of the evaluation module
-    of highest weight lam, each as the sorted tuple of its roots in
-    half-integer units: P_i has the unit-spaced string of roots
-    (i-1)/2 + lam_i - j, j = 0..lam_i-lam_{i+1}-1 (halves stored)."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"lambda must have at most {n} parts")
-    lam = padded(lam, n)
-    return tuple(tuple(sorted(i + 2 * (lam[i] - j) for j in range(lam[i] - lam[i + 1])))
-                 for i in range(n - 1))
-
-
-def drinfeld_tame(shape: tuple, n: int) -> tuple[tuple[int, ...], ...]:
-    """The Drinfel'd polynomials P_1..P_{n-1} of the tame module of the skew
-    shape (outer, inner), as `drinfeld_evaluation` gives them: each column j
-    of height i contributes the root (lam'_j + mu'_j)/2 + j - 1/2 to P_i
-    (halves stored)."""
-    lc = conjugate(shape[0])
-    mc = padded(conjugate(shape[1]), len(lc))
-    roots: list[list[int]] = [[] for _ in range(n - 1)]
-    for j, (a, b) in enumerate(zip(lc, mc), start=1):
-        height = a - b
-        if height == 0:
-            continue
-        if height > n:
-            raise ValueError(f"column {j} has height {height} > n={n}")
-        if height == n:
-            continue  # full columns contribute to no P_i
-        roots[height - 1].append(a + b + 2 * j - 1)
-    return tuple(tuple(sorted(r)) for r in roots)
-
-
-def gz_shape(lam, mu, n: int, n_spinons: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(lam, mu) as partitions, or ValueError unless mu lies in lam, mu has
-    at most N parts and lam at most N + n: the shapes whose GZ schemes
-    `gz_schemes` builds."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} not contained in {lam}")
-    if len(mu) > n_spinons:
-        raise ValueError(f"l(mu)={len(mu)} exceeds N={n_spinons}")
-    if len(lam) > n_spinons + n:
-        raise ValueError(f"l(lambda)={len(lam)} exceeds N+n={n_spinons + n}")
-    return lam, mu
-
-
-def gz_schemes(lam, mu, n: int, n_spinons: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All GZ schemes from mu (row 0) to lam (row n): the chains of rows, each
-    padded to len(lam) parts, in which row m interleaves above row m - 1,
-    row_{m,i} >= row_{m-1,i} >= row_{m,i+1}.
-
-    Row m interleaves above row m - 1 exactly when row m / row m - 1 is a
-    horizontal strip, so rows 1..n-1 are drawn by `horizontal_strips` inside
-    lam, and a chain is kept where lam / row n - 1 is a horizontal strip too
-    (`ends_at`).  mu has at most N parts and lam at most N + n (both checked
-    here, by `gz_shape`).  No row needs a length cap: a row that interlaces
-    above one of l parts has at most l + 1 (its part l + 2 is at most part
-    l + 1 of the row below, 0), so row m has at most N + m parts.  N enters
-    only through those two bounds: every N that passes them gives the same
-    schemes."""
-    lam, mu = gz_shape(lam, mu, n, n_spinons)
-    chains = [(padded(mu, len(lam)),)]
-    for _ in range(n - 1):
-        chains = [(*chain, rho) for chain in chains
-                  for rho, _ in horizontal_strips(chain[-1], lam)]
-    return [(*chain, lam) for chain in chains if ends_at(chain[-1], lam)]
-
-
-def gz_weight(scheme) -> tuple[int, ...]:
-    """Fundamental-weight coordinates from the row-sum differences."""
-    sums = [sum(row) for row in scheme]
-    return exps_to_fw([sums[m] - sums[m - 1] for m in range(1, len(sums))])
-
-
-def gz_to_sst(scheme) -> dict[tuple[int, int], int]:
-    """Boxes added between row m-1 and row m receive entry m (cells 0-indexed)."""
-    tableau: dict[tuple[int, int], int] = {}
-    for m in range(1, len(scheme)):
-        for i, (low, high) in enumerate(zip(scheme[m - 1], scheme[m])):
-            for j in range(low, high):
-                tableau[(i, j)] = m
-    return tableau
-
-
-def sst_to_gz(tableau: dict[tuple[int, int], int], lam, mu, n: int):
-    """Inverse of gz_to_sst: row m is mu plus the boxes with entry <= m, each
-    row padded to len(lam) parts.  The tableau is read once, counting its
-    boxes per (entry, row).  Raises ValueError unless `tableau` is a
-    semistandard tableau of shape lam/mu with entries 1..n: the rows so built
-    never shrink, so they form a scheme exactly when each interleaves above
-    the one before (`ends_at`) and the last is lam, and the tableau is that
-    scheme's exactly when `gz_to_sst` gives it back, which also refuses every
-    entry outside 1..n and every cell outside the rows of lam."""
-    lam, mu = partition(lam), partition(mu)
-    counts: dict[tuple[int, int], int] = {}  # (entry, row) -> boxes
-    for (i, _), e in tableau.items():
-        counts[e, i] = counts.get((e, i), 0) + 1
-    rows = [padded(mu, len(lam))]
-    for m in range(1, n + 1):
-        rows.append(tuple(p + counts.get((m, i), 0) for i, p in enumerate(rows[-1])))
-    scheme = tuple(rows)
-    if (scheme[-1] != lam or not all(map(ends_at, scheme, scheme[1:]))
-            or gz_to_sst(scheme) != tableau):
-        raise ValueError(f"not a semistandard tableau of shape {lam}/{mu} "
-                         f"with entries 1..{n}")
-    return scheme
+from .partitions import partition_counts
 
 
 def yangian_decomposition(n: int, k: int, qmax: int) -> dict:
@@ -221,9 +110,10 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> dict:
             closed = _close_run(value, h)
             if -d % n == k:
                 if rem or rel < 0:
+                    common = gcd(e2 - base, 2 * n)
                     raise AssertionError(
                         f"a class-{k} strip with 2n*E = {e2} has non-integral "
-                        f"grade {Fraction(e2 - base, 2 * n)} over Delta_{k}"
+                        f"grade {(e2 - base) // common}/{2 * n // common} over Delta_{k}"
                     )
                 for nu, c in closed.items():
                     row = rows.get(nu)

@@ -1,12 +1,15 @@
 """Reference implementations that only the tests call: the strip search the
-Yangian route replaced, the per-matrix Jacobi-Trudi determinant the shared
+Yangian route replaced, the coefficient-by-coefficient series product the
+big-integer one replaced, the per-matrix Jacobi-Trudi determinant the shared
 minors replaced, the tuple-keyed polynomial arithmetic the packed monomials
 replaced, expansions and statistics no route needs, and hand-built
 character tables holding rows that no builder writes, and the skew shapes
 and polynomials the property tests draw."""
+from operator import mul
+
 from hypothesis import strategies as st
 
-from spinonchars.affine import conformal_dimension, dominant_weight, weight_rows
+from spinonchars.affine import conformal_dimension, dominant_weight
 from spinonchars.partitions import conjugate, padded
 from spinonchars.strips import BorderStrip, energy
 from spinonchars.symfunc import (
@@ -17,6 +20,7 @@ from spinonchars.symfunc import (
     schur_skew,
     weight_projection,
 )
+from spinonchars.verify import weight_rows
 
 
 def reduced_strips(n: int, k: int, e2_max: int):
@@ -65,6 +69,24 @@ def pochhammer(n: int, qmax: int) -> tuple:
         for d in range(qmax, j - 1, -1):
             coeffs[d] -= coeffs[d - j]
     return tuple(coeffs)
+
+
+def convolution_product(a: tuple, b: tuple) -> tuple:
+    """The product of two series at the lower order of the two, summed
+    coefficient by coefficient: the reference for `qseries.product`, which
+    does one big-integer multiplication instead.  a = q^la A and
+    b = q^lb B, so a b = q^(la + lb) A B, and coefficient e of A B is
+    A[0] B[e] + ... + A[e] B[0], the first e + 1 entries of A against the
+    last e + 1 of B reversed through its entry top."""
+    size = min(len(a), len(b))
+    la = next((i for i, c in enumerate(a) if c), size)
+    lb = next((i for i, c in enumerate(b) if c), size)
+    top = size - 1 - la - lb
+    if top < 0:
+        return (0,) * size
+    a, rb = a[la:la + top + 1], b[lb + top:lb - 1 if lb else None:-1]
+    return (0,) * (la + lb) + tuple(
+        sum(map(mul, a[: e + 1], rb[top - e:])) for e in range(top + 1))
 
 
 def sl2_strip_product(rows) -> SymPoly:

@@ -66,11 +66,11 @@ def test_acceptance_5_yangian_decomposition():
     started = time.perf_counter()
     report = _run("decomposition", "yangian[")
     vac3 = yangian_decomposition(3, 0, 2)
-    ok = sum(row[1] for _, row in affine.weight_rows(vac3)) == 8  # the adjoint
+    ok = sum(row[1] for _, row in verify.weight_rows(vac3)) == 8  # the adjoint
     ok = ok and vac3[(1, 1)][1] == 1
     fund3 = yangian_decomposition(3, 1, 1)
     ok = ok and affine.conformal_dimension(3, 1) == Fraction(1, 3)
-    ok = ok and sum(row[0] for _, row in affine.weight_rows(fund3)) == 3
+    ok = ok and sum(row[0] for _, row in verify.weight_rows(fund3)) == 3
     _report(5, "Yangian decomposition", started, report, ok)
 
 

@@ -17,7 +17,6 @@ from spinonchars.affine import (
     conformal_dimension,
     dominant_weight,
     exps_to_fw,
-    first_difference,
     from_weights,
     orbit_size,
     scaled_weight_norm,
@@ -27,10 +26,10 @@ from spinonchars.affine import (
     validate,
     verify_spinon_cut,
     weight_class,
-    weight_rows,
 )
-from spinonchars.qseries import _shifted, euler_inverse, inv_pochhammer
-from spinonchars.verify import small_norm_weights
+from spinonchars.qseries import inv_pochhammer
+from spinonchars.symfunc import _shifted, euler_inverse
+from spinonchars.verify import first_difference, small_norm_weights, weight_rows
 from spinonchars.yangian import sl2_yangian_decomposition, yangian_decomposition
 from oracles import hand_built
 

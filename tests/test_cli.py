@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from spinonchars import affine, cli, strips, verify
 from spinonchars.affine import (_decreasing_vectors, bosonic_character, dominant_weight,
-                               exps_to_fw, orbit_size, weight_rows)
+                               exps_to_fw, orbit_size)
 from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
                              _render_report, _write_table, main)
+from spinonchars.verify import weight_rows
 from oracles import hand_built, table_json_dict
 
 
@@ -965,7 +966,7 @@ def test_each_module_loads_only_its_own_imports():
         "strips": "partitions strips",
         "symfunc": "affine partitions qseries symfunc",
         "yangian": "affine partitions qseries yangian",
-        "verify": "affine partitions qseries strips symfunc verify yangian",
+        "verify": "affine partitions qseries verify yangian",
         "cli": "affine cli partitions qseries yangian",
     }
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -978,9 +979,11 @@ def test_each_module_loads_only_its_own_imports():
 
 def test_a_command_loads_only_the_layers_it_runs():
     """In a fresh interpreter, a `char` command of every kind loads none of
-    `verify`, `strips` and `symfunc`, a `bijection` loads `strips` but no
-    `verify`, and `cli.verify`, which `perfbench/child.py` reads, is
-    imported on first read as `spinonchars.verify`."""
+    `verify`, `strips` and `symfunc`, `verify --suite spinon-cut` and
+    `--suite sl2` load `verify` but neither `strips` nor `symfunc`, a
+    `bijection` loads `strips`, and `cli.verify`, which
+    `perfbench/child.py` reads, is imported on first read as
+    `spinonchars.verify`."""
     probe = ("import contextlib, io, sys\n"
              "from spinonchars import cli\n"
              "def loaded():\n"
@@ -992,19 +995,96 @@ def test_a_command_loads_only_the_layers_it_runs():
              "    codes += [cli.main(['char', '--kind', kind, '--n', '3', '--k', '0',\n"
              "                        '--qmax', '3']) for kind in ('bosonic', 'yangian')]\n"
              "    after_char = loaded()\n"
+             "    codes += [cli.main(['verify', '--suite', suite])\n"
+             "              for suite in ('spinon-cut', 'sl2')]\n"
+             "    after_verify = loaded()\n"
              "    codes.append(cli.main(['bijection', '--from', 'motif', '--to', 'rapidity',\n"
              "                           '--n', '3', '--payload', '101010|']))\n"
              "    after_bijection = loaded()\n"
              "import spinonchars.verify\n"
-             "print(codes, after_char, after_bijection, sep='\\n')\n"
+             "print(codes, after_char, after_verify, after_bijection, sep='\\n')\n"
              "print(cli.verify is spinonchars.verify)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.splitlines() == [str([0] * (len(CHAR_KINDS) + 3)),
+    assert out.splitlines() == [str([0] * (len(CHAR_KINDS) + 5)),
                                 "affine cli partitions qseries yangian",
-                                "affine cli partitions qseries strips yangian", "True"]
+                                "affine cli partitions qseries verify yangian",
+                                "affine cli partitions qseries strips verify yangian", "True"]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    """Compared with a bare interpreter, importing the CLI loads neither
+    `fractions` nor the `decimal` that it pulls in (2-2.7 ms of start-up):
+    `char` writes Delta_k with integers."""
+    probe = ("import sys\n"
+             "bare = set(sys.modules)\n"
+             "import spinonchars.cli\n"
+             "print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal'}\n"
+             "             & (set(sys.modules) - bare)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == ["[]"]
+
+
+# The module-level functions of `qseries`, `yangian` and `affine` that no
+# `char` command runs, each with the reason it stays in the modules that
+# `import spinonchars.cli` loads.
+_SPINON_CUT = "a spinon-cut sum: ROADMAP item 4 makes them the route of `char --kind spinon`"
+NOT_RUN_BY_CHAR = {
+    "affine._alternating_cut": _SPINON_CUT,
+    "affine._multisum_terms": _SPINON_CUT,
+    "affine._spinon_a_values": _SPINON_CUT,
+    "affine.scaled_weight_norm": _SPINON_CUT,
+    "affine.spinon_string_function": _SPINON_CUT,
+    "affine.verify_spinon_cut": _SPINON_CUT,
+    "affine.conformal_dimension": "Delta_k as a `Fraction`, kept beside the tables it "
+                                  "grades; `char` writes it with integers, so that no "
+                                  "`fractions` loads",
+}
+
+
+def test_every_start_path_function_runs_in_some_char_command():
+    """The modules that `import spinonchars.cli` loads hold only code that
+    some `char` command runs.  In a fresh interpreter, with every memo cold,
+    every kind of `char` in every format, and one table refused at the
+    ceiling (which counts its weights), run under `sys.setprofile`; every
+    module-level function of `qseries`, `yangian` and `affine` is called,
+    or is named in `NOT_RUN_BY_CHAR`, and every function named there is
+    not called."""
+    argvs = [["char", "--kind", kind, "--n", "2", "--k", "1", "--qmax", "4",
+              "--format", fmt] for kind in CHAR_KINDS for fmt in ("json", "csv", "pretty")]
+    argvs += [["char", "--kind", kind, "--n", "4", "--k", "1", "--qmax", "3"]
+              for kind in ("bosonic", "yangian")]
+    argvs.append(["char", "--kind", "bosonic", "--n", "50", "--k", "0", "--qmax", "2"])
+    probe = ("import contextlib, io, json, sys\n"
+             "from spinonchars import affine, cli, qseries, yangian\n"
+             "ran = set()\n"
+             "def called(frame, event, arg):\n"
+             "    if event == 'call':\n"
+             "        ran.add(frame.f_code)\n"
+             "out, err = io.StringIO(), io.StringIO()\n"
+             "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+             "    sys.setprofile(called)\n"
+             "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "    sys.setprofile(None)\n"
+             "print(codes)\n"
+             "for module in (qseries, yangian, affine):\n"
+             "    for name, obj in vars(module).items():\n"
+             "        func = getattr(obj, '__wrapped__', obj)\n"
+             "        if (getattr(func, '__module__', None) == module.__name__\n"
+             "                and func.__code__ not in ran):\n"
+             "            print(module.__name__[12:] + '.' + name)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout.splitlines()
+    assert out[0] == str([0] * (len(argvs) - 1) + [2])
+    assert sorted(out[1:]) == sorted(NOT_RUN_BY_CHAR)
 
 
 def test_suite_choices_are_the_verify_suites():

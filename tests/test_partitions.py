@@ -17,7 +17,7 @@ from spinonchars.partitions import (
     partition_counts,
     partitions_of,
 )
-from spinonchars.yangian import gz_schemes
+from spinonchars.symfunc import gz_schemes
 from oracles import skew_size
 
 

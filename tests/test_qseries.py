@@ -4,27 +4,26 @@ import inspect
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinonchars import qseries
+from spinonchars import qseries, symfunc
 from spinonchars.affine import spinon_string_function, verify_spinon_cut
 from spinonchars.partitions import partitions_of
-from spinonchars.qseries import (
+from spinonchars.qseries import inv_pochhammer, inv_pochhammer_product, product
+from spinonchars.symfunc import (
     _shifted,
     durfee_check,
     euler_inverse,
-    inv_pochhammer,
-    inv_pochhammer_product,
     inv_pochhammer_z_expansion,
     lemma_d3_check,
     pochhammer_z_expansion,
-    product,
     qbinomial,
     qmultinomial,
+    rogers_szego,
+    rs_generating_check,
 )
-from spinonchars.symfunc import rogers_szego, rs_generating_check
-from oracles import pochhammer
+from oracles import convolution_product, pochhammer
 
 
 def _one(qmax):
@@ -139,8 +138,9 @@ def _public_functions(module):
             and getattr(obj, "__module__", None) == module.__name__}
 
 
-# one call per public `qseries` function that takes an order, and per
-# function of another layer that builds a series at the order it is given
+# one call per public function of `qseries` or `symfunc` that takes an order,
+# and per function of another layer that builds a series at the order it is
+# given
 NEGATIVE_ORDER_CALLS = {
     "euler_inverse": lambda q: euler_inverse(q),
     "inv_pochhammer": lambda q: inv_pochhammer(2, q),
@@ -168,8 +168,8 @@ NEGATIVE_ORDER_CALLS = {
 
 
 def test_negative_order_calls_cover_every_public_qseries_function():
-    takes_order = {name for name in _public_functions(qseries)
-                   if "qmax" in inspect.signature(getattr(qseries, name)).parameters}
+    takes_order = {name for module in (qseries, symfunc) for name in _public_functions(module)
+                   if "qmax" in inspect.signature(getattr(module, name)).parameters}
     assert takes_order <= {key.split("-")[0] for key in NEGATIVE_ORDER_CALLS}
 
 
@@ -262,6 +262,34 @@ def test_multiplication_is_the_truncated_convolution(a, b):
 
 
 @st.composite
+def wide_series(draw):
+    """A series of 1..60 coefficients, each of up to 200 bits and either
+    sign, after a run of leading zeros that may fill it."""
+    length = draw(st.integers(1, 60))
+    most = 2 ** draw(st.integers(0, 200))
+    coeffs = draw(st.lists(st.integers(-most, most), min_size=length, max_size=length))
+    return _at_order([0] * draw(st.integers(0, length)) + coeffs, length - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_series(), wide_series())
+@example((2 ** 200,) * 60, (2 ** 200,) * 60)
+@example((-(2 ** 200),) * 60, (2 ** 200,) * 37)
+@example((3,) * 5, (-5,) * 9)
+@example((1,), (1,))
+@example((0,) * 4, (7, 0, 1))
+def test_packed_product_matches_the_convolution(a, b):
+    """`product` packs each series into one int and multiplies once; it
+    must give the coefficient-by-coefficient product of the oracle on
+    signed series of unequal lengths and wide coefficients.  The examples
+    put a coefficient of the full product at the bound of its slot width,
+    where a slot one bit narrower reads the wrong sign."""
+    got = product(a, b)
+    _well_formed(got, min(len(a), len(b)) - 1)
+    assert got == convolution_product(a, b)
+
+
+@st.composite
 def shifted_series(draw):
     """A random series at a random order 0..11, shifted by 0..qmax + 2, so
     that long runs of leading zeros and all-zero series occur."""
@@ -293,8 +321,8 @@ def test_arithmetic_matches_explicit_loops_on_shifted_series(a, b):
 orders = st.integers(0, 12)
 indices = st.integers(0, 8)
 
-# For each public function of `qseries`, a strategy of (arguments, order
-# of the result).
+# For each public function of `qseries`, and each function of the q-binomial
+# block of `symfunc`, a strategy of (arguments, order of the result).
 CALLS = {
     "euler_inverse": st.builds(lambda q: ((q,), q), orders),
     "inv_pochhammer": st.builds(lambda n, q: ((n, q), q), indices, orders),
@@ -317,13 +345,15 @@ CALLS = {
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_every_series_is_a_tuple_of_qmax_plus_one_ints(data):
-    """Every public function of `qseries`, at small random arguments,
-    returns series that keep the invariant; a z-expansion is a tuple of
-    them, and a check of an identity returns True."""
-    assert set(CALLS) == _public_functions(qseries)
+    """Every public function of `qseries`, and of the q-binomial block of
+    `symfunc`, at small random arguments, returns series that keep the
+    invariant; a z-expansion is a tuple of them, and a check of an identity
+    returns True."""
+    assert (_public_functions(qseries) <= set(CALLS)
+            <= _public_functions(qseries) | _public_functions(symfunc))
     name = data.draw(st.sampled_from(sorted(CALLS)))
     args, qmax = data.draw(CALLS[name])
-    result = getattr(qseries, name)(*args)
+    result = getattr(qseries if name in vars(qseries) else symfunc, name)(*args)
     if name.endswith("_check"):
         assert result is True, (name, args)
     elif name.endswith("_z_expansion"):

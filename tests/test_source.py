@@ -8,8 +8,7 @@ from spinonchars import qseries
 from spinonchars.cli import CHAR_KINDS, _build_table
 from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
 from spinonchars.strips import BorderStrip
-from spinonchars.symfunc import ribbon_expansion
-from spinonchars.yangian import gz_schemes
+from spinonchars.symfunc import gz_schemes, ribbon_expansion
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinonchars"
 
@@ -105,14 +104,18 @@ def _is_call_to(node: ast.AST, names: tuple[str, ...]) -> bool:
 
 
 _INVERSES = ("euler_inverse", "inv_pochhammer")
+# the public functions of `qseries`, and the series that the q-binomial
+# block of `symfunc` builds with them
 _SERIES_FUNCTIONS = tuple(name for name, obj in vars(qseries).items()
                           if not name.startswith("_") and callable(obj)
-                          and getattr(obj, "__module__", None) == qseries.__name__)
+                          and getattr(obj, "__module__", None) == qseries.__name__) + (
+    "euler_inverse", "qbinomial", "qmultinomial", "pochhammer_z_expansion",
+    "inv_pochhammer_z_expansion")
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 
 
 def _series_operators(tree: ast.AST) -> list[int]:
-    """Lines where a call to a `qseries` function is an operand of `+`, `-`,
+    """Lines where a call to a series function is an operand of `+`, `-`,
     `*` or `**`, or the value of their augmented assignments: a series is a
     tuple, so `+` concatenates and `* int` repeats without an error.  Also
     the lines where `product` is given an `inv_pochhammer(...)` or
@@ -139,16 +142,16 @@ def test_denominators_are_built_by_inv_pochhammer_product():
     `inv_pochhammer_product` call, which caches it by its multiset of
     indices; no module multiplies `inv_pochhammer(...)` results itself,
     with `product` or an operator, and no module applies `+`, `-`, `*` or
-    `**` to the result of a `qseries` call."""
+    `**` to the result of a series call."""
     for chain in ("inv_pochhammer(1, q) * inv_pochhammer(2, q)",
                   "t = t * qseries.inv_pochhammer(a - m, q)",
                   "t *= inv_pochhammer(a, q)",
                   "euler_inverse(q) ** (n - 1)",
                   "qseries.inv_pochhammer(2, q) ** 3",
                   "product(inv_pochhammer(1, q), s)",
-                  "qseries.product(s, qseries.euler_inverse(q))",
+                  "qseries.product(s, symfunc.euler_inverse(q))",
                   "qbinomial(4, 2, q) + s",
-                  "s - qseries.pochhammer_z_expansion(2, q)",
+                  "s - symfunc.pochhammer_z_expansion(2, q)",
                   "2 * product(a, b)",
                   "t += qmultinomial(ks, q)"):
         assert _series_operators(ast.parse(chain)), chain
@@ -223,7 +226,7 @@ def test_every_tableau_count_walks_horizontal_strips():
     enumerator of horizontal strips, in themselves or in a helper of their
     module."""
     for module, root in (("symfunc.py", "schur_skew"), ("symfunc.py", "skew_kostka"),
-                         ("yangian.py", "gz_schemes")):
+                         ("symfunc.py", "gz_schemes")):
         tree = ast.parse((PACKAGE / module).read_text())
         assert "horizontal_strips" in _reached_calls(tree, root), root
 

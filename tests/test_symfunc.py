@@ -24,6 +24,7 @@ from spinonchars.symfunc import (
     _sst_layer,
     complete,
     elementary,
+    gz_schemes,
     ribbon_expansion,
     rogers_szego,
     rs_generating_check,
@@ -32,7 +33,7 @@ from spinonchars.symfunc import (
     weight_projection,
 )
 from spinonchars.verify import _ribbon_locus, _sub_partitions, build_suite, small_norm_weights
-from spinonchars.yangian import gz_schemes, sl2_yangian_decomposition, yangian_decomposition
+from spinonchars.yangian import sl2_yangian_decomposition, yangian_decomposition
 from oracles import (
     determinant,
     eval_ones,

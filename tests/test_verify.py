@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from spinonchars import strips, verify, yangian
+from spinonchars import strips, symfunc, verify
 
 
 def _memos():
@@ -33,7 +33,7 @@ def test_gz_case_gates_n_with_the_memo_warm(outer, inner, n, N):
     assert verify._gz_case(outer, inner, n, N + 1) is None
     assert verify._gz_check.cache_info().hits == before.hits + 1
     with pytest.raises(ValueError) as expected:
-        yangian.gz_schemes(outer, inner, n, N)
+        symfunc.gz_schemes(outer, inner, n, N)
     with pytest.raises(ValueError) as got:
         verify._gz_case(outer, inner, n, N)
     assert str(got.value) == str(expected.value)

@@ -9,21 +9,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinonchars import verify, yangian
-from spinonchars.affine import bosonic_character, conformal_dimension, from_weights, weight_rows
+from spinonchars.affine import bosonic_character, conformal_dimension, from_weights
 from spinonchars.partitions import all_partitions_upto, padded, partitions_of
 from spinonchars.strips import BorderStrip, sl2_partition_to_strip
-from spinonchars.symfunc import SymPoly, elementary, schur_skew, weight_projection
-from spinonchars.verify import _sub_partitions, sl2_hw_character
-from spinonchars.yangian import (
+from spinonchars.symfunc import (
+    SymPoly,
     drinfeld_evaluation,
     drinfeld_tame,
+    elementary,
     gz_schemes,
     gz_to_sst,
     gz_weight,
-    sl2_yangian_decomposition,
+    schur_skew,
     sst_to_gz,
-    yangian_decomposition,
+    weight_projection,
 )
+from spinonchars.verify import _sub_partitions, sl2_hw_character, weight_rows
+from spinonchars.yangian import sl2_yangian_decomposition, yangian_decomposition
 from oracles import eval_ones, poly_degrees, reduced_strips, skew_shapes
 
 

@@ -3,15 +3,15 @@ working tree in alternating pairs of runs.
 
     python3 tools/compare_bench.py PARENT_REV --workload W --pairs N [--seconds S]
 
-Unpacks PARENT_REV with `git archive` into a temporary directory, then for
-pair i = 1..N runs `perfbench/run.py --workload W --seed i --seconds S
---trace 0` once there and once in the working tree, each with its own
-`perfbench/`, the parent first in odd pairs and the working tree first in
-even ones.  S defaults to `run_seconds` of `BENCHMARK.json`.  Each side reads
-bytecode from an empty directory of its own (`PYTHONPYCACHEPREFIX`) and
-writes none (`PYTHONDONTWRITEBYTECODE=1`), so both compile every module at
-each start as a fresh checkout does, whatever `__pycache__` the working tree
-holds.
+Unpacks PARENT_REV with `git archive` into a temporary directory and copies
+the working tree there beside it, without `.git` or any `__pycache__`, then
+for pair i = 1..N runs `perfbench/run.py --workload W --seed i --seconds S
+--trace 0` once in each copy, each with its own `perfbench/`, the parent
+first in odd pairs and the working tree first in even ones.  S defaults to
+`run_seconds` of `BENCHMARK.json`.  Both sides run with
+`PYTHONDONTWRITEBYTECODE=1` and without `PYTHONPYCACHEPREFIX`, as in a fresh
+checkout: every process compiles each package module it imports, and reads
+the standard library's own bytecode.
 
 For each end-to-end metric of `BENCHMARK.json` it prints each side's median
 and quartiles, the pairs the change won (ties count for neither side), the
@@ -31,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,14 +50,22 @@ def unpack(rev: str, into: str) -> None:
         tar.extractall(into, filter="data")
 
 
-def run(tree: str, cache: str, workload: str, seed: int, seconds: float) -> dict:
+def copy_tree(into: str) -> None:
+    """The working tree, written under `into` without `.git` or any
+    `__pycache__`."""
+    shutil.copytree(ROOT, into, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+
+
+def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """The JSON object on the last line of one `perfbench/run.py` run in
-    `tree` that reads bytecode only from `cache` and writes none."""
+    `tree` that writes no bytecode."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True, cwd=tree, timeout=600 + 20 * seconds,
-        env={**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONDONTWRITEBYTECODE": "1"})
+        env=env)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"run in {tree} printed nothing: {proc.stderr[-500:]}")
@@ -104,17 +113,14 @@ def main(argv=None) -> int:
     values = {"parent": {}, "change": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="compare_bench_") as tmp:
-        trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         unpack(args.parent_rev, trees["parent"])
-        caches = {side: os.path.join(tmp, f"pycache-{side}") for side in trees}
-        for cache in caches.values():
-            os.mkdir(cache)
+        copy_tree(trees["change"])
         for seed in range(1, args.pairs + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             line = [f"pair {seed}:"]
             for side in order:
-                result = run(trees[side], caches[side], args.workload, seed,
-                             args.seconds)
+                result = run(trees[side], args.workload, seed, args.seconds)
                 ok &= result["failed"] == 0
                 line.append(f"{side} failed={result['failed']}/{result['attempted']}")
                 for name, metric in result["metrics"].items():

@@ -21,6 +21,14 @@ k, q)` for k = 0, 1 at q = 10, 20, 40, 80 and 160, each the best of three
 runs with every memo they read cleared, and the slope of log(seconds)
 against log(q) for each route and k.
 
+It also records start-up (`startup`): for `spinonchars.cli` and
+`spinonchars.verify`, the median over 20 fresh interpreters of the
+cumulative `-X importtime` of importing the module, and the package modules
+that the import loads.  Each interpreter runs with
+`PYTHONDONTWRITEBYTECODE=1` and without `PYTHONPYCACHEPREFIX`, on a copy of
+`src/` without `__pycache__`, so it compiles every package module it loads,
+as the benchmark's processes do in a fresh checkout.
+
 Exits 1 if any run fails or reports a failed operation; the file is still
 written.
 """
@@ -31,9 +39,11 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -43,6 +53,7 @@ SEED, SECONDS = 1, 30  # the run length BENCHMARK.json sets
 SWEEP_RANKS = (4, 8, 16, 32, 64, 128, 200)
 SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
 SWEEP_ORDERS = (10, 20, 40, 80, 160)
+STARTUP_MODULES, STARTUP_RUNS = ("spinonchars.cli", "spinonchars.verify"), 20
 # Per-layer counters that read 0 by construction; they are recorded as they
 # read.  Other zeros are layers a workload does not run.
 ZERO_BY_CONSTRUCTION = (
@@ -56,7 +67,10 @@ ZERO_BY_CONSTRUCTION = (
     "exists any longer.  So do qseries.mul.calls and qseries.add.calls: they "
     "read the operators QSeries.__mul__ and __add__, and a series is now a "
     "tuple, multiplied by the module function qseries.product and added "
-    "coefficient by coefficient.  The tracer's METHODS entry "
+    "coefficient by coefficient.  yangian.gz_schemes.calls and "
+    "qseries.euler_inverse.s read functions that now live in symfunc, as "
+    "symfunc.gz_schemes and symfunc.euler_inverse, so they read 0 too.  "
+    "The tracer's METHODS entry "
     "affine.CharacterTable names a class that no longer exists (a character "
     "table is a plain dict of orbit rows), and install() skips it.  "
     "char-yangian: "
@@ -70,8 +84,9 @@ ZERO_BY_CONSTRUCTION = (
     "symfunc.weight_projection.calls and symfunc.self_s read 0), since its "
     "rank-2 module sum is a transfer matrix over part sizes.  The tracer "
     "wraps only the layers loaded when it installs, and `cli` imports "
-    "verify, strips and symfunc inside the command that runs them, so no "
-    "function of theirs is wrapped: on verify-all every strips.* and "
+    "verify inside the command that runs it, and verify imports strips and "
+    "symfunc inside the checks that read them, so no function of theirs is "
+    "wrapped: on verify-all every strips.* and "
     "symfunc.* metric, verify.self_s and verify.build_suite.s read 0, and on "
     "series-deep (its spinon-cut command) verify.self_s and "
     "verify.build_suite.s; their time is charged to cli.self_s.  "
@@ -158,6 +173,39 @@ def order_sweep() -> dict:
             "points": points, "log_log_slope_in_qmax": slopes}
 
 
+def startup() -> dict:
+    """The start-up record of each module of STARTUP_MODULES (see the
+    module docstring).  The cumulative time of an import is the sum over the
+    top-level `-X importtime` lines of the package, the package root's and
+    the module's, in microseconds."""
+    probe = ("import importlib, sys\n"
+             "importlib.import_module(sys.argv[1])\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('spinonchars.'))))\n")
+    record = {}
+    with tempfile.TemporaryDirectory(prefix="record_bench_") as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+        env.pop("PYTHONPYCACHEPREFIX", None)
+        for module in STARTUP_MODULES:
+            times, loads = [], set()
+            for _ in range(STARTUP_RUNS):
+                proc = subprocess.run([sys.executable, "-X", "importtime", "-c", probe, module],
+                                      capture_output=True, text=True, cwd=tmp, env=env,
+                                      check=True)
+                lines = [line.split("|") for line in proc.stderr.splitlines()
+                         if line.startswith("import time:")]
+                times.append(sum(int(cumulative) for _, cumulative, name in lines
+                                 if name.startswith(" spinonchars")
+                                 and not name.startswith("  ")))
+                loads.add(proc.stdout.strip())
+            record[module] = {"cumulative_us_median": statistics.median(times),
+                              "runs": STARTUP_RUNS,
+                              "loads": sorted(name for text in loads for name in text.split())}
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True)
@@ -179,6 +227,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "rank_sweep": rank_sweep(),
         "order_sweep": order_sweep(),
+        "startup": startup(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
