@@ -213,9 +213,10 @@ def _int(x) -> int:
 
 
 def _parse_payload(kind: str, payload: str, n: int):
-    from .strips import BorderStrip, RapiditySeq, motif_to_rapidity
+    from .strips import RapiditySeq, from_rows, motif_to_rapidity
     try:
         if kind == "motif":
+            _check_boxes(kind, len(payload) - 1)
             motif_to_rapidity(payload, n)
             return payload
         data = json.loads(payload)
@@ -224,13 +225,15 @@ def _parse_payload(kind: str, payload: str, n: int):
         if kind == "strip":
             rows = data["rows"] if isinstance(data, dict) else data
             _check_boxes(kind, sum(a for a in rows if type(a) is int and a > 0))
-            return BorderStrip.from_rows(rows, n)
+            return from_rows(rows, n)
         if kind == "rapidity":
             k, stab = _int(data["k"]), _int(data["stab"])
             _check_boxes(kind, stab)
             return RapiditySeq(n, k, data["prefix"], stab)
         if kind == "modes":
-            return [_int(x) for x in data]
+            modes = [_int(x) for x in data]
+            _check_boxes(kind, len(modes))
+            return modes
         lam, n_spinons = partition(data["lam"]), _int(data["N"])  # sl2-partition
         _check_boxes(kind, n_spinons + 2 * (lam[0] if lam else 0))
         return lam, n_spinons
@@ -242,9 +245,10 @@ def _parse_payload(kind: str, payload: str, n: int):
 def _check_boxes(kind: str, boxes: int) -> None:
     """Refuse a payload whose strip has more boxes than the ceiling,
     counted from its numbers before the strip is built: a strip's positive
-    rows, a rapidity sequence's `stab`, and N + 2 lambda_1 for an
-    sl2-partition (`strips.sl2_partition_to_strip`).  A modes or motif
-    payload is about as long as its strip and needs no check."""
+    rows, a rapidity sequence's `stab`, a motif's bits (as many as its
+    sequence's `stab` can be), a mode list's length (its strip's exact box
+    count), and N + 2 lambda_1 for an sl2-partition
+    (`strips.sl2_partition_to_strip`)."""
     ceiling = CEILINGS["bijection"]["boxes"]
     if boxes > ceiling:
         raise UsageError(f"the {kind} payload gives a strip of more than "
@@ -264,9 +268,10 @@ def _to_strip(kind: str, obj, n: int):
     return strips.sl2_partition_to_strip(*obj)  # sl2-partition: (lambda, N)
 
 
-def _render_object(kind: str, obj) -> object:
+def _render_object(kind: str, obj, n: int) -> object:
+    from . import strips
     if kind == "strip":
-        return obj.to_dict()
+        return strips.to_dict(obj, n)
     if kind == "motif":
         return obj
     return {"n": obj.n, "k": obj.k, "prefix": list(obj.prefix), "stab": obj.stab}
@@ -279,17 +284,17 @@ def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
     obj = _parse_payload(src, payload, n)
     try:
         strip = _to_strip(src, obj, n)
-        reduced = strip.reduce()
+        reduced = strips.reduce(strip, n)
         if dst == "strip":
             image = strip
         elif dst == "rapidity":
-            image = strips.strip_to_rapidity(reduced)
+            image = strips.strip_to_rapidity(reduced, n)
         else:
-            image = strips.rapidity_to_motif(strips.strip_to_rapidity(reduced))
+            image = strips.rapidity_to_motif(strips.strip_to_rapidity(reduced, n))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    e = strips.energy(reduced)
-    return {"from": src, "to": dst, "result": _render_object(dst, image),
+    e = strips.energy(reduced, n)
+    return {"from": src, "to": dst, "result": _render_object(dst, image, n),
             "energy": f"{e.numerator}/{e.denominator}"}
 
 

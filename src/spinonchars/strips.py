@@ -1,13 +1,17 @@
 """Border strips, rapidity sequences, motifs, and the bijections among them.
 
-A border strip (ribbon) is stored as its column composition.  Walk the strip
-from its top-right box by unit steps left or down: the columns [b_1..b_s] are
-the runs of the walk between left steps, read right to left (b_1 = rightmost
-column), and the rows <a_1..a_r> are its runs between down steps, read top to
-bottom.  Each composition determines the other (`_transpose`), so no skew
-shape is stored; `BorderStrip.shape` draws one on demand in canonical
-position (bottom-left box in column 1), each lower row extending left with
-exactly one column of overlap.
+A border strip (ribbon) is the int tuple of its column heights.  Walk the
+strip from its top-right box by unit steps left or down: the columns
+b_1..b_s are the runs of the walk between left steps, read right to left
+(b_1 = rightmost column), and the rows a_1..a_r are its runs between down
+steps, read top to bottom.  Each composition determines the other
+(`transpose`), so the rows are not stored, and no skew shape is: `shape`
+draws one on demand in canonical position (bottom-left box in column 1),
+each lower row extending left with exactly one column of overlap.  As with a
+partition, the rank n is not part of the value: a rank-n strip has every
+column in 1..n, and each function that reads the rank takes it.  Strips
+from outside are checked by `strip` and `from_rows`; the walks here build
+valid ones.
 
   * "reduced" means the leftmost column is shorter than n;
   * stabilization appends full columns of height n at the lower-left end.
@@ -27,11 +31,12 @@ from itertools import accumulate
 from .partitions import _require_ints, _shown, partition
 
 
-def _transpose(parts) -> tuple[int, ...]:
-    """The other run-length reading of a ribbon's walk.  A composition of m
-    cuts the walk's m - 1 steps at its partial sums; the rows cut it exactly
-    where the columns do not, so each reading is the complement of the
-    other."""
+def transpose(parts) -> tuple[int, ...]:
+    """The other run-length reading of a ribbon's walk: the rows of the
+    strip with columns `parts`, or the columns of the one with rows `parts`.
+    A composition of m cuts the walk's m - 1 steps at its partial sums; the
+    rows cut it exactly where the columns do not, so each reading is the
+    complement of the other."""
     if not parts:
         return ()
     dual, run = [], 1
@@ -44,83 +49,65 @@ def _transpose(parts) -> tuple[int, ...]:
     return tuple(dual + [run])
 
 
-class BorderStrip:
-    """A rank-n border strip, given by its column heights b_1..b_s (right to
-    left), each an `int` in 1..n."""
-
-    __slots__ = ("n", "cols", "rows")
-
-    def __init__(self, cols, n: int):
-        if n < 2:
-            raise ValueError(f"rank must be >= 2, got {n}")
-        cols = _require_ints(cols, "column heights")
-        for j, b in enumerate(cols):
-            if not 1 <= b <= n:
-                bound = f"> n={n}" if b > n else "< 1"
-                raise ValueError(
-                    f"column {len(cols) - j} (from the left) has height {b} {bound}"
-                )
-        self.n = n
-        self.cols = cols
-        self.rows = _transpose(cols)
-
-    @staticmethod
-    def from_rows(rows, n: int) -> "BorderStrip":
-        """Build the strip with row lengths a_1..a_r (top to bottom), each an
-        `int`; zero rows are dropped."""
-        rows = [a for a in _require_ints(rows, "row lengths") if a != 0]
-        for i, a in enumerate(rows):
-            if a < 0:
-                raise ValueError(f"row lengths must be positive: {_shown(rows, i)}")
-        return BorderStrip(_transpose(rows), n)
-
-    @property
-    def shape(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(outer, inner) in canonical position, built bottom row first; the
-        zero parts of inner, at its bottom, are dropped."""
-        outer, inner = [], []
-        for a in reversed(self.rows):
-            start = outer[-1] - 1 if outer else 0
-            if start:
-                inner.append(start)
-            outer.append(start + a)
-        return tuple(outer[::-1]), tuple(inner[::-1])
-
-    def size(self) -> int:
-        return sum(self.cols)
-
-    def is_reduced(self) -> bool:
-        return not self.cols or self.cols[-1] < self.n
-
-    def reduce(self) -> "BorderStrip":
-        """Delete stabilized full columns at the left end."""
-        cols = self.cols
-        while cols and cols[-1] == self.n:
-            cols = cols[:-1]
-        return BorderStrip(cols, self.n)
-
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows), "cols": list(self.cols), "n": self.n}
-
-    def __eq__(self, other):
-        if not isinstance(other, BorderStrip):
-            return NotImplemented
-        return self.n == other.n and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.n, self.cols))
-
-    def __repr__(self):
-        return f"BorderStrip(rows={list(self.rows)}, cols={list(self.cols)}, n={self.n})"
+def strip(cols, n: int) -> tuple[int, ...]:
+    """The rank-n strip with column heights b_1..b_s (right to left), each an
+    `int` in 1..n, checked."""
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
+    cols = _require_ints(cols, "column heights")
+    for j, b in enumerate(cols):
+        if not 1 <= b <= n:
+            bound = f"> n={n}" if b > n else "< 1"
+            raise ValueError(
+                f"column {len(cols) - j} (from the left) has height {b} {bound}"
+            )
+    return cols
 
 
-def enumerate_border_strips(n: int, size: int, reduced: bool) -> list[BorderStrip]:
+def from_rows(rows, n: int) -> tuple[int, ...]:
+    """The rank-n strip with row lengths a_1..a_r (top to bottom), each an
+    `int`, checked; zero rows are dropped."""
+    rows = [a for a in _require_ints(rows, "row lengths") if a != 0]
+    for i, a in enumerate(rows):
+        if a < 0:
+            raise ValueError(f"row lengths must be positive: {_shown(rows, i)}")
+    return strip(transpose(rows), n)
+
+
+def shape(cols) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(outer, inner) in canonical position, built bottom row first; the
+    zero parts of inner, at its bottom, are dropped."""
+    outer, inner = [], []
+    for a in reversed(transpose(cols)):
+        start = outer[-1] - 1 if outer else 0
+        if start:
+            inner.append(start)
+        outer.append(start + a)
+    return tuple(outer[::-1]), tuple(inner[::-1])
+
+
+def is_reduced(cols, n: int) -> bool:
+    return not cols or cols[-1] < n
+
+
+def reduce(cols, n: int) -> tuple[int, ...]:
+    """Delete stabilized full columns at the left end."""
+    while cols and cols[-1] == n:
+        cols = cols[:-1]
+    return cols
+
+
+def to_dict(cols, n: int) -> dict:
+    return {"rows": list(transpose(cols)), "cols": list(cols), "n": n}
+
+
+def enumerate_border_strips(n: int, size: int, reduced: bool) -> list[tuple[int, ...]]:
     """All rank-n border strips of the given size, optionally reduced (b_s < n)."""
     if n < 2:
         raise ValueError("rank must be >= 2")
     if size < 0:
         raise ValueError("size must be >= 0")
-    out: list[BorderStrip] = []
+    out: list[tuple[int, ...]] = []
     _append_strips(n, size, reduced, (), out)
     return out
 
@@ -131,27 +118,29 @@ def _append_strips(n: int, remaining: int, reduced: bool, cols: tuple, out: list
     that no reference cycle keeps the strips alive."""
     if remaining == 0:
         if not (reduced and cols and cols[-1] == n):
-            out.append(BorderStrip(cols, n))
+            out.append(cols)
         return
     for b in range(1, min(n, remaining) + 1):
         _append_strips(n, remaining - b, reduced, cols + (b,), out)
 
 
-def energy(strip: BorderStrip) -> Fraction:
-    """E(kappa): quadratic size term plus the row (equivalently column)
-    statistic.  Both forms are compared as the integers 2n*E."""
-    n, m = strip.n, strip.size()
-    r = len(strip.rows)
+def energy(cols, n: int) -> Fraction:
+    """E(kappa) of the rank-n strip: quadratic size term plus the row
+    (equivalently column) statistic.  Both forms are compared as the
+    integers 2n*E."""
+    m = sum(cols)
+    rows = transpose(cols)
+    r = len(rows)
     row_form = (n - 1) * m * m + 2 * n * sum(
-        (i - r) * a for i, a in enumerate(strip.rows, start=1)
+        (i - r) * a for i, a in enumerate(rows, start=1)
     )
-    s = len(strip.cols)
+    s = len(cols)
     col_form = m * (n - m) + 2 * n * sum(
-        (s - i) * b for i, b in enumerate(strip.cols, start=1)
+        (s - i) * b for i, b in enumerate(cols, start=1)
     )
-    if strip.is_reduced() and row_form != col_form:
+    if is_reduced(cols, n) and row_form != col_form:
         raise AssertionError(
-            f"row/column energy mismatch on reduced strip {strip}: "
+            f"row/column energy mismatch on reduced strip {cols} at n={n}: "
             f"2n*E = {row_form} != {col_form}"
         )
     return Fraction(row_form, 2 * n)
@@ -225,15 +214,16 @@ def vacuum_rapidities(n: int, k: int) -> RapiditySeq:
     return RapiditySeq(n, k, (), 0)
 
 
-def strip_to_rapidity(strip: BorderStrip) -> RapiditySeq:
-    """Stabilize the strip with full columns, read rows, take partial sums."""
-    if not strip.is_reduced():
+def strip_to_rapidity(cols, n: int) -> RapiditySeq:
+    """Stabilize the rank-n strip with full columns, read rows, take partial
+    sums."""
+    if not is_reduced(cols, n):
         raise ValueError("only reduced strips correspond to rapidity sequences")
-    total = strip.size()
-    return RapiditySeq(strip.n, total % strip.n, accumulate(strip.rows[:-1]), total)
+    total = sum(cols)
+    return RapiditySeq(n, total % n, accumulate(transpose(cols)[:-1]), total)
 
 
-def rapidity_to_strip(seq: RapiditySeq) -> BorderStrip:
+def rapidity_to_strip(seq: RapiditySeq) -> tuple[int, ...]:
     """Cut the sequence at S, the least S >= 0 with S = k (mod n), S not a
     member, and the vacuum pattern above S; the rows are the gaps between
     0, the members below S, and S.  Above the canonical `stab` the sequence
@@ -241,7 +231,7 @@ def rapidity_to_strip(seq: RapiditySeq) -> BorderStrip:
     otherwise the first index past `stab` congruent to k."""
     cut = seq.stab + (seq.k - seq.stab - 1) % seq.n + 1 if seq.stab else seq.k
     marks = [0, *seq.members_upto(cut - 1), cut]
-    return BorderStrip.from_rows([b - a for a, b in zip(marks, marks[1:])], seq.n)
+    return from_rows([b - a for a, b in zip(marks, marks[1:])], seq.n)
 
 
 def motif_to_rapidity(text: str, n: int) -> RapiditySeq:
@@ -269,7 +259,7 @@ def rapidity_to_motif(seq: RapiditySeq) -> str:
     return "".join("1" if x in ones else "0" for x in range(1, length + 1)) + "|"
 
 
-def motif_to_strip(text: str, n: int) -> BorderStrip:
+def motif_to_strip(text: str, n: int) -> tuple[int, ...]:
     """Square construction: a 1-bit places the next square under (same
     column), a 0-bit to the left (a new column).
 
@@ -278,10 +268,10 @@ def motif_to_strip(text: str, n: int) -> BorderStrip:
     """
     motif_to_rapidity(text, n)
     walk = text[:-1] + "1" * (n - 1)  # complete the tail's column
-    return BorderStrip([len(run) + 1 for run in walk.split("0")], n).reduce()
+    return reduce(tuple(len(run) + 1 for run in walk.split("0")), n)
 
 
-def modes_to_strip(modes, n: int) -> BorderStrip:
+def modes_to_strip(modes, n: int) -> tuple[int, ...]:
     """Square construction for mode sequences: equal mode stacks on top,
     strictly larger mode moves right.  The modes are read once, in time
     linear in their number: from a first mode 0 each step rises by 0 or 1,
@@ -302,17 +292,17 @@ def modes_to_strip(modes, n: int) -> BorderStrip:
             runs[-1] += 1
         else:
             raise ValueError(f"gap in mode values: {len(runs)} missing from {_shown(modes, i)}")
-    strip = BorderStrip(runs[::-1], n)  # the largest mode is the rightmost column
-    s = len(strip.cols)
-    weighted = sum((s - i) * b for i, b in enumerate(strip.cols, start=1))
-    if strip.size() != len(modes) or weighted != sum(modes):
+    cols = strip(runs[::-1], n)  # the largest mode is the rightmost column
+    s = len(cols)
+    weighted = sum((s - i) * b for i, b in enumerate(cols, start=1))
+    if sum(cols) != len(modes) or weighted != sum(modes):
         raise AssertionError(
-            f"mode-square postcondition failed for {modes}: strip {strip}"
+            f"mode-square postcondition failed for {modes}: strip {cols}"
         )
-    return strip
+    return cols
 
 
-def sl2_partition_to_strip(lam, n_spinons: int) -> BorderStrip:
+def sl2_partition_to_strip(lam, n_spinons: int) -> tuple[int, ...]:
     """Strip attached to (lambda, N) at n=2: rows m_{i-1}+2 with boundary rows
     one shorter (and the single-row case collapsing to <N>)."""
     lam = partition(lam)
@@ -325,16 +315,16 @@ def sl2_partition_to_strip(lam, n_spinons: int) -> BorderStrip:
     for i in range(1, r + 1):
         mi = m0 if i == 1 else mult[i - 1]
         rows.append(mi + 2 - (1 if i == 1 else 0) - (1 if i == r else 0))
-    strip = BorderStrip.from_rows(rows, 2)
-    if strip.size() != n_spinons + 2 * (r - 1) and rows != [0]:
+    cols = from_rows(rows, 2)
+    if sum(cols) != n_spinons + 2 * (r - 1) and rows != [0]:
         raise AssertionError(f"size identity failed for ({lam}, {n_spinons})")
-    e = energy(strip)
+    e = energy(cols, 2)
     if e != sum(lam) + Fraction(n_spinons * n_spinons, 4):
         raise AssertionError(
             f"energy identity failed for ({lam}, {n_spinons}): "
             f"E = {e} != |lambda| + N^2/4"
         )
-    return strip
+    return cols
 
 
 def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
@@ -377,14 +367,14 @@ def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:
         mismatches = []
         for n in ranks:
             for size in range(max_size + 1):
-                for strip in enumerate_border_strips(n, size, reduced=True):
-                    expected = energy(strip)
-                    seq = strip_to_rapidity(strip)
+                for cols in enumerate_border_strips(n, size, reduced=True):
+                    expected = energy(cols, n)
+                    seq = strip_to_rapidity(cols, n)
                     try:
                         got = rapidity_energy(seq, convention)
                     except ValueError as exc:
                         mismatches.append(
-                            {"strip": strip.to_dict(), "expected": str(expected),
+                            {"strip": to_dict(cols, n), "expected": str(expected),
                              "error": str(exc)}
                         )
                         continue
@@ -392,7 +382,7 @@ def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:
                         matches += 1
                     else:
                         mismatches.append(
-                            {"strip": strip.to_dict(), "expected": str(expected),
+                            {"strip": to_dict(cols, n), "expected": str(expected),
                              "got": str(got)}
                         )
         report["conventions"][convention] = {

@@ -182,9 +182,10 @@ def schur_cases() -> list[Case]:
                 ))
     for rank in (2, 3):
         for size in range(7):
-            for strip in strips.enumerate_border_strips(rank, size, reduced=False):
-                cases.append(Case(f"lr[n={rank},rows={list(strip.rows)}]",
-                                  {"n": rank, "rows": list(strip.rows)}, _lr))
+            for cols in strips.enumerate_border_strips(rank, size, reduced=False):
+                rows = list(strips.transpose(cols))
+                cases.append(Case(f"lr[n={rank},rows={rows}]",
+                                  {"n": rank, "rows": rows}, _lr))
     for a in range(1, 7):
         for b in range(1, 7):
             cases.append(Case(f"h-rewrite[a={a},b={b}]", {"a": a, "b": b}, _h_rewrite))
@@ -204,39 +205,36 @@ def _schur_routes(outer, inner, nvars):
 
 
 def _lr(n, rows):
-    """The case runs its own gate: `BorderStrip.from_rows` refuses rows that
+    """The case runs its own gate: `strips.from_rows` refuses rows that
     are not positive ints, or whose strip has a column taller than n.  The
     rank does nothing else, as a strip's shape, size and Schur expansion are
-    those of its rows at every rank that holds it, so the check past the
-    gate is `_lr_check`, memoized on the rows, and a strip of the census at
-    ranks 2 and 3 is checked once."""
+    those of its columns at every rank that holds it, so the check past the
+    gate is `_lr_check`, memoized on the columns, and a strip of the census
+    at ranks 2 and 3 is checked once."""
     from . import strips
-    return _lr_check(strips.BorderStrip.from_rows(rows, n).rows)
+    return _lr_check(strips.from_rows(rows, n))
 
 
 @lru_cache(maxsize=None)
-def _lr_check(rows: tuple[int, ...]):
-    """The check of `_lr` for the rows of a strip.  A column of a ribbon
-    spans consecutive rows, so no column is taller than the number of rows,
-    and rank max(2, that number) holds the strip."""
+def _lr_check(cols: tuple[int, ...]):
+    """The check of `_lr` for the strip with columns `cols`."""
     from . import strips, symfunc
-    strip = strips.BorderStrip.from_rows(rows, max(2, len(rows)))
-    return _ribbon_locus(strip, symfunc.ribbon_expansion(rows))
+    return _ribbon_locus(cols, symfunc.ribbon_expansion(strips.transpose(cols)))
 
 
-def _ribbon_locus(strip, coeffs):
+def _ribbon_locus(cols, coeffs):
     """None if `coeffs` (partition -> coefficient) is the Schur expansion of
-    the strip's skew Schur function, else a locus.  For every partition mu of
-    |strip| the coefficient of the dominant monomial x^mu in s_strip, the
-    number of semistandard fillings of the strip with content mu, must equal
-    sum_nu c_nu K_{nu,mu}.  The Kostka matrix is unitriangular, so this
-    fixes every coefficient."""
-    from . import symfunc
-    size = strip.size()
+    the skew Schur function of the strip with columns `cols`, else a locus.
+    For every partition mu of |strip| the coefficient of the dominant
+    monomial x^mu in s_strip, the number of semistandard fillings of the
+    strip with content mu, must equal sum_nu c_nu K_{nu,mu}.  The Kostka
+    matrix is unitriangular, so this fixes every coefficient."""
+    from . import strips, symfunc
+    size = sum(cols)
     for nu, c in coeffs.items():
         if c < 0 or sum(nu) != size:
             return {"nu": list(nu), "coeff": c}
-    outer, inner = strip.shape
+    outer, inner = strips.shape(cols)
     for mu in partitions_of(size):
         lhs = symfunc.skew_kostka(outer, inner, mu)
         rhs = sum(c * _kostka(nu, mu) for nu, c in coeffs.items())
@@ -276,8 +274,8 @@ def bijection_cases(n: int | None = None) -> list[Case]:
     cases = []
     for rank in ranks:
         for size in range(max_size + 1):
-            for strip in strips.enumerate_border_strips(rank, size, reduced=True):
-                rows = list(strip.rows)
+            for cols in strips.enumerate_border_strips(rank, size, reduced=True):
+                rows = list(strips.transpose(cols))
                 cases.append(Case(f"roundtrip[n={rank},rows={rows}]",
                                   {"n": rank, "rows": rows}, _round_trips))
                 cases.append(Case(f"energy-forms[n={rank},rows={rows}]",
@@ -293,8 +291,8 @@ def bijection_cases(n: int | None = None) -> list[Case]:
 
 def _round_trips(n, rows):
     from . import strips
-    strip = strips.BorderStrip.from_rows(rows, n)
-    seq = strips.strip_to_rapidity(strip)
+    strip = strips.from_rows(rows, n)
+    seq = strips.strip_to_rapidity(strip, n)
     if strips.rapidity_to_strip(seq) != strip:
         return "strip->rapidity->strip failed"
     motif = strips.rapidity_to_motif(seq)
@@ -308,7 +306,7 @@ def _round_trips(n, rows):
 def _energy_forms(n, rows):
     """`strips.energy` raises if a reduced strip's two energy forms differ."""
     from . import strips
-    strips.energy(strips.BorderStrip.from_rows(rows, n))
+    strips.energy(strips.from_rows(rows, n), n)
     return None
 
 
@@ -508,9 +506,9 @@ def _hw_case(lam, N):
     except AssertionError as exc:
         return str(exc)
     lifted = sl2_hw_character(lam, N)
-    for _ in range((strip.size() - N) // 2):
+    for _ in range((sum(strip) - N) // 2):
         lifted = lifted * symfunc.elementary(2, 2)
-    if symfunc.schur_skew(strip.shape, 2) != lifted:
+    if symfunc.schur_skew(strips.shape(strip), 2) != lifted:
         return f"strip character mismatch for ({lam}, {N})"
     return None
 

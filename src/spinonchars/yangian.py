@@ -51,7 +51,7 @@ def yangian_decomposition(n: int, k: int, qmax: int) -> dict:
       prefix kept has a completion within e2_max.
 
     Schur values.  Let c_1..c_s be a strip's column heights, left to right.
-    In canonical position (`strips.BorderStrip.shape`) the strip fills
+    In canonical position (`strips.shape`) the strip fills
     columns 1..s, and the top box of column i shares its row with the bottom
     box of column i + 1, so mu'_i = lam'_{i+1} - 1 and
     c_i = lam'_i - lam'_{i+1} + 1.  So the dual Jacobi-Trudi matrix

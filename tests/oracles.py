@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinonchars.affine import conformal_dimension, dominant_weight
 from spinonchars.partitions import conjugate, padded
-from spinonchars.strips import BorderStrip, energy
+from spinonchars.strips import energy, from_rows, shape, strip
 from spinonchars.symfunc import (
     SymPoly,
     _sum_of_products,
@@ -25,7 +25,7 @@ from spinonchars.verify import weight_rows
 
 def reduced_strips(n: int, k: int, e2_max: int):
     """Yield (strip, e2) for every reduced rank-n strip of class k (size
-    congruent to k mod n) with e2 = 2n * energy(strip) <= e2_max.
+    congruent to k mod n) with e2 = 2n * energy(strip, n) <= e2_max.
 
     Columns are appended left to right.  In the column form of `energy` a
     column's weight is the number of columns to its left, so appending a
@@ -41,13 +41,13 @@ def reduced_strips(n: int, k: int, e2_max: int):
     while stack:
         cols, m, e2 = stack.pop()
         if m % n == k:
-            strip = BorderStrip(cols[::-1], n)
-            if energy(strip) * (2 * n) != e2:
+            right_to_left = cols[::-1]
+            if energy(right_to_left, n) * (2 * n) != e2:
                 raise AssertionError(
-                    f"energy increment identity fails on {strip}: "
-                    f"2n*E = {energy(strip) * (2 * n)} != {e2}"
+                    f"energy increment identity fails on {right_to_left} at n={n}: "
+                    f"2n*E = {energy(right_to_left, n) * (2 * n)} != {e2}"
                 )
-            yield strip, e2
+            yield right_to_left, e2
         s = len(cols)
         for b in range(1, n + 1 if s else n):
             grown = e2 + b * (2 * (n * s - m) + n - b)
@@ -95,7 +95,7 @@ def sl2_strip_product(rows) -> SymPoly:
     if not rows:
         return SymPoly.one(2)
     if len(rows) == 1:
-        return schur_skew(BorderStrip.from_rows(rows, 2).shape, 2, "jt_h")
+        return schur_skew(shape(from_rows(rows, 2)), 2, "jt_h")
     if rows[0] < 1 or rows[-1] < 1 or any(a < 2 for a in rows[1:-1]):
         raise ValueError(f"invalid n=2 strip rows {rows}")
     poly = SymPoly.one(2)
@@ -109,10 +109,9 @@ def sl2_strip_product(rows) -> SymPoly:
 def stabilization_check(cols, n: int) -> bool:
     """True iff appending a full column of height n leaves the weight-projected
     Schur polynomial, in n variables, unchanged."""
-    base = BorderStrip(cols, n)
-    extended = BorderStrip(base.cols + (n,), n)
-    p1 = schur_skew(base.shape, n, "jt_h")
-    p2 = schur_skew(extended.shape, n, "jt_h")
+    base = strip(cols, n)
+    p1 = schur_skew(shape(base), n, "jt_h")
+    p2 = schur_skew(shape(base + (n,)), n, "jt_h")
     return weight_projection(p1) == weight_projection(p2)
 
 

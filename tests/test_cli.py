@@ -464,12 +464,18 @@ _PAST_CEILING = "the {} payload gives a strip of more than {} boxes, the most a 
     ("rapidity", '{"k": 0, "prefix": [], "stab": 1000000000}'),
     ("sl2-partition", '{"lam": [1000000000], "N": 1}'),
     ("sl2-partition", '{"lam": [], "N": 3000000}'),
+    pytest.param("motif", "0" * 100001 + "|", id="motif-100001-bits"),
+    pytest.param("modes", json.dumps([*range(100001)]), id="modes-100001-long"),
 ])
 def test_bijection_refuses_a_strip_past_the_ceiling_at_once(capsys, src, payload):
-    """A short payload whose numbers give a strip of more than the ceiling's
+    """A payload whose numbers give a strip of more than the ceiling's
     10^5 boxes is refused on one short line within 50 ms,
-    before a list as long as the strip is built (the last payload took
-    3.8 s and 271 MB without the ceiling)."""
+    before a list as long as the strip is built (the fifth payload took
+    3.8 s and 271 MB without the ceiling).  A motif is measured by its bits
+    and a mode list by its length, so the motif of 100 001 zero bits and the
+    modes 0..100 000, each a strip of 100 001 boxes at n = 2, are refused
+    (2 000 000 of either took 3.4 s and 216 MB when only a rapidity, strip
+    or sl2-partition payload was measured)."""
     assert cli.CEILINGS["bijection"]["boxes"] == 100000
     for dst in ("strip", "motif", "rapidity"):
         started = time.perf_counter()
@@ -483,14 +489,17 @@ def test_bijection_refuses_a_strip_past_the_ceiling_at_once(capsys, src, payload
 
 def test_bijection_ceiling_counts_each_payload_from_its_numbers(capsys, monkeypatch):
     """A strip payload is measured by the sum of its rows, a rapidity payload
-    by `stab` and an sl2-partition by N + 2 lambda_1, its strip's boxes; a
-    payload at the ceiling is answered, and one box more is refused."""
+    by `stab`, a motif by its bits, a mode list by its length and an
+    sl2-partition by N + 2 lambda_1, its strip's boxes; a payload at the
+    ceiling is answered, and one box more is refused."""
     monkeypatch.setitem(cli.CEILINGS["bijection"], "boxes", 10)
     for src, at, past in (
         ("strip", "[4, 6]", "[5, 0, 6]"),
         ("rapidity", '{"k": 0, "prefix": [], "stab": 10}',
          '{"k": 0, "prefix": [], "stab": 11}'),
         ("sl2-partition", '{"lam": [4, 1], "N": 2}', '{"lam": [4, 1], "N": 3}'),
+        ("motif", "0" * 10 + "|", "0" * 11 + "|"),
+        ("modes", json.dumps([*range(10)]), json.dumps([*range(11)])),
     ):
         code, out, _ = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
                                "--n", "2", "--payload", at)

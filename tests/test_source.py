@@ -7,7 +7,7 @@ from pathlib import Path
 from spinonchars import qseries
 from spinonchars.cli import CHAR_KINDS, _build_table
 from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
-from spinonchars.strips import BorderStrip
+from spinonchars import strips
 from spinonchars.symfunc import gz_schemes, ribbon_expansion
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinonchars"
@@ -300,11 +300,41 @@ def test_a_partition_is_a_tuple():
         "conjugate": [conjugate((3, 1)), conjugate(())],
         "partitions_of": list(partitions_of(5)) + list(partitions_of(0)),
         "horizontal_strips": [rho for rho, _ in horizontal_strips((2, 1, 0), (3, 2, 1))],
-        "BorderStrip.shape": [part for cols in ((2, 1, 3), (1,), ())
-                              for part in BorderStrip(cols, 3).shape],
+        "strips.shape": [part for cols in ((2, 1, 3), (1,), ())
+                         for part in strips.shape(cols)],
         "ribbon_expansion": [nu for rows in ((1, 2, 1), (3,), ())
                              for nu in ribbon_expansion(rows)],
         "gz_schemes": [row for scheme in gz_schemes([3, 1], [1], 3, 1) for row in scheme],
+    }
+    for name, values in given.items():
+        assert values, name
+        assert all(_tuple_of_ints(value) for value in values), (name, values)
+
+
+def test_a_border_strip_is_a_tuple():
+    """`strips.py` defines no class but `RapiditySeq`, and no module names
+    the deleted strip class: a border strip is the tuple of its column
+    heights, with its rank kept apart.  Every function that hands one out
+    gives a tuple of ints, at two ranks (`sl2_partition_to_strip`, which
+    has one, at two inputs)."""
+    tree = ast.parse((PACKAGE / "strips.py").read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["RapiditySeq"]
+    assert not [path.name for path in PACKAGE.glob("*.py")
+                if "BorderStrip" in path.read_text()]
+    given = {
+        "strip": [strips.strip([2, 1], n) for n in (2, 3)],
+        "from_rows": [strips.from_rows([1, 0, 2], n) for n in (2, 3)],
+        "transpose": [strips.transpose(cols) for cols in ((2, 1, 3), ())],
+        "reduce": [strips.reduce((1, n), n) for n in (2, 3)],
+        "enumerate_border_strips": [cols for n in (2, 3)
+                                    for cols in strips.enumerate_border_strips(n, 4, False)],
+        "rapidity_to_strip": [strips.rapidity_to_strip(strips.RapiditySeq(n, 0, [2], 3))
+                              for n in (2, 3)],
+        "motif_to_strip": [strips.motif_to_strip("0010|", n) for n in (2, 3)],
+        "modes_to_strip": [strips.modes_to_strip([0, 0, 1, 2], n) for n in (2, 3)],
+        "sl2_partition_to_strip": [strips.sl2_partition_to_strip(lam, 3)
+                                   for lam in ((2, 1), ())],
     }
     for name, values in given.items():
         assert values, name

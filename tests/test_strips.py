@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 
 from spinonchars.partitions import conjugate, padded, partitions_of
 from spinonchars.strips import (
-    BorderStrip,
     RapiditySeq,
     discover_rapidity_convention,
     energy,
     enumerate_border_strips,
+    from_rows,
+    is_reduced,
     modes_to_strip,
     motif_to_rapidity,
     motif_to_strip,
     rapidity_to_motif,
     rapidity_to_strip,
+    reduce,
+    shape,
     sl2_partition_to_strip,
+    strip,
     strip_to_rapidity,
+    transpose,
     vacuum_rapidities,
 )
 from oracles import reduced_strips
@@ -32,10 +37,10 @@ from oracles import reduced_strips
 def test_strip_rows_and_cols_example():
     """Column heights [2,1] right-to-left are the ribbon (2,2)/(1), with row
     lengths <1,2>."""
-    strip = BorderStrip((2, 1), 3)
-    assert strip.rows == (1, 2)
-    assert strip.cols == (2, 1)
-    assert strip.shape == ((2, 2), (1,))
+    cols = strip((2, 1), 3)
+    assert transpose(cols) == (1, 2)
+    assert cols == (2, 1)
+    assert shape(cols) == ((2, 2), (1,))
 
 
 def _compositions(total, cap):
@@ -56,8 +61,7 @@ def test_shape_is_a_canonical_ribbon_with_the_strip_rows_and_cols():
     for n in range(2, 7):
         for size in range(11):
             for cols in _compositions(size, n):
-                strip = BorderStrip(cols, n)
-                outer, inner = strip.shape
+                outer, inner = shape(strip(cols, n))
                 r = len(outer)
                 inner = padded(inner, r)
                 rows = tuple(a - b for a, b in zip(outer, inner))
@@ -70,24 +74,24 @@ def test_shape_is_a_canonical_ribbon_with_the_strip_rows_and_cols():
                 oc = conjugate(outer)
                 ic = padded(conjugate(inner), len(oc))
                 heights = tuple(a - b for a, b in zip(oc, ic))[::-1]
-                assert rows == strip.rows, cols
-                assert heights == strip.cols, cols
-                assert BorderStrip.from_rows(rows, n) == strip, cols
+                assert rows == transpose(cols), cols
+                assert heights == cols, cols
+                assert from_rows(rows, n) == cols, cols
 
 
 def test_column_height_capped_by_rank():
-    BorderStrip((3,), 3)  # height 3 allowed at rank 3
+    strip((3,), 3)  # height 3 allowed at rank 3
     with pytest.raises(ValueError, match="height"):
-        BorderStrip((3,), 2)
+        strip((3,), 2)
     with pytest.raises(ValueError, match="height"):
-        BorderStrip((1, 0), 2)
+        strip((1, 0), 2)
 
 
 def test_from_rows_round_trip():
     for rows in ([3], [1, 2], [2, 2], [1, 1, 4]):
-        strip = BorderStrip.from_rows(rows, 5)
-        assert list(strip.rows) == rows
-        assert BorderStrip(strip.cols, 5) == strip
+        cols = from_rows(rows, 5)
+        assert list(transpose(cols)) == rows
+        assert strip(cols, 5) == cols
 
 
 def test_labels_refuse_non_integer_entries():
@@ -95,10 +99,10 @@ def test_labels_refuse_non_integer_entries():
     entry instead of truncating it; a motif text is read character by
     character."""
     cases = (
-        lambda: BorderStrip.from_rows([1.5, 2], 3),
-        lambda: BorderStrip.from_rows([True, 2], 3),
-        lambda: BorderStrip((1.5,), 3),
-        lambda: BorderStrip((2, True), 3),
+        lambda: from_rows([1.5, 2], 3),
+        lambda: from_rows([True, 2], 3),
+        lambda: strip((1.5,), 3),
+        lambda: strip((2, True), 3),
         lambda: RapiditySeq(2, 0, [1.9], 2),
         lambda: RapiditySeq(2, 0, [True], 2),
     )
@@ -111,7 +115,7 @@ def test_labels_refuse_non_integer_entries():
 def test_enumeration_count_rank3_size3():
     """Three reduced rank-3 strips of size 3: <3>, <1,2>, <2,1>."""
     found = enumerate_border_strips(3, 3, reduced=True)
-    assert sorted(s.rows for s in found) == [(1, 2), (2, 1), (3,)]
+    assert sorted(transpose(cols) for cols in found) == [(1, 2), (2, 1), (3,)]
     # the full column (1,1,1) is the one non-reduced extra
     assert len(enumerate_border_strips(3, 3, reduced=False)) == 4
 
@@ -129,17 +133,17 @@ def test_enumeration_rank2_counts_are_fibonacci():
 # energy
 
 def test_energy_anchor_values():
-    assert energy(BorderStrip.from_rows([1], 2)) == Fraction(1, 4)
-    assert energy(BorderStrip.from_rows([2], 2)) == 1
-    assert energy(BorderStrip.from_rows([2, 2], 2)) == 2
-    assert energy(BorderStrip.from_rows([1, 2], 2)) == Fraction(5, 4)
+    assert energy(from_rows([1], 2), 2) == Fraction(1, 4)
+    assert energy(from_rows([2], 2), 2) == 1
+    assert energy(from_rows([2, 2], 2), 2) == 2
+    assert energy(from_rows([1, 2], 2), 2) == Fraction(5, 4)
 
 
 def test_energy_row_and_column_forms_agree():
     for n in (2, 3, 4):
         for size in range(9):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                energy(strip)  # both forms computed and asserted equal inside
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                energy(cols, n)  # both forms computed and asserted equal inside
 
 
 def test_energy_increment_identity():
@@ -147,13 +151,13 @@ def test_energy_increment_identity():
     columns and m boxes raises 2n*E by b(2(ns-m)+n-b), which is >= n+1."""
     for n in (2, 3, 4, 5):
         for size in range(1, 9):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                s, m = len(strip.cols), strip.size()
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                s, m = len(cols), sum(cols)
                 for b in range(1, n + 1):
-                    grown = BorderStrip((b,) + strip.cols, n)
-                    step = 2 * n * (energy(grown) - energy(strip))
-                    assert step == b * (2 * (n * s - m) + n - b), (strip, b)
-                    assert step >= n + 1, (strip, b)
+                    grown = strip((b,) + cols, n)
+                    step = 2 * n * (energy(grown, n) - energy(cols, n))
+                    assert step == b * (2 * (n * s - m) + n - b), (cols, b)
+                    assert step >= n + 1, (cols, b)
 
 
 @pytest.mark.parametrize("n,qmax", [(2, 6), (3, 2), (4, 1), (5, 1)])
@@ -166,23 +170,23 @@ def test_reduced_strips_is_exact(n, qmax):
         max_size = (n - 1) + n * (e2_max // (n + 1))
         bound = Fraction(e2_max, 2 * n)
         expected = {
-            strip
+            cols
             for size in range(k, max_size + 1, n)
-            for strip in enumerate_border_strips(n, size, reduced=True)
-            if energy(strip) <= bound
+            for cols in enumerate_border_strips(n, size, reduced=True)
+            if energy(cols, n) <= bound
         }
         found = list(reduced_strips(n, k, e2_max))
-        assert len(found) == len({strip for strip, _ in found})
-        assert {strip for strip, _ in found} == expected, (n, k)
-        assert all(e2 == 2 * n * energy(strip) for strip, e2 in found)
+        assert len(found) == len({cols for cols, _ in found})
+        assert {cols for cols, _ in found} == expected, (n, k)
+        assert all(e2 == 2 * n * energy(cols, n) for cols, e2 in found)
 
 
 # ---------------------------------------------------------------------------
 # rapidities and motifs
 
 def test_vacuum_rapidity_maps_to_minimal_strip():
-    assert rapidity_to_strip(vacuum_rapidities(2, 0)).size() == 0
-    assert rapidity_to_strip(vacuum_rapidities(3, 2)).rows == (1, 1)
+    assert sum(rapidity_to_strip(vacuum_rapidities(2, 0))) == 0
+    assert transpose(rapidity_to_strip(vacuum_rapidities(3, 2))) == (1, 1)
 
 
 def test_rapidity_class_must_be_in_range():
@@ -211,32 +215,32 @@ def test_no_n_consecutive_rapidities():
 def test_strip_rapidity_round_trip_census():
     for n in (2, 3):
         for size in range(8):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                seq = strip_to_rapidity(strip)
-                assert rapidity_to_strip(seq) == strip, (n, strip)
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                seq = strip_to_rapidity(cols, n)
+                assert rapidity_to_strip(seq) == cols, (n, cols)
 
 
 def test_rapidity_motif_round_trip_census():
     for n in (2, 3):
         for size in range(8):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                seq = strip_to_rapidity(strip)
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                seq = strip_to_rapidity(cols, n)
                 motif = rapidity_to_motif(seq)
-                assert motif_to_rapidity(motif, n) == seq, (n, strip)
+                assert motif_to_rapidity(motif, n) == seq, (n, cols)
 
 
 def test_motif_square_construction_matches_rapidity_route():
     for n in (2, 3):
         for size in range(8):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                motif = rapidity_to_motif(strip_to_rapidity(strip))
-                assert motif_to_strip(motif, n) == strip, (n, strip)
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                motif = rapidity_to_motif(strip_to_rapidity(cols, n))
+                assert motif_to_strip(motif, n) == cols, (n, cols)
 
 
 def test_motif_examples_pinned():
-    assert motif_to_strip("|", 2).size() == 0
-    assert motif_to_strip("10|", 2).size() == 0
-    assert motif_to_strip("0|", 2).rows == (1,)
+    assert sum(motif_to_strip("|", 2)) == 0
+    assert sum(motif_to_strip("10|", 2)) == 0
+    assert transpose(motif_to_strip("0|", 2)) == (1,)
     # a trailing tail block: "10|" and "|" are one sequence, written as "|"
     assert motif_to_rapidity("10|", 2) == motif_to_rapidity("|", 2) == vacuum_rapidities(2, 0)
     assert rapidity_to_motif(motif_to_rapidity("10|", 2)) == "|"
@@ -274,8 +278,8 @@ def test_every_short_motif_text():
 # mode sequences and sl2 partitions
 
 def test_modes_examples():
-    assert modes_to_strip([0, 0, 1], 3).size() == 3
-    assert modes_to_strip([0, 1, 2], 3).rows == (3,)
+    assert sum(modes_to_strip([0, 0, 1], 3)) == 3
+    assert transpose(modes_to_strip([0, 1, 2], 3)) == (3,)
 
 
 def test_modes_gap_rejected():
@@ -301,15 +305,15 @@ def test_modes_postconditions_census():
 
     for n in (2, 3):
         for modes in admissible(n, 6, 4):
-            strip = modes_to_strip(modes, n)  # postconditions asserted inside
-            assert strip.size() == len(modes)
+            cols = modes_to_strip(modes, n)  # postconditions asserted inside
+            assert sum(cols) == len(modes)
 
 
 def test_sl2_partition_strip_examples():
-    assert sl2_partition_to_strip([], 3).rows == (3,)
-    strip = sl2_partition_to_strip((2, 1), 3)
-    assert strip.rows == (2, 3, 2)
-    assert energy(strip) == Fraction(3 * 3, 4) + 3
+    assert transpose(sl2_partition_to_strip([], 3)) == (3,)
+    cols = sl2_partition_to_strip((2, 1), 3)
+    assert transpose(cols) == (2, 3, 2)
+    assert energy(cols, 2) == Fraction(3 * 3, 4) + 3
 
 
 def test_sl2_partition_strip_census_identities():
@@ -340,12 +344,12 @@ def test_convention_harness_report_shape():
 )
 def test_random_row_lists_reduce_to_reduced_strips(n, rows):
     try:
-        strip = BorderStrip.from_rows(rows, n)
+        cols = from_rows(rows, n)
     except ValueError:
         return  # some column grew beyond the rank: correctly rejected
-    reduced = strip.reduce()
-    assert reduced.is_reduced()
-    assert reduced.size() % n == strip.size() % n
+    reduced = reduce(cols, n)
+    assert is_reduced(reduced, n)
+    assert sum(reduced) % n == sum(cols) % n
 
 
 @st.composite
@@ -368,23 +372,23 @@ def test_strip_rapidity_and_motif_round_trips(case):
     with a padded stabilization index, or with extra vacuum blocks, store
     the canonical fields and map back to the strip."""
     n, cols = case
-    strip = BorderStrip(cols, n).reduce()
-    energy(strip)  # row and column forms asserted equal inside
-    seq = strip_to_rapidity(strip)
-    assert rapidity_to_strip(seq) == strip
+    cols = reduce(strip(cols, n), n)
+    energy(cols, n)  # row and column forms asserted equal inside
+    seq = strip_to_rapidity(cols, n)
+    assert rapidity_to_strip(seq) == cols
     motif = rapidity_to_motif(seq)
-    assert motif_to_strip(motif, n) == strip
+    assert motif_to_strip(motif, n) == cols
     for pad in (0, 1, n, 2 * n + 1):
         stab = seq.stab + pad
         tail = [x for x in range(seq.stab + 1, stab + 1) if x % n != seq.k]
         padded = RapiditySeq(n, seq.k, seq.prefix + tuple(tail), stab)
         assert (padded.prefix, padded.stab) == (seq.prefix, seq.stab)
-        assert rapidity_to_strip(padded) == strip
+        assert rapidity_to_strip(padded) == cols
     for extra in (1, 2):
         padded = motif[:-1] + ("1" * (n - 1) + "0") * extra + "|"
         assert motif_to_rapidity(padded, n) == seq
         assert rapidity_to_motif(motif_to_rapidity(padded, n)) == motif
-        assert motif_to_strip(padded, n) == strip
+        assert motif_to_strip(padded, n) == cols
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,9 +400,9 @@ def test_modes_to_strip_reads_runs_as_columns(case):
     if not runs:
         return
     modes = [v for v, run in enumerate(runs) for _ in range(run)]
-    strip = modes_to_strip(modes, n)  # postcondition asserted inside
-    assert strip.size() == len(modes)
-    outer, inner = strip.shape
+    cols = modes_to_strip(modes, n)  # postcondition asserted inside
+    assert sum(cols) == len(modes)
+    outer, inner = shape(cols)
     oc = conjugate(outer)
     ic = padded(conjugate(inner), len(oc))
     assert [a - b for a, b in zip(oc, ic)] == runs

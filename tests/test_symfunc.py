@@ -16,7 +16,7 @@ from spinonchars.affine import (
     verify_spinon_cut,
 )
 from spinonchars.partitions import all_partitions_upto, conjugate, partitions_of
-from spinonchars.strips import BorderStrip, enumerate_border_strips
+from spinonchars.strips import enumerate_border_strips, shape, transpose
 from spinonchars.symfunc import (
     SymPoly,
     _descent_table,
@@ -200,10 +200,10 @@ def test_ribbon_expansion_passes_the_dominant_monomial_check():
     """Ranks 2-4 at size <= 7, in both orientations of the rows."""
     for n in (2, 3, 4):
         for size in range(8):
-            for strip in enumerate_border_strips(n, size, reduced=False):
-                coeffs = ribbon_expansion(strip.rows)
-                assert ribbon_expansion(strip.rows[::-1]) == coeffs, strip
-                assert _ribbon_locus(strip, coeffs) is None, strip
+            for cols in enumerate_border_strips(n, size, reduced=False):
+                coeffs = ribbon_expansion(transpose(cols))
+                assert ribbon_expansion(transpose(cols)[::-1]) == coeffs, cols
+                assert _ribbon_locus(cols, coeffs) is None, cols
 
 
 def test_ribbon_locus_catches_every_single_coefficient_error():
@@ -211,14 +211,14 @@ def test_ribbon_locus_catches_every_single_coefficient_error():
     wrong size added: each gives a locus."""
     for n in (2, 3):
         for size in range(7):
-            for strip in enumerate_border_strips(n, size, reduced=False):
-                coeffs = ribbon_expansion(strip.rows)
+            for cols in enumerate_border_strips(n, size, reduced=False):
+                coeffs = ribbon_expansion(transpose(cols))
                 wrong = [{**coeffs, nu: coeffs[nu] + d} for nu in coeffs for d in (1, -1)]
                 wrong += [{**coeffs, nu: 1}
                           for nu in partitions_of(size) if nu not in coeffs]
                 wrong.append({**coeffs, (size + 1,): 1})  # wrong size
                 for bad in wrong:
-                    assert _ribbon_locus(strip, bad) is not None, (strip, bad)
+                    assert _ribbon_locus(cols, bad) is not None, (cols, bad)
 
 
 def test_skew_kostka_is_the_monomial_coefficient():
@@ -266,8 +266,8 @@ def test_schur_helpers_leave_no_cyclic_garbage():
         "schur_skew sst": lambda: schur_skew(shape, 3, "sst"),
         "ribbon_expansion": lambda: ribbon_expansion([3, 2, 4]),
         "skew_kostka": lambda: skew_kostka((4, 3, 1), (2,), (2, 2, 2)),
-        "_ribbon_locus": lambda s=BorderStrip((2, 1, 3), 3): _ribbon_locus(
-            s, ribbon_expansion(s.rows)),
+        "_ribbon_locus": lambda cols=(2, 1, 3): _ribbon_locus(
+            cols, ribbon_expansion(transpose(cols))),
         "partitions_of": lambda: list(partitions_of(8)),
         "enumerate_border_strips": lambda: enumerate_border_strips(3, 5, True),
         "gz_schemes": lambda: gz_schemes((3, 2, 1), (1,), 3, 2),
@@ -303,13 +303,13 @@ def test_schur_helpers_leave_no_cyclic_garbage():
 def test_sl2_strip_product_matches_schur_up_to_e2_powers():
     e2 = elementary(2, 2)
     for size in range(8):
-        for strip in enumerate_border_strips(2, size, reduced=True):
-            prod = sl2_strip_product(strip.rows)
+        for cols in enumerate_border_strips(2, size, reduced=True):
+            prod = sl2_strip_product(transpose(cols))
             lifted = prod
-            r = len(strip.rows)
+            r = len(transpose(cols))
             for _ in range(r - 1):
                 lifted = lifted * e2
-            assert lifted == schur_skew(strip.shape, 2), strip
+            assert lifted == schur_skew(shape(cols), 2), cols
 
 
 def test_complete_h_rewrite_with_e2_factor():
@@ -324,8 +324,8 @@ def test_complete_h_rewrite_with_e2_factor():
 def test_stabilization_adding_full_column_preserves_weights():
     for n in (2, 3):
         for size in range(6):
-            for strip in enumerate_border_strips(n, size, reduced=True):
-                assert stabilization_check(list(strip.cols), n), strip
+            for cols in enumerate_border_strips(n, size, reduced=True):
+                assert stabilization_check(list(cols), n), cols
 
 
 def test_rogers_szego_at_q_one_is_multinomial_expansion():

@@ -46,13 +46,13 @@ def test_gz_case_gates_n_with_the_memo_warm(outer, inner, n, N):
 def test_lr_case_gates_the_rank_with_the_memo_warm(rows):
     """A memo warmed by the default `schur` suite holds the rows' check from
     rank 3, and at rank 2, whose column bound the rows break, the case
-    still raises the error `BorderStrip.from_rows` raises there."""
+    still raises the error `strips.from_rows` raises there."""
     verify.run_cases("schur", verify.build_suite("schur"))
     before = verify._lr_check.cache_info()
     assert verify._lr(3, rows) is None
     assert verify._lr_check.cache_info().hits == before.hits + 1
     with pytest.raises(ValueError) as expected:
-        strips.BorderStrip.from_rows(rows, 2)
+        strips.from_rows(rows, 2)
     with pytest.raises(ValueError) as got:
         verify._lr(2, rows)
     assert str(got.value) == str(expected.value)

@@ -10,9 +10,9 @@ of each run's stdout.  The file holds, per workload and trace mode,
 commit, the core count and the Python version.
 
 It also times the Yangian route over the rank in process (`rank_sweep`):
-`yangian_decomposition(n, k, 3)` for k = 0, 1 at n = 4, 8, ..., 128 and 200,
-each the best of three runs with the `_times_e` memo cleared, and the
-least-squares slope of log(seconds) against log(n) for each k: a route
+`yangian_decomposition(n, k, 3)` for k = 0, 1 and n // 2 at n = 4, 8, ...,
+128 and 200, each the best of three runs with the `_times_e` memo cleared,
+and the least-squares slope of log(seconds) against log(n) for each k: a route
 polynomial in the rank keeps that slope bounded, and an exponential one's
 rises with n.  Likewise it times the rank-2 routes over the order
 (`order_sweep`): `yangian.sl2_yangian_decomposition(k, q)`,
@@ -29,6 +29,11 @@ that the import loads.  Each interpreter runs with
 `src/` without `__pycache__`, so it compiles every package module it loads,
 as the benchmark's processes do in a fresh checkout.
 
+Last it runs Tier-1 once (`tier1`), the command of ROADMAP.md with
+`--durations=10` and without pytest's cache, and records its wall time, the
+counts of its summary line (passed, failed, ...) and its ten slowest test
+phases.
+
 Exits 1 if any run fails or reports a failed operation; the file is still
 written.
 """
@@ -39,6 +44,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -52,8 +58,12 @@ WORKLOADS = ("char-yangian", "series-deep", "verify-all")
 SEED, SECONDS = 1, 30  # the run length BENCHMARK.json sets
 SWEEP_RANKS = (4, 8, 16, 32, 64, 128, 200)
 SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
+# the classes of the rank sweep, each a function of the rank
+RANK_SWEEP_KS = {"k=0": lambda n: 0, "k=1": lambda n: 1, "k=n//2": lambda n: n // 2}
 SWEEP_ORDERS = (10, 20, 40, 80, 160)
 STARTUP_MODULES, STARTUP_RUNS = ("spinonchars.cli", "spinonchars.verify"), 20
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=10")
 # Per-layer counters that read 0 by construction; they are recorded as they
 # read.  Other zeros are layers a workload does not run.
 ZERO_BY_CONSTRUCTION = (
@@ -136,14 +146,15 @@ def rank_sweep() -> dict:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from spinonchars import yangian
     points, slopes = [], {}
-    for k in SWEEP_KS:
+    for label, k_of in RANK_SWEEP_KS.items():
         times = []
         for n in SWEEP_RANKS:
+            k = k_of(n)
             best = best_seconds(lambda: yangian.yangian_decomposition(n, k, SWEEP_QMAX),
                                 (yangian._times_e,))
             times.append(best)
             points.append({"n": n, "k": k, "qmax": SWEEP_QMAX, "seconds": round(best, 6)})
-        slopes[f"k={k}"] = log_log_slope(SWEEP_RANKS, times)
+        slopes[label] = log_log_slope(SWEEP_RANKS, times)
     return {"route": "yangian.yangian_decomposition, in process, best of "
                      f"{SWEEP_REPEATS} with a cold _times_e memo",
             "points": points, "log_log_slope_in_n": slopes}
@@ -206,6 +217,25 @@ def startup() -> dict:
     return record
 
 
+def tier1() -> dict:
+    """One Tier-1 run in a subprocess: its wall time, the counts of its
+    summary line, and its ten slowest test phases as pytest prints them."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], capture_output=True, text=True,
+                          cwd=ROOT, env=env)
+    wall = time.perf_counter() - started
+    lines = proc.stdout.splitlines()
+    counts = {word: int(count) for count, word in
+              re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]} for m in
+               (re.match(r"([0-9.]+)s (call|setup|teardown) +(\S.*)$", line) for line in lines)
+               if m]
+    return {"command": f"PYTHONPATH=src python {' '.join(TIER1)}", "exit": proc.returncode,
+            "wall_s": round(wall, 3), "counts": counts, "slowest": slowest}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True)
@@ -228,12 +258,14 @@ def main(argv=None) -> int:
         "rank_sweep": rank_sweep(),
         "order_sweep": order_sweep(),
         "startup": startup(),
+        "tier1": tier1(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    ok = all(r["exit"] == 0 and r["failed"] == 0 for r in runs.values())
+    ok = (all(r["exit"] == 0 and r["failed"] == 0 for r in runs.values())
+          and doc["tier1"]["exit"] == 0)
     return 0 if ok else 1
 
 
