@@ -213,12 +213,18 @@ def _int(x) -> int:
 
 
 def _parse_payload(kind: str, payload: str, n: int):
-    from .strips import RapiditySeq, from_rows, motif_to_rapidity
+    from .strips import from_rows, motif, rapidity
     try:
         if kind == "motif":
             _check_boxes(kind, len(payload) - 1)
-            motif_to_rapidity(payload, n)
-            return payload
+            return motif(payload, n)
+        # a payload within the box ceiling holds at most `boxes` numbers that
+        # count, each at most `boxes` (8 characters with a separator at 10^5):
+        # twice that, and 64 for the keys and brackets, bound its length
+        most = 64 + 16 * CEILINGS["bijection"]["boxes"]
+        if len(payload) > most:
+            raise UsageError(f"the {kind} payload has more than {most} characters, "
+                             "the most a bijection reads")
         data = json.loads(payload)
         if isinstance(data, dict) and _int(data.get("n", n)) != n:
             raise UsageError(f"the payload has n={_brief(str(data['n']), 20)}, but --n is {n}")
@@ -229,7 +235,7 @@ def _parse_payload(kind: str, payload: str, n: int):
         if kind == "rapidity":
             k, stab = _int(data["k"]), _int(data["stab"])
             _check_boxes(kind, stab)
-            return RapiditySeq(n, k, data["prefix"], stab)
+            return rapidity(n, k, data["prefix"], stab)
         if kind == "modes":
             modes = [_int(x) for x in data]
             _check_boxes(kind, len(modes))
@@ -259,10 +265,8 @@ def _to_strip(kind: str, obj, n: int):
     from . import strips
     if kind == "strip":
         return obj
-    if kind == "motif":
+    if kind in ("motif", "rapidity"):  # both are the text of a sequence
         return strips.motif_to_strip(obj, n)
-    if kind == "rapidity":
-        return strips.rapidity_to_strip(obj)
     if kind == "modes":
         return strips.modes_to_strip(obj, n)
     return strips.sl2_partition_to_strip(*obj)  # sl2-partition: (lambda, N)
@@ -272,9 +276,9 @@ def _render_object(kind: str, obj, n: int) -> object:
     from . import strips
     if kind == "strip":
         return strips.to_dict(obj, n)
-    if kind == "motif":
-        return obj
-    return {"n": obj.n, "k": obj.k, "prefix": list(obj.prefix), "stab": obj.stab}
+    if kind == "rapidity":
+        return strips.to_record(obj, n)
+    return obj  # a motif
 
 
 def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
@@ -285,12 +289,8 @@ def _bijection(src: str, dst: str, payload: str, n: int) -> dict:
     try:
         strip = _to_strip(src, obj, n)
         reduced = strips.reduce(strip, n)
-        if dst == "strip":
-            image = strip
-        elif dst == "rapidity":
-            image = strips.strip_to_rapidity(reduced, n)
-        else:
-            image = strips.rapidity_to_motif(strips.strip_to_rapidity(reduced, n))
+        # a motif and a rapidity sequence are one text, printed two ways
+        image = strip if dst == "strip" else strips.strip_to_rapidity(reduced, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     e = strips.energy(reduced, n)

@@ -16,11 +16,12 @@ valid ones.
   * "reduced" means the leftmost column is shorter than n;
   * stabilization appends full columns of height n at the lower-left end.
 
-A motif is the text of a rapidity sequence, such as "0110|": its explicit
-bits, then '|' for (1^{n-1}, 0) repeating.  Its 1-positions are the
-sequence's members and that tail is the class-k vacuum, so it is read into a
-`RapiditySeq` (`motif_to_rapidity`) and written back from one
-(`rapidity_to_motif`), and no motif class is kept.
+A rapidity sequence, strictly increasing positive integers that are past
+some index the class-k vacuum (every x with x % n != k), is the text of its
+shortest motif, such as "0110|": bits whose 1-positions are its members,
+then '|' for the vacuum, (1^{n-1}, 0) repeating.  As for a strip, the rank
+is kept beside it, and k = (len(text) - 1) % n.  `rapidity` and `motif`
+check one from outside, and `to_record` gives its canonical fields.
 """
 from __future__ import annotations
 
@@ -146,127 +147,113 @@ def energy(cols, n: int) -> Fraction:
     return Fraction(row_form, 2 * n)
 
 
-class RapiditySeq:
-    """Semi-infinite strictly increasing positive integers, stabilized.
-
-    Members are: the explicit prefix (all <= stab), plus every integer x > stab
-    with x % n != k (the class-k vacuum pattern, 0 <= k < n; any other k raises
-    ValueError).  Only the canonical form is stored: `stab` is the smallest
-    index describing the sequence (0, or a position where the sequence breaks
-    the vacuum pattern) and the prefix keeps the members up to it, so equal
-    sequences have equal fields.
-    """
-
-    __slots__ = ("n", "k", "prefix", "stab")
-
-    def __init__(self, n: int, k: int, prefix, stab: int):
-        if n < 2:
-            raise ValueError("rank must be >= 2")
-        prefix = _require_ints(prefix, "rapidities")
-        for i in range(1, len(prefix)):
-            if prefix[i] <= prefix[i - 1]:
-                raise ValueError(f"prefix must be strictly increasing: {_shown(prefix, i)}")
-        if prefix and prefix[0] < 1:
-            raise ValueError("rapidities must be positive")
-        if prefix and prefix[-1] > stab:
-            raise ValueError("prefix entries must not exceed the stabilization index")
-        if stab < 0:
-            raise ValueError("stabilization index must be >= 0")
-        if not 0 <= k < n:
-            raise ValueError(f"class k must satisfy 0 <= k < n, got k={k}, n={n}")
-        members = set(prefix)
-        while stab > 0 and (stab in members) == (stab % n != k):
-            stab -= 1
-        self.n = n
-        self.k = k
-        self.prefix = tuple(x for x in prefix if x <= stab)
-        self.stab = stab
-        # a run ending past stab + n lies in the tail, which skips x = k mod n
-        near = self.members_upto(stab + n)
-        for low, x in zip(near, near[n - 1:]):
-            if x - low == n - 1:
-                raise ValueError(f"{n} consecutive rapidities ending at {x}")
-
-    def members_upto(self, horizon: int) -> list[int]:
-        """The members in 1..horizon, in increasing order."""
-        tail = range(self.stab + 1, horizon + 1)
-        return [x for x in self.prefix if x <= horizon] + [
-            x for x in tail if x % self.n != self.k]
-
-    def __eq__(self, other):
-        if not isinstance(other, RapiditySeq):
-            return NotImplemented
-        return (self.n, self.k, self.prefix, self.stab) == (
-            other.n, other.k, other.prefix, other.stab)
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.prefix, self.stab))
-
-    def __repr__(self):
-        return (
-            f"RapiditySeq(n={self.n}, k={self.k}, "
-            f"prefix={list(self.prefix)}, stab={self.stab})"
-        )
+def rapidity(n: int, k: int, prefix, stab: int) -> str:
+    """The text of the rank-n sequence of class k whose members are the
+    `prefix` and every x > `stab` with x % n != k (the class-k vacuum
+    pattern), checked: the prefix strictly increasing positive ints, none
+    past `stab` >= 0, 0 <= k < n (any other k is refused, not reduced mod n),
+    and no n consecutive members."""
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    prefix = _require_ints(prefix, "rapidities")
+    for i in range(1, len(prefix)):
+        if prefix[i] <= prefix[i - 1]:
+            raise ValueError(f"prefix must be strictly increasing: {_shown(prefix, i)}")
+    if prefix and prefix[0] < 1:
+        raise ValueError("rapidities must be positive")
+    if prefix and prefix[-1] > stab:
+        raise ValueError("prefix entries must not exceed the stabilization index")
+    if stab < 0:
+        raise ValueError("stabilization index must be >= 0")
+    if not 0 <= k < n:
+        raise ValueError(f"class k must satisfy 0 <= k < n, got k={k}, n={n}")
+    ones = set(prefix)
+    return motif("".join("1" if (x in ones if x <= stab else x % n != k) else "0"
+                         for x in range(1, stab + (k - stab) % n + 1)) + "|", n)
 
 
-def vacuum_rapidities(n: int, k: int) -> RapiditySeq:
-    """The class-k vacuum: all positive integers not congruent to k mod n."""
-    return RapiditySeq(n, k, (), 0)
+def motif(text: str, n: int) -> str:
+    """The text of the rank-n sequence whose members are the 1-positions of
+    the motif `text`, of class k = (number of bits) mod n, so that past the
+    bits the tail is the vacuum: the shortest motif of the sequence, checked.
 
-
-def strip_to_rapidity(cols, n: int) -> RapiditySeq:
-    """Stabilize the rank-n strip with full columns, read rows, take partial
-    sums."""
-    if not is_reduced(cols, n):
-        raise ValueError("only reduced strips correspond to rapidity sequences")
-    total = sum(cols)
-    return RapiditySeq(n, total % n, accumulate(transpose(cols)[:-1]), total)
-
-
-def rapidity_to_strip(seq: RapiditySeq) -> tuple[int, ...]:
-    """Cut the sequence at S, the least S >= 0 with S = k (mod n), S not a
-    member, and the vacuum pattern above S; the rows are the gaps between
-    0, the members below S, and S.  Above the canonical `stab` the sequence
-    is the vacuum and at `stab` > 0 it is not, so S is k when `stab` = 0 and
-    otherwise the first index past `stab` congruent to k."""
-    cut = seq.stab + (seq.k - seq.stab - 1) % seq.n + 1 if seq.stab else seq.k
-    marks = [0, *seq.members_upto(cut - 1), cut]
-    return from_rows([b - a for a, b in zip(marks, marks[1:])], seq.n)
-
-
-def motif_to_rapidity(text: str, n: int) -> RapiditySeq:
-    """The sequence whose members are the text's 1-positions, of class k =
-    (number of bits) mod n, so that past the bits the tail is the vacuum."""
+    Of n consecutive integers one is of class k, and past the bits that one
+    is no member; so a run of n members holds a bit position and ends at
+    most n - 1 past the bits, and the first run is the first "1" * n in the
+    bits and one tail block.  A text of length L is a motif of the sequence
+    exactly when L = k (mod n) and the vacuum tail starts by L: when
+    L >= stab, the last position that breaks the vacuum pattern, or 0.  The
+    shortest one is `text` with its trailing (1^{n-1}, 0) blocks, which
+    follow the pattern, removed, and every other one is it with blocks
+    appended: so equal sequences have equal texts."""
     if not text.endswith("|"):
         raise ValueError("motif string must end with the stabilization mark '|'")
     bits = text[:-1]
     for i, c in enumerate(bits):
         if c not in "01":  # int() would also read non-ASCII digits
             raise ValueError(f"motif bits must be the characters 0 and 1: {_shown(bits, i)}")
-    ones = [x for x, c in enumerate(bits, start=1) if c == "1"]
-    return RapiditySeq(n, len(bits) % n, ones, len(bits))
+    if n < 2:
+        raise ValueError("rank must be >= 2")
+    block = "1" * (n - 1) + "0"
+    run = (bits + block).find("1" * n)
+    if run >= 0:
+        raise ValueError(f"{n} consecutive rapidities ending at {run + n}")
+    end = len(bits)
+    while end >= n and bits.startswith(block, end - n):
+        end -= n
+    return bits[:end] + "|"
 
 
-def rapidity_to_motif(seq: RapiditySeq) -> str:
-    """The sequence's bits up to the first length >= stab of class k, then
-    '|'.  A text of length L is a motif of the sequence exactly when
-    L = k (mod n) and the vacuum tail starts by L, that is L >= stab, since
-    the canonical stab is 0 or a position that breaks the vacuum.  So the
-    text is the shortest motif of the sequence, and every other one is it
-    with (1^{n-1}, 0) blocks appended: equal sequences give equal texts."""
-    length = seq.stab + (seq.k - seq.stab) % seq.n
-    ones = set(seq.members_upto(length))
-    return "".join("1" if x in ones else "0" for x in range(1, length + 1)) + "|"
+def members_upto(text: str, n: int, horizon: int) -> list[int]:
+    """The members in 1..horizon of the rank-n sequence with text `text`,
+    in increasing order."""
+    bits = text[:-1]
+    k = len(bits) % n
+    return [x for x, c in enumerate(bits[:horizon], start=1) if c == "1"] + [
+        x for x in range(len(bits) + 1, horizon + 1) if x % n != k]
+
+
+def to_record(text: str, n: int) -> dict:
+    """The rank-n sequence with text `text` as {"n", "k", "prefix", "stab"}:
+    `stab` is the last bit position that breaks the class-k vacuum pattern,
+    or 0, and the prefix the members up to it."""
+    bits = text[:-1]
+    k = len(bits) % n
+    stab = next((x for x in range(len(bits), 0, -1)
+                 if (bits[x - 1] == "1") != (x % n != k)), 0)
+    return {"n": n, "k": k, "prefix": members_upto(text, n, stab), "stab": stab}
+
+
+def strip_to_rapidity(cols, n: int) -> str:
+    """Stabilize the rank-n strip with full columns, read rows, take partial
+    sums."""
+    if not is_reduced(cols, n):
+        raise ValueError("only reduced strips correspond to rapidity sequences")
+    total = sum(cols)
+    return rapidity(n, total % n, accumulate(transpose(cols)[:-1]), total)
+
+
+def rapidity_to_strip(text: str, n: int) -> tuple[int, ...]:
+    """Cut the rank-n sequence with the text `text` of `rapidity` or `motif`
+    at S, the least S >= 0 with S = k (mod n), S not a member, and the
+    vacuum above S; the rows are the gaps between 0, the members below S,
+    and S.  The text's length L is the least index of class k past the
+    last position that breaks the vacuum, so S = L, or L + n if L > 0 is a
+    member."""
+    length = len(text) - 1
+    cut = length + n if length and text[length - 1] == "1" else length
+    marks = [0, *members_upto(text, n, cut - 1), cut]
+    return from_rows([b - a for a, b in zip(marks, marks[1:])], n)
 
 
 def motif_to_strip(text: str, n: int) -> tuple[int, ...]:
     """Square construction: a 1-bit places the next square under (same
     column), a 0-bit to the left (a new column).
 
-    The text is checked by `motif_to_rapidity`.  The tail, and any tail
+    The text is checked by `motif`.  The tail, and any tail
     block that ends the text, builds full columns, which are deleted.
     """
-    motif_to_rapidity(text, n)
+    motif(text, n)
     walk = text[:-1] + "1" * (n - 1)  # complete the tail's column
     return reduce(tuple(len(run) + 1 for run in walk.split("0")), n)
 
@@ -327,8 +314,9 @@ def sl2_partition_to_strip(lam, n_spinons: int) -> tuple[int, ...]:
     return cols
 
 
-def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
-    """Experimental: Delta_k minus the summed deviation from the vacuum.
+def rapidity_energy(text: str, n: int, convention: str = "literal") -> Fraction:
+    """Experimental: Delta_k minus the summed deviation from the vacuum, for
+    the rank-n sequence with text `text`.
 
     convention "literal": pair the i-th entry with the i-th vacuum entry;
     raises if the tails never align (divergent pairing).
@@ -337,17 +325,17 @@ def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
     from .affine import conformal_dimension  # here, so that `strips` loads alone
     if convention not in ("literal", "tail"):
         raise ValueError(f"unknown convention {convention!r}")
-    n = seq.n
-    vac = vacuum_rapidities(n, seq.k)
-    horizon = max(seq.stab, n) + 2 * n
-    mem = seq.members_upto(horizon)
-    vmem = vac.members_upto(horizon)
+    record = to_record(text, n)
+    k = record["k"]
+    horizon = max(record["stab"], n) + 2 * n
+    mem = members_upto(text, n, horizon)
+    vmem = [x for x in range(1, horizon + 1) if x % n != k]  # the class-k vacuum
     shift = len(mem) - len(vmem)
     if convention == "literal":
         if shift != 0:
             raise ValueError(
                 f"divergent pairing: sequence has {shift:+d} entries relative "
-                f"to the class-{seq.k} vacuum below {horizon}"
+                f"to the class-{k} vacuum below {horizon}"
             )
         shift = 0
     deviation = 0
@@ -355,7 +343,7 @@ def rapidity_energy(seq: RapiditySeq, convention: str = "literal") -> Fraction:
         j = i + shift
         if 0 <= j < len(mem):
             deviation += mem[j] - vmem[i]
-    return conformal_dimension(n, seq.k) - deviation
+    return conformal_dimension(n, k) - deviation
 
 
 def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:
@@ -369,9 +357,8 @@ def discover_rapidity_convention(max_size: int = 6, ranks=(2, 3)) -> dict:
             for size in range(max_size + 1):
                 for cols in enumerate_border_strips(n, size, reduced=True):
                     expected = energy(cols, n)
-                    seq = strip_to_rapidity(cols, n)
                     try:
-                        got = rapidity_energy(seq, convention)
+                        got = rapidity_energy(strip_to_rapidity(cols, n), n, convention)
                     except ValueError as exc:
                         mismatches.append(
                             {"strip": to_dict(cols, n), "expected": str(expected),

@@ -292,13 +292,12 @@ def bijection_cases(n: int | None = None) -> list[Case]:
 def _round_trips(n, rows):
     from . import strips
     strip = strips.from_rows(rows, n)
-    seq = strips.strip_to_rapidity(strip, n)
-    if strips.rapidity_to_strip(seq) != strip:
+    text = strips.strip_to_rapidity(strip, n)
+    if strips.rapidity_to_strip(text, n) != strip:
         return "strip->rapidity->strip failed"
-    motif = strips.rapidity_to_motif(seq)
-    if strips.motif_to_rapidity(motif, n) != seq:
+    if strips.rapidity(**strips.to_record(text, n)) != text or strips.motif(text, n) != text:
         return "rapidity->motif->rapidity failed"
-    if strips.motif_to_strip(motif, n) != strip:
+    if strips.motif_to_strip(text, n) != strip:
         return "square construction disagrees with rapidity route"
     return None
 

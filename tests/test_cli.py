@@ -24,6 +24,7 @@ from spinonchars.cli import (CHAR_KINDS, COMMANDS, _build_table, _json_text,
                              _render_report, _write_table, main)
 from spinonchars.verify import weight_rows
 from oracles import hand_built, table_json_dict
+from test_strips import RAPIDITY_REFUSALS
 
 
 def run_cli(capsys, *argv):
@@ -509,6 +510,54 @@ def test_bijection_ceiling_counts_each_payload_from_its_numbers(capsys, monkeypa
                                  "--n", "2", "--payload", past)
         assert (code, out, err) == (
             2, "", f"spinonchars: error: {_PAST_CEILING.format(src, 10)}\n"), (src, past)
+
+
+_TOO_LONG = "the {} payload has more than {} characters, the most a bijection reads"
+
+
+@pytest.mark.parametrize("src,payload", [
+    ("strip", "[1]"),
+    ("rapidity", '{"k": 1, "prefix": [], "stab": 1}'),
+    ("modes", "[0]"),
+    ("sl2-partition", '{"lam": [], "N": 1}'),
+])
+def test_bijection_refuses_a_payload_past_its_length_at_once(capsys, monkeypatch, src,
+                                                            payload):
+    """A JSON payload is refused unread past 64 characters and 16 a box of
+    the ceiling, twice what the numbers of a payload within it take: one of
+    that length, padded with spaces, is answered, and one character more is
+    refused within 50 ms (16.9 MB of modes took 0.29 s to be refused by the
+    box count when the whole payload was parsed first).  Under a ceiling of
+    10 boxes that is 224 characters."""
+    for boxes in (10, 100000):
+        monkeypatch.setitem(cli.CEILINGS["bijection"], "boxes", boxes)
+        most = 64 + 16 * boxes
+        at = payload + " " * (most - len(payload))
+        code, _, err = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                               "--n", "2", "--payload", at)
+        assert (code, err) == (0, ""), (src, boxes)
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "bijection", "--from", src, "--to", "strip",
+                                 "--n", "2", "--payload", at + " ")
+        elapsed = time.perf_counter() - started
+        assert (code, out, err) == (
+            2, "", f"spinonchars: error: {_TOO_LONG.format(src, most)}\n"), (src, boxes)
+        assert elapsed < 0.05, (src, boxes, elapsed)
+
+
+@pytest.mark.parametrize("args,error,message",
+                         [case for case in RAPIDITY_REFUSALS if case[0][0] >= 2])
+def test_bijection_rapidity_payload_refusals(capsys, args, error, message):
+    """Each refusal of `strips.rapidity` reaches `bijection --from rapidity`
+    with its message, as a usage error, for every target.  (A rank below 2
+    is refused by --n before the payload is read.)"""
+    n, k, prefix, stab = args
+    payload = json.dumps({"k": k, "prefix": prefix, "stab": stab})
+    for dst in ("strip", "motif", "rapidity"):
+        code, out, err = run_cli(capsys, "bijection", "--from", "rapidity", "--to", dst,
+                                 "--n", str(n), "--payload", payload)
+        assert (code, out, err) == (2, "", f"spinonchars: error: cannot parse rapidity "
+                                           f"payload {payload!r}: {message}\n"), dst
 
 
 @pytest.mark.parametrize("src,payload", [

@@ -11,7 +11,8 @@ options of 4000 digits out of their range, the 19 MB bosonic table at
 (8, 0, 10), the `verify` reports with their case times masked, and
 `bijection`s from every source to every target, two malformed payloads
 and three whose strip would exceed the box ceiling among them, a motif
-and a mode list refused by that ceiling, and a
+and a mode list refused by that ceiling, a strip
+payload one character past the length that ceiling allows, a
 rapidity payload whose class k is out of range, the
 malformed command lines of `test_cli.MALFORMED`, and two lines spelled
 `--opt=value`.  A command is keyed by its shell text, in which an
@@ -97,6 +98,7 @@ COMMANDS = (
     _bijection("motif", "strip", 1000000, "1|"),
     _bijection("motif", "strip", 2, "0" * 100001 + "|"),
     _bijection("modes", "strip", 2, json.dumps([*range(100001)])),
+    _bijection("strip", "strip", 2, "[1]" + " " * (64 + 16 * 100000 - 2)),
     *(argv for argv, _ in MALFORMED),
     ("char", "--kind=yangian", "--n=3", "--k=1", "--qmax=2", "--format=csv"),
     ("bijection", "--from=motif", "--to=strip", "--n=2", "--payload=10|"),

@@ -10,7 +10,8 @@ from spinonchars.partitions import conjugate, horizontal_strips, partition, part
 from spinonchars import strips
 from spinonchars.symfunc import gz_schemes, ribbon_expansion
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinonchars"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spinonchars"
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -312,14 +313,13 @@ def test_a_partition_is_a_tuple():
 
 
 def test_a_border_strip_is_a_tuple():
-    """`strips.py` defines no class but `RapiditySeq`, and no module names
-    the deleted strip class: a border strip is the tuple of its column
-    heights, with its rank kept apart.  Every function that hands one out
-    gives a tuple of ints, at two ranks (`sl2_partition_to_strip`, which
-    has one, at two inputs)."""
+    """`strips.py` defines no class, and no module names the deleted strip
+    class: a border strip is the tuple of its column heights, with its rank
+    kept apart.  Every function that hands one out gives a tuple of ints,
+    at two ranks (`sl2_partition_to_strip`, which has one, at two
+    inputs)."""
     tree = ast.parse((PACKAGE / "strips.py").read_text())
-    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    assert classes == ["RapiditySeq"]
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert not [path.name for path in PACKAGE.glob("*.py")
                 if "BorderStrip" in path.read_text()]
     given = {
@@ -329,7 +329,7 @@ def test_a_border_strip_is_a_tuple():
         "reduce": [strips.reduce((1, n), n) for n in (2, 3)],
         "enumerate_border_strips": [cols for n in (2, 3)
                                     for cols in strips.enumerate_border_strips(n, 4, False)],
-        "rapidity_to_strip": [strips.rapidity_to_strip(strips.RapiditySeq(n, 0, [2], 3))
+        "rapidity_to_strip": [strips.rapidity_to_strip(strips.rapidity(n, 0, [2], 3), n)
                               for n in (2, 3)],
         "motif_to_strip": [strips.motif_to_strip("0010|", n) for n in (2, 3)],
         "modes_to_strip": [strips.modes_to_strip([0, 0, 1, 2], n) for n in (2, 3)],
@@ -339,6 +339,27 @@ def test_a_border_strip_is_a_tuple():
     for name, values in given.items():
         assert values, name
         assert all(_tuple_of_ints(value) for value in values), (name, values)
+
+
+def test_a_rapidity_sequence_is_its_motif_text():
+    """No file of the package or its tests names the deleted sequence class
+    or its helpers (the names are spelled in pieces here, so that this file
+    does not), and every function that hands out a sequence gives its text,
+    a `str` that ends in '|', at two ranks."""
+    deleted = ["Rapidity" + "Seq", "vacuum_" + "rapidities",
+               "motif_to_" + "rapidity", "rapidity_to_" + "motif"]
+    named = [(path.name, name) for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+             for name in deleted if name in path.read_text()]
+    assert not named
+    given = {
+        "strip_to_rapidity": [strips.strip_to_rapidity((2, 1), n) for n in (2, 3)],
+        "rapidity": [strips.rapidity(n, 1, [1, 3], 4) for n in (2, 3)],
+        "motif": [strips.motif("0110|", n) for n in (3, 4)],
+    }
+    for name, values in given.items():
+        assert values, name
+        assert all(type(text) is str and text.endswith("|") for text in values), (
+            name, values)
 
 
 def test_a_character_table_is_a_dict_of_tuple_rows():

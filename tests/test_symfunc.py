@@ -16,7 +16,16 @@ from spinonchars.affine import (
     verify_spinon_cut,
 )
 from spinonchars.partitions import all_partitions_upto, conjugate, partitions_of
-from spinonchars.strips import enumerate_border_strips, shape, transpose
+from spinonchars.strips import (
+    enumerate_border_strips,
+    motif,
+    rapidity,
+    rapidity_to_strip,
+    shape,
+    strip_to_rapidity,
+    to_record,
+    transpose,
+)
 from spinonchars.symfunc import (
     SymPoly,
     _descent_table,
@@ -258,7 +267,8 @@ def test_schur_helpers_leave_no_cyclic_garbage():
     builders among them, are freed by reference counting, not left for the
     collector.  The minors of both determinant routes stay in a memo for the
     life of the process, and neither filling nor reading it may create a
-    reference cycle."""
+    reference cycle.  The objects alive before the calls are frozen, so that
+    each collection walks only what a call left."""
     shape = ((4, 3, 1), (2,))
     calls = {
         "schur_skew jt_h": lambda: schur_skew(shape, 3, "jt_h"),
@@ -270,6 +280,11 @@ def test_schur_helpers_leave_no_cyclic_garbage():
             cols, ribbon_expansion(transpose(cols))),
         "partitions_of": lambda: list(partitions_of(8)),
         "enumerate_border_strips": lambda: enumerate_border_strips(3, 5, True),
+        "strip_to_rapidity": lambda: strip_to_rapidity((2, 1, 3), 4),
+        "rapidity": lambda: rapidity(3, 1, [1, 3, 4], 7),
+        "motif": lambda: motif("0110110110|", 3),
+        "to_record": lambda: to_record("0110|", 4),
+        "rapidity_to_strip": lambda: rapidity_to_strip("0110|", 4),
         "gz_schemes": lambda: gz_schemes((3, 2, 1), (1,), 3, 2),
         "rogers_szego": lambda: rogers_szego(3, 3, 4),
         "rs_generating_check": lambda: rs_generating_check(3, 3, 4),
@@ -290,12 +305,15 @@ def test_schur_helpers_leave_no_cyclic_garbage():
     }
     was_enabled = gc.isenabled()
     gc.disable()  # an automatic collection would hide a cycle
+    gc.collect()
+    gc.freeze()
     try:
         for name, call in calls.items():
             gc.collect()
             call()
             assert gc.collect() == 0, name
     finally:
+        gc.unfreeze()
         if was_enabled:
             gc.enable()
 
