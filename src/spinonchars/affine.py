@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, count
-from operator import add, mul, sub
+from itertools import accumulate, count, groupby, repeat
+from operator import add, itemgetter, mul, sub
 
 from .partitions import partition_counts
 from .qseries import inv_pochhammer_product
@@ -157,34 +157,31 @@ def _steps(values: tuple[int, ...], rests: dict) -> list[tuple[int, list]]:
     return steps
 
 
-def _expand(orbits: dict, levels) -> tuple[list, list]:
-    """(pieces, values): for every weight of the orbit of each (dominant
-    weight, value) pair of `orbits`, its piece laid out by `levels` (see
-    `_arrangements`) and the orbit's value object, in weight order.  The
-    weights are the arrangements of each c (see `dominant_weight`), and
-    they are put in order by sorting their integer keys.
+def _expand(orbits: dict, levels) -> list:
+    """[head, rest, value, ...]: for every weight of the orbit of each
+    (dominant weight, value) pair of `orbits`, in weight order, the pieces of
+    its first two coordinates joined, the piece of the others (see
+    `_arrangements`) and the orbit's value object; a weight of at most one
+    coordinate is its head, with an empty rest.  An arrangement of c (see
+    `dominant_weight`) is v, u and an arrangement of the rest starting with
+    some f, for one of the `steps` of c (see `_steps`): one block, under the
+    head (v - u, u - f), for each (c, v, u, f).
 
-    Every c has n entries.  The tuples its arrangements reach by removing
-    two entries at a time form layers of n, n - 2, n - 4, ... entries, and
-    each layer is built from the one below, which is then dropped: removing
-    the same entries in any order leaves the same rest, so the groups of
-    each rest, and every piece of them, are built once and shared by every
-    orbit that reaches them, and at most two layers are held at once.
-    Each step lays out two coordinates because a rest of n - 1 entries is
-    reached by one orbit only, unless two c of the table differ in a single
-    entry: one coordinate a step built 71 191 such pieces for
-    (n, k, qmax) = (8, 0, 10), as many as the table has weights, and shared
-    none.
+    Removing two entries at a time from a c of n entries reaches layers of
+    n - 2, n - 4, ... entries, each built from the one below, which is then
+    dropped: removing the same entries in any order leaves the same rest,
+    so the groups of each rest, and every piece of them, are built once and
+    shared by every orbit and block that reaches them.
 
-    The keys sort as the weights do.  Every entry of one c lies between its
-    least and its greatest, so |w_i| <= span, the largest spread of a c, at
-    every weight w; the digits w_i + span of its key are then 0..2 span,
-    below the base 2 span + 1, and every weight has n - 1 of them, w_i worth
-    base**(n - 1 - i).  Let w < w' first differ at coordinate j, so their
-    digits agree before j and w'_j + span >= w_j + span + 1.  The digits of
-    w after j add at most sum_{i > j} (base - 1) base**(n - 1 - i) =
-    base**(n - 1 - j) - 1 to its key, less than the extra base**(n - 1 - j)
-    of w'_j, so key(w) < key(w')."""
+    The blocks are sorted by head, and the weights of one head by their
+    rests' keys.  Every entry of one c lies between its least and its
+    greatest, so |w_i| <= span, the largest spread of a c; the digits
+    w_i + span of a key are 0..2 span, below the base 2 span + 1, and each
+    rest has n - 3 of them, w_i worth base**(n - 1 - i).  Let two rests
+    w < w' first differ at coordinate j.  The digits of w after j add at
+    most sum_{i > j} (base - 1) base**(n - 1 - i) = base**(n - 1 - j) - 1 to
+    its key, less than the extra base**(n - 1 - j) of w'_j, so
+    key(w) < key(w'); the weights, and so the rests of one head, differ."""
     values = [tuple(sorted(accumulate(reversed(key), initial=0))) for key in orbits]
     span = max((c[-1] - c[0] for c in values), default=0)
     layers = [dict.fromkeys(values)]  # tuple -> its steps, down to two entries or fewer
@@ -195,19 +192,33 @@ def _expand(orbits: dict, levels) -> tuple[list, list]:
         layers.append(below)
     heads = [{} for _ in levels]
     memo: dict = {}
-    for layer in reversed(layers):
+    for layer in reversed(layers[1:]):
         memo = {c: _arrangements(c, steps, memo, span, levels, heads)
                 for c, steps in layer.items()}
-    keys: list[int] = []
-    pieces: list = []
-    held: list = []
-    for c, value in zip(values, orbits.values()):
-        for group_keys, group_pieces in memo.pop(c).values():
-            keys += group_keys
-            pieces += group_pieces
-        held += [value] * (len(keys) - len(held))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [*map(pieces.__getitem__, order)], [*map(held.__getitem__, order)]
+    if len(layers) == 1:  # at most one coordinate: a group is one weight
+        rows = sorted((keys[0], pieces[0], value) for c, value in zip(values, orbits.values())
+                      for keys, pieces in _arrangements(c, (), {}, span, levels, heads).values())
+        return [part for _, piece, value in rows for part in (piece, levels[1][:0], value)]
+    blocks = sorted([(v - u, u - f, keys, pieces, value)
+                     for steps, value in zip(layers[0].values(), orbits.values())
+                     for v, rests in steps for u, rest in rests
+                     for f, (keys, pieces) in memo[rest].items()])
+    n = len(levels) - 1
+    firsts = {x: levels[n](x) for x in {block[0] for block in blocks}}
+    seconds = {x: levels[n - 1](x) for x in {block[1] for block in blocks}}
+    if n < 5:  # a rest of at most two entries: a block is one weight
+        return [part for w1, w2, _, pieces, value in blocks
+                for part in (firsts[w1] + seconds[w2], pieces[0], value)]
+    parts: list = []
+    for (w1, w2), group in groupby(blocks, itemgetter(0, 1)):
+        head, rows = firsts[w1] + seconds[w2], []
+        for _, _, keys, pieces, value in group:
+            rows += (zip(keys, pieces, repeat(value)) if len(keys) > 1
+                     else [(keys[0], pieces[0], value)])
+        rows.sort()
+        for _, piece, value in rows:
+            parts += (head, piece, value)
+    return parts
 
 
 def _check_table(n: int, k: int, qmax: int) -> None:
@@ -260,15 +271,12 @@ def validate(orbits: dict, n: int, k: int) -> dict:
     return orbits
 
 
-def laid_out(orbits: dict, levels, tail) -> tuple[list, list]:
-    """(pieces, texts), two lists with one entry for every weight of every
-    orbit, in weight order (see `_expand`): a weight's piece is the pieces
-    of its coordinates in order, joined by `+`, and its text is tail(row) of
-    its orbit's row, called once per orbit.  levels[1] is the piece of the
-    empty weight (n = 1; an empty end of a longer one), and levels[s](x),
-    s = 2..n, the piece of the coordinate x at index n - s, made once for
-    each x; every piece of a sub-arrangement of an orbit's c is built once
-    (see `_arrangements`)."""
+def laid_out(orbits: dict, levels, tail) -> list:
+    """[head, rest, text, ...] for every weight of every orbit, in weight
+    order (see `_expand`): a weight's pieces, levels[s](x) for its
+    coordinate x at index n - s, s = 2..n, made once for each x, joined by
+    `+`, and tail(row) of its orbit's row, called once per orbit; levels[1]
+    is the empty weight (n = 1) or an empty end."""
     return _expand({key: tail(row) for key, row in orbits.items()}, levels)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import gcd, isqrt
 from operator import add, itemgetter
@@ -31,8 +30,8 @@ CEILINGS = {
         # stack near rank 500; `--kind yangian` took 7 ms at 600 (order 1).
         "--n": 200,
         # weights * (n + qmax): each weight has n - 1 coordinates and qmax + 1
-        # coefficients.  (200, 0, 1) holds 8 000 001 in 90 MB of json;
-        # (50, 0, 2), at 71 981 052, wrote 875 MB.
+        # coefficients.  (200, 0, 1) holds 8 000 001 in 90 MB of json, 1.0 s
+        # and 205 MB peak in a process; (50, 0, 2), at 71 981 052, wrote 875 MB.
         "numbers": 10**7,
     },
     "verify": {
@@ -121,62 +120,50 @@ def _check_numbers(n: int, k: int, qmax: int) -> None:
                          "the most char writes")
 
 
-def _json_int_list(count: int) -> str:
-    """The json layout of a list of `count` >= 1 integers, as a `%d`
-    template, at the depth of a row's "coeffs"."""
-    return "[\n        " + ",\n        ".join(("%d",) * count) + "\n      ]"
-
-
 def _write_table(orbits: dict, n: int, k: int, qmax: int, fmt: str, out) -> None:
     """Write the table (n, k, qmax) of orbit rows `orbits` to `out` in
-    weight order, each line ending in a newline; every table builder drops
-    its all-zero rows itself.
-    `json` has the layout of `json.dumps(..., indent=2)` of the dict with
-    keys n, k, delta ("num/den"), qmax and rows, a list of
-    {"weight": [...], "coeffs": [...]} in weight order; the standard
-    encoder falls back to pure Python when indenting, so the layout is
-    written here instead.
-
-    A row is its weight's text, laid out coordinate by coordinate inside
-    the orbit expansion (`affine.laid_out`, with the levels of
-    `_levels`), then the text of its orbit's coefficients, laid out once
-    per orbit; the text before a weight that is the same in every row opens
-    the rows and separates them.  A weight's text and its orbit's are kept
-    apart until the rows are written, `_ROWS_PER_WRITE` at a time."""
+    weight order, each line ending in a newline.  `json` is the text of
+    `json.dumps(..., indent=2)` of {n, k, delta ("num/den"), qmax, rows},
+    rows a list of {"weight": [...], "coeffs": [...]}, laid out here, as the
+    standard encoder falls back to pure Python when indenting.  A row is its
+    weight's head and rest from `affine.laid_out` (with the levels of
+    `_levels`) and its orbit's text, the coefficients and the separator that
+    opens the next row, laid out once per orbit."""
     common = gcd(k * (n - k), 2 * n)  # Delta_k = k(n - k)/2n, in lowest terms
     delta = f"{k * (n - k) // common}/{2 * n // common}"
     if fmt == "json":
         out.write(f'{{\n  "n": {n},\n  "k": {k},\n'
                   f'  "delta": "{delta}",\n  "qmax": {qmax},\n')
-        coeffs_text = ',\n      "coeffs": ' + _json_int_list(qmax + 1) + "\n    }"
+        head = '\n    {\n      "weight": '
+        coeffs = ",\n        ".join(("%d",) * (qmax + 1))  # one `%d` a coefficient
+        text = ',\n      "coeffs": [\n        ' + coeffs + "\n      ]\n    }," + head
         levels = _levels(n, "[", "\n        %d,", "\n        %d\n      ]", "[]")
-        rows = affine.laid_out(orbits, levels, coeffs_text.__mod__)
-        if not rows[1]:
+        parts = affine.laid_out(orbits, levels, text.__mod__)
+        if not parts:
             out.write('  "rows": []\n}\n')
             return
-        head = '\n    {\n      "weight": '
-        _write_rows(rows, add, '  "rows": [' + head, "," + head, out)
+        _write_rows(parts, 3, '  "rows": [' + head, "," + head, out)
         out.write("\n  ]\n}\n")
     elif fmt == "csv":
         out.write(",".join([*(f"w{i}" for i in range(1, n)), "qdegree", "coeff"]) + "\n")
         # a weight's lines are its prefix joined to ["", "d,c\n", ...]
-        rows = affine.laid_out(orbits, _levels(n, "", "%d,", "%d,", ""), lambda row: ["", *(
+        parts = affine.laid_out(orbits, _levels(n, "", "%d,", "%d,", ""), lambda row: ["", *(
             f"{d},{c}\n" for d, c in enumerate(row) if c)])
-        _write_rows(rows, str.join, "", "", out)
+        _write_rows([*map(str.join, map(add, parts[::3], parts[1::3]), parts[2::3])], 1,
+                    "", "", out)
     else:
         out.write(f"n={n} k={k} qmax={qmax} delta={delta}\n")
-        rows = affine.laid_out(
+        parts = affine.laid_out(
             orbits, _levels(n, "(", "%d, ", "%d,)" if n == 2 else "%d)", "()"),
             lambda row: ": " + (" + ".join(f"{c}*q^{d}" for d, c in enumerate(row) if c)
-                                or "0") + "\n")
-        _write_rows(rows, add, "weight ", "weight ", out)
+                                or "0") + "\nweight ")
+        _write_rows(parts, 3, "weight ", "weight ", out)
 
 
 def _levels(n: int, head: str, middle: str, last: str, empty: str) -> list:
-    """The levels of `affine.laid_out` for a weight's text: `head`,
-    then each of the n - 1 coordinates laid out by the `%d` template
-    `middle`, the last one by `last`; `empty` is the whole text of the
-    empty weight (n = 1)."""
+    """The levels of `affine.laid_out` for a weight's text: `head`, then the
+    n - 1 coordinates by the `%d` templates `middle` and, for the last one,
+    `last`; `empty` is the whole text of the empty weight (n = 1)."""
     levels = [None, empty if n == 1 else "", *[middle.__mod__] * (n - 1)]
     if n > 1:
         levels[2] = last.__mod__
@@ -188,15 +175,15 @@ def _levels(n: int, head: str, middle: str, last: str, empty: str) -> list:
 _ROWS_PER_WRITE = 4096
 
 
-def _write_rows(rows: tuple, combine, opening: str, sep: str, out) -> None:
-    """Write combine(piece, text) for each weight of the pair `rows` from
-    `laid_out`, in order, after `opening` and joined by `sep`; nothing if
-    there is no weight."""
-    pieces, texts = rows
-    rows = map(combine, pieces, texts)
-    for start in range(0, len(texts), _ROWS_PER_WRITE):
-        out.write(sep if start else opening)
-        out.write(sep.join(islice(rows, _ROWS_PER_WRITE)))
+def _write_rows(parts: list, stride: int, opening: str, sep: str, out) -> None:
+    """Write the rows of `parts`, `stride` strings each and the last of each
+    ending in `sep`, after `opening` and without the last `sep`, if any."""
+    if parts:
+        parts[-1] = parts[-1][:len(parts[-1]) - len(sep)]
+        out.write(opening)
+    step = stride * _ROWS_PER_WRITE
+    for start in range(0, len(parts), step):
+        out.write("".join(parts[start:start + step]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +311,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return f"[{inner}{f',{inner}'.join(_json_text(v, inner) for v in obj)}{pad}]"
+        ints = {*map(type, obj)} == {int}  # plain ints, with no bool or subclass
+        items = map(int.__repr__, obj) if ints else [_json_text(v, inner) for v in obj]
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -63,11 +63,12 @@ def _coordinate(x: int) -> tuple[int]:
 
 def weight_rows(orbits: dict) -> list[tuple[tuple[int, ...], tuple]]:
     """(weight, row) for every weight of every orbit of the table `orbits`
-    (see `affine`), in weight order; the weights of one orbit share its row
-    object.  The weights are pieces of `affine._expand` with each
-    coordinate laid out as a 1-tuple."""
+    (see `affine`), in weight order; the weights of one orbit share one
+    tuple of its row.  Each weight is its head and rest from
+    `affine.laid_out`, with each coordinate laid out as a 1-tuple."""
     length = len(next(iter(orbits), ()))  # n - 1
-    return list(zip(*affine._expand(orbits, [None, (), *[_coordinate] * length])))
+    parts = affine.laid_out(orbits, [None, (), *[_coordinate] * length], tuple)
+    return list(zip(map(add, parts[::3], parts[1::3]), parts[2::3]))
 
 
 def first_difference(a: dict, b: dict):

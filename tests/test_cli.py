@@ -10,7 +10,7 @@ import time
 import weakref
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 
 import pytest
@@ -117,10 +117,11 @@ def test_json_table_layout_of_hand_built_tables(n, k, qmax, rows):
 
 @pytest.mark.parametrize("n,k,qmax", [(6, 0, 8), (8, 0, 10)])
 def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, k, qmax):
-    """`laid_out` builds the groups of each tuple of c entries once, lays
-    out each coordinate value of each level once and each orbit's row once,
-    and within every group built, and over the whole table, the order of
-    the integer keys is the sorted order of the weight tuples."""
+    """`laid_out` builds the groups of each tuple of c entries below the top
+    once, lays out each coordinate value of each level once and each orbit's
+    row once, within every group built the order of the integer keys is the
+    sorted order of the weight tuples, and over the whole table each weight
+    is its two-coordinate head and its rest, in sorted order."""
     table = bosonic_character(n, k, qmax)
     arrangements, built = affine._arrangements, []
 
@@ -137,7 +138,9 @@ def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, 
 
     rows = []
     levels = [None, (), *map(coordinate, range(2, n + 1))]
-    weights, texts = affine.laid_out(table, levels, lambda row: rows.append(row) or len(rows))
+    parts = affine.laid_out(table, levels, lambda row: rows.append(row) or len(rows))
+    heads, texts = parts[::3], parts[2::3]
+    weights = [*map(add, heads, parts[1::3])]
     tuples = [values for values, _ in built]
     assert len(tuples) == len(set(tuples)) and len(coordinates) == len(set(coordinates))
     assert len(rows) == len(table) == len({*texts})
@@ -146,6 +149,7 @@ def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, 
         pairs = [pair for keys, pieces in groups.values() for pair in zip(keys, pieces)]
         assert len({key for key, _ in pairs}) == len(pairs), values
         assert [w for _, w in sorted(pairs, key=itemgetter(0))] == sorted(w for _, w in pairs)
+    assert {*map(len, heads)} == {2}
     assert weights == sorted({*weights}) and len(weights) == sum(map(orbit_size, table))
 
 
@@ -218,14 +222,19 @@ def _hand_built_tables(draw):
 @example((3, 1, 2, {}))
 @example((3, 0, 0, hand_built([((2, 0), (1,)), ((1, 1), (-20,))])))
 @example((7, 3, 2, hand_built([((0, 999, 0, -120, 5, 7), (10**12, -1, 0))])))
+@example((5, 2, 1, hand_built([((0, 1, 0, 0), (1, 2)), ((0, 0, 1, 0), (-3, 0))])))
+@example((4, 1, 0, hand_built([((1, 0, 0), (5,)), ((0, 1, 0), (-7,))])))
 def test_every_format_lays_out_hand_built_tables(table):
     """The json, csv and pretty texts of drawn tables are those written
     weight by weight from an expansion of each orbit that does not go
     through `laid_out`.  The examples are rank 1, the empty table, the
     orbits of (2, 0) and (1, 1), whose weights (0, -2) and (-1, 2) have
     equal keys if the key's base is 2 span instead of 2 span + 1, the first
-    orbit's weight then coming first, and a rank-7 orbit of three-digit
-    coordinates at `_MOST_WEIGHTS` weights."""
+    orbit's weight then coming first, a rank-7 orbit of three-digit
+    coordinates at `_MOST_WEIGHTS` weights, two rank-5 orbits whose weights
+    share heads (w_1, w_2) and interleave in the order of their rests, and
+    rank-4 orbits with heads that hold one weight beside heads that hold
+    two."""
     n, k, qmax, orbits = table
     expected = _reference_texts(n, k, qmax, orbits)
     for fmt in ("json", "csv", "pretty"):
@@ -711,6 +720,8 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
                                      inner, max_size=3)),
     max_leaves=20,
 ))
+@example([3, -10**20, 0])
+@example([1, True, 0, False])
 def test_json_text_matches_the_indenting_encoder(value):
     """Any JSON value, non-str keys, tuples and non-finite floats included."""
     assert _json_text(value) == json.dumps(value, indent=2)

@@ -29,6 +29,12 @@ that the import loads.  Each interpreter runs with
 `src/` without `__pycache__`, so it compiles every package module it loads,
 as the benchmark's processes do in a fresh checkout.
 
+It times the table writer in process (`writer`): `cli._write_table` of
+`char --kind bosonic --n 8 --k 0 --qmax 10` in json, csv and pretty, and of
+the six `char --kind yangian` tables of the `char-yangian` workload in
+json, each the best of five runs into `os.devnull`, with the table built
+once beforehand.
+
 Last it runs Tier-1 once (`tier1`), the command of ROADMAP.md with
 `--durations=10` and without pytest's cache, and records its wall time, the
 counts of its summary line (passed, failed, ...) and its ten slowest test
@@ -61,6 +67,11 @@ SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
 # the classes of the rank sweep, each a function of the rank
 RANK_SWEEP_KS = {"k=0": lambda n: 0, "k=1": lambda n: 1, "k=n//2": lambda n: n // 2}
 SWEEP_ORDERS = (10, 20, 40, 80, 160)
+# (kind, n, k, qmax, formats) of the writer timings, and the runs of each
+WRITER_POINTS = (("bosonic", 8, 0, 10, ("json", "csv", "pretty")), *(
+    ("yangian", n, k, qmax, ("json",))
+    for n, k, qmax in ((2, 0, 11), (2, 1, 10), (3, 0, 6), (3, 1, 5), (4, 0, 4), (5, 0, 3))))
+WRITER_REPEATS = 5
 STARTUP_MODULES, STARTUP_RUNS = ("spinonchars.cli", "spinonchars.verify"), 20
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10")
@@ -124,11 +135,11 @@ def run(workload: str, trace: int) -> dict:
     return record
 
 
-def best_seconds(call, memos) -> float:
-    """The least of SWEEP_REPEATS timings of `call()`, each with `memos`
+def best_seconds(call, memos, repeats: int = SWEEP_REPEATS) -> float:
+    """The least of `repeats` timings of `call()`, each with `memos`
     cleared first."""
     best = math.inf
-    for _ in range(SWEEP_REPEATS):
+    for _ in range(repeats):
         for memo in memos:
             memo.cache_clear()
         started = time.perf_counter()
@@ -182,6 +193,23 @@ def order_sweep() -> dict:
     return {"routes": "the rank-2 routes in process, best of "
                       f"{SWEEP_REPEATS} with cold memos",
             "points": points, "log_log_slope_in_qmax": slopes}
+
+
+def writer() -> dict:
+    """The writer record (see the module docstring)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from spinonchars import cli
+    points = []
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for kind, n, k, qmax, formats in WRITER_POINTS:
+            table = cli._build_table(kind, n, k, qmax)
+            for fmt in formats:
+                best = best_seconds(lambda: cli._write_table(table, n, k, qmax, fmt, sink), (),
+                                    WRITER_REPEATS)
+                points.append({"kind": kind, "n": n, "k": k, "qmax": qmax, "format": fmt,
+                               "seconds": round(best, 6)})
+    return {"route": f"cli._write_table in process into os.devnull, best of {WRITER_REPEATS}",
+            "points": points}
 
 
 def startup() -> dict:
@@ -257,6 +285,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "rank_sweep": rank_sweep(),
         "order_sweep": order_sweep(),
+        "writer": writer(),
         "startup": startup(),
         "tier1": tier1(),
     }
