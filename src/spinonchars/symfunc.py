@@ -3,6 +3,13 @@ coefficients; the q-binomials and the identities built on them, and
 Rogers-Szego as composition -> q-series dicts; GZ schemes and Drinfel'd
 polynomials.  Everything is exact.
 
+A polynomial in nvars variables is the dict from each monomial's packed key
+to its nonzero int coefficient, and nvars is passed beside it: a key packs
+the exponent vector one byte per variable, x_1 most significant, so a
+product of monomials is one integer add.  {0: 1} is 1, {} is 0, and two
+polynomials are equal when their dicts are.  `sum_of_products` is the one
+arithmetic.
+
 No `char` command reads this module: it holds what only the verification
 suites and the tests check, so that a command that builds a table does not
 load it.
@@ -18,113 +25,47 @@ from .partitions import conjugate, contains, ends_at, horizontal_strips, padded,
 from .qseries import _one, inv_pochhammer, inv_pochhammer_product, product
 
 
-class SymPoly:
-    """Map from monomials to nonzero int coefficients.  `terms` keys each
-    monomial by its exponent vector packed into one int, a byte per variable
-    with x_1 most significant, so a product of monomials is one integer add;
-    `monomials()` unpacks.  `degree` is at least the total degree (equal to
-    it unless + or - cancelled a top-degree term).  The constructor takes
-    exponent tuples: one outside 0..255 raises ValueError, and a coefficient
-    that is not an `int` (a q-series tuple, a float or a bool) TypeError."""
-
-    __slots__ = ("nvars", "terms", "degree")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        self.degree = 0
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if type(coeff) is not int:
-                raise TypeError(f"coefficients must be ints, got {coeff!r}")
-            if coeff:
-                self.terms[int.from_bytes(bytes(exps), "big")] = coeff
-                self.degree = max(self.degree, sum(exps))
-
-    @staticmethod
-    def one(nvars: int) -> "SymPoly":
-        return _poly(nvars, {0: 1}, 0)
-
-    @staticmethod
-    def zero(nvars: int) -> "SymPoly":
-        return SymPoly(nvars)
-
-    def monomials(self):
-        """Yield (exponent tuple, coefficient) for every term."""
-        nvars = self.nvars
-        for key, coeff in self.terms.items():
-            yield tuple(key.to_bytes(nvars, "big")), coeff
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _nvars_with(self, other: "SymPoly") -> int:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        return self.nvars
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        one = SymPoly.one(self._nvars_with(other))
-        return _sum_of_products(self.nvars, ((1, self, one), (1, other, one)))
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        one = SymPoly.one(self._nvars_with(other))
-        return _sum_of_products(self.nvars, ((1, self, one), (-1, other, one)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            one = SymPoly.one(self.nvars)
-            return _sum_of_products(self.nvars, ((other, self, one),))
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return _sum_of_products(self._nvars_with(other), ((1, self, other),))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self):
-        return f"SymPoly(nvars={self.nvars}, nterms={len(self.terms)})"
-
-
 _MAX_DEGREE = 255  # the largest exponent one byte of a packed key holds
 
 
-def _poly(nvars: int, terms: dict, degree: int) -> SymPoly:
-    """The SymPoly of packed `terms`, trusted to hold nonzero ints."""
-    poly = SymPoly.__new__(SymPoly)
-    poly.nvars, poly.terms, poly.degree = nvars, terms, degree
-    return poly
+def _degree(poly: dict) -> int:
+    """The total degree of `poly`, 0 for the zero polynomial: the largest
+    byte sum of a packed key."""
+    return max((sum(key.to_bytes(-(-key.bit_length() // 8), "big")) for key in poly),
+               default=0)
 
 
-def _sum_of_products(nvars: int, products) -> SymPoly:
+def sum_of_products(products) -> dict:
     """sum of c * a * b over the (c, a, b) in `products`, with c an int and
-    a, b SymPolys in nvars variables.  The result is built in one dict, and
-    its zero coefficients are dropped once, at the end.
+    a, b polynomials in one set of variables.  A sum, a difference or a
+    scalar multiple is such a sum with b = {0: 1}.
 
     Adding packed keys adds exponent vectors byte by byte while no entry
     passes 255.  An entry e1_i + e2_i of a product is at most |e1| + |e2|
-    <= a.degree + b.degree, so a pair whose degrees sum past 255 raises
-    ValueError before it is multiplied: no byte ever carries."""
-    out: dict = {}
-    get = out.get
-    degree = 0
-    for c, a, b in products:
-        d = a.degree + b.degree
+    <= deg a + deg b, so a pair whose degrees sum past 255 raises
+    ValueError before any pair is multiplied: no byte ever carries."""
+    products = list(products)
+    for _, a, b in products:
+        d = _degree(a) + _degree(b)
         if d > _MAX_DEGREE:
             raise ValueError(f"a product of degree {d} passes {_MAX_DEGREE}, "
                              "the largest exponent a packed monomial holds")
-        degree = max(degree, d)
-        for e1, c1 in a.terms.items():
+    return _sum_of_products(products)
+
+
+def _sum_of_products(products) -> dict:
+    """`sum_of_products` without the degree check: the caller proves that
+    no product passes degree 255.  The result is built in one dict, and its
+    zero coefficients are dropped once, at the end."""
+    out: dict = {}
+    get = out.get
+    for c, a, b in products:
+        for e1, c1 in a.items():
             c1 *= c
-            for e2, c2 in b.terms.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    return _poly(nvars, {e: c for e, c in out.items() if c}, degree)
+    return {e: c for e, c in out.items() if c}
 
 
 def _packed(idx, nvars: int) -> int:
@@ -134,47 +75,55 @@ def _packed(idx, nvars: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def elementary(m: int, nvars: int) -> SymPoly:
+def elementary(m: int, nvars: int) -> dict:
     """e_m: sum of squarefree degree-m monomials; zero for m < 0 or m > nvars.
-    Memoized: no SymPoly is changed after construction, so callers share it."""
+    Memoized: callers share the dict and never change it."""
     if m < 0 or m > nvars:
-        return SymPoly.zero(nvars)
-    return _poly(nvars, dict.fromkeys((_packed(idx, nvars)
-                                       for idx in combinations(range(nvars), m)), 1), m)
+        return {}
+    return dict.fromkeys((_packed(idx, nvars) for idx in combinations(range(nvars), m)), 1)
 
 
 @lru_cache(maxsize=None)
-def complete(m: int, nvars: int) -> SymPoly:
+def complete(m: int, nvars: int) -> dict:
     """h_m: sum of all degree-m monomials; zero for m < 0.  Memoized, as
     `elementary` is.  An m past 255 raises ValueError, as x_1^m has no
     packed key."""
     if m < 0:
-        return SymPoly.zero(nvars)
+        return {}
     if m > _MAX_DEGREE:
         raise ValueError(f"h_{m} has an exponent past {_MAX_DEGREE}")
-    return _poly(nvars, dict.fromkeys((_packed(idx, nvars) for idx in
-                                       combinations_with_replacement(range(nvars), m)), 1), m)
+    return dict.fromkeys((_packed(idx, nvars) for idx in
+                          combinations_with_replacement(range(nvars), m)), 1)
 
 
 @lru_cache(maxsize=None)
-def _jt_det(basis, nvars: int, rows: tuple, cols: tuple) -> SymPoly:
+def _jt_det(basis, nvars: int, rows: tuple, cols: tuple) -> dict:
     """det[basis(r - c, nvars)] over r in `rows` and c in `cols`, with
     `basis` `complete` or `elementary`, by expansion along the first column.
     Callers shift rows and cols so that cols[0] == 0 (see `schur_skew`); the
-    memo keeps every minor for the life of the process."""
+    memo keeps every minor for the life of the process.
+
+    No product here passes degree 255, so it calls `_sum_of_products`
+    unchecked.  The entry at (r, c) is homogeneous of degree r - c, so every
+    term of the determinant is homogeneous of degree sum(rows) - sum(cols),
+    and so is each product of an entry at (r, cols[0]) and its minor.  A
+    minor is taken only under a nonzero entry, r - cols[0] >= 0, so its own
+    degree sum(rows) - sum(cols) - (r - cols[0]) is at most its parent's.
+    `schur_skew`, the only caller, starts from degree |lam| - |mu|, the
+    shape's cell count, and refuses more than 255 cells."""
     if not rows:
-        return SymPoly.one(nvars)
+        return {0: 1}
     shift = cols[1] if len(cols) > 1 else 0
     minor_cols = tuple(c - shift for c in cols[1:])
-    return _sum_of_products(nvars, (
+    return _sum_of_products(
         (-1 if pos % 2 else 1, entry,
          _jt_det(basis, nvars, tuple(x - shift for x in rows[:pos] + rows[pos + 1:]),
                  minor_cols))
-        for pos, r in enumerate(rows) if not (entry := basis(r, nvars)).is_zero()
-    ))
+        for pos, r in enumerate(rows) if (entry := basis(r, nvars))
+    )
 
 
-def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
+def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> dict:
     """Skew Schur polynomial of the shape (outer, inner) by determinant (jt_h,
     jt_e) or tableau sum (sst).
 
@@ -212,7 +161,7 @@ def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
     if method == "sst":
         inner = padded(inner, len(outer))
         if not nvars:
-            return SymPoly(0, {(): 1} if inner == outer else {})
+            return {0: 1} if inner == outer else {}
         terms: dict = {}
         total = sum(outer)
         for kappa, counts in _sst_layer(inner, outer, nvars - 1).items():
@@ -221,7 +170,7 @@ def schur_skew(shape: tuple, nvars: int, method: str = "jt_h") -> SymPoly:
                 for prefix, c in counts.items():
                     key = (prefix << 8) + size
                     terms[key] = terms.get(key, 0) + c
-        return _poly(nvars, terms, cells)
+        return terms
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -301,11 +250,12 @@ def skew_kostka(outer: tuple[int, ...], inner: tuple[int, ...], mu) -> int:
     return layer.get(outer, 0)
 
 
-def weight_projection(poly: SymPoly) -> dict[tuple[int, ...], int]:
-    """Collapse a SymPoly onto fundamental-weight coordinates (x_1...x_n = 1)."""
+def weight_projection(poly: dict, nvars: int) -> dict[tuple[int, ...], int]:
+    """Collapse a polynomial in nvars variables onto fundamental-weight
+    coordinates (x_1...x_n = 1)."""
     out: dict = {}
-    for e, c in poly.monomials():
-        w = exps_to_fw(e)
+    for key, c in poly.items():
+        w = exps_to_fw(key.to_bytes(nvars, "big"))
         out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}
 

@@ -255,9 +255,10 @@ def _kostka(nu: tuple[int, ...], mu: tuple[int, ...]) -> int:
 def _h_rewrite(a, b):
     """h_a h_b - h_{a+b} = e_2 h_{a-1} h_{b-1} in two variables."""
     from . import symfunc
-    lhs = symfunc.complete(a, 2) * symfunc.complete(b, 2) - symfunc.complete(a + b, 2)
-    rhs = (symfunc.elementary(2, 2)
-           * symfunc.complete(a - 1, 2) * symfunc.complete(b - 1, 2))
+    h = symfunc.complete
+    lhs = symfunc.sum_of_products(((1, h(a, 2), h(b, 2)), (-1, h(a + b, 2), {0: 1})))
+    rhs = symfunc.sum_of_products(((1, h(a - 1, 2), h(b - 1, 2)),))
+    rhs = symfunc.sum_of_products(((1, symfunc.elementary(2, 2), rhs),))
     return None if lhs == rhs else {"a": a, "b": b}
 
 
@@ -481,14 +482,15 @@ def _sl2_yangian(k, qmax):
 
 
 def sl2_hw_character(lam: tuple[int, ...], n_spinons: int):
-    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda), as a
-    `symfunc.SymPoly`; the m_i of the parts are counted in one pass."""
+    """prod_{i>=0} h_{m_i} in two variables, with m_0 = N - l(lambda), as
+    the dict of its packed monomials (see `symfunc`); the m_i of the parts
+    are counted in one pass."""
     from . import symfunc
     if len(lam) > n_spinons:
         raise ValueError("need l(lambda) <= N")
     poly = symfunc.complete(n_spinons - len(lam), 2)  # the m_0 factor
     for m in Counter(lam).values():
-        poly = poly * symfunc.complete(m, 2)
+        poly = symfunc.sum_of_products(((1, poly, symfunc.complete(m, 2)),))
     return poly
 
 
@@ -507,7 +509,7 @@ def _hw_case(lam, N):
         return str(exc)
     lifted = sl2_hw_character(lam, N)
     for _ in range((sum(strip) - N) // 2):
-        lifted = lifted * symfunc.elementary(2, 2)
+        lifted = symfunc.sum_of_products(((1, lifted, symfunc.elementary(2, 2)),))
     if symfunc.schur_skew(strips.shape(strip), 2) != lifted:
         return f"strip character mismatch for ({lam}, {N})"
     return None
@@ -570,7 +572,7 @@ def _gz_check(lam, mu, n):
             return {"scheme": repr(s), "fault": "sst round trip"}
     # the weights of s_{lam/mu} in n variables, by jt_h: a determinant, not
     # the horizontal-strip walk that builds the schemes
-    monomials = symfunc.weight_projection(symfunc.schur_skew((lam, mu), n, "jt_h"))
+    monomials = symfunc.weight_projection(symfunc.schur_skew((lam, mu), n, "jt_h"), n)
     if weights != monomials:
         return {"fault": "weight multiset mismatch",
                 "gz": {str(k): v for k, v in sorted(weights.items())},

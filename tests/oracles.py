@@ -2,7 +2,8 @@
 Yangian route replaced, the coefficient-by-coefficient series product the
 big-integer one replaced, the per-matrix Jacobi-Trudi determinant the shared
 minors replaced, the tuple-keyed polynomial arithmetic the packed monomials
-replaced, expansions and statistics no route needs, and hand-built
+replaced and the packing of exponent tuples into a polynomial's dict,
+expansions and statistics no route needs, and hand-built
 character tables holding rows that no builder writes, and the skew shapes
 and polynomials the property tests draw."""
 from operator import mul
@@ -13,11 +14,10 @@ from spinonchars.affine import conformal_dimension, dominant_weight
 from spinonchars.partitions import conjugate, padded
 from spinonchars.strips import energy, from_rows, shape, strip
 from spinonchars.symfunc import (
-    SymPoly,
-    _sum_of_products,
     complete,
     elementary,
     schur_skew,
+    sum_of_products,
     weight_projection,
 )
 from spinonchars.verify import weight_rows
@@ -89,20 +89,20 @@ def convolution_product(a: tuple, b: tuple) -> tuple:
         sum(map(mul, a[: e + 1], rb[top - e:])) for e in range(top + 1))
 
 
-def sl2_strip_product(rows) -> SymPoly:
+def sl2_strip_product(rows) -> dict:
     """s_<a_1..a_r> at n=2 as a product of complete symmetric polynomials."""
     rows = list(rows)
     if not rows:
-        return SymPoly.one(2)
+        return {0: 1}
     if len(rows) == 1:
         return schur_skew(shape(from_rows(rows, 2)), 2, "jt_h")
     if rows[0] < 1 or rows[-1] < 1 or any(a < 2 for a in rows[1:-1]):
         raise ValueError(f"invalid n=2 strip rows {rows}")
-    poly = SymPoly.one(2)
+    poly = {0: 1}
     r = len(rows)
     for i, a in enumerate(rows, start=1):
         drop = 1 if i in (1, r) else 2
-        poly = poly * complete(a - drop, 2)
+        poly = sum_of_products(((1, poly, complete(a - drop, 2)),))
     return poly
 
 
@@ -112,10 +112,10 @@ def stabilization_check(cols, n: int) -> bool:
     base = strip(cols, n)
     p1 = schur_skew(shape(base), n, "jt_h")
     p2 = schur_skew(shape(base + (n,)), n, "jt_h")
-    return weight_projection(p1) == weight_projection(p2)
+    return weight_projection(p1, n) == weight_projection(p2, n)
 
 
-def jacobi_trudi_matrix(shape, nvars: int, method: str) -> list[list[SymPoly]]:
+def jacobi_trudi_matrix(shape, nvars: int, method: str) -> list[list[dict]]:
     """[h_{lam_i - mu_j - i + j}] (jt_h) or [e_{lam'_i - mu'_j - i + j}]
     (jt_e) for i, j in 1..len(lam), written out entry by entry, for the
     shape (lam, mu)."""
@@ -128,23 +128,23 @@ def jacobi_trudi_matrix(shape, nvars: int, method: str) -> list[list[SymPoly]]:
     return [[basis(lam[i] - mu[j] - i + j, nvars) for j in range(r)] for i in range(r)]
 
 
-def determinant(matrix: list[list[SymPoly]], nvars: int) -> SymPoly:
+def determinant(matrix: list[list[dict]]) -> dict:
     """Determinant by first-column minor expansion, with a memo of the minors
     of this one matrix that is dropped on return."""
-    return _minor(matrix, tuple(range(len(matrix))), {}, nvars)
+    return _minor(matrix, tuple(range(len(matrix))), {})
 
 
-def _minor(matrix, rows: tuple[int, ...], memo: dict, nvars: int) -> SymPoly:
+def _minor(matrix, rows: tuple[int, ...], memo: dict) -> dict:
     """Minor on `rows` and the last len(rows) columns."""
     if not rows:
-        return SymPoly.one(nvars)
+        return {0: 1}
     if rows not in memo:
         col = len(matrix) - len(rows)
-        memo[rows] = _sum_of_products(nvars, (
+        memo[rows] = sum_of_products(
             (-1 if pos % 2 else 1, matrix[r][col],
-             _minor(matrix, rows[:pos] + rows[pos + 1:], memo, nvars))
-            for pos, r in enumerate(rows) if not matrix[r][col].is_zero()
-        ))
+             _minor(matrix, rows[:pos] + rows[pos + 1:], memo))
+            for pos, r in enumerate(rows) if matrix[r][col]
+        )
     return memo[rows]
 
 
@@ -162,9 +162,17 @@ def tuple_sum_of_products(products) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def eval_ones(poly: SymPoly) -> int:
+def packed(terms: dict) -> dict:
+    """The polynomial whose coefficient at each exponent tuple of `terms` is
+    its value there: each tuple packed one byte per variable, x_1 most
+    significant, and zero coefficients dropped.  An exponent outside 0..255
+    raises ValueError."""
+    return {int.from_bytes(bytes(exps), "big"): c for exps, c in terms.items() if c}
+
+
+def eval_ones(poly: dict) -> int:
     """Sum of coefficients (the value at x_1 = ... = x_n = 1)."""
-    return sum(poly.terms.values())
+    return sum(poly.values())
 
 
 def poly_degrees(polys) -> tuple[int, ...]:
@@ -216,7 +224,7 @@ def skew_shapes(draw, max_size: int) -> tuple:
 @st.composite
 def monomial_dicts(draw, nvars: int, degree: int) -> dict:
     """A dict from exponent tuples of length nvars to int coefficients, the
-    input `SymPoly` takes: one term of total degree exactly `degree` with a
+    input `packed` takes: one term of total degree exactly `degree` with a
     nonzero coefficient, then up to five more of total degree at most
     `degree`, whose coefficients may be 0 or past a machine word.  Each
     exponent tuple cuts its total degree at sorted points, so every entry

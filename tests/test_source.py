@@ -8,7 +8,14 @@ from spinonchars import qseries
 from spinonchars.cli import CHAR_KINDS, _build_table
 from spinonchars.partitions import conjugate, horizontal_strips, partition, partitions_of
 from spinonchars import strips
-from spinonchars.symfunc import gz_schemes, ribbon_expansion
+from spinonchars.symfunc import (
+    complete,
+    elementary,
+    gz_schemes,
+    ribbon_expansion,
+    schur_skew,
+    sum_of_products,
+)
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "spinonchars"
@@ -205,7 +212,7 @@ def test_yangian_route_runs_no_strip_search():
 def test_rank_2_yangian_route_walks_no_partition():
     """`sl2_yangian_decomposition` sums over part sizes; neither it nor a
     helper of `yangian.py` it calls enumerates partitions or builds a
-    module's `SymPoly`.  Nor does it reach the q-series products, whose
+    module's symmetric polynomial.  Nor does it reach the q-series products, whose
     identity sum_m h_m t^m = 1/((1 - t x_1)(1 - t x_2)) would make it the
     fermionic spinon form and end its independence of that route."""
     walk = {"partitions_of", "sl2_hw_character", "weight_projection", "complete"}
@@ -261,7 +268,7 @@ def test_every_definition_is_used_in_src():
     dunder methods, which the language calls.  The check matches names
     only: a method is taken as used when any attribute of that name is
     read, so it cannot see an unused method whose name another class also
-    uses (`size`, `is_zero`)."""
+    uses."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))]
     assert trees
@@ -360,6 +367,41 @@ def test_a_rapidity_sequence_is_its_motif_text():
         assert values, name
         assert all(type(text) is str and text.endswith("|") for text in values), (
             name, values)
+
+
+def test_a_symmetric_polynomial_is_a_dict():
+    """`symfunc.py` defines no class, and no file of the package or its
+    tests names the deleted polynomial class (spelled in pieces here): a
+    symmetric polynomial is the dict from its packed monomials to their
+    coefficients.  Every function that hands one out gives a dict of int
+    keys and nonzero int values, at two variable counts.  `_jt_det`, which
+    skips the degree check of `sum_of_products`, is named only in itself
+    and in `schur_skew`, whose cell bound its docstring's proof starts
+    from."""
+    tree = ast.parse((PACKAGE / "symfunc.py").read_text())
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    deleted = "Sym" + "Poly"
+    assert not [path.name for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+                if deleted in path.read_text()]
+    x = {1 << 8: 1, 1: -1}  # x_1 - x_2
+    given = {
+        "elementary": [elementary(m, n) for n in (2, 3) for m in (0, 2)],
+        "complete": [complete(m, n) for n in (2, 3) for m in (0, 3)],
+        **{f"schur_skew {method}": [schur_skew(((3, 2, 1), (1,)), n, method) for n in (2, 3)]
+           for method in ("jt_h", "jt_e", "sst")},
+        "sum_of_products": [sum_of_products([(1, x, x), (-1, x, x)]),
+                            sum_of_products([(3, x, complete(2, 2))])],
+    }
+    for name, values in given.items():
+        assert any(values), name
+        for poly in values:
+            assert type(poly) is dict, (name, poly)
+            assert all(type(key) is int and type(c) is int and c
+                       for key, c in poly.items()), (name, poly)
+    naming = {(path.name, getattr(node, "name", None)) for path in PACKAGE.glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if "_jt_det" in {*_named(node), getattr(node, "name", None)}}
+    assert naming == {("symfunc.py", "_jt_det"), ("symfunc.py", "schur_skew")}
 
 
 def test_a_character_table_is_a_dict_of_tuple_rows():

@@ -29,6 +29,11 @@ that the import loads.  Each interpreter runs with
 `src/` without `__pycache__`, so it compiles every package module it loads,
 as the benchmark's processes do in a fresh checkout.
 
+It times each `verify` suite in process (`suites`):
+`verify.run_cases(name, verify.build_suite(name))` at the suite's default
+bounds, the best of five runs, each with every memo of the package cleared
+first, and the suite's case count.
+
 It times the table writer in process (`writer`): `cli._write_table` of
 `char --kind bosonic --n 8 --k 0 --qmax 10` in json, csv and pretty, and of
 the six `char --kind yangian` tables of the `char-yangian` workload in
@@ -72,6 +77,7 @@ WRITER_POINTS = (("bosonic", 8, 0, 10, ("json", "csv", "pretty")), *(
     ("yangian", n, k, qmax, ("json",))
     for n, k, qmax in ((2, 0, 11), (2, 1, 10), (3, 0, 6), (3, 1, 5), (4, 0, 4), (5, 0, 3))))
 WRITER_REPEATS = 5
+SUITE_REPEATS = 5
 STARTUP_MODULES, STARTUP_RUNS = ("spinonchars.cli", "spinonchars.verify"), 20
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10")
@@ -195,6 +201,26 @@ def order_sweep() -> dict:
             "points": points, "log_log_slope_in_qmax": slopes}
 
 
+def suites() -> dict:
+    """The suites record (see the module docstring).  Every layer is
+    imported here, so that the memos of `strips` and `symfunc`, which
+    `verify` imports inside its checks, are cleared before the first run
+    too."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from spinonchars import affine, partitions, qseries, strips, symfunc, verify, yangian
+    memos = [memo for module in (affine, partitions, qseries, strips, symfunc, verify, yangian)
+             for memo in vars(module).values() if hasattr(memo, "cache_clear")]
+    points = []
+    for name in sorted(verify.SUITES):
+        best = best_seconds(lambda: verify.run_cases(name, verify.build_suite(name)), memos,
+                            SUITE_REPEATS)
+        points.append({"suite": name, "cases": len(verify.build_suite(name)),
+                       "seconds": round(best, 6)})
+    return {"route": "verify.run_cases of verify.build_suite in process, best of "
+                     f"{SUITE_REPEATS} with every memo of the package cleared",
+            "points": points}
+
+
 def writer() -> dict:
     """The writer record (see the module docstring)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -285,6 +311,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "rank_sweep": rank_sweep(),
         "order_sweep": order_sweep(),
+        "suites": suites(),
         "writer": writer(),
         "startup": startup(),
         "tier1": tier1(),
