@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, count, groupby, repeat
+from itertools import accumulate, count, groupby
 from operator import add, itemgetter, mul, sub
 
 from .partitions import partition_counts
@@ -84,48 +84,54 @@ def orbit_size(dominant) -> int:
 
 def _arrangements(values: tuple[int, ...], steps, memo: dict, span: int, levels,
                   heads) -> dict:
-    """The distinct arrangements a of the sorted tuple `values`, grouped by
-    their first entry: a_1 -> (keys, pieces), one integer key (see
-    `_expand`) and one laid-out piece for each arrangement's weight
-    (a_1 - a_2, ..., a_{r-1} - a_r), r = len(values).
+    """The distinct arrangements a of the tuple `values`, sorted down,
+    grouped by their first entry: a_1 -> (keys, pieces), one integer key
+    (see `_expand`) and one laid-out piece for each arrangement's weight
+    (a_1 - a_2, ..., a_{r-1} - a_r), r = len(values), in weight order.
 
     A weight's coordinate x at index n - s (n = len(levels) - 1) has the
     piece levels[s](x), made once and kept in heads[s], and the digit
-    x + span, worth (2 span + 1)**(s - 2) in the key.  For r >= 3 an
-    arrangement is v, u and then an arrangement of the rest, the other
-    r - 2 entries, that starts with some f, for one of the `steps` of
-    `values` (see `_steps`): its piece is the pieces of v - u and u - f in
-    front of the rest's piece, and its key is their digits' worth plus the
-    rest's key, with the rest's groups read from `memo`.  Two or fewer
-    entries are written out; the empty weight has the key 0 and the piece
-    levels[1], the whole weight at n = 1 and an empty end otherwise."""
+    x + span, worth (2 span + 1)**(s - 2) in the key.  For r >= 4 an
+    arrangement is v, u and an arrangement of the rest that starts with
+    some f, for one of the `steps` of `values` (see `_steps`): the pieces of
+    v - u and u - f go in front of the rest's piece, and their digits' worth
+    is added to the rest's key, read from `memo`.  The steps run down, so u
+    falls and v - u rises, then for each u f falls and u - f rises, and by
+    induction each rest's group is in weight order.  Three or fewer entries
+    are written out in that order; the empty weight (r = 1) has the key 0
+    and the piece levels[1], the whole weight at n = 1 and otherwise an
+    empty end, which the pieces of r = 2 and 3 leave off."""
     r = len(values)
     if r == 1:
         return {values[0]: ([0], [levels[1]])}
+    firsts, seconds, groups = heads[r], heads[r - 1], {}
     if r == 2:
         a, b = values
-        groups = {}
         for v, f in ((a, b), (b, a))[:1 + (a != b)]:
-            piece = heads[2].get(v - f)
-            if piece is None:
-                piece = heads[2][v - f] = levels[2](v - f)
-            groups[v] = ([v - f + span], [piece])
+            groups[v] = ([v - f + span], [firsts.get(v - f)
+                                          or firsts.setdefault(v - f, levels[2](v - f))])
         return groups
-    groups = {}
     base = 2 * span + 1
-    scale = base ** (r - 3)
-    firsts, seconds = heads[r], heads[r - 1]
+    if r == 3:
+        for i, v in enumerate(values):
+            if i and v == values[i - 1]:
+                continue
+            x, y = values[:i] + values[i + 1:]
+            keys, pieces = groups[v] = [], []
+            for u, f in ((x, y), (y, x))[:1 + (x != y)]:
+                first = firsts.get(v - u) or firsts.setdefault(v - u, levels[3](v - u))
+                keys.append((v - u + span) * base + u - f + span)
+                pieces.append(first + (seconds.get(u - f)
+                                       or seconds.setdefault(u - f, levels[2](u - f))))
+        return groups
+    scale = base ** (r - 3)  # the worth of the second coordinate's digit
     for v, rests in steps:
         keys, pieces = groups[v] = [], []
         for u, rest in rests:
-            first = firsts.get(v - u)
-            if first is None:
-                first = firsts[v - u] = levels[r](v - u)
+            first = firsts.get(v - u) or firsts.setdefault(v - u, levels[r](v - u))
             first_key = (v - u + span) * base * scale
             for f, (rest_keys, rest_pieces) in memo[rest].items():
-                second = seconds.get(u - f)
-                if second is None:
-                    second = seconds[u - f] = levels[r - 1](u - f)
+                second = seconds.get(u - f) or seconds.setdefault(u - f, levels[r - 1](u - f))
                 head, head_key = first + second, first_key + (u - f + span) * scale
                 if len(rest_keys) == 1:
                     keys.append(head_key + rest_keys[0])
@@ -137,10 +143,10 @@ def _arrangements(values: tuple[int, ...], steps, memo: dict, span: int, levels,
 
 
 def _steps(values: tuple[int, ...], rests: dict) -> list[tuple[int, list]]:
-    """(v, [(u, rest), ...]) for each distinct entry v of the sorted tuple
-    `values`, in increasing order, with each distinct entry u of the others
-    and the rest after removing v and u; each rest is also put in the dict
-    `rests`."""
+    """(v, [(u, rest), ...]) for each distinct entry v of the tuple `values`,
+    sorted down, in its order, with each distinct entry u of the others, in
+    theirs, and the rest after removing v and u; each rest is also put in
+    the dict `rests`."""
     steps = []
     for i, v in enumerate(values):
         if i and v == values[i - 1]:
@@ -168,24 +174,25 @@ def _expand(orbits: dict, levels) -> list:
     head (v - u, u - f), for each (c, v, u, f).
 
     Removing two entries at a time from a c of n entries reaches layers of
-    n - 2, n - 4, ... entries, each built from the one below, which is then
-    dropped: removing the same entries in any order leaves the same rest,
-    so the groups of each rest, and every piece of them, are built once and
-    shared by every orbit and block that reaches them.
+    n - 2, n - 4, ... down to two or three entries, each built from the one
+    below, which is then dropped: the same entries removed in any order
+    leave the same rest, so the groups of each rest, and every piece of
+    them, are built once and shared by every orbit and block reaching them.
 
-    The blocks are sorted by head, and the weights of one head by their
-    rests' keys.  Every entry of one c lies between its least and its
-    greatest, so |w_i| <= span, the largest spread of a c; the digits
-    w_i + span of a key are 0..2 span, below the base 2 span + 1, and each
-    rest has n - 3 of them, w_i worth base**(n - 1 - i).  Let two rests
-    w < w' first differ at coordinate j.  The digits of w after j add at
-    most sum_{i > j} (base - 1) base**(n - 1 - i) = base**(n - 1 - j) - 1 to
-    its key, less than the extra base**(n - 1 - j) of w'_j, so
-    key(w) < key(w'); the weights, and so the rests of one head, differ."""
-    values = [tuple(sorted(accumulate(reversed(key), initial=0))) for key in orbits]
-    span = max((c[-1] - c[0] for c in values), default=0)
-    layers = [dict.fromkeys(values)]  # tuple -> its steps, down to two entries or fewer
-    while len(next(iter(layers[-1]), ())) > 2:
+    The blocks are sorted by head.  A block's rows are its rest's group, in
+    weight order (see `_arrangements`): a head of one block is laid out as
+    it is, and the runs of several are merged by one sort of their indices
+    by key.  Every entry of one c lies between its least and its greatest,
+    so |w_i| <= span, the largest spread of a c; the digits w_i + span of a
+    key are 0..2 span, below the base 2 span + 1, and each rest has n - 3 of
+    them, w_i worth base**(n - 1 - i).  Let two rests w < w' first differ at
+    coordinate j.  The digits of w after j add at most sum_{i > j}
+    (base - 1) base**(n - 1 - i) = base**(n - 1 - j) - 1 to its key, less
+    than the extra base**(n - 1 - j) of w'_j, so key(w) < key(w')."""
+    values = [tuple(sorted(accumulate(reversed(key), initial=0), reverse=True)) for key in orbits]
+    span = max((c[0] - c[-1] for c in values), default=0)
+    layers = [dict.fromkeys(values)]  # tuple -> its steps, down to three entries
+    while len(next(iter(layers[-1]), ())) > (3 if len(layers) > 1 else 2):  # the top to two
         layer, below = layers[-1], {}
         for c in layer:
             layer[c] = _steps(c, below)
@@ -211,13 +218,17 @@ def _expand(orbits: dict, levels) -> list:
                 for part in (firsts[w1] + seconds[w2], pieces[0], value)]
     parts: list = []
     for (w1, w2), group in groupby(blocks, itemgetter(0, 1)):
-        head, rows = firsts[w1] + seconds[w2], []
-        for _, _, keys, pieces, value in group:
-            rows += (zip(keys, pieces, repeat(value)) if len(keys) > 1
-                     else [(keys[0], pieces[0], value)])
-        rows.sort()
-        for _, piece, value in rows:
-            parts += (head, piece, value)
+        keys, pieces, values = [], [], []
+        for _, _, run_keys, run_pieces, value in group:
+            keys += run_keys
+            pieces += run_pieces
+            values += [value] * len(run_keys)
+        if len(keys) > len(run_keys):  # several runs, so `pick` takes two or more indices
+            pick = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+            pieces, values = pick(pieces), pick(values)
+        start = len(parts)
+        parts += [firsts[w1] + seconds[w2]] * (3 * len(keys))
+        parts[start + 1::3], parts[start + 2::3] = pieces, values
     return parts
 
 
@@ -274,9 +285,9 @@ def validate(orbits: dict, n: int, k: int) -> dict:
 def laid_out(orbits: dict, levels, tail) -> list:
     """[head, rest, text, ...] for every weight of every orbit, in weight
     order (see `_expand`): a weight's pieces, levels[s](x) for its
-    coordinate x at index n - s, s = 2..n, made once for each x, joined by
-    `+`, and tail(row) of its orbit's row, called once per orbit; levels[1]
-    is the empty weight (n = 1) or an empty end."""
+    coordinate x at index n - s, s = 2..n, never empty and made once for
+    each x, joined by `+`, and tail(row) of its orbit's row, called once per
+    orbit; levels[1] is the empty weight (n = 1) or an empty end."""
     return _expand({key: tail(row) for key, row in orbits.items()}, levels)
 
 

@@ -332,16 +332,23 @@ def _json_key(key) -> str:
 def _render_report(report: dict, fmt: str) -> str:
     """The report of `verify.run_cases` as text.  "json" is the text of
     `json.dumps(report, indent=2)`: each case record, whose fields are those
-    of `run_cases` in its order, is laid out by one f-string, and
-    `_json_text` writes only the values."""
+    of `run_cases` in its order, is laid out by one f-string, with its int,
+    int-list and None values; `_json_text` writes only the other values."""
     if fmt == "json":
-        pad = "\n      "  # the newline and indent of a field of a case record
-        records = ",".join(
-            f'\n    {{{pad}"id": {_json_text(c["id"])},{pad}"params": '
-            f'{_json_text(c["params"], pad)},{pad}"pass": {_json_text(c["pass"])},'
-            f'{pad}"locus": {_json_text(c["locus"], pad)},{pad}"seconds": '
-            f'{_json_text(c["seconds"])}\n    }}' for c in report["cases"])
-        cases = f"[{records}\n  ]" if records else "[]"
+        pad, inner, deeper = "\n      ", "\n        ", "\n          "  # a field, a param, an item
+        records = []
+        for c in report["cases"]:
+            params = ",".join(f"{inner}{_json_key(key)}: " + (
+                int.__repr__(v) if type(v) is int
+                else f"[{deeper}{f',{deeper}'.join(map(int.__repr__, v))}{inner}]"
+                if type(v) is list and v and {*map(type, v)} == {int} else _json_text(v, inner))
+                for key, v in c["params"].items())
+            records.append(f'\n    {{{pad}"id": {_json_text(c["id"])},{pad}"params": '
+                           f'{"{" + params + pad + "}" if params else "{}"},{pad}"pass": '
+                           f'{_json_text(c["pass"])},{pad}"locus": '
+                           f'{"null" if c["locus"] is None else _json_text(c["locus"], pad)},'
+                           f'{pad}"seconds": {_json_text(c["seconds"])}\n    }}')
+        cases = f"[{','.join(records)}\n  ]" if records else "[]"
         return (f'{{\n  "suite": {_json_text(report["suite"])},\n  "passed": '
                 f'{_json_text(report["passed"])},\n  "cases": {cases}\n}}')
     cases = report["cases"]

@@ -115,13 +115,14 @@ def test_json_table_layout_of_hand_built_tables(n, k, qmax, rows):
     assert out.getvalue() == json.dumps(table_json_dict(table, n, k, qmax), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("n,k,qmax", [(6, 0, 8), (8, 0, 10)])
+@pytest.mark.parametrize("n,k,qmax", [(5, 0, 3), (6, 0, 8), (7, 3, 6), (8, 0, 10)])
 def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, k, qmax):
     """`laid_out` builds the groups of each tuple of c entries below the top
     once, lays out each coordinate value of each level once and each orbit's
-    row once, within every group built the order of the integer keys is the
-    sorted order of the weight tuples, and over the whole table each weight
-    is its two-coordinate head and its rest, in sorted order."""
+    row once, every group built lists its integer keys strictly increasing
+    and its weight tuples in sorted order, and over the whole table each
+    weight is its two-coordinate head and its rest, in sorted order.  At
+    (5, 0, 3) and (7, 3, 6) a head holds the runs of several blocks."""
     table = bosonic_character(n, k, qmax)
     arrangements, built = affine._arrangements, []
 
@@ -146,6 +147,9 @@ def test_orbit_expansion_builds_each_piece_once_in_weight_order(monkeypatch, n, 
     assert len(rows) == len(table) == len({*texts})
     assert all(rows[text - 1] is table[dominant_weight(w)] for w, text in zip(weights, texts))
     for values, groups in built:
+        for keys, pieces in groups.values():
+            assert all(map(int.__lt__, keys, keys[1:])), values
+            assert pieces == sorted(pieces), values
         pairs = [pair for keys, pieces in groups.values() for pair in zip(keys, pieces)]
         assert len({key for key, _ in pairs}) == len(pairs), values
         assert [w for _, w in sorted(pairs, key=itemgetter(0))] == sorted(w for _, w in pairs)
@@ -686,7 +690,9 @@ def test_verify_json_report_has_the_indent_2_layout():
     """`verify --format json` writes the bytes of `json.dumps(report, indent=2)`
     without running that encoder: for a passing suite, for every case of
     `--suite all`, for a report with no case, and for a report whose failing
-    cases carry a dict, a string and a list as their loci."""
+    cases carry a dict, a string and a list as their loci, and whose params
+    hold a list of a bool and an int, an empty list, a nested list and a
+    string."""
     passing = verify.run_cases("gz", verify.build_suite("gz", n=2))
     assert passing["passed"]
     everything = verify.run_cases("all", verify.build_suite("all"))
@@ -699,6 +705,8 @@ def test_verify_json_report_has_the_indent_2_layout():
         verify.Case("b", {}, lambda **_: "exception: \u00e9 \"quoted\"\n"),
         verify.Case("c", {"lam": []}, lambda **_: [[], {}, 1.5, True, False]),
         verify.Case("d", {"n": 3}, lambda **_: None),
+        verify.Case("e", {"flags": [True, 1], "rows": [], "nested": [[1], 2], "name": "x"},
+                    lambda **_: None),
     ])
     assert not failing["passed"]
     for report in (passing, everything, empty, failing):

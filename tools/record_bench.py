@@ -35,10 +35,11 @@ bounds, the best of five runs, each with every memo of the package cleared
 first, and the suite's case count.
 
 It times the table writer in process (`writer`): `cli._write_table` of
-`char --kind bosonic --n 8 --k 0 --qmax 10` in json, csv and pretty, and of
-the six `char --kind yangian` tables of the `char-yangian` workload in
-json, each the best of five runs into `os.devnull`, with the table built
-once beforehand.
+`char --kind bosonic --n 8 --k 0 --qmax 10` in json, csv and pretty, of the
+smaller bosonic tables (6, 0, 8) and (7, 3, 6) in json, and of the six
+`char --kind yangian` tables of the `char-yangian` workload in json, each
+the best of five runs into `os.devnull`, with the table built once
+beforehand.
 
 Last it runs Tier-1 once (`tier1`), the command of ROADMAP.md with
 `--durations=10` and without pytest's cache, and records its wall time, the
@@ -73,7 +74,8 @@ SWEEP_QMAX, SWEEP_KS, SWEEP_REPEATS = 3, (0, 1), 3
 RANK_SWEEP_KS = {"k=0": lambda n: 0, "k=1": lambda n: 1, "k=n//2": lambda n: n // 2}
 SWEEP_ORDERS = (10, 20, 40, 80, 160)
 # (kind, n, k, qmax, formats) of the writer timings, and the runs of each
-WRITER_POINTS = (("bosonic", 8, 0, 10, ("json", "csv", "pretty")), *(
+WRITER_POINTS = (("bosonic", 8, 0, 10, ("json", "csv", "pretty")),
+                 ("bosonic", 6, 0, 8, ("json",)), ("bosonic", 7, 3, 6, ("json",)), *(
     ("yangian", n, k, qmax, ("json",))
     for n, k, qmax in ((2, 0, 11), (2, 1, 10), (3, 0, 6), (3, 1, 5), (4, 0, 4), (5, 0, 3))))
 WRITER_REPEATS = 5
